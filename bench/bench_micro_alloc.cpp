@@ -8,13 +8,18 @@
 // hands back the warmed state, every Clear()/Rewind() keeps capacity, and
 // interval ops write into pre-sized destinations.
 //
-// All three scenarios — partition, duration-ranking subsumption, and the
-// Dijkstra baseline — are gated at exactly 0 steady-state allocations: the
-// duration-index internals (bitmap probes, row storage, CollectSubsumed
-// results) are pooled and refilled in place across Reset().
+// All three iterator scenarios — partition, duration-ranking subsumption,
+// and the Dijkstra baseline — are gated at exactly 0 steady-state
+// allocations: the duration-index internals (bitmap probes, row storage,
+// CollectSubsumed results) are pooled and refilled in place across Reset().
+//
+// A fourth scenario gates candidate generation on a warm engine query with
+// many duplicates: no allocation per duplicate or rejected candidate (see
+// MeasureCandidateGeneration).
 //
 // Emits one JSON row per scenario:
 //   {"scenario": ..., "pops": N, "allocs": A, "allocs_per_pop": R}
+// (the candidate-generation row reports candidates instead of pops).
 
 #include <atomic>
 #include <cstdio>
@@ -82,6 +87,90 @@ int64_t MeasureScenario(const char* scenario, MakeFn make) {
   return allocs;
 }
 
+/// Allocations of one warm engine query: two unmeasured runs first, so the
+/// iterators' thread-local scratch pools have grown.
+int64_t CountQueryAllocs(const search::SearchEngine& engine,
+                         const search::Query& query,
+                         const search::SearchOptions& options,
+                         search::SearchCounters* counters) {
+  (void)engine.Search(query, options);
+  (void)engine.Search(query, options);
+  g_allocs.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_relaxed);
+  auto response = engine.Search(query, options);
+  g_counting.store(false, std::memory_order_relaxed);
+  *counters = response->counters;
+  return g_allocs.load(std::memory_order_relaxed);
+}
+
+/// Candidate generation: a warm exhaustive (k=0) dblp query, pop-capped,
+/// runs once with generation on and once with max_combos_per_pop = 0 (no
+/// candidates). Without k the search stops only on exhaustion or max_pops,
+/// so both runs pop the same NTDs and the allocation difference is exactly
+/// candidate generation's. An accepted tree may allocate (its nodes, edges
+/// and keyword nodes, its seen-set entry, the result vectors' growth), and
+/// the query's reused buffers grow a few times; a duplicate or rejected
+/// candidate must allocate nothing. The gate: generation allocations fit
+/// kAllocsPerResult per accepted tree plus kAllocsPerQuery, and the query
+/// has at least four times that budget in non-accepted candidates, so one
+/// allocation per duplicate or rejection would trip it.
+bool MeasureCandidateGeneration() {
+  constexpr int64_t kAllocsPerResult = 8;
+  constexpr int64_t kAllocsPerQuery = 256;
+  const datagen::DblpDataset dblp = MakeDblp();
+  const graph::InvertedIndex index(dblp.graph);
+  const search::SearchEngine engine(dblp.graph, &index);
+  // Workload query 14 (three keywords): within 20000 pops it meets ~350k
+  // candidates, of which fewer than 1k become results.
+  datagen::QueryWorkloadParams params;
+  params.num_queries = 15;
+  const search::Query query =
+      datagen::MakeDblpWorkload(dblp, params).back().query;
+  search::SearchOptions options;
+  options.k = 0;
+  options.max_pops = 20000;
+  search::SearchCounters on;
+  search::SearchCounters off;
+  const int64_t allocs_on = CountQueryAllocs(engine, query, options, &on);
+  options.max_combos_per_pop = 0;
+  const int64_t allocs_off = CountQueryAllocs(engine, query, options, &off);
+  const int64_t allocs = allocs_on - allocs_off;
+  const int64_t non_accepted = on.candidates - on.results;
+  const int64_t budget = kAllocsPerQuery + kAllocsPerResult * on.results;
+  std::printf(
+      "{\"scenario\": \"engine_candidate_generation\", \"candidates\": %lld, "
+      "\"duplicates\": %lld, \"rejected\": %lld, \"results\": %lld, "
+      "\"allocs\": %lld, \"budget\": %lld}\n",
+      static_cast<long long>(on.candidates),
+      static_cast<long long>(on.duplicates),
+      static_cast<long long>(non_accepted - on.duplicates),
+      static_cast<long long>(on.results), static_cast<long long>(allocs),
+      static_cast<long long>(budget));
+  std::fflush(stdout);
+  if (on.pops != off.pops || off.candidates != 0) {
+    std::fprintf(stderr, "FAIL: generation on/off runs popped differently\n");
+    return false;
+  }
+  if (non_accepted < 4 * budget) {
+    std::fprintf(stderr,
+                 "FAIL: %lld non-accepted candidates cannot resolve a budget "
+                 "of %lld allocations\n",
+                 static_cast<long long>(non_accepted),
+                 static_cast<long long>(budget));
+    return false;
+  }
+  if (allocs > budget) {
+    std::fprintf(stderr,
+                 "FAIL: candidate generation made %lld allocations, over the "
+                 "accepted-tree budget of %lld: duplicates or rejected "
+                 "candidates allocate\n",
+                 static_cast<long long>(allocs),
+                 static_cast<long long>(budget));
+    return false;
+  }
+  return true;
+}
+
 int Main() {
   const datagen::SocialDataset social = MakeSocial();
   const graph::TemporalGraph& graph = social.graph;
@@ -132,7 +221,7 @@ int Main() {
                  static_cast<long long>(hot_path_allocs));
     return 1;
   }
-  return 0;
+  return MeasureCandidateGeneration() ? 0 : 1;
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "baseline/dijkstra_iterator.h"
 #include "common/timer.h"
@@ -26,16 +25,12 @@ class BanksRunner {
         options_(options),
         accept_(accept),
         m_(matches.size()),
-        match_lists_(matches) {
+        match_lists_(matches),
+        assembler_(graph, &match_lists_),
+        candidate_matches_(m_) {
     for (auto& list : match_lists_) {
       std::sort(list.begin(), list.end());
       list.erase(std::unique(list.begin(), list.end()), list.end());
-    }
-    match_sets_.resize(m_);
-    match_views_.resize(m_);
-    for (size_t i = 0; i < m_; ++i) {
-      match_sets_[i] = {match_lists_[i].begin(), match_lists_[i].end()};
-      match_views_[i] = &match_sets_[i];
     }
   }
 
@@ -170,46 +165,51 @@ class BanksRunner {
 
   void Emit(NodeId root, const std::vector<int32_t>& chosen) {
     ++response_.counters.candidates;
-    std::vector<std::vector<EdgeId>> paths(m_);
-    std::vector<NodeId> matches(m_);
+    path_edges_.clear();
     for (size_t i = 0; i < m_; ++i) {
-      DijkstraIterator& iter = *iterators_[static_cast<size_t>(chosen[i])];
-      paths[i] = iter.PathEdges(root);
-      matches[i] = iter.source();
+      const DijkstraIterator& iter =
+          *iterators_[static_cast<size_t>(chosen[i])];
+      iter.PathEdgesInto(root, &path_edges_);
+      candidate_matches_[i] = iter.source();
     }
-    CandidateRejection rejection = CandidateRejection::kAccepted;
-    auto tree = search::AssembleCandidate(graph_, root, paths, matches,
-                                          &match_views_, &rejection);
-    if (!tree.has_value()) {
-      if (rejection == CandidateRejection::kEmptyTime) {
+    ResultTree tree;
+    switch (assembler_.Assemble(root, &path_edges_, candidate_matches_,
+                                &seen_, &tree)) {
+      case CandidateRejection::kNotATree:
+      case CandidateRejection::kRootReducible:
+        return;
+      case CandidateRejection::kEmptyTime:
         // Classic BANKS would report this tree; the temporal layer counts
         // and discards it (the BANKS(W) post-filter).
         ++response_.counters.generated;
         ++response_.counters.invalid_time;
-      }
-      return;
+        return;
+      case CandidateRejection::kDuplicate:
+        // The tree was generated and accepted before.
+        ++response_.counters.generated;
+        ++response_.counters.duplicates;
+        return;
+      case CandidateRejection::kAccepted:
+        break;
     }
     ++response_.counters.generated;
     if (options_.snapshot.has_value() &&
-        !tree->time.Contains(*options_.snapshot)) {
+        !tree.time.Contains(*options_.snapshot)) {
       // Defensive: cannot happen (all elements are alive at the snapshot).
       ++response_.counters.invalid_time;
       return;
     }
-    if (accept_ != nullptr && !(*accept_)(*tree)) {
+    if (accept_ != nullptr && !(*accept_)(tree)) {
       ++response_.counters.predicate_rejected;
       return;
     }
-    if (!seen_.insert(tree->Signature()).second) {
-      ++response_.counters.duplicates;
-      return;
-    }
-    const double weight = tree->total_weight;
+    seen_.insert(assembler_.signature());
+    const double weight = tree.total_weight;
     // BANKS scores by relevance only; fill the score for the default spec.
-    tree->score = search::MakeScore(search::RankingSpec{}, weight, tree->time);
+    tree.score = search::MakeScore(search::RankingSpec{}, weight, tree.time);
     weights_.insert(std::lower_bound(weights_.begin(), weights_.end(), weight),
                     weight);
-    results_.push_back(std::move(*tree));
+    results_.push_back(std::move(tree));
     ++response_.counters.results;
   }
 
@@ -259,9 +259,10 @@ class BanksRunner {
   const TreeFilter* accept_;
   const size_t m_;
 
-  std::vector<std::vector<NodeId>> match_lists_;
-  std::vector<std::unordered_set<NodeId>> match_sets_;
-  std::vector<const std::unordered_set<NodeId>*> match_views_;
+  std::vector<std::vector<NodeId>> match_lists_;  // Sorted, unique.
+  search::CandidateAssembler assembler_;
+  std::vector<EdgeId> path_edges_;         // Candidate path-union buffer.
+  std::vector<NodeId> candidate_matches_;  // Candidate designated matches.
 
   std::vector<std::unique_ptr<DijkstraIterator>> iterators_;
   std::vector<int32_t> iterator_keyword_;
@@ -270,7 +271,7 @@ class BanksRunner {
   std::unordered_map<NodeId, std::vector<std::vector<int32_t>>> reached_;
   std::vector<ResultTree> results_;
   std::vector<double> weights_;  // Ascending accepted weights.
-  std::unordered_set<std::string> seen_;
+  search::SignatureSet seen_;
 
   Stopwatch expand_timer_, generate_timer_;
   BanksResponse response_;

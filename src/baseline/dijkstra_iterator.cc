@@ -125,17 +125,22 @@ std::optional<double> DijkstraIterator::DistanceTo(NodeId node) const {
 }
 
 std::vector<EdgeId> DijkstraIterator::PathEdges(NodeId node) const {
-  assert(DistanceTo(node).has_value());
   std::vector<EdgeId> edges;
+  PathEdgesInto(node, &edges);
+  return edges;
+}
+
+void DijkstraIterator::PathEdgesInto(NodeId node,
+                                     std::vector<EdgeId>* out) const {
+  assert(DistanceTo(node).has_value());
   NodeId cur = node;
   while (cur != source_) {
     const EdgeId e = scratch_->labels.Find(static_cast<uint32_t>(cur))
                          ->parent_edge;
-    edges.push_back(e);
+    out->push_back(e);
     cur = overlay_ != nullptr ? overlay_->EdgeAt(*graph_, e).dst
                               : graph_->edge(e).dst;
   }
-  return edges;
 }
 
 }  // namespace tgks::baseline

@@ -100,6 +100,8 @@ class DijkstraIterator {
   /// Forward path node -> ... -> source as edge ids; empty for the source.
   /// `node` must be settled.
   std::vector<graph::EdgeId> PathEdges(graph::NodeId node) const;
+  /// PathEdges appended to `*out`.
+  void PathEdgesInto(graph::NodeId node, std::vector<graph::EdgeId>* out) const;
 
   graph::NodeId source() const { return source_; }
   int64_t nodes_settled() const { return nodes_settled_; }

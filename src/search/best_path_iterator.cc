@@ -379,12 +379,17 @@ std::span<const NtdId> BestPathIterator::PoppedAt(NodeId node) const {
 
 std::vector<EdgeId> BestPathIterator::PathEdges(NtdId id) const {
   std::vector<EdgeId> edges;
+  PathEdgesInto(id, &edges);
+  return edges;
+}
+
+void BestPathIterator::PathEdgesInto(NtdId id,
+                                     std::vector<EdgeId>* out) const {
   for (NtdId cur = id; cur != kInvalidNtd;
        cur = scratch_->arena[static_cast<size_t>(cur)].parent) {
     const Ntd& n = scratch_->arena[static_cast<size_t>(cur)];
-    if (n.via_edge != graph::kInvalidEdge) edges.push_back(n.via_edge);
+    if (n.via_edge != graph::kInvalidEdge) out->push_back(n.via_edge);
   }
-  return edges;
 }
 
 }  // namespace tgks::search

@@ -160,6 +160,9 @@ class BestPathIterator {
   /// Edge ids of the forward path node -> ... -> source encoded by `id`'s
   /// parent chain (empty when `id` is the source NTD).
   std::vector<graph::EdgeId> PathEdges(NtdId id) const;
+  /// PathEdges appended to `*out`, so candidate assembly can reuse one
+  /// buffer for every keyword's path.
+  void PathEdgesInto(NtdId id, std::vector<graph::EdgeId>* out) const;
 
   graph::NodeId source() const { return source_; }
   const IteratorStats& stats() const { return stats_; }

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
-#include <set>
-#include <unordered_set>
 
 #include "graph/delta_overlay.h"
 #include "graph/expansion_view.h"
@@ -205,14 +203,19 @@ const IntervalSet& LabelCorrectingIterator::FragmentTime(NtdId id) const {
 
 std::vector<EdgeId> LabelCorrectingIterator::PathEdges(NtdId id) const {
   std::vector<EdgeId> edges;
+  PathEdgesInto(id, &edges);
+  return edges;
+}
+
+void LabelCorrectingIterator::PathEdgesInto(NtdId id,
+                                            std::vector<EdgeId>* out) const {
   for (NtdId cur = id; cur != kInvalidNtd;
        cur = arena_[static_cast<size_t>(cur)].parent) {
     const Fragment& fragment = arena_[static_cast<size_t>(cur)];
     if (fragment.via_edge != graph::kInvalidEdge) {
-      edges.push_back(fragment.via_edge);
+      out->push_back(fragment.via_edge);
     }
   }
-  return edges;
 }
 
 std::vector<InverseSearchResult> SearchInverse(
@@ -245,25 +248,26 @@ std::vector<InverseSearchResult> SearchInverse(
 
   // One iterator per match node, grouped by keyword.
   std::vector<std::vector<std::unique_ptr<LabelCorrectingIterator>>> per_kw(m);
-  std::vector<std::unordered_set<NodeId>> match_sets(m);
+  std::vector<std::vector<NodeId>> match_lists(matches);
   for (size_t kw = 0; kw < m; ++kw) {
-    std::vector<NodeId> list = matches[kw];
+    std::vector<NodeId>& list = match_lists[kw];
     std::sort(list.begin(), list.end());
     list.erase(std::unique(list.begin(), list.end()), list.end());
-    match_sets[kw] = {list.begin(), list.end()};
     for (const NodeId source : list) {
       per_kw[kw].push_back(std::make_unique<LabelCorrectingIterator>(
           graph, source, options));
       per_kw[kw].back()->Run();
     }
   }
-  std::vector<const std::unordered_set<NodeId>*> match_views;
-  for (const auto& set : match_sets) match_views.push_back(&set);
 
   // Join: for every node with fragments from all keywords, combine one
   // fragment per keyword, intersect, assemble.
   std::vector<InverseSearchResult> results;
-  std::set<std::string> seen;
+  CandidateAssembler assembler(graph, &match_lists, options.overlay);
+  SignatureSet seen;
+  std::vector<EdgeId> path_edges;
+  std::vector<NodeId> leaf_matches(m);
+  ResultTree tree;
   const NodeId total_nodes = options.overlay != nullptr
                                  ? options.overlay->total_nodes()
                                  : graph.num_nodes();
@@ -291,23 +295,22 @@ std::vector<InverseSearchResult> SearchInverse(
       if (combos >= kMaxCombos) return;
       if (kw == m) {
         ++combos;
-        std::vector<std::vector<EdgeId>> paths(m);
-        std::vector<NodeId> leaf_matches(m);
+        path_edges.clear();
         for (size_t i = 0; i < m; ++i) {
-          paths[i] = chosen[i].first->PathEdges(chosen[i].second);
+          chosen[i].first->PathEdgesInto(chosen[i].second, &path_edges);
           leaf_matches[i] = chosen[i].first->source();
         }
-        auto tree = AssembleCandidate(graph, root, paths, leaf_matches,
-                                      &match_views, /*rejection=*/nullptr,
-                                      options.overlay);
-        if (!tree.has_value()) return;
-        if (!seen.insert(tree->Signature()).second) return;
+        if (assembler.Assemble(root, &path_edges, leaf_matches, &seen,
+                               &tree) != CandidateRejection::kAccepted) {
+          return;
+        }
+        seen.insert(assembler.signature());
         InverseSearchResult result;
-        result.root = tree->root;
-        result.nodes = std::move(tree->nodes);
-        result.edges = std::move(tree->edges);
-        result.value = InverseValue(factor, tree->time);
-        result.time = std::move(tree->time);
+        result.root = tree.root;
+        result.nodes = std::move(tree.nodes);
+        result.edges = std::move(tree.edges);
+        result.value = InverseValue(factor, tree.time);
+        result.time = std::move(tree.time);
         results.push_back(std::move(result));
         return;
       }

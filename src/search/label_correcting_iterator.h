@@ -142,6 +142,8 @@ class LabelCorrectingIterator {
 
   /// Forward path node -> ... -> source encoded by fragment `id`.
   std::vector<graph::EdgeId> PathEdges(NtdId id) const;
+  /// PathEdges appended to `*out`.
+  void PathEdgesInto(NtdId id, std::vector<graph::EdgeId>* out) const;
 
   int64_t relaxations() const { return relaxations_; }
   int64_t fragments_kept() const { return static_cast<int64_t>(arena_.size()); }

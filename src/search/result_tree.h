@@ -10,7 +10,7 @@
 #ifndef TGKS_SEARCH_RESULT_TREE_H_
 #define TGKS_SEARCH_RESULT_TREE_H_
 
-#include <optional>
+#include <cstdint>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -36,16 +36,24 @@ struct ResultTree {
   /// validity. Non-empty for any valid result.
   temporal::IntervalSet time;
   /// Sum of node and edge weights (the paper's weighted tree size; relevance
-  /// score is its inverse).
+  /// score is its inverse), added in a fixed order: the root's weight, then
+  /// for each other node in ascending NodeId order its own weight followed
+  /// by its incoming tree edge's. The order pins the last bit of the sum.
   double total_weight = 0.0;
   /// Score under the query's ranking spec, larger-is-better per component.
   ScoreVec score;
   /// For each query keyword, the matched node serving it in this tree.
   std::vector<graph::NodeId> keyword_nodes;
 
-  /// Stable identity for deduplication: root plus the sorted edge set.
+  /// Stable identity for deduplication: root plus the sorted edge set, as
+  /// "root:e1,e2,...,".
   std::string Signature() const;
+  /// Signature() appended to `*out`; allocates only if `*out` must grow.
+  void AppendSignature(std::string* out) const;
 };
+
+/// Signatures of the trees a search has already accepted.
+using SignatureSet = std::unordered_set<std::string>;
 
 /// Why a candidate bundle failed to become a result.
 enum class CandidateRejection {
@@ -54,30 +62,85 @@ enum class CandidateRejection {
   kEmptyTime,     ///< Element validities share no instant.
   kRootReducible, ///< Root had one child and covered no keyword: a
                   ///< lower-rooted duplicate exists and is emitted instead.
+  kDuplicate,     ///< The reduced tree is already in the caller's seen set.
 };
 
-/// Assembles a candidate from per-keyword forward paths meeting at `root`.
+/// Turns per-keyword paths meeting at a root into a reduced, timed tree.
 ///
-/// `paths[i]` holds the edge ids of the forward path root -> match node for
-/// keyword i (empty if the root itself is the match); `matches[i]` is that
-/// match node. On success the tree is leaf-reduced (leaves not needed for
-/// keyword coverage removed, yielding minimal trees) and exactly timed; the
-/// caller still applies predicates and scoring.
+/// One assembler serves one search: its buffers keep their capacity across
+/// candidates, so a candidate that is rejected or found to be a duplicate
+/// allocates nothing once the buffers have grown to the search's largest
+/// candidate. Assembly works on small sorted arrays, in four steps:
 ///
-/// `match_sets`, when given, holds keyword i's full match set so that any
-/// tree node matching keyword i counts as covering it during reduction;
-/// otherwise only the designated `matches[i]` covers i.
-/// `rejection` (optional) reports the failure reason.
-/// `overlay` (optional) routes element reads for delta node/edge ids on
-/// live snapshots; base-only candidates read the graph directly either way.
-std::optional<ResultTree> AssembleCandidate(
-    const graph::TemporalGraph& graph, graph::NodeId root,
-    const std::vector<std::vector<graph::EdgeId>>& paths,
-    const std::vector<graph::NodeId>& matches,
-    const std::vector<const std::unordered_set<graph::NodeId>*>* match_sets =
-        nullptr,
-    CandidateRejection* rejection = nullptr,
-    const graph::DeltaOverlay* overlay = nullptr);
+///  1. sort and dedup the edge union, and check it is a tree under `root`;
+///  2. read keyword coverage by binary search on the sorted match lists;
+///  3. peel leaves not needed for coverage, farthest from the root first,
+///     ties to the smaller NodeId;
+///  4. apply the root rule, then look the reduced tree's signature up in the
+///     caller's seen set before timing and weighing the tree.
+class CandidateAssembler {
+ public:
+  /// `match_lists[i]`, when given, is keyword i's full match set, sorted
+  /// and unique, so that any tree node matching keyword i covers it during
+  /// reduction; otherwise only the designated match covers i. Both
+  /// `match_lists` and `overlay` (which routes element reads for delta ids
+  /// on live snapshots) must outlive the assembler.
+  CandidateAssembler(const graph::TemporalGraph& graph,
+                     const std::vector<std::vector<graph::NodeId>>* match_lists,
+                     const graph::DeltaOverlay* overlay = nullptr);
+
+  /// Assembles the candidate whose forward paths (root -> match) are
+  /// concatenated in `path_edges`, in any order and with shared prefixes
+  /// repeated; the buffer is sorted and deduplicated in place. `matches[i]`
+  /// is keyword i's designated match node.
+  ///
+  /// Returns kDuplicate, without timing or building anything, when the
+  /// reduced tree's signature is in `seen` (which may be null). On
+  /// kAccepted `*out` holds the tree, its score left to the caller. After
+  /// kEmptyTime or kAccepted, signature() names the reduced tree; the
+  /// caller inserts it into `seen` once its own checks pass.
+  CandidateRejection Assemble(graph::NodeId root,
+                              std::vector<graph::EdgeId>* path_edges,
+                              const std::vector<graph::NodeId>& matches,
+                              const SignatureSet* seen, ResultTree* out);
+
+  /// Signature of the last reduced candidate (see Assemble).
+  const std::string& signature() const { return signature_; }
+
+ private:
+  CandidateRejection CheckTree(graph::NodeId root,
+                               const std::vector<graph::EdgeId>& edges);
+  void ComputeCoverage(const std::vector<graph::NodeId>& matches);
+  void Peel();
+  bool ComputeTimeAndWeight();
+  void Build(const std::vector<graph::EdgeId>& edges, ResultTree* out) const;
+
+  const graph::Node& NodeAt(graph::NodeId id) const;
+  const graph::Edge& EdgeAt(graph::EdgeId id) const;
+
+  const graph::TemporalGraph& graph_;
+  const std::vector<std::vector<graph::NodeId>>* match_lists_;
+  const graph::DeltaOverlay* overlay_;
+
+  // Per-candidate state. Tree nodes are addressed by their position in the
+  // sorted `nodes_` array, so position order is NodeId order.
+  std::vector<graph::NodeId> nodes_;  ///< Root plus every edge head, sorted.
+  std::vector<int32_t> parent_;       ///< Parent position; -1 at the root.
+  std::vector<graph::EdgeId> edge_to_;  ///< Incoming tree edge.
+  std::vector<int32_t> edge_child_;   ///< Child position per union edge.
+  std::vector<int32_t> depth_;        ///< Edges from the root.
+  std::vector<int32_t> children_;     ///< Live child count.
+  std::vector<uint8_t> removed_;      ///< Peeled.
+  std::vector<uint8_t> cover_;        ///< Position-major n x m coverage.
+  std::vector<int32_t> cover_count_;  ///< Live coverers per keyword.
+  std::vector<int32_t> walk_;         ///< Parent-chain scratch for depths.
+  std::vector<int64_t> leaves_;       ///< Peel heap of (depth, -position).
+  size_t m_ = 0;
+  int32_t root_pos_ = 0;
+  std::string signature_;
+  temporal::IntervalSet time_, narrow_;
+  double weight_ = 0.0;
+};
 
 }  // namespace tgks::search
 

@@ -15,8 +15,6 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <unordered_map>
-#include <unordered_set>
 
 namespace tgks::search {
 
@@ -150,6 +148,12 @@ struct EngineMetrics {
 };
 #endif  // TGKS_NO_STATS
 
+/// `overlay`, or null when it is null or empty: an empty overlay is
+/// indistinguishable from none.
+const graph::DeltaOverlay* NonEmpty(const graph::DeltaOverlay* overlay) {
+  return overlay != nullptr && !overlay->empty() ? overlay : nullptr;
+}
+
 /// One Search() invocation; owns iterators and bookkeeping.
 class Runner {
  public:
@@ -161,14 +165,16 @@ class Runner {
         options_(options),
         m_(query.keywords.size()),
         match_lists_(std::move(matches)),
+        assembler_(graph, &match_lists_, NonEmpty(options.overlay)),
+        chosen_(m_),
+        combo_times_(m_),
+        candidate_matches_(m_),
         reached_(static_cast<size_t>(options.overlay != nullptr
                                          ? options.overlay->total_nodes()
                                          : graph.num_nodes())) {
     // An empty overlay is indistinguishable from none; normalizing here
     // keeps every downstream check a plain null test.
-    if (options_.overlay != nullptr && options_.overlay->empty()) {
-      options_.overlay = nullptr;
-    }
+    options_.overlay = NonEmpty(options_.overlay);
     if (options_.overlay != nullptr) {
       // Conservative no-prune fallback on live snapshots: the base
       // ReachabilityIndex does not cover delta connectivity, so pruning
@@ -384,12 +390,6 @@ class Runner {
         });
       }
     }
-    match_set_storage_.resize(m_);
-    match_set_views_.resize(m_);
-    for (size_t i = 0; i < m_; ++i) {
-      match_set_storage_[i] = {match_lists_[i].begin(), match_lists_[i].end()};
-      match_set_views_[i] = &match_set_storage_[i];
-    }
     filter_timer_.Stop();
   }
 
@@ -550,34 +550,36 @@ class Runner {
   void GenerateCandidates(
       NodeId root, size_t fresh_kw, int32_t fresh_iter, NtdId fresh_ntd,
       const std::vector<std::vector<std::pair<int32_t, NtdId>>>& lists) {
-    std::vector<std::pair<int32_t, NtdId>> chosen(m_);
-    chosen[fresh_kw] = {fresh_iter, fresh_ntd};
+    chosen_[fresh_kw] = {fresh_iter, fresh_ntd};
     int64_t combos = 0;
     const IntervalSet& fresh_time =
         iterators_[static_cast<size_t>(fresh_iter)]->ntd(fresh_ntd).time;
-    EnumerateCombos(root, fresh_kw, 0, fresh_time, lists, &chosen, &combos);
+    EnumerateCombos(root, fresh_kw, 0, fresh_time, lists, &combos);
   }
 
   void EnumerateCombos(
       NodeId root, size_t fresh_kw, size_t kw, const IntervalSet& common,
       const std::vector<std::vector<std::pair<int32_t, NtdId>>>& lists,
-      std::vector<std::pair<int32_t, NtdId>>* chosen, int64_t* combos) {
+      int64_t* combos) {
     if (*combos >= options_.max_combos_per_pop) {
       ++response_.counters.combo_overflows;
       return;
     }
     if (kw == m_) {
       ++(*combos);
-      EmitCandidate(root, *chosen, common);
+      EmitCandidate(root);
       return;
     }
     if (kw == fresh_kw) {
-      EnumerateCombos(root, fresh_kw, kw + 1, common, lists, chosen, combos);
+      EnumerateCombos(root, fresh_kw, kw + 1, common, lists, combos);
       return;
     }
+    // Each depth narrows into its own reused set; `common` is the fresh
+    // NTD's time or a shallower depth's set, never this one.
+    IntervalSet& narrowed = combo_times_[kw];
     for (const auto& [iter_idx, ntd_id] : lists[kw]) {
-      const IntervalSet narrowed = common.Intersect(
-          iterators_[static_cast<size_t>(iter_idx)]->ntd(ntd_id).time);
+      narrowed.AssignIntersectionOf(
+          common, iterators_[static_cast<size_t>(iter_idx)]->ntd(ntd_id).time);
       TGKS_STATS(++engine_interval_ops_);
       if (narrowed.IsEmpty()) {
         // Validity pre-check (Algorithm 3 line 17): the chosen paths never
@@ -586,66 +588,59 @@ class Runner {
         ++response_.counters.invalid_time;
         continue;
       }
-      (*chosen)[kw] = {iter_idx, ntd_id};
-      EnumerateCombos(root, fresh_kw, kw + 1, narrowed, lists, chosen, combos);
+      chosen_[kw] = {iter_idx, ntd_id};
+      EnumerateCombos(root, fresh_kw, kw + 1, narrowed, lists, combos);
       if (*combos >= options_.max_combos_per_pop) return;
     }
   }
 
-  void EmitCandidate(NodeId root,
-                     const std::vector<std::pair<int32_t, NtdId>>& chosen,
-                     const IntervalSet& common_time) {
-    (void)common_time;  // Exact time is recomputed from tree elements.
+  /// Assembles the combination in chosen_. The exact time is recomputed
+  /// from the reduced tree's elements, and only for a tree not seen before.
+  void EmitCandidate(NodeId root) {
     ++response_.counters.candidates;
-    std::vector<std::vector<EdgeId>> paths(m_);
-    std::vector<NodeId> matches(m_);
+    path_edges_.clear();
     for (size_t i = 0; i < m_; ++i) {
-      const auto& [iter_idx, ntd_id] = chosen[i];
-      BestPathIterator& iter = *iterators_[static_cast<size_t>(iter_idx)];
-      paths[i] = iter.PathEdges(ntd_id);
-      matches[i] = iter.source();
+      const auto& [iter_idx, ntd_id] = chosen_[i];
+      const BestPathIterator& iter = *iterators_[static_cast<size_t>(iter_idx)];
+      iter.PathEdgesInto(ntd_id, &path_edges_);
+      candidate_matches_[i] = iter.source();
     }
-    CandidateRejection rejection = CandidateRejection::kAccepted;
-    auto tree = AssembleCandidate(graph_, root, paths, matches,
-                                  &match_set_views_, &rejection,
-                                  options_.overlay);
-    if (!tree.has_value()) {
-      switch (rejection) {
-        case CandidateRejection::kNotATree:
-          ++response_.counters.invalid_structure;
-          break;
-        case CandidateRejection::kEmptyTime:
-          ++response_.counters.invalid_time;
-          break;
-        case CandidateRejection::kRootReducible:
-          ++response_.counters.root_reducible;
-          break;
-        case CandidateRejection::kAccepted:
-          break;
-      }
-      return;
+    ResultTree tree;
+    switch (assembler_.Assemble(root, &path_edges_, candidate_matches_,
+                                &seen_, &tree)) {
+      case CandidateRejection::kNotATree:
+        ++response_.counters.invalid_structure;
+        return;
+      case CandidateRejection::kRootReducible:
+        ++response_.counters.root_reducible;
+        return;
+      case CandidateRejection::kDuplicate:
+        ++response_.counters.duplicates;
+        TGKS_STATS(if (options_.trace != nullptr) {
+          options_.trace->Record(obs::TraceEventKind::kDedupHit, root, -1);
+        });
+        return;
+      case CandidateRejection::kEmptyTime:
+        ++response_.counters.invalid_time;
+        return;
+      case CandidateRejection::kAccepted:
+        break;
     }
     // Final predicate check; skippable when element pruning was exact (§5).
     if (query_.predicate != nullptr && !query_.predicate->PruningIsExact() &&
-        !query_.predicate->EvalResultTime(tree->time)) {
+        !query_.predicate->EvalResultTime(tree.time)) {
       ++response_.counters.predicate_rejected;
       return;
     }
-    if (!seen_.insert(tree->Signature()).second) {
-      ++response_.counters.duplicates;
-      TGKS_STATS(if (options_.trace != nullptr) {
-        options_.trace->Record(obs::TraceEventKind::kDedupHit, root, -1);
-      });
-      return;
-    }
-    tree->score = MakeScore(query_.ranking, tree->total_weight, tree->time);
+    seen_.insert(assembler_.signature());
+    tree.score = MakeScore(query_.ranking, tree.total_weight, tree.time);
     // Track primary scores (descending) for the §4.2 stop test.
-    const double primary = tree->score[0];
+    const double primary = tree.score[0];
     primaries_.insert(
         std::upper_bound(primaries_.begin(), primaries_.end(), primary,
                          std::greater<double>()),
         primary);
-    results_.push_back(std::move(*tree));
+    results_.push_back(std::move(tree));
     ++response_.counters.results;
   }
 
@@ -1167,10 +1162,15 @@ class Runner {
   }
 
   void Finalize() {
+    std::string sig_a, sig_b;  // Tie-break buffers, reused per comparison.
     std::sort(results_.begin(), results_.end(),
-              [](const ResultTree& a, const ResultTree& b) {
+              [&](const ResultTree& a, const ResultTree& b) {
                 if (a.score != b.score) return ScoreBetter(a.score, b.score);
-                return a.Signature() < b.Signature();
+                sig_a.clear();
+                sig_b.clear();
+                a.AppendSignature(&sig_a);
+                b.AppendSignature(&sig_b);
+                return sig_a < sig_b;
               });
     if (options_.k > 0 &&
         static_cast<int64_t>(results_.size()) > options_.k) {
@@ -1333,8 +1333,15 @@ class Runner {
   std::shared_ptr<const graph::ReachabilityIndex::GuidanceData>
       guidance_shared_;
   const graph::ReachabilityIndex::GuidanceData* guidance_view_ = nullptr;
-  std::vector<std::unordered_set<NodeId>> match_set_storage_;
-  std::vector<const std::unordered_set<NodeId>*> match_set_views_;
+
+  // Candidate generation. Every buffer lives for the whole query, so a
+  // warm candidate allocates only if it becomes a result.
+  CandidateAssembler assembler_;  ///< Covers by the filtered match_lists_.
+  std::vector<std::pair<int32_t, NtdId>> chosen_;  ///< NTD per keyword.
+  std::vector<IntervalSet> combo_times_;  ///< Narrowed time per depth.
+  std::vector<EdgeId> path_edges_;        ///< Concatenated chosen paths.
+  std::vector<NodeId> candidate_matches_;  ///< Chosen paths' sources.
+  SignatureSet seen_;  ///< Accepted trees.
 
   std::vector<std::unique_ptr<BestPathIterator>> iterators_;
   std::vector<std::vector<IterEntry>> keyword_heaps_;
@@ -1361,7 +1368,6 @@ class Runner {
   int64_t reached_count_ = 0;
   std::vector<ResultTree> results_;
   std::vector<double> primaries_;  // Primary scores, descending.
-  std::unordered_set<std::string> seen_;
 
   Stopwatch filter_timer_, expand_timer_, generate_timer_;
   int64_t engine_interval_ops_ = 0;  ///< Intersections in combo enumeration.
@@ -1390,10 +1396,7 @@ Result<SearchResponse> SearchEngine::Search(const Query& query,
   cache::MatchSetCache* mcache = options.query_caches != nullptr
                                      ? &options.query_caches->match_sets()
                                      : nullptr;
-  const graph::DeltaOverlay* overlay =
-      options.overlay != nullptr && !options.overlay->empty()
-          ? options.overlay
-          : nullptr;
+  const graph::DeltaOverlay* overlay = NonEmpty(options.overlay);
   for (const std::string& keyword : query.keywords) {
     if (mcache != nullptr) {
       // Level-1 cache (docs/caching.md): the cached MatchSet stores the
