@@ -15,7 +15,9 @@
 //
 // A fourth scenario gates candidate generation on a warm engine query with
 // many duplicates: no allocation per duplicate or rejected candidate (see
-// MeasureCandidateGeneration).
+// MeasureCandidateGeneration). A fifth gates the engine's keyword frontiers
+// on a warm query with hundreds of sources per keyword: one pooled scratch
+// per keyword and no allocation per pop (see MeasureFrontierQuery).
 //
 // Emits one JSON row per scenario:
 //   {"scenario": ..., "pops": N, "allocs": A, "allocs_per_pop": R}
@@ -30,6 +32,7 @@
 #include "bench/bench_util.h"
 #include "search/best_path_iterator.h"
 #include "search/label_correcting_iterator.h"
+#include "search/search_scratch.h"
 
 namespace {
 
@@ -87,17 +90,15 @@ int64_t MeasureScenario(const char* scenario, MakeFn make) {
   return allocs;
 }
 
-/// Allocations of one warm engine query: two unmeasured runs first, so the
-/// iterators' thread-local scratch pools have grown.
-int64_t CountQueryAllocs(const search::SearchEngine& engine,
-                         const search::Query& query,
-                         const search::SearchOptions& options,
-                         search::SearchCounters* counters) {
-  (void)engine.Search(query, options);
-  (void)engine.Search(query, options);
+/// Allocations of one warm engine query (`search` runs it): two unmeasured
+/// runs first, so the iterators' thread-local scratch pools have grown.
+template <typename SearchFn>
+int64_t CountQueryAllocs(SearchFn search, search::SearchCounters* counters) {
+  (void)search();
+  (void)search();
   g_allocs.store(0, std::memory_order_relaxed);
   g_counting.store(true, std::memory_order_relaxed);
-  auto response = engine.Search(query, options);
+  auto response = search();
   g_counting.store(false, std::memory_order_relaxed);
   *counters = response->counters;
   return g_allocs.load(std::memory_order_relaxed);
@@ -129,11 +130,12 @@ bool MeasureCandidateGeneration() {
   search::SearchOptions options;
   options.k = 0;
   options.max_pops = 20000;
+  const auto search = [&] { return engine.Search(query, options); };
   search::SearchCounters on;
   search::SearchCounters off;
-  const int64_t allocs_on = CountQueryAllocs(engine, query, options, &on);
+  const int64_t allocs_on = CountQueryAllocs(search, &on);
   options.max_combos_per_pop = 0;
-  const int64_t allocs_off = CountQueryAllocs(engine, query, options, &off);
+  const int64_t allocs_off = CountQueryAllocs(search, &off);
   const int64_t allocs = allocs_on - allocs_off;
   const int64_t non_accepted = on.candidates - on.results;
   const int64_t budget = kAllocsPerQuery + kAllocsPerResult * on.results;
@@ -166,6 +168,83 @@ bool MeasureCandidateGeneration() {
                  "candidates allocate\n",
                  static_cast<long long>(allocs),
                  static_cast<long long>(budget));
+    return false;
+  }
+  return true;
+}
+
+/// Keyword frontiers: a warm three-keyword match-set query on the social
+/// graph with 300-400 sources per keyword. With k = 0 and candidate
+/// generation off (max_combos_per_pop = 0) the query stops on max_pops and
+/// builds no results, so a short and a long run differ only in pops: equal
+/// allocation counts mean zero allocations per pop. A warm query must also
+/// acquire exactly one BestPathScratch per keyword, all of them recycled.
+bool MeasureFrontierQuery(const graph::TemporalGraph& graph) {
+  constexpr int64_t kShortPops = 2000;
+  constexpr int64_t kLongPops = 20000;
+  datagen::QueryWorkloadParams params;
+  params.num_queries = 1;
+  params.keywords_min = 3;
+  params.keywords_max = 3;
+  datagen::MatchSetParams match_params;
+  match_params.matches_min = 300;
+  match_params.matches_max = 400;
+  const datagen::WorkloadQuery wq =
+      datagen::MakeMatchSetWorkload(graph, params, match_params).front();
+  const search::SearchEngine engine(graph);
+  search::SearchOptions options;
+  options.k = 0;
+  options.max_combos_per_pop = 0;
+  const auto search = [&] {
+    return engine.SearchWithMatches(wq.query, wq.matches, options);
+  };
+  // The long run first: its warm-ups grow every pooled buffer to what the
+  // short run needs too.
+  search::SearchCounters long_run;
+  search::SearchCounters short_run;
+  options.max_pops = kLongPops;
+  const int64_t allocs_long = CountQueryAllocs(search, &long_run);
+  options.max_pops = kShortPops;
+  const int64_t allocs_short = CountQueryAllocs(search, &short_run);
+
+  const auto before = search::BestPathScratchPool::ThreadLocalStats();
+  (void)search();
+  const auto after = search::BestPathScratchPool::ThreadLocalStats();
+  const size_t created = after.created - before.created;
+  const size_t acquired = created + (after.reused - before.reused);
+  const size_t keywords = wq.matches.size();
+
+  const int64_t extra_pops = long_run.pops - short_run.pops;
+  const int64_t extra_allocs = allocs_long - allocs_short;
+  std::printf(
+      "{\"scenario\": \"engine_keyword_frontiers\", \"keywords\": %zu, "
+      "\"sources\": %lld, \"pops\": %lld, \"allocs\": %lld, "
+      "\"allocs_per_pop\": %.4f, \"scratches_acquired\": %zu, "
+      "\"scratches_created\": %zu}\n",
+      keywords, static_cast<long long>(long_run.iterators),
+      static_cast<long long>(extra_pops), static_cast<long long>(extra_allocs),
+      extra_pops == 0 ? 0.0
+                      : static_cast<double>(extra_allocs) /
+                            static_cast<double>(extra_pops),
+      acquired, created);
+  std::fflush(stdout);
+  if (long_run.pops != kLongPops || short_run.pops != kShortPops) {
+    std::fprintf(stderr, "FAIL: the frontier query did not stop on max_pops\n");
+    return false;
+  }
+  if (extra_allocs != 0) {
+    std::fprintf(stderr,
+                 "FAIL: %lld allocations over %lld extra pops of a warm "
+                 "multi-source query\n",
+                 static_cast<long long>(extra_allocs),
+                 static_cast<long long>(extra_pops));
+    return false;
+  }
+  if (acquired != keywords || created != 0) {
+    std::fprintf(stderr,
+                 "FAIL: a warm query acquired %zu best-path scratches (%zu "
+                 "new) for %zu keywords\n",
+                 acquired, created, keywords);
     return false;
   }
   return true;
@@ -221,7 +300,8 @@ int Main() {
                  static_cast<long long>(hot_path_allocs));
     return 1;
   }
-  return MeasureCandidateGeneration() ? 0 : 1;
+  const bool frontiers_ok = MeasureFrontierQuery(graph);
+  return MeasureCandidateGeneration() && frontiers_ok ? 0 : 1;
 }
 
 }  // namespace

@@ -5,14 +5,14 @@
 // nodes per query but must be conceptually empty at the start of every
 // query. node-based hash maps pay an allocation per insert and a pointer
 // chase per probe; a dense NodeId-indexed array cannot work either, because
-// the engine runs thousands of iterators per query concurrently (one per
-// match node) and each would pin O(num_nodes) memory. These tables are the
-// middle ground: open-addressing flat arrays keyed by hashed NodeId, sized
-// by the iterator's *touched* node set, with a parallel epoch stamp whose
-// bump invalidates every slot in O(1). Recycled slots keep their payload's
-// heap capacity (vectors keep buffers, IntervalSets keep spill storage)
-// across epochs — the core of the zero-steady-state-allocation design (see
-// docs/performance.md).
+// the engine runs thousands of expansions per query concurrently (one per
+// match node, each with its own tables) and each would pin O(num_nodes)
+// memory. These tables are the middle ground: open-addressing flat arrays
+// keyed by hashed NodeId, sized by one expansion's *touched* node set, with
+// a parallel epoch stamp whose bump invalidates every slot in O(1).
+// Recycled slots keep their payload's heap capacity (vectors keep buffers,
+// IntervalSets keep spill storage) across epochs — the core of the
+// zero-steady-state-allocation design (see docs/performance.md).
 
 #ifndef TGKS_COMMON_EPOCH_TABLE_H_
 #define TGKS_COMMON_EPOCH_TABLE_H_

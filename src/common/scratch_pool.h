@@ -34,7 +34,9 @@ namespace tgks::common {
 /// instead of deleting it. The free list is bounded by `MaxFree` to keep a
 /// pathological burst of concurrent iterators from pinning memory forever;
 /// size it to the expected peak of simultaneously-live scratches (the
-/// search engine runs one iterator per match node, which can be thousands).
+/// search engine holds one best-path scratch per keyword; the inverse
+/// search runs one label-correcting iterator per match node, which can be
+/// thousands).
 template <typename S, size_t MaxFree = 64>
 class ScratchPool {
  public:

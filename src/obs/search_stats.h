@@ -59,8 +59,9 @@ struct SearchStats {
   // Hot-structure pressure.
   int64_t interval_ops = 0;     ///< IntervalSet operations on the search
                                 ///< path (intersect/union/subtract).
-  int64_t heap_high_water = 0;  ///< Max priority-queue size over all
-                                ///< iterators of the query.
+  int64_t heap_high_water = 0;  ///< Max per-source priority-queue size
+                                ///< over all sources of the query's
+                                ///< keyword frontiers.
 
   // Phase breakdown in microseconds (match lookup, predicate filtering,
   // best-path expansion, result generation).

@@ -17,101 +17,135 @@ using graph::NodeId;
 using temporal::IntervalSet;
 
 BestPathIterator::BestPathIterator(const graph::TemporalGraph& graph,
-                                   NodeId source, Options options)
+                                   std::span<const NodeId> sources,
+                                   Options options)
     : graph_(&graph),
-      source_(source),
       options_(std::move(options)),
+      num_sources_(static_cast<int32_t>(sources.size())),
       scratch_(BestPathScratchPool::Acquire()) {
-  assert(source >= 0 &&
-         source < (options_.overlay != nullptr
-                       ? options_.overlay->total_nodes()
-                       : graph.num_nodes()));
   // Reachability/guidance labels do not cover delta elements; callers must
   // disable both while a non-empty overlay is live (the engine does).
   assert(options_.overlay == nullptr || options_.overlay->empty() ||
          (options_.viability == nullptr && options_.guidance_floor == nullptr));
-  scratch_->Reset();
-  const graph::Node& src = options_.overlay != nullptr
-                               ? options_.overlay->NodeAt(graph, source)
-                               : graph.node(source);
-  if (options_.prune != nullptr &&
-      !options_.prune->ElementMayQualify(src.validity,
-          options_.containedby_prune)) {
-    return;  // QUALIFY(s, P) failed; iterator starts exhausted.
+  scratch_->Reset(sources.size());
+  for (int32_t origin = 0; origin < num_sources_; ++origin) {
+    const NodeId source = sources[static_cast<size_t>(origin)];
+    assert(source >= 0 &&
+           source < (options_.overlay != nullptr
+                         ? options_.overlay->total_nodes()
+                         : graph.num_nodes()));
+    BestPathOrigin& slot = scratch_->origins[static_cast<size_t>(origin)];
+    slot.Reset(source);
+    const graph::Node& src = options_.overlay != nullptr
+                                 ? options_.overlay->NodeAt(graph, source)
+                                 : graph.node(source);
+    if (options_.prune != nullptr &&
+        !options_.prune->ElementMayQualify(src.validity,
+            options_.containedby_prune)) {
+      continue;  // QUALIFY(s, P) failed; the source starts exhausted.
+    }
+    if (src.validity.IsEmpty()) continue;
+    if (options_.viability != nullptr &&
+        !src.validity.Overlaps(
+            (*options_.viability)[static_cast<size_t>(source)])) {
+      // The source can never sit on an answer tree at any of its instants;
+      // its whole backward expansion would be fruitless
+      // (docs/reachability.md).
+      ++stats_.reachability_prunes;
+      continue;
+    }
+    if (options_.guidance_floor != nullptr &&
+        (*options_.guidance_floor)[static_cast<size_t>(source)] ==
+            std::numeric_limits<double>::infinity()) {
+      // No potential root reaches the source in any alive epoch, so no
+      // answer tree contains it and its backward expansion is fruitless.
+      ++stats_.guided_prunes;
+      continue;
+    }
+    PushNtd(slot, origin, source, src.validity, src.weight, kInvalidNtd,
+            graph::kInvalidEdge);
+    // A lone source NTD is actionable: nothing to settle.
+    const BestPathSourceEntry entry =
+        MakeSourceEntry(slot.queue.top().score, origin);
+    capped_sources_ += entry.capped;
+    scratch_->sources.push(entry);
   }
-  if (src.validity.IsEmpty()) return;
-  if (options_.viability != nullptr &&
-      !src.validity.Overlaps(
-          (*options_.viability)[static_cast<size_t>(source)])) {
-    // The source can never sit on an answer tree at any of its instants;
-    // the whole backward expansion would be fruitless (docs/reachability.md).
-    ++stats_.reachability_prunes;
-    return;
-  }
-  if (options_.guidance_floor != nullptr &&
-      (*options_.guidance_floor)[static_cast<size_t>(source)] ==
-          std::numeric_limits<double>::infinity()) {
-    // No potential root reaches the source in any alive epoch, so no answer
-    // tree contains it and the backward expansion is fruitless.
-    ++stats_.guided_prunes;
-    return;
-  }
-  PushNtd(source, src.validity, src.weight, kInvalidNtd, graph::kInvalidEdge);
 }
 
-NtdId BestPathIterator::PushNtd(NodeId node, const IntervalSet& time,
+BestPathSourceEntry BestPathIterator::MakeSourceEntry(const ScoreKey& score,
+                                                      int32_t origin) {
+  BestPathSourceEntry entry{score, origin, false};
+  if (options_.guidance_cap_divisor > 0.0 &&
+      options_.guidance_floor != nullptr) {
+    const double cap =
+        -(*options_.guidance_floor)[static_cast<size_t>(source(origin))] /
+        options_.guidance_cap_divisor;
+    if (cap < entry.score[0]) {
+      entry.score.Set(0, cap);
+      entry.capped = true;
+      ++stats_.guided_reorders;
+    }
+  }
+  return entry;
+}
+
+NtdId BestPathIterator::PushNtd(BestPathOrigin& slot, int32_t origin,
+                                NodeId node, const IntervalSet& time,
                                 double dist, NtdId parent, EdgeId via_edge) {
   const ScoreKey score = MakeScoreKey(options_.ranking, dist, time);
   const NtdId id = static_cast<NtdId>(scratch_->arena.size());
   TGKS_STATS(if (options_.trace != nullptr && parent != kInvalidNtd) {
     options_.trace->Record(obs::TraceEventKind::kExpand, node,
-                           options_.trace_iter, dist);
+                           options_.trace_iter + origin, dist);
   });
-  Ntd& slot = scratch_->arena.EmplaceBack();
-  slot.node = node;
-  slot.time = time;  // Copy-assign reuses the recycled slot's capacity.
-  slot.dist = dist;
-  slot.parent = parent;
-  slot.via_edge = via_edge;
-  slot.state = NtdState::kQueued;
-  slot.index_row = -1;
-  scratch_->queue.push(BestPathQueueEntry{score, id});
+  Ntd& ntd = scratch_->arena.EmplaceBack();
+  ntd.node = node;
+  ntd.origin = origin;
+  ntd.time = time;  // Copy-assign reuses the recycled slot's capacity.
+  ntd.dist = dist;
+  ntd.parent = parent;
+  ntd.via_edge = via_edge;
+  ntd.state = NtdState::kQueued;
+  ntd.index_row = -1;
+  slot.queue.push(BestPathQueueEntry{score, id});
+  ++slot.ntds;
   ++stats_.ntds_pushed;
   TGKS_STATS(stats_.heap_high_water =
                  std::max(stats_.heap_high_water,
-                          static_cast<int64_t>(scratch_->queue.size())));
+                          static_cast<int64_t>(slot.queue.size())));
   return id;
 }
 
-bool BestPathIterator::FullyClaimed(NodeId node,
-                                    const IntervalSet& time) const {
-  const IntervalSet* claimed =
-      scratch_->visited.Find(static_cast<uint32_t>(node));
+bool BestPathIterator::FullyClaimed(const BestPathOrigin& slot, NodeId node,
+                                    const IntervalSet& time) {
+  const IntervalSet* claimed = slot.visited.Find(static_cast<uint32_t>(node));
   return claimed != nullptr && time.IsCoveredBy(*claimed);
 }
 
-bool BestPathIterator::SettleTop() {
-  while (!scratch_->queue.empty()) {
-    const NtdId id = scratch_->queue.top().id;
+bool BestPathIterator::SettleTop(BestPathOrigin& slot,
+                                 [[maybe_unused]] int32_t trace_iter) {
+  while (!slot.queue.empty()) {
+    const NtdId id = slot.queue.top().id;
     const Ntd& ntd = scratch_->arena[static_cast<size_t>(id)];
     if (ntd.state == NtdState::kDead) {
-      scratch_->queue.pop();  // Evicted by Alg.-2 subsumption while queued.
+      slot.queue.pop();  // Evicted by Alg.-2 subsumption while queued.
       ++stats_.useless_pops;
       TGKS_STATS(if (options_.trace != nullptr) {
         options_.trace->Record(obs::TraceEventKind::kDedupHit, ntd.node,
-                               options_.trace_iter, ntd.dist);
+                               trace_iter, ntd.dist);
       });
       continue;
     }
-    if (!UsesSubsumptionSemantics() && FullyClaimed(ntd.node, ntd.time)) {
+    if (!UsesSubsumptionSemantics() &&
+        FullyClaimed(slot, ntd.node, ntd.time)) {
       // Every instant of T is already claimed by a better NTD: the paper's
       // "visited(n, t) = true for all t in T -> continue" (Alg. 1 line 5).
-      scratch_->queue.pop();
+      slot.queue.pop();
       ++stats_.useless_pops;
       TGKS_STATS(++stats_.interval_ops);
       TGKS_STATS(if (options_.trace != nullptr) {
         options_.trace->Record(obs::TraceEventKind::kDedupHit, ntd.node,
-                               options_.trace_iter, ntd.dist);
+                               trace_iter, ntd.dist);
       });
       continue;
     }
@@ -120,20 +154,20 @@ bool BestPathIterator::SettleTop() {
   return false;
 }
 
-const ScoreKey* BestPathIterator::PeekScore() {
-  if (!SettleTop()) return nullptr;
-  return &scratch_->queue.top().score;
-}
-
 NtdId BestPathIterator::Next() {
-  if (!SettleTop()) return kInvalidNtd;
-  const NtdId id = scratch_->queue.top().id;
-  scratch_->queue.pop();
+  if (scratch_->sources.empty()) return kInvalidNtd;
+  const int32_t origin = scratch_->sources.top().origin;
+  const bool was_capped = scratch_->sources.top().capped;
+  BestPathOrigin& slot = scratch_->origins[static_cast<size_t>(origin)];
+  const int32_t trace_iter = options_.trace_iter + origin;
+  // Every queued source is settled, so its queue top is actionable.
+  const NtdId id = slot.queue.top().id;
+  slot.queue.pop();
   Ntd& ntd = scratch_->arena[static_cast<size_t>(id)];
   ntd.state = NtdState::kPopped;
   TGKS_STATS(if (options_.trace != nullptr) {
-    options_.trace->Record(obs::TraceEventKind::kPop, ntd.node,
-                           options_.trace_iter, ntd.dist);
+    options_.trace->Record(obs::TraceEventKind::kPop, ntd.node, trace_iter,
+                           ntd.dist);
   });
   if (!UsesSubsumptionSemantics()) {
     // Claim the instants of T (Alg. 1 lines 7-9). We mark the full T; pops
@@ -142,50 +176,67 @@ NtdId BestPathIterator::Next() {
     // swap, this keeps every spill buffer pinned to its owner, so slot and
     // scratch capacities each grow monotonically to their own high-water
     // mark and the steady state allocates nothing.
-    IntervalSet& visited = scratch_->visited.Activate(
+    IntervalSet& visited = slot.visited.Activate(
         static_cast<uint32_t>(ntd.node),
         [](IntervalSet& stale) { stale.Clear(); });
     scratch_->tmp2.AssignUnionOf(visited, ntd.time);
     visited = scratch_->tmp2;
     TGKS_STATS(++stats_.interval_ops);
   }
-  std::vector<NtdId>& popped_here = scratch_->popped.Activate(
+  std::vector<NtdId>& popped_here = slot.popped.Activate(
       static_cast<uint32_t>(ntd.node),
       [](std::vector<NtdId>& stale) { stale.clear(); });
-  if (popped_here.empty()) ++stats_.nodes_reached;
+  if (popped_here.empty()) {
+    ++slot.nodes_reached;
+    ++stats_.nodes_reached;
+  }
   popped_here.push_back(id);
   ++stats_.ntds_popped;
-  ExpandNeighbors(id);
+  ExpandNeighbors(slot, id);
+  // Settle the source right away, so its heap-of-sources entry carries its
+  // next actionable score and the other sources' entries stay exact.
+  capped_sources_ -= was_capped;
+  if (SettleTop(slot, trace_iter)) {
+    const BestPathSourceEntry entry =
+        MakeSourceEntry(slot.queue.top().score, origin);
+    capped_sources_ += entry.capped;
+    scratch_->sources.replace_top(entry);
+  } else {
+    scratch_->sources.pop();
+  }
   return id;
 }
 
-void BestPathIterator::ExpandNeighbors(NtdId id) {
+void BestPathIterator::ExpandNeighbors(BestPathOrigin& slot, NtdId id) {
   const graph::ExpansionView& view = graph_->expansion_view();
   if (options_.overlay != nullptr && !options_.overlay->empty()) {
     const OverlayExpansionReader reader{view, *options_.overlay};
     if (UsesSubsumptionSemantics()) {
-      ExpandNeighborsSubsumption(id, reader);
+      ExpandNeighborsSubsumption(slot, id, reader);
     } else {
-      ExpandNeighborsPartition(id, reader);
+      ExpandNeighborsPartition(slot, id, reader);
     }
     return;
   }
   const BaseExpansionReader reader{view};
   if (UsesSubsumptionSemantics()) {
-    ExpandNeighborsSubsumption(id, reader);
+    ExpandNeighborsSubsumption(slot, id, reader);
   } else {
-    ExpandNeighborsPartition(id, reader);
+    ExpandNeighborsPartition(slot, id, reader);
   }
 }
 
 template <typename Reader>
-void BestPathIterator::ExpandNeighborsPartition(NtdId id,
+void BestPathIterator::ExpandNeighborsPartition(BestPathOrigin& slot,
+                                                NtdId id,
                                                 const Reader& view) {
   // Arena blocks never move, so the parent NTD can be read by reference
   // across pushes.
   const Ntd& parent = scratch_->arena[static_cast<size_t>(id)];
   const NodeId node = parent.node;
   const double parent_dist = parent.dist;
+  const int32_t origin = parent.origin;
+  [[maybe_unused]] const int32_t trace_iter = options_.trace_iter + origin;
 
   // Expansion runs over the SoA view (plus the delta run when an overlay is
   // live): slot order mirrors InEdges(node), and weights are verbatim
@@ -203,7 +254,7 @@ void BestPathIterator::ExpandNeighborsPartition(NtdId id,
         TGKS_STATS(++stats_.prunes);
         TGKS_STATS(if (options_.trace != nullptr) {
           options_.trace->Record(obs::TraceEventKind::kPrune, neighbor,
-                                 options_.trace_iter, parent_dist);
+                                 trace_iter, parent_dist);
         });
         return;
       }
@@ -211,7 +262,7 @@ void BestPathIterator::ExpandNeighborsPartition(NtdId id,
         TGKS_STATS(++stats_.prunes);
         TGKS_STATS(if (options_.trace != nullptr) {
           options_.trace->Record(obs::TraceEventKind::kPrune, neighbor,
-                                 options_.trace_iter, parent_dist);
+                                 trace_iter, parent_dist);
         });
         return;
       }
@@ -244,27 +295,30 @@ void BestPathIterator::ExpandNeighborsPartition(NtdId id,
       return;
     }
     TGKS_STATS(++stats_.interval_ops);
-    if (FullyClaimed(neighbor, scratch_->tmp)) {
+    if (FullyClaimed(slot, neighbor, scratch_->tmp)) {
       // Every instant is already claimed at the neighbor by strictly
       // earlier (hence no-worse) pops — safe to drop eagerly.
       TGKS_STATS(if (options_.trace != nullptr) {
         options_.trace->Record(obs::TraceEventKind::kDedupHit, neighbor,
-                               options_.trace_iter, parent_dist);
+                               trace_iter, parent_dist);
       });
       return;
     }
-    PushNtd(neighbor, scratch_->tmp,
+    PushNtd(slot, origin, neighbor, scratch_->tmp,
             parent_dist + view.edge_weight(s) + view.node_weight(neighbor),
             id, view.edge_id(s));
   });
 }
 
 template <typename Reader>
-void BestPathIterator::ExpandNeighborsSubsumption(NtdId id,
+void BestPathIterator::ExpandNeighborsSubsumption(BestPathOrigin& slot,
+                                                  NtdId id,
                                                   const Reader& view) {
   const Ntd& parent = scratch_->arena[static_cast<size_t>(id)];
   const NodeId node = parent.node;
   const double parent_dist = parent.dist;
+  const int32_t origin = parent.origin;
+  [[maybe_unused]] const int32_t trace_iter = options_.trace_iter + origin;
   const auto fresh_index = [this](NodeSubsumption& stale) {
     stale.Fresh(options_.duration_index, graph_->timeline_length());
   };
@@ -273,8 +327,7 @@ void BestPathIterator::ExpandNeighborsSubsumption(NtdId id,
   // inferior arrivals). The source NTD registers on first expansion.
   {
     NodeSubsumption& here =
-        scratch_->subsumption.Activate(static_cast<uint32_t>(node),
-                                       fresh_index);
+        slot.subsumption.Activate(static_cast<uint32_t>(node), fresh_index);
     Ntd& self = scratch_->arena[static_cast<size_t>(id)];
     if (self.index_row < 0) {
       self.index_row = here.index->AddRow(self.time);
@@ -294,7 +347,7 @@ void BestPathIterator::ExpandNeighborsSubsumption(NtdId id,
         TGKS_STATS(++stats_.prunes);
         TGKS_STATS(if (options_.trace != nullptr) {
           options_.trace->Record(obs::TraceEventKind::kPrune, neighbor,
-                                 options_.trace_iter, parent_dist);
+                                 trace_iter, parent_dist);
         });
         return;
       }
@@ -302,7 +355,7 @@ void BestPathIterator::ExpandNeighborsSubsumption(NtdId id,
         TGKS_STATS(++stats_.prunes);
         TGKS_STATS(if (options_.trace != nullptr) {
           options_.trace->Record(obs::TraceEventKind::kPrune, neighbor,
-                                 options_.trace_iter, parent_dist);
+                                 trace_iter, parent_dist);
         });
         return;
       }
@@ -329,8 +382,8 @@ void BestPathIterator::ExpandNeighborsSubsumption(NtdId id,
     }
 
     NodeSubsumption& entry =
-        scratch_->subsumption.Activate(static_cast<uint32_t>(neighbor),
-                                       fresh_index);
+        slot.subsumption.Activate(static_cast<uint32_t>(neighbor),
+                                  fresh_index);
     // Case 1 (Alg. 2 lines 11-12): T∩ subsumed by an existing NTD of the
     // neighbor -> the existing path already beats this one at every instant
     // and has no shorter duration; skip.
@@ -338,7 +391,7 @@ void BestPathIterator::ExpandNeighborsSubsumption(NtdId id,
       ++stats_.subsumption_skips;
       TGKS_STATS(if (options_.trace != nullptr) {
         options_.trace->Record(obs::TraceEventKind::kDedupHit, neighbor,
-                               options_.trace_iter, parent_dist);
+                               trace_iter, parent_dist);
       });
       return;
     }
@@ -360,7 +413,7 @@ void BestPathIterator::ExpandNeighborsSubsumption(NtdId id,
     // Case 2 (line 16): record the new NTD.
     const temporal::NtdRowHandle row = entry.index->AddRow(scratch_->tmp);
     const NtdId next_id = PushNtd(
-        neighbor, scratch_->tmp,
+        slot, origin, neighbor, scratch_->tmp,
         parent_dist + view.edge_weight(s) + view.node_weight(neighbor), id,
         view.edge_id(s));
     scratch_->arena[static_cast<size_t>(next_id)].index_row = row;
@@ -368,11 +421,13 @@ void BestPathIterator::ExpandNeighborsSubsumption(NtdId id,
   });
 }
 
-std::span<const NtdId> BestPathIterator::PoppedAt(NodeId node) const {
+std::span<const NtdId> BestPathIterator::PoppedAt(NodeId node,
+                                                  int32_t origin) const {
   // The returned span aims into the list's own heap buffer, which stays put
   // even if the popped table rehashes.
   const std::vector<NtdId>* popped_here =
-      scratch_->popped.Find(static_cast<uint32_t>(node));
+      scratch_->origins[static_cast<size_t>(origin)].popped.Find(
+          static_cast<uint32_t>(node));
   if (popped_here == nullptr) return {};
   return *popped_here;
 }

@@ -25,11 +25,21 @@
 // nodes/edges whose validity fails the predicate's necessary condition are
 // never expanded.
 //
-// All working state (NTD arena, 4-ary queue, flat per-node epoch tables)
-// lives in a pooled BestPathScratch (search_scratch.h): constructing an
-// iterator on a thread that ran one before reuses the previous state's
-// memory, and the steady-state pop/expand loop performs no heap allocation
-// (see docs/performance.md and bench_micro_alloc).
+// An iterator runs one such expansion per source and always pops the
+// globally best NTD across them (§4.1's "expand the best iterator"), so the
+// engine needs one iterator — a keyword frontier — per keyword instead of
+// one per match. Sources never interact: each keeps its own queue, claims,
+// pop lists and subsumption indexes, and pops exactly the sequence a
+// one-source iterator over it would. A 4-ary heap of sources, keyed by each
+// source's settled queue top (ties to the smaller source index), merges
+// those sequences. NTDs of all sources share one arena and carry their
+// source's index in Ntd::origin.
+//
+// All working state (NTD arena, heaps, flat per-node epoch tables) lives in
+// a pooled BestPathScratch (search_scratch.h): constructing an iterator on
+// a thread that ran one before reuses the previous state's memory, and the
+// steady-state pop/expand loop performs no heap allocation (see
+// docs/performance.md and bench_micro_alloc).
 
 #ifndef TGKS_SEARCH_BEST_PATH_ITERATOR_H_
 #define TGKS_SEARCH_BEST_PATH_ITERATOR_H_
@@ -72,17 +82,23 @@ struct IteratorStats {
   /// so the path prefix is dead weight. Like reachability_prunes, a real
   /// work counter, never compiled out.
   int64_t guided_prunes = 0;
+  /// Heap-of-sources entries whose priority the guidance cone-floor cap
+  /// lowered (Options::guidance_cap_divisor). Control flow, never compiled
+  /// out.
+  int64_t guided_reorders = 0;
   // Observability additions (zero in TGKS_NO_STATS builds).
   int64_t prunes = 0;            ///< Elements rejected by predicate pruning.
   int64_t interval_ops = 0;      ///< IntervalSet ops on the expansion path.
-  int64_t heap_high_water = 0;   ///< Max priority-queue size ever reached.
+  int64_t heap_high_water = 0;   ///< Max size any source's queue reached.
 };
 
-/// Single-source best path iterator over a temporal graph.
+/// Multi-source best path iterator over a temporal graph.
 ///
 /// The graph must outlive the iterator. Call Next() repeatedly; each useful
-/// step pops one NTD — the best remaining path prefix under the ranking —
-/// and expands its in-neighbors.
+/// step pops one NTD — the best remaining path prefix under the ranking,
+/// over all sources — and expands its in-neighbors. Stats are summed over
+/// the sources (heap_high_water: max), so they equal the sums of one-source
+/// iterators run over the same sources.
 class BestPathIterator {
  public:
   struct Options {
@@ -99,8 +115,9 @@ class BestPathIterator {
     /// kColumnMajor is the paper's Fig.-5 structure.
     temporal::NtdIndexKind duration_index =
         temporal::NtdIndexKind::kRowMajor;
-    /// Optional event recorder (not owned; null = no tracing). Events carry
-    /// `trace_iter` as their iterator id. Ignored in TGKS_NO_STATS builds.
+    /// Optional event recorder (not owned; null = no tracing). Events of
+    /// source i carry `trace_iter + i` as their iterator id. Ignored in
+    /// TGKS_NO_STATS builds.
     obs::QueryTrace* trace = nullptr;
     int32_t trace_iter = -1;
     /// Optional per-node viability sets (not owned; one entry per graph
@@ -121,6 +138,14 @@ class BestPathIterator {
     /// Hereditary like viability: expansion from a finite-floor NTD only
     /// needs nodes on root->match paths, all of which have finite floors.
     const std::vector<double>* guidance_floor = nullptr;
+    /// Guided search (requires guidance_floor; <= 0 = off): caps each
+    /// source's heap-of-sources priority at -cone_floor[source] divided by
+    /// this, the bound kind's frontier multiplier. Every future pop of a
+    /// source routes through it, so the cap is an admissible bound on the
+    /// source's remaining trees; it only reorders sources, never the pops
+    /// within one (see SearchEngine's guided_search and
+    /// IteratorStats::guided_reorders).
+    double guidance_cap_divisor = 0.0;
     /// Optional append overlay for live graphs (not owned; see
     /// graph/delta_overlay.h). When set and non-empty, expansion walks the
     /// base ExpansionView run and then the node's delta in-edge run — the
@@ -131,10 +156,16 @@ class BestPathIterator {
     const graph::DeltaOverlay* overlay = nullptr;
   };
 
-  /// Starts a backward expansion from `source`. If the source itself fails
-  /// the predicate prune the iterator starts exhausted.
+  /// Starts one backward expansion per entry of `sources`; source i is the
+  /// NTD origin i. A source that fails the predicate prune (or the
+  /// viability / guidance gates) starts exhausted.
+  BestPathIterator(const graph::TemporalGraph& graph,
+                   std::span<const graph::NodeId> sources, Options options);
+  /// The one-source case.
   BestPathIterator(const graph::TemporalGraph& graph, graph::NodeId source,
-                   Options options);
+                   Options options)
+      : BestPathIterator(graph, std::span<const graph::NodeId>(&source, 1),
+                         std::move(options)) {}
 
   BestPathIterator(const BestPathIterator&) = delete;
   BestPathIterator& operator=(const BestPathIterator&) = delete;
@@ -144,18 +175,28 @@ class BestPathIterator {
   /// the frontier is exhausted.
   NtdId Next();
 
-  /// Score of the NTD Next() would pop, or nullptr when exhausted. Performs
-  /// lazy cleanup of stale queue entries; does not expand anything.
-  const ScoreKey* PeekScore();
+  /// Score of the NTD Next() would pop (guidance-capped under
+  /// Options::guidance_cap_divisor), or nullptr when exhausted. Stale queue
+  /// entries are skipped eagerly — at construction and at the end of each
+  /// Next() — so this is a plain read.
+  const ScoreKey* PeekScore() const {
+    return scratch_->sources.empty() ? nullptr
+                                     : &scratch_->sources.top().score;
+  }
+
+  /// Whether any source's heap-of-sources entry is guidance-capped right
+  /// now — at the top, or displaced below it by its cap.
+  bool HasCappedSource() const { return capped_sources_ > 0; }
 
   /// The NTD arena entry (valid for any id returned by Next()).
   const Ntd& ntd(NtdId id) const {
     return scratch_->arena[static_cast<size_t>(id)];
   }
 
-  /// Popped NTD ids at `node` (candidates for result generation), in pop
-  /// order. Empty if the iterator never reached the node.
-  std::span<const NtdId> PoppedAt(graph::NodeId node) const;
+  /// Popped NTD ids of source `origin` at `node`, in pop order. Empty if
+  /// that source never reached the node.
+  std::span<const NtdId> PoppedAt(graph::NodeId node,
+                                  int32_t origin = 0) const;
 
   /// Edge ids of the forward path node -> ... -> source encoded by `id`'s
   /// parent chain (empty when `id` is the source NTD).
@@ -164,54 +205,75 @@ class BestPathIterator {
   /// buffer for every keyword's path.
   void PathEdgesInto(NtdId id, std::vector<graph::EdgeId>* out) const;
 
-  graph::NodeId source() const { return source_; }
+  int32_t num_sources() const { return num_sources_; }
+  /// The node source `origin` started from.
+  graph::NodeId source(int32_t origin) const {
+    return scratch_->origins[static_cast<size_t>(origin)].source;
+  }
+  /// The source whose expansion created NTD `id`.
+  graph::NodeId source_of(NtdId id) const { return source(ntd(id).origin); }
   const IteratorStats& stats() const { return stats_; }
 
-  /// Number of NTDs ever created (arena size).
+  /// Number of NTDs ever created (arena size), over all sources / by
+  /// source `origin`.
   int64_t num_ntds() const {
     return static_cast<int64_t>(scratch_->arena.size());
   }
+  int64_t num_ntds(int32_t origin) const {
+    return scratch_->origins[static_cast<size_t>(origin)].ntds;
+  }
 
-  /// Distinct nodes that have at least one popped NTD.
+  /// Distinct nodes popped, summed over sources / by source `origin`.
   int64_t nodes_reached() const { return stats_.nodes_reached; }
+  int64_t nodes_reached(int32_t origin) const {
+    return scratch_->origins[static_cast<size_t>(origin)].nodes_reached;
+  }
 
  private:
   bool UsesSubsumptionSemantics() const {
     return options_.ranking.primary() == RankFactor::kDurationDesc;
   }
 
-  /// Pops stale/dead entries until the top is actionable (or queue empty).
-  /// Returns false when exhausted.
-  bool SettleTop();
+  /// Pops stale/dead entries off `slot`'s queue until its top is
+  /// actionable (or the queue is empty). Returns false when exhausted.
+  bool SettleTop(BestPathOrigin& slot, int32_t trace_iter);
 
-  /// Appends an NTD to the arena and queue. `time` is copy-assigned into
-  /// the arena slot (both the slot and the caller's scratch buffer keep
-  /// their capacity). Records a kExpand trace event only for expansion
-  /// products (`parent` set) — the source NTD was never expanded from
-  /// anything.
-  NtdId PushNtd(graph::NodeId node, const temporal::IntervalSet& time,
-                double dist, NtdId parent, graph::EdgeId via_edge);
-  void ExpandNeighbors(NtdId id);
+  /// Heap-of-sources entry for source `origin` whose settled queue top
+  /// scores `score`: the score, capped under guided search.
+  BestPathSourceEntry MakeSourceEntry(const ScoreKey& score, int32_t origin);
+
+  /// Appends an NTD of source `origin` to the arena and its queue. `time`
+  /// is copy-assigned into the arena slot (both the slot and the caller's
+  /// scratch buffer keep their capacity). Records a kExpand trace event
+  /// only for expansion products (`parent` set) — a source NTD was never
+  /// expanded from anything.
+  NtdId PushNtd(BestPathOrigin& slot, int32_t origin, graph::NodeId node,
+                const temporal::IntervalSet& time, double dist, NtdId parent,
+                graph::EdgeId via_edge);
+  void ExpandNeighbors(BestPathOrigin& slot, NtdId id);
   /// Expansion loop bodies, templated over a slot reader (base-only or
   /// base + delta overlay; see best_path_iterator.cc). The base-reader
   /// instantiation inlines to exactly the pre-overlay code, so build-once
   /// graphs see zero behavior or performance change.
   template <typename Reader>
-  void ExpandNeighborsPartition(NtdId id, const Reader& reader);
+  void ExpandNeighborsPartition(BestPathOrigin& slot, NtdId id,
+                                const Reader& reader);
   template <typename Reader>
-  void ExpandNeighborsSubsumption(NtdId id, const Reader& reader);
+  void ExpandNeighborsSubsumption(BestPathOrigin& slot, NtdId id,
+                                  const Reader& reader);
 
-  /// True iff every instant of `time` is already claimed at `node`
-  /// (allocation-free; replaces the old Subtract-then-IsEmpty).
-  bool FullyClaimed(graph::NodeId node,
-                    const temporal::IntervalSet& time) const;
+  /// True iff every instant of `time` is already claimed at `node` by
+  /// `slot`'s source (allocation-free).
+  static bool FullyClaimed(const BestPathOrigin& slot, graph::NodeId node,
+                           const temporal::IntervalSet& time);
 
   const graph::TemporalGraph* graph_;
-  graph::NodeId source_;
   Options options_;
+  int32_t num_sources_ = 0;
 
   BestPathScratchPool::Handle scratch_;
   IteratorStats stats_;
+  int32_t capped_sources_ = 0;  ///< Capped entries in the heap of sources.
 };
 
 }  // namespace tgks::search

@@ -51,6 +51,15 @@ class QuadHeap {
     if (!entries_.empty()) SiftDown(0);
   }
 
+  /// Replaces the top entry with `entry` and restores heap order with one
+  /// sift-down: a pop followed by a push at the cost of the pop alone.
+  /// Under a strict total order the resulting pop sequence is the same.
+  void replace_top(Entry entry) {
+    assert(!entries_.empty());
+    entries_.front() = std::move(entry);
+    SiftDown(0);
+  }
+
   /// Empties the heap but keeps the backing storage for reuse.
   void clear() { entries_.clear(); }
 

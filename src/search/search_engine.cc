@@ -4,6 +4,7 @@
 #include "cache/match_set_cache.h"
 #include "cache/query_caches.h"
 #include "cache/viability_cache.h"
+#include "common/scratch_pool.h"
 #include "common/strings.h"
 #include "common/timer.h"
 #include "graph/delta_overlay.h"
@@ -15,6 +16,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <optional>
 
 namespace tgks::search {
 
@@ -154,7 +156,93 @@ const graph::DeltaOverlay* NonEmpty(const graph::DeltaOverlay* overlay) {
   return overlay != nullptr && !overlay->empty() ? overlay : nullptr;
 }
 
-/// One Search() invocation; owns iterators and bookkeeping.
+/// The meeting lists of Algorithm 3: for every reached node and keyword,
+/// the NTDs that keyword's frontier popped there, in pop order. A row is
+/// opened for each node at its first pop; each list is a chain through one
+/// shared link array. Pooled per thread and epoch-stamped: a warm query
+/// neither allocates per pop nor frees per reached node.
+class MeetingTable {
+ public:
+  /// Readies the table for a query over `num_nodes` nodes and `m` keywords.
+  void Reset(size_t num_nodes, size_t m) {
+    if (row_of_.size() < num_nodes) {
+      row_of_.resize(num_nodes);
+      stamp_.resize(num_nodes, 0);
+    }
+    if (++epoch_ == 0) {
+      std::fill(stamp_.begin(), stamp_.end(), 0u);
+      epoch_ = 1;
+    }
+    m_ = m;
+    rows_ = 0;
+    heads_.clear();
+    tails_.clear();
+    met_.clear();
+    links_.clear();
+  }
+
+  /// Appends `ntd` to the list of (`node`, `kw`). Returns the node's row.
+  int32_t Add(NodeId node, size_t kw, NtdId ntd) {
+    const size_t n = static_cast<size_t>(node);
+    if (stamp_[n] != epoch_) {
+      stamp_[n] = epoch_;
+      row_of_[n] = rows_++;
+      heads_.resize(static_cast<size_t>(rows_) * m_, -1);
+      tails_.resize(static_cast<size_t>(rows_) * m_, -1);
+      met_.push_back(0);
+    }
+    const int32_t row = row_of_[n];
+    const size_t cell = static_cast<size_t>(row) * m_ + kw;
+    const int32_t link = static_cast<int32_t>(links_.size());
+    links_.push_back(Link{ntd, -1});
+    if (tails_[cell] < 0) {
+      heads_[cell] = link;
+      ++met_[static_cast<size_t>(row)];
+    } else {
+      links_[static_cast<size_t>(tails_[cell])].next = link;
+    }
+    tails_[cell] = link;
+    return row;
+  }
+
+  /// Whether every keyword has popped an NTD at `row`'s node.
+  bool MetAll(int32_t row) const {
+    return met_[static_cast<size_t>(row)] == m_;
+  }
+
+  /// Walks the list of (`row`, `kw`): First, then Next until -1.
+  int32_t First(int32_t row, size_t kw) const {
+    return heads_[static_cast<size_t>(row) * m_ + kw];
+  }
+  int32_t Next(int32_t link) const {
+    return links_[static_cast<size_t>(link)].next;
+  }
+  NtdId ntd(int32_t link) const {
+    return links_[static_cast<size_t>(link)].ntd;
+  }
+
+  /// Distinct nodes reached this query.
+  int64_t reached() const { return rows_; }
+
+ private:
+  struct Link {
+    NtdId ntd;
+    int32_t next;
+  };
+  std::vector<uint32_t> stamp_;  ///< Per node: epoch of its row.
+  std::vector<int32_t> row_of_;  ///< Per node: its row, when stamped.
+  uint32_t epoch_ = 0;
+  size_t m_ = 0;
+  int32_t rows_ = 0;
+  std::vector<int32_t> heads_, tails_;  ///< Per (row, keyword): chain ends.
+  std::vector<size_t> met_;             ///< Per row: non-empty lists.
+  std::vector<Link> links_;
+};
+
+// A Runner holds one table; a thread runs one query at a time.
+using MeetingTablePool = common::ScratchPool<MeetingTable, 2>;
+
+/// One Search() invocation; owns the keyword frontiers and bookkeeping.
 class Runner {
  public:
   Runner(const graph::TemporalGraph& graph, const Query& query,
@@ -169,9 +257,12 @@ class Runner {
         chosen_(m_),
         combo_times_(m_),
         candidate_matches_(m_),
-        reached_(static_cast<size_t>(options.overlay != nullptr
-                                         ? options.overlay->total_nodes()
-                                         : graph.num_nodes())) {
+        iterators_(m_),
+        meetings_(MeetingTablePool::Acquire()) {
+    meetings_->Reset(static_cast<size_t>(options.overlay != nullptr
+                                             ? options.overlay->total_nodes()
+                                             : graph.num_nodes()),
+                     m_);
     // An empty overlay is indistinguishable from none; normalizing here
     // keeps every downstream check a plain null test.
     options_.overlay = NonEmpty(options_.overlay);
@@ -183,6 +274,19 @@ class Runner {
       options_.reachability_prune = false;
       options_.guided_search = false;
     }
+  }
+
+  Runner(const Runner&) = delete;
+  Runner& operator=(const Runner&) = delete;
+
+  ~Runner() {
+    // Release the frontiers last keyword first. The thread's scratch pool
+    // hands scratches back last-in first-out, so the next query's keyword
+    // i gets the scratch keyword i used here, and each pooled scratch grows
+    // only to the heaviest frontier of its own keyword position. Released
+    // first to last, the scratches would rotate through the positions and
+    // every parked scratch would grow to the heaviest frontier of any.
+    for (size_t kw = iterators_.size(); kw-- > 0;) iterators_[kw].reset();
   }
 
   SearchResponse Run() {
@@ -234,7 +338,7 @@ class Runner {
       // test scales the frontier weight d by this factor before comparing
       // against the k-th result, so dividing each cap by it keeps every
       // deferral shallower than the unguided stop depth (see
-      // MakeIterEntry) while the multiplied-back bound still equals the
+      // CreateFrontier) while the multiplied-back bound still equals the
       // full cone floor.
       const double m = static_cast<double>(m_);
       switch (options_.bound) {
@@ -287,8 +391,8 @@ class Runner {
     } else {
       CreateIterators();
       const bool any_keyword_dead =
-          std::any_of(keyword_heaps_.begin(), keyword_heaps_.end(),
-                      [](const auto& h) { return h.empty(); });
+          std::any_of(iterators_.begin(), iterators_.end(),
+                      [](const auto& f) { return f->PeekScore() == nullptr; });
       if (any_keyword_dead) {
         // Some keyword has no qualifying match: no result can exist.
         response_.exhausted = true;
@@ -315,61 +419,48 @@ class Runner {
             options_.extra_cancel->load(std::memory_order_relaxed));
   }
 
-  struct IterEntry {
-    ScoreKey score;
-    int32_t iter;
-    /// guided_search: the primary component was lowered to the iterator
-    /// source's negated cone floor. Not part of the ordering — the capped
-    /// score IS the entry's score; the flag feeds the per-heap capped-entry
-    /// counts behind SearchCounters::bound_tightenings.
-    bool capped = false;
-  };
-  struct IterEntryWorse {
-    // make_heap keeps the *largest* on top; largest = best score.
-    bool operator()(const IterEntry& a, const IterEntry& b) const {
-      if (!(a.score == b.score)) return ScoreBetter(b.score, a.score);
-      return a.iter > b.iter;
-    }
-  };
-
-  /// Builds a scheduling-heap entry from an iterator's fresh peek. Under
-  /// guided search the primary component is capped at the negated cone
-  /// floor of the iterator's SOURCE, divided by the bound kind's frontier
-  /// multiplier (cap_divisor_): every future pop of this iterator routes
-  /// through the source, so no unseen tree reachable via it can score
-  /// above -cone_floor[source], and since -floor/divisor >= -floor the
-  /// divided cap is still an admissible per-iterator upper bound (within-
-  /// iterator pops are monotone non-increasing, so it stays valid for the
-  /// whole remaining frontier). Capped fronts feed SelectKeyword and the
-  /// §4.2 bound test unchanged.
+  /// Builds keyword `kw`'s frontier over its filtered match list. Trace
+  /// ids of its sources continue after the previous keywords' sources.
   ///
-  /// Why divide: the cap defers the iterator until the raw frontier
-  /// reaches weight floor/divisor. The stop test fires once the frontier
-  /// weight d satisfies kth <= multiplier * d, i.e. at depth kth/divisor —
-  /// and every iterator whose source sits in a top-k tree has
-  /// floor <= kth, so its deferral depth floor/divisor never exceeds the
-  /// unguided stop depth: guided search never pops MORE than unguided for
-  /// the top-k it must still deliver. An undivided cap defers up to
-  /// `multiplier` times deeper and can starve the very iterators the
-  /// results come from, ballooning pops. Meanwhile the stop test loses
-  /// nothing: the §4.2 empirical bound multiplies the capped front back by
-  /// `multiplier`, so a junk iterator's frontier contributes exactly its
-  /// floor. `reorders` is where cap events are counted (per-stream in
-  /// parallel mode — prefetch tasks must not share a counter).
-  IterEntry MakeIterEntry(const ScoreKey& peek, int32_t iter_idx,
-                          NodeId source, int64_t* reorders) const {
-    IterEntry entry{peek, iter_idx, false};
+  /// Under guided search each source's heap-of-sources priority is capped
+  /// at the negated cone floor of the source, divided by the bound kind's
+  /// frontier multiplier (cap_divisor_): every future pop of the source
+  /// routes through it, so no unseen tree reachable via it can score above
+  /// -cone_floor[source], and since -floor/divisor >= -floor the divided
+  /// cap is still an admissible per-source upper bound (within-source pops
+  /// are monotone non-increasing, so it stays valid for the source's whole
+  /// remaining frontier). Capped fronts feed SelectKeyword and the §4.2
+  /// bound test unchanged.
+  ///
+  /// Why divide: the cap defers the source until the raw frontier reaches
+  /// weight floor/divisor. The stop test fires once the frontier weight d
+  /// satisfies kth <= multiplier * d, i.e. at depth kth/divisor — and every
+  /// source that sits in a top-k tree has floor <= kth, so its deferral
+  /// depth floor/divisor never exceeds the unguided stop depth: guided
+  /// search never pops MORE than unguided for the top-k it must still
+  /// deliver. An undivided cap defers up to `multiplier` times deeper and
+  /// can starve the very sources the results come from, ballooning pops.
+  /// Meanwhile the stop test loses nothing: the §4.2 empirical bound
+  /// multiplies the capped front back by `multiplier`, so a junk source's
+  /// frontier contributes exactly its floor.
+  void CreateFrontier(size_t kw) {
+    BestPathIterator::Options iter_options;
+    iter_options.ranking = query_.ranking;
+    iter_options.prune = query_.predicate.get();
+    iter_options.containedby_prune = options_.containedby_prune;
+    iter_options.duration_index = options_.duration_index;
+    iter_options.trace = options_.trace;
+    iter_options.overlay = options_.overlay;
+    if (options_.reachability_prune) iter_options.viability = viability_view_;
     if (guided_active_) {
-      const double cap =
-          -guidance_view_->cone_floor[static_cast<size_t>(source)] /
-          cap_divisor_;
-      if (cap < entry.score[0]) {
-        entry.score.Set(0, cap);
-        entry.capped = true;
-        ++(*reorders);
-      }
+      iter_options.guidance_floor = &guidance_view_->cone_floor;
+      iter_options.guidance_cap_divisor = cap_divisor_;
     }
-    return entry;
+    iter_options.trace_iter = 0;
+    for (size_t i = 0; i < kw; ++i) {
+      iter_options.trace_iter += static_cast<int32_t>(match_lists_[i].size());
+    }
+    iterators_[kw].emplace(graph_, match_lists_[kw], iter_options);
   }
 
   /// QUALIFY(s, P): drop matches that cannot satisfy the predicate.
@@ -395,41 +486,15 @@ class Runner {
 
   void CreateIterators() {
     expand_timer_.Start();
-    keyword_heaps_.resize(m_);
-    heap_capped_.assign(m_, 0);
-    BestPathIterator::Options iter_options;
-    iter_options.ranking = query_.ranking;
-    iter_options.prune = query_.predicate.get();
-    iter_options.containedby_prune = options_.containedby_prune;
-    iter_options.duration_index = options_.duration_index;
-    iter_options.trace = options_.trace;
-    iter_options.overlay = options_.overlay;
-    if (options_.reachability_prune) iter_options.viability = viability_view_;
-    if (guided_active_) {
-      iter_options.guidance_floor = &guidance_view_->cone_floor;
-    }
     for (size_t kw = 0; kw < m_; ++kw) {
-      for (const NodeId source : match_lists_[kw]) {
-        iter_options.trace_iter = static_cast<int32_t>(iterators_.size());
-        iterators_.push_back(std::make_unique<BestPathIterator>(
-            graph_, source, iter_options));
-        const int32_t idx = static_cast<int32_t>(iterators_.size()) - 1;
-        const ScoreKey* peek = iterators_.back()->PeekScore();
-        if (peek != nullptr) {
-          keyword_heaps_[kw].push_back(MakeIterEntry(
-              *peek, idx, source, &response_.counters.guided_reorders));
-          heap_capped_[kw] += keyword_heaps_[kw].back().capped;
-        }
-      }
-      std::make_heap(keyword_heaps_[kw].begin(), keyword_heaps_[kw].end(),
-                     IterEntryWorse());
+      CreateFrontier(kw);
+      response_.counters.iterators += iterators_[kw]->num_sources();
     }
-    response_.counters.iterators = static_cast<int64_t>(iterators_.size());
     expand_timer_.Stop();
   }
 
-  /// Selects which keyword's best iterator expands next (§4.1): global best
-  /// for relevance, keyword round-robin for temporal rankings. Returns the
+  /// Selects which keyword's frontier expands next (§4.1): global best for
+  /// relevance, keyword round-robin for temporal rankings. Returns the
   /// keyword, or -1 when every frontier is exhausted.
   int SelectKeyword() {
     const bool round_robin =
@@ -437,7 +502,7 @@ class Runner {
     if (round_robin) {
       for (size_t step = 0; step < m_; ++step) {
         const int kw = static_cast<int>((rr_cursor_ + step) % m_);
-        if (!keyword_heaps_[static_cast<size_t>(kw)].empty()) {
+        if (iterators_[static_cast<size_t>(kw)]->PeekScore() != nullptr) {
           rr_cursor_ = (kw + 1) % static_cast<int>(m_);
           return kw;
         }
@@ -445,12 +510,13 @@ class Runner {
       return -1;
     }
     int best = -1;
+    const ScoreKey* best_score = nullptr;
     for (size_t kw = 0; kw < m_; ++kw) {
-      if (keyword_heaps_[kw].empty()) continue;
-      if (best < 0 ||
-          ScoreBetter(keyword_heaps_[kw].front().score,
-                      keyword_heaps_[static_cast<size_t>(best)].front().score)) {
+      const ScoreKey* front = iterators_[kw]->PeekScore();
+      if (front == nullptr) continue;
+      if (best < 0 || ScoreBetter(*front, *best_score)) {
         best = static_cast<int>(kw);
+        best_score = front;
       }
     }
     return best;
@@ -492,35 +558,15 @@ class Runner {
         response_.stop_reason = StopReason::kExhausted;
         return;
       }
-      auto& heap = keyword_heaps_[static_cast<size_t>(kw)];
-      std::pop_heap(heap.begin(), heap.end(), IterEntryWorse());
-      const int32_t iter_idx = heap.back().iter;
-      heap_capped_[static_cast<size_t>(kw)] -= heap.back().capped;
-      heap.pop_back();
-      BestPathIterator& iter = *iterators_[static_cast<size_t>(iter_idx)];
-      const NtdId popped = iter.Next();
+      BestPathIterator& frontier = *iterators_[static_cast<size_t>(kw)];
+      const NtdId popped = frontier.Next();
       assert(popped != kInvalidNtd);
       ++response_.counters.pops;
-      const ScoreKey* peek = iter.PeekScore();
-      if (peek != nullptr) {
-        heap.push_back(MakeIterEntry(*peek, iter_idx, iter.source(),
-                                     &response_.counters.guided_reorders));
-        heap_capped_[static_cast<size_t>(kw)] += heap.back().capped;
-        std::push_heap(heap.begin(), heap.end(), IterEntryWorse());
-      }
-      const NodeId node = iter.ntd(popped).node;
-      auto& lists = reached_[static_cast<size_t>(node)];
-      if (lists.empty()) {
-        lists.resize(m_);
-        ++reached_count_;
-      }
-      lists[static_cast<size_t>(kw)].push_back({iter_idx, popped});
+      const NodeId node = frontier.ntd(popped).node;
+      const int32_t row = meetings_->Add(node, static_cast<size_t>(kw), popped);
       expand_timer_.Stop();
 
-      const bool met_all =
-          std::all_of(lists.begin(), lists.end(),
-                      [](const auto& l) { return !l.empty(); });
-      if (met_all) {
+      if (meetings_->MetAll(row)) {
         TGKS_STATS(if (options_.trace != nullptr) {
           options_.trace->Record(
               obs::TraceEventKind::kKeywordHit, node, -1,
@@ -530,8 +576,7 @@ class Runner {
           ++response_.counters.guided_prunes;
         } else {
           generate_timer_.Start();
-          GenerateCandidates(node, static_cast<size_t>(kw), iter_idx, popped,
-                             lists);
+          GenerateCandidates(node, row, static_cast<size_t>(kw), popped);
           generate_timer_.Stop();
         }
       }
@@ -547,20 +592,16 @@ class Runner {
 
   /// Enumerates NTDset cross products with the fresh NTD pinned for its
   /// keyword (Algorithm 3 lines 15-19).
-  void GenerateCandidates(
-      NodeId root, size_t fresh_kw, int32_t fresh_iter, NtdId fresh_ntd,
-      const std::vector<std::vector<std::pair<int32_t, NtdId>>>& lists) {
-    chosen_[fresh_kw] = {fresh_iter, fresh_ntd};
+  void GenerateCandidates(NodeId root, int32_t row, size_t fresh_kw,
+                          NtdId fresh_ntd) {
+    chosen_[fresh_kw] = fresh_ntd;
     int64_t combos = 0;
-    const IntervalSet& fresh_time =
-        iterators_[static_cast<size_t>(fresh_iter)]->ntd(fresh_ntd).time;
-    EnumerateCombos(root, fresh_kw, 0, fresh_time, lists, &combos);
+    const IntervalSet& fresh_time = iterators_[fresh_kw]->ntd(fresh_ntd).time;
+    EnumerateCombos(root, row, fresh_kw, 0, fresh_time, &combos);
   }
 
-  void EnumerateCombos(
-      NodeId root, size_t fresh_kw, size_t kw, const IntervalSet& common,
-      const std::vector<std::vector<std::pair<int32_t, NtdId>>>& lists,
-      int64_t* combos) {
+  void EnumerateCombos(NodeId root, int32_t row, size_t fresh_kw, size_t kw,
+                       const IntervalSet& common, int64_t* combos) {
     if (*combos >= options_.max_combos_per_pop) {
       ++response_.counters.combo_overflows;
       return;
@@ -571,15 +612,17 @@ class Runner {
       return;
     }
     if (kw == fresh_kw) {
-      EnumerateCombos(root, fresh_kw, kw + 1, common, lists, combos);
+      EnumerateCombos(root, row, fresh_kw, kw + 1, common, combos);
       return;
     }
     // Each depth narrows into its own reused set; `common` is the fresh
     // NTD's time or a shallower depth's set, never this one.
     IntervalSet& narrowed = combo_times_[kw];
-    for (const auto& [iter_idx, ntd_id] : lists[kw]) {
-      narrowed.AssignIntersectionOf(
-          common, iterators_[static_cast<size_t>(iter_idx)]->ntd(ntd_id).time);
+    const BestPathIterator& frontier = *iterators_[kw];
+    for (int32_t link = meetings_->First(row, kw); link >= 0;
+         link = meetings_->Next(link)) {
+      const NtdId ntd_id = meetings_->ntd(link);
+      narrowed.AssignIntersectionOf(common, frontier.ntd(ntd_id).time);
       TGKS_STATS(++engine_interval_ops_);
       if (narrowed.IsEmpty()) {
         // Validity pre-check (Algorithm 3 line 17): the chosen paths never
@@ -588,8 +631,8 @@ class Runner {
         ++response_.counters.invalid_time;
         continue;
       }
-      chosen_[kw] = {iter_idx, ntd_id};
-      EnumerateCombos(root, fresh_kw, kw + 1, narrowed, lists, combos);
+      chosen_[kw] = ntd_id;
+      EnumerateCombos(root, row, fresh_kw, kw + 1, narrowed, combos);
       if (*combos >= options_.max_combos_per_pop) return;
     }
   }
@@ -599,11 +642,10 @@ class Runner {
   void EmitCandidate(NodeId root) {
     ++response_.counters.candidates;
     path_edges_.clear();
-    for (size_t i = 0; i < m_; ++i) {
-      const auto& [iter_idx, ntd_id] = chosen_[i];
-      const BestPathIterator& iter = *iterators_[static_cast<size_t>(iter_idx)];
-      iter.PathEdgesInto(ntd_id, &path_edges_);
-      candidate_matches_[i] = iter.source();
+    for (size_t kw = 0; kw < m_; ++kw) {
+      const BestPathIterator& frontier = *iterators_[kw];
+      frontier.PathEdgesInto(chosen_[kw], &path_edges_);
+      candidate_matches_[kw] = frontier.source_of(chosen_[kw]);
     }
     ResultTree tree;
     switch (assembler_.Assemble(root, &path_edges_, candidate_matches_,
@@ -676,29 +718,31 @@ class Runner {
   /// bound on everything unseen?
   bool KthBeatsBound() {
     constexpr double kInf = std::numeric_limits<double>::infinity();
-    // Peek the best entry of each keyword's scheduling heap; entries are
-    // kept fresh, so heap fronts are the per-keyword best next NTD scores.
+    // Peek each keyword frontier; sources are settled eagerly, so the
+    // peeks are the per-keyword best next NTD scores.
     double best_top = -kInf;   // max over keyword queue tops.
     double worst_top = kInf;   // min over keyword queue tops.
     bool any = false;
     bool any_capped = false;
-    for (size_t kw = 0; kw < keyword_heaps_.size(); ++kw) {
-      const auto& heap = keyword_heaps_[kw];
-      if (heap.empty()) continue;
+    for (size_t kw = 0; kw < m_; ++kw) {
+      const BestPathIterator& frontier = *iterators_[kw];
+      const ScoreKey* front = frontier.PeekScore();
+      if (front == nullptr) continue;
       any = true;
-      // A capped entry ANYWHERE in the heap shapes this test: either it is
-      // the front (bounding d directly) or the cap displaced it below a
-      // better raw entry, raising the front — the tightening that lets the
-      // stop fire before the capped iterator's frontier is drained.
-      any_capped |= heap_capped_[kw] > 0;
-      best_top = std::max(best_top, heap.front().score[0]);
-      worst_top = std::min(worst_top, heap.front().score[0]);
+      // A capped source entry ANYWHERE in the heap of sources shapes this
+      // test: either it is the front (bounding d directly) or the cap
+      // displaced it below a better raw entry, raising the front — the
+      // tightening that lets the stop fire before the capped source's
+      // frontier is drained.
+      any_capped |= frontier.HasCappedSource();
+      best_top = std::max(best_top, (*front)[0]);
+      worst_top = std::min(worst_top, (*front)[0]);
     }
     if (any_capped) ++response_.counters.bound_tightenings;
     return KthBeatsBoundOver(any, best_top, worst_top);
   }
 
-  /// The bound computation shared by sequential mode (keyword heap fronts)
+  /// The bound computation shared by sequential mode (frontier peeks)
   /// and parallel replay (recorded stream fronts — the exact same scores).
   bool KthBeatsBoundOver(bool any, double best_top, double worst_top) {
     if (!any) return true;  // Exhausted: everything has been seen.
@@ -764,16 +808,16 @@ class Runner {
   // ---- Parallel keyword mode ---------------------------------------------
   //
   // Each keyword's pop sequence is independent of the others: a keyword's
-  // scheduling heap orders only that keyword's iterators, and an iterator
-  // advances only through its own Next() calls. The global interleaving
-  // (SelectKeyword) merely decides how MANY pops of each per-keyword
-  // sequence get consumed. Parallel mode exploits this in two stages:
+  // frontier advances only through its own Next() calls. The global
+  // interleaving (SelectKeyword) merely decides how MANY pops of each
+  // per-keyword sequence get consumed. Parallel mode exploits this in two
+  // stages:
   //
   //   1. Prefetch rounds: one task per keyword pops up to a budget from
-  //      that keyword's heap, recording (score, iterator, ntd, node) per
-  //      pop. Tasks touch disjoint per-keyword state (heap, iterators,
-  //      stream) and a barrier joins the round, so there is no shared
-  //      mutable state between concurrent tasks.
+  //      that keyword's frontier, recording (score, ntd, node) per pop.
+  //      Tasks touch disjoint per-keyword state (frontier, stream) and a
+  //      barrier joins the round, so there is no shared mutable state
+  //      between concurrent tasks.
   //   2. Replay merge: the coordinator replays the EXACT sequential
   //      interleaving over the recorded streams — keyword selection,
   //      meeting-candidate assembly, top-k admission, and the §4.2 stop
@@ -796,14 +840,13 @@ class Runner {
   enum class AbortReason { kNone, kCancel, kDeadline };
 
   struct RecordedPop {
-    ScoreKey score;  ///< Heap key at pop time == the iterator's peek
-                     ///< (guidance-capped under guided_search).
-    int32_t iter;    ///< Global iterator index.
+    ScoreKey score;  ///< The frontier's peek at pop time (guidance-capped
+                     ///< under guided_search).
     NtdId ntd;
     NodeId node;
-    /// Whether the keyword heap held >= 1 guidance-capped entry right after
-    /// this pop (post-reinsert) — the sequential heap_capped_ state the
-    /// replay's stop test must see at this cursor position.
+    /// Whether the frontier held >= 1 guidance-capped source entry right
+    /// after this pop — the sequential HasCappedSource() state the replay's
+    /// stop test must see at this cursor position.
     bool capped_behind = false;
   };
 
@@ -811,42 +854,29 @@ class Runner {
   /// (rounds are joined before the coordinator reads), except `cursor`,
   /// which only the coordinator touches.
   struct KeywordStream {
-    std::vector<IterEntry> heap;     ///< The keyword's scheduling heap.
     std::vector<RecordedPop> pops;   ///< Produced pops, keyword order.
     size_t cursor = 0;               ///< Consumed prefix (replay).
-    bool created = false;            ///< Iterators built (first round).
-    bool exhausted = false;          ///< Heap drained: no more pops ever.
+    bool exhausted = false;          ///< Frontier drained: no more pops.
     ScoreKey tail{};                 ///< Next pop's score when !exhausted.
-    int32_t heap_capped = 0;         ///< Guidance-capped entries in `heap`.
-    bool initial_capped = false;     ///< heap_capped > 0 before any pop.
+    bool initial_capped = false;     ///< HasCappedSource() before any pop.
     AbortReason abort = AbortReason::kNone;
     double expand_seconds = 0.0;     ///< Task CPU time, summed over rounds.
-    int64_t reorders = 0;            ///< Guidance cap events in this task.
   };
 
   void RunParallel() {
-    // Pre-size the iterator table so tasks fill disjoint slot ranges with
-    // no reallocation; slot numbering matches sequential creation order.
-    size_t total = 0;
-    stream_offset_.resize(m_);
-    for (size_t kw = 0; kw < m_; ++kw) {
-      stream_offset_[kw] = total;
-      total += match_lists_[kw].size();
-    }
-    iterators_.resize(total);
     streams_.resize(m_);
     round_budget_ = options_.parallel_round_budget > 0
                         ? options_.parallel_round_budget
                         : kDefaultRoundBudget;
 
-    // Round 1: create every keyword's iterators and prefetch the first
+    // Round 1: build every keyword frontier and prefetch the first
     // budget of pops.
     std::vector<size_t> all(m_);
     for (size_t kw = 0; kw < m_; ++kw) all[kw] = kw;
     RunPrefetchRound(all);
-    int64_t created = 0;
-    for (const auto& iter : iterators_) created += (iter != nullptr);
-    response_.counters.iterators = created;
+    for (const auto& frontier : iterators_) {
+      if (frontier) response_.counters.iterators += frontier->num_sources();
+    }
     if (StopOnAbort()) return;
     for (const KeywordStream& ks : streams_) {
       if (ks.exhausted && ks.pops.empty()) {
@@ -863,9 +893,10 @@ class Runner {
     merge_timer_.Stop();
   }
 
-  /// Score of keyword kw's next pop — recorded but unconsumed, or the heap
-  /// top left after the last round — or nullptr when fully exhausted.
-  /// Mirrors what keyword_heaps_[kw].front() shows sequential mode.
+  /// Score of keyword kw's next pop — recorded but unconsumed, or the
+  /// frontier's peek after the last round — or nullptr when fully
+  /// exhausted. Mirrors what iterators_[kw]->PeekScore() shows sequential
+  /// mode.
   const ScoreKey* StreamFront(size_t kw) const {
     const KeywordStream& ks = streams_[kw];
     if (ks.cursor < ks.pops.size()) return &ks.pops[ks.cursor].score;
@@ -873,11 +904,12 @@ class Runner {
     return nullptr;
   }
 
-  /// Whether keyword kw's scheduling heap held any guidance-capped entry at
-  /// the replay's current cursor — the recorded sequential heap_capped_
-  /// state after the last consumed pop (heap-at-creation before the first).
-  /// The unconsumed front entry was in the heap at that instant, so this
-  /// covers capped fronts and capped entries displaced below them alike.
+  /// Whether keyword kw's frontier held any guidance-capped source entry at
+  /// the replay's current cursor — the recorded sequential
+  /// HasCappedSource() state after the last consumed pop (at creation
+  /// before the first). The unconsumed front entry was in the heap of
+  /// sources at that instant, so this covers capped fronts and capped
+  /// entries displaced below them alike.
   bool StreamCappedState(size_t kw) const {
     const KeywordStream& ks = streams_[kw];
     if (ks.cursor > 0) return ks.pops[ks.cursor - 1].capped_behind;
@@ -1000,21 +1032,13 @@ class Runner {
 
       const RecordedPop& pop = ks.pops[ks.cursor++];
       ++response_.counters.pops;
-      auto& lists = reached_[static_cast<size_t>(pop.node)];
-      if (lists.empty()) {
-        lists.resize(m_);
-        ++reached_count_;
-      }
-      lists[kw].push_back({pop.iter, pop.ntd});
-      const bool met_all =
-          std::all_of(lists.begin(), lists.end(),
-                      [](const auto& l) { return !l.empty(); });
-      if (met_all) {
+      const int32_t row = meetings_->Add(pop.node, kw, pop.ntd);
+      if (meetings_->MetAll(row)) {
         if (SkipMeeting(pop.node)) {
           ++response_.counters.guided_prunes;
         } else {
           generate_timer_.Start();
-          GenerateCandidates(pop.node, kw, pop.iter, pop.ntd, lists);
+          GenerateCandidates(pop.node, row, kw, pop.ntd);
           generate_timer_.Stop();
         }
       }
@@ -1076,20 +1100,21 @@ class Runner {
     }
   }
 
-  /// One keyword's prefetch task: build its iterators on first call, then
-  /// pop up to `budget` NTDs off its scheduling heap, recording each pop.
-  /// Touches only this keyword's stream/heap/iterator slots.
+  /// One keyword's prefetch task: build its frontier on first call, then
+  /// pop up to `budget` NTDs off it, recording each pop. Touches only this
+  /// keyword's stream and frontier.
   void PrefetchKeyword(size_t kw, int64_t budget) {
     KeywordStream& ks = streams_[kw];
     Stopwatch expand;
     expand.Start();
-    if (!ks.created) {
-      CreateKeywordIterators(kw);
-      ks.created = true;
+    if (!iterators_[kw]) {
+      CreateFrontier(kw);
+      ks.initial_capped = iterators_[kw]->HasCappedSource();
     }
+    BestPathIterator& frontier = *iterators_[kw];
     int64_t deadline_countdown = 1;
     int64_t produced = 0;
-    while (produced < budget && !ks.heap.empty()) {
+    while (produced < budget && frontier.PeekScore() != nullptr) {
       if (Cancelled()) {
         ks.abort = AbortReason::kCancel;
         break;
@@ -1101,64 +1126,22 @@ class Runner {
           break;
         }
       }
-      std::pop_heap(ks.heap.begin(), ks.heap.end(), IterEntryWorse());
-      const IterEntry top = ks.heap.back();
-      ks.heap_capped -= top.capped;
-      ks.heap.pop_back();
-      BestPathIterator& iter = *iterators_[static_cast<size_t>(top.iter)];
-      const NtdId popped = iter.Next();
+      const ScoreKey score = *frontier.PeekScore();
+      const NtdId popped = frontier.Next();
       assert(popped != kInvalidNtd);
-      const ScoreKey* peek = iter.PeekScore();
-      if (peek != nullptr) {
-        ks.heap.push_back(
-            MakeIterEntry(*peek, top.iter, iter.source(), &ks.reorders));
-        ks.heap_capped += ks.heap.back().capped;
-        std::push_heap(ks.heap.begin(), ks.heap.end(), IterEntryWorse());
-      }
-      ks.pops.push_back(RecordedPop{top.score, top.iter, popped,
-                                    iter.ntd(popped).node,
-                                    ks.heap_capped > 0});
+      ks.pops.push_back(RecordedPop{score, popped, frontier.ntd(popped).node,
+                                    frontier.HasCappedSource()});
       ++produced;
     }
-    if (ks.heap.empty()) {
+    if (const ScoreKey* next = frontier.PeekScore(); next == nullptr) {
       ks.exhausted = true;
     } else {
-      // Heap entries are kept fresh (pushed with the post-Next() peek), so
-      // the front IS the next pop's score — the replay's frontier bound.
-      ks.tail = ks.heap.front().score;
+      // Sources are settled eagerly, so the peek IS the next pop's score —
+      // the replay's frontier bound.
+      ks.tail = *next;
     }
     expand.Stop();
     ks.expand_seconds += expand.seconds();
-  }
-
-  /// CreateIterators() for one keyword, into its preassigned slot range.
-  void CreateKeywordIterators(size_t kw) {
-    KeywordStream& ks = streams_[kw];
-    BestPathIterator::Options iter_options;
-    iter_options.ranking = query_.ranking;
-    iter_options.prune = query_.predicate.get();
-    iter_options.containedby_prune = options_.containedby_prune;
-    iter_options.duration_index = options_.duration_index;
-    iter_options.overlay = options_.overlay;
-    if (options_.reachability_prune) iter_options.viability = viability_view_;
-    if (guided_active_) {
-      iter_options.guidance_floor = &guidance_view_->cone_floor;
-    }
-    size_t slot = stream_offset_[kw];
-    for (const NodeId source : match_lists_[kw]) {
-      iter_options.trace_iter = static_cast<int32_t>(slot);
-      iterators_[slot] =
-          std::make_unique<BestPathIterator>(graph_, source, iter_options);
-      const ScoreKey* peek = iterators_[slot]->PeekScore();
-      if (peek != nullptr) {
-        ks.heap.push_back(MakeIterEntry(*peek, static_cast<int32_t>(slot),
-                                        source, &ks.reorders));
-        ks.heap_capped += ks.heap.back().capped;
-      }
-      ++slot;
-    }
-    std::make_heap(ks.heap.begin(), ks.heap.end(), IterEntryWorse());
-    ks.initial_capped = ks.heap_capped > 0;
   }
 
   void Finalize() {
@@ -1184,37 +1167,41 @@ class Runner {
         c.parallel_overshoot_pops +=
             static_cast<int64_t>(ks.pops.size() - ks.cursor);
         // Expansion ran inside the prefetch tasks: CPU time summed over
-        // tasks, so it can exceed the query's wall time. Cap events were
-        // counted per stream (tasks share no counters); like the other
-        // iterator-level counters they can include prefetch overshoot.
+        // tasks, so it can exceed the query's wall time.
         c.seconds_expand += ks.expand_seconds;
-        c.guided_reorders += ks.reorders;
       }
       c.seconds_merge = merge_timer_.seconds();
     }
     int64_t pushed_nodes_sum = 0;
     int64_t active_ntds_sum = 0;
-    for (const auto& iter : iterators_) {
-      // Parallel slots can stay empty when a round aborts mid-creation.
-      if (iter == nullptr) continue;
-      c.useless_pops += iter->stats().useless_pops;
-      c.ntds_created += iter->num_ntds();
-      c.edges_scanned += iter->stats().edges_scanned;
-      c.subsumption_skips += iter->stats().subsumption_skips;
-      c.subsumption_evictions += iter->stats().subsumption_evictions;
-      c.reachability_prunes += iter->stats().reachability_prunes;
-      c.guided_prunes += iter->stats().guided_prunes;
-      if (iter->num_ntds() > 1) {
-        // The paper's "average number of NTDs associated with each node in
-        // the priority queue": created (queued) NTDs over the nodes the
-        // expansion actually processed. Iterators that never expanded past
-        // their source (common with huge match sets and an early bound
-        // stop) are excluded — they would dilute the ratio toward 1.
-        active_ntds_sum += iter->num_ntds();
-        pushed_nodes_sum += iter->stats().nodes_reached;
+    for (const auto& frontier : iterators_) {
+      // A parallel frontier is missing when its keyword's task never ran.
+      if (!frontier) continue;
+      const IteratorStats& is = frontier->stats();
+      c.useless_pops += is.useless_pops;
+      c.ntds_created += frontier->num_ntds();
+      c.edges_scanned += is.edges_scanned;
+      c.subsumption_skips += is.subsumption_skips;
+      c.subsumption_evictions += is.subsumption_evictions;
+      c.reachability_prunes += is.reachability_prunes;
+      c.guided_prunes += is.guided_prunes;
+      // In parallel mode, like the other frontier-level counters, cap
+      // events can include prefetch overshoot.
+      c.guided_reorders += is.guided_reorders;
+      for (int32_t origin = 0; origin < frontier->num_sources(); ++origin) {
+        if (frontier->num_ntds(origin) > 1) {
+          // The paper's "average number of NTDs associated with each node
+          // in the priority queue", per source: created (queued) NTDs over
+          // the nodes the source's expansion actually processed. Sources
+          // that never expanded past themselves (common with huge match
+          // sets and an early bound stop) are excluded — they would dilute
+          // the ratio toward 1.
+          active_ntds_sum += frontier->num_ntds(origin);
+          pushed_nodes_sum += frontier->nodes_reached(origin);
+        }
       }
     }
-    c.nodes_visited = reached_count_;
+    c.nodes_visited = meetings_->reached();
     c.avg_ntds_per_node =
         pushed_nodes_sum > 0
             ? static_cast<double>(active_ntds_sum) /
@@ -1240,9 +1227,9 @@ class Runner {
     s.guided_reorders = c.guided_reorders;
     s.bound_tightenings = c.bound_tightenings;
     s.interval_ops = engine_interval_ops_;
-    for (const auto& iter : iterators_) {
-      if (iter == nullptr) continue;
-      const IteratorStats& is = iter->stats();
+    for (const auto& frontier : iterators_) {
+      if (!frontier) continue;
+      const IteratorStats& is = frontier->stats();
       s.ntds_merged += is.subsumption_skips + is.subsumption_evictions;
       s.prunes += is.prunes;
       s.edges_scanned += is.edges_scanned;
@@ -1327,7 +1314,7 @@ class Runner {
   /// the live storage (local or cache-shared).
   bool guided_active_ = false;
   /// Frontier multiplier of options_.bound; caps are cone_floor divided by
-  /// this so deferrals never outrun the stop depth (see MakeIterEntry).
+  /// this so deferrals never outrun the stop depth (see CreateFrontier).
   double cap_divisor_ = 1.0;
   graph::ReachabilityIndex::GuidanceData guidance_;
   std::shared_ptr<const graph::ReachabilityIndex::GuidanceData>
@@ -1337,35 +1324,25 @@ class Runner {
   // Candidate generation. Every buffer lives for the whole query, so a
   // warm candidate allocates only if it becomes a result.
   CandidateAssembler assembler_;  ///< Covers by the filtered match_lists_.
-  std::vector<std::pair<int32_t, NtdId>> chosen_;  ///< NTD per keyword.
+  std::vector<NtdId> chosen_;  ///< NTD per keyword, of that keyword's frontier.
   std::vector<IntervalSet> combo_times_;  ///< Narrowed time per depth.
   std::vector<EdgeId> path_edges_;        ///< Concatenated chosen paths.
   std::vector<NodeId> candidate_matches_;  ///< Chosen paths' sources.
   SignatureSet seen_;  ///< Accepted trees.
 
-  std::vector<std::unique_ptr<BestPathIterator>> iterators_;
-  std::vector<std::vector<IterEntry>> keyword_heaps_;
-  /// Per keyword, how many entries of its scheduling heap are guidance-
-  /// capped right now (maintained at every push/pop). Nonzero means the
-  /// keyword's frontier — front or displaced below it — was shaped by a
-  /// cone-floor cap, which is what bound_tightenings counts at stop tests.
-  std::vector<int32_t> heap_capped_;
+  /// One frontier per keyword over its filtered match list. Empty only in
+  /// parallel mode, until the keyword's first prefetch task builds it.
+  std::vector<std::optional<BestPathIterator>> iterators_;
   int rr_cursor_ = 0;
 
   // Parallel-keyword state (unused on the sequential path).
   bool use_parallel_ = false;
   std::vector<KeywordStream> streams_;
-  std::vector<size_t> stream_offset_;  ///< First iterator slot per keyword.
   int64_t round_budget_ = kDefaultRoundBudget;
   int64_t stall_refills_ = 0;
   Stopwatch merge_timer_;
 
-  // Dense per-node keyword lists (indexed by NodeId; empty outer vector ==
-  // node not reached yet). A hash map here costs a probe on EVERY pop;
-  // the dense table is one indexed load, and reached_count_ preserves the
-  // distinct-node count the map's size() used to provide.
-  std::vector<std::vector<std::vector<std::pair<int32_t, NtdId>>>> reached_;
-  int64_t reached_count_ = 0;
+  MeetingTablePool::Handle meetings_;  ///< Per-(node, keyword) pop lists.
   std::vector<ResultTree> results_;
   std::vector<double> primaries_;  // Primary scores, descending.
 

@@ -1,10 +1,11 @@
 // SearchEngine: top-k keyword search over temporal graphs (Algorithm 3).
 //
-// One best path iterator per keyword match expands backward; a result is
-// born when some node has been reached from every keyword and the chosen
-// NTDs' valid times intersect. Iterator scheduling follows §4.1: global
-// best-first when ranking by relevance, round-robin over *keywords* (best
-// iterator within the keyword) for temporal rankings. Termination follows
+// One backward best-path expansion per keyword match, grouped into one
+// multi-source BestPathIterator — a keyword frontier — per keyword; a result
+// is born when some node has been reached from every keyword and the chosen
+// NTDs' valid times intersect. Scheduling follows §4.1: global best-first
+// when ranking by relevance, round-robin over *keywords* (the best source
+// within the keyword's frontier) for temporal rankings. Termination follows
 // §4.2: the search stops once the kth best result beats the configured
 // upper bound on unseen results.
 
@@ -94,14 +95,15 @@ struct SearchOptions {
   /// floors from the ReachabilityIndex distance labels
   /// (ReachabilityIndex::ComputeGuidance) and uses them three ways, all
   /// result-preserving:
-  ///   1. ordering/bounds — each iterator's engine-level pop priority is
-  ///      capped at the negated cone floor of its SOURCE, divided by the
-  ///      bound kind's frontier multiplier (every future pop of the
-  ///      iterator routes through the source, so no unseen tree via it can
-  ///      score above the cap; the division keeps every deferral shallower
-  ///      than the bound's own stop depth, so guided never pops more than
-  ///      unguided). Capped fronts feed the §4.2 bound test unchanged —
-  ///      the multiplier scales them back to the full floor — firing
+  ///   1. ordering/bounds — each source's priority in its keyword
+  ///      frontier's heap of sources is capped at the source's negated
+  ///      cone floor, divided by the bound kind's frontier multiplier
+  ///      (every future pop of the source routes through it, so no unseen
+  ///      tree via it can score above the cap; the division keeps every
+  ///      deferral shallower than the bound's own stop depth, so guided
+  ///      never pops more than unguided). Capped fronts feed the §4.2
+  ///      bound test unchanged — the multiplier scales them back to the
+  ///      full floor — firing
   ///      stop_bound earlier (see SearchCounters::bound_tightenings);
   ///      under kAccurate the exact top-k guarantee is preserved because
   ///      the cap is admissible.
@@ -163,8 +165,8 @@ struct SearchOptions {
   /// TGKS_NO_STATS build records nothing.
   obs::QueryTrace* trace = nullptr;
 
-  /// Opt-in intra-query parallelism: each keyword's best-path iterator
-  /// group prefetches pops as a task on `task_submitter`, and the
+  /// Opt-in intra-query parallelism: each keyword's frontier prefetches
+  /// pops as a task on `task_submitter`, and the
   /// coordinator replays the exact sequential interleaving over the
   /// recorded per-keyword streams. Result sets, scores, and the
   /// consumed-pop count are identical to sequential mode by construction
@@ -196,14 +198,16 @@ struct SearchOptions {
 
 /// Work counters for the evaluation harness (§6's reported quantities).
 struct SearchCounters {
-  int64_t iterators = 0;           ///< Best path iterators created.
-  int64_t pops = 0;                ///< NTDs popped (all iterators).
+  /// Best-path sources started: the filtered match nodes of every keyword
+  /// frontier, including sources that start exhausted.
+  int64_t iterators = 0;
+  int64_t pops = 0;                ///< NTDs popped (all frontiers).
   int64_t useless_pops = 0;        ///< Stale queue entries skipped.
-  int64_t ntds_created = 0;        ///< Arena NTDs across iterators.
-  int64_t edges_scanned = 0;       ///< In-edges examined across iterators.
+  int64_t ntds_created = 0;        ///< Arena NTDs across frontiers.
+  int64_t edges_scanned = 0;       ///< In-edges examined across frontiers.
   int64_t subsumption_skips = 0;   ///< Algorithm-2 case-1 prunes.
   int64_t subsumption_evictions = 0;  ///< Algorithm-2 case-3 removals.
-  int64_t nodes_visited = 0;       ///< Distinct nodes popped by >=1 iterator.
+  int64_t nodes_visited = 0;       ///< Distinct nodes popped by >=1 source.
   int64_t candidates = 0;          ///< NTD-set combinations examined.
   int64_t invalid_time = 0;        ///< Candidates with empty common time.
   int64_t invalid_structure = 0;   ///< Path unions that were not trees.
@@ -214,24 +218,24 @@ struct SearchCounters {
   /// reachability_prune only: match sources dropped plus expansion NTDs
   /// discarded because their time set missed the viability set.
   int64_t reachability_prunes = 0;
-  /// guided_search only: iterator-level infinity-floor prunes (sources and
+  /// guided_search only: frontier-level infinity-floor prunes (sources and
   /// expansions at nodes under no potential root) plus engine-level
   /// meeting skips.
   int64_t guided_prunes = 0;
-  /// guided_search only: engine pop priorities actually lowered by the
-  /// source cone-floor cap (a proxy for how often guidance reordered or
+  /// guided_search only: heap-of-sources priorities actually lowered by
+  /// the source cone-floor cap (a proxy for how often guidance reordered or
   /// tightened the frontier).
   int64_t guided_reorders = 0;
   /// guided_search only: §4.2 stop-test evaluations in which at least one
-  /// keyword's scheduling heap held a guidance-capped entry — at the front
-  /// (bounding the frontier directly) or displaced below a better raw
-  /// entry by its cap, which is what lets the stop fire before that
-  /// iterator's frontier is drained.
+  /// keyword frontier's heap of sources held a guidance-capped entry — at
+  /// the front (bounding the frontier directly) or displaced below a
+  /// better raw entry by its cap, which is what lets the stop fire before
+  /// that source's expansion is drained.
   int64_t bound_tightenings = 0;
   int64_t results = 0;             ///< Distinct valid results found.
   /// Parallel mode only: prefetch rounds run, and pops prefetched past the
   /// stop point (work a sequential run would not have done; their edge
-  /// scans / NTDs are included in the iterator-level counters above).
+  /// scans / NTDs are included in the frontier-level counters above).
   int64_t parallel_rounds = 0;
   int64_t parallel_overshoot_pops = 0;
   /// query_caches only (docs/caching.md): keyword match-set lookups served
@@ -245,8 +249,9 @@ struct SearchCounters {
   /// / missed by the level-2b cache.
   int64_t cache_guidance_hits = 0;
   int64_t cache_guidance_misses = 0;
-  /// Mean NTDs per reached node per iterator (the paper's "average number
-  /// of NTDs associated with each node").
+  /// Mean NTDs per reached node per source (the paper's "average number
+  /// of NTDs associated with each node"), over sources that expanded past
+  /// themselves.
   double avg_ntds_per_node = 0.0;
 
   /// Wall-clock phase breakdown in seconds (Figs. 7-10): keyword-match
@@ -264,7 +269,7 @@ struct SearchCounters {
 
 /// Why the main loop stopped.
 enum class StopReason {
-  kExhausted,   ///< Every iterator frontier drained.
+  kExhausted,   ///< Every keyword frontier drained.
   kBound,       ///< The §4.2 kth-beats-bound test fired.
   kMaxPops,     ///< The max_pops safety valve fired.
   kDeadline,    ///< The wall-clock deadline expired.
@@ -283,7 +288,7 @@ struct SearchResponse {
   /// TGKS_NO_STATS builds.
   obs::SearchStats stats;
   StopReason stop_reason = StopReason::kExhausted;
-  /// True when every iterator drained (vs. stopping on the bound).
+  /// True when every frontier drained (vs. stopping on the bound).
   bool exhausted = false;
   /// True when a safety valve fired (max_pops, deadline, or cancellation).
   bool truncated = false;

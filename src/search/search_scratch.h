@@ -9,8 +9,14 @@
 // through a thread-local ScratchPool — an iterator acquires a warm scratch
 // in its constructor, bumps the epochs, and runs allocation-free in steady
 // state. The QueryExecutor's persistent workers (src/exec) make this
-// recycling automatic across the queries of a batch. In parallel-keyword
-// mode (SearchOptions::parallel_keywords) iterators are constructed inside
+// recycling automatic across the queries of a batch.
+//
+// A BestPathIterator is a keyword frontier over many sources, and its
+// scratch is two-level: one shared NTD arena and heap of sources, plus one
+// BestPathOrigin slot per source holding that source's own queue and
+// per-node tables. The engine builds one frontier per keyword, so a query
+// holds one BestPathScratch per keyword. In parallel-keyword mode
+// (SearchOptions::parallel_keywords) frontiers are constructed inside
 // per-keyword prefetch tasks, so each pool worker acquires from its own
 // thread-local pool; the scratches are later released on whichever thread
 // destroys the query's Runner — cross-thread release is part of the
@@ -43,7 +49,7 @@ namespace tgks::search {
 class NtdArena {
  public:
   // Power of two so operator[] compiles to shift + mask; small enough that
-  // the thousands of few-NTD iterators of a fat query stay cheap.
+  // the light frontiers of a query (a few NTDs per source) stay cheap.
   static constexpr size_t kBlockSize = 64;
 
   size_t size() const { return size_; }
@@ -123,24 +129,68 @@ struct BestPathQueueBetter {
   }
 };
 
-/// Everything a BestPathIterator allocates, pooled per thread.
-struct BestPathScratch {
-  NtdArena arena;
+/// One source's slot in a frontier's scratch: its own queue and per-node
+/// tables. Keeping each source's state apart (rather than one merged queue
+/// and (source, node)-keyed tables) keeps a heavy source's probes within
+/// its own small tables, and makes every source pop exactly as a
+/// one-source iterator would.
+struct BestPathOrigin {
   QuadHeap<BestPathQueueEntry, BestPathQueueBetter> queue;
   common::FlatEpochMap<temporal::IntervalSet> visited;  // Partition claims.
   common::FlatEpochMap<std::vector<NtdId>> popped;      // Pop order per node.
   common::FlatEpochMap<NodeSubsumption> subsumption;    // Duration ranking.
-  temporal::IntervalSet tmp;   // Per-edge intersection buffer.
-  temporal::IntervalSet tmp2;  // Union double-buffer for visited claims.
+  graph::NodeId source = graph::kInvalidNode;
+  int64_t ntds = 0;           ///< NTDs this source created.
+  int64_t nodes_reached = 0;  ///< Distinct nodes it popped.
 
-  /// Readies the scratch for a query: O(1) epoch bumps; table capacity and
-  /// arena blocks from previous uses are retained.
-  void Reset() {
+  void Reset(graph::NodeId new_source) {
+    queue.clear();
     visited.Clear();
     popped.Clear();
     subsumption.Clear();
+    source = new_source;
+    ntds = 0;
+    nodes_reached = 0;
+  }
+};
+
+/// Heap-of-sources entry: a source's next pop score (guidance-capped under
+/// guided search) and the source's index in the frontier.
+struct BestPathSourceEntry {
+  ScoreKey score;
+  int32_t origin;
+  /// The primary component was lowered by the guidance cone-floor cap.
+  /// Not part of the ordering; feeds BestPathIterator::HasCappedSource.
+  bool capped;
+};
+struct BestPathSourceBetter {
+  // True iff `a` pops first: best score, with the smaller source index
+  // winning ties — a strict total order, like BestPathQueueBetter.
+  bool operator()(const BestPathSourceEntry& a,
+                  const BestPathSourceEntry& b) const {
+    if (!(a.score == b.score)) return ScoreBetter(a.score, b.score);
+    return a.origin < b.origin;
+  }
+};
+
+/// Everything a BestPathIterator allocates, pooled per thread.
+struct BestPathScratch {
+  NtdArena arena;  // Shared by all sources; NTDs carry their origin.
+  /// Slot i serves source i. Slots past the current frontier's width keep
+  /// their capacity for the next wide frontier.
+  std::vector<BestPathOrigin> origins;
+  QuadHeap<BestPathSourceEntry, BestPathSourceBetter> sources;
+  temporal::IntervalSet tmp;   // Per-edge intersection buffer.
+  temporal::IntervalSet tmp2;  // Union double-buffer for visited claims.
+
+  /// Readies the scratch for a frontier over `num_sources` sources; the
+  /// iterator then resets each slot (O(1) epoch bumps) as it binds the
+  /// slot's source. Table capacity and arena blocks from previous uses are
+  /// retained.
+  void Reset(size_t num_sources) {
+    if (origins.size() < num_sources) origins.resize(num_sources);
     arena.Rewind();
-    queue.clear();
+    sources.clear();
   }
 };
 
@@ -154,11 +204,15 @@ struct LabelCorrectingScratch {
   void Reset() { states.Clear(); }
 };
 
-// Pool park limits sized to the engine's peak concurrency: one live
-// iterator per match node, which reaches several thousand on the DBLP
-// workload. Scratches are sized by their iterator's touched-node set, so a
-// full park list stays in the tens of megabytes.
-using BestPathScratchPool = common::ScratchPool<BestPathScratch, 8192>;
+// Pool park limits sized to peak concurrency per thread. A query holds one
+// BestPathScratch per keyword, so a handful of parked scratches serves any
+// query warm; each one grows to the widest and heaviest frontier it has
+// served, so a deeper park list would only pin the memory of past heavy
+// queries. A LabelCorrectingIterator still runs one per match node (several
+// thousand on the DBLP workload), and its scratches are sized by one
+// iterator's touched-node set, so its full park list stays in the tens of
+// megabytes.
+using BestPathScratchPool = common::ScratchPool<BestPathScratch, 8>;
 using LabelCorrectingScratchPool =
     common::ScratchPool<LabelCorrectingScratch, 8192>;
 

@@ -102,6 +102,38 @@ TEST(QuadHeapTest, DifferentialAgainstPriorityQueue) {
   }
 }
 
+TEST(QuadHeapTest, ReplaceTopMatchesPopThenPush) {
+  // The heap-of-sources shape: a popped source re-enters with a worse (or
+  // equal) score under its own id.
+  Rng rng(2468);
+  for (int trial = 0; trial < 20; ++trial) {
+    QuadHeap<Entry, EntryBetter> ours;
+    std::priority_queue<Entry, std::vector<Entry>, EntryWorse> ref;
+    const int64_t sources = 1 + static_cast<int64_t>(rng.Uniform(300));
+    for (int64_t id = 0; id < sources; ++id) {
+      const Entry e{static_cast<double>(rng.Uniform(8)), id};
+      ours.push(e);
+      ref.push(e);
+    }
+    while (!ref.empty()) {
+      ASSERT_EQ(ours.size(), ref.size());
+      ASSERT_EQ(ours.top().score, ref.top().score) << "trial " << trial;
+      ASSERT_EQ(ours.top().id, ref.top().id) << "trial " << trial;
+      const Entry top = ref.top();
+      ref.pop();
+      if (rng.Bernoulli(0.2)) {
+        ours.pop();
+        continue;
+      }
+      const Entry next{top.score - static_cast<double>(rng.Uniform(3)),
+                       top.id};
+      ours.replace_top(next);
+      ref.push(next);
+    }
+    EXPECT_TRUE(ours.empty());
+  }
+}
+
 TEST(QuadHeapTest, DifferentialWithDijkstraShapedComparator) {
   // Smallest (dist, node) pops first — the baseline Dijkstra queue.
   struct Dist {
