@@ -206,6 +206,13 @@ int SweepDataset(const std::string& name, const graph::TemporalGraph& graph,
     PrintRow(name, "parallel-keywords", threads, -1, response, identical);
   }
 
+  // The reachability index is built on first use. Build it here, outside
+  // every timed run, so the first query of the reach-prune, guided and
+  // viability sweeps below does not carry the labeling; its stats are the
+  // one-time cost the reach-prune and guided rows report.
+  const graph::ReachabilityIndex::BuildStats& rstats =
+      graph.reachability().stats();
+
   // Reachability-prune sweep (docs/reachability.md): threads=1 against the
   // sequential reference, reporting the one-time labeling cost. Divergence
   // from the reference is reported in the row but not counted as a failure:
@@ -218,7 +225,6 @@ int SweepDataset(const std::string& name, const graph::TemporalGraph& graph,
     exec::QueryExecutor executor(graph, &index, options);
     const exec::BatchResponse response = executor.Run(batch);
     const bool identical = Fingerprints(response) == ref_prints;
-    const auto& rstats = graph.reachability().stats();
     PrintRow(name, "reach-prune", 1, -1, response, identical,
              rstats.build_seconds * 1000.0, rstats.label_bytes);
   }
@@ -236,7 +242,6 @@ int SweepDataset(const std::string& name, const graph::TemporalGraph& graph,
     exec::QueryExecutor executor(graph, &index, options);
     const exec::BatchResponse response = executor.Run(batch);
     const bool identical = Fingerprints(response) == ref_prints;
-    const auto& rstats = graph.reachability().stats();
     PrintRow(name, "guided", 1, -1, response, identical,
              rstats.build_seconds * 1000.0, rstats.label_bytes);
   }

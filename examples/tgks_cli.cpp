@@ -490,6 +490,11 @@ int main(int argc, char** argv) {
   }
   const tgks::graph::TemporalGraph& base_graph =
       live != nullptr ? *live_base->graph : graph;
+  // The reachability index is built on first use; build it now when the
+  // prunes that read it are on, so the first query does not pay for it.
+  if (options.reachability_prune || options.guided_search) {
+    (void)base_graph.reachability();
+  }
   std::optional<tgks::graph::InvertedIndex> local_index;
   if (live == nullptr) local_index.emplace(base_graph);
   const tgks::graph::InvertedIndex& index =

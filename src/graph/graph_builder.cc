@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "graph/expansion_view.h"
-#include "graph/reachability_index.h"
 
 namespace tgks::graph {
 
@@ -132,10 +131,9 @@ Result<TemporalGraph> GraphBuilder::Build() {
   // (programmatic, text/binary load, archive) carries one.
   g.view_ = std::make_shared<const ExpansionView>(ExpansionView::Build(g));
 
-  // The temporal reachability labeling rides along the same way; its
-  // BuildStats carry the phase timer surfaced by graph_stats / --layout.
-  g.reach_ = std::make_shared<const ReachabilityIndex>(
-      ReachabilityIndex::Build(g));
+  // The temporal reachability labeling is built on first use
+  // (TemporalGraph::reachability()); every copy of `g` shares this cell.
+  g.reach_ = std::make_shared<TemporalGraph::ReachabilityCell>();
 
   nodes_.clear();
   edges_.clear();

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <functional>
 #include <limits>
+#include <memory>
+#include <mutex>
 #include <queue>
 #include <tuple>
 #include <utility>
@@ -765,6 +767,15 @@ bool ReachabilityIndex::IdenticalTo(const ReachabilityIndex& other) const {
     }
   }
   return true;
+}
+
+const ReachabilityIndex& TemporalGraph::reachability() const {
+  ReachabilityCell& cell = *reach_;
+  std::call_once(cell.once, [&] {
+    cell.index = std::make_shared<const ReachabilityIndex>(
+        ReachabilityIndex::Build(*this));
+  });
+  return *cell.index;
 }
 
 }  // namespace tgks::graph

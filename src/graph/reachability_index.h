@@ -55,9 +55,10 @@
 //     are derived from per-epoch min-plus passes over the condensed DAG
 //     using the stored edge distances (docs/reachability.md).
 //
-// Built unconditionally by GraphBuilder::Build() (like ExpansionView) and
-// persisted in the binary archive format (serialization.cc, version 3;
-// version-2 archives without distances are rebuilt on load).
+// Built on the first TemporalGraph::reachability() call, once per graph
+// and its copies, and persisted in the binary archive format
+// (serialization.cc, version 3: a load installs the stored labels; older
+// versions build on first use).
 // Construction is O(epochs * (V + E + labels)); probes are O(label size)
 // with the DFS fallback bounded by the condensed DAG.
 

@@ -2,6 +2,8 @@
 
 #include <cstring>
 #include <fstream>
+#include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -187,8 +189,8 @@ constexpr char kBinaryMagic[4] = {'T', 'G', 'K', 'B'};
 // Version 2 appended the reachability labeling blob; version 3 extended it
 // with distance labels (per-entry weights, condensed-edge distances, and
 // per-SCC min node weights — docs/reachability.md). Version 1 and 2 files
-// are still read: their labeling blob is rebuilt by GraphBuilder instead
-// of parsed, exactly as version-1 archives always were.
+// are still read: their labeling blob is ignored and the index is built
+// on first use, exactly as for a graph that never had a blob.
 constexpr uint32_t kBinaryVersion = 3;
 // Caps that keep a corrupt length field from driving giant allocations.
 constexpr uint32_t kMaxBinaryCount = 1u << 28;
@@ -277,9 +279,8 @@ Result<IntervalSet> ReadValidity(std::istream& in) {
 /// labeling blob appended by binary format version 2 and extended with
 /// distances in version 3. Writing is a plain field dump; reading validates
 /// every index-bearing field before installing the parsed labels verbatim
-/// on the loaded graph (replacing the equivalent ones GraphBuilder::Build
-/// just computed, which keeps the save -> load -> save byte-identity
-/// trivial).
+/// into the loaded graph's still-empty lazy cell, so a load builds nothing
+/// and the save -> load -> save byte-identity is trivial.
 class ReachabilityIndexSerializer {
  public:
   static void Write(const ReachabilityIndex& index, std::ostream& out) {
@@ -406,7 +407,10 @@ class ReachabilityIndexSerializer {
     stats.label_bytes =
         stats.label_entries *
         static_cast<int64_t>(sizeof(ReachabilityIndex::LabelEntry));
-    graph->reach_ = std::move(index);
+    // The graph was built a moment ago and never probed, so this call_once
+    // is the cell's first: reachability() returns these labels from now on.
+    TemporalGraph::ReachabilityCell& cell = *graph->reach_;
+    std::call_once(cell.once, [&] { cell.index = std::move(index); });
     return Status::OK();
   }
 
@@ -571,13 +575,12 @@ Result<TemporalGraph> LoadGraphBinary(std::istream& in) {
   Result<TemporalGraph> graph = builder.Build();
   if (!graph.ok() || version < kBinaryVersion) {
     // Version 1 has no labeling blob; version 2's blob predates the
-    // distance labels, so it is ignored and GraphBuilder's freshly built
-    // index (with distances) stands — read-compat without a parser per
-    // legacy layout.
+    // distance labels, so it is ignored and the index (with distances) is
+    // built on first use — read-compat without a parser per legacy layout.
     return graph;
   }
-  // The current version carries the labeling; install it over the freshly
-  // built one so the persisted bytes win (byte-identical round trips by
+  // The current version carries the labeling; install it as the graph's
+  // index so the persisted bytes win (byte-identical round trips by
   // design).
   const Status blob = ReachabilityIndexSerializer::Read(in, &graph.value());
   if (!blob.ok()) return blob;

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -94,14 +95,23 @@ class TemporalGraph {
   /// graph share one immutable view.
   const ExpansionView& expansion_view() const { return *view_; }
 
-  /// The temporal reachability labeling (see reachability_index.h).
-  /// Present on every graph produced by GraphBuilder::Build(); copies of a
-  /// graph share one immutable index.
-  const ReachabilityIndex& reachability() const { return *reach_; }
+  /// The temporal reachability labeling (see reachability_index.h), built
+  /// on the first call: only the opt-in prunes read it, so graphs that
+  /// never run one never pay for it. Thread-safe; concurrent first callers
+  /// wait for the one build. Every graph produced by GraphBuilder::Build()
+  /// has one, and copies of a graph share it (and its build). A `.tgb`
+  /// version 3 load installs the persisted labels instead of building.
+  const ReachabilityIndex& reachability() const;
 
  private:
   friend class GraphBuilder;
   friend class ReachabilityIndexSerializer;  // installs persisted labels
+
+  /// The lazily filled index, shared by every copy of one built graph.
+  struct ReachabilityCell {
+    std::once_flag once;
+    std::shared_ptr<const ReachabilityIndex> index;
+  };
 
   static std::span<const EdgeId> Slice(const std::vector<int64_t>& offsets,
                                        const std::vector<EdgeId>& edges,
@@ -119,7 +129,7 @@ class TemporalGraph {
   std::vector<int64_t> in_offsets_;
   std::vector<EdgeId> in_edges_;
   std::shared_ptr<const ExpansionView> view_;
-  std::shared_ptr<const ReachabilityIndex> reach_;
+  std::shared_ptr<ReachabilityCell> reach_;
 };
 
 }  // namespace tgks::graph

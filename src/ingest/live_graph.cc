@@ -29,6 +29,7 @@ struct IngestMetrics {
   obs::Gauge* generation;
   obs::Gauge* delta_bytes;
   obs::Histogram* apply_micros;
+  obs::Histogram* lock_wait_micros;
   obs::Histogram* compact_micros;
 
   static IngestMetrics& Get() {
@@ -56,7 +57,12 @@ struct IngestMetrics {
           "Approximate footprint of the uncompacted delta overlay.");
       out->apply_micros = reg.GetHistogram(
           "tgks_ingest_apply_micros",
-          "Ingest batch apply+publish time (microseconds).");
+          "Ingest batch apply+publish time once the writer mutex is held "
+          "(microseconds).");
+      out->lock_wait_micros = reg.GetHistogram(
+          "tgks_ingest_lock_wait_micros",
+          "Time an ingest batch waited for the writer mutex, e.g. behind a "
+          "compaction rebuild (microseconds).");
       out->compact_micros = reg.GetHistogram(
           "tgks_compaction_rebuild_micros",
           "Compaction rebuild+publish time (microseconds).");
@@ -149,9 +155,14 @@ void LiveGraph::Publish(std::shared_ptr<const GraphSnapshot> next) {
 
 Result<uint64_t> LiveGraph::Apply(const IngestBatch& batch,
                                   IngestErrorDetail* error) {
+  Stopwatch lock_wait;
+  lock_wait.Start();
+  std::lock_guard<std::mutex> lock(mu_);
+  lock_wait.Stop();
+  TGKS_STATS(IngestMetrics::Get().lock_wait_micros->Observe(
+      static_cast<int64_t>(lock_wait.seconds() * 1e6)));
   Stopwatch timer;
   timer.Start();
-  std::lock_guard<std::mutex> lock(mu_);
   GraphSnapshotHandle snap;
   {
     std::lock_guard<std::mutex> head_lock(head_mu_);
@@ -291,8 +302,9 @@ Result<uint64_t> LiveGraph::CompactLocked(bool manual) {
   // Full rebuild: every element re-enters the builder in id order, so the
   // compacted graph assigns identical ids and its CSR enumerates edges in
   // the identical order — a query cannot tell a compacted snapshot from a
-  // graph that was built with the data from day one. This also rebuilds
-  // the reachability labeling, re-arming the prunes the overlay disabled.
+  // graph that was built with the data from day one. The empty overlay
+  // re-arms the prunes it disabled; the new graph's reachability labeling
+  // is built by the first query that runs one, not here under mu_.
   graph::GraphBuilder builder(base.timeline_length());
   const NodeId total_nodes = overlay.total_nodes();
   for (NodeId n = 0; n < total_nodes; ++n) {

@@ -4,7 +4,8 @@
 // The design is reader-copy-update over immutable snapshots:
 //
 //   - a GraphSnapshot is an immutable view: the pooled base graph (SoA +
-//     CSR + reachability labels, never mutated after Build()), the base
+//     CSR, never mutated after Build(); its reachability labels are built
+//     by the first query that reads them), the base
 //     inverted index, an optional DeltaOverlay holding everything ingested
 //     since the base was built, and a fresh per-snapshot QueryCaches
 //     bundle;
@@ -21,11 +22,11 @@
 //     invalidation of every cache level on every publish" contract;
 //   - Compact() folds the accumulated delta into a full GraphBuilder
 //     rebuild (same element ids and order, so a compacted graph is
-//     indistinguishable from a build-once graph — including its rebuilt
-//     reachability labels, which is what re-arms the expansion prunes that
-//     live snapshots conservatively disable). The rebuild runs under the
-//     writer mutex but never blocks queries: they keep reading their
-//     pinned snapshots, and the swap itself is a pointer store.
+//     indistinguishable from a build-once graph; its empty overlay re-arms
+//     the expansion prunes that live snapshots conservatively disable).
+//     Queries keep reading their pinned snapshots and the swap itself is a
+//     pointer store, but the rebuild holds the writer mutex: an Apply()
+//     that arrives meanwhile waits for it (tgks_ingest_lock_wait_micros).
 //
 // Writer-side mutual exclusion is one mutex (ingest batches and compaction
 // serialize); reader-side is the head pointer's own lock, held only for a

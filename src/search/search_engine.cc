@@ -269,8 +269,8 @@ class Runner {
     if (options_.overlay != nullptr) {
       // Conservative no-prune fallback on live snapshots: the base
       // ReachabilityIndex does not cover delta connectivity, so pruning
-      // with it would be unsound until compaction rebuilds the labeling
-      // (docs/ingest.md, "Conservative pruning").
+      // with it would be unsound until compaction folds the delta into a
+      // new base graph (docs/ingest.md, "Conservative pruning").
       options_.reachability_prune = false;
       options_.guided_search = false;
     }
@@ -389,6 +389,10 @@ class Runner {
     if (use_parallel_) {
       RunParallel();
     } else {
+      // One clock read per phase switch, not two per pop: the frontier
+      // build plus the whole loop are timed here, and Finalize() takes the
+      // generation time nested inside back out to get seconds_expand.
+      expand_timer_.Start();
       CreateIterators();
       const bool any_keyword_dead =
           std::any_of(iterators_.begin(), iterators_.end(),
@@ -400,6 +404,7 @@ class Runner {
       } else {
         MainLoop();
       }
+      expand_timer_.Stop();
     }
     Finalize();
     return std::move(response_);
@@ -485,12 +490,10 @@ class Runner {
   }
 
   void CreateIterators() {
-    expand_timer_.Start();
     for (size_t kw = 0; kw < m_; ++kw) {
       CreateFrontier(kw);
       response_.counters.iterators += iterators_[kw]->num_sources();
     }
-    expand_timer_.Stop();
   }
 
   /// Selects which keyword's frontier expands next (§4.1): global best for
@@ -550,10 +553,8 @@ class Runner {
         response_.stop_reason = StopReason::kMaxPops;
         return;
       }
-      expand_timer_.Start();
       const int kw = SelectKeyword();
       if (kw < 0) {
-        expand_timer_.Stop();
         response_.exhausted = true;  // Every frontier drained.
         response_.stop_reason = StopReason::kExhausted;
         return;
@@ -564,7 +565,6 @@ class Runner {
       ++response_.counters.pops;
       const NodeId node = frontier.ntd(popped).node;
       const int32_t row = meetings_->Add(node, static_cast<size_t>(kw), popped);
-      expand_timer_.Stop();
 
       if (meetings_->MetAll(row)) {
         TGKS_STATS(if (options_.trace != nullptr) {
@@ -1162,6 +1162,9 @@ class Runner {
     response_.results = std::move(results_);
 
     SearchCounters& c = response_.counters;
+    c.seconds_match = match_timer_.seconds();
+    c.seconds_filter = filter_timer_.seconds();
+    c.seconds_generate = generate_timer_.seconds();
     if (use_parallel_) {
       for (const KeywordStream& ks : streams_) {
         c.parallel_overshoot_pops +=
@@ -1171,6 +1174,10 @@ class Runner {
         c.seconds_expand += ks.expand_seconds;
       }
       c.seconds_merge = merge_timer_.seconds();
+    } else {
+      // Frontier build + main loop, minus the generation nested inside.
+      c.seconds_expand =
+          std::max(0.0, expand_timer_.seconds() - c.seconds_generate);
     }
     int64_t pushed_nodes_sum = 0;
     int64_t active_ntds_sum = 0;
@@ -1209,10 +1216,6 @@ class Runner {
             : 0.0;
     c.cache_match_hits = cache_match_hits_;
     c.cache_match_misses = cache_match_misses_;
-    c.seconds_match = match_timer_.seconds();
-    c.seconds_filter = filter_timer_.seconds();
-    c.seconds_expand = expand_timer_.seconds();
-    c.seconds_generate = generate_timer_.seconds();
 
 #ifndef TGKS_NO_STATS
     // Populate the observability profile. Finalize() runs on EVERY stop

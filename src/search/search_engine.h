@@ -256,7 +256,8 @@ struct SearchCounters {
 
   /// Wall-clock phase breakdown in seconds (Figs. 7-10): keyword-match
   /// lookup, predicate filtering of matches, best-path iteration, result
-  /// generation.
+  /// generation. seconds_expand is the frontier build plus the whole main
+  /// loop minus seconds_generate (docs/observability.md).
   double seconds_match = 0.0;
   double seconds_filter = 0.0;
   double seconds_expand = 0.0;

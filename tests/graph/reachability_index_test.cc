@@ -9,21 +9,31 @@
 // EarliestArrival contract (lower bound, monotone in the start instant,
 // "a later start never reaches more"), transitivity of the boolean oracle,
 // per-query viability against its set-theoretic definition, build
-// determinism, and byte-identical serialization round trips.
+// determinism, and byte-identical serialization round trips. The lazy
+// index (built on the first reachability() call, shared by every copy of a
+// graph) is pinned too: concurrent first calls share one build, saving is
+// independent of whether the index was probed before, a version-3 load
+// installs the persisted labels without building, and pruned and guided
+// searches are the same on an untouched graph and on a pre-built one.
 
 #include <algorithm>
 #include <cstdint>
+#include <latch>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
 #include "graph/graph_builder.h"
+#include "graph/inverted_index.h"
 #include "graph/reachability_index.h"
 #include "graph/serialization.h"
+#include "search/query_parser.h"
+#include "search/search_engine.h"
 #include "temporal/interval_set.h"
 
 namespace tgks {
@@ -493,6 +503,189 @@ TEST(ReachabilityIndexTest, ProbesOutsideTimelineAreFalse) {
   EXPECT_EQ(g->reachability().EarliestArrival(0, 4, 1),
             temporal::kNoTimePoint);
   EXPECT_EQ(g->reachability().EarliestArrival(0, -3, 1), 0);
+}
+
+// ---------------------------------------------------------------------------
+// The lazily built index.
+
+/// A seeded random graph with labels from a small pool, so keyword queries
+/// have several matches per keyword. Edges are drawn inside their
+/// endpoints' common lifetime, so every draw is valid. Each call is an
+/// independent build whose reachability() has never been called; equal
+/// seeds give equal graphs.
+TemporalGraph LabeledGraph(uint64_t seed, int num_nodes, int num_edges,
+                           TimePoint horizon) {
+  static const char* kPool[] = {"alpha", "beta", "gamma"};
+  Rng rng(seed);
+  GraphBuilder b(horizon, graph::ValidityPolicy::kStrict);
+  std::vector<temporal::Interval> alive;
+  for (int i = 0; i < num_nodes; ++i) {
+    const TimePoint a = static_cast<TimePoint>(rng.Uniform(horizon));
+    const TimePoint c = static_cast<TimePoint>(rng.Uniform(horizon));
+    alive.emplace_back(std::min(a, c), std::max(a, c));
+    b.AddNode(kPool[rng.Uniform(3)], IntervalSet{alive.back()},
+              static_cast<double>(rng.Uniform(3)));
+  }
+  for (int added = 0; added < num_edges;) {
+    const NodeId u = static_cast<NodeId>(rng.Uniform(num_nodes));
+    const NodeId v = static_cast<NodeId>(rng.Uniform(num_nodes));
+    const TimePoint lo = std::max(alive[static_cast<size_t>(u)].start,
+                                  alive[static_cast<size_t>(v)].start);
+    const TimePoint hi = std::min(alive[static_cast<size_t>(u)].end,
+                                  alive[static_cast<size_t>(v)].end);
+    if (u == v || lo > hi) continue;
+    const auto span = static_cast<uint64_t>(hi - lo + 1);
+    const TimePoint a = lo + static_cast<TimePoint>(rng.Uniform(span));
+    const TimePoint c = lo + static_cast<TimePoint>(rng.Uniform(span));
+    b.AddEdge(u, v, IntervalSet{{std::min(a, c), std::max(a, c)}},
+              static_cast<double>(1 + rng.Uniform(4)));
+    ++added;
+  }
+  return std::move(b.Build()).value();
+}
+
+void ExpectSameStats(const ReachabilityIndex::BuildStats& a,
+                     const ReachabilityIndex::BuildStats& b) {
+  EXPECT_EQ(a.epochs, b.epochs);
+  EXPECT_EQ(a.sccs, b.sccs);
+  EXPECT_EQ(a.dag_edges, b.dag_edges);
+  EXPECT_EQ(a.chains, b.chains);
+  EXPECT_EQ(a.label_entries, b.label_entries);
+  EXPECT_EQ(a.label_bytes, b.label_bytes);
+  EXPECT_EQ(a.build_seconds, b.build_seconds);
+}
+
+TEST(LazyReachabilityTest, ConcurrentFirstCallsShareOneBuild) {
+  // Large enough that the build outlasts the threads' start-up skew.
+  const TemporalGraph g = LabeledGraph(2024, 3000, 9000, 24);
+  constexpr int kThreads = 8;
+  // Copies share the graph's one lazily filled cell.
+  const std::vector<TemporalGraph> copies(kThreads, g);
+  std::vector<const ReachabilityIndex*> seen(kThreads, nullptr);
+  std::vector<ReachabilityIndex::BuildStats> stats(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      start.arrive_and_wait();
+      const ReachabilityIndex& index =
+          copies[static_cast<size_t>(i)].reachability();
+      seen[static_cast<size_t>(i)] = &index;
+      stats[static_cast<size_t>(i)] = index.stats();
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  const ReachabilityIndex* shared = &g.reachability();
+  for (int i = 0; i < kThreads; ++i) {
+    EXPECT_EQ(seen[static_cast<size_t>(i)], shared) << "thread " << i;
+    ExpectSameStats(stats[static_cast<size_t>(i)], shared->stats());
+  }
+  EXPECT_GT(shared->stats().build_seconds, 0.0);
+  EXPECT_TRUE(shared->IdenticalTo(ReachabilityIndex::Build(g)));
+}
+
+TEST(LazyReachabilityTest, SaveIsIndependentOfFirstUse) {
+  for (uint64_t seed = 70; seed < 74; ++seed) {
+    const TemporalGraph untouched = LabeledGraph(seed, 12, 24, 6);
+    const TemporalGraph probed = LabeledGraph(seed, 12, 24, 6);
+    (void)probed.reachability();
+
+    std::ostringstream from_untouched;
+    std::ostringstream from_probed;
+    ASSERT_TRUE(graph::SaveGraphBinary(untouched, from_untouched).ok());
+    ASSERT_TRUE(graph::SaveGraphBinary(probed, from_probed).ok());
+    EXPECT_EQ(from_untouched.str(), from_probed.str()) << "seed " << seed;
+  }
+}
+
+TEST(LazyReachabilityTest, VersionThreeLoadInstallsWithoutBuilding) {
+  const TemporalGraph g = LabeledGraph(91, 14, 30, 7);
+  std::ostringstream out;
+  ASSERT_TRUE(graph::SaveGraphBinary(g, out).ok());
+
+  std::istringstream in(out.str());
+  auto loaded = graph::LoadGraphBinary(in);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  // Persisted labels carry no build timer: nothing was built.
+  EXPECT_EQ(loaded->reachability().stats().build_seconds, 0.0);
+  EXPECT_TRUE(loaded->reachability().IdenticalTo(g.reachability()));
+  // A copy of the loaded graph sees the installed labels too.
+  const TemporalGraph copy = loaded.value();
+  EXPECT_EQ(&copy.reachability(), &loaded->reachability());
+}
+
+TEST(LazyReachabilityTest, LegacyVersionsBuildOnFirstUse) {
+  const TemporalGraph g = LabeledGraph(93, 14, 30, 7);
+  std::ostringstream out;
+  ASSERT_TRUE(graph::SaveGraphBinary(g, out).ok());
+  for (const char version : {1, 2}) {
+    // Same records under an older version number: the loader stops after
+    // the edge records and ignores the (to it, unknown) trailing blob.
+    std::string bytes = out.str();
+    bytes[4] = version;
+    std::istringstream in(bytes);
+    auto loaded = graph::LoadGraphBinary(in);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_GT(loaded->reachability().stats().build_seconds, 0.0)
+        << "version " << int{version};
+    EXPECT_TRUE(loaded->reachability().IdenticalTo(g.reachability()))
+        << "version " << int{version};
+  }
+}
+
+TEST(LazyReachabilityTest, PrunedAndGuidedSearchesMatchPrebuiltIndex) {
+  int64_t reachability_prunes = 0;
+  int64_t guided_events = 0;
+  for (uint64_t seed = 500; seed < 508; ++seed) {
+    for (const bool guided : {false, true}) {
+      const TemporalGraph untouched = LabeledGraph(seed, 24, 40, 6);
+      const TemporalGraph prebuilt = LabeledGraph(seed, 24, 40, 6);
+      (void)prebuilt.reachability();
+      const graph::InvertedIndex untouched_index(untouched);
+      const graph::InvertedIndex prebuilt_index(prebuilt);
+      const search::SearchEngine lazy(untouched, &untouched_index);
+      const search::SearchEngine eager(prebuilt, &prebuilt_index);
+
+      auto query = search::ParseQuery("alpha, beta, gamma");
+      ASSERT_TRUE(query.ok()) << query.status();
+      search::SearchOptions options;
+      options.k = 5;
+      options.reachability_prune = !guided;
+      options.guided_search = guided;
+      auto a = lazy.Search(*query, options);
+      auto b = eager.Search(*query, options);
+      ASSERT_TRUE(a.ok() && b.ok());
+
+      const std::string context = "seed " + std::to_string(seed) +
+                                  (guided ? " guided" : " pruned");
+      ASSERT_EQ(a->results.size(), b->results.size()) << context;
+      for (size_t i = 0; i < a->results.size(); ++i) {
+        std::string sig_a, sig_b;
+        a->results[i].AppendSignature(&sig_a);
+        b->results[i].AppendSignature(&sig_b);
+        EXPECT_EQ(sig_a, sig_b) << context << " rank " << i;
+        EXPECT_EQ(a->results[i].total_weight, b->results[i].total_weight)
+            << context << " rank " << i;
+      }
+      const search::SearchCounters& ca = a->counters;
+      const search::SearchCounters& cb = b->counters;
+      EXPECT_EQ(ca.pops, cb.pops) << context;
+      EXPECT_EQ(ca.useless_pops, cb.useless_pops) << context;
+      EXPECT_EQ(ca.ntds_created, cb.ntds_created) << context;
+      EXPECT_EQ(ca.edges_scanned, cb.edges_scanned) << context;
+      EXPECT_EQ(ca.candidates, cb.candidates) << context;
+      EXPECT_EQ(ca.reachability_prunes, cb.reachability_prunes) << context;
+      EXPECT_EQ(ca.guided_prunes, cb.guided_prunes) << context;
+      EXPECT_EQ(ca.guided_reorders, cb.guided_reorders) << context;
+      EXPECT_EQ(ca.bound_tightenings, cb.bound_tightenings) << context;
+      reachability_prunes += ca.reachability_prunes;
+      guided_events += ca.guided_prunes + ca.guided_reorders;
+    }
+  }
+  // The index was actually read on the lazy side.
+  EXPECT_GT(reachability_prunes, 0);
+  EXPECT_GT(guided_events, 0);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 
 #include "graph/graph_builder.h"
 #include "graph/temporal_graph.h"
+#include "obs/metrics.h"
 #include "search/search_engine.h"
 #include "temporal/interval_set.h"
 
@@ -247,6 +248,82 @@ TEST(LiveGraphTest, CompactFoldsTheDeltaEquivalently) {
   EXPECT_EQ(stats.edges_folded, 1);
   EXPECT_GE(stats.last_rebuild_seconds, 0.0);
   EXPECT_GE(stats.last_swap_seconds, 0.0);
+}
+
+TEST(LiveGraphTest, PrunedAndGuidedQueriesAfterCompactMatchUnpruned) {
+  LiveGraph live(MakeBase(), ManualOnly());
+  IngestErrorDetail error;
+  IngestBatch batch;
+  // "dave fresh" hangs below carol; "erin fresh" is isolated, so no root
+  // reaching alice can reach it and the reachability prune drops it.
+  batch.nodes.push_back(MakeNode("dave fresh", IntervalSet{{0, 9}}, 1.0));
+  batch.nodes.push_back(MakeNode("erin fresh", IntervalSet{{0, 9}}, 1.0));
+  IngestEdge edge;
+  edge.src = 2;
+  edge.dst_new = 0;
+  batch.edges.push_back(edge);
+  ASSERT_TRUE(live.Apply(batch, &error).ok());
+  ASSERT_TRUE(live.Compact(/*manual=*/true).ok());
+
+  // The compacted snapshot has no overlay, so both prunes are armed; its
+  // graph's reachability index is built by the first pruned query.
+  const GraphSnapshotHandle snap = live.Acquire();
+  ASSERT_EQ(snap->overlay_or_null(), nullptr);
+  search::SearchEngine engine(*snap->graph, snap->index.get());
+  search::Query query;
+  query.keywords = {"alice", "fresh"};
+  search::SearchOptions options;
+  options.k = 5;
+  const auto unpruned = engine.Search(query, options);
+  ASSERT_TRUE(unpruned.ok());
+  ASSERT_EQ(unpruned->results.size(), 1u);
+  EXPECT_EQ(unpruned->results[0].root, 0);
+
+  const auto signatures = [](const search::SearchResponse& response) {
+    std::vector<std::string> out;
+    for (const search::ResultTree& tree : response.results) {
+      std::string sig;
+      tree.AppendSignature(&sig);
+      out.push_back(sig);
+    }
+    return out;
+  };
+  search::SearchOptions pruned_options = options;
+  pruned_options.reachability_prune = true;
+  const auto pruned = engine.Search(query, pruned_options);
+  ASSERT_TRUE(pruned.ok());
+  EXPECT_EQ(signatures(*pruned), signatures(*unpruned));
+  EXPECT_GT(pruned->counters.reachability_prunes, 0);
+
+  search::SearchOptions guided_options = options;
+  guided_options.guided_search = true;
+  const auto guided = engine.Search(query, guided_options);
+  ASSERT_TRUE(guided.ok());
+  EXPECT_EQ(signatures(*guided), signatures(*unpruned));
+  EXPECT_EQ(guided->results[0].total_weight,
+            unpruned->results[0].total_weight);
+}
+
+TEST(LiveGraphTest, ApplyReportsLockWaitApartFromApplyTime) {
+  LiveGraph live(MakeBase(), ManualOnly());
+  IngestErrorDetail error;
+  IngestBatch batch;
+  batch.nodes.push_back(MakeNode("dave", IntervalSet{{0, 9}}));
+#ifndef TGKS_NO_STATS
+  obs::MetricsRegistry& reg = obs::GlobalMetrics();
+  const obs::Histogram* apply = reg.GetHistogram("tgks_ingest_apply_micros");
+  const obs::Histogram* wait =
+      reg.GetHistogram("tgks_ingest_lock_wait_micros");
+  const int64_t applies = apply->count();
+  const int64_t waits = wait->count();
+#endif
+  ASSERT_TRUE(live.Apply(batch, &error).ok());
+#ifndef TGKS_NO_STATS
+  // One sample each per batch: the wait for the writer mutex is its own
+  // histogram, not part of the apply time.
+  EXPECT_EQ(apply->count(), applies + 1);
+  EXPECT_EQ(wait->count(), waits + 1);
+#endif
 }
 
 TEST(LiveGraphTest, CompactWithoutDeltaIsANoOp) {

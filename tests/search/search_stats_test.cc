@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -106,6 +107,36 @@ TEST(SearchStatsTest, PopulatedOnExhaustedExit) {
     EXPECT_GT(r->stats.interval_ops, 0);
     EXPECT_GE(r->stats.heap_high_water, 1);
   }
+}
+
+// seconds_expand is the frontier build plus the main loop, minus the
+// candidate generation timed inside it (docs/observability.md); in
+// parallel-keyword mode it is the prefetch tasks' expansion time.
+TEST(SearchStatsTest, ExpandTimeIsLoopTimeMinusGeneration) {
+  const TemporalGraph g = testutil::MakeSocialNetworkGraph();
+  const InvertedIndex index(g);
+  const SearchEngine engine(g, &index);
+  SearchOptions options;
+  options.k = 0;  // Run to exhaustion.
+  const auto start = std::chrono::steady_clock::now();
+  auto r = engine.Search(MustParse("mary, john"), options);
+  const double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+  ASSERT_TRUE(r.ok()) << r.status();
+  ASSERT_GT(r->counters.results, 0);
+  const SearchCounters& c = r->counters;
+  EXPECT_GT(c.seconds_expand, 0.0);
+  EXPECT_GT(c.seconds_generate, 0.0);
+  EXPECT_LE(c.seconds_match + c.seconds_filter + c.seconds_expand +
+                c.seconds_generate,
+            wall);
+
+  options.parallel_keywords = true;  // Null submitter: inline prefetch.
+  auto par = engine.Search(MustParse("mary, john"), options);
+  ASSERT_TRUE(par.ok()) << par.status();
+  EXPECT_GT(par->counters.seconds_expand, 0.0);
+  EXPECT_GT(par->counters.seconds_merge, 0.0);
 }
 
 TEST(SearchStatsTest, PopulatedOnBoundExit) {
