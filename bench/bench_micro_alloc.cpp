@@ -8,10 +8,13 @@
 // hands back the warmed state, every Clear()/Rewind() keeps capacity, and
 // interval ops write into pre-sized destinations.
 //
-// All three iterator scenarios — partition, duration-ranking subsumption,
-// and the Dijkstra baseline — are gated at exactly 0 steady-state
-// allocations: the duration-index internals (bitmap probes, row storage,
-// CollectSubsumed results) are pooled and refilled in place across Reset().
+// All iterator scenarios — partition, duration-ranking subsumption, and the
+// Dijkstra baseline — are gated at exactly 0 steady-state allocations: the
+// duration-index internals (bitmap probes, row storage, CollectSubsumed
+// results) are pooled and refilled in place across Reset(). The social
+// graph's 100-instant timeline runs the TimeMask path; the *_wide scenarios
+// re-run partition and subsumption on the same graph padded to 200 instants,
+// which runs the IntervalSet path (spill buffers, parallel time arena).
 //
 // A fourth scenario gates candidate generation on a warm engine query with
 // many duplicates: no allocation per duplicate or rejected candidate (see
@@ -30,6 +33,7 @@
 
 #include "baseline/dijkstra_iterator.h"
 #include "bench/bench_util.h"
+#include "graph/graph_builder.h"
 #include "search/best_path_iterator.h"
 #include "search/label_correcting_iterator.h"
 #include "search/search_scratch.h"
@@ -292,8 +296,33 @@ int Main() {
     return pops;
   });
 
-  // The gate: every iterator — including duration-ranking subsumption —
-  // must be allocation-free in steady state.
+  // The same drains over a timeline too long for TimeMask: the IntervalSet
+  // path.
+  auto padded = graph::RebuildWithTimeline(graph, 200);
+  if (!padded.ok()) {
+    std::fprintf(stderr, "FAIL: %s\n", padded.status().ToString().c_str());
+    return 1;
+  }
+  const graph::TemporalGraph& wide = *padded;
+  for (const search::RankFactor factor :
+       {search::RankFactor::kRelevance, search::RankFactor::kDurationDesc}) {
+    const char* scenario = factor == search::RankFactor::kRelevance
+                               ? "best_path_partition_wide"
+                               : "best_path_subsumption_wide";
+    hot_path_allocs += MeasureScenario(scenario, [&] {
+      int64_t pops = 0;
+      for (const graph::NodeId source : sources) {
+        search::BestPathIterator::Options options;
+        options.ranking.factors = {factor};
+        search::BestPathIterator iter(wide, source, options);
+        while (iter.Next() != search::kInvalidNtd) ++pops;
+      }
+      return pops;
+    });
+  }
+
+  // The gate: every iterator — including duration-ranking subsumption, on
+  // both time representations — must be allocation-free in steady state.
   if (hot_path_allocs > 0) {
     std::fprintf(stderr,
                  "FAIL: %lld allocations on the warmed search hot path\n",

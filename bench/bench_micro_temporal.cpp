@@ -1,5 +1,15 @@
 // Microbenchmarks (google-benchmark): the temporal algebra and iterator
 // primitives everything else is built on.
+//
+// The BM_Social* rows run ∩ / ∪ / ⊆ on the operand shapes of the expansion
+// loop — a generated social graph's edge validities beside their
+// destination nodes' (100 instants, most of them multi-interval) — once on
+// IntervalSet (destination-passing, as the wide path runs them) and once on
+// TimeMask (the path of timelines <= 128 instants).
+
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -8,12 +18,14 @@
 #include "search/best_path_iterator.h"
 #include "temporal/interval_set.h"
 #include "temporal/ntd_bitmap_index.h"
+#include "temporal/time_mask.h"
 
 namespace tgks {
 namespace {
 
 using temporal::Interval;
 using temporal::IntervalSet;
+using temporal::TimeMask;
 using temporal::TimePoint;
 
 IntervalSet RandomSet(Rng* rng, TimePoint horizon, int max_fragments) {
@@ -65,6 +77,105 @@ void BM_IntervalSetSubsumes(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IntervalSetSubsumes);
+
+/// (destination node validity, edge validity) of the first 4096 edges of a
+/// generated social graph: the T and val(e) of T ∩ val(e).
+const std::vector<std::pair<IntervalSet, IntervalSet>>& SocialPairs() {
+  static const auto* pairs = [] {
+    datagen::SocialParams params;
+    params.num_nodes = 4000;
+    params.edge_connectivity = 0.7;
+    params.seed = 5;
+    auto dataset = datagen::GenerateSocial(params);
+    auto* out = new std::vector<std::pair<IntervalSet, IntervalSet>>;
+    if (!dataset.ok()) return out;
+    const graph::TemporalGraph& g = dataset->graph;
+    for (graph::EdgeId e = 0; e < g.num_edges() && out->size() < 4096; ++e) {
+      out->emplace_back(g.node(g.edge(e).dst).validity, g.edge(e).validity);
+    }
+    return out;
+  }();
+  return *pairs;
+}
+
+template <typename Set>
+std::vector<std::pair<Set, Set>> SocialOperands() {
+  std::vector<std::pair<Set, Set>> out;
+  for (const auto& [a, b] : SocialPairs()) {
+    if constexpr (std::is_same_v<Set, TimeMask>) {
+      out.emplace_back(TimeMask::FromIntervalSet(a),
+                       TimeMask::FromIntervalSet(b));
+    } else {
+      out.emplace_back(a, b);
+    }
+  }
+  return out;
+}
+
+void Intersect(const IntervalSet& a, const IntervalSet& b, IntervalSet* out) {
+  out->AssignIntersectionOf(a, b);
+}
+void Intersect(const TimeMask& a, const TimeMask& b, TimeMask* out) {
+  *out = a & b;
+}
+void Unite(const IntervalSet& a, const IntervalSet& b, IntervalSet* out) {
+  out->AssignUnionOf(a, b);
+}
+void Unite(const TimeMask& a, const TimeMask& b, TimeMask* out) {
+  *out = a | b;
+}
+
+template <typename Set>
+void BM_SocialIntersect(benchmark::State& state) {
+  const auto operands = SocialOperands<Set>();
+  if (operands.empty()) {
+    state.SkipWithError("generation failed");
+    return;
+  }
+  Set out;
+  size_t i = 0;
+  for (auto _ : state) {
+    const auto& [a, b] = operands[i++ % operands.size()];
+    Intersect(a, b, &out);
+    benchmark::DoNotOptimize(out);
+  }
+}
+BENCHMARK_TEMPLATE(BM_SocialIntersect, IntervalSet);
+BENCHMARK_TEMPLATE(BM_SocialIntersect, TimeMask);
+
+template <typename Set>
+void BM_SocialUnion(benchmark::State& state) {
+  const auto operands = SocialOperands<Set>();
+  if (operands.empty()) {
+    state.SkipWithError("generation failed");
+    return;
+  }
+  Set out;
+  size_t i = 0;
+  for (auto _ : state) {
+    const auto& [a, b] = operands[i++ % operands.size()];
+    Unite(a, b, &out);
+    benchmark::DoNotOptimize(out);
+  }
+}
+BENCHMARK_TEMPLATE(BM_SocialUnion, IntervalSet);
+BENCHMARK_TEMPLATE(BM_SocialUnion, TimeMask);
+
+template <typename Set>
+void BM_SocialSubsumes(benchmark::State& state) {
+  const auto operands = SocialOperands<Set>();
+  if (operands.empty()) {
+    state.SkipWithError("generation failed");
+    return;
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    const auto& [a, b] = operands[i++ % operands.size()];
+    benchmark::DoNotOptimize(a.Subsumes(b));
+  }
+}
+BENCHMARK_TEMPLATE(BM_SocialSubsumes, IntervalSet);
+BENCHMARK_TEMPLATE(BM_SocialSubsumes, TimeMask);
 
 void BM_NtdIndexProbe(benchmark::State& state) {
   const auto kind = static_cast<temporal::NtdIndexKind>(state.range(0));

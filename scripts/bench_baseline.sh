@@ -6,9 +6,10 @@
 #   scripts/bench_baseline.sh <build-dir> --label <label> [extra-rows.jsonl]
 #   scripts/bench_baseline.sh <build-dir> <label> [extra-rows.jsonl]   # legacy
 #
-# Runs <build-dir>/bench/bench_throughput with a single-thread sweep (the
-# container benchmarks on 1 CPU; see docs/performance.md) and appends one
-# labeled row per (dataset, threads) cell. Rows carry the batch-total
+# Runs <build-dir>/bench/bench_throughput over a 1,$(nproc) executor-thread
+# sweep (one and all cores: 1,4 on the 4-core benchmark box; override with
+# TGKS_BENCH_THREADS) and appends one labeled row per (dataset, threads)
+# cell. Rows carry the batch-total
 # ntds_popped / edges_scanned work counters alongside the latency fields,
 # so mode rows (reach-prune, guided) can be compared on state-space
 # explored, which is machine-independent. If <extra-rows.jsonl> is given,
@@ -75,6 +76,7 @@ fi
 
 TMP="$(mktemp)"
 trap 'rm -f "${TMP}"' EXIT
-TGKS_BENCH_THREADS="${TGKS_BENCH_THREADS:-1}" "${BENCH}" --json-out "${TMP}"
+TGKS_BENCH_THREADS="${TGKS_BENCH_THREADS:-1,$(nproc)}" "${BENCH}" \
+  --json-out "${TMP}"
 tag_rows < "${TMP}" >> "${OUT}"
 echo "bench_baseline: recorded $(wc -l < "${TMP}") '${LABEL}' rows into ${OUT}"

@@ -49,29 +49,43 @@
 # exceed ntds_popped(baseline), with an aggregate savings floor of 10% on
 # the golden suite so the guidance cannot silently rot into a no-op.
 #
+# With --wide every graph is rebuilt over a 200-instant timeline
+# (workcount_dump --pad-timeline), past the 128 instants a TimeMask holds,
+# so the search runs its IntervalSet path instead of the word-parallel mask
+# path (docs/performance.md, "Word-parallel time masks"). The two paths must
+# do identical work: the padded default and pruned counters are diffed
+# against the SAME expected files as the unpadded runs, and the padded
+# result fingerprints against the unpadded ones.
+#
 # Usage:
 #   scripts/workcount_check.sh <build-dir>
 #   scripts/workcount_check.sh <build-dir> --results-only
 #   scripts/workcount_check.sh <build-dir> --pruned
 #   scripts/workcount_check.sh <build-dir> --guided
+#   scripts/workcount_check.sh <build-dir> --wide
 #   TGKS_UPDATE_WORKCOUNTS=1 scripts/workcount_check.sh <build-dir>   # regen
 set -euo pipefail
 
-BUILD_DIR="${1:?usage: workcount_check.sh <build-dir> [--results-only|--pruned|--guided]}"
+BUILD_DIR="${1:?usage: workcount_check.sh <build-dir> [--results-only|--pruned|--guided|--wide]}"
 RESULTS_ONLY=0
 PRUNED=0
 GUIDED=0
+WIDE=0
 if [[ "${2:-}" == "--results-only" ]]; then
   RESULTS_ONLY=1
 elif [[ "${2:-}" == "--pruned" ]]; then
   PRUNED=1
 elif [[ "${2:-}" == "--guided" ]]; then
   GUIDED=1
+elif [[ "${2:-}" == "--wide" ]]; then
+  WIDE=1
 elif [[ -n "${2:-}" ]]; then
   echo "workcount_check: unknown argument '$2'" >&2
   exit 2
 fi
 REPO_ROOT="$(cd "$(dirname "$0")/.." && pwd)"
+# --wide's padded timeline: any length past TimeMask::kCapacity (128).
+WIDE_TIMELINE=200
 DUMP="${BUILD_DIR}/tools/workcount_dump"
 GOLDEN_DIR="${REPO_ROOT}/tests/golden"
 
@@ -101,6 +115,26 @@ check_suite() {  # <expected-file> <dump args...>
   fi
   echo "workcount_check: OK ($(wc -l < "${expected}") queries bit-identical vs $(basename "${expected}"))"
   rm -f "${actual}"
+}
+
+wide_results_suite() {  # <label> <dump args...>
+  local label="$1"; shift
+  local narrow wide
+  narrow="$(mktemp)"
+  wide="$(mktemp)"
+  "${DUMP}" --results "$@" > "${narrow}"
+  "${DUMP}" --results --pad-timeline "${WIDE_TIMELINE}" "$@" > "${wide}"
+  if ! diff -u "${narrow}" "${wide}"; then
+    rm -f "${narrow}" "${wide}"
+    echo "" >&2
+    echo "workcount_check: FAIL — the IntervalSet time path returned" >&2
+    echo "different results than the TimeMask path on the ${label} suite." >&2
+    echo "The two representations must be indistinguishable; this is a" >&2
+    echo "bug, not a counter drift." >&2
+    exit 1
+  fi
+  echo "workcount_check: OK (${label}: $(wc -l < "${narrow}") queries, wide == narrow results)"
+  rm -f "${narrow}" "${wide}"
 }
 
 results_suite() {  # <label> <dump args...>
@@ -201,6 +235,29 @@ guided_savings_suite() {  # <label> <min-drop-percent> <dump args...>
   fi
   rm -f "${off}" "${on}"
 }
+
+if [[ "${WIDE}" == "1" ]]; then
+  if [[ "${TGKS_UPDATE_WORKCOUNTS:-0}" == "1" ]]; then
+    echo "workcount_check: --wide only diffs; regenerate without it" >&2
+    exit 2
+  fi
+  PAD=(--pad-timeline "${WIDE_TIMELINE}")
+  check_suite "${GOLDEN_DIR}/workcounts.expected" "${PAD[@]}" "${GOLDEN_DIR}"
+  check_suite "${GOLDEN_DIR}/workcounts_datasets.expected" "${PAD[@]}" \
+    --dataset dblp --dataset dblp-bounded --dataset social
+  check_suite "${GOLDEN_DIR}/workcounts_pruned.expected" "${PAD[@]}" \
+    --pruned "${GOLDEN_DIR}"
+  check_suite "${GOLDEN_DIR}/workcounts_pruned_datasets.expected" \
+    "${PAD[@]}" --pruned --dataset dblp --dataset dblp-bounded \
+    --dataset social
+  wide_results_suite "golden" "${GOLDEN_DIR}"
+  wide_results_suite "datasets" --dataset dblp --dataset dblp-bounded \
+    --dataset social
+  wide_results_suite "pruned golden" --pruned "${GOLDEN_DIR}"
+  wide_results_suite "pruned datasets" --pruned --dataset dblp \
+    --dataset dblp-bounded --dataset social
+  exit 0
+fi
 
 if [[ "${RESULTS_ONLY}" == "1" ]]; then
   results_suite "golden" "${GOLDEN_DIR}"

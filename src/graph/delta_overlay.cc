@@ -55,6 +55,19 @@ std::shared_ptr<const DeltaOverlay> DeltaOverlay::Extend(
         overlay->base_num_edges_ + i;
   }
 
+  if (base.expansion_view().uses_time_masks()) {
+    overlay->slot_masks_.reserve(overlay->slot_edges_.size());
+    for (const EdgeId e : overlay->slot_edges_) {
+      overlay->slot_masks_.push_back(temporal::TimeMask::FromIntervalSet(
+          overlay->delta_edge(e).validity));
+    }
+    overlay->node_masks_.reserve(overlay->delta_nodes_.size());
+    for (const Node& node : overlay->delta_nodes_) {
+      overlay->node_masks_.push_back(
+          temporal::TimeMask::FromIntervalSet(node.validity));
+    }
+  }
+
   // Delta postings: same tokenization as InvertedIndex, absolute ids. Node
   // ids arrive ascending, so per-word lists stay sorted and deduplicated.
   for (NodeId i = 0; i < static_cast<NodeId>(overlay->delta_nodes_.size());

@@ -19,7 +19,10 @@
 //     merge is an append);
 //   - the model invariant val(n) ⊇ val(e) is preserved because ingest
 //     intersects every delta edge's validity with both endpoints' before
-//     the edge reaches the overlay (src/ingest/ingest_batch.h).
+//     the edge reaches the overlay (src/ingest/ingest_batch.h);
+//   - over a narrow base (ExpansionView::uses_time_masks()), per-slot edge
+//     masks and per-node masks precomputed at Extend(), so delta expansion
+//     runs on the same word operations as base expansion.
 //
 // An overlay is immutable after construction and shared by all snapshots
 // that reference it; Extend() builds the successor overlay by copying the
@@ -41,6 +44,7 @@
 #include "graph/expansion_view.h"
 #include "graph/temporal_graph.h"
 #include "temporal/interval_set.h"
+#include "temporal/time_mask.h"
 #include "temporal/time_point.h"
 
 namespace tgks::graph {
@@ -118,6 +122,20 @@ class DeltaOverlay {
     out->AssignIntersectionOf(t, slot_ref(slot).validity);
   }
 
+  /// Narrow bases only: the precomputed validity masks of the edge at
+  /// delta slot `slot` / of delta node `n`, and the mask intersection.
+  const temporal::TimeMask& edge_mask(int64_t slot) const {
+    return slot_masks_[static_cast<size_t>(slot)];
+  }
+  const temporal::TimeMask& node_mask(NodeId n) const {
+    assert(IsDeltaNode(n) && n < total_nodes());
+    return node_masks_[static_cast<size_t>(n - base_num_nodes_)];
+  }
+  void IntersectEdgeValidity(int64_t slot, const temporal::TimeMask& t,
+                             temporal::TimeMask* out) const {
+    *out = t & edge_mask(slot);
+  }
+
   bool EdgeAliveAt(int64_t slot, temporal::TimePoint t) const {
     return slot_ref(slot).validity.Contains(t);
   }
@@ -167,6 +185,10 @@ class DeltaOverlay {
   // publish stays O(delta) instead of O(total_nodes)).
   std::vector<EdgeId> slot_edges_;
   std::unordered_map<NodeId, SlotRange> in_runs_;
+  // Narrow bases only (empty otherwise): validity masks per delta slot and
+  // per delta node.
+  std::vector<temporal::TimeMask> slot_masks_;
+  std::vector<temporal::TimeMask> node_masks_;
 
   std::unordered_map<std::string, std::vector<NodeId>> postings_;
   size_t approx_bytes_ = 0;

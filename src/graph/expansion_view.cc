@@ -28,19 +28,26 @@ std::string PoolKey(const IntervalSet& set) {
 ExpansionView ExpansionView::Build(const TemporalGraph& g) {
   ExpansionView view;
   const NodeId n = g.num_nodes();
+  view.time_masks_ = temporal::TimeMask::Fits(g.timeline_length());
+  view.stats_.time_masks = view.time_masks_;
+  view.stats_.edge_slot_bytes = static_cast<int64_t>(sizeof(EdgeSlot));
+  view.stats_.node_slot_bytes = static_cast<int64_t>(sizeof(NodeSlot));
 
   std::unordered_map<std::string, int32_t> interned;
-  // Returns the packed encoding of `set` as (vstart, vend, vpool), interning
-  // multi-interval sets. The empty set packs inline as the empty interval
-  // [0, -1].
-  const auto pack = [&](const IntervalSet& set, TimePoint* vstart,
-                        TimePoint* vend, int32_t* vpool) {
+  // Packs `set` into `*out` and reports whether it stayed in the slot. A
+  // narrow view stores the mask; a wide one stores a single interval inline
+  // (the empty set as the empty interval [0, -1]) and interns
+  // multi-interval sets.
+  const auto pack = [&](const IntervalSet& set, PackedValidity* out) {
+    if (view.time_masks_) {
+      out->mask = temporal::TimeMask::FromIntervalSet(set);
+      return true;
+    }
     const std::span<const Interval> ivs = set.intervals();
     if (ivs.size() <= 1) {
-      *vstart = ivs.empty() ? 0 : ivs[0].start;
-      *vend = ivs.empty() ? -1 : ivs[0].end;
-      *vpool = kInlineValidity;
-      return;
+      out->wide = {ivs.empty() ? 0 : ivs[0].start,
+                   ivs.empty() ? -1 : ivs[0].end, kInlineValidity};
+      return true;
     }
     const auto [it, inserted] = interned.try_emplace(
         PoolKey(set), static_cast<int32_t>(view.pool_.size()));
@@ -49,9 +56,8 @@ ExpansionView ExpansionView::Build(const TemporalGraph& g) {
     } else {
       ++view.stats_.intern_hits;
     }
-    *vstart = set.Start();
-    *vend = set.End();
-    *vpool = it->second;
+    out->wide = {set.Start(), set.End(), it->second};
+    return false;
   };
 
   view.node_slots_.resize(static_cast<size_t>(n));
@@ -59,8 +65,7 @@ ExpansionView ExpansionView::Build(const TemporalGraph& g) {
     NodeSlot& ns = view.node_slots_[static_cast<size_t>(v)];
     const Node& node = g.node(v);
     ns.weight = node.weight;
-    pack(node.validity, &ns.vstart, &ns.vend, &ns.vpool);
-    if (ns.vpool == kInlineValidity) {
+    if (pack(node.validity, &ns.validity)) {
       ++view.stats_.inline_node_slots;
     } else {
       ++view.stats_.pooled_node_slots;
@@ -79,8 +84,7 @@ ExpansionView ExpansionView::Build(const TemporalGraph& g) {
       es.edge = e;
       es.src = edge.src;
       es.weight = edge.weight;
-      pack(edge.validity, &es.vstart, &es.vend, &es.vpool);
-      if (es.vpool == kInlineValidity) {
+      if (pack(edge.validity, &es.validity)) {
         ++view.stats_.inline_edge_slots;
       } else {
         ++view.stats_.pooled_edge_slots;

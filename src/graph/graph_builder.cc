@@ -141,4 +141,21 @@ Result<TemporalGraph> GraphBuilder::Build() {
   return g;
 }
 
+Result<TemporalGraph> RebuildWithTimeline(const TemporalGraph& g,
+                                          TimePoint timeline_length) {
+  if (timeline_length < g.timeline_length()) {
+    return Status::InvalidArgument("timeline may only grow");
+  }
+  GraphBuilder b(timeline_length, ValidityPolicy::kStrict);
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const Node& node = g.node(v);
+    b.AddNode(node.label, node.validity, node.weight);
+  }
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    const Edge& edge = g.edge(e);
+    b.AddEdge(edge.src, edge.dst, edge.validity, edge.weight);
+  }
+  return b.Build();
+}
+
 }  // namespace tgks::graph

@@ -73,6 +73,15 @@ class GraphBuilder {
   std::vector<bool> edge_validity_defaulted_;
 };
 
+/// Rebuilds `g` over a timeline of `timeline_length` instants, which must
+/// be at least g.timeline_length(): the same nodes and edges (ids, labels,
+/// weights, validities) in the same order. Every validity already lies in
+/// the original timeline, so only the representation the graph selects
+/// from its timeline_length() can change — which is how the equivalence
+/// suites run one graph down both the TimeMask and the IntervalSet path.
+Result<TemporalGraph> RebuildWithTimeline(const TemporalGraph& g,
+                                          temporal::TimePoint timeline_length);
+
 }  // namespace tgks::graph
 
 #endif  // TGKS_GRAPH_GRAPH_BUILDER_H_

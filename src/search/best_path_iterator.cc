@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -15,6 +16,7 @@ namespace tgks::search {
 using graph::EdgeId;
 using graph::NodeId;
 using temporal::IntervalSet;
+using temporal::TimeMask;
 
 BestPathIterator::BestPathIterator(const graph::TemporalGraph& graph,
                                    std::span<const NodeId> sources,
@@ -22,11 +24,24 @@ BestPathIterator::BestPathIterator(const graph::TemporalGraph& graph,
     : graph_(&graph),
       options_(std::move(options)),
       num_sources_(static_cast<int32_t>(sources.size())),
+      masks_(TimeMask::Fits(graph.timeline_length())),
       scratch_(BestPathScratchPool::Acquire()) {
   // Reachability/guidance labels do not cover delta elements; callers must
   // disable both while a non-empty overlay is live (the engine does).
   assert(options_.overlay == nullptr || options_.overlay->empty() ||
          (options_.viability == nullptr && options_.guidance_floor == nullptr));
+  if (masks_ && options_.viability != nullptr) {
+    if (options_.viability_masks != nullptr) {
+      assert(options_.viability_masks->size() == options_.viability->size());
+      viability_masks_ = options_.viability_masks->data();
+    } else {
+      own_viability_masks_.reserve(options_.viability->size());
+      for (const IntervalSet& v : *options_.viability) {
+        own_viability_masks_.push_back(TimeMask::FromIntervalSet(v));
+      }
+      viability_masks_ = own_viability_masks_.data();
+    }
+  }
   scratch_->Reset(sources.size());
   for (int32_t origin = 0; origin < num_sources_; ++origin) {
     const NodeId source = sources[static_cast<size_t>(origin)];
@@ -62,8 +77,13 @@ BestPathIterator::BestPathIterator(const graph::TemporalGraph& graph,
       ++stats_.guided_prunes;
       continue;
     }
-    PushNtd(slot, origin, source, src.validity, src.weight, kInvalidNtd,
-            graph::kInvalidEdge);
+    if (masks_) {
+      PushNtd(slot, origin, source, TimeMask::FromIntervalSet(src.validity),
+              src.weight, kInvalidNtd, graph::kInvalidEdge);
+    } else {
+      PushNtd(slot, origin, source, src.validity, src.weight, kInvalidNtd,
+              graph::kInvalidEdge);
+    }
     // A lone source NTD is actionable: nothing to settle.
     const BestPathSourceEntry entry =
         MakeSourceEntry(slot.queue.top().score, origin);
@@ -89,9 +109,10 @@ BestPathSourceEntry BestPathIterator::MakeSourceEntry(const ScoreKey& score,
   return entry;
 }
 
+template <typename Time>
 NtdId BestPathIterator::PushNtd(BestPathOrigin& slot, int32_t origin,
-                                NodeId node, const IntervalSet& time,
-                                double dist, NtdId parent, EdgeId via_edge) {
+                                NodeId node, const Time& time, double dist,
+                                NtdId parent, EdgeId via_edge) {
   const ScoreKey score = MakeScoreKey(options_.ranking, dist, time);
   const NtdId id = static_cast<NtdId>(scratch_->arena.size());
   TGKS_STATS(if (options_.trace != nullptr && parent != kInvalidNtd) {
@@ -101,7 +122,13 @@ NtdId BestPathIterator::PushNtd(BestPathOrigin& slot, int32_t origin,
   Ntd& ntd = scratch_->arena.EmplaceBack();
   ntd.node = node;
   ntd.origin = origin;
-  ntd.time = time;  // Copy-assign reuses the recycled slot's capacity.
+  if constexpr (std::is_same_v<Time, TimeMask>) {
+    ntd.time = time;
+  } else {
+    ntd.time = TimeMask();
+    // Copy-assign reuses the recycled slot's capacity.
+    scratch_->wide_times.EmplaceBack() = time;
+  }
   ntd.dist = dist;
   ntd.parent = parent;
   ntd.via_edge = via_edge;
@@ -117,9 +144,23 @@ NtdId BestPathIterator::PushNtd(BestPathOrigin& slot, int32_t origin,
 }
 
 bool BestPathIterator::FullyClaimed(const BestPathOrigin& slot, NodeId node,
+                                    const TimeMask& time) {
+  const TimeMask* claimed =
+      slot.visited_masks.Find(static_cast<uint32_t>(node));
+  return claimed != nullptr && time.IsCoveredBy(*claimed);
+}
+
+bool BestPathIterator::FullyClaimed(const BestPathOrigin& slot, NodeId node,
                                     const IntervalSet& time) {
   const IntervalSet* claimed = slot.visited.Find(static_cast<uint32_t>(node));
   return claimed != nullptr && time.IsCoveredBy(*claimed);
+}
+
+bool BestPathIterator::NtdFullyClaimed(const BestPathOrigin& slot,
+                                       NtdId id) const {
+  const NodeId node = ntd(id).node;
+  if (masks_) return FullyClaimed(slot, node, ntd(id).time);
+  return FullyClaimed(slot, node, TimeAs<IntervalSet>(id));
 }
 
 bool BestPathIterator::SettleTop(BestPathOrigin& slot,
@@ -136,8 +177,7 @@ bool BestPathIterator::SettleTop(BestPathOrigin& slot,
       });
       continue;
     }
-    if (!UsesSubsumptionSemantics() &&
-        FullyClaimed(slot, ntd.node, ntd.time)) {
+    if (!UsesSubsumptionSemantics() && NtdFullyClaimed(slot, id)) {
       // Every instant of T is already claimed by a better NTD: the paper's
       // "visited(n, t) = true for all t in T -> continue" (Alg. 1 line 5).
       slot.queue.pop();
@@ -171,16 +211,22 @@ NtdId BestPathIterator::Next() {
   });
   if (!UsesSubsumptionSemantics()) {
     // Claim the instants of T (Alg. 1 lines 7-9). We mark the full T; pops
-    // whose T is entirely claimed are skipped in SettleTop. The union lands
-    // in the tmp2 double-buffer, then copy-assigns into the slot: unlike a
-    // swap, this keeps every spill buffer pinned to its owner, so slot and
-    // scratch capacities each grow monotonically to their own high-water
-    // mark and the steady state allocates nothing.
-    IntervalSet& visited = slot.visited.Activate(
-        static_cast<uint32_t>(ntd.node),
-        [](IntervalSet& stale) { stale.Clear(); });
-    scratch_->tmp2.AssignUnionOf(visited, ntd.time);
-    visited = scratch_->tmp2;
+    // whose T is entirely claimed are skipped in SettleTop.
+    if (masks_) {
+      slot.visited_masks.Activate(static_cast<uint32_t>(ntd.node),
+                                  [](TimeMask& stale) { stale = TimeMask(); })
+          |= ntd.time;
+    } else {
+      // The union lands in the tmp2 double-buffer, then copy-assigns into
+      // the slot: unlike a swap, this keeps every spill buffer pinned to its
+      // owner, so slot and scratch capacities each grow monotonically to
+      // their own high-water mark and the steady state allocates nothing.
+      IntervalSet& visited = slot.visited.Activate(
+          static_cast<uint32_t>(ntd.node),
+          [](IntervalSet& stale) { stale.Clear(); });
+      scratch_->tmp2.AssignUnionOf(visited, TimeAs<IntervalSet>(id));
+      visited = scratch_->tmp2;
+    }
     TGKS_STATS(++stats_.interval_ops);
   }
   std::vector<NtdId>& popped_here = slot.popped.Activate(
@@ -208,35 +254,79 @@ NtdId BestPathIterator::Next() {
 }
 
 void BestPathIterator::ExpandNeighbors(BestPathOrigin& slot, NtdId id) {
+  if (masks_) {
+    ExpandNeighborsAs<TimeMask>(slot, id);
+  } else {
+    ExpandNeighborsAs<IntervalSet>(slot, id);
+  }
+}
+
+template <typename Time>
+void BestPathIterator::ExpandNeighborsAs(BestPathOrigin& slot, NtdId id) {
   const graph::ExpansionView& view = graph_->expansion_view();
   if (options_.overlay != nullptr && !options_.overlay->empty()) {
     const OverlayExpansionReader reader{view, *options_.overlay};
     if (UsesSubsumptionSemantics()) {
-      ExpandNeighborsSubsumption(slot, id, reader);
+      ExpandNeighborsSubsumption<Time>(slot, id, reader);
     } else {
-      ExpandNeighborsPartition(slot, id, reader);
+      ExpandNeighborsPartition<Time>(slot, id, reader);
     }
     return;
   }
   const BaseExpansionReader reader{view};
   if (UsesSubsumptionSemantics()) {
-    ExpandNeighborsSubsumption(slot, id, reader);
+    ExpandNeighborsSubsumption<Time>(slot, id, reader);
   } else {
-    ExpandNeighborsPartition(slot, id, reader);
+    ExpandNeighborsPartition<Time>(slot, id, reader);
   }
 }
 
-template <typename Reader>
+template <typename Time, typename Reader>
+bool BestPathIterator::ElementsMayQualify(const Reader& view, int64_t s,
+                                          NodeId neighbor) const {
+  const PredicateExpr& prune = *options_.prune;
+  const bool containedby = options_.containedby_prune;
+  if constexpr (std::is_same_v<Time, TimeMask>) {
+    return prune.ElementMayQualify(view.edge_mask(s), containedby) &&
+           prune.ElementMayQualify(view.node_mask(neighbor), containedby);
+  } else {
+    const auto may_qualify = [&](const IntervalSet& validity) {
+      return prune.ElementMayQualify(validity, containedby);
+    };
+    return view.WithEdgeValidity(s, may_qualify) &&
+           view.WithNodeValidity(neighbor, may_qualify);
+  }
+}
+
+namespace {
+
+/// The per-edge product buffer T∩ of an expansion: a register-sized local
+/// for masks, the scratch's reused IntervalSet (returned by reference) for
+/// wide times.
+template <typename Time>
+decltype(auto) ExpansionBuffer(BestPathScratch& scratch) {
+  if constexpr (std::is_same_v<Time, TimeMask>) {
+    return TimeMask();
+  } else {
+    return (scratch.tmp);
+  }
+}
+
+}  // namespace
+
+template <typename Time, typename Reader>
 void BestPathIterator::ExpandNeighborsPartition(BestPathOrigin& slot,
                                                 NtdId id,
                                                 const Reader& view) {
-  // Arena blocks never move, so the parent NTD can be read by reference
-  // across pushes.
+  // Arena blocks never move, so the parent NTD and its time can be read by
+  // reference across pushes.
   const Ntd& parent = scratch_->arena[static_cast<size_t>(id)];
+  const Time& parent_time = TimeAs<Time>(id);
   const NodeId node = parent.node;
   const double parent_dist = parent.dist;
   const int32_t origin = parent.origin;
   [[maybe_unused]] const int32_t trace_iter = options_.trace_iter + origin;
+  decltype(auto) tmp = ExpansionBuffer<Time>(*scratch_);
 
   // Expansion runs over the SoA view (plus the delta run when an overlay is
   // live): slot order mirrors InEdges(node), and weights are verbatim
@@ -245,27 +335,14 @@ void BestPathIterator::ExpandNeighborsPartition(BestPathOrigin& slot,
   view.ForEachInSlot(node, [&](int64_t s) {
     ++stats_.edges_scanned;
     const NodeId neighbor = view.src(s);
-    if (options_.prune != nullptr) {
-      const auto may_qualify = [this](const IntervalSet& validity) {
-        return options_.prune->ElementMayQualify(validity,
-                                                 options_.containedby_prune);
-      };
-      if (!view.WithEdgeValidity(s, may_qualify)) {
-        TGKS_STATS(++stats_.prunes);
-        TGKS_STATS(if (options_.trace != nullptr) {
-          options_.trace->Record(obs::TraceEventKind::kPrune, neighbor,
-                                 trace_iter, parent_dist);
-        });
-        return;
-      }
-      if (!view.WithNodeValidity(neighbor, may_qualify)) {
-        TGKS_STATS(++stats_.prunes);
-        TGKS_STATS(if (options_.trace != nullptr) {
-          options_.trace->Record(obs::TraceEventKind::kPrune, neighbor,
-                                 trace_iter, parent_dist);
-        });
-        return;
-      }
+    if (options_.prune != nullptr &&
+        !ElementsMayQualify<Time>(view, s, neighbor)) {
+      TGKS_STATS(++stats_.prunes);
+      TGKS_STATS(if (options_.trace != nullptr) {
+        options_.trace->Record(obs::TraceEventKind::kPrune, neighbor,
+                               trace_iter, parent_dist);
+      });
+      return;
     }
     // T∩ = T ∩ val(n' -> n); by the model invariant T∩ ⊆ val(n').
     // The NTD must carry the FULL path validity: its queue key is the path's
@@ -273,12 +350,10 @@ void BestPathIterator::ExpandNeighborsPartition(BestPathOrigin& slot,
     // temporal keys and let a worse path claim an instant first. Fully
     // claimed entries are skipped lazily at pop (the paper's in-place
     // update).
-    view.IntersectEdgeValidity(s, parent.time, &scratch_->tmp);
+    view.IntersectEdgeValidity(s, parent_time, &tmp);
     TGKS_STATS(++stats_.interval_ops);
-    if (scratch_->tmp.IsEmpty()) return;
-    if (options_.viability != nullptr &&
-        !scratch_->tmp.Overlaps(
-            (*options_.viability)[static_cast<size_t>(neighbor)])) {
+    if (tmp.IsEmpty()) return;
+    if (options_.viability != nullptr && !Viable(neighbor, tmp)) {
       // No instant of this NTD can sit on an answer tree; dropping it here
       // leaves claims over non-viable instants unrecorded, which never
       // changes accepted results (see docs/reachability.md).
@@ -295,7 +370,7 @@ void BestPathIterator::ExpandNeighborsPartition(BestPathOrigin& slot,
       return;
     }
     TGKS_STATS(++stats_.interval_ops);
-    if (FullyClaimed(slot, neighbor, scratch_->tmp)) {
+    if (FullyClaimed(slot, neighbor, tmp)) {
       // Every instant is already claimed at the neighbor by strictly
       // earlier (hence no-worse) pops — safe to drop eagerly.
       TGKS_STATS(if (options_.trace != nullptr) {
@@ -304,21 +379,23 @@ void BestPathIterator::ExpandNeighborsPartition(BestPathOrigin& slot,
       });
       return;
     }
-    PushNtd(slot, origin, neighbor, scratch_->tmp,
+    PushNtd(slot, origin, neighbor, tmp,
             parent_dist + view.edge_weight(s) + view.node_weight(neighbor),
             id, view.edge_id(s));
   });
 }
 
-template <typename Reader>
+template <typename Time, typename Reader>
 void BestPathIterator::ExpandNeighborsSubsumption(BestPathOrigin& slot,
                                                   NtdId id,
                                                   const Reader& view) {
   const Ntd& parent = scratch_->arena[static_cast<size_t>(id)];
+  const Time& parent_time = TimeAs<Time>(id);
   const NodeId node = parent.node;
   const double parent_dist = parent.dist;
   const int32_t origin = parent.origin;
   [[maybe_unused]] const int32_t trace_iter = options_.trace_iter + origin;
+  decltype(auto) tmp = ExpansionBuffer<Time>(*scratch_);
   const auto fresh_index = [this](NodeSubsumption& stale) {
     stale.Fresh(options_.duration_index, graph_->timeline_length());
   };
@@ -330,7 +407,7 @@ void BestPathIterator::ExpandNeighborsSubsumption(BestPathOrigin& slot,
         slot.subsumption.Activate(static_cast<uint32_t>(node), fresh_index);
     Ntd& self = scratch_->arena[static_cast<size_t>(id)];
     if (self.index_row < 0) {
-      self.index_row = here.index->AddRow(self.time);
+      self.index_row = here.index->AddRow(parent_time);
       here.BindRow(self.index_row, id);
     }
   }
@@ -338,34 +415,19 @@ void BestPathIterator::ExpandNeighborsSubsumption(BestPathOrigin& slot,
   view.ForEachInSlot(node, [&](int64_t s) {
     ++stats_.edges_scanned;
     const NodeId neighbor = view.src(s);
-    if (options_.prune != nullptr) {
-      const auto may_qualify = [this](const IntervalSet& validity) {
-        return options_.prune->ElementMayQualify(validity,
-                                                 options_.containedby_prune);
-      };
-      if (!view.WithEdgeValidity(s, may_qualify)) {
-        TGKS_STATS(++stats_.prunes);
-        TGKS_STATS(if (options_.trace != nullptr) {
-          options_.trace->Record(obs::TraceEventKind::kPrune, neighbor,
-                                 trace_iter, parent_dist);
-        });
-        return;
-      }
-      if (!view.WithNodeValidity(neighbor, may_qualify)) {
-        TGKS_STATS(++stats_.prunes);
-        TGKS_STATS(if (options_.trace != nullptr) {
-          options_.trace->Record(obs::TraceEventKind::kPrune, neighbor,
-                                 trace_iter, parent_dist);
-        });
-        return;
-      }
+    if (options_.prune != nullptr &&
+        !ElementsMayQualify<Time>(view, s, neighbor)) {
+      TGKS_STATS(++stats_.prunes);
+      TGKS_STATS(if (options_.trace != nullptr) {
+        options_.trace->Record(obs::TraceEventKind::kPrune, neighbor,
+                               trace_iter, parent_dist);
+      });
+      return;
     }
-    view.IntersectEdgeValidity(s, parent.time, &scratch_->tmp);
+    view.IntersectEdgeValidity(s, parent_time, &tmp);
     TGKS_STATS(++stats_.interval_ops);
-    if (scratch_->tmp.IsEmpty()) return;
-    if (options_.viability != nullptr &&
-        !scratch_->tmp.Overlaps(
-            (*options_.viability)[static_cast<size_t>(neighbor)])) {
+    if (tmp.IsEmpty()) return;
+    if (options_.viability != nullptr && !Viable(neighbor, tmp)) {
       // A wholly non-viable NTD can neither appear in a result nor evict /
       // subsume anything a viable path needs: any NTD it would subsume is
       // itself wholly non-viable and gets pruned here too.
@@ -387,7 +449,7 @@ void BestPathIterator::ExpandNeighborsSubsumption(BestPathOrigin& slot,
     // Case 1 (Alg. 2 lines 11-12): T∩ subsumed by an existing NTD of the
     // neighbor -> the existing path already beats this one at every instant
     // and has no shorter duration; skip.
-    if (entry.index->SubsumedByExisting(scratch_->tmp)) {
+    if (entry.index->SubsumedByExisting(tmp)) {
       ++stats_.subsumption_skips;
       TGKS_STATS(if (options_.trace != nullptr) {
         options_.trace->Record(obs::TraceEventKind::kDedupHit, neighbor,
@@ -400,7 +462,7 @@ void BestPathIterator::ExpandNeighborsSubsumption(BestPathOrigin& slot,
     // popped NTD's duration >= |T∩|, and a strict superset would have to be
     // longer — impossible; an equal set would have hit case 1.
     for (const temporal::NtdRowHandle row :
-         entry.index->CollectSubsumed(scratch_->tmp)) {
+         entry.index->CollectSubsumed(tmp)) {
       const NtdId victim = entry.row_to_ntd[static_cast<size_t>(row)];
       assert(victim != kInvalidNtd);
       assert(scratch_->arena[static_cast<size_t>(victim)].state ==
@@ -411,9 +473,9 @@ void BestPathIterator::ExpandNeighborsSubsumption(BestPathOrigin& slot,
       ++stats_.subsumption_evictions;
     }
     // Case 2 (line 16): record the new NTD.
-    const temporal::NtdRowHandle row = entry.index->AddRow(scratch_->tmp);
+    const temporal::NtdRowHandle row = entry.index->AddRow(tmp);
     const NtdId next_id = PushNtd(
-        slot, origin, neighbor, scratch_->tmp,
+        slot, origin, neighbor, tmp,
         parent_dist + view.edge_weight(s) + view.node_weight(neighbor), id,
         view.edge_id(s));
     scratch_->arena[static_cast<size_t>(next_id)].index_row = row;

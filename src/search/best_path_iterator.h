@@ -35,6 +35,15 @@
 // those sequences. NTDs of all sources share one arena and carry their
 // source's index in Ntd::origin.
 //
+// Time sets have two representations, chosen once per iterator from the
+// graph's timeline_length() (docs/performance.md, "Word-parallel time
+// masks"): on timelines of at most TimeMask::kCapacity (128) instants, NTD
+// times, per-node claims, the per-edge intersection, viability and the
+// temporal score factors are all TimeMasks — two 64-bit words each. Longer
+// timelines run the same loops on IntervalSets, with NTD times in an arena
+// parallel to the NTDs. Both produce identical pops and work counters;
+// TimeOf() reads an NTD's time in either.
+//
 // All working state (NTD arena, heaps, flat per-node epoch tables) lives in
 // a pooled BestPathScratch (search_scratch.h): constructing an iterator on
 // a thread that ran one before reuses the previous state's memory, and the
@@ -44,8 +53,10 @@
 #ifndef TGKS_SEARCH_BEST_PATH_ITERATOR_H_
 #define TGKS_SEARCH_BEST_PATH_ITERATOR_H_
 
+#include <cassert>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "graph/temporal_graph.h"
@@ -57,6 +68,7 @@
 #include "search/search_scratch.h"
 #include "temporal/interval_set.h"
 #include "temporal/ntd_bitmap_index.h"
+#include "temporal/time_mask.h"
 
 namespace tgks::graph {
 class DeltaOverlay;  // delta_overlay.h
@@ -128,6 +140,11 @@ class BestPathIterator {
     /// viability being *hereditary*: backward expansion from a viable NTD
     /// only visits nodes viable at the same instants.
     const std::vector<temporal::IntervalSet>* viability = nullptr;
+    /// Optional mask form of `viability` (not owned; same length), read on
+    /// timelines that fit a TimeMask. The engine converts once per query
+    /// and shares it across keywords; when null, the iterator converts
+    /// `viability` itself. Ignored on longer timelines.
+    const std::vector<temporal::TimeMask>* viability_masks = nullptr;
     /// Optional per-node guided-search cone floors (not owned; one entry
     /// per graph node — GuidanceData::cone_floor). Only the +infinity
     /// entries act here: a node with an infinite floor can never lie on any
@@ -188,9 +205,34 @@ class BestPathIterator {
   /// now — at the top, or displaced below it by its cap.
   bool HasCappedSource() const { return capped_sources_ > 0; }
 
-  /// The NTD arena entry (valid for any id returned by Next()).
+  /// The NTD arena entry (valid for any id returned by Next()). Its `time`
+  /// is meaningful only when uses_time_masks(); TimeOf reads either.
   const Ntd& ntd(NtdId id) const {
     return scratch_->arena[static_cast<size_t>(id)];
+  }
+
+  /// Whether NTD times are TimeMasks: true iff the graph's timeline has at
+  /// most TimeMask::kCapacity instants.
+  bool uses_time_masks() const { return masks_; }
+
+  /// The time T of NTD `id` as an IntervalSet, in either representation.
+  /// For cold readers (path planners, tests); the hot paths use TimeAs.
+  temporal::IntervalSet TimeOf(NtdId id) const {
+    if (masks_) return ntd(id).time.ToIntervalSet();
+    return scratch_->wide_times[static_cast<size_t>(id)];
+  }
+
+  /// T of NTD `id` in the iterator's own representation: `Time` must be
+  /// TimeMask when uses_time_masks() and IntervalSet otherwise.
+  template <typename Time>
+  const Time& TimeAs(NtdId id) const {
+    if constexpr (std::is_same_v<Time, temporal::TimeMask>) {
+      assert(masks_);
+      return ntd(id).time;
+    } else {
+      assert(!masks_);
+      return scratch_->wide_times[static_cast<size_t>(id)];
+    }
   }
 
   /// Popped NTD ids of source `origin` at `node`, in pop order. Empty if
@@ -243,33 +285,63 @@ class BestPathIterator {
   BestPathSourceEntry MakeSourceEntry(const ScoreKey& score, int32_t origin);
 
   /// Appends an NTD of source `origin` to the arena and its queue. `time`
-  /// is copy-assigned into the arena slot (both the slot and the caller's
-  /// scratch buffer keep their capacity). Records a kExpand trace event
+  /// is copied into the NTD (a wide time is copy-assigned into its parallel
+  /// arena slot, which keeps its capacity). Records a kExpand trace event
   /// only for expansion products (`parent` set) — a source NTD was never
   /// expanded from anything.
+  template <typename Time>
   NtdId PushNtd(BestPathOrigin& slot, int32_t origin, graph::NodeId node,
-                const temporal::IntervalSet& time, double dist, NtdId parent,
+                const Time& time, double dist, NtdId parent,
                 graph::EdgeId via_edge);
   void ExpandNeighbors(BestPathOrigin& slot, NtdId id);
-  /// Expansion loop bodies, templated over a slot reader (base-only or
-  /// base + delta overlay; see best_path_iterator.cc). The base-reader
-  /// instantiation inlines to exactly the pre-overlay code, so build-once
-  /// graphs see zero behavior or performance change.
-  template <typename Reader>
+  /// Picks the slot reader (base-only or base + delta overlay) and the
+  /// semantics for one time representation.
+  template <typename Time>
+  void ExpandNeighborsAs(BestPathOrigin& slot, NtdId id);
+  /// Expansion loop bodies, templated over the time representation and a
+  /// slot reader (see best_path_iterator.cc). The base-reader instantiations
+  /// inline to plain view reads, so build-once graphs pay nothing for the
+  /// overlay.
+  template <typename Time, typename Reader>
   void ExpandNeighborsPartition(BestPathOrigin& slot, NtdId id,
                                 const Reader& reader);
-  template <typename Reader>
+  template <typename Time, typename Reader>
   void ExpandNeighborsSubsumption(BestPathOrigin& slot, NtdId id,
                                   const Reader& reader);
+
+  /// Predicate prune (§5) of the edge at slot `s` and its source node
+  /// `neighbor`: false iff either element fails the necessary condition.
+  template <typename Time, typename Reader>
+  bool ElementsMayQualify(const Reader& reader, int64_t s,
+                          graph::NodeId neighbor) const;
+
+  /// Whether `time` overlaps the viability of `node`
+  /// (Options::viability must be set).
+  bool Viable(graph::NodeId node, const temporal::TimeMask& time) const {
+    return time.Overlaps(viability_masks_[static_cast<size_t>(node)]);
+  }
+  bool Viable(graph::NodeId node, const temporal::IntervalSet& time) const {
+    return time.Overlaps((*options_.viability)[static_cast<size_t>(node)]);
+  }
 
   /// True iff every instant of `time` is already claimed at `node` by
   /// `slot`'s source (allocation-free).
   static bool FullyClaimed(const BestPathOrigin& slot, graph::NodeId node,
+                           const temporal::TimeMask& time);
+  static bool FullyClaimed(const BestPathOrigin& slot, graph::NodeId node,
                            const temporal::IntervalSet& time);
+  /// FullyClaimed for NTD `id`'s own time.
+  bool NtdFullyClaimed(const BestPathOrigin& slot, NtdId id) const;
 
   const graph::TemporalGraph* graph_;
   Options options_;
   int32_t num_sources_ = 0;
+  bool masks_ = false;  ///< Time representation (see uses_time_masks).
+  /// Mask viability, one entry per node, when masks_ and
+  /// Options::viability are set: Options::viability_masks' buffer or, when
+  /// that is null, own_viability_masks_'.
+  const temporal::TimeMask* viability_masks_ = nullptr;
+  std::vector<temporal::TimeMask> own_viability_masks_;
 
   BestPathScratchPool::Handle scratch_;
   IteratorStats stats_;

@@ -21,6 +21,10 @@
 //                            replayed work counters bit-identical to
 //                            build-once runs (GraphBuilder's CSR counting
 //                            sort also emits ascending edge ids).
+//
+// Both readers serve validity in the two representations of the view:
+// TimeMask accessors (edge_mask / node_mask and the mask intersection) on
+// narrow timelines, IntervalSet ones everywhere.
 
 #ifndef TGKS_SEARCH_EXPANSION_READER_H_
 #define TGKS_SEARCH_EXPANSION_READER_H_
@@ -32,6 +36,7 @@
 #include "graph/expansion_view.h"
 #include "graph/temporal_graph.h"
 #include "temporal/interval_set.h"
+#include "temporal/time_mask.h"
 #include "temporal/time_point.h"
 
 namespace tgks::search {
@@ -49,8 +54,14 @@ struct BaseExpansionReader {
   graph::EdgeId edge_id(int64_t s) const { return view.edge_id(s); }
   double edge_weight(int64_t s) const { return view.edge_weight(s); }
   double node_weight(graph::NodeId n) const { return view.node_weight(n); }
-  void IntersectEdgeValidity(int64_t s, const temporal::IntervalSet& t,
-                             temporal::IntervalSet* out) const {
+  const temporal::TimeMask& edge_mask(int64_t s) const {
+    return view.edge_mask(s);
+  }
+  const temporal::TimeMask& node_mask(graph::NodeId n) const {
+    return view.node_mask(n);
+  }
+  template <typename Time>
+  void IntersectEdgeValidity(int64_t s, const Time& t, Time* out) const {
     view.IntersectEdgeValidity(s, t, out);
   }
   bool EdgeAliveAt(int64_t s, temporal::TimePoint t) const {
@@ -99,8 +110,14 @@ struct OverlayExpansionReader {
     return overlay.IsDeltaNode(n) ? overlay.node_weight(n)
                                   : view.node_weight(n);
   }
-  void IntersectEdgeValidity(int64_t s, const temporal::IntervalSet& t,
-                             temporal::IntervalSet* out) const {
+  const temporal::TimeMask& edge_mask(int64_t s) const {
+    return s >= 0 ? view.edge_mask(s) : overlay.edge_mask(DecodeDelta(s));
+  }
+  const temporal::TimeMask& node_mask(graph::NodeId n) const {
+    return overlay.IsDeltaNode(n) ? overlay.node_mask(n) : view.node_mask(n);
+  }
+  template <typename Time>
+  void IntersectEdgeValidity(int64_t s, const Time& t, Time* out) const {
     if (s >= 0) {
       view.IntersectEdgeValidity(s, t, out);
     } else {

@@ -16,7 +16,7 @@
 #include <cstdint>
 
 #include "graph/temporal_graph.h"
-#include "temporal/interval_set.h"
+#include "temporal/time_mask.h"
 
 namespace tgks::search {
 
@@ -33,12 +33,19 @@ enum class NtdState : uint8_t {
 };
 
 /// One (node, T, d) triplet plus path-reconstruction links.
+///
+/// Layout (48 bytes): node, origin | time (two words) | dist | parent,
+/// via_edge | state, index_row.
 struct Ntd {
   graph::NodeId node = graph::kInvalidNode;
   /// Index of the iterator source whose expansion created this NTD (0 for
   /// a one-source iterator). Sits in what would otherwise be padding.
   int32_t origin = 0;
-  temporal::IntervalSet time;  ///< Full validity of the path to `node`.
+  /// Full validity T of the path to `node`, when the graph's timeline fits
+  /// a TimeMask. On longer timelines the iterator keeps T as an IntervalSet
+  /// in a parallel arena and leaves this empty; BestPathIterator::TimeOf
+  /// reads T in either representation.
+  temporal::TimeMask time;
   double dist = 0.0;           ///< Accumulated node+edge weight.
   NtdId parent = kInvalidNtd;  ///< NTD expanded from; kInvalidNtd at source.
   graph::EdgeId via_edge = graph::kInvalidEdge;  ///< Edge node -> parent node.
@@ -46,9 +53,10 @@ struct Ntd {
   int32_t index_row = -1;  ///< Row handle in the duration subsumption index.
 };
 
-// The origin tag must not grow the arena's element: NTD arenas of heavy
-// queries hold hundreds of thousands of these.
-static_assert(sizeof(Ntd) == 56, "Ntd must stay 56 bytes");
+// NTD arenas of heavy queries hold hundreds of thousands of these: the
+// inline mask replaced a 24-byte IntervalSet header (56 -> 48 bytes), and
+// nothing may grow the element back.
+static_assert(sizeof(Ntd) == 48, "Ntd must stay 48 bytes");
 
 }  // namespace tgks::search
 

@@ -7,6 +7,7 @@ namespace tgks::search {
 
 using temporal::Interval;
 using temporal::IntervalSet;
+using temporal::TimeMask;
 using temporal::TimePoint;
 
 std::string_view PredicateOpName(PredicateOp op) {
@@ -117,8 +118,40 @@ bool PredicateExpr::EvalResultTime(const IntervalSet& result_time) const {
   return false;
 }
 
+namespace {
+
+// Window tests of the element pruning rules, per time representation.
+bool OverlapsWindow(const IntervalSet& validity, Interval window) {
+  return validity.Overlaps(IntervalSet(window));
+}
+bool OverlapsWindow(const TimeMask& validity, Interval window) {
+  return validity.Overlaps(TimeMask::Of(window));
+}
+bool CoversWindow(const IntervalSet& validity, Interval window) {
+  return validity.Subsumes(IntervalSet(window));
+}
+bool CoversWindow(const TimeMask& validity, Interval window) {
+  if (window.IsEmpty()) return true;
+  // A mask holds no instant outside [0, kCapacity).
+  if (window.start < 0 || window.end >= TimeMask::kCapacity) return false;
+  return validity.Subsumes(TimeMask::Of(window));
+}
+
+}  // namespace
+
 bool PredicateExpr::ElementMayQualify(const IntervalSet& validity,
                                       bool containedby_prune) const {
+  return MayQualify(validity, containedby_prune);
+}
+
+bool PredicateExpr::ElementMayQualify(const TimeMask& validity,
+                                      bool containedby_prune) const {
+  return MayQualify(validity, containedby_prune);
+}
+
+template <typename Set>
+bool PredicateExpr::MayQualify(const Set& validity,
+                               bool containedby_prune) const {
   switch (kind_) {
     case Kind::kAtom:
       switch (op_) {
@@ -133,14 +166,14 @@ bool PredicateExpr::ElementMayQualify(const IntervalSet& validity,
           // (Example 5.1 shows it is not sufficient).
           return validity.Contains(t1_);
         case PredicateOp::kOverlaps:
-          return validity.Overlaps(IntervalSet(Interval(t1_, t2_)));
+          return OverlapsWindow(validity, Interval(t1_, t2_));
         case PredicateOp::kContains:
-          return validity.Subsumes(IntervalSet(Interval(t1_, t2_)));
+          return CoversWindow(validity, Interval(t1_, t2_));
         case PredicateOp::kContainedBy:
           // §5: "we are not able to prune nodes and edges during backward
           // expansion using this predicate" — unless the extension is on.
           if (containedby_prune) {
-            return validity.Overlaps(IntervalSet(Interval(t1_, t2_)));
+            return OverlapsWindow(validity, Interval(t1_, t2_));
           }
           return true;
       }
@@ -149,7 +182,7 @@ bool PredicateExpr::ElementMayQualify(const IntervalSet& validity,
       // A result satisfying the conjunction satisfies every child, so every
       // child's necessary condition applies.
       for (const auto& child : children_) {
-        if (!child->ElementMayQualify(validity, containedby_prune)) {
+        if (!child->MayQualify(validity, containedby_prune)) {
           return false;
         }
       }
@@ -158,7 +191,7 @@ bool PredicateExpr::ElementMayQualify(const IntervalSet& validity,
       // A result satisfies some child; the element must pass at least one
       // child's necessary condition.
       for (const auto& child : children_) {
-        if (child->ElementMayQualify(validity, containedby_prune)) return true;
+        if (child->MayQualify(validity, containedby_prune)) return true;
       }
       return false;
     case Kind::kNot:

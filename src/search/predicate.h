@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "temporal/interval_set.h"
+#include "temporal/time_mask.h"
 #include "temporal/time_point.h"
 
 namespace tgks::search {
@@ -78,6 +79,10 @@ class PredicateExpr {
   /// in [a,b] — but off by default for fidelity to §5.
   bool ElementMayQualify(const temporal::IntervalSet& validity,
                          bool containedby_prune = false) const;
+  /// The same test on a mask validity (narrow-timeline expansion); equal
+  /// to the IntervalSet form on `validity.ToIntervalSet()`.
+  bool ElementMayQualify(const temporal::TimeMask& validity,
+                         bool containedby_prune = false) const;
 
   /// True iff generated results are guaranteed to satisfy the predicate
   /// whenever every element passed ElementMayQualify (e.g., a pure
@@ -102,6 +107,10 @@ class PredicateExpr {
   enum class Kind { kAtom, kAnd, kOr, kNot };
 
   PredicateExpr() = default;
+
+  /// ElementMayQualify over either time representation.
+  template <typename Set>
+  bool MayQualify(const Set& validity, bool containedby_prune) const;
 
   Kind kind_ = Kind::kAtom;
   // Atom payload.

@@ -162,9 +162,12 @@ class ScoreKey {
 ScoreVec MakeScore(const RankingSpec& spec, double weight,
                    const temporal::IntervalSet& time);
 
-/// Larger-is-better component value of one factor.
+/// Larger-is-better component value of one factor. `Time` is IntervalSet
+/// or TimeMask (any set with IsEmpty / Start / End / Duration); both give
+/// identical values for the same instants.
+template <typename Time>
 inline double RankFactorValue(RankFactor factor, double weight,
-                              const temporal::IntervalSet& time) {
+                              const Time& time) {
   constexpr double kWorst = -std::numeric_limits<double>::infinity();
   switch (factor) {
     case RankFactor::kRelevance:
@@ -183,8 +186,9 @@ inline double RankFactorValue(RankFactor factor, double weight,
 /// no allocation. Inline — this runs once per NTD push, the hottest call
 /// site in the engine, and inlining lets the compiler collapse the factor
 /// switch against the iterator's fixed spec.
+template <typename Time>
 inline ScoreKey MakeScoreKey(const RankingSpec& spec, double weight,
-                             const temporal::IntervalSet& time) {
+                             const Time& time) {
   // Dedup repeated factors (the grammar allows "duration, duration") so
   // every spec fits the inline capacity of one-per-distinct-factor; see
   // ScoreKey for why this preserves comparison semantics.

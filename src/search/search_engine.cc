@@ -17,12 +17,14 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <type_traits>
 
 namespace tgks::search {
 
 using graph::EdgeId;
 using graph::NodeId;
 using temporal::IntervalSet;
+using temporal::TimeMask;
 
 std::string_view UpperBoundKindName(UpperBoundKind kind) {
   switch (kind) {
@@ -256,6 +258,7 @@ class Runner {
         assembler_(graph, &match_lists_, NonEmpty(options.overlay)),
         chosen_(m_),
         combo_times_(m_),
+        combo_masks_(m_),
         candidate_matches_(m_),
         iterators_(m_),
         meetings_(MeetingTablePool::Acquire()) {
@@ -325,6 +328,14 @@ class Runner {
       } else {
         graph_.reachability().ComputeViability(match_lists_, &viability_);
         viability_view_ = &viability_;
+      }
+      if (TimeMask::Fits(graph_.timeline_length())) {
+        // The frontiers run on masks: convert once here rather than once
+        // per keyword.
+        viability_masks_.reserve(viability_view_->size());
+        for (const IntervalSet& v : *viability_view_) {
+          viability_masks_.push_back(TimeMask::FromIntervalSet(v));
+        }
       }
       filter_timer_.Stop();
     }
@@ -456,7 +467,12 @@ class Runner {
     iter_options.duration_index = options_.duration_index;
     iter_options.trace = options_.trace;
     iter_options.overlay = options_.overlay;
-    if (options_.reachability_prune) iter_options.viability = viability_view_;
+    if (options_.reachability_prune) {
+      iter_options.viability = viability_view_;
+      if (!viability_masks_.empty()) {
+        iter_options.viability_masks = &viability_masks_;
+      }
+    }
     if (guided_active_) {
       iter_options.guidance_floor = &guidance_view_->cone_floor;
       iter_options.guidance_cap_divisor = cap_divisor_;
@@ -596,12 +612,21 @@ class Runner {
                           NtdId fresh_ntd) {
     chosen_[fresh_kw] = fresh_ntd;
     int64_t combos = 0;
-    const IntervalSet& fresh_time = iterators_[fresh_kw]->ntd(fresh_ntd).time;
-    EnumerateCombos(root, row, fresh_kw, 0, fresh_time, &combos);
+    const BestPathIterator& fresh = *iterators_[fresh_kw];
+    if (fresh.uses_time_masks()) {
+      EnumerateCombos(root, row, fresh_kw, 0,
+                      fresh.TimeAs<TimeMask>(fresh_ntd), &combos);
+    } else {
+      EnumerateCombos(root, row, fresh_kw, 0,
+                      fresh.TimeAs<IntervalSet>(fresh_ntd), &combos);
+    }
   }
 
+  /// `Time` is the frontiers' time representation (all keywords share the
+  /// graph, hence the representation).
+  template <typename Time>
   void EnumerateCombos(NodeId root, int32_t row, size_t fresh_kw, size_t kw,
-                       const IntervalSet& common, int64_t* combos) {
+                       const Time& common, int64_t* combos) {
     if (*combos >= options_.max_combos_per_pop) {
       ++response_.counters.combo_overflows;
       return;
@@ -617,12 +642,17 @@ class Runner {
     }
     // Each depth narrows into its own reused set; `common` is the fresh
     // NTD's time or a shallower depth's set, never this one.
-    IntervalSet& narrowed = combo_times_[kw];
+    Time& narrowed = ComboTime<Time>(kw);
     const BestPathIterator& frontier = *iterators_[kw];
     for (int32_t link = meetings_->First(row, kw); link >= 0;
          link = meetings_->Next(link)) {
       const NtdId ntd_id = meetings_->ntd(link);
-      narrowed.AssignIntersectionOf(common, frontier.ntd(ntd_id).time);
+      if constexpr (std::is_same_v<Time, TimeMask>) {
+        narrowed = common & frontier.TimeAs<TimeMask>(ntd_id);
+      } else {
+        narrowed.AssignIntersectionOf(common,
+                                      frontier.TimeAs<IntervalSet>(ntd_id));
+      }
       TGKS_STATS(++engine_interval_ops_);
       if (narrowed.IsEmpty()) {
         // Validity pre-check (Algorithm 3 line 17): the chosen paths never
@@ -634,6 +664,16 @@ class Runner {
       chosen_[kw] = ntd_id;
       EnumerateCombos(root, row, fresh_kw, kw + 1, narrowed, combos);
       if (*combos >= options_.max_combos_per_pop) return;
+    }
+  }
+
+  /// The reused narrowed-time buffer of depth `kw`.
+  template <typename Time>
+  Time& ComboTime(size_t kw) {
+    if constexpr (std::is_same_v<Time, TimeMask>) {
+      return combo_masks_[kw];
+    } else {
+      return combo_times_[kw];
     }
   }
 
@@ -1312,6 +1352,8 @@ class Runner {
   std::vector<IntervalSet> viability_;
   std::shared_ptr<const std::vector<IntervalSet>> viability_shared_;
   const std::vector<IntervalSet>* viability_view_ = nullptr;
+  /// The live viability as masks, when the timeline fits a TimeMask.
+  std::vector<TimeMask> viability_masks_;
   /// guided_search only (relevance primary): per-node answer-tree weight
   /// floors, shared read-only like viability. `guidance_view_` points at
   /// the live storage (local or cache-shared).
@@ -1329,6 +1371,7 @@ class Runner {
   CandidateAssembler assembler_;  ///< Covers by the filtered match_lists_.
   std::vector<NtdId> chosen_;  ///< NTD per keyword, of that keyword's frontier.
   std::vector<IntervalSet> combo_times_;  ///< Narrowed time per depth.
+  std::vector<TimeMask> combo_masks_;     ///< The same, on mask timelines.
   std::vector<EdgeId> path_edges_;        ///< Concatenated chosen paths.
   std::vector<NodeId> candidate_matches_;  ///< Chosen paths' sources.
   SignatureSet seen_;  ///< Accepted trees.

@@ -37,16 +37,19 @@
 #include "search/ranking.h"
 #include "temporal/interval_set.h"
 #include "temporal/ntd_bitmap_index.h"
+#include "temporal/time_mask.h"
 
 namespace tgks::search {
 
-/// Block-reserving arena of NTD triplets.
+/// Block-reserving arena, holding the NTD triplets and, on wide timelines,
+/// their IntervalSet times (index-aligned with the NTDs).
 ///
 /// Blocks give two properties a plain vector lacks: element addresses are
 /// stable (expansion can hold a reference to the parent NTD across pushes),
-/// and rewinding keeps every slot object alive, so a reused slot's
-/// IntervalSet retains its spill capacity from earlier queries.
-class NtdArena {
+/// and rewinding keeps every slot object alive, so a reused IntervalSet
+/// slot retains its spill capacity from earlier queries.
+template <typename T>
+class BlockArena {
  public:
   // Power of two so operator[] compiles to shift + mask; small enough that
   // the light frontiers of a query (a few NTDs per source) stay cheap.
@@ -54,20 +57,18 @@ class NtdArena {
 
   size_t size() const { return size_; }
 
-  Ntd& operator[](size_t i) {
-    return blocks_[i / kBlockSize][i % kBlockSize];
-  }
-  const Ntd& operator[](size_t i) const {
+  T& operator[](size_t i) { return blocks_[i / kBlockSize][i % kBlockSize]; }
+  const T& operator[](size_t i) const {
     return blocks_[i / kBlockSize][i % kBlockSize];
   }
 
   /// Returns the next slot. Its contents are STALE (possibly from a prior
   /// query); the caller must assign every field.
-  Ntd& EmplaceBack() {
+  T& EmplaceBack() {
     if (size_ == blocks_.size() * kBlockSize) {
-      blocks_.push_back(std::make_unique<Ntd[]>(kBlockSize));
+      blocks_.push_back(std::make_unique<T[]>(kBlockSize));
     }
-    Ntd& slot = (*this)[size_];
+    T& slot = (*this)[size_];
     ++size_;
     return slot;
   }
@@ -77,9 +78,11 @@ class NtdArena {
   void Rewind() { size_ = 0; }
 
  private:
-  std::vector<std::unique_ptr<Ntd[]>> blocks_;
+  std::vector<std::unique_ptr<T[]>> blocks_;
   size_t size_ = 0;
 };
+
+using NtdArena = BlockArena<Ntd>;
 
 /// Per-node state of the duration-subsumption semantics: the pluggable
 /// index plus the row-handle -> NTD id mapping (dense: handles are small
@@ -136,7 +139,9 @@ struct BestPathQueueBetter {
 /// one-source iterator would.
 struct BestPathOrigin {
   QuadHeap<BestPathQueueEntry, BestPathQueueBetter> queue;
-  common::FlatEpochMap<temporal::IntervalSet> visited;  // Partition claims.
+  // Partition claims, in the frontier's time representation.
+  common::FlatEpochMap<temporal::TimeMask> visited_masks;
+  common::FlatEpochMap<temporal::IntervalSet> visited;
   common::FlatEpochMap<std::vector<NtdId>> popped;      // Pop order per node.
   common::FlatEpochMap<NodeSubsumption> subsumption;    // Duration ranking.
   graph::NodeId source = graph::kInvalidNode;
@@ -145,6 +150,7 @@ struct BestPathOrigin {
 
   void Reset(graph::NodeId new_source) {
     queue.clear();
+    visited_masks.Clear();
     visited.Clear();
     popped.Clear();
     subsumption.Clear();
@@ -176,12 +182,16 @@ struct BestPathSourceBetter {
 /// Everything a BestPathIterator allocates, pooled per thread.
 struct BestPathScratch {
   NtdArena arena;  // Shared by all sources; NTDs carry their origin.
+  /// Wide timelines: the time of NTD i. Unused on mask timelines.
+  BlockArena<temporal::IntervalSet> wide_times;
   /// Slot i serves source i. Slots past the current frontier's width keep
   /// their capacity for the next wide frontier.
   std::vector<BestPathOrigin> origins;
   QuadHeap<BestPathSourceEntry, BestPathSourceBetter> sources;
-  temporal::IntervalSet tmp;   // Per-edge intersection buffer.
-  temporal::IntervalSet tmp2;  // Union double-buffer for visited claims.
+  // Wide timelines: per-edge intersection buffer and union double-buffer
+  // for visited claims.
+  temporal::IntervalSet tmp;
+  temporal::IntervalSet tmp2;
 
   /// Readies the scratch for a frontier over `num_sources` sources; the
   /// iterator then resets each slot (O(1) epoch bumps) as it binds the
@@ -190,6 +200,7 @@ struct BestPathScratch {
   void Reset(size_t num_sources) {
     if (origins.size() < num_sources) origins.resize(num_sources);
     arena.Rewind();
+    wide_times.Rewind();
     sources.clear();
   }
 };

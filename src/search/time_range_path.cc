@@ -124,14 +124,15 @@ std::optional<TimeRangePath> SometimePath(const graph::TemporalGraph& graph,
   for (NtdId id = iter.Next(); id != kInvalidNtd; id = iter.Next()) {
     const Ntd& ntd = iter.ntd(id);
     if (ntd.node != source) continue;
-    if (!ntd.time.Overlaps(window)) continue;
+    IntervalSet time = iter.TimeOf(id);
+    if (!time.Overlaps(window)) continue;
     // Pops are best-first by distance, and any qualifying instant would
     // have been claimed by an equally-qualifying earlier pop, so the first
     // overlapping pop at `source` is optimal.
     TimeRangePath out;
     out.edges = iter.PathEdges(id);
     out.weight = ntd.dist;
-    out.time = ntd.time;
+    out.time = std::move(time);
     return out;
   }
   return std::nullopt;

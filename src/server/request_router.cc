@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/strings.h"
+#include "graph/expansion_view.h"
 #include "ingest/ingest_batch.h"
 #include "ingest/live_graph.h"
 #include "obs/metrics.h"
@@ -495,6 +496,16 @@ HttpResponse RequestRouter::HandleVarz() const {
     w.Int(static_cast<int64_t>(context_.graph->num_edges()));
     w.Key("timeline_length");
     w.Int(static_cast<int64_t>(context_.graph->timeline_length()));
+    // The search's time representation, selected from the timeline length
+    // (docs/performance.md, "Word-parallel time masks").
+    const graph::ExpansionView::LayoutStats& layout =
+        context_.graph->expansion_view().layout_stats();
+    w.Key("time_representation");
+    w.String(layout.time_masks ? "mask" : "interval");
+    w.Key("edge_slot_bytes");
+    w.Int(layout.edge_slot_bytes);
+    w.Key("node_slot_bytes");
+    w.Int(layout.node_slot_bytes);
   }
   if (context_.live != nullptr) {
     const ingest::GraphSnapshotHandle snap = context_.live->Acquire();

@@ -3,6 +3,8 @@
 #include <bit>
 #include <cassert>
 
+#include "temporal/time_mask.h"
+
 namespace tgks::temporal {
 
 Bitmap::Bitmap(int64_t size) : size_(size) {
@@ -52,6 +54,14 @@ void Bitmap::ResizeAndClear(int64_t size) {
   // vector::assign reuses capacity, so repeated calls at or below the
   // high-water size never allocate.
   words_.assign(static_cast<size_t>((size + kWordBits - 1) / kWordBits), 0);
+}
+
+void Bitmap::AssignMask(int64_t size, const TimeMask& mask) {
+  assert(size <= TimeMask::kCapacity);
+  ResizeAndClear(size);
+  if (!words_.empty()) words_[0] = mask.lo();
+  if (words_.size() > 1) words_[1] = mask.hi();
+  ClearPadding();
 }
 
 void Bitmap::Fill() {

@@ -12,6 +12,8 @@
 
 namespace tgks::temporal {
 
+class TimeMask;  // time_mask.h
+
 /// Fixed-size bitset with bulk boolean operations.
 ///
 /// Bits beyond `size()` in the last word are kept zero (the class maintains
@@ -49,6 +51,10 @@ class Bitmap {
   /// constructor — no allocation once the bitmap has reached its high-water
   /// capacity).
   void ResizeAndClear(int64_t size);
+
+  /// Resizes to `size` <= 128 bits holding the instants of `mask` below
+  /// `size`: a two-word fill, reusing the word storage like ResizeAndClear.
+  void AssignMask(int64_t size, const TimeMask& mask);
 
   /// Sets all bits to 1.
   void Fill();

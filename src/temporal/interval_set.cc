@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "temporal/bitmap.h"
+#include "temporal/time_mask.h"
 
 namespace tgks::temporal {
 
@@ -123,6 +124,18 @@ IntervalSet IntervalSet::All(TimePoint timeline_length) {
 
 IntervalSet IntervalSet::Point(TimePoint t) {
   return IntervalSet(Interval::Point(t));
+}
+
+void IntervalSet::AssignIntersectionOf(const IntervalSet& a,
+                                       const TimeMask& b) {
+  assert(this != &a);
+  AssignFromMask(TimeMask::FromIntervalSet(a) & b);
+}
+
+void IntervalSet::AssignFromMask(const TimeMask& mask) {
+  size_ = 0;
+  // Runs are already canonical: sorted and separated by missing instants.
+  mask.ForEachRun([this](Interval iv) { Append(iv); });
 }
 
 IntervalSet IntervalSet::FromBitmap(const Bitmap& bitmap) {

@@ -30,7 +30,8 @@
 
 namespace tgks::temporal {
 
-class Bitmap;  // bitmap.h
+class Bitmap;    // bitmap.h
+class TimeMask;  // time_mask.h
 
 /// A set of discrete time instants with interval-based set algebra.
 ///
@@ -142,6 +143,14 @@ class IntervalSet {
   /// AssignIntersectionOf(a, IntervalSet(b)) without materializing the
   /// one-element set. The expansion view's inline-validity edges hit this.
   void AssignIntersectionOf(const IntervalSet& a, Interval b);
+
+  /// Mask intersection: equivalent to AssignIntersectionOf(a,
+  /// b.ToIntervalSet()) without materializing the mask's interval list.
+  /// Views over narrow timelines serve IntervalSet readers through this.
+  void AssignIntersectionOf(const IntervalSet& a, const TimeMask& b);
+
+  /// Overwrites with the instants of `mask`, reusing capacity.
+  void AssignFromMask(const TimeMask& mask);
 
   /// Complement within [0, timeline_length).
   IntervalSet ComplementWithin(TimePoint timeline_length) const;

@@ -19,6 +19,25 @@ std::unique_ptr<NtdSubsumptionIndex> CreateNtdIndex(
 }
 
 // ---------------------------------------------------------------------------
+// NtdSubsumptionIndex: TimeMask forms by conversion
+
+bool NtdSubsumptionIndex::SubsumedByExisting(const TimeMask& t) const {
+  mask_buffer_.AssignFromMask(t);
+  return SubsumedByExisting(mask_buffer_);
+}
+
+std::span<const NtdRowHandle> NtdSubsumptionIndex::CollectSubsumed(
+    const TimeMask& t) const {
+  mask_buffer_.AssignFromMask(t);
+  return CollectSubsumed(mask_buffer_);
+}
+
+NtdRowHandle NtdSubsumptionIndex::AddRow(const TimeMask& t) {
+  mask_buffer_.AssignFromMask(t);
+  return AddRow(mask_buffer_);
+}
+
+// ---------------------------------------------------------------------------
 // NaiveNtdIndex
 
 NaiveNtdIndex::NaiveNtdIndex(TimePoint timeline_length) {
@@ -90,6 +109,15 @@ RowMajorNtdIndex::RowMajorNtdIndex(TimePoint timeline_length)
 
 bool RowMajorNtdIndex::SubsumedByExisting(const IntervalSet& t) const {
   t.ToBitmapInto(timeline_length_, &probe_);
+  return ProbeSubsumedByExisting();
+}
+
+bool RowMajorNtdIndex::SubsumedByExisting(const TimeMask& t) const {
+  probe_.AssignMask(timeline_length_, t);
+  return ProbeSubsumedByExisting();
+}
+
+bool RowMajorNtdIndex::ProbeSubsumedByExisting() const {
   for (size_t i = 0; i < num_slots_; ++i) {
     if (live_[i] && probe_.IsSubsetOf(rows_[i])) return true;
   }
@@ -99,6 +127,17 @@ bool RowMajorNtdIndex::SubsumedByExisting(const IntervalSet& t) const {
 std::span<const NtdRowHandle> RowMajorNtdIndex::CollectSubsumed(
     const IntervalSet& t) const {
   t.ToBitmapInto(timeline_length_, &probe_);
+  return CollectSubsumedByProbe();
+}
+
+std::span<const NtdRowHandle> RowMajorNtdIndex::CollectSubsumed(
+    const TimeMask& t) const {
+  probe_.AssignMask(timeline_length_, t);
+  return CollectSubsumedByProbe();
+}
+
+std::span<const NtdRowHandle> RowMajorNtdIndex::CollectSubsumedByProbe()
+    const {
   collect_scratch_.clear();
   for (size_t i = 0; i < num_slots_; ++i) {
     if (live_[i] && rows_[i].IsSubsetOf(probe_)) {
@@ -110,6 +149,20 @@ std::span<const NtdRowHandle> RowMajorNtdIndex::CollectSubsumed(
 
 NtdRowHandle RowMajorNtdIndex::AddRow(const IntervalSet& t) {
   assert(!t.IsEmpty());
+  const NtdRowHandle h = AcquireRow();
+  // Refill the retained bitmap in place — its word storage is reused.
+  t.ToBitmapInto(timeline_length_, &rows_[static_cast<size_t>(h)]);
+  return h;
+}
+
+NtdRowHandle RowMajorNtdIndex::AddRow(const TimeMask& t) {
+  assert(!t.IsEmpty());
+  const NtdRowHandle h = AcquireRow();
+  rows_[static_cast<size_t>(h)].AssignMask(timeline_length_, t);
+  return h;
+}
+
+NtdRowHandle RowMajorNtdIndex::AcquireRow() {
   NtdRowHandle h;
   if (!free_list_.empty()) {
     h = free_list_.back();
@@ -121,8 +174,6 @@ NtdRowHandle RowMajorNtdIndex::AddRow(const IntervalSet& t) {
       live_.push_back(0);
     }
   }
-  // Refill the retained bitmap in place — its word storage is reused.
-  t.ToBitmapInto(timeline_length_, &rows_[static_cast<size_t>(h)]);
   live_[static_cast<size_t>(h)] = 1;
   return h;
 }

@@ -24,6 +24,7 @@
 
 #include "temporal/bitmap.h"
 #include "temporal/interval_set.h"
+#include "temporal/time_mask.h"
 #include "temporal/time_point.h"
 
 namespace tgks::temporal {
@@ -66,6 +67,18 @@ class NtdSubsumptionIndex {
   /// keeping container capacity where possible. Lets pooled per-node scratch
   /// reuse an index across queries with behavior identical to a new one.
   virtual void Reset() = 0;
+
+  /// TimeMask forms of the queries and AddRow, for iterators on timelines
+  /// of at most TimeMask::kCapacity instants. Each equals its IntervalSet
+  /// form on `t.ToIntervalSet()`. These defaults convert through a reused
+  /// buffer; the row-major index fills its bitmaps straight from the mask.
+  virtual bool SubsumedByExisting(const TimeMask& t) const;
+  virtual std::span<const NtdRowHandle> CollectSubsumed(
+      const TimeMask& t) const;
+  virtual NtdRowHandle AddRow(const TimeMask& t);
+
+ private:
+  mutable IntervalSet mask_buffer_;  // Conversion target of the defaults.
 };
 
 /// Strategy selector for CreateNtdIndex.
@@ -83,6 +96,10 @@ std::unique_ptr<NtdSubsumptionIndex> CreateNtdIndex(
 class NaiveNtdIndex final : public NtdSubsumptionIndex {
  public:
   explicit NaiveNtdIndex(TimePoint timeline_length);
+
+  using NtdSubsumptionIndex::AddRow;
+  using NtdSubsumptionIndex::CollectSubsumed;
+  using NtdSubsumptionIndex::SubsumedByExisting;
 
   bool SubsumedByExisting(const IntervalSet& t) const override;
   std::span<const NtdRowHandle> CollectSubsumed(
@@ -113,15 +130,25 @@ class RowMajorNtdIndex final : public NtdSubsumptionIndex {
   std::span<const NtdRowHandle> CollectSubsumed(
       const IntervalSet& t) const override;
   NtdRowHandle AddRow(const IntervalSet& t) override;
+  bool SubsumedByExisting(const TimeMask& t) const override;
+  std::span<const NtdRowHandle> CollectSubsumed(
+      const TimeMask& t) const override;
+  NtdRowHandle AddRow(const TimeMask& t) override;
   void RemoveRow(NtdRowHandle handle) override;
   int64_t LiveRows() const override;
   void Reset() override;
 
  private:
+  // The queries run on probe_, filled by the public overloads; rows are
+  // handed out by AcquireRow and filled by the caller.
+  bool ProbeSubsumedByExisting() const;
+  std::span<const NtdRowHandle> CollectSubsumedByProbe() const;
+  NtdRowHandle AcquireRow();
+
   TimePoint timeline_length_;
   // Same slot-recycling layout as NaiveNtdIndex: row bitmaps keep their word
-  // storage across RemoveRow/Reset and are refilled in place by
-  // ToBitmapInto, so the steady state never allocates.
+  // storage across RemoveRow/Reset and are refilled in place (ToBitmapInto
+  // or AssignMask), so the steady state never allocates.
   std::vector<Bitmap> rows_;
   std::vector<uint8_t> live_;
   size_t num_slots_ = 0;
@@ -140,6 +167,10 @@ class RowMajorNtdIndex final : public NtdSubsumptionIndex {
 class ColumnMajorNtdIndex final : public NtdSubsumptionIndex {
  public:
   explicit ColumnMajorNtdIndex(TimePoint timeline_length);
+
+  using NtdSubsumptionIndex::AddRow;
+  using NtdSubsumptionIndex::CollectSubsumed;
+  using NtdSubsumptionIndex::SubsumedByExisting;
 
   bool SubsumedByExisting(const IntervalSet& t) const override;
   std::span<const NtdRowHandle> CollectSubsumed(

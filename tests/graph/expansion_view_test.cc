@@ -5,8 +5,10 @@
 // edge(), in the same order, with weights byte-identical (the search
 // iterators' distance arithmetic must not change by even one ULP). We check
 // that on 60 seeded random graphs whose validity sets mix single-interval
-// (inline encoding) and multi-interval (interned pool) shapes, plus targeted
-// unit tests for interning and the load path.
+// and multi-interval shapes, each built twice: at its own short timeline
+// (the narrow view: TimeMask validities) and padded past 128 instants (the
+// wide view: inline intervals plus the interned pool). Targeted unit tests
+// cover both encodings, interning and the load path.
 
 #include "graph/expansion_view.h"
 
@@ -20,13 +22,19 @@
 #include "graph/graph_builder.h"
 #include "graph/serialization.h"
 #include "graph/temporal_graph.h"
+#include "temporal/time_mask.h"
 
 namespace tgks::graph {
 namespace {
 
 using temporal::Interval;
 using temporal::IntervalSet;
+using temporal::TimeMask;
 using temporal::TimePoint;
+
+/// A timeline past TimeMask::kCapacity: views over it use the wide
+/// encoding.
+constexpr TimePoint kWideTimeline = 200;
 
 /// Random validity: 1-3 intervals, normalized. Drawing interval endpoints
 /// from a small palette makes byte-equal sets recur, exercising interning.
@@ -117,15 +125,29 @@ void ExpectViewMirrorsGraph(const TemporalGraph& g, Rng* rng) {
       const TimePoint t =
           static_cast<TimePoint>(rng->Uniform(g.timeline_length()));
       ASSERT_EQ(view.EdgeAliveAt(s, t), edge.validity.Contains(t));
+      if (view.uses_time_masks()) {
+        ASSERT_EQ(view.edge_mask(s).ToIntervalSet(), edge.validity);
+        TimeMask masked;
+        view.IntersectEdgeValidity(s, TimeMask::FromIntervalSet(probe),
+                                   &masked);
+        ASSERT_EQ(masked.ToIntervalSet(), expected);
+      }
     }
     const Node& node = g.node(n);
     ASSERT_TRUE(SameBits(view.node_weight(n), node.weight));
     ASSERT_EQ(ViewNodeValidity(view, n), node.validity);
+    if (view.uses_time_masks()) {
+      ASSERT_EQ(view.node_mask(n).ToIntervalSet(), node.validity);
+    }
     const TimePoint t =
         static_cast<TimePoint>(rng->Uniform(g.timeline_length()));
     ASSERT_EQ(view.NodeAliveAt(n, t), node.validity.Contains(t));
   }
   const ExpansionView::LayoutStats& stats = view.layout_stats();
+  EXPECT_EQ(stats.time_masks, TimeMask::Fits(g.timeline_length()));
+  EXPECT_EQ(view.uses_time_masks(), stats.time_masks);
+  EXPECT_EQ(stats.edge_slot_bytes, 32);
+  EXPECT_EQ(stats.node_slot_bytes, 24);
   EXPECT_EQ(stats.edge_slots, static_cast<int64_t>(g.num_edges()));
   EXPECT_EQ(stats.inline_edge_slots + stats.pooled_edge_slots,
             stats.edge_slots);
@@ -141,13 +163,53 @@ TEST(ExpansionViewDifferentialTest, MirrorsInEdgesOn60RandomGraphs) {
       const int edges = nodes + static_cast<int>(rng.Uniform(4 * nodes));
       const TimePoint horizon = 6 + static_cast<TimePoint>(rng.Uniform(40));
       const TemporalGraph g = RandomGraph(&rng, nodes, edges, horizon);
+      ASSERT_TRUE(g.expansion_view().uses_time_masks());
       ExpectViewMirrorsGraph(g, &rng);
+      // The same elements over a wide timeline: the interval encoding.
+      auto wide = RebuildWithTimeline(g, kWideTimeline);
+      ASSERT_TRUE(wide.ok()) << wide.status();
+      ASSERT_FALSE(wide->expansion_view().uses_time_masks());
+      ExpectViewMirrorsGraph(*wide, &rng);
     }
   }
 }
 
+TEST(ExpansionViewTest, NarrowViewKeepsEveryValidityInItsSlot) {
+  // A 128-instant timeline still fits a mask: multi-interval validities,
+  // including runs in both words, stay in the slot and no pool exists.
+  const IntervalSet spread{{0, 0}, {63, 64}, {100, 127}};
+  GraphBuilder b(TimeMask::kCapacity, ValidityPolicy::kStrict);
+  b.AddNode("a", spread, 1.0);
+  b.AddNode("b", IntervalSet::All(TimeMask::kCapacity), 0.0);
+  b.AddEdge(0, 1, IntervalSet{{63, 64}, {127, 127}}, 1.0);
+  const TemporalGraph g = std::move(b.Build()).value();
+  const ExpansionView& view = g.expansion_view();
+  ASSERT_TRUE(view.uses_time_masks());
+  const auto slots = view.InSlots(1);
+  ASSERT_EQ(slots.end - slots.begin, 1);
+  EXPECT_EQ(view.edge_mask(slots.begin),
+            TimeMask::Range(63, 64) | TimeMask::Point(127));
+  EXPECT_EQ(view.node_mask(0), TimeMask::FromIntervalSet(spread));
+  EXPECT_EQ(view.node_mask(1), TimeMask::All(TimeMask::kCapacity));
+  EXPECT_TRUE(view.pool().empty());
+  const ExpansionView::LayoutStats& stats = view.layout_stats();
+  EXPECT_TRUE(stats.time_masks);
+  EXPECT_EQ(stats.inline_edge_slots, 1);
+  EXPECT_EQ(stats.inline_node_slots, 2);
+  EXPECT_EQ(stats.pooled_edge_slots + stats.pooled_node_slots, 0);
+  EXPECT_EQ(stats.pool_entries, 0);
+
+  // One instant more and the view switches to the wide encoding.
+  auto wide = RebuildWithTimeline(g, TimeMask::kCapacity + 1);
+  ASSERT_TRUE(wide.ok());
+  EXPECT_FALSE(wide->expansion_view().uses_time_masks());
+  EXPECT_EQ(wide->expansion_view().layout_stats().pool_entries, 2);
+}
+
+// Interning and the inline single-interval encoding belong to the wide
+// view, so these two tests build over kWideTimeline.
 TEST(ExpansionViewTest, SingleIntervalValidityStaysInline) {
-  GraphBuilder b(20, ValidityPolicy::kStrict);
+  GraphBuilder b(kWideTimeline, ValidityPolicy::kStrict);
   b.AddNode("a", IntervalSet{{2, 9}}, 1.0);
   b.AddNode("b", IntervalSet{{0, 19}}, 0.0);
   b.AddEdge(0, 1, IntervalSet{{3, 7}}, 1.0);
@@ -165,7 +227,7 @@ TEST(ExpansionViewTest, SingleIntervalValidityStaysInline) {
 TEST(ExpansionViewTest, DuplicateValiditySetsAreInterned) {
   const IntervalSet shared{{1, 3}, {6, 9}};
   const IntervalSet other{{0, 2}, {5, 5}};
-  GraphBuilder b(12, ValidityPolicy::kStrict);
+  GraphBuilder b(kWideTimeline, ValidityPolicy::kStrict);
   const NodeId hub = b.AddNode("hub", IntervalSet{{0, 11}}, 0.0);
   for (int i = 0; i < 4; ++i) {
     const NodeId n =

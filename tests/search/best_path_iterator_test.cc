@@ -150,8 +150,8 @@ TEST_P(IteratorOracleTest, MatchesBruteForceOnRandomGraphs) {
       for (NtdId id = iter.Next(); id != kInvalidNtd; id = iter.Next()) {
         const Ntd& ntd = iter.ntd(id);
         const double value =
-            FactorValue(factor, PathFacts{ntd.dist, ntd.time});
-        for (const TimePoint t : ntd.time.Instants()) {
+            FactorValue(factor, PathFacts{ntd.dist, iter.TimeOf(id)});
+        for (const TimePoint t : iter.TimeOf(id).Instants()) {
           claimed[ntd.node].emplace(t, value);  // First pop wins.
           const auto [cell, inserted] = best_popped[ntd.node].emplace(t, value);
           if (!inserted) cell->second = std::max(cell->second, value);
@@ -220,7 +220,7 @@ TEST(BestPathIteratorTest, SingleNodeGraph) {
   const NtdId first = iter.Next();
   ASSERT_NE(first, kInvalidNtd);
   EXPECT_EQ(iter.ntd(first).node, 0);
-  EXPECT_EQ(iter.ntd(first).time, (IntervalSet{{1, 3}}));
+  EXPECT_EQ(iter.TimeOf(first), (IntervalSet{{1, 3}}));
   EXPECT_DOUBLE_EQ(iter.ntd(first).dist, 0.0);
   EXPECT_EQ(iter.Next(), kInvalidNtd);
   EXPECT_EQ(iter.PeekScore(), nullptr);
@@ -238,14 +238,14 @@ TEST(BestPathIteratorTest, TimeIncompatiblePathNotReported) {
   const auto at_mary = iter.PoppedAt(ids.mary);
   ASSERT_FALSE(at_mary.empty());
   for (const NtdId id : at_mary) {
-    EXPECT_FALSE(iter.ntd(id).time.IsEmpty());
+    EXPECT_FALSE(iter.TimeOf(id).IsEmpty());
     // Reconstruct the path and check it never routes through Microsoft
     // alone (the invalid shortcut): every reported path has a valid time.
     IntervalSet along = g.node(ids.mary).validity;
     for (const EdgeId e : iter.PathEdges(id)) {
       along = along.Intersect(g.edge(e).validity);
     }
-    EXPECT_EQ(along, iter.ntd(id).time);
+    EXPECT_EQ(along, iter.TimeOf(id));
   }
 }
 
@@ -258,7 +258,7 @@ TEST(BestPathIteratorTest, ShortestPathDiffersAcrossInstants) {
   for (NtdId id = iter.Next(); id != kInvalidNtd; id = iter.Next()) {
     const Ntd& ntd = iter.ntd(id);
     if (ntd.node != ids.mary) continue;
-    for (const TimePoint t : ntd.time.Instants()) {
+    for (const TimePoint t : iter.TimeOf(id).Instants()) {
       best_at.emplace(t, ntd.dist);
     }
   }
@@ -299,7 +299,7 @@ TEST(BestPathIteratorTest, EndTimeRankingPopsLatestFirst) {
   BestPathIterator iter(g, ids.mary, options);
   TimePoint last_end = g.timeline_length();
   for (NtdId id = iter.Next(); id != kInvalidNtd; id = iter.Next()) {
-    const TimePoint end = iter.ntd(id).time.End();
+    const TimePoint end = iter.TimeOf(id).End();
     EXPECT_LE(end, last_end);
     last_end = end;
   }
@@ -344,7 +344,7 @@ TEST(BestPathIteratorTest, DurationExample33KeepsOverlappingNtds) {
   int64_t best_duration_at_n2 = 0;
   for (const NtdId id : iter.PoppedAt(n2)) {
     best_duration_at_n2 =
-        std::max(best_duration_at_n2, iter.ntd(id).time.Duration());
+        std::max(best_duration_at_n2, iter.TimeOf(id).Duration());
   }
   // Longest duration at n' is t5-t14 via c: 10 instants.
   EXPECT_EQ(best_duration_at_n2, 10);

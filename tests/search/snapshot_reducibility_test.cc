@@ -102,18 +102,19 @@ void CheckSnapshotReducibility(const TemporalGraph& g, NodeId source,
     IntervalSet covered;  // Union of popped NTD time-sets at n.
     for (const search::NtdId id : iter.PoppedAt(n)) {
       const search::Ntd& ntd = iter.ntd(id);
+      const IntervalSet time = iter.TimeOf(id);
       ASSERT_EQ(ntd.node, n);
-      ASSERT_FALSE(ntd.time.IsEmpty()) << context;
-      covered = covered.Union(ntd.time);
+      ASSERT_FALSE(time.IsEmpty()) << context;
+      covered = covered.Union(time);
 
-      // Check 3: the parent-chain path is valid throughout ntd.time and
-      // reproduces the distance exactly.
+      // Check 3: the parent-chain path is valid throughout the NTD's time
+      // and reproduces the distance exactly.
       const std::vector<EdgeId> path = iter.PathEdges(id);
-      EXPECT_TRUE(g.node(n).validity.Subsumes(ntd.time)) << context;
+      EXPECT_TRUE(g.node(n).validity.Subsumes(time)) << context;
       for (const EdgeId e : path) {
-        EXPECT_TRUE(g.edge(e).validity.Subsumes(ntd.time))
+        EXPECT_TRUE(g.edge(e).validity.Subsumes(time))
             << context << " node " << n << ": edge " << e
-            << " not valid over " << ntd.time.ToString();
+            << " not valid over " << time.ToString();
       }
       EXPECT_EQ(PathWeight(g, n, path), ntd.dist)
           << context << " node " << n << " ntd " << id;
@@ -124,7 +125,7 @@ void CheckSnapshotReducibility(const TemporalGraph& g, NodeId source,
       std::optional<double> temporal_best;
       for (const search::NtdId id : iter.PoppedAt(n)) {
         const search::Ntd& ntd = iter.ntd(id);
-        if (!ntd.time.Contains(t)) continue;
+        if (!iter.TimeOf(id).Contains(t)) continue;
         if (!temporal_best.has_value() || ntd.dist < *temporal_best) {
           temporal_best = ntd.dist;
         }

@@ -134,6 +134,10 @@ TEST(HttpServerTest, HealthzAndVarz) {
   ASSERT_TRUE(varz.ok()) << r.body;
   EXPECT_EQ(varz->Find("dataset")->AsString(), "test");
   EXPECT_EQ(varz->Find("nodes")->AsInt(), 7);
+  // Fig. 1's 8-instant timeline fits a TimeMask.
+  EXPECT_EQ(varz->Find("time_representation")->AsString(), "mask");
+  EXPECT_EQ(varz->Find("edge_slot_bytes")->AsInt(), 32);
+  EXPECT_EQ(varz->Find("node_slot_bytes")->AsInt(), 24);
   EXPECT_FALSE(varz->Find("draining")->AsBool());
   EXPECT_EQ(varz->Find("max_queue")->AsInt(), 64);
 }

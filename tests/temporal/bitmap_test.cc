@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "temporal/interval_set.h"
+#include "temporal/time_mask.h"
 
 namespace tgks::temporal {
 namespace {
@@ -189,6 +191,23 @@ TEST(BitmapPropertyTest, OpsMatchPerBitReference) {
     EXPECT_EQ(a.IsSubsetOf(b), subset);
     EXPECT_EQ(a.Intersects(b), intersects);
     EXPECT_EQ(a.Count(), count_a);
+  }
+}
+
+TEST(BitmapTest, AssignMaskMatchesIntervalFill) {
+  // Sizes below, at and across the word boundary; the mask may hold bits
+  // past `size`, which must not leak into the padding.
+  const TimeMask mask = TimeMask::Range(0, 2) | TimeMask::Range(62, 66) |
+                        TimeMask::Point(127);
+  Bitmap bitmap(3);  // Start from a different size: storage is reused.
+  for (const int64_t size : {1, 63, 64, 65, 100, 128}) {
+    bitmap.AssignMask(size, mask);
+    const Bitmap want = mask.ToIntervalSet()
+                            .Intersect(IntervalSet::All(
+                                static_cast<TimePoint>(size)))
+                            .ToBitmap(static_cast<TimePoint>(size));
+    EXPECT_EQ(bitmap, want) << size;
+    EXPECT_EQ(bitmap.Count(), want.Count()) << size;
   }
 }
 

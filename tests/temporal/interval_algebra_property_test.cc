@@ -11,7 +11,11 @@
 //   * agreement with the instant-by-instant model for union, intersection,
 //     subtraction, complement, Subsumes, Overlaps, Contains, Duration,
 //   * the canonical empty-interval normalization: [0,-1] is the only empty
-//     representation an operation may produce.
+//     representation an operation may produce,
+//   * TimeMask, the 128-instant word-parallel representation the search
+//     runs on short timelines, against IntervalSet: every operation, the
+//     conversions both ways, and the word-boundary instants 0, 63, 64, 127
+//     plus the empty set and the full timeline.
 
 #include <algorithm>
 #include <string>
@@ -23,12 +27,14 @@
 #include "common/random.h"
 #include "temporal/interval.h"
 #include "temporal/interval_set.h"
+#include "temporal/time_mask.h"
 
 namespace tgks {
 namespace {
 
 using temporal::Interval;
 using temporal::IntervalSet;
+using temporal::TimeMask;
 using temporal::TimePoint;
 
 constexpr TimePoint kUniverse = 24;  // Property tests run within [0, 24).
@@ -322,6 +328,147 @@ TEST(IntervalNormalizationTest, ConstructorCanonicalizesAdjacency) {
   const IntervalSet gap({Interval(0, 2), Interval(4, 5)});
   ASSERT_EQ(gap.intervals().size(), 2u);  // Gap at 3 stays a gap.
   EXPECT_EQ(gap.Duration(), 5);
+}
+
+
+// TimeMask agreement. Sets are drawn over the mask's whole capacity with
+// endpoints biased towards the word-boundary instants, and every mask
+// operation is checked against the same operation on IntervalSet.
+
+/// An instant of [0, 128), a third of the time at a word boundary.
+TimePoint RandomMaskInstant(Rng* rng) {
+  constexpr TimePoint kBoundaries[] = {0, 1, 62, 63, 64, 65, 126, 127};
+  if (rng->Bernoulli(0.3)) {
+    return kBoundaries[rng->Uniform(std::size(kBoundaries))];
+  }
+  return static_cast<TimePoint>(rng->Uniform(TimeMask::kCapacity));
+}
+
+/// A set within [0, 128): empty, the full timeline, or 1-6 random
+/// intervals.
+IntervalSet RandomMaskableSet(Rng* rng) {
+  switch (rng->Uniform(10)) {
+    case 0:
+      return IntervalSet();
+    case 1:
+      return IntervalSet::All(TimeMask::kCapacity);
+    default:
+      break;
+  }
+  std::vector<Interval> intervals;
+  const int n = 1 + static_cast<int>(rng->Uniform(6));
+  for (int i = 0; i < n; ++i) {
+    const TimePoint a = RandomMaskInstant(rng);
+    const TimePoint b = RandomMaskInstant(rng);
+    intervals.push_back(Interval(std::min(a, b), std::max(a, b)));
+  }
+  return IntervalSet(std::move(intervals));
+}
+
+TEST_P(IntervalAlgebraPropertyTest, TimeMaskAgreesWithIntervalSet) {
+  Rng rng(GetParam() ^ 0x3A5C);
+  std::vector<IntervalSet> dests = RepresentationZoo();
+  size_t next_dest = 0;
+  for (int round = 0; round < 300; ++round) {
+    const IntervalSet a = RandomMaskableSet(&rng);
+    const IntervalSet b = RandomMaskableSet(&rng);
+    const TimeMask ma = TimeMask::FromIntervalSet(a);
+    const TimeMask mb = TimeMask::FromIntervalSet(b);
+    const std::string ctx = "round " + std::to_string(round) +
+                            ": A=" + a.ToString() + " B=" + b.ToString();
+
+    // Round trip and rendering.
+    EXPECT_EQ(ma.ToIntervalSet(), a) << ctx;
+    AssertCanonical(ma.ToIntervalSet(), ctx + " (to-interval-set)");
+    EXPECT_EQ(ma.ToString(), a.ToString()) << ctx;
+    std::vector<Interval> runs;
+    ma.ForEachRun([&runs](Interval iv) { runs.push_back(iv); });
+    EXPECT_TRUE(std::equal(runs.begin(), runs.end(), a.intervals().begin(),
+                           a.intervals().end()))
+        << ctx;
+
+    // Set algebra.
+    EXPECT_EQ((ma & mb).ToIntervalSet(), a.Intersect(b)) << ctx;
+    EXPECT_EQ((ma | mb).ToIntervalSet(), a.Union(b)) << ctx;
+    EXPECT_EQ(ma.Subtract(mb).ToIntervalSet(), a.Subtract(b)) << ctx;
+    TimeMask acc = ma;
+    acc |= mb;
+    EXPECT_EQ(acc, ma | mb) << ctx;
+    acc &= mb;
+    EXPECT_EQ(acc, mb) << ctx;  // (A ∪ B) ∩ B == B.
+    EXPECT_EQ(ma == mb, a == b) << ctx;
+
+    // Predicates and scalar queries.
+    EXPECT_EQ(ma.Subsumes(mb), a.Subsumes(b)) << ctx;
+    EXPECT_EQ(ma.IsCoveredBy(mb), a.IsCoveredBy(b)) << ctx;
+    EXPECT_EQ(ma.Overlaps(mb), a.Overlaps(b)) << ctx;
+    EXPECT_EQ(ma.IsEmpty(), a.IsEmpty()) << ctx;
+    EXPECT_EQ(ma.Duration(), a.Duration()) << ctx;
+    EXPECT_EQ(ma.Start(), a.Start()) << ctx;
+    EXPECT_EQ(ma.End(), a.End()) << ctx;
+    for (const TimePoint t : {-1, 0, 63, 64, 127, 128}) {
+      EXPECT_EQ(ma.Contains(t), a.Contains(t)) << ctx << " t=" << t;
+    }
+    const TimePoint t = RandomMaskInstant(&rng);
+    EXPECT_EQ(ma.Contains(t), a.Contains(t)) << ctx << " t=" << t;
+
+    // The IntervalSet-side mask operations, into destinations of every
+    // representation (spilled ones included) to catch stale-state reuse.
+    IntervalSet& dst = dests[next_dest++ % dests.size()];
+    dst.AssignIntersectionOf(a, mb);
+    EXPECT_EQ(dst, a.Intersect(b)) << ctx;
+    AssertCanonical(dst, ctx + " (assign-intersect-mask)");
+    dst.AssignFromMask(ma);
+    EXPECT_EQ(dst, a) << ctx;
+    AssertCanonical(dst, ctx + " (assign-from-mask)");
+  }
+}
+
+TEST(TimeMaskTest, WordBoundaryInstants) {
+  for (const TimePoint t : {0, 63, 64, 127}) {
+    const TimeMask p = TimeMask::Point(t);
+    EXPECT_EQ(p.Duration(), 1) << t;
+    EXPECT_EQ(p.Start(), t);
+    EXPECT_EQ(p.End(), t);
+    EXPECT_TRUE(p.Contains(t));
+    EXPECT_EQ(p.ToIntervalSet(), IntervalSet::Point(t));
+  }
+  // A run across the word boundary is one interval.
+  const TimeMask straddle = TimeMask::Range(63, 64);
+  EXPECT_EQ(straddle.lo(), uint64_t{1} << 63);
+  EXPECT_EQ(straddle.hi(), uint64_t{1});
+  EXPECT_EQ(straddle.ToIntervalSet(), (IntervalSet{{63, 64}}));
+  EXPECT_EQ(straddle.Duration(), 2);
+  // Instants outside [0, 128) are never held.
+  EXPECT_TRUE(TimeMask::Point(-1).IsEmpty());
+  EXPECT_TRUE(TimeMask::Point(128).IsEmpty());
+  EXPECT_FALSE(TimeMask::All(128).Contains(128));
+  EXPECT_EQ(TimeMask::Range(-5, 500), TimeMask::All(TimeMask::kCapacity));
+  EXPECT_EQ(TimeMask::FromIntervalSet(IntervalSet{{120, 300}}),
+            TimeMask::Range(120, 127));
+}
+
+TEST(TimeMaskTest, EmptyAndFullTimeline) {
+  const TimeMask empty;
+  EXPECT_TRUE(empty.IsEmpty());
+  EXPECT_EQ(empty.Duration(), 0);
+  EXPECT_EQ(empty.Start(), temporal::kNoTimePoint);
+  EXPECT_EQ(empty.End(), temporal::kNoTimePoint);
+  EXPECT_EQ(empty.ToIntervalSet(), IntervalSet());
+  EXPECT_EQ(empty.ToString(), IntervalSet().ToString());
+  EXPECT_TRUE(TimeMask::Range(5, 4).IsEmpty());
+  for (const TimePoint length : {1, 63, 64, 65, 100, 127, 128}) {
+    const TimeMask all = TimeMask::All(length);
+    EXPECT_EQ(all.ToIntervalSet(), IntervalSet::All(length)) << length;
+    EXPECT_EQ(all.Duration(), length);
+    EXPECT_EQ(all.Start(), 0);
+    EXPECT_EQ(all.End(), length - 1);
+    EXPECT_TRUE(all.Subsumes(empty));
+    EXPECT_FALSE(empty.Subsumes(all));
+    EXPECT_FALSE(all.Overlaps(empty));
+  }
+  EXPECT_TRUE(TimeMask::Fits(128));
+  EXPECT_FALSE(TimeMask::Fits(129));
 }
 
 }  // namespace

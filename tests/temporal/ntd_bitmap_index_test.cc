@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "temporal/time_mask.h"
 
 namespace tgks::temporal {
 namespace {
@@ -194,6 +195,62 @@ TEST(NtdIndexCrossCheckTest, ImplementationsAgree) {
     EXPECT_EQ(naive->LiveRows(), static_cast<int64_t>(live.size()));
     EXPECT_EQ(row->LiveRows(), static_cast<int64_t>(live.size()));
     EXPECT_EQ(col->LiveRows(), static_cast<int64_t>(live.size()));
+  }
+}
+
+// The TimeMask forms (what iterators on timelines of <= 128 instants call)
+// must behave exactly like the IntervalSet forms: same handles, same
+// answers, same collected rows in the same order — per implementation.
+TEST(NtdIndexCrossCheckTest, MaskFormsMatchIntervalForms) {
+  constexpr TimePoint kHorizon = TimeMask::kCapacity;
+  for (const NtdIndexKind kind :
+       {NtdIndexKind::kNaive, NtdIndexKind::kRowMajor,
+        NtdIndexKind::kColumnMajor}) {
+    Rng rng(777);
+    auto by_set = CreateNtdIndex(kind, kHorizon);
+    auto by_mask = CreateNtdIndex(kind, kHorizon);
+    std::vector<NtdRowHandle> live;
+    auto random_set = [&rng]() {
+      // Endpoints straddle the 64-bit word boundary often.
+      std::vector<Interval> ivs;
+      const int n = 1 + static_cast<int>(rng.Uniform(3));
+      for (int i = 0; i < n; ++i) {
+        const TimePoint a = static_cast<TimePoint>(
+            rng.Bernoulli(0.3) ? 60 + rng.Uniform(8) : rng.Uniform(kHorizon));
+        const TimePoint b = static_cast<TimePoint>(rng.Uniform(kHorizon));
+        ivs.emplace_back(std::min(a, b), std::max(a, b));
+      }
+      return IntervalSet(std::move(ivs));
+    };
+    for (int step = 0; step < 400; ++step) {
+      const double action = rng.UniformDouble();
+      const IntervalSet t = random_set();
+      const TimeMask m = TimeMask::FromIntervalSet(t);
+      if (action < 0.45 || live.empty()) {
+        const NtdRowHandle h = by_set->AddRow(t);
+        ASSERT_EQ(by_mask->AddRow(m), h);
+        live.push_back(h);
+      } else if (action < 0.6) {
+        const size_t i = rng.Uniform(live.size());
+        by_set->RemoveRow(live[i]);
+        by_mask->RemoveRow(live[i]);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+      } else {
+        EXPECT_EQ(by_mask->SubsumedByExisting(m),
+                  by_set->SubsumedByExisting(t));
+        const auto want = by_set->CollectSubsumed(t);
+        const std::vector<NtdRowHandle> want_rows(want.begin(), want.end());
+        const auto got = by_mask->CollectSubsumed(m);
+        EXPECT_EQ(std::vector<NtdRowHandle>(got.begin(), got.end()),
+                  want_rows);
+      }
+      ASSERT_EQ(by_mask->LiveRows(), by_set->LiveRows());
+    }
+    // Reset leaves both in the fresh state: handles restart identically.
+    by_set->Reset();
+    by_mask->Reset();
+    EXPECT_EQ(by_mask->AddRow(TimeMask::Range(63, 64)),
+              by_set->AddRow(IntervalSet{{63, 64}}));
   }
 }
 

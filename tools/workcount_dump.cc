@@ -26,6 +26,7 @@
 //        workcount_dump [--parallel] [--results] [--pruned] [--cache]
 //            --dataset <dblp|social> ...
 //        workcount_dump --layout <dblp|social> [--layout ...]
+//        (every form also takes --pad-timeline <n>)
 //
 // --cache runs the same suite with the in-engine query caches (levels 1-2,
 // docs/caching.md) enabled and appends one "cache-summary <tag> ..." line
@@ -48,9 +49,18 @@
 // ntds_popped(guided) <= ntds_popped(baseline) plus an aggregate savings
 // floor (see docs/reachability.md, "Distance-guided search").
 //
-// --layout prints the ExpansionView packing statistics (slot counts,
-// inline/pooled split, validity-pool interning hit rate) for a generated
-// dataset; docs/performance.md quotes these numbers.
+// --layout prints the ExpansionView packing statistics (time
+// representation, bytes per slot, slot counts, inline/pooled split,
+// validity-pool interning hit rate) for a generated dataset;
+// docs/performance.md quotes these numbers.
+//
+// --pad-timeline <n> rebuilds every graph over max(own, n) instants before
+// running (graph::RebuildWithTimeline): same elements, same ids. With n
+// above TimeMask::kCapacity (128) the search runs its IntervalSet path
+// instead of the TimeMask one, and since the two paths do identical work,
+// the output must equal the unpadded run's line for line —
+// scripts/workcount_check.sh --wide diffs it against the same expected
+// files.
 //
 // --results replaces the counter lines with per-query result fingerprints
 // (result count, stop reason, an order-sensitive hash over every result
@@ -63,6 +73,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -73,6 +84,7 @@
 #include "datagen/query_generator.h"
 #include "datagen/social_generator.h"
 #include "graph/expansion_view.h"
+#include "graph/graph_builder.h"
 #include "graph/inverted_index.h"
 #include "graph/reachability_index.h"
 #include "graph/serialization.h"
@@ -87,6 +99,20 @@ bool g_results = false;   // Print result fingerprints, not work counters.
 bool g_pruned = false;    // Run with the reachability prune enabled.
 bool g_cache = false;     // Run with the query caches (levels 1-2) enabled.
 bool g_guided = false;    // Run with distance-guided search enabled.
+int32_t g_pad_timeline = 0;  // Rebuild graphs over >= this many instants.
+
+/// Applies --pad-timeline to a freshly built or loaded graph.
+int PadTimeline(tgks::graph::TemporalGraph* graph) {
+  if (g_pad_timeline <= graph->timeline_length()) return 0;
+  auto padded = tgks::graph::RebuildWithTimeline(*graph, g_pad_timeline);
+  if (!padded.ok()) {
+    std::fprintf(stderr, "pad timeline: %s\n",
+                 padded.status().ToString().c_str());
+    return 1;
+  }
+  *graph = std::move(padded).value();
+  return 0;
+}
 
 tgks::search::SearchOptions SuiteOptions(tgks::cache::QueryCaches* caches) {
   tgks::search::SearchOptions options;
@@ -210,7 +236,8 @@ int RunGoldenStems(const std::string& dir,
                    loaded.status().ToString().c_str());
       return 1;
     }
-    const tgks::graph::TemporalGraph g = std::move(loaded).value();
+    tgks::graph::TemporalGraph g = std::move(loaded).value();
+    if (const int rc = PadTimeline(&g); rc != 0) return rc;
     const tgks::graph::InvertedIndex index(g);
     const tgks::search::SearchEngine engine(g, &index);
     // Caches are per-graph (match lists embed node ids), so each stem gets
@@ -292,7 +319,7 @@ int BuildDataset(const std::string& name, tgks::graph::TemporalGraph* graph,
                  name.c_str());
     return 2;
   }
-  return 0;
+  return PadTimeline(graph);
 }
 
 int RunDataset(const std::string& name) {
@@ -345,10 +372,15 @@ int RunLayout(const std::string& name) {
   if (const int rc = BuildDataset(name, &graph, &workload); rc != 0) return rc;
   const auto& s = graph.expansion_view().layout_stats();
   std::printf(
-      "%s edge_slots=%lld inline_edge_slots=%lld pooled_edge_slots=%lld "
+      "%s timeline=%d time_repr=%s edge_slot_bytes=%lld node_slot_bytes=%lld "
+      "edge_slots=%lld inline_edge_slots=%lld pooled_edge_slots=%lld "
       "inline_node_slots=%lld pooled_node_slots=%lld pool_entries=%lld "
       "intern_hits=%lld\n",
-      name.c_str(), static_cast<long long>(s.edge_slots),
+      name.c_str(), static_cast<int>(graph.timeline_length()),
+      s.time_masks ? "mask" : "interval",
+      static_cast<long long>(s.edge_slot_bytes),
+      static_cast<long long>(s.node_slot_bytes),
+      static_cast<long long>(s.edge_slots),
       static_cast<long long>(s.inline_edge_slots),
       static_cast<long long>(s.pooled_edge_slots),
       static_cast<long long>(s.inline_node_slots),
@@ -386,6 +418,8 @@ int main(int argc, char** argv) {
       g_cache = true;
     } else if (std::strcmp(argv[i], "--guided") == 0) {
       g_guided = true;
+    } else if (std::strcmp(argv[i], "--pad-timeline") == 0 && i + 1 < argc) {
+      g_pad_timeline = static_cast<int32_t>(std::atoi(argv[++i]));
     } else {
       args.push_back(argv[i]);
     }
@@ -394,10 +428,11 @@ int main(int argc, char** argv) {
     std::fprintf(
         stderr,
         "usage: %s [--parallel] [--results] [--pruned] [--cache] [--guided] "
-        "<golden-dir> [graph stems...]\n"
+        "[--pad-timeline <n>] <golden-dir> [graph stems...]\n"
         "       %s [--parallel] [--results] [--pruned] [--cache] [--guided] "
-        "--dataset <dblp|dblp-bounded|social> ...\n"
-        "       %s --layout <dblp|dblp-bounded|social> [--layout ...]\n",
+        "[--pad-timeline <n>] --dataset <dblp|dblp-bounded|social> ...\n"
+        "       %s [--pad-timeline <n>] --layout <dblp|dblp-bounded|social> "
+        "[--layout ...]\n",
         argv[0], argv[0], argv[0]);
     return 2;
   }
