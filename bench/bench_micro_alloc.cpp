@@ -14,7 +14,11 @@
 // results) are pooled and refilled in place across Reset(). The social
 // graph's 100-instant timeline runs the TimeMask path; the *_wide scenarios
 // re-run partition and subsumption on the same graph padded to 200 instants,
-// which runs the IntervalSet path (spill buffers, parallel time arena).
+// which runs the IntervalSet path (spill buffers, parallel time arena). The
+// *_weighted_overlay scenario drains a reweighted copy of the graph split
+// into base and delta overlay: increments differ per in-slot, so the lazy
+// relevance frontier queues one entry per slot (docs/algorithms.md, "Lazy
+// successor generation") on base and delta runs alike.
 //
 // A fourth scenario gates candidate generation on a warm engine query with
 // many duplicates: no allocation per duplicate or rejected candidate (see
@@ -29,10 +33,13 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <vector>
 
 #include "baseline/dijkstra_iterator.h"
 #include "bench/bench_util.h"
+#include "graph/delta_overlay.h"
 #include "graph/graph_builder.h"
 #include "search/best_path_iterator.h"
 #include "search/label_correcting_iterator.h"
@@ -254,6 +261,45 @@ bool MeasureFrontierQuery(const graph::TemporalGraph& graph) {
   return true;
 }
 
+/// A reweighted copy of a graph, split into a base graph (the first 9/10
+/// of the nodes and the edges among them) and a delta overlay with the
+/// rest. The overlay points into the base, so both live on the heap.
+struct WeightedOverlay {
+  std::unique_ptr<graph::TemporalGraph> base;
+  std::shared_ptr<const graph::DeltaOverlay> overlay;
+};
+
+WeightedOverlay MakeWeightedOverlay(const graph::TemporalGraph& g) {
+  const graph::NodeId base_nodes = g.num_nodes() / 10 * 9;
+  graph::GraphBuilder b(g.timeline_length(), graph::ValidityPolicy::kStrict);
+  std::vector<graph::Node> delta_nodes;
+  std::vector<graph::Edge> delta_edges;
+  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+    graph::Node node = g.node(v);
+    node.weight = 0.25 * static_cast<double>(v % 3);
+    if (v < base_nodes) {
+      b.AddNode(node.label, node.validity, node.weight);
+    } else {
+      delta_nodes.push_back(std::move(node));
+    }
+  }
+  for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
+    graph::Edge edge = g.edge(e);
+    edge.weight = 1.0 + 0.5 * static_cast<double>(e % 4);
+    if (edge.src < base_nodes && edge.dst < base_nodes) {
+      b.AddEdge(edge.src, edge.dst, edge.validity, edge.weight);
+    } else {
+      delta_edges.push_back(std::move(edge));
+    }
+  }
+  WeightedOverlay out;
+  out.base =
+      std::make_unique<graph::TemporalGraph>(std::move(b.Build()).value());
+  out.overlay = graph::DeltaOverlay::Extend(
+      *out.base, nullptr, std::move(delta_nodes), std::move(delta_edges));
+  return out;
+}
+
 int Main() {
   const datagen::SocialDataset social = MakeSocial();
   const graph::TemporalGraph& graph = social.graph;
@@ -320,6 +366,20 @@ int Main() {
       return pops;
     });
   }
+
+  const WeightedOverlay weighted = MakeWeightedOverlay(graph);
+  hot_path_allocs += MeasureScenario("best_path_partition_weighted_overlay",
+                                     [&] {
+    int64_t pops = 0;
+    for (const graph::NodeId source : sources) {
+      search::BestPathIterator::Options options;
+      options.ranking.factors = {search::RankFactor::kRelevance};
+      options.overlay = weighted.overlay.get();
+      search::BestPathIterator iter(*weighted.base, source, options);
+      while (iter.Next() != search::kInvalidNtd) ++pops;
+    }
+    return pops;
+  });
 
   // The gate: every iterator — including duration-ranking subsumption, on
   // both time representations — must be allocation-free in steady state.

@@ -14,6 +14,14 @@
 #     the same bibliographic graph with bounded (non-suffix) validity
 #     intervals — the temporal shape append-only dblp can never produce.
 #
+# Each suite also has a pop-sequence gate: workcount_dump --popseq prints,
+# per query and keyword frontier, one order-sensitive hash over every pop's
+# (origin, node, dist, time, via_edge), diffed against
+# tests/golden/popseq.expected / popseq_datasets.expected (and the
+# popseq_pruned* pair under --pruned; --wide diffs all four). The counters
+# above may move when the frontier changes how it creates NTDs; these lines
+# may not, because the pops are what the answers are built from.
+#
 # The counters measure *algorithmic* work (pops, scans, prunes) rather than
 # wall time, so they are bit-stable across machines, build flavours, and
 # stats modes — any diff means the search explored a different state space
@@ -108,7 +116,7 @@ check_suite() {  # <expected-file> <dump args...>
   if ! diff -u "${expected}" "${actual}"; then
     rm -f "${actual}"
     echo "" >&2
-    echo "workcount_check: FAIL — search work counters diverged from" >&2
+    echo "workcount_check: FAIL — workcount_dump output diverged from" >&2
     echo "$(basename "${expected}"). If the change is intentional," >&2
     echo "re-run with TGKS_UPDATE_WORKCOUNTS=1 and commit the new file." >&2
     exit 1
@@ -250,6 +258,14 @@ if [[ "${WIDE}" == "1" ]]; then
   check_suite "${GOLDEN_DIR}/workcounts_pruned_datasets.expected" \
     "${PAD[@]}" --pruned --dataset dblp --dataset dblp-bounded \
     --dataset social
+  check_suite "${GOLDEN_DIR}/popseq.expected" "${PAD[@]}" --popseq \
+    "${GOLDEN_DIR}"
+  check_suite "${GOLDEN_DIR}/popseq_datasets.expected" "${PAD[@]}" \
+    --popseq --dataset dblp --dataset dblp-bounded --dataset social
+  check_suite "${GOLDEN_DIR}/popseq_pruned.expected" "${PAD[@]}" \
+    --popseq --pruned "${GOLDEN_DIR}"
+  check_suite "${GOLDEN_DIR}/popseq_pruned_datasets.expected" "${PAD[@]}" \
+    --popseq --pruned --dataset dblp --dataset dblp-bounded --dataset social
   wide_results_suite "golden" "${GOLDEN_DIR}"
   wide_results_suite "datasets" --dataset dblp --dataset dblp-bounded \
     --dataset social
@@ -271,6 +287,10 @@ if [[ "${PRUNED}" == "1" ]]; then
     "${GOLDEN_DIR}"
   check_suite "${GOLDEN_DIR}/workcounts_pruned_datasets.expected" --pruned \
     --dataset dblp --dataset dblp-bounded --dataset social
+  check_suite "${GOLDEN_DIR}/popseq_pruned.expected" --popseq --pruned \
+    "${GOLDEN_DIR}"
+  check_suite "${GOLDEN_DIR}/popseq_pruned_datasets.expected" --popseq \
+    --pruned --dataset dblp --dataset dblp-bounded --dataset social
   pruned_results_suite "golden" "${GOLDEN_DIR}"
   pruned_results_suite "dblp" --dataset dblp
   check_suite "${GOLDEN_DIR}/workcounts_pruned_results_dblp_bounded.expected" \
@@ -299,4 +319,7 @@ fi
 
 check_suite "${GOLDEN_DIR}/workcounts.expected" "${GOLDEN_DIR}"
 check_suite "${GOLDEN_DIR}/workcounts_datasets.expected" \
+  --dataset dblp --dataset dblp-bounded --dataset social
+check_suite "${GOLDEN_DIR}/popseq.expected" --popseq "${GOLDEN_DIR}"
+check_suite "${GOLDEN_DIR}/popseq_datasets.expected" --popseq \
   --dataset dblp --dataset dblp-bounded --dataset social

@@ -1,5 +1,7 @@
 #include "graph/expansion_view.h"
 
+#include <bit>
+#include <cstdint>
 #include <cstring>
 #include <span>
 #include <string>
@@ -21,6 +23,10 @@ std::string PoolKey(const IntervalSet& set) {
   const std::span<const Interval> ivs = set.intervals();
   return std::string(reinterpret_cast<const char*>(ivs.data()),
                      ivs.size_bytes());
+}
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
 }
 
 }  // namespace
@@ -61,10 +67,16 @@ ExpansionView ExpansionView::Build(const TemporalGraph& g) {
   };
 
   view.node_slots_.resize(static_cast<size_t>(n));
+  // Whether every node weighs the same: then a node's in-slots are uniform
+  // iff their edge weights are, and the slot loop skips the random reads
+  // of source-node weights.
+  bool same_node_weights = true;
   for (NodeId v = 0; v < n; ++v) {
     NodeSlot& ns = view.node_slots_[static_cast<size_t>(v)];
     const Node& node = g.node(v);
     ns.weight = node.weight;
+    same_node_weights = same_node_weights &&
+                        SameBits(node.weight, view.node_slots_[0].weight);
     if (pack(node.validity, &ns.validity)) {
       ++view.stats_.inline_node_slots;
     } else {
@@ -75,9 +87,12 @@ ExpansionView ExpansionView::Build(const TemporalGraph& g) {
   const size_t m = static_cast<size_t>(g.num_edges());
   view.in_offsets_.resize(static_cast<size_t>(n) + 1);
   view.in_slots_.resize(m);
+  view.uniform_in_.assign((static_cast<size_t>(n) + 63) / 64, 0);
   size_t slot = 0;
   for (NodeId v = 0; v < n; ++v) {
+    const size_t first = slot;
     view.in_offsets_[static_cast<size_t>(v)] = static_cast<int64_t>(slot);
+    bool uniform = true;
     for (const EdgeId e : g.InEdges(v)) {
       const Edge& edge = g.edge(e);
       EdgeSlot& es = view.in_slots_[slot];
@@ -89,7 +104,20 @@ ExpansionView ExpansionView::Build(const TemporalGraph& g) {
       } else {
         ++view.stats_.pooled_edge_slots;
       }
+      // Compared bit for bit, as (edge weight, source weight) pairs: equal
+      // sums of different pairs can round differently once added to a
+      // distance, and only identical pairs give identical child distances.
+      const EdgeSlot& head = view.in_slots_[first];
+      uniform = uniform && SameBits(es.weight, head.weight) &&
+                (same_node_weights ||
+                 SameBits(view.node_weight(es.src),
+                          view.node_weight(head.src)));
       ++slot;
+    }
+    if (uniform) {
+      view.uniform_in_[static_cast<size_t>(v) / 64] |=
+          uint64_t{1} << (static_cast<size_t>(v) % 64);
+      ++view.stats_.uniform_in_nodes;
     }
   }
   view.in_offsets_[static_cast<size_t>(n)] = static_cast<int64_t>(slot);

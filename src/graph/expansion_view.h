@@ -33,6 +33,12 @@
 // IntervalSet readers (IntersectEdgeValidity, With*Validity, *AliveAt) work
 // on both encodings, with results identical to the graph's own sets.
 //
+// One bit per node records whether all its in-slots share one increment:
+// the same edge weight and the same source-node weight, so every backward
+// expansion product of the node has the same distance. The relevance
+// frontier's lazy successor generation walks such a node's in-slots with
+// one queue entry (docs/algorithms.md, "Lazy successor generation").
+//
 // Weights are verbatim double copies of the graph's weights: distance
 // arithmetic through the view is bit-identical to going through the graph,
 // which is what keeps the work-count golden suites byte-stable.
@@ -86,6 +92,8 @@ class ExpansionView {
     int64_t pool_entries = 0;      // distinct interned validity sets
     int64_t intern_hits = 0;       // pool references resolved to an
                                    // already-interned set
+    int64_t uniform_in_nodes = 0;  // nodes whose in-slots share one
+                                   // increment (see uniform_in)
   };
 
   ExpansionView() = default;
@@ -113,6 +121,13 @@ class ExpansionView {
 
   double node_weight(NodeId n) const {
     return node_slots_[static_cast<size_t>(n)].weight;
+  }
+
+  /// Whether every in-slot of `n` has the same edge weight and the same
+  /// source-node weight (true for nodes with at most one in-slot).
+  bool uniform_in(NodeId n) const {
+    const size_t i = static_cast<size_t>(n);
+    return (uniform_in_[i / 64] >> (i % 64)) & 1;
   }
 
   /// Whether validities are TimeMasks (the narrow encoding): true iff the
@@ -250,6 +265,7 @@ class ExpansionView {
   std::vector<int64_t> in_offsets_;  // num_nodes + 1 entries.
   std::vector<EdgeSlot> in_slots_;
   std::vector<NodeSlot> node_slots_;
+  std::vector<uint64_t> uniform_in_;  // One bit per node (uniform_in).
 
   std::vector<temporal::IntervalSet> pool_;
   LayoutStats stats_;

@@ -59,9 +59,10 @@ struct SearchStats {
   // Hot-structure pressure.
   int64_t interval_ops = 0;     ///< IntervalSet operations on the search
                                 ///< path (intersect/union/subtract).
-  int64_t heap_high_water = 0;  ///< Max per-source priority-queue size
-                                ///< over all sources of the query's
-                                ///< keyword frontiers.
+  int64_t heap_high_water = 0;  ///< Most entries one source of the
+                                ///< query's keyword frontiers held: its
+                                ///< queue, plus its lazily created head
+                                ///< under pure relevance ranking.
 
   // Phase breakdown in microseconds (match lookup, predicate filtering,
   // best-path expansion, result generation).

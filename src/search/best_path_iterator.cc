@@ -25,6 +25,8 @@ BestPathIterator::BestPathIterator(const graph::TemporalGraph& graph,
       options_(std::move(options)),
       num_sources_(static_cast<int32_t>(sources.size())),
       masks_(TimeMask::Fits(graph.timeline_length())),
+      lazy_(options_.ranking.factors ==
+            FactorList{RankFactor::kRelevance}),
       scratch_(BestPathScratchPool::Acquire()) {
   // Reachability/guidance labels do not cover delta elements; callers must
   // disable both while a non-empty overlay is live (the engine does).
@@ -85,8 +87,7 @@ BestPathIterator::BestPathIterator(const graph::TemporalGraph& graph,
               graph::kInvalidEdge);
     }
     // A lone source NTD is actionable: nothing to settle.
-    const BestPathSourceEntry entry =
-        MakeSourceEntry(slot.queue.top().score, origin);
+    const BestPathSourceEntry entry = MakeSourceEntry(TopScore(slot), origin);
     capped_sources_ += entry.capped;
     scratch_->sources.push(entry);
   }
@@ -134,12 +135,21 @@ NtdId BestPathIterator::PushNtd(BestPathOrigin& slot, int32_t origin,
   ntd.via_edge = via_edge;
   ntd.state = NtdState::kQueued;
   ntd.index_row = -1;
-  slot.queue.push(BestPathQueueEntry{score, id});
+  [[maybe_unused]] int64_t held;
+  if (lazy_) {
+    // Created only when it is strictly the best entry (see CreateHead), so
+    // it is the source's next pop and needs no heap.
+    slot.head = id;
+    slot.head_score = score;
+    held = static_cast<int64_t>(slot.lazy_queue.size()) + 1;
+  } else {
+    slot.queue.push(BestPathQueueEntry{score, id});
+    held = static_cast<int64_t>(slot.queue.size());
+  }
   ++slot.ntds;
   ++stats_.ntds_pushed;
   TGKS_STATS(stats_.heap_high_water =
-                 std::max(stats_.heap_high_water,
-                          static_cast<int64_t>(slot.queue.size())));
+                 std::max(stats_.heap_high_water, held));
   return id;
 }
 
@@ -199,10 +209,16 @@ NtdId BestPathIterator::Next() {
   const int32_t origin = scratch_->sources.top().origin;
   const bool was_capped = scratch_->sources.top().capped;
   BestPathOrigin& slot = scratch_->origins[static_cast<size_t>(origin)];
-  const int32_t trace_iter = options_.trace_iter + origin;
-  // Every queued source is settled, so its queue top is actionable.
-  const NtdId id = slot.queue.top().id;
-  slot.queue.pop();
+  [[maybe_unused]] const int32_t trace_iter = options_.trace_iter + origin;
+  // Every queued source is settled, so its head / queue top is actionable.
+  NtdId id;
+  if (lazy_) {
+    id = slot.head;
+    slot.head = kInvalidNtd;
+  } else {
+    id = slot.queue.top().id;
+    slot.queue.pop();
+  }
   Ntd& ntd = scratch_->arena[static_cast<size_t>(id)];
   ntd.state = NtdState::kPopped;
   TGKS_STATS(if (options_.trace != nullptr) {
@@ -242,15 +258,31 @@ NtdId BestPathIterator::Next() {
   // Settle the source right away, so its heap-of-sources entry carries its
   // next actionable score and the other sources' entries stay exact.
   capped_sources_ -= was_capped;
-  if (SettleTop(slot, trace_iter)) {
-    const BestPathSourceEntry entry =
-        MakeSourceEntry(slot.queue.top().score, origin);
+  if (Settle(slot, origin)) {
+    const BestPathSourceEntry entry = MakeSourceEntry(TopScore(slot), origin);
     capped_sources_ += entry.capped;
     scratch_->sources.replace_top(entry);
   } else {
     scratch_->sources.pop();
   }
   return id;
+}
+
+template <typename Fn>
+decltype(auto) BestPathIterator::WithReader(Fn&& fn) const {
+  const graph::ExpansionView& view = graph_->expansion_view();
+  if (options_.overlay != nullptr && !options_.overlay->empty()) {
+    return fn(OverlayExpansionReader{view, *options_.overlay});
+  }
+  return fn(BaseExpansionReader{view});
+}
+
+bool BestPathIterator::Settle(BestPathOrigin& slot, int32_t origin) {
+  if (!lazy_) return SettleTop(slot, options_.trace_iter + origin);
+  return WithReader([&](const auto& reader) {
+    return masks_ ? CreateHead<TimeMask>(slot, reader)
+                  : CreateHead<IntervalSet>(slot, reader);
+  });
 }
 
 void BestPathIterator::ExpandNeighbors(BestPathOrigin& slot, NtdId id) {
@@ -263,22 +295,15 @@ void BestPathIterator::ExpandNeighbors(BestPathOrigin& slot, NtdId id) {
 
 template <typename Time>
 void BestPathIterator::ExpandNeighborsAs(BestPathOrigin& slot, NtdId id) {
-  const graph::ExpansionView& view = graph_->expansion_view();
-  if (options_.overlay != nullptr && !options_.overlay->empty()) {
-    const OverlayExpansionReader reader{view, *options_.overlay};
-    if (UsesSubsumptionSemantics()) {
+  WithReader([&](const auto& reader) {
+    if (lazy_) {
+      PushContinuations(slot, id, reader);
+    } else if (UsesSubsumptionSemantics()) {
       ExpandNeighborsSubsumption<Time>(slot, id, reader);
     } else {
       ExpandNeighborsPartition<Time>(slot, id, reader);
     }
-    return;
-  }
-  const BaseExpansionReader reader{view};
-  if (UsesSubsumptionSemantics()) {
-    ExpandNeighborsSubsumption<Time>(slot, id, reader);
-  } else {
-    ExpandNeighborsPartition<Time>(slot, id, reader);
-  }
+  });
 }
 
 template <typename Time, typename Reader>
@@ -315,6 +340,62 @@ decltype(auto) ExpansionBuffer(BestPathScratch& scratch) {
 }  // namespace
 
 template <typename Time, typename Reader>
+bool BestPathIterator::ChildSurvives(const BestPathOrigin& slot,
+                                     const Time& parent_time,
+                                     [[maybe_unused]] double parent_dist,
+                                     int64_t s, NodeId neighbor,
+                                     [[maybe_unused]] int32_t trace_iter,
+                                     const Reader& view, Time* tmp) {
+  ++stats_.edges_scanned;
+  if (options_.prune != nullptr &&
+      !ElementsMayQualify<Time>(view, s, neighbor)) {
+    TGKS_STATS(++stats_.prunes);
+    TGKS_STATS(if (options_.trace != nullptr) {
+      options_.trace->Record(obs::TraceEventKind::kPrune, neighbor,
+                             trace_iter, parent_dist);
+    });
+    return false;
+  }
+  // T∩ = T ∩ val(n' -> n); by the model invariant T∩ ⊆ val(n').
+  // The NTD must carry the FULL path validity: its queue key is the path's
+  // true score, and dropping already-claimed instants here would shrink
+  // temporal keys and let a worse path claim an instant first. A child
+  // claimed later is skipped at pop under eager expansion (the paper's
+  // in-place update); lazy expansion only checks the claims once the
+  // child is next to pop.
+  view.IntersectEdgeValidity(s, parent_time, tmp);
+  TGKS_STATS(++stats_.interval_ops);
+  if (tmp->IsEmpty()) return false;
+  if (options_.viability != nullptr && !Viable(neighbor, *tmp)) {
+    // No instant of this NTD can sit on an answer tree; dropping it here
+    // leaves claims over non-viable instants unrecorded, which never
+    // changes accepted results (see docs/reachability.md).
+    ++stats_.reachability_prunes;
+    return false;
+  }
+  if (options_.guidance_floor != nullptr &&
+      (*options_.guidance_floor)[static_cast<size_t>(neighbor)] ==
+          std::numeric_limits<double>::infinity()) {
+    // The neighbor sits under no potential root, so no answer tree uses a
+    // path through it; its unrecorded claims only concern equally dead
+    // instants at an equally dead node.
+    ++stats_.guided_prunes;
+    return false;
+  }
+  TGKS_STATS(++stats_.interval_ops);
+  if (FullyClaimed(slot, neighbor, *tmp)) {
+    // Every instant is already claimed at the neighbor by strictly earlier
+    // (hence no-worse) pops — safe to drop.
+    TGKS_STATS(if (options_.trace != nullptr) {
+      options_.trace->Record(obs::TraceEventKind::kDedupHit, neighbor,
+                             trace_iter, parent_dist);
+    });
+    return false;
+  }
+  return true;
+}
+
+template <typename Time, typename Reader>
 void BestPathIterator::ExpandNeighborsPartition(BestPathOrigin& slot,
                                                 NtdId id,
                                                 const Reader& view) {
@@ -325,7 +406,7 @@ void BestPathIterator::ExpandNeighborsPartition(BestPathOrigin& slot,
   const NodeId node = parent.node;
   const double parent_dist = parent.dist;
   const int32_t origin = parent.origin;
-  [[maybe_unused]] const int32_t trace_iter = options_.trace_iter + origin;
+  const int32_t trace_iter = options_.trace_iter + origin;
   decltype(auto) tmp = ExpansionBuffer<Time>(*scratch_);
 
   // Expansion runs over the SoA view (plus the delta run when an overlay is
@@ -333,56 +414,78 @@ void BestPathIterator::ExpandNeighborsPartition(BestPathOrigin& slot,
   // copies, so the explored state space — and with it every work counter —
   // is identical to expanding through the graph.
   view.ForEachInSlot(node, [&](int64_t s) {
-    ++stats_.edges_scanned;
     const NodeId neighbor = view.src(s);
-    if (options_.prune != nullptr &&
-        !ElementsMayQualify<Time>(view, s, neighbor)) {
-      TGKS_STATS(++stats_.prunes);
-      TGKS_STATS(if (options_.trace != nullptr) {
-        options_.trace->Record(obs::TraceEventKind::kPrune, neighbor,
-                               trace_iter, parent_dist);
-      });
-      return;
-    }
-    // T∩ = T ∩ val(n' -> n); by the model invariant T∩ ⊆ val(n').
-    // The NTD must carry the FULL path validity: its queue key is the path's
-    // true score, and dropping already-claimed instants here would shrink
-    // temporal keys and let a worse path claim an instant first. Fully
-    // claimed entries are skipped lazily at pop (the paper's in-place
-    // update).
-    view.IntersectEdgeValidity(s, parent_time, &tmp);
-    TGKS_STATS(++stats_.interval_ops);
-    if (tmp.IsEmpty()) return;
-    if (options_.viability != nullptr && !Viable(neighbor, tmp)) {
-      // No instant of this NTD can sit on an answer tree; dropping it here
-      // leaves claims over non-viable instants unrecorded, which never
-      // changes accepted results (see docs/reachability.md).
-      ++stats_.reachability_prunes;
-      return;
-    }
-    if (options_.guidance_floor != nullptr &&
-        (*options_.guidance_floor)[static_cast<size_t>(neighbor)] ==
-            std::numeric_limits<double>::infinity()) {
-      // The neighbor sits under no potential root, so no answer tree uses a
-      // path through it; its unrecorded claims only concern equally dead
-      // instants at an equally dead node.
-      ++stats_.guided_prunes;
-      return;
-    }
-    TGKS_STATS(++stats_.interval_ops);
-    if (FullyClaimed(slot, neighbor, tmp)) {
-      // Every instant is already claimed at the neighbor by strictly
-      // earlier (hence no-worse) pops — safe to drop eagerly.
-      TGKS_STATS(if (options_.trace != nullptr) {
-        options_.trace->Record(obs::TraceEventKind::kDedupHit, neighbor,
-                               trace_iter, parent_dist);
-      });
+    if (!ChildSurvives(slot, parent_time, parent_dist, s, neighbor,
+                       trace_iter, view, &tmp)) {
       return;
     }
     PushNtd(slot, origin, neighbor, tmp,
             parent_dist + view.edge_weight(s) + view.node_weight(neighbor),
             id, view.edge_id(s));
   });
+}
+
+template <typename Reader>
+void BestPathIterator::PushContinuations(BestPathOrigin& slot, NtdId id,
+                                         const Reader& view) {
+  const Ntd& parent = scratch_->arena[static_cast<size_t>(id)];
+  const NodeId node = parent.node;
+  const double parent_dist = parent.dist;
+  // Eager expansion numbered this pop's children after every child of the
+  // source's earlier pops, in slot order.
+  const uint64_t order = static_cast<uint64_t>(slot.pops++) << 32;
+  const auto child_dist = [&](int64_t s) {
+    return parent_dist + view.edge_weight(s) + view.node_weight(view.src(s));
+  };
+  if (view.UniformIn(node)) {
+    const graph::ExpansionView::SlotRange run = view.BaseInSlots(node);
+    if (run.begin == run.end) return;
+    slot.lazy_queue.push(LazyQueueEntry{
+        child_dist(run.begin), order, run.begin, id,
+        static_cast<int32_t>(run.end - run.begin)});
+  } else {
+    uint32_t ordinal = 0;
+    view.ForEachInSlot(node, [&](int64_t s) {
+      slot.lazy_queue.push(
+          LazyQueueEntry{child_dist(s), order | ordinal++, s, id, 1});
+    });
+  }
+  TGKS_STATS(stats_.heap_high_water = std::max(
+                 stats_.heap_high_water,
+                 static_cast<int64_t>(slot.lazy_queue.size())));
+}
+
+template <typename Time, typename Reader>
+bool BestPathIterator::CreateHead(BestPathOrigin& slot, const Reader& view) {
+  decltype(auto) tmp = ExpansionBuffer<Time>(*scratch_);
+  while (!slot.lazy_queue.empty()) {
+    // The top continuation's child is what eager expansion would pop next,
+    // if it is actionable. Only this source's own pops change its claims,
+    // so the claims checked now are the ones the eager entry would meet at
+    // the top: a child fully claimed now would have been a useless pop.
+    LazyQueueEntry next = slot.lazy_queue.top();
+    const int64_t s = next.slot;
+    if (next.remaining > 1) {
+      // The run's next slot: same distance, next in creation order.
+      ++next.slot;
+      ++next.order;
+      --next.remaining;
+      slot.lazy_queue.replace_top(next);
+    } else {
+      slot.lazy_queue.pop();
+    }
+    const Ntd& parent = scratch_->arena[static_cast<size_t>(next.parent)];
+    const NodeId neighbor = view.src(s);
+    if (!ChildSurvives(slot, TimeAs<Time>(next.parent), parent.dist, s,
+                       neighbor, options_.trace_iter + parent.origin, view,
+                       &tmp)) {
+      continue;
+    }
+    PushNtd(slot, parent.origin, neighbor, tmp, next.dist, next.parent,
+            view.edge_id(s));
+    return true;
+  }
+  return false;
 }
 
 template <typename Time, typename Reader>

@@ -35,6 +35,16 @@
 // those sequences. NTDs of all sources share one arena and carry their
 // source's index in Ntd::origin.
 //
+// Under pure relevance ranking (partition semantics, factors exactly
+// {relevance}) successors are generated lazily, as in partial-expansion A*
+// (docs/algorithms.md, "Lazy successor generation"): a popped NTD leaves
+// continuations in its source's queue instead of pushing every child, and a
+// child is created only when its continuation reaches the top — so a source
+// creates little more than the NTDs it pops. The pop sequence is exactly the
+// eager one. Every other ranking expands eagerly, because there the child's
+// key depends on its time set (or Algorithm 2 needs it at push time). The
+// choice is made from the ranking alone.
+//
 // Time sets have two representations, chosen once per iterator from the
 // graph's timeline_length() (docs/performance.md, "Word-parallel time
 // masks"): on timelines of at most TimeMask::kCapacity (128) instants, NTD
@@ -78,9 +88,16 @@ namespace tgks::search {
 
 /// Work counters exposed for the evaluation harness.
 struct IteratorStats {
+  /// NTDs created. In lazy mode a child is created only when it is about
+  /// to pop, so this is the pops plus at most one head per source.
   int64_t ntds_pushed = 0;
   int64_t ntds_popped = 0;       ///< Useful pops (expanded).
-  int64_t useless_pops = 0;      ///< Stale/dead queue entries skipped.
+  /// Stale/dead queue entries skipped; always 0 in lazy mode, which skips
+  /// a fully claimed child before creating it.
+  int64_t useless_pops = 0;
+  /// In-slots whose child was checked: every in-slot of a popped NTD in
+  /// eager mode, only those whose continuation reached the top in lazy
+  /// mode.
   int64_t edges_scanned = 0;
   int64_t nodes_reached = 0;     ///< Distinct nodes with >= 1 popped NTD.
   int64_t subsumption_skips = 0; ///< Algorithm-2 case-1 prunes.
@@ -101,7 +118,8 @@ struct IteratorStats {
   // Observability additions (zero in TGKS_NO_STATS builds).
   int64_t prunes = 0;            ///< Elements rejected by predicate pruning.
   int64_t interval_ops = 0;      ///< IntervalSet ops on the expansion path.
-  int64_t heap_high_water = 0;   ///< Max size any source's queue reached.
+  /// Max entries any source held: its queue, plus its head in lazy mode.
+  int64_t heap_high_water = 0;
 };
 
 /// Multi-source best path iterator over a temporal graph.
@@ -193,9 +211,10 @@ class BestPathIterator {
   NtdId Next();
 
   /// Score of the NTD Next() would pop (guidance-capped under
-  /// Options::guidance_cap_divisor), or nullptr when exhausted. Stale queue
-  /// entries are skipped eagerly — at construction and at the end of each
-  /// Next() — so this is a plain read.
+  /// Options::guidance_cap_divisor), or nullptr when exhausted. Every
+  /// source is settled — stale queue entries skipped, or in lazy mode its
+  /// next pop created — at construction and at the end of each Next(), so
+  /// this is a plain read.
   const ScoreKey* PeekScore() const {
     return scratch_->sources.empty() ? nullptr
                                      : &scratch_->sources.top().score;
@@ -276,19 +295,43 @@ class BestPathIterator {
     return options_.ranking.primary() == RankFactor::kDurationDesc;
   }
 
-  /// Pops stale/dead entries off `slot`'s queue until its top is
-  /// actionable (or the queue is empty). Returns false when exhausted.
+  /// Readies source `origin`'s next pop: SettleTop in eager mode,
+  /// CreateHead in lazy mode. Returns false when the source is exhausted.
+  bool Settle(BestPathOrigin& slot, int32_t origin);
+  /// Score of the settled next pop of `slot`'s source.
+  const ScoreKey& TopScore(const BestPathOrigin& slot) const {
+    return lazy_ ? slot.head_score : slot.queue.top().score;
+  }
+
+  /// Eager mode: pops stale/dead entries off `slot`'s queue until its top
+  /// is actionable (or the queue is empty). Returns false when exhausted.
   bool SettleTop(BestPathOrigin& slot, int32_t trace_iter);
+
+  /// Lazy mode: runs the best continuations of `slot`'s queue until one
+  /// creates an actionable child, which becomes the source's head. Returns
+  /// false when the queue empties first.
+  template <typename Time, typename Reader>
+  bool CreateHead(BestPathOrigin& slot, const Reader& reader);
+  /// Lazy mode: queues the continuations of popped NTD `id` — one for a
+  /// uniform node's whole in-slot run, else one per slot.
+  template <typename Reader>
+  void PushContinuations(BestPathOrigin& slot, NtdId id,
+                         const Reader& reader);
+
+  /// Calls `fn` with the slot reader for this iterator's graph: base-only,
+  /// or base + delta overlay when a non-empty overlay is set.
+  template <typename Fn>
+  decltype(auto) WithReader(Fn&& fn) const;
 
   /// Heap-of-sources entry for source `origin` whose settled queue top
   /// scores `score`: the score, capped under guided search.
   BestPathSourceEntry MakeSourceEntry(const ScoreKey& score, int32_t origin);
 
-  /// Appends an NTD of source `origin` to the arena and its queue. `time`
-  /// is copied into the NTD (a wide time is copy-assigned into its parallel
-  /// arena slot, which keeps its capacity). Records a kExpand trace event
-  /// only for expansion products (`parent` set) — a source NTD was never
-  /// expanded from anything.
+  /// Appends an NTD of source `origin` to the arena and queues it — in
+  /// lazy mode as the source's head. `time` is copied into the NTD (a wide
+  /// time is copy-assigned into its parallel arena slot, which keeps its
+  /// capacity). Records a kExpand trace event only for expansion products
+  /// (`parent` set) — a source NTD was never expanded from anything.
   template <typename Time>
   NtdId PushNtd(BestPathOrigin& slot, int32_t origin, graph::NodeId node,
                 const Time& time, double dist, NtdId parent,
@@ -308,6 +351,16 @@ class BestPathIterator {
   template <typename Time, typename Reader>
   void ExpandNeighborsSubsumption(BestPathOrigin& slot, NtdId id,
                                   const Reader& reader);
+
+  /// The partition checks of the child of the NTD with `parent_time` /
+  /// `parent_dist` at slot `s`, in Algorithm 1's order: predicate prune,
+  /// T∩ = parent_time ∩ val(edge) non-empty, viability, guidance floor,
+  /// then `slot`'s claims. Counts the slot as scanned. True iff the child
+  /// is to be created, with T∩ in `*tmp`.
+  template <typename Time, typename Reader>
+  bool ChildSurvives(const BestPathOrigin& slot, const Time& parent_time,
+                     double parent_dist, int64_t s, graph::NodeId neighbor,
+                     int32_t trace_iter, const Reader& reader, Time* tmp);
 
   /// Predicate prune (§5) of the edge at slot `s` and its source node
   /// `neighbor`: false iff either element fails the necessary condition.
@@ -337,6 +390,9 @@ class BestPathIterator {
   Options options_;
   int32_t num_sources_ = 0;
   bool masks_ = false;  ///< Time representation (see uses_time_masks).
+  /// Lazy successor generation: partition semantics with factors exactly
+  /// {relevance}.
+  bool lazy_ = false;
   /// Mask viability, one entry per node, when masks_ and
   /// Options::viability are set: Options::viability_masks' buffer or, when
   /// that is null, own_viability_masks_'.

@@ -25,6 +25,10 @@
 // Both readers serve validity in the two representations of the view:
 // TimeMask accessors (edge_mask / node_mask and the mask intersection) on
 // narrow timelines, IntervalSet ones everywhere.
+//
+// UniformIn(n) tells the lazy relevance frontier that n's in-slots are one
+// base run [BaseInSlots(n)) sharing one increment. A base node with a live
+// delta run, and every delta node, reports false.
 
 #ifndef TGKS_SEARCH_EXPANSION_READER_H_
 #define TGKS_SEARCH_EXPANSION_READER_H_
@@ -49,6 +53,10 @@ struct BaseExpansionReader {
   void ForEachInSlot(graph::NodeId node, Fn&& fn) const {
     const graph::ExpansionView::SlotRange slots = view.InSlots(node);
     for (int64_t s = slots.begin; s < slots.end; ++s) fn(s);
+  }
+  bool UniformIn(graph::NodeId node) const { return view.uniform_in(node); }
+  graph::ExpansionView::SlotRange BaseInSlots(graph::NodeId node) const {
+    return view.InSlots(node);
   }
   graph::NodeId src(int64_t s) const { return view.src(s); }
   graph::EdgeId edge_id(int64_t s) const { return view.edge_id(s); }
@@ -96,6 +104,17 @@ struct OverlayExpansionReader {
     }
     const graph::ExpansionView::SlotRange delta = overlay.DeltaInSlots(node);
     for (int64_t s = delta.begin; s < delta.end; ++s) fn(EncodeDelta(s));
+  }
+  bool UniformIn(graph::NodeId node) const {
+    // The bit first: a non-uniform node skips the delta-run lookup.
+    if (node >= overlay.base_num_nodes() || !view.uniform_in(node)) {
+      return false;
+    }
+    const graph::ExpansionView::SlotRange delta = overlay.DeltaInSlots(node);
+    return delta.begin == delta.end;
+  }
+  graph::ExpansionView::SlotRange BaseInSlots(graph::NodeId node) const {
+    return view.InSlots(node);
   }
   graph::NodeId src(int64_t s) const {
     return s >= 0 ? view.src(s) : overlay.src(DecodeDelta(s));

@@ -125,7 +125,8 @@ struct EngineMetrics {
           "shaped a keyword frontier.");
       out->heap_high_water = reg.GetGauge(
           "tgks_search_heap_high_water",
-          "Largest priority queue any query ever built.");
+          "Most entries one frontier source ever held: its queue, plus its "
+          "lazily created next pop under pure relevance ranking.");
       out->query_micros = reg.GetHistogram(
           "tgks_query_micros", "Instrumented per-query time (microseconds).");
       out->pops_per_query = reg.GetHistogram(
@@ -579,6 +580,10 @@ class Runner {
       const NtdId popped = frontier.Next();
       assert(popped != kInvalidNtd);
       ++response_.counters.pops;
+      if (options_.pop_fn != nullptr) {
+        options_.pop_fn(options_.pop_ctx, static_cast<size_t>(kw), frontier,
+                        popped);
+      }
       const NodeId node = frontier.ntd(popped).node;
       const int32_t row = meetings_->Add(node, static_cast<size_t>(kw), popped);
 

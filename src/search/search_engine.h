@@ -194,6 +194,14 @@ struct SearchOptions {
   /// parallel mode, callable from concurrent worker threads.
   std::chrono::steady_clock::time_point (*clock_fn)(void* ctx) = nullptr;
   void* clock_ctx = nullptr;
+
+  /// Test seam: when non-null the sequential main loop calls this after
+  /// every pop with the keyword, its frontier and the popped NTD, so a
+  /// caller can fingerprint the pop sequence (workcount_dump --popseq).
+  /// Not called in parallel mode.
+  void (*pop_fn)(void* ctx, size_t keyword, const BestPathIterator& frontier,
+                 NtdId popped) = nullptr;
+  void* pop_ctx = nullptr;
 };
 
 /// Work counters for the evaluation harness (§6's reported quantities).
@@ -202,7 +210,9 @@ struct SearchCounters {
   /// frontier, including sources that start exhausted.
   int64_t iterators = 0;
   int64_t pops = 0;                ///< NTDs popped (all frontiers).
-  int64_t useless_pops = 0;        ///< Stale queue entries skipped.
+  /// Stale queue entries skipped; 0 under pure relevance ranking, whose
+  /// frontiers skip a fully claimed child before creating it.
+  int64_t useless_pops = 0;
   int64_t ntds_created = 0;        ///< Arena NTDs across frontiers.
   int64_t edges_scanned = 0;       ///< In-edges examined across frontiers.
   int64_t subsumption_skips = 0;   ///< Algorithm-2 case-1 prunes.

@@ -132,6 +132,30 @@ struct BestPathQueueBetter {
   }
 };
 
+/// Queue entry of lazy successor generation (pure-relevance partition
+/// frontiers; docs/algorithms.md, "Lazy successor generation"): the next
+/// not-yet-created child of popped NTD `parent`, at reader slot `slot`, and
+/// the `remaining - 1` slots after it in the same uniform run, whose
+/// children all have distance `dist`. `order` is the child's place in eager
+/// creation order, (parent's per-source pop sequence << 32) | slot ordinal,
+/// so score ties break exactly as BestPathQueueBetter's NtdId order did.
+struct LazyQueueEntry {
+  double dist;
+  uint64_t order;
+  int64_t slot;
+  NtdId parent;
+  int32_t remaining;
+};
+struct LazyQueueBetter {
+  // True iff `a` creates its child first: smaller distance (the relevance
+  // score is -dist), then earlier eager creation order. A strict total
+  // order, like BestPathQueueBetter.
+  bool operator()(const LazyQueueEntry& a, const LazyQueueEntry& b) const {
+    if (a.dist != b.dist) return a.dist < b.dist;
+    return a.order < b.order;
+  }
+};
+
 /// One source's slot in a frontier's scratch: its own queue and per-node
 /// tables. Keeping each source's state apart (rather than one merged queue
 /// and (source, node)-keyed tables) keeps a heavy source's probes within
@@ -139,6 +163,12 @@ struct BestPathQueueBetter {
 /// one-source iterator would.
 struct BestPathOrigin {
   QuadHeap<BestPathQueueEntry, BestPathQueueBetter> queue;
+  // Lazy mode: the source's next pop, created but held outside any heap,
+  // and the continuations that will create the pops after it.
+  QuadHeap<LazyQueueEntry, LazyQueueBetter> lazy_queue;
+  NtdId head = kInvalidNtd;
+  ScoreKey head_score;
+  uint32_t pops = 0;  ///< Pop sequence number of the next pop (lazy order).
   // Partition claims, in the frontier's time representation.
   common::FlatEpochMap<temporal::TimeMask> visited_masks;
   common::FlatEpochMap<temporal::IntervalSet> visited;
@@ -150,6 +180,9 @@ struct BestPathOrigin {
 
   void Reset(graph::NodeId new_source) {
     queue.clear();
+    lazy_queue.clear();
+    head = kInvalidNtd;
+    pops = 0;
     visited_masks.Clear();
     visited.Clear();
     popped.Clear();

@@ -506,6 +506,11 @@ HttpResponse RequestRouter::HandleVarz() const {
     w.Int(layout.edge_slot_bytes);
     w.Key("node_slot_bytes");
     w.Int(layout.node_slot_bytes);
+    // Nodes whose in-slots share one increment: the relevance frontier
+    // walks each one's in-slots with a single lazy queue entry
+    // (docs/algorithms.md, "Lazy successor generation").
+    w.Key("uniform_in_nodes");
+    w.Int(layout.uniform_in_nodes);
   }
   if (context_.live != nullptr) {
     const ingest::GraphSnapshotHandle snap = context_.live->Acquire();

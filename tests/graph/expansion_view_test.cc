@@ -101,8 +101,20 @@ IntervalSet ViewNodeValidity(const ExpansionView& view, NodeId n) {
 
 void ExpectViewMirrorsGraph(const TemporalGraph& g, Rng* rng) {
   const ExpansionView& view = g.expansion_view();
+  int64_t uniform_nodes = 0;
   for (NodeId n = 0; n < g.num_nodes(); ++n) {
     const auto in_edges = g.InEdges(n);
+    // Uniform: every in-edge has the first one's (edge weight, source
+    // weight) pair, bit for bit.
+    bool uniform = true;
+    for (const EdgeId e : in_edges) {
+      const Edge& first = g.edge(in_edges.front());
+      uniform = uniform && SameBits(g.edge(e).weight, first.weight) &&
+                SameBits(g.node(g.edge(e).src).weight,
+                         g.node(first.src).weight);
+    }
+    ASSERT_EQ(view.uniform_in(n), uniform) << "node " << n;
+    uniform_nodes += uniform;
     const ExpansionView::SlotRange slots = view.InSlots(n);
     ASSERT_EQ(slots.end - slots.begin,
               static_cast<int64_t>(in_edges.size()));
@@ -153,6 +165,7 @@ void ExpectViewMirrorsGraph(const TemporalGraph& g, Rng* rng) {
             stats.edge_slots);
   EXPECT_EQ(stats.inline_node_slots + stats.pooled_node_slots,
             static_cast<int64_t>(g.num_nodes()));
+  EXPECT_EQ(stats.uniform_in_nodes, uniform_nodes);
 }
 
 TEST(ExpansionViewDifferentialTest, MirrorsInEdgesOn60RandomGraphs) {
@@ -172,6 +185,35 @@ TEST(ExpansionViewDifferentialTest, MirrorsInEdgesOn60RandomGraphs) {
       ExpectViewMirrorsGraph(*wide, &rng);
     }
   }
+}
+
+TEST(ExpansionViewTest, UniformInComparesIncrementPairs) {
+  GraphBuilder b(4);
+  const NodeId same = b.AddNode("same");
+  const NodeId sums = b.AddNode("sums");
+  const NodeId mixed = b.AddNode("mixed");
+  const NodeId lone = b.AddNode("lone");
+  const NodeId a = b.AddNode("a");
+  const NodeId c = b.AddNode("c");
+  const NodeId heavy = b.AddNode("heavy", IntervalSet{{0, 3}}, 0.5);
+  b.AddEdge(a, same, 1.0);
+  b.AddEdge(c, same, 1.0);
+  // 0.5 + 0.5 and 1.0 + 0.0: equal sums of different pairs.
+  b.AddEdge(heavy, sums, 0.5);
+  b.AddEdge(a, sums, 1.0);
+  b.AddEdge(a, mixed, 1.0);
+  b.AddEdge(c, mixed, 2.0);
+  b.AddEdge(heavy, lone, 3.0);
+  auto g = b.Build();
+  ASSERT_TRUE(g.ok());
+  const ExpansionView& view = g->expansion_view();
+  EXPECT_TRUE(view.uniform_in(same));
+  EXPECT_FALSE(view.uniform_in(sums));
+  EXPECT_FALSE(view.uniform_in(mixed));
+  EXPECT_TRUE(view.uniform_in(lone));  // One in-slot.
+  EXPECT_TRUE(view.uniform_in(a));     // No in-slots.
+  // All but `sums` and `mixed`.
+  EXPECT_EQ(view.layout_stats().uniform_in_nodes, 5);
 }
 
 TEST(ExpansionViewTest, NarrowViewKeepsEveryValidityInItsSlot) {

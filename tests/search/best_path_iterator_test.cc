@@ -3,11 +3,15 @@
 #include <algorithm>
 #include <map>
 #include <optional>
+#include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "graph/delta_overlay.h"
 #include "graph/graph_builder.h"
+#include "search/search_engine.h"
 #include "testutil/paper_graphs.h"
 
 namespace tgks::search {
@@ -416,6 +420,183 @@ TEST(BestPathIteratorTest, StatsAreConsistent) {
   EXPECT_GE(s.ntds_pushed, s.ntds_popped);
   EXPECT_GT(s.nodes_reached, 0);
   EXPECT_LE(s.nodes_reached, g.num_nodes());
+}
+
+// ---------------------------------------------------------------------------
+// Tie order. Under pure relevance a frontier creates children lazily
+// (docs/algorithms.md, "Lazy successor generation"), and its pops must be
+// exactly those of eager expansion, where equal scores go to the NTD created
+// first. The expected sequences below are literals recorded from the eager
+// iterator; each pop renders as "label:dist:time<edge" (edge -1 at the
+// source).
+
+std::string RenderPop(const TemporalGraph& g, const BestPathIterator& iter,
+                      NtdId id, const graph::DeltaOverlay* overlay = nullptr) {
+  const Ntd& ntd = iter.ntd(id);
+  const graph::Node& node =
+      overlay != nullptr ? overlay->NodeAt(g, ntd.node) : g.node(ntd.node);
+  std::ostringstream out;
+  out << node.label << ":" << ntd.dist << ":"
+      << iter.TimeOf(id).ToString() << "<" << ntd.via_edge;
+  return out.str();
+}
+
+/// Drains `iter` and renders its pops (labels of delta nodes come from
+/// `overlay`).
+std::string PopSequence(const TemporalGraph& g, BestPathIterator* iter,
+                        const graph::DeltaOverlay* overlay = nullptr) {
+  std::string seq;
+  for (NtdId id = iter->Next(); id != kInvalidNtd; id = iter->Next()) {
+    if (!seq.empty()) seq += " ";
+    seq += RenderPop(g, *iter, id, overlay);
+  }
+  return seq;
+}
+
+// a pops before b (smaller slot at s), so a's child x beats b's child y on
+// the tie at distance 2 even though y sits in a smaller slot of its parent
+// than x does: the tie order is the parent's pop order first, the slot
+// second.
+TEST(BestPathIteratorTieOrderTest, LaterParentsLowerSlotLosesTheTie) {
+  GraphBuilder b(4);
+  const NodeId s = b.AddNode("s");
+  const NodeId a = b.AddNode("a");
+  const NodeId bb = b.AddNode("b");
+  const NodeId p = b.AddNode("p");
+  const NodeId x = b.AddNode("x");
+  const NodeId y = b.AddNode("y");
+  b.AddEdge(a, s);
+  b.AddEdge(bb, s);
+  b.AddEdge(p, a);
+  b.AddEdge(x, a);
+  b.AddEdge(y, bb);
+  auto g = b.Build();
+  ASSERT_TRUE(g.ok());
+  BestPathIterator iter(*g, s, {});
+  EXPECT_EQ(PopSequence(*g, &iter),
+            "s:0:{[0,3]}<-1 a:1:{[0,3]}<0 b:1:{[0,3]}<1 p:2:{[0,3]}<2 "
+            "x:2:{[0,3]}<3 y:2:{[0,3]}<4");
+}
+
+// Increments differ per slot (edge weight plus the neighbor's weight), and
+// equal sums still tie by slot: 0.5 + 0.5 at a ties 1 + 0 at b and d.
+TEST(BestPathIteratorTieOrderTest, MixedIncrementsPopByDistanceThenSlot) {
+  GraphBuilder b(6);
+  const NodeId s = b.AddNode("s");
+  const NodeId c = b.AddNode("c");
+  const NodeId a = b.AddNode("a", IntervalSet{{0, 5}}, 0.5);
+  const NodeId bb = b.AddNode("b");
+  const NodeId d = b.AddNode("d", IntervalSet{{2, 5}});
+  const NodeId e = b.AddNode("e", IntervalSet{{0, 5}}, 2.0);
+  b.AddEdge(c, s, IntervalSet{{0, 5}}, 2.0);
+  b.AddEdge(a, s, IntervalSet{{0, 5}}, 0.5);
+  b.AddEdge(bb, s, IntervalSet{{0, 3}}, 1.0);
+  b.AddEdge(d, s, IntervalSet{{2, 5}}, 1.0);
+  b.AddEdge(e, a, IntervalSet{{0, 5}}, 0.0);
+  b.AddEdge(c, bb, IntervalSet{{0, 3}}, 0.5);
+  b.AddEdge(e, d, IntervalSet{{4, 5}}, 0.25);
+  auto g = b.Build();
+  ASSERT_TRUE(g.ok());
+  BestPathIterator iter(*g, s, {});
+  EXPECT_EQ(PopSequence(*g, &iter),
+            "s:0:{[0,5]}<-1 a:1:{[0,5]}<1 b:1:{[0,3]}<2 d:1:{[2,5]}<3 "
+            "c:1.5:{[0,3]}<5 c:2:{[0,5]}<0 e:3:{[0,5]}<4");
+}
+
+// s's in-slots share one increment, so one queue entry walks them all. The
+// second, parallel m -> s edge comes up after the first m child has popped
+// and claimed all of m's instants: it is skipped without creating an NTD,
+// where eager expansion pushed it and later discarded it as a useless pop.
+TEST(BestPathIteratorTieOrderTest, ClaimedChildInAUniformRunIsNeverCreated) {
+  GraphBuilder b(5);
+  const NodeId s = b.AddNode("s");
+  const NodeId a = b.AddNode("a");
+  const NodeId m = b.AddNode("m");
+  const NodeId bb = b.AddNode("b");
+  b.AddEdge(a, s);
+  b.AddEdge(m, s);
+  b.AddEdge(m, s);
+  b.AddEdge(bb, s);
+  auto g = b.Build();
+  ASSERT_TRUE(g.ok());
+  EXPECT_EQ(g->expansion_view().layout_stats().uniform_in_nodes,
+            g->num_nodes());
+  BestPathIterator iter(*g, s, {});
+  EXPECT_EQ(PopSequence(*g, &iter),
+            "s:0:{[0,4]}<-1 a:1:{[0,4]}<0 m:1:{[0,4]}<1 b:1:{[0,4]}<3");
+  EXPECT_EQ(iter.num_ntds(), 4);
+  EXPECT_EQ(iter.stats().ntds_popped, 4);
+  EXPECT_EQ(iter.stats().useless_pops, 0);
+  EXPECT_EQ(iter.stats().edges_scanned, 4);
+}
+
+// A base node that gained a delta in-edge expands per slot: its base run
+// and then its delta run, each child at its own exact score.
+TEST(BestPathIteratorTieOrderTest, BaseNodeWithADeltaInEdge) {
+  GraphBuilder b(4);
+  const NodeId s = b.AddNode("s");
+  const NodeId a = b.AddNode("a");
+  const NodeId bb = b.AddNode("b");
+  const NodeId far = b.AddNode("far");
+  b.AddEdge(a, s);
+  b.AddEdge(bb, s);
+  b.AddEdge(far, bb);
+  auto g = b.Build();
+  ASSERT_TRUE(g.ok());
+  const IntervalSet all{{0, 3}};
+  std::vector<graph::Node> nodes = {{"c", 0.0, all}, {"d", 0.0, all}};
+  const NodeId c = g->num_nodes();
+  const NodeId d = c + 1;
+  std::vector<graph::Edge> edges = {{c, s, 1.0, all},
+                                    {d, s, 0.5, IntervalSet{{1, 3}}},
+                                    {c, a, 1.0, IntervalSet{{0, 1}}}};
+  const auto overlay =
+      graph::DeltaOverlay::Extend(*g, nullptr, std::move(nodes),
+                                  std::move(edges));
+  BestPathIterator::Options options;
+  options.overlay = overlay.get();
+  BestPathIterator iter(*g, s, options);
+  EXPECT_EQ(PopSequence(*g, &iter, overlay.get()),
+            "s:0:{[0,3]}<-1 d:0.5:{[1,3]}<4 a:1:{[0,3]}<0 b:1:{[0,3]}<1 "
+            "c:1:{[0,3]}<3 far:2:{[0,3]}<2");
+}
+
+// A max_pops stop in the middle of a uniform run: the engine stops after
+// three pops, and the source has scanned only the slots it needed to
+// settle on its next pop (one per pop), not all ten.
+TEST(BestPathIteratorTieOrderTest, MaxPopsStopLeavesTheRestOfTheRunUnscanned) {
+  GraphBuilder b(3);
+  const NodeId hub = b.AddNode("hub");
+  for (int i = 0; i < 10; ++i) {
+    b.AddEdge(b.AddNode("n" + std::to_string(i)), hub);
+  }
+  auto g = b.Build();
+  ASSERT_TRUE(g.ok());
+  const SearchEngine engine(*g);
+  Query query;
+  query.keywords = {"hub"};
+  SearchOptions options;
+  options.k = 0;
+  options.max_pops = 3;
+  struct Recorder {
+    const TemporalGraph* g;
+    std::string seq;
+  } recorder{&g.value(), ""};
+  options.pop_ctx = &recorder;
+  options.pop_fn = [](void* ctx, size_t, const BestPathIterator& frontier,
+                      NtdId popped) {
+    auto* r = static_cast<Recorder*>(ctx);
+    if (!r->seq.empty()) r->seq += " ";
+    r->seq += RenderPop(*r->g, frontier, popped);
+  };
+  const auto r = engine.SearchWithMatches(query, {{hub}}, options);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->stop_reason, StopReason::kMaxPops);
+  EXPECT_EQ(recorder.seq, "hub:0:{[0,2]}<-1 n0:1:{[0,2]}<0 n1:1:{[0,2]}<1");
+  EXPECT_EQ(r->counters.pops, 3);
+  EXPECT_EQ(r->counters.edges_scanned, 3);
+  EXPECT_EQ(r->counters.ntds_created, 4);
+  EXPECT_EQ(r->counters.useless_pops, 0);
 }
 
 }  // namespace

@@ -138,6 +138,9 @@ TEST(HttpServerTest, HealthzAndVarz) {
   EXPECT_EQ(varz->Find("time_representation")->AsString(), "mask");
   EXPECT_EQ(varz->Find("edge_slot_bytes")->AsInt(), 32);
   EXPECT_EQ(varz->Find("node_slot_bytes")->AsInt(), 24);
+  // Fig. 1 has unit edge weights and zero node weights: every node's
+  // in-slots share one increment.
+  EXPECT_EQ(varz->Find("uniform_in_nodes")->AsInt(), 7);
   EXPECT_FALSE(varz->Find("draining")->AsBool());
   EXPECT_EQ(varz->Find("max_queue")->AsInt(), 64);
 }

@@ -21,10 +21,10 @@
 //    just the toy ones. Each workload runs under both relevance and
 //    duration ranking to cover the partition AND subsumption semantics.
 //
-// Usage: workcount_dump [--parallel] [--results] [--pruned] [--cache]
-//            <golden-dir> [stems...]
-//        workcount_dump [--parallel] [--results] [--pruned] [--cache]
-//            --dataset <dblp|social> ...
+// Usage: workcount_dump [--parallel] [--results|--popseq] [--pruned]
+//            [--cache] <golden-dir> [stems...]
+//        workcount_dump [--parallel] [--results|--popseq] [--pruned]
+//            [--cache] --dataset <dblp|social> ...
 //        workcount_dump --layout <dblp|social> [--layout ...]
 //        (every form also takes --pad-timeline <n>)
 //
@@ -51,7 +51,8 @@
 //
 // --layout prints the ExpansionView packing statistics (time
 // representation, bytes per slot, slot counts, inline/pooled split,
-// validity-pool interning hit rate) for a generated dataset;
+// validity-pool interning hit rate, nodes whose in-slots share one
+// increment) for a generated dataset;
 // docs/performance.md quotes these numbers.
 //
 // --pad-timeline <n> rebuilds every graph over max(own, n) instants before
@@ -70,6 +71,15 @@
 // overshoot, so the CI gate (scripts/workcount_check.sh --results-only)
 // compares the two modes through --results, where the engine's contract is
 // bit-identical output.
+//
+// --popseq replaces the counter lines with per-query pop-sequence
+// fingerprints: for each keyword frontier, its pop count and one
+// order-sensitive hash over every pop's (origin, node, dist, time,
+// via_edge), in the order the engine consumed them. NtdIds are not hashed,
+// so a change to how NTDs are created or numbered leaves the lines alone
+// while any change to what is popped, or in which order, shows up.
+// scripts/workcount_check.sh diffs them against tests/golden/popseq*.expected
+// in default, --pruned and --wide modes. Sequential mode only.
 
 #include <cstdint>
 #include <cstdio>
@@ -99,6 +109,7 @@ bool g_results = false;   // Print result fingerprints, not work counters.
 bool g_pruned = false;    // Run with the reachability prune enabled.
 bool g_cache = false;     // Run with the query caches (levels 1-2) enabled.
 bool g_guided = false;    // Run with distance-guided search enabled.
+bool g_popseq = false;    // Print pop-sequence fingerprints.
 int32_t g_pad_timeline = 0;  // Rebuild graphs over >= this many instants.
 
 /// Applies --pad-timeline to a freshly built or loaded graph.
@@ -154,6 +165,57 @@ struct CacheTally {
         static_cast<long long>(match_misses),
         static_cast<long long>(viability_hits),
         static_cast<long long>(viability_misses));
+  }
+};
+
+/// FNV-1a over raw bytes, continuing from `h`.
+uint64_t Fnv1a(uint64_t h, const void* data, size_t size) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < size; ++i) {
+    h ^= bytes[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// Per-keyword pop-sequence fingerprints of one query (--popseq), fed by
+/// SearchOptions::pop_fn.
+struct PopSeqRecorder {
+  struct Keyword {
+    int64_t pops = 0;
+    uint64_t hash = 1469598103934665603ull;
+  };
+  std::vector<Keyword> keywords;
+
+  static void OnPop(void* ctx, size_t keyword,
+                    const tgks::search::BestPathIterator& frontier,
+                    tgks::search::NtdId popped) {
+    auto* self = static_cast<PopSeqRecorder*>(ctx);
+    if (self->keywords.size() <= keyword) self->keywords.resize(keyword + 1);
+    Keyword& k = self->keywords[keyword];
+    const tgks::search::Ntd& ntd = frontier.ntd(popped);
+    uint64_t h = k.hash;
+    h = Fnv1a(h, &ntd.origin, sizeof(ntd.origin));
+    h = Fnv1a(h, &ntd.node, sizeof(ntd.node));
+    h = Fnv1a(h, &ntd.dist, sizeof(ntd.dist));
+    const tgks::temporal::IntervalSet time = frontier.TimeOf(popped);
+    for (const tgks::temporal::Interval& iv : time.intervals()) {
+      h = Fnv1a(h, &iv.start, sizeof(iv.start));
+      h = Fnv1a(h, &iv.end, sizeof(iv.end));
+    }
+    h = Fnv1a(h, &ntd.via_edge, sizeof(ntd.via_edge));
+    k.hash = h;
+    ++k.pops;
+  }
+
+  void Print(const std::string& tag, int index) const {
+    std::printf("%s#%d", tag.c_str(), index);
+    for (size_t kw = 0; kw < keywords.size(); ++kw) {
+      std::printf(" kw%zu=%lld:%016llx", kw,
+                  static_cast<long long>(keywords[kw].pops),
+                  static_cast<unsigned long long>(keywords[kw].hash));
+    }
+    std::printf("\n");
   }
 };
 
@@ -252,7 +314,14 @@ int RunGoldenStems(const std::string& dir,
         std::fprintf(stderr, "parse: %s\n", query.status().ToString().c_str());
         return 1;
       }
-      auto r = engine.Search(*query, SuiteOptions(g_cache ? &caches : nullptr));
+      PopSeqRecorder popseq;
+      tgks::search::SearchOptions options =
+          SuiteOptions(g_cache ? &caches : nullptr);
+      if (g_popseq) {
+        options.pop_fn = &PopSeqRecorder::OnPop;
+        options.pop_ctx = &popseq;
+      }
+      auto r = engine.Search(*query, options);
       if (!r.ok()) {
         std::fprintf(stderr, "search: %s\n", r.status().ToString().c_str());
         return 1;
@@ -260,6 +329,8 @@ int RunGoldenStems(const std::string& dir,
       tally.Add(r->counters);
       if (g_results) {
         PrintResults(stem, qi++, *r);
+      } else if (g_popseq) {
+        popseq.Print(stem, qi++);
       } else {
         PrintCounters(stem, qi++, r->counters);
       }
@@ -331,8 +402,13 @@ int RunDataset(const std::string& name) {
   const tgks::search::SearchEngine engine(graph, &index);
   tgks::cache::QueryCaches caches;
   CacheTally tally;
-  const tgks::search::SearchOptions options =
+  tgks::search::SearchOptions options =
       SuiteOptions(g_cache ? &caches : nullptr);
+  PopSeqRecorder popseq;
+  if (g_popseq) {
+    options.pop_fn = &PopSeqRecorder::OnPop;
+    options.pop_ctx = &popseq;
+  }
   // Pass 1: the workload's own ranking (relevance -> partition semantics).
   // Pass 2: duration ranking -> subsumption semantics, so Algorithm 2's
   // counters are pinned on benchmark-shaped graphs too. In --cache mode the
@@ -347,6 +423,7 @@ int RunDataset(const std::string& name) {
       if (pass == 1) {
         query.ranking.factors = {tgks::search::RankFactor::kDurationDesc};
       }
+      popseq.keywords.clear();
       auto r = wq.matches.empty()
                    ? engine.Search(query, options)
                    : engine.SearchWithMatches(query, wq.matches, options);
@@ -357,6 +434,8 @@ int RunDataset(const std::string& name) {
       tally.Add(r->counters);
       if (g_results) {
         PrintResults(name + pass_tags[pass], qi++, *r);
+      } else if (g_popseq) {
+        popseq.Print(name + pass_tags[pass], qi++);
       } else {
         PrintCounters(name + pass_tags[pass], qi++, r->counters);
       }
@@ -375,7 +454,7 @@ int RunLayout(const std::string& name) {
       "%s timeline=%d time_repr=%s edge_slot_bytes=%lld node_slot_bytes=%lld "
       "edge_slots=%lld inline_edge_slots=%lld pooled_edge_slots=%lld "
       "inline_node_slots=%lld pooled_node_slots=%lld pool_entries=%lld "
-      "intern_hits=%lld\n",
+      "intern_hits=%lld uniform_in_nodes=%lld\n",
       name.c_str(), static_cast<int>(graph.timeline_length()),
       s.time_masks ? "mask" : "interval",
       static_cast<long long>(s.edge_slot_bytes),
@@ -386,7 +465,8 @@ int RunLayout(const std::string& name) {
       static_cast<long long>(s.inline_node_slots),
       static_cast<long long>(s.pooled_node_slots),
       static_cast<long long>(s.pool_entries),
-      static_cast<long long>(s.intern_hits));
+      static_cast<long long>(s.intern_hits),
+      static_cast<long long>(s.uniform_in_nodes));
   // Reachability-index build phase and label-size profile. build_seconds is
   // wall time and intentionally NOT part of any golden file.
   const auto& rs = graph.reachability().stats();
@@ -418,19 +498,27 @@ int main(int argc, char** argv) {
       g_cache = true;
     } else if (std::strcmp(argv[i], "--guided") == 0) {
       g_guided = true;
+    } else if (std::strcmp(argv[i], "--popseq") == 0) {
+      g_popseq = true;
     } else if (std::strcmp(argv[i], "--pad-timeline") == 0 && i + 1 < argc) {
       g_pad_timeline = static_cast<int32_t>(std::atoi(argv[++i]));
     } else {
       args.push_back(argv[i]);
     }
   }
+  if (g_popseq && (g_parallel || g_results)) {
+    std::fprintf(stderr,
+                 "--popseq runs sequentially and replaces --results\n");
+    return 2;
+  }
   if (args.empty()) {
     std::fprintf(
         stderr,
-        "usage: %s [--parallel] [--results] [--pruned] [--cache] [--guided] "
-        "[--pad-timeline <n>] <golden-dir> [graph stems...]\n"
-        "       %s [--parallel] [--results] [--pruned] [--cache] [--guided] "
-        "[--pad-timeline <n>] --dataset <dblp|dblp-bounded|social> ...\n"
+        "usage: %s [--parallel] [--results|--popseq] [--pruned] [--cache] "
+        "[--guided] [--pad-timeline <n>] <golden-dir> [graph stems...]\n"
+        "       %s [--parallel] [--results|--popseq] [--pruned] [--cache] "
+        "[--guided] [--pad-timeline <n>] "
+        "--dataset <dblp|dblp-bounded|social> ...\n"
         "       %s [--pad-timeline <n>] --layout <dblp|dblp-bounded|social> "
         "[--layout ...]\n",
         argv[0], argv[0], argv[0]);
