@@ -24,7 +24,9 @@
 // many duplicates: no allocation per duplicate or rejected candidate (see
 // MeasureCandidateGeneration). A fifth gates the engine's keyword frontiers
 // on a warm query with hundreds of sources per keyword: one pooled scratch
-// per keyword and no allocation per pop (see MeasureFrontierQuery).
+// per keyword and no allocation per pop (see MeasureFrontierQuery). A sixth
+// gates the candidate memo on a warm query with a large cross product: no
+// allocation per memo hit (see MeasureMemoHits).
 //
 // Emits one JSON row per scenario:
 //   {"scenario": ..., "pops": N, "allocs": A, "allocs_per_pop": R}
@@ -115,25 +117,72 @@ int64_t CountQueryAllocs(SearchFn search, search::SearchCounters* counters) {
   return g_allocs.load(std::memory_order_relaxed);
 }
 
-/// Candidate generation: a warm exhaustive (k=0) dblp query, pop-capped,
-/// runs once with generation on and once with max_combos_per_pop = 0 (no
-/// candidates). Without k the search stops only on exhaustion or max_pops,
-/// so both runs pop the same NTDs and the allocation difference is exactly
-/// candidate generation's. An accepted tree may allocate (its nodes, edges
-/// and keyword nodes, its seen-set entry, the result vectors' growth), and
-/// the query's reused buffers grow a few times; a duplicate or rejected
-/// candidate must allocate nothing. The gate: generation allocations fit
-/// kAllocsPerResult per accepted tree plus kAllocsPerQuery, and the query
-/// has at least four times that budget in non-accepted candidates, so one
-/// allocation per duplicate or rejection would trip it.
+/// Candidate generation's allocations in one warm, pop-capped k = 0
+/// query: it runs once with generation on and once with
+/// max_combos_per_pop = 0 (no candidates). Without k the search stops only
+/// on exhaustion or max_pops, so both runs pop the same NTDs and the
+/// allocation difference is exactly candidate generation's. An accepted
+/// tree may allocate (its nodes, edges and keyword nodes, its seen-set
+/// entry, the result vectors' growth), and the query's reused buffers grow
+/// a few times: the budget is kAllocsPerResult per accepted tree plus
+/// kAllocsPerQuery.
+struct GenerationAllocs {
+  static constexpr int64_t kAllocsPerResult = 8;
+  static constexpr int64_t kAllocsPerQuery = 256;
+
+  GenerationAllocs(const search::SearchEngine& engine,
+                   const search::Query& query, search::SearchOptions options) {
+    const auto search = [&] { return engine.Search(query, options); };
+    search::SearchCounters off;
+    const int64_t allocs_on = CountQueryAllocs(search, &on);
+    options.max_combos_per_pop = 0;
+    allocs = allocs_on - CountQueryAllocs(search, &off);
+    budget = kAllocsPerQuery + kAllocsPerResult * on.results;
+    same_pops = on.pops == off.pops && off.candidates == 0;
+  }
+
+  /// The gate: generation fits the budget, and the query has at least four
+  /// times that budget in `free` candidates (those that must allocate
+  /// nothing, named `what`), so one allocation each would trip it.
+  bool Check(int64_t free, const char* what) const {
+    if (!same_pops) {
+      std::fprintf(stderr,
+                   "FAIL: generation on/off runs popped differently\n");
+      return false;
+    }
+    if (free < 4 * budget) {
+      std::fprintf(stderr,
+                   "FAIL: %lld %s cannot resolve a budget of %lld "
+                   "allocations\n",
+                   static_cast<long long>(free), what,
+                   static_cast<long long>(budget));
+      return false;
+    }
+    if (allocs > budget) {
+      std::fprintf(stderr,
+                   "FAIL: candidate generation made %lld allocations, over "
+                   "the accepted-tree budget of %lld: %s allocate\n",
+                   static_cast<long long>(allocs),
+                   static_cast<long long>(budget), what);
+      return false;
+    }
+    return true;
+  }
+
+  search::SearchCounters on;  ///< The generation-on run's counters.
+  int64_t allocs = 0;
+  int64_t budget = 0;
+  bool same_pops = false;
+};
+
+/// Candidate generation: dblp workload query 14 (three keywords), k = 0,
+/// 20000 pops. A duplicate or rejected candidate must allocate nothing.
 bool MeasureCandidateGeneration() {
-  constexpr int64_t kAllocsPerResult = 8;
-  constexpr int64_t kAllocsPerQuery = 256;
   const datagen::DblpDataset dblp = MakeDblp();
   const graph::InvertedIndex index(dblp.graph);
   const search::SearchEngine engine(dblp.graph, &index);
-  // Workload query 14 (three keywords): within 20000 pops it meets ~350k
-  // candidates, of which fewer than 1k become results.
+  // Within 20000 pops it meets ~350k candidates, of which fewer than 1k
+  // become results.
   datagen::QueryWorkloadParams params;
   params.num_queries = 15;
   const search::Query query =
@@ -141,15 +190,9 @@ bool MeasureCandidateGeneration() {
   search::SearchOptions options;
   options.k = 0;
   options.max_pops = 20000;
-  const auto search = [&] { return engine.Search(query, options); };
-  search::SearchCounters on;
-  search::SearchCounters off;
-  const int64_t allocs_on = CountQueryAllocs(search, &on);
-  options.max_combos_per_pop = 0;
-  const int64_t allocs_off = CountQueryAllocs(search, &off);
-  const int64_t allocs = allocs_on - allocs_off;
+  const GenerationAllocs run(engine, query, options);
+  const search::SearchCounters& on = run.on;
   const int64_t non_accepted = on.candidates - on.results;
-  const int64_t budget = kAllocsPerQuery + kAllocsPerResult * on.results;
   std::printf(
       "{\"scenario\": \"engine_candidate_generation\", \"candidates\": %lld, "
       "\"duplicates\": %lld, \"rejected\": %lld, \"results\": %lld, "
@@ -157,31 +200,48 @@ bool MeasureCandidateGeneration() {
       static_cast<long long>(on.candidates),
       static_cast<long long>(on.duplicates),
       static_cast<long long>(non_accepted - on.duplicates),
-      static_cast<long long>(on.results), static_cast<long long>(allocs),
-      static_cast<long long>(budget));
+      static_cast<long long>(on.results), static_cast<long long>(run.allocs),
+      static_cast<long long>(run.budget));
   std::fflush(stdout);
-  if (on.pops != off.pops || off.candidates != 0) {
-    std::fprintf(stderr, "FAIL: generation on/off runs popped differently\n");
-    return false;
-  }
-  if (non_accepted < 4 * budget) {
-    std::fprintf(stderr,
-                 "FAIL: %lld non-accepted candidates cannot resolve a budget "
-                 "of %lld allocations\n",
-                 static_cast<long long>(non_accepted),
-                 static_cast<long long>(budget));
-    return false;
-  }
-  if (allocs > budget) {
-    std::fprintf(stderr,
-                 "FAIL: candidate generation made %lld allocations, over the "
-                 "accepted-tree budget of %lld: duplicates or rejected "
-                 "candidates allocate\n",
-                 static_cast<long long>(allocs),
-                 static_cast<long long>(budget));
-    return false;
-  }
-  return true;
+  return run.Check(non_accepted, "duplicates or rejected candidates");
+}
+
+/// Candidate memo (docs/algorithms.md, "Redundant keyword paths"): query
+/// 90 of the 200-query dblp workload on the small dblp graph the dblp-batch
+/// benchmark runs ("gelapu, paper, dokisugi, venue": at node 0 one met-all
+/// pop meets 19 x 400 x 12 combinations, whose "paper" and "venue" paths
+/// mostly peel away), k = 0, capped at the pops it takes at k = 10. Nearly
+/// all its candidates are memo hits, and a hit must allocate nothing.
+bool MeasureMemoHits() {
+  datagen::DblpParams params;  // perfbench/dblp_batch.cc's graph.
+  params.num_papers = 400;
+  params.num_authors = 150;
+  params.num_venues = 12;
+  params.vocab_size = 2500;
+  params.seed = 42;
+  const datagen::DblpDataset dblp =
+      std::move(datagen::GenerateDblp(params)).value();
+  const graph::InvertedIndex index(dblp.graph);
+  const search::SearchEngine engine(dblp.graph, &index);
+  datagen::QueryWorkloadParams workload;
+  workload.num_queries = 200;
+  const search::Query query =
+      datagen::MakeDblpWorkload(dblp, workload)[90].query;
+  search::SearchOptions options;
+  options.k = 10;
+  options.max_pops = (*engine.Search(query, options)).counters.pops;
+  options.k = 0;
+  const GenerationAllocs run(engine, query, options);
+  std::printf(
+      "{\"scenario\": \"engine_memo_hits\", \"candidates\": %lld, "
+      "\"memo_hits\": %lld, \"results\": %lld, \"allocs\": %lld, "
+      "\"budget\": %lld}\n",
+      static_cast<long long>(run.on.candidates),
+      static_cast<long long>(run.on.memo_hits),
+      static_cast<long long>(run.on.results),
+      static_cast<long long>(run.allocs), static_cast<long long>(run.budget));
+  std::fflush(stdout);
+  return run.Check(run.on.memo_hits, "memo hits");
 }
 
 /// Keyword frontiers: a warm three-keyword match-set query on the social
@@ -390,7 +450,8 @@ int Main() {
     return 1;
   }
   const bool frontiers_ok = MeasureFrontierQuery(graph);
-  return MeasureCandidateGeneration() && frontiers_ok ? 0 : 1;
+  const bool generation_ok = MeasureCandidateGeneration();
+  return MeasureMemoHits() && generation_ok && frontiers_ok ? 0 : 1;
 }
 
 }  // namespace

@@ -22,6 +22,15 @@
 # above may move when the frontier changes how it creates NTDs; these lines
 # may not, because the pops are what the answers are built from.
 #
+# Each suite also has a candidate gate: workcount_dump --candidates prints,
+# per query, Algorithm 3's generation counters (candidates, duplicates,
+# root_reducible, invalid_structure, invalid_time, predicate_rejected,
+# combo_overflows, results), diffed against tests/golden/candidates.expected
+# / candidates_datasets.expected (and the candidates_pruned* pair under
+# --pruned; --wide diffs all four). A change to how combinations are
+# assembled that must not change what they are classified as leaves these
+# lines alone.
+#
 # The counters measure *algorithmic* work (pops, scans, prunes) rather than
 # wall time, so they are bit-stable across machines, build flavours, and
 # stats modes — any diff means the search explored a different state space
@@ -266,6 +275,15 @@ if [[ "${WIDE}" == "1" ]]; then
     --popseq --pruned "${GOLDEN_DIR}"
   check_suite "${GOLDEN_DIR}/popseq_pruned_datasets.expected" "${PAD[@]}" \
     --popseq --pruned --dataset dblp --dataset dblp-bounded --dataset social
+  check_suite "${GOLDEN_DIR}/candidates.expected" "${PAD[@]}" --candidates \
+    "${GOLDEN_DIR}"
+  check_suite "${GOLDEN_DIR}/candidates_datasets.expected" "${PAD[@]}" \
+    --candidates --dataset dblp --dataset dblp-bounded --dataset social
+  check_suite "${GOLDEN_DIR}/candidates_pruned.expected" "${PAD[@]}" \
+    --candidates --pruned "${GOLDEN_DIR}"
+  check_suite "${GOLDEN_DIR}/candidates_pruned_datasets.expected" \
+    "${PAD[@]}" --candidates --pruned --dataset dblp --dataset dblp-bounded \
+    --dataset social
   wide_results_suite "golden" "${GOLDEN_DIR}"
   wide_results_suite "datasets" --dataset dblp --dataset dblp-bounded \
     --dataset social
@@ -291,6 +309,11 @@ if [[ "${PRUNED}" == "1" ]]; then
     "${GOLDEN_DIR}"
   check_suite "${GOLDEN_DIR}/popseq_pruned_datasets.expected" --popseq \
     --pruned --dataset dblp --dataset dblp-bounded --dataset social
+  check_suite "${GOLDEN_DIR}/candidates_pruned.expected" --candidates \
+    --pruned "${GOLDEN_DIR}"
+  check_suite "${GOLDEN_DIR}/candidates_pruned_datasets.expected" \
+    --candidates --pruned --dataset dblp --dataset dblp-bounded \
+    --dataset social
   pruned_results_suite "golden" "${GOLDEN_DIR}"
   pruned_results_suite "dblp" --dataset dblp
   check_suite "${GOLDEN_DIR}/workcounts_pruned_results_dblp_bounded.expected" \
@@ -322,4 +345,7 @@ check_suite "${GOLDEN_DIR}/workcounts_datasets.expected" \
   --dataset dblp --dataset dblp-bounded --dataset social
 check_suite "${GOLDEN_DIR}/popseq.expected" --popseq "${GOLDEN_DIR}"
 check_suite "${GOLDEN_DIR}/popseq_datasets.expected" --popseq \
+  --dataset dblp --dataset dblp-bounded --dataset social
+check_suite "${GOLDEN_DIR}/candidates.expected" --candidates "${GOLDEN_DIR}"
+check_suite "${GOLDEN_DIR}/candidates_datasets.expected" --candidates \
   --dataset dblp --dataset dblp-bounded --dataset social

@@ -48,6 +48,7 @@ void AccumulateCounters(const search::SearchCounters& c,
   total->predicate_rejected += c.predicate_rejected;
   total->duplicates += c.duplicates;
   total->combo_overflows += c.combo_overflows;
+  total->memo_hits += c.memo_hits;
   total->results += c.results;
   total->seconds_match += c.seconds_match;
   total->seconds_filter += c.seconds_filter;

@@ -107,6 +107,16 @@ class CandidateAssembler {
   /// Signature of the last reduced candidate (see Assemble).
   const std::string& signature() const { return signature_; }
 
+  /// After an Assemble that did not return kNotATree, with at most 64
+  /// keywords: whether every keyword in `redundant` (one bit per keyword)
+  /// kept a coverer that survived the peel for a reason outside
+  /// `redundant` — the root, a node that never became a leaf, or a leaf
+  /// kept as the last coverer of a keyword outside `redundant`. This is
+  /// condition (c) of the redundant-path lemma (candidate_memo.h,
+  /// docs/algorithms.md "Redundant keyword paths"), checked on the peel of
+  /// a combination's core paths.
+  bool RedundantCoverHolds(uint64_t redundant) const;
+
  private:
   CandidateRejection CheckTree(graph::NodeId root,
                                const std::vector<graph::EdgeId>& edges);
@@ -131,6 +141,9 @@ class CandidateAssembler {
   std::vector<int32_t> depth_;        ///< Edges from the root.
   std::vector<int32_t> children_;     ///< Live child count.
   std::vector<uint8_t> removed_;      ///< Peeled.
+  /// Per kept leaf: the keywords it was the last live coverer of; 0 for a
+  /// node never examined as a leaf. Bits for keywords 0-63 only.
+  std::vector<uint64_t> kept_for_;
   std::vector<uint8_t> cover_;        ///< Position-major n x m coverage.
   std::vector<int32_t> cover_count_;  ///< Live coverers per keyword.
   std::vector<int32_t> walk_;         ///< Parent-chain scratch for depths.

@@ -10,6 +10,7 @@
 #include "graph/delta_overlay.h"
 #include "graph/reachability_index.h"
 #include "obs/metrics.h"
+#include "search/candidate_memo.h"
 
 #include <algorithm>
 #include <cassert>
@@ -245,6 +246,16 @@ class MeetingTable {
 // A Runner holds one table; a thread runs one query at a time.
 using MeetingTablePool = common::ScratchPool<MeetingTable, 2>;
 
+// The same for the candidate memo, acquired at a query's first memo pop.
+using CandidateMemoPool = common::ScratchPool<CandidateMemo, 2>;
+
+/// Smallest cross product (combinations at one met-all pop, the fresh NTD
+/// pinned) for which the engine builds the pop's candidate memo. Below it
+/// the path table costs more than the assemblies it could save. Chosen by
+/// measurement on the dblp and social workloads (docs/performance.md,
+/// "Candidate verdict memo").
+constexpr int64_t kMemoMinCombos = 16;
+
 /// One Search() invocation; owns the keyword frontiers and bookkeeping.
 class Runner {
  public:
@@ -258,6 +269,7 @@ class Runner {
         match_lists_(std::move(matches)),
         assembler_(graph, &match_lists_, NonEmpty(options.overlay)),
         chosen_(m_),
+        chosen_pos_(m_),
         combo_times_(m_),
         combo_masks_(m_),
         candidate_matches_(m_),
@@ -612,11 +624,19 @@ class Runner {
   }
 
   /// Enumerates NTDset cross products with the fresh NTD pinned for its
-  /// keyword (Algorithm 3 lines 15-19).
+  /// keyword (Algorithm 3 lines 15-19). The pop counts as a combo overflow
+  /// when max_combos_per_pop leaves a combination of its product unvisited.
   void GenerateCandidates(NodeId root, int32_t row, size_t fresh_kw,
                           NtdId fresh_ntd) {
+    if (options_.max_combos_per_pop <= 0) {
+      ++response_.counters.combo_overflows;
+      return;
+    }
     chosen_[fresh_kw] = fresh_ntd;
+    chosen_pos_[fresh_kw] = 0;
+    memo_ready_ = PrepareMemo(root, row, fresh_kw, fresh_ntd);
     int64_t combos = 0;
+    combos_cut_ = false;
     const BestPathIterator& fresh = *iterators_[fresh_kw];
     if (fresh.uses_time_masks()) {
       EnumerateCombos(root, row, fresh_kw, 0,
@@ -625,17 +645,60 @@ class Runner {
       EnumerateCombos(root, row, fresh_kw, 0,
                       fresh.TimeAs<IntervalSet>(fresh_ntd), &combos);
     }
+    if (combos_cut_) ++response_.counters.combo_overflows;
+  }
+
+  /// Builds the pop's path table when its cross product reaches
+  /// kMemoMinCombos. Returns whether the memo serves this pop.
+  bool PrepareMemo(NodeId root, int32_t row, size_t fresh_kw,
+                   NtdId fresh_ntd) {
+    if (m_ < 2 || m_ > CandidateMemo::kMaxKeywords) return false;
+    int64_t product = 1;
+    for (size_t kw = 0; kw < m_ && product < kMemoMinCombos; ++kw) {
+      if (kw == fresh_kw) continue;
+      int64_t length = 0;
+      for (int32_t link = meetings_->First(row, kw); link >= 0;
+           link = meetings_->Next(link)) {
+        ++length;
+      }
+      product *= length;
+    }
+    if (product < kMemoMinCombos) return false;
+    if (memo_ == nullptr) memo_ = CandidateMemoPool::Acquire();
+    memo_->Reset(root, &match_lists_);
+    for (size_t kw = 0; kw < m_; ++kw) {
+      if (kw == fresh_kw) {
+        AddMemoPath(kw, fresh_ntd);
+        continue;
+      }
+      for (int32_t link = meetings_->First(row, kw); link >= 0;
+           link = meetings_->Next(link)) {
+        AddMemoPath(kw, meetings_->ntd(link));
+      }
+    }
+    return memo_->Seal();
+  }
+
+  /// Adds NTD `id`'s path to the memo: each NTD on its parent chain names
+  /// the next node toward the source and, in its via_edge, the edge into
+  /// that node.
+  void AddMemoPath(size_t kw, NtdId id) {
+    const BestPathIterator& frontier = *iterators_[kw];
+    memo_->BeginPath(kw);
+    for (const Ntd* cur = &frontier.ntd(id); cur->parent != kInvalidNtd;) {
+      const EdgeId in_edge = cur->via_edge;
+      cur = &frontier.ntd(cur->parent);
+      memo_->AddStep(cur->node, in_edge);
+    }
   }
 
   /// `Time` is the frontiers' time representation (all keywords share the
-  /// graph, hence the representation).
+  /// graph, hence the representation). Returns as soon as `*combos`
+  /// reaches the cap; every depth then records in combos_cut_ whether its
+  /// own list still had an unvisited NTD.
   template <typename Time>
   void EnumerateCombos(NodeId root, int32_t row, size_t fresh_kw, size_t kw,
                        const Time& common, int64_t* combos) {
-    if (*combos >= options_.max_combos_per_pop) {
-      ++response_.counters.combo_overflows;
-      return;
-    }
     if (kw == m_) {
       ++(*combos);
       EmitCandidate(root);
@@ -649,8 +712,9 @@ class Runner {
     // NTD's time or a shallower depth's set, never this one.
     Time& narrowed = ComboTime<Time>(kw);
     const BestPathIterator& frontier = *iterators_[kw];
+    int32_t pos = 0;
     for (int32_t link = meetings_->First(row, kw); link >= 0;
-         link = meetings_->Next(link)) {
+         link = meetings_->Next(link), ++pos) {
       const NtdId ntd_id = meetings_->ntd(link);
       if constexpr (std::is_same_v<Time, TimeMask>) {
         narrowed = common & frontier.TimeAs<TimeMask>(ntd_id);
@@ -667,8 +731,12 @@ class Runner {
         continue;
       }
       chosen_[kw] = ntd_id;
+      chosen_pos_[kw] = pos;
       EnumerateCombos(root, row, fresh_kw, kw + 1, narrowed, combos);
-      if (*combos >= options_.max_combos_per_pop) return;
+      if (*combos >= options_.max_combos_per_pop) {
+        combos_cut_ |= meetings_->Next(link) >= 0;
+        return;
+      }
     }
   }
 
@@ -682,53 +750,129 @@ class Runner {
     }
   }
 
-  /// Assembles the combination in chosen_. The exact time is recomputed
-  /// from the reduced tree's elements, and only for a tree not seen before.
+  /// Assembles the combination in chosen_, or replays the verdict its
+  /// core got earlier in this pop. The exact time is recomputed from the
+  /// reduced tree's elements, and only for a tree not seen before.
   void EmitCandidate(NodeId root) {
     ++response_.counters.candidates;
+    if (memo_ready_ && EmitFromMemo(root)) return;
     path_edges_.clear();
     for (size_t kw = 0; kw < m_; ++kw) {
-      const BestPathIterator& frontier = *iterators_[kw];
-      frontier.PathEdgesInto(chosen_[kw], &path_edges_);
-      candidate_matches_[kw] = frontier.source_of(chosen_[kw]);
+      iterators_[kw]->PathEdgesInto(chosen_[kw], &path_edges_);
     }
+    SetCandidateMatches();
     ResultTree tree;
-    switch (assembler_.Assemble(root, &path_edges_, candidate_matches_,
-                                &seen_, &tree)) {
+    Settle(root,
+           assembler_.Assemble(root, &path_edges_, candidate_matches_,
+                               &seen_, &tree),
+           &tree);
+  }
+
+  /// The memo path of EmitCandidate (docs/algorithms.md, "Redundant
+  /// keyword paths"). A combination with redundant keywords whose path
+  /// union is a tree is keyed on (redundant keywords, core choices). A hit
+  /// replays the key's verdict; a miss assembles the core alone and, when
+  /// the redundant keywords' coverers outlast the core's peel, settles the
+  /// candidate on the core's verdict and stores it. Returns false when the
+  /// combination must be assembled whole.
+  bool EmitFromMemo(NodeId root) {
+    const int32_t* choice = chosen_pos_.data();
+    const uint64_t redundant = memo_->Redundant(choice);
+    // Without a redundant keyword the core is the whole combination, which
+    // a pop enumerates once: nothing to reuse.
+    if (redundant == 0) return false;
+    const uint64_t key = memo_->Key(redundant, choice);
+    const MemoVerdict* known = memo_->Find(key);
+    if (known != nullptr && *known == MemoVerdict::kAssemble) return false;
+    if (!memo_->FormsTree(choice)) return false;
+    if (known != nullptr) {
+      ++response_.counters.memo_hits;
+      CountVerdict(root, *known);
+      return true;
+    }
+    path_edges_.clear();
+    memo_->CoreEdgesInto(redundant, choice, &path_edges_);
+    SetCandidateMatches();
+    ResultTree tree;
+    const CandidateRejection why = assembler_.Assemble(
+        root, &path_edges_, candidate_matches_, &seen_, &tree);
+    if (why == CandidateRejection::kNotATree ||
+        !assembler_.RedundantCoverHolds(redundant)) {
+      memo_->Insert(key, MemoVerdict::kAssemble);
+      return false;
+    }
+    memo_->Insert(key, Settle(root, why, &tree));
+    return true;
+  }
+
+  /// The chosen paths' sources, the designated matches.
+  void SetCandidateMatches() {
+    for (size_t kw = 0; kw < m_; ++kw) {
+      candidate_matches_[kw] = iterators_[kw]->source_of(chosen_[kw]);
+    }
+  }
+
+  /// Counts an assembled candidate's verdict and, on acceptance, records
+  /// the result. Returns what a later candidate with the same reduced tree
+  /// would be: an accepted tree makes it a duplicate.
+  MemoVerdict Settle(NodeId root, CandidateRejection why, ResultTree* tree) {
+    switch (why) {
       case CandidateRejection::kNotATree:
         ++response_.counters.invalid_structure;
-        return;
+        return MemoVerdict::kAssemble;
       case CandidateRejection::kRootReducible:
-        ++response_.counters.root_reducible;
-        return;
+        CountVerdict(root, MemoVerdict::kRootReducible);
+        return MemoVerdict::kRootReducible;
       case CandidateRejection::kDuplicate:
-        ++response_.counters.duplicates;
-        TGKS_STATS(if (options_.trace != nullptr) {
-          options_.trace->Record(obs::TraceEventKind::kDedupHit, root, -1);
-        });
-        return;
+        CountVerdict(root, MemoVerdict::kDuplicate);
+        return MemoVerdict::kDuplicate;
       case CandidateRejection::kEmptyTime:
-        ++response_.counters.invalid_time;
-        return;
+        CountVerdict(root, MemoVerdict::kEmptyTime);
+        return MemoVerdict::kEmptyTime;
       case CandidateRejection::kAccepted:
         break;
     }
     // Final predicate check; skippable when element pruning was exact (§5).
     if (query_.predicate != nullptr && !query_.predicate->PruningIsExact() &&
-        !query_.predicate->EvalResultTime(tree.time)) {
-      ++response_.counters.predicate_rejected;
-      return;
+        !query_.predicate->EvalResultTime(tree->time)) {
+      CountVerdict(root, MemoVerdict::kPredicateRejected);
+      return MemoVerdict::kPredicateRejected;
     }
     seen_.insert(assembler_.signature());
-    tree.score = MakeScore(query_.ranking, tree.total_weight, tree.time);
+    tree->score = MakeScore(query_.ranking, tree->total_weight, tree->time);
     // Track primary scores (descending) for the §4.2 stop test.
-    const double primary = tree.score[0];
+    const double primary = tree->score[0];
     primaries_.insert(
         std::upper_bound(primaries_.begin(), primaries_.end(), primary,
                          std::greater<double>()),
         primary);
-    results_.push_back(std::move(tree));
+    results_.push_back(std::move(*tree));
     ++response_.counters.results;
+    return MemoVerdict::kDuplicate;
+  }
+
+  /// Counts a candidate rejected with `verdict`.
+  void CountVerdict(NodeId root, MemoVerdict verdict) {
+    switch (verdict) {
+      case MemoVerdict::kDuplicate:
+        ++response_.counters.duplicates;
+        TGKS_STATS(if (options_.trace != nullptr) {
+          options_.trace->Record(obs::TraceEventKind::kDedupHit, root, -1);
+        });
+        return;
+      case MemoVerdict::kRootReducible:
+        ++response_.counters.root_reducible;
+        return;
+      case MemoVerdict::kEmptyTime:
+        ++response_.counters.invalid_time;
+        return;
+      case MemoVerdict::kPredicateRejected:
+        ++response_.counters.predicate_rejected;
+        return;
+      case MemoVerdict::kAssemble:
+        break;
+    }
+    assert(false && "kAssemble is not a verdict");
   }
 
   /// guided_search: should candidate generation at this met-all node be
@@ -1375,11 +1519,15 @@ class Runner {
   // warm candidate allocates only if it becomes a result.
   CandidateAssembler assembler_;  ///< Covers by the filtered match_lists_.
   std::vector<NtdId> chosen_;  ///< NTD per keyword, of that keyword's frontier.
+  std::vector<int32_t> chosen_pos_;  ///< chosen_[kw]'s index in its list.
   std::vector<IntervalSet> combo_times_;  ///< Narrowed time per depth.
   std::vector<TimeMask> combo_masks_;     ///< The same, on mask timelines.
   std::vector<EdgeId> path_edges_;        ///< Concatenated chosen paths.
   std::vector<NodeId> candidate_matches_;  ///< Chosen paths' sources.
   SignatureSet seen_;  ///< Accepted trees.
+  bool combos_cut_ = false;  ///< The cap cut the current pop's product.
+  CandidateMemoPool::Handle memo_;  ///< Acquired at the first memo pop.
+  bool memo_ready_ = false;  ///< memo_ serves the current pop.
 
   /// One frontier per keyword over its filtered match list. Empty only in
   /// parallel mode, until the keyword's first prefetch task builds it.

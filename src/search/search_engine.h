@@ -224,7 +224,13 @@ struct SearchCounters {
   int64_t root_reducible = 0;      ///< Candidates dropped per the root rule.
   int64_t predicate_rejected = 0;  ///< Results failing the final check.
   int64_t duplicates = 0;          ///< Re-derived known trees.
-  int64_t combo_overflows = 0;     ///< Pops hitting max_combos_per_pop.
+  /// Met-all pops whose cross product max_combos_per_pop cut short: at
+  /// least one combination was left unvisited.
+  int64_t combo_overflows = 0;
+  /// Candidates whose verdict the pop's candidate memo replayed instead of
+  /// assembling them (docs/algorithms.md, "Redundant keyword paths").
+  /// Each is also counted under the verdict it replayed.
+  int64_t memo_hits = 0;
   /// reachability_prune only: match sources dropped plus expansion NTDs
   /// discarded because their time set missed the viability set.
   int64_t reachability_prunes = 0;

@@ -7,7 +7,10 @@
 // all its elements are valid, and (for ResultTree) its keyword nodes and
 // weight follow their documented rules. A second sweep feeds random
 // candidate bundles to two assemblers, one deduplicating before it builds
-// and one building first, and requires identical outcomes and counters.
+// and one building first, and requires identical outcomes and counters. A
+// third checks the redundant-path lemma behind the engine's candidate
+// memo: whenever the memo's test accepts a bundle, the bundle assembles
+// exactly like its core paths alone.
 
 #include <algorithm>
 #include <map>
@@ -19,6 +22,7 @@
 #include "baseline/banks.h"
 #include "common/random.h"
 #include "graph/graph_builder.h"
+#include "search/candidate_memo.h"
 #include "search/label_correcting_iterator.h"
 #include "search/result_tree.h"
 #include "search/search_engine.h"
@@ -235,6 +239,7 @@ struct Bundle {
   NodeId root;
   std::vector<EdgeId> edges;
   std::vector<NodeId> matches;
+  std::vector<size_t> path_ends;  ///< Per keyword: its walk's end in edges.
 };
 
 Bundle RandomBundle(Rng* rng, const TemporalGraph& g,
@@ -253,6 +258,7 @@ Bundle RandomBundle(Rng* rng, const TemporalGraph& g,
       cur = g.edge(e).dst;
     }
     b.matches.push_back(cur);
+    b.path_ends.push_back(b.edges.size());
   }
   return b;
 }
@@ -338,6 +344,154 @@ TEST(CandidateAssemblyOracleTest, DuplicateBeforeBuildKeepsEveryCounter) {
     duplicates += early_counts["duplicate"];
   }
   EXPECT_GT(duplicates, 1000);  // The sweep must produce many duplicates.
+}
+
+// A bundle shaped like a real candidate: per keyword, a random forward
+// walk from `root` cut at one of its nodes (the root included) that matches
+// the keyword. False when some keyword found no match in a few walks.
+bool RandomMatchedBundle(Rng* rng, const TemporalGraph& g,
+                         const std::vector<std::vector<EdgeId>>& out_edges,
+                         const std::vector<std::vector<NodeId>>& lists,
+                         Bundle* b) {
+  b->root = static_cast<NodeId>(rng->Uniform(g.num_nodes()));
+  b->edges.clear();
+  b->matches.clear();
+  b->path_ends.clear();
+  std::vector<EdgeId> walk;
+  std::vector<size_t> cuts;  // Walk lengths whose end matches.
+  for (const std::vector<NodeId>& list : lists) {
+    cuts.clear();
+    for (int attempt = 0; attempt < 8 && cuts.empty(); ++attempt) {
+      walk.clear();
+      NodeId cur = b->root;
+      if (Contains(list, cur)) cuts.push_back(0);
+      const uint64_t length = 1 + rng->Uniform(4);
+      for (uint64_t step = 0; step < length; ++step) {
+        const auto& outs = out_edges[static_cast<size_t>(cur)];
+        if (outs.empty()) break;
+        const EdgeId e = outs[rng->Uniform(outs.size())];
+        walk.push_back(e);
+        cur = g.edge(e).dst;
+        if (Contains(list, cur)) cuts.push_back(walk.size());
+      }
+    }
+    if (cuts.empty()) return false;
+    const size_t cut = cuts[rng->Uniform(cuts.size())];
+    b->edges.insert(b->edges.end(), walk.begin(),
+                    walk.begin() + static_cast<std::ptrdiff_t>(cut));
+    b->matches.push_back(cut == 0 ? b->root : g.edge(walk[cut - 1]).dst);
+    b->path_ends.push_back(b->edges.size());
+  }
+  return true;
+}
+
+// The redundant-path lemma (docs/algorithms.md, "Redundant keyword
+// paths"): when a bundle's path union is a tree and the peel of its core
+// paths keeps a coverer of every redundant keyword for a reason outside
+// them, the bundle reduces to the core's tree. Random bundles of three and
+// four keywords over small match lists make redundant keywords common.
+TEST(CandidateAssemblyOracleTest, RedundantPathsPeelAwayWhenTheMemoSaysSo) {
+  int64_t trials = 0;
+  int64_t redundant_trials = 0;
+  int64_t accepted = 0;
+  int64_t accepted_trees = 0;
+  int64_t differ = 0;  // Rejected by (c) and not reducing to the core's tree.
+  for (int seed = 0; seed < kGraphs; ++seed) {
+    Rng rng(static_cast<uint64_t>(5000 + seed));
+    const TemporalGraph g = RandomGraph(&rng);
+    std::vector<std::vector<EdgeId>> out_edges(
+        static_cast<size_t>(g.num_nodes()));
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      out_edges[static_cast<size_t>(g.edge(e).src)].push_back(e);
+    }
+    const size_t keywords = 3 + static_cast<size_t>(seed % 2);
+    const auto lists = RandomMatchLists(&rng, g, keywords);
+    std::vector<Bundle> bundles;
+    for (int i = 0; i < 400; ++i) {
+      Bundle bundle;
+      if (RandomMatchedBundle(&rng, g, out_edges, lists, &bundle)) {
+        bundles.push_back(std::move(bundle));
+      }
+    }
+
+    CandidateAssembler core_assembler(g, &lists);
+    CandidateAssembler full_assembler(g, &lists);
+    CandidateMemo memo;
+    SignatureSet seen;
+    const std::vector<int32_t> choice(keywords, 0);
+    const std::string context = "seed " + std::to_string(seed);
+    for (const Bundle& bundle : bundles) {
+      ++trials;
+      memo.Reset(bundle.root, &lists);
+      size_t next_edge = 0;
+      for (size_t kw = 0; kw < keywords; ++kw) {
+        memo.BeginPath(kw);
+        for (; next_edge < bundle.path_ends[kw]; ++next_edge) {
+          const EdgeId e = bundle.edges[next_edge];
+          memo.AddStep(g.edge(e).dst, e);
+        }
+      }
+      // With one path per keyword, Seal's "some combination has a redundant
+      // keyword" is this combination's.
+      const uint64_t redundant = memo.Redundant(choice.data());
+      ASSERT_EQ(memo.Seal(), redundant != 0) << context;
+
+      std::vector<EdgeId> full_edges = bundle.edges;
+      ResultTree full_tree;
+      const CandidateRejection full = full_assembler.Assemble(
+          bundle.root, &full_edges, bundle.matches, &seen, &full_tree);
+      // The memo's tree test is exactly the assembler's.
+      ASSERT_EQ(memo.FormsTree(choice.data()),
+                full != CandidateRejection::kNotATree)
+          << context;
+      if (redundant == 0 || full == CandidateRejection::kNotATree) {
+        if (full == CandidateRejection::kAccepted) {
+          seen.insert(full_assembler.signature());
+        }
+        continue;
+      }
+      ++redundant_trials;
+
+      std::vector<EdgeId> core_edges;
+      memo.CoreEdgesInto(redundant, choice.data(), &core_edges);
+      ResultTree core_tree;
+      const CandidateRejection core = core_assembler.Assemble(
+          bundle.root, &core_edges, bundle.matches, &seen, &core_tree);
+      ASSERT_NE(core, CandidateRejection::kNotATree) << context;
+      const bool same_tree =
+          core == full && (core == CandidateRejection::kRootReducible ||
+                           core_assembler.signature() ==
+                               full_assembler.signature());
+      if (!core_assembler.RedundantCoverHolds(redundant)) {
+        differ += !same_tree;
+      } else {
+        ++accepted;
+        ASSERT_EQ(core, full) << context << " redundant " << redundant;
+        EXPECT_TRUE(same_tree) << context << " redundant " << redundant;
+        if (core == CandidateRejection::kAccepted) {
+          ++accepted_trees;
+          EXPECT_EQ(core_tree.Signature(), full_tree.Signature()) << context;
+          EXPECT_EQ(core_tree.nodes, full_tree.nodes) << context;
+          EXPECT_EQ(core_tree.time, full_tree.time) << context;
+          EXPECT_EQ(core_tree.total_weight, full_tree.total_weight)
+              << context;
+          EXPECT_EQ(core_tree.keyword_nodes, full_tree.keyword_nodes)
+              << context;
+        }
+      }
+      if (full == CandidateRejection::kAccepted) {
+        seen.insert(full_assembler.signature());
+      }
+    }
+  }
+  // Not vacuous: redundant keywords are common, the test accepts a large
+  // share of those bundles and some of them are new trees, and condition
+  // (c) matters: many bundles it rejects reduce to another tree than their
+  // core's.
+  EXPECT_GT(redundant_trials, trials / 4);
+  EXPECT_GT(accepted, redundant_trials / 4);
+  EXPECT_GT(accepted_trees, 200);
+  EXPECT_GT(differ, 1000);
 }
 
 }  // namespace

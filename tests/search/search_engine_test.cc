@@ -340,6 +340,79 @@ TEST(SearchEngineTest, CountersPopulated) {
   EXPECT_GT(c.avg_ntds_per_node, 0.0);
 }
 
+// Three keywords with two matches each, all one edge below a common root:
+// the last pops at the root enumerate a product of 2 x 2 = 4 combinations
+// (the fresh NTD pinned), and no other node meets all three keywords.
+SearchResponse RunStarWithComboCap(int64_t cap) {
+  graph::GraphBuilder b(4);
+  const NodeId root = b.AddNode("root");
+  std::vector<std::vector<NodeId>> matches(3);
+  for (size_t kw = 0; kw < matches.size(); ++kw) {
+    for (int i = 0; i < 2; ++i) {
+      const NodeId leaf = b.AddNode("leaf");
+      b.AddEdge(root, leaf);
+      matches[kw].push_back(leaf);
+    }
+  }
+  const TemporalGraph g = std::move(b.Build()).value();
+  const SearchEngine engine(g);
+  SearchOptions options = Exhaustive();
+  options.max_combos_per_pop = cap;
+  auto r = engine.SearchWithMatches(MustParse("a, b, c"), matches, options);
+  EXPECT_TRUE(r.ok());
+  return std::move(r).value();
+}
+
+TEST(SearchEngineTest, ComboOverflowCountsPopsTheCapCuts) {
+  const SearchResponse full = RunStarWithComboCap(4);
+  EXPECT_EQ(full.counters.combo_overflows, 0);
+  EXPECT_EQ(full.counters.results, 8);
+  // Cap 3 stops inside the innermost list, cap 2 at the end of it with the
+  // outer list unfinished: both leave a combination of a 4-product unseen.
+  for (const int64_t cap : {3, 2}) {
+    const SearchResponse cut = RunStarWithComboCap(cap);
+    EXPECT_GE(cut.counters.combo_overflows, 1) << "cap " << cap;
+    EXPECT_LT(cut.counters.candidates, full.counters.candidates)
+        << "cap " << cap;
+  }
+  // A cap of zero cuts every met-all pop before its first combination.
+  const SearchResponse none = RunStarWithComboCap(0);
+  EXPECT_EQ(none.counters.candidates, 0);
+  EXPECT_GE(none.counters.combo_overflows, 1);
+}
+
+// One "a" match, which also matches "b", two edges below a root; 16 more
+// "b" matches one edge below it. Relevance ranking pops the 16 short "b"
+// paths at the root before the "a" path, so the "a" pop there enumerates
+// a product of at least 16. Every combination pairing the "a" path with a
+// short "b" path has "b" redundant (the "a" match covers it), so its
+// reduced tree is the "a" path alone: the first such combination is
+// assembled and the other 15 replay its root-reducible verdict. The only
+// answer is the shared match on its own.
+TEST(SearchEngineTest, MemoReplaysCombinationsWhosePathsPeelAway) {
+  graph::GraphBuilder b(4);
+  const NodeId root = b.AddNode("root");
+  const NodeId mid = b.AddNode("mid");
+  const NodeId both = b.AddNode("both");
+  b.AddEdge(root, mid);
+  b.AddEdge(mid, both);
+  std::vector<std::vector<NodeId>> matches = {{both}, {both}};
+  for (int i = 0; i < 16; ++i) {
+    const NodeId leaf = b.AddNode("leaf");
+    b.AddEdge(root, leaf);
+    matches[1].push_back(leaf);
+  }
+  const TemporalGraph g = std::move(b.Build()).value();
+  const SearchEngine engine(g);
+  auto r = engine.SearchWithMatches(MustParse("a, b"), matches, Exhaustive());
+  ASSERT_TRUE(r.ok());
+  const SearchCounters& c = r->counters;
+  EXPECT_EQ(c.memo_hits, 15);
+  EXPECT_EQ(c.candidates, c.root_reducible + c.results);
+  ASSERT_EQ(r->results.size(), 1u);
+  EXPECT_EQ(r->results[0].nodes, std::vector<NodeId>{both});
+}
+
 TEST(SearchEngineTest, DurationIndexKindsAgree) {
   const TemporalGraph g = testutil::MakeSocialNetworkGraph();
   const InvertedIndex index(g);

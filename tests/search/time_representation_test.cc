@@ -243,6 +243,7 @@ void ExpectSameResponse(const SearchResponse& a, const SearchResponse& b,
   TGKS_EXPECT_SAME(predicate_rejected);
   TGKS_EXPECT_SAME(duplicates);
   TGKS_EXPECT_SAME(combo_overflows);
+  TGKS_EXPECT_SAME(memo_hits);
   TGKS_EXPECT_SAME(reachability_prunes);
   TGKS_EXPECT_SAME(guided_prunes);
   TGKS_EXPECT_SAME(guided_reorders);

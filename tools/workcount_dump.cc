@@ -21,10 +21,10 @@
 //    just the toy ones. Each workload runs under both relevance and
 //    duration ranking to cover the partition AND subsumption semantics.
 //
-// Usage: workcount_dump [--parallel] [--results|--popseq] [--pruned]
-//            [--cache] <golden-dir> [stems...]
-//        workcount_dump [--parallel] [--results|--popseq] [--pruned]
-//            [--cache] --dataset <dblp|social> ...
+// Usage: workcount_dump [--parallel] [--results|--popseq|--candidates]
+//            [--pruned] [--cache] <golden-dir> [stems...]
+//        workcount_dump [--parallel] [--results|--popseq|--candidates]
+//            [--pruned] [--cache] --dataset <dblp|social> ...
 //        workcount_dump --layout <dblp|social> [--layout ...]
 //        (every form also takes --pad-timeline <n>)
 //
@@ -80,6 +80,15 @@
 // while any change to what is popped, or in which order, shows up.
 // scripts/workcount_check.sh diffs them against tests/golden/popseq*.expected
 // in default, --pruned and --wide modes. Sequential mode only.
+//
+// --candidates replaces the counter lines with the result-generation
+// counters of each query: candidates, duplicates, root_reducible,
+// invalid_structure, invalid_time, predicate_rejected, combo_overflows and
+// results. They pin how Algorithm 3's combinations were classified, so a
+// change to candidate generation that must not change what it decides
+// (only how fast) leaves the lines alone. scripts/workcount_check.sh diffs
+// them against tests/golden/candidates*.expected in default, --pruned and
+// --wide modes. Sequential mode only.
 
 #include <cstdint>
 #include <cstdio>
@@ -110,6 +119,7 @@ bool g_pruned = false;    // Run with the reachability prune enabled.
 bool g_cache = false;     // Run with the query caches (levels 1-2) enabled.
 bool g_guided = false;    // Run with distance-guided search enabled.
 bool g_popseq = false;    // Print pop-sequence fingerprints.
+bool g_candidates = false;  // Print result-generation counters.
 int32_t g_pad_timeline = 0;  // Rebuild graphs over >= this many instants.
 
 /// Applies --pad-timeline to a freshly built or loaded graph.
@@ -289,6 +299,37 @@ void PrintCounters(const std::string& tag, int index,
   std::printf("\n");
 }
 
+void PrintCandidates(const std::string& tag, int index,
+                     const tgks::search::SearchCounters& c) {
+  std::printf(
+      "%s#%d candidates=%lld duplicates=%lld root_reducible=%lld "
+      "invalid_structure=%lld invalid_time=%lld predicate_rejected=%lld "
+      "combo_overflows=%lld results=%lld\n",
+      tag.c_str(), index, static_cast<long long>(c.candidates),
+      static_cast<long long>(c.duplicates),
+      static_cast<long long>(c.root_reducible),
+      static_cast<long long>(c.invalid_structure),
+      static_cast<long long>(c.invalid_time),
+      static_cast<long long>(c.predicate_rejected),
+      static_cast<long long>(c.combo_overflows),
+      static_cast<long long>(c.results));
+}
+
+/// Prints one query's line in the selected output mode.
+void PrintQuery(const std::string& tag, int index,
+                const tgks::search::SearchResponse& r,
+                const PopSeqRecorder& popseq) {
+  if (g_results) {
+    PrintResults(tag, index, r);
+  } else if (g_popseq) {
+    popseq.Print(tag, index);
+  } else if (g_candidates) {
+    PrintCandidates(tag, index, r.counters);
+  } else {
+    PrintCounters(tag, index, r.counters);
+  }
+}
+
 int RunGoldenStems(const std::string& dir,
                    const std::vector<std::string>& stems) {
   for (const std::string& stem : stems) {
@@ -327,13 +368,7 @@ int RunGoldenStems(const std::string& dir,
         return 1;
       }
       tally.Add(r->counters);
-      if (g_results) {
-        PrintResults(stem, qi++, *r);
-      } else if (g_popseq) {
-        popseq.Print(stem, qi++);
-      } else {
-        PrintCounters(stem, qi++, r->counters);
-      }
+      PrintQuery(stem, qi++, *r, popseq);
     }
     if (g_cache) tally.Print(stem);
   }
@@ -432,13 +467,7 @@ int RunDataset(const std::string& name) {
         return 1;
       }
       tally.Add(r->counters);
-      if (g_results) {
-        PrintResults(name + pass_tags[pass], qi++, *r);
-      } else if (g_popseq) {
-        popseq.Print(name + pass_tags[pass], qi++);
-      } else {
-        PrintCounters(name + pass_tags[pass], qi++, r->counters);
-      }
+      PrintQuery(name + pass_tags[pass], qi++, *r, popseq);
     }
   }
   if (g_cache) tally.Print(name);
@@ -500,6 +529,8 @@ int main(int argc, char** argv) {
       g_guided = true;
     } else if (std::strcmp(argv[i], "--popseq") == 0) {
       g_popseq = true;
+    } else if (std::strcmp(argv[i], "--candidates") == 0) {
+      g_candidates = true;
     } else if (std::strcmp(argv[i], "--pad-timeline") == 0 && i + 1 < argc) {
       g_pad_timeline = static_cast<int32_t>(std::atoi(argv[++i]));
     } else {
@@ -511,12 +542,20 @@ int main(int argc, char** argv) {
                  "--popseq runs sequentially and replaces --results\n");
     return 2;
   }
+  if (g_candidates && (g_parallel || g_results || g_popseq)) {
+    std::fprintf(stderr,
+                 "--candidates runs sequentially and replaces --results and "
+                 "--popseq\n");
+    return 2;
+  }
   if (args.empty()) {
     std::fprintf(
         stderr,
-        "usage: %s [--parallel] [--results|--popseq] [--pruned] [--cache] "
-        "[--guided] [--pad-timeline <n>] <golden-dir> [graph stems...]\n"
-        "       %s [--parallel] [--results|--popseq] [--pruned] [--cache] "
+        "usage: %s [--parallel] [--results|--popseq|--candidates] [--pruned] "
+        "[--cache] [--guided] [--pad-timeline <n>] <golden-dir> "
+        "[graph stems...]\n"
+        "       %s [--parallel] [--results|--popseq|--candidates] [--pruned] "
+        "[--cache] "
         "[--guided] [--pad-timeline <n>] "
         "--dataset <dblp|dblp-bounded|social> ...\n"
         "       %s [--pad-timeline <n>] --layout <dblp|dblp-bounded|social> "
