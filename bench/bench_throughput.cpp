@@ -17,13 +17,7 @@
 // different frontier under the heuristic bounds ("Bounded stops"), and the
 // suites where equality does hold are gated by workcount_check.sh --pruned.
 //
-// A fourth, single-threaded sweep re-runs each dataset with
-// SearchOptions::guided_search ("mode": "guided"); every row carries batch
-// totals of ntds_popped / edges_scanned, so the guided row quantifies the
-// frontier work the cone-floor caps saved against the sequential row of
-// the same dataset.
-//
-// A fifth sweep pairs the prune with the in-engine query caches
+// A fourth sweep pairs the prune with the in-engine query caches
 // (docs/caching.md): "reach-prune-viability-cold" runs the batch on empty
 // caches, "reach-prune-viability-warm" re-runs the same batch through the
 // same executor so every viability lookup hits. Both rows ARE enforced
@@ -118,7 +112,7 @@ void PrintRow(const std::string& dataset, const char* mode, int threads,
   // overhead comparison can pair rows from two binaries.
   char reach[128] = "";
   if (label_bytes >= 0) {
-    // reach-prune / guided rows only: one-time labeling cost alongside the
+    // reach-prune rows only: one-time labeling cost alongside the
     // per-query savings, so the sweep shows both sides of the trade.
     std::snprintf(reach, sizeof(reach),
                   ", \"index_build_ms\": %.3f, \"label_bytes\": %lld",
@@ -207,9 +201,9 @@ int SweepDataset(const std::string& name, const graph::TemporalGraph& graph,
   }
 
   // The reachability index is built on first use. Build it here, outside
-  // every timed run, so the first query of the reach-prune, guided and
-  // viability sweeps below does not carry the labeling; its stats are the
-  // one-time cost the reach-prune and guided rows report.
+  // every timed run, so the first query of the reach-prune and viability
+  // sweeps below does not carry the labeling; its stats are the one-time
+  // cost the reach-prune rows report.
   const graph::ReachabilityIndex::BuildStats& rstats =
       graph.reachability().stats();
 
@@ -226,23 +220,6 @@ int SweepDataset(const std::string& name, const graph::TemporalGraph& graph,
     const exec::BatchResponse response = executor.Run(batch);
     const bool identical = Fingerprints(response) == ref_prints;
     PrintRow(name, "reach-prune", 1, -1, response, identical,
-             rstats.build_seconds * 1000.0, rstats.label_bytes);
-  }
-
-  // Distance-guided sweep (docs/reachability.md, "Distance-guided
-  // search"): threads=1 with SearchOptions::guided_search, reporting the
-  // same one-time labeling cost (guidance rides on the reachability
-  // index's distance labels). The per-row ntds_popped/edges_scanned fields
-  // are the savings story; like reach-prune, fingerprint divergence is
-  // reported but gated elsewhere (workcount_check.sh --guided pins both
-  // the counters and guided == unguided result equality).
-  {
-    exec::ExecutorOptions options = ref_options;
-    options.search.guided_search = true;
-    exec::QueryExecutor executor(graph, &index, options);
-    const exec::BatchResponse response = executor.Run(batch);
-    const bool identical = Fingerprints(response) == ref_prints;
-    PrintRow(name, "guided", 1, -1, response, identical,
              rstats.build_seconds * 1000.0, rstats.label_bytes);
   }
 

@@ -25,14 +25,6 @@
 //                    savings appear as reachability_prunes under --stats).
 //                    With --serve, clients can override per request via the
 //                    "reachability_prune" JSON field.
-//   --guided         distance-guided search (docs/reachability.md): distance
-//                    lower bounds from the reachability index cap iterator
-//                    fronts, tighten the termination test, and skip hopeless
-//                    meeting nodes. Top-k results are identical; savings
-//                    appear as guided_prunes / guided_reorders /
-//                    bound_tightenings under --stats. With --serve, clients
-//                    can override per request via the "guided_search" JSON
-//                    field.
 //   --cache          enable the query caches (docs/caching.md): keyword
 //                    match sets + viability memoization everywhere, plus
 //                    the serving-layer result cache under --serve. Results
@@ -138,12 +130,12 @@ int Usage() {
   std::cerr
       << "usage: tgks_cli (GRAPH.tgf | --demo) [--k N] [--bound KIND] "
          "[--stats] [--trace] [--metrics] [--deadline-ms N] "
-         "[--parallel-keywords] [--reachability-prune] [--guided] "
+         "[--parallel-keywords] [--reachability-prune] "
          "(\"QUERY\" | --batch FILE [--threads N])\n"
          "       tgks_cli (GRAPH.tgf | --dataset dblp|social) --serve "
          "[--host ADDR] [--port N] [--threads N] [--max-queue N] "
          "[--max-inflight-bytes N] [--deadline-ms N] [--drain-timeout-ms N] "
-         "[--parallel-keywords] [--reachability-prune] [--guided] "
+         "[--parallel-keywords] [--reachability-prune] "
          "[--cache] [--live [--max-ingest-bytes N] [--compact-bytes N] "
          "[--compact-age-ms N]]\n";
   return 2;
@@ -368,8 +360,6 @@ int main(int argc, char** argv) {
       options.parallel_keywords = true;
     } else if (arg == "--reachability-prune") {
       options.reachability_prune = true;
-    } else if (arg == "--guided") {
-      options.guided_search = true;
     } else if (arg == "--cache") {
       cache_enabled = true;
     } else if (arg == "--cache-match-bytes" && i + 1 < argc) {
@@ -491,8 +481,8 @@ int main(int argc, char** argv) {
   const tgks::graph::TemporalGraph& base_graph =
       live != nullptr ? *live_base->graph : graph;
   // The reachability index is built on first use; build it now when the
-  // prunes that read it are on, so the first query does not pay for it.
-  if (options.reachability_prune || options.guided_search) {
+  // prune that reads it is on, so the first query does not pay for it.
+  if (options.reachability_prune) {
     (void)base_graph.reachability();
   }
   std::optional<tgks::graph::InvertedIndex> local_index;

@@ -11,7 +11,7 @@
 # TGKS_BENCH_THREADS) and appends one labeled row per (dataset, threads)
 # cell. Rows carry the batch-total
 # ntds_popped / edges_scanned work counters alongside the latency fields,
-# so mode rows (reach-prune, guided) can be compared on state-space
+# so mode rows (reach-prune) can be compared on state-space
 # explored, which is machine-independent. If <extra-rows.jsonl> is given,
 # its raw JSON rows are appended under the same label WITHOUT re-running —
 # that is how pre-change results captured from an older binary get recorded

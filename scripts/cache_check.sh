@@ -4,9 +4,8 @@
 # Three checks:
 #
 #   1. Differential: every workcount_dump suite (counters and result
-#      fingerprints; pruned mode so the viability path is exercised, guided
-#      mode so the level-2b guidance path is) must be bit-identical with and
-#      without --cache. Cached answers that differ from recomputed answers
+#      fingerprints; pruned mode so the viability path is exercised) must
+#      be bit-identical with and without --cache. Cached answers that differ from recomputed answers
 #      are a soundness bug, not a perf regression.
 #   2. Hit-rate floor: the cache-summary lines from the cached dataset run
 #      must clear a warm hit-rate floor. The dataset suites run each
@@ -57,14 +56,6 @@ differential() {  # <label> <dump args...>
 echo "== 1. cached-vs-uncached differential =="
 differential "golden counters"  --pruned "${GOLDEN_DIR}"
 differential "golden results"   --results --pruned "${GOLDEN_DIR}"
-# Guided mode exercises the level-2b guidance cache (docs/caching.md); a
-# guidance-cache hit must reproduce the guided run bit-for-bit too. These
-# run before the pruned dataset dumps so check 2 below still reads its
-# viability summary lines from the last (pruned) run.
-differential "guided golden counters" --guided "${GOLDEN_DIR}"
-differential "guided golden results"  --results --guided "${GOLDEN_DIR}"
-differential "guided dataset results" --results --guided --dataset dblp \
-  --dataset dblp-bounded --dataset social
 differential "dataset counters" --pruned --dataset dblp \
   --dataset dblp-bounded --dataset social
 differential "dataset results"  --results --pruned --dataset dblp \
@@ -154,8 +145,6 @@ grep -q '"result_cache"' "${WORK}/varz.json" \
     || { echo "cache_check: /varz missing result_cache section" >&2; exit 1; }
 grep -q '"viability_cache"' "${WORK}/varz.json" \
     || { echo "cache_check: /varz missing viability_cache section" >&2; exit 1; }
-grep -q '"guidance_cache"' "${WORK}/varz.json" \
-    || { echo "cache_check: /varz missing guidance_cache section" >&2; exit 1; }
 
 kill -TERM "${SERVER_PID}"
 wait "${SERVER_PID}" || { echo "cache_check: bad server exit" >&2; exit 1; }

@@ -55,17 +55,6 @@
 # those fingerprints are pinned bit-for-bit in
 # workcounts_pruned_results_{social,dblp_bounded}.expected instead.
 #
-# With --guided both suites run with distance-guided search enabled
-# (docs/reachability.md, "Distance-guided search") and are gated three
-# ways: the guided-mode work counters (which append guided_reorders /
-# bound_tightenings / guided_prunes) are diffed against
-# workcounts_guided.expected / workcounts_guided_datasets.expected; the
-# guided result fingerprints must be bit-identical to the unguided run on
-# every suite (guidance is admissible — it may only reorder and prune work,
-# never change the top-k); and per query, ntds_popped(guided) must not
-# exceed ntds_popped(baseline), with an aggregate savings floor of 10% on
-# the golden suite so the guidance cannot silently rot into a no-op.
-#
 # With --wide every graph is rebuilt over a 200-instant timeline
 # (workcount_dump --pad-timeline), past the 128 instants a TimeMask holds,
 # so the search runs its IntervalSet path instead of the word-parallel mask
@@ -78,22 +67,18 @@
 #   scripts/workcount_check.sh <build-dir>
 #   scripts/workcount_check.sh <build-dir> --results-only
 #   scripts/workcount_check.sh <build-dir> --pruned
-#   scripts/workcount_check.sh <build-dir> --guided
 #   scripts/workcount_check.sh <build-dir> --wide
 #   TGKS_UPDATE_WORKCOUNTS=1 scripts/workcount_check.sh <build-dir>   # regen
 set -euo pipefail
 
-BUILD_DIR="${1:?usage: workcount_check.sh <build-dir> [--results-only|--pruned|--guided|--wide]}"
+BUILD_DIR="${1:?usage: workcount_check.sh <build-dir> [--results-only|--pruned|--wide]}"
 RESULTS_ONLY=0
 PRUNED=0
-GUIDED=0
 WIDE=0
 if [[ "${2:-}" == "--results-only" ]]; then
   RESULTS_ONLY=1
 elif [[ "${2:-}" == "--pruned" ]]; then
   PRUNED=1
-elif [[ "${2:-}" == "--guided" ]]; then
-  GUIDED=1
 elif [[ "${2:-}" == "--wide" ]]; then
   WIDE=1
 elif [[ -n "${2:-}" ]]; then
@@ -194,65 +179,6 @@ pruned_results_suite() {  # <label> <dump args...>
   rm -f "${off}" "${on}"
 }
 
-guided_results_suite() {  # <label> <dump args...>
-  local label="$1"; shift
-  local off on
-  off="$(mktemp)"
-  on="$(mktemp)"
-  "${DUMP}" --results "$@" > "${off}"
-  "${DUMP}" --results --guided "$@" > "${on}"
-  if ! diff -u "${off}" "${on}"; then
-    rm -f "${off}" "${on}"
-    echo "" >&2
-    echo "workcount_check: FAIL — distance-guided search changed the" >&2
-    echo "results on the ${label} suite. Guidance is admissible, so its" >&2
-    echo "contract is exact result equivalence (docs/reachability.md);" >&2
-    echo "this is a soundness bug, not a counter drift." >&2
-    exit 1
-  fi
-  echo "workcount_check: OK (${label}: $(wc -l < "${off}") queries, guided == unguided results)"
-  rm -f "${off}" "${on}"
-}
-
-guided_savings_suite() {  # <label> <min-drop-percent> <dump args...>
-  local label="$1" min_drop="$2"; shift 2
-  local off on
-  off="$(mktemp)"
-  on="$(mktemp)"
-  "${DUMP}" "$@" > "${off}"
-  "${DUMP}" --guided "$@" > "${on}"
-  if ! paste -d'|' "${off}" "${on}" | awk -F'|' -v min_drop="${min_drop}" \
-      -v label="${label}" '
-    {
-      split($1, a, "ntds_popped="); split(a[2], af, " "); base = af[1] + 0;
-      split($2, b, "ntds_popped="); split(b[2], bf, " "); guided = bf[1] + 0;
-      if (guided > base) {
-        printf "workcount_check: FAIL — guided popped MORE than baseline:\n" \
-            > "/dev/stderr";
-        printf "  baseline: %s\n  guided:   %s\n", $1, $2 > "/dev/stderr";
-        bad = 1;
-      }
-      total_base += base; total_guided += guided;
-    }
-    END {
-      if (total_base <= 0) { print "no pops parsed" > "/dev/stderr"; exit 1 }
-      saved = (total_base - total_guided) * 100.0 / total_base;
-      printf "workcount_check: %s suite ntds_popped %d -> %d (%.1f%% saved)\n",
-          label, total_base, total_guided, saved;
-      if (bad) exit 1;
-      if (saved < min_drop) {
-        printf "workcount_check: FAIL — guided savings %.1f%% below the " \
-            "%d%% floor on the %s suite\n", saved, min_drop, label \
-            > "/dev/stderr";
-        exit 1;
-      }
-    }'; then
-    rm -f "${off}" "${on}"
-    exit 1
-  fi
-  rm -f "${off}" "${on}"
-}
-
 if [[ "${WIDE}" == "1" ]]; then
   if [[ "${TGKS_UPDATE_WORKCOUNTS:-0}" == "1" ]]; then
     echo "workcount_check: --wide only diffs; regenerate without it" >&2
@@ -320,23 +246,6 @@ if [[ "${PRUNED}" == "1" ]]; then
     --results --pruned --dataset dblp-bounded
   check_suite "${GOLDEN_DIR}/workcounts_pruned_results_social.expected" \
     --results --pruned --dataset social
-  exit 0
-fi
-
-if [[ "${GUIDED}" == "1" ]]; then
-  check_suite "${GOLDEN_DIR}/workcounts_guided.expected" --guided \
-    "${GOLDEN_DIR}"
-  check_suite "${GOLDEN_DIR}/workcounts_guided_datasets.expected" --guided \
-    --dataset dblp --dataset dblp-bounded --dataset social
-  guided_results_suite "golden" "${GOLDEN_DIR}"
-  guided_results_suite "datasets" --dataset dblp --dataset dblp-bounded \
-    --dataset social
-  # Per-query monotonicity everywhere; the 10% aggregate floor only on the
-  # golden suite (the dataset pass 2 runs duration ranking, where guidance
-  # is inactive by design, diluting the aggregate).
-  guided_savings_suite "golden" 10 "${GOLDEN_DIR}"
-  guided_savings_suite "datasets" 0 --dataset dblp --dataset dblp-bounded \
-    --dataset social
   exit 0
 fi
 

@@ -1,10 +1,10 @@
 // QueryCaches: the per-graph bundle of in-engine cache levels (docs/
 // caching.md) that SearchOptions::query_caches points at.
 //
-// Level 1 (match sets), level 2 (viability memoization), and level 2b
-// (guidance-floor memoization for guided search) live together because they
-// share a lifetime: all are derived purely from one graph's index/labels
-// and must be invalidated together when the graph advances an epoch.
+// Level 1 (match sets) and level 2 (viability memoization) live together
+// because they share a lifetime: both are derived purely from one graph's
+// index/labels and must be invalidated together when the graph advances an
+// epoch.
 // InvalidateAll() is that hook — it bumps a generation counter and clears
 // every level, mirroring ResultCache::InvalidateAll on the serving side.
 //
@@ -20,7 +20,6 @@
 #include <atomic>
 #include <cstdint>
 
-#include "cache/guidance_cache.h"
 #include "cache/match_set_cache.h"
 #include "cache/viability_cache.h"
 
@@ -33,32 +32,25 @@ struct QueryCachesOptions {
   /// vectors are dense (one IntervalSet per graph node), so this budget is
   /// the knob that bounds resident memory on large graphs.
   int64_t viability_bytes = int64_t{64} << 20;
-  /// Byte budget for the guidance-floor memoization LRU (level 2b, guided
-  /// search). Floors are two doubles per graph node — far lighter than
-  /// viability vectors.
-  int64_t guidance_bytes = int64_t{16} << 20;
 };
 
 class QueryCaches {
  public:
   explicit QueryCaches(const QueryCachesOptions& options = {})
       : match_sets_(options.match_set_bytes),
-        viability_(options.viability_bytes),
-        guidance_(options.guidance_bytes) {}
+        viability_(options.viability_bytes) {}
 
   QueryCaches(const QueryCaches&) = delete;
   QueryCaches& operator=(const QueryCaches&) = delete;
 
   MatchSetCache& match_sets() { return match_sets_; }
   ViabilityCache& viability() { return viability_; }
-  GuidanceCache& guidance() { return guidance_; }
 
   /// Epoch invalidation hook for streaming ingest: clears every level and
   /// bumps the generation. Returns the new generation.
   uint64_t InvalidateAll() {
     match_sets_.Clear();
     viability_.Clear();
-    guidance_.Clear();
     return generation_.fetch_add(1, std::memory_order_acq_rel) + 1;
   }
 
@@ -69,7 +61,6 @@ class QueryCaches {
  private:
   MatchSetCache match_sets_;
   ViabilityCache viability_;
-  GuidanceCache guidance_;
   std::atomic<uint64_t> generation_{0};
 };
 

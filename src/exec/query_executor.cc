@@ -37,9 +37,6 @@ void AccumulateCounters(const search::SearchCounters& c,
   total->ntds_created += c.ntds_created;
   total->edges_scanned += c.edges_scanned;
   total->reachability_prunes += c.reachability_prunes;
-  total->guided_prunes += c.guided_prunes;
-  total->guided_reorders += c.guided_reorders;
-  total->bound_tightenings += c.bound_tightenings;
   total->nodes_visited += c.nodes_visited;
   total->candidates += c.candidates;
   total->invalid_time += c.invalid_time;
@@ -202,9 +199,6 @@ void QueryExecutor::Submit(SingleQuery single, SingleQueryCallback done) {
   }
   if (single.reachability_prune.has_value()) {
     options.reachability_prune = *single.reachability_prune;
-  }
-  if (single.guided_search.has_value()) {
-    options.guided_search = *single.guided_search;
   }
   if (single.snapshot.graph != nullptr) {
     // Live snapshot: the overlay and the snapshot's own cache bundle

@@ -116,9 +116,6 @@ struct SingleQuery {
   /// Per-request override of SearchOptions::reachability_prune; unset
   /// inherits the executor default.
   std::optional<bool> reachability_prune;
-  /// Per-request override of SearchOptions::guided_search; unset inherits
-  /// the executor default.
-  std::optional<bool> guided_search;
   /// When false, runs this query with SearchOptions::query_caches nulled
   /// out — the per-request "cache": false bypass (docs/caching.md). Unset
   /// or true inherits the executor default.

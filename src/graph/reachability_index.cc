@@ -1,12 +1,8 @@
 #include "graph/reachability_index.h"
 
 #include <algorithm>
-#include <functional>
-#include <limits>
 #include <memory>
 #include <mutex>
-#include <queue>
-#include <tuple>
 #include <utility>
 
 #include "common/timer.h"
@@ -19,11 +15,9 @@ using temporal::TimePoint;
 
 namespace {
 
-/// Merges raw (chain, pos, weight) entries into one sorted, per-chain-
-/// deduped label. `keep_min` selects the positional representative per
-/// chain (min pos for out-labels, max pos for in-labels); the distance is
-/// the MIN over every occurrence of the chain, tracked independently of
-/// the representative so it lower-bounds all of them. Truncates to
+/// Merges raw (chain, pos) entries into one sorted, per-chain-deduped
+/// label. `keep_min` selects the positional representative per chain (min
+/// pos for out-labels, max pos for in-labels). Truncates to
 /// kMaxLabelEntries lowest chain ids and reports whether anything was
 /// dropped.
 bool DedupeAndTruncate(std::vector<ReachabilityIndex::LabelEntry>* entries,
@@ -32,22 +26,15 @@ bool DedupeAndTruncate(std::vector<ReachabilityIndex::LabelEntry>* entries,
             [keep_min](const ReachabilityIndex::LabelEntry& a,
                        const ReachabilityIndex::LabelEntry& b) {
               if (a.chain != b.chain) return a.chain < b.chain;
-              if (a.pos != b.pos) {
-                return keep_min ? a.pos < b.pos : a.pos > b.pos;
-              }
-              return a.weight < b.weight;
+              return keep_min ? a.pos < b.pos : a.pos > b.pos;
             });
-  size_t write = 0;
-  for (size_t read = 0; read < entries->size(); ++read) {
-    if (write > 0 && (*entries)[write - 1].chain == (*entries)[read].chain) {
-      // Representative already kept by the sort order; fold the distance.
-      (*entries)[write - 1].weight = std::min((*entries)[write - 1].weight,
-                                              (*entries)[read].weight);
-      continue;
-    }
-    (*entries)[write++] = (*entries)[read];
-  }
-  entries->resize(write);
+  // The sort puts each chain's representative first.
+  entries->erase(std::unique(entries->begin(), entries->end(),
+                             [](const ReachabilityIndex::LabelEntry& a,
+                                const ReachabilityIndex::LabelEntry& b) {
+                               return a.chain == b.chain;
+                             }),
+                 entries->end());
   const bool truncated =
       entries->size() >
       static_cast<size_t>(ReachabilityIndex::kMaxLabelEntries);
@@ -79,10 +66,6 @@ ReachabilityIndex ReachabilityIndex::Build(const TemporalGraph& g) {
   ReachabilityIndex index;
   index.timeline_length_ = g.timeline_length();
   index.num_nodes_ = g.num_nodes();
-  index.node_weight_.reserve(static_cast<size_t>(g.num_nodes()));
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    index.node_weight_.push_back(g.node(v).weight);
-  }
 
   // Epoch boundaries: the alive sets only change where some validity
   // interval starts (t) or ends (end + 1), so splitting the timeline at
@@ -215,46 +198,22 @@ void ReachabilityIndex::BuildEpoch(const TemporalGraph& g, TimePoint begin,
   }
   const auto num_sccs = static_cast<size_t>(epoch->num_sccs);
 
-  // Min alive node weight per SCC — the root-weight part of the guidance
-  // floors (ComputeGuidance).
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  epoch->scc_minw.assign(num_sccs, kInf);
-  for (NodeId v = 0; v < n; ++v) {
-    const int32_t c = epoch->scc_of[static_cast<size_t>(v)];
-    if (c < 0) continue;
-    double& mw = epoch->scc_minw[static_cast<size_t>(c)];
-    mw = std::min(mw, g.node(v).weight);
-  }
-
-  // Condensed DAG edges, deduped, CSR over ascending source ids. Each
-  // condensed edge carries the min-plus distance metric: the cheapest
-  // alive graph edge realizing it, costed as edge weight + entered-node
-  // weight (intra-SCC travel is free — an admissible under-approximation
-  // of the search layer's path weight).
-  std::vector<std::tuple<int32_t, int32_t, double>> pairs;
+  // Condensed DAG edges, deduped, CSR over ascending source ids.
+  std::vector<std::pair<int32_t, int32_t>> pairs;
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     if (!edge_alive(e)) continue;
     const Edge& edge = g.edge(e);
     const int32_t cs = epoch->scc_of[static_cast<size_t>(edge.src)];
     const int32_t cd = epoch->scc_of[static_cast<size_t>(edge.dst)];
-    if (cs != cd) {
-      pairs.emplace_back(cs, cd, edge.weight + g.node(edge.dst).weight);
-    }
+    if (cs != cd) pairs.emplace_back(cs, cd);
   }
   std::sort(pairs.begin(), pairs.end());
-  pairs.erase(std::unique(pairs.begin(), pairs.end(),
-                          [](const auto& a, const auto& b) {
-                            return std::get<0>(a) == std::get<0>(b) &&
-                                   std::get<1>(a) == std::get<1>(b);
-                          }),
-              pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
   epoch->dag_offsets.assign(num_sccs + 1, 0);
   epoch->dag_edges.reserve(pairs.size());
-  epoch->dag_minw.reserve(pairs.size());
-  for (const auto& [cs, cd, w] : pairs) {
+  for (const auto& [cs, cd] : pairs) {
     ++epoch->dag_offsets[static_cast<size_t>(cs) + 1];
     epoch->dag_edges.push_back(cd);
-    epoch->dag_minw.push_back(w);
   }
   for (size_t i = 1; i < epoch->dag_offsets.size(); ++i) {
     epoch->dag_offsets[i] += epoch->dag_offsets[i - 1];
@@ -296,46 +255,38 @@ void ReachabilityIndex::BuildEpoch(const TemporalGraph& g, TimePoint begin,
   }
   epoch->num_chains = chains;
 
-  // Out-labels, reverse topological order: own chain position (distance 0)
-  // plus the merged successor labels (min position per chain, successor
-  // distance + condensed-edge distance). A label is complete iff nothing
-  // was truncated in its entire downstream cone.
+  // Out-labels, reverse topological order: own chain position plus the
+  // merged successor labels (min position per chain). A label is complete
+  // iff nothing was truncated in its entire downstream cone.
   std::vector<std::vector<LabelEntry>> out_tmp(num_sccs);
   epoch->out_complete.assign(num_sccs, 1);
   for (int32_t c = epoch->num_sccs - 1; c >= 0; --c) {
     std::vector<LabelEntry>& label = out_tmp[static_cast<size_t>(c)];
     label.push_back(LabelEntry{epoch->chain_of[static_cast<size_t>(c)],
-                               epoch->chain_pos[static_cast<size_t>(c)],
-                               0.0});
+                               epoch->chain_pos[static_cast<size_t>(c)]});
     uint8_t complete = 1;
     for (int32_t i = epoch->dag_offsets[static_cast<size_t>(c)];
          i < epoch->dag_offsets[static_cast<size_t>(c) + 1]; ++i) {
       const int32_t d = epoch->dag_edges[static_cast<size_t>(i)];
-      const double hop = epoch->dag_minw[static_cast<size_t>(i)];
-      for (const LabelEntry& e : out_tmp[static_cast<size_t>(d)]) {
-        label.push_back(LabelEntry{e.chain, e.pos, e.weight + hop});
-      }
+      const std::vector<LabelEntry>& succ = out_tmp[static_cast<size_t>(d)];
+      label.insert(label.end(), succ.begin(), succ.end());
       complete &= epoch->out_complete[static_cast<size_t>(d)];
     }
     if (DedupeAndTruncate(&label, /*keep_min=*/true)) complete = 0;
     epoch->out_complete[static_cast<size_t>(c)] = complete;
   }
 
-  // In-labels need predecessors; build the transposed adjacency once
-  // (weights ride along: the in-distance grows by the hop INTO c).
-  std::vector<std::tuple<int32_t, int32_t, double>> rpairs;
+  // In-labels need predecessors; build the transposed adjacency once.
+  std::vector<std::pair<int32_t, int32_t>> rpairs;
   rpairs.reserve(pairs.size());
-  for (const auto& [cs, cd, w] : pairs) rpairs.emplace_back(cd, cs, w);
+  for (const auto& [cs, cd] : pairs) rpairs.emplace_back(cd, cs);
   std::sort(rpairs.begin(), rpairs.end());
   std::vector<int32_t> in_offsets(num_sccs + 1, 0);
   std::vector<int32_t> in_edges;
-  std::vector<double> in_minw;
   in_edges.reserve(rpairs.size());
-  in_minw.reserve(rpairs.size());
-  for (const auto& [cd, cs, w] : rpairs) {
+  for (const auto& [cd, cs] : rpairs) {
     ++in_offsets[static_cast<size_t>(cd) + 1];
     in_edges.push_back(cs);
-    in_minw.push_back(w);
   }
   for (size_t i = 1; i < in_offsets.size(); ++i) {
     in_offsets[i] += in_offsets[i - 1];
@@ -346,16 +297,13 @@ void ReachabilityIndex::BuildEpoch(const TemporalGraph& g, TimePoint begin,
   for (int32_t c = 0; c < epoch->num_sccs; ++c) {
     std::vector<LabelEntry>& label = in_tmp[static_cast<size_t>(c)];
     label.push_back(LabelEntry{epoch->chain_of[static_cast<size_t>(c)],
-                               epoch->chain_pos[static_cast<size_t>(c)],
-                               0.0});
+                               epoch->chain_pos[static_cast<size_t>(c)]});
     uint8_t complete = 1;
     for (int32_t i = in_offsets[static_cast<size_t>(c)];
          i < in_offsets[static_cast<size_t>(c) + 1]; ++i) {
       const int32_t p = in_edges[static_cast<size_t>(i)];
-      const double hop = in_minw[static_cast<size_t>(i)];
-      for (const LabelEntry& e : in_tmp[static_cast<size_t>(p)]) {
-        label.push_back(LabelEntry{e.chain, e.pos, e.weight + hop});
-      }
+      const std::vector<LabelEntry>& pred = in_tmp[static_cast<size_t>(p)];
+      label.insert(label.end(), pred.begin(), pred.end());
       complete &= epoch->in_complete[static_cast<size_t>(p)];
     }
     if (DedupeAndTruncate(&label, /*keep_min=*/false)) complete = 0;
@@ -481,175 +429,6 @@ TimePoint ReachabilityIndex::EarliestArrival(NodeId u, TimePoint t,
   return temporal::kNoTimePoint;
 }
 
-double ReachabilityIndex::DistanceLowerBound(NodeId u, TimePoint t,
-                                             NodeId v) const {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  if (t < 0 || t >= timeline_length_) return kInf;
-  const Epoch& epoch = EpochAt(t);
-  const int32_t cu = epoch.scc_of[static_cast<size_t>(u)];
-  const int32_t cv = epoch.scc_of[static_cast<size_t>(v)];
-  if (cu < 0 || cv < 0) return kInf;
-  const double base = node_weight_[static_cast<size_t>(u)];
-  if (cu == cv) return base;  // Intra-SCC travel is free in the metric.
-  if (!SccReaches(epoch, cu, cv)) return kInf;
-  // Any u -> v path arrives on v's own chain and departs from u's own
-  // chain, so each one-sided label distance lower-bounds its condensed
-  // cost; take the larger. A chain truncated out of a label contributes 0
-  // — still admissible.
-  double best = 0.0;
-  const LabelEntry* out_hit = FindChain(
-      epoch.out_labels.data() + epoch.out_offsets[static_cast<size_t>(cu)],
-      epoch.out_labels.data() + epoch.out_offsets[static_cast<size_t>(cu) + 1],
-      epoch.chain_of[static_cast<size_t>(cv)]);
-  if (out_hit != nullptr) best = std::max(best, out_hit->weight);
-  const LabelEntry* in_hit = FindChain(
-      epoch.in_labels.data() + epoch.in_offsets[static_cast<size_t>(cv)],
-      epoch.in_labels.data() + epoch.in_offsets[static_cast<size_t>(cv) + 1],
-      epoch.chain_of[static_cast<size_t>(cu)]);
-  if (in_hit != nullptr) best = std::max(best, in_hit->weight);
-  return base + best;
-}
-
-double ReachabilityIndex::DistanceLowerBound(
-    NodeId u, TimePoint t, const std::vector<NodeId>& targets) const {
-  double best = std::numeric_limits<double>::infinity();
-  for (const NodeId v : targets) {
-    best = std::min(best, DistanceLowerBound(u, t, v));
-  }
-  return best;
-}
-
-void ReachabilityIndex::ComputeGuidance(
-    const TemporalGraph& g, const std::vector<std::vector<NodeId>>& matches,
-    GuidanceData* out) const {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  const size_t m = matches.size();
-  const auto n = static_cast<size_t>(num_nodes_);
-
-  // Beyond the mask width (or with no keywords) fall back to trivially
-  // admissible floors — guided search degenerates to a no-op, still sound.
-  if (m == 0 || m > static_cast<size_t>(kMaxViabilityKeywords)) {
-    out->root_bound = node_weight_;
-    out->cone_floor.assign(n, 0.0);
-    return;
-  }
-
-  // Accumulate the min over alive epochs; a node dead in every epoch (or
-  // never under a potential root) keeps +inf and can be pruned outright.
-  std::vector<double> root_acc(n, kInf);
-  std::vector<double> cone_acc(n, kInf);
-  // Scratch, reused across epochs: the reversed alive adjacency in CSR
-  // form, per-keyword exact distances, and the per-SCC cone propagation.
-  std::vector<int32_t> roff(n + 1);
-  std::vector<std::pair<NodeId, double>> radj;
-  std::vector<double> dist(n);
-  std::vector<double> maxd(n);
-  std::vector<double> best;
-  using HeapItem = std::pair<double, NodeId>;
-  std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<>> heap;
-  for (const Epoch& epoch : epochs_) {
-    if (epoch.num_sccs == 0) continue;
-    const TimePoint t0 = epoch.begin;
-    const auto alive = [&](NodeId v) {
-      return epoch.scc_of[static_cast<size_t>(v)] >= 0;
-    };
-    // Reversed alive snapshot in CSR form. Traversing the graph edge
-    // u -> v root-ward costs edge weight + entered-node weight w(v), so
-    // the reverse entry at v carries (u, w_edge + w(v)).
-    std::fill(roff.begin(), roff.end(), 0);
-    for (NodeId u = 0; u < num_nodes_; ++u) {
-      if (!alive(u)) continue;
-      for (const EdgeId e : g.OutEdges(u)) {
-        if (!g.edge(e).validity.Contains(t0)) continue;
-        const NodeId v = g.edge(e).dst;
-        if (alive(v)) ++roff[static_cast<size_t>(v) + 1];
-      }
-    }
-    for (size_t v = 0; v < n; ++v) roff[v + 1] += roff[v];
-    radj.resize(static_cast<size_t>(roff[n]));
-    {
-      std::vector<int32_t> cursor(roff.begin(), roff.end() - 1);
-      for (NodeId u = 0; u < num_nodes_; ++u) {
-        if (!alive(u)) continue;
-        for (const EdgeId e : g.OutEdges(u)) {
-          if (!g.edge(e).validity.Contains(t0)) continue;
-          const NodeId v = g.edge(e).dst;
-          if (!alive(v)) continue;
-          radj[static_cast<size_t>(cursor[static_cast<size_t>(v)]++)] = {
-              u, g.edge(e).weight + node_weight_[static_cast<size_t>(v)]};
-        }
-      }
-    }
-    // maxd[v] = max over keywords of the EXACT cheapest v -> match_j path
-    // weight in this snapshot (excluding w(v) itself), via one multi-source
-    // Dijkstra per keyword over the reversed adjacency. An answer tree
-    // rooted at v spans a root->match path per keyword; paths can share
-    // prefixes, so only the MAX single-path bound is sound, never the sum.
-    std::fill(maxd.begin(), maxd.end(), 0.0);
-    for (size_t j = 0; j < m; ++j) {
-      std::fill(dist.begin(), dist.end(), kInf);
-      for (const NodeId s : matches[j]) {
-        if (alive(s) && dist[static_cast<size_t>(s)] > 0.0) {
-          dist[static_cast<size_t>(s)] = 0.0;
-          heap.push({0.0, s});
-        }
-      }
-      while (!heap.empty()) {
-        const auto [d, v] = heap.top();
-        heap.pop();
-        if (d > dist[static_cast<size_t>(v)]) continue;  // Stale entry.
-        for (int32_t i = roff[static_cast<size_t>(v)];
-             i < roff[static_cast<size_t>(v) + 1]; ++i) {
-          const auto& [u, cost] = radj[static_cast<size_t>(i)];
-          const double nd = d + cost;
-          if (nd < dist[static_cast<size_t>(u)]) {
-            dist[static_cast<size_t>(u)] = nd;
-            heap.push({nd, u});
-          }
-        }
-      }
-      for (size_t v = 0; v < n; ++v) {
-        maxd[v] = std::max(maxd[v], dist[v]);
-      }
-    }
-    // Cone floor: cheapest potential root above (or inside) each node.
-    // best[c] = min over alive v in SCC c of (w(v) + maxd[v]); the min
-    // propagates down the condensed DAG in topological order, so best
-    // covers every ancestor-or-self root candidate.
-    best.assign(static_cast<size_t>(epoch.num_sccs), kInf);
-    for (size_t v = 0; v < n; ++v) {
-      const int32_t c = epoch.scc_of[v];
-      if (c < 0) continue;
-      best[static_cast<size_t>(c)] = std::min(
-          best[static_cast<size_t>(c)], node_weight_[v] + maxd[v]);
-      root_acc[v] = std::min(root_acc[v], maxd[v]);
-    }
-    for (int32_t c = 0; c < epoch.num_sccs; ++c) {
-      const double bc = best[static_cast<size_t>(c)];
-      if (bc == kInf) continue;
-      for (int32_t i = epoch.dag_offsets[static_cast<size_t>(c)];
-           i < epoch.dag_offsets[static_cast<size_t>(c) + 1]; ++i) {
-        const auto d =
-            static_cast<size_t>(epoch.dag_edges[static_cast<size_t>(i)]);
-        best[d] = std::min(best[d], bc);
-      }
-    }
-    for (size_t v = 0; v < n; ++v) {
-      const int32_t c = epoch.scc_of[v];
-      if (c < 0) continue;
-      cone_acc[v] = std::min(cone_acc[v], best[static_cast<size_t>(c)]);
-    }
-  }
-
-  out->root_bound.resize(n);
-  for (size_t v = 0; v < n; ++v) {
-    // +inf + w stays +inf: a node that can never be a meeting root keeps
-    // an infinite root bound.
-    out->root_bound[v] = node_weight_[v] + root_acc[v];
-  }
-  out->cone_floor = std::move(cone_acc);
-}
-
 void ReachabilityIndex::ComputeViability(
     const std::vector<std::vector<NodeId>>& matches,
     std::vector<IntervalSet>* out) const {
@@ -734,7 +513,6 @@ void ReachabilityIndex::ComputeViability(
 bool ReachabilityIndex::IdenticalTo(const ReachabilityIndex& other) const {
   if (timeline_length_ != other.timeline_length_ ||
       num_nodes_ != other.num_nodes_ ||
-      node_weight_ != other.node_weight_ ||
       epochs_.size() != other.epochs_.size() ||
       epoch_of_ != other.epoch_of_) {
     return false;
@@ -746,8 +524,7 @@ bool ReachabilityIndex::IdenticalTo(const ReachabilityIndex& other) const {
                                  const std::vector<LabelEntry>& y) {
       if (x.size() != y.size()) return false;
       for (size_t j = 0; j < x.size(); ++j) {
-        if (x[j].chain != y[j].chain || x[j].pos != y[j].pos ||
-            x[j].weight != y[j].weight) {
+        if (x[j].chain != y[j].chain || x[j].pos != y[j].pos) {
           return false;
         }
       }
@@ -755,8 +532,7 @@ bool ReachabilityIndex::IdenticalTo(const ReachabilityIndex& other) const {
     };
     if (a.begin != b.begin || a.end != b.end || a.num_sccs != b.num_sccs ||
         a.scc_of != b.scc_of || a.dag_offsets != b.dag_offsets ||
-        a.dag_edges != b.dag_edges || a.dag_minw != b.dag_minw ||
-        a.scc_minw != b.scc_minw || a.chain_of != b.chain_of ||
+        a.dag_edges != b.dag_edges || a.chain_of != b.chain_of ||
         a.chain_pos != b.chain_pos || a.num_chains != b.num_chains ||
         a.out_offsets != b.out_offsets ||
         !labels_equal(a.out_labels, b.out_labels) ||

@@ -23,24 +23,12 @@
 //     complete side and anything are exact, and the rare
 //     truncated-vs-truncated miss falls back to a DFS over the condensed
 //     DAG pruned by topological id.
-//   * Every label entry additionally carries a DISTANCE: the minimum
-//     min-plus cost of reaching that chain through the condensed DAG, where
-//     a condensed edge c -> d costs the cheapest alive graph edge between
-//     the two SCCs (edge weight plus entered-node weight) and intra-SCC
-//     travel costs zero. That metric under-approximates the search layer's
-//     path weight, so label distances are admissible lower bounds; a chain
-//     truncated out of a label falls back to 0, which is still admissible.
 //
 // On top of the boolean oracle the index derives:
 //
 //   * EarliestArrival(u, t, v): the smallest instant t' >= t at which u
 //     reaches v (kNoTimePoint if none) — a lower bound on when any result
 //     tree can connect the pair, monotone non-decreasing in t.
-//   * DistanceLowerBound(u, t, v): an admissible lower bound on the weight
-//     of any path u -> v in G_t under the search convention (source node +
-//     every edge + every entered node), +inf when unreachable. The
-//     match-set overload lower-bounds the cheapest path to ANY of the
-//     targets (the remaining-keyword h of docs/reachability.md).
 //   * ComputeViability(...): per-query, the set of instants at which a node
 //     can still participate in *some* answer tree — it must be forward-
 //     reachable from a potential root, where a potential root is a node
@@ -48,16 +36,10 @@
 //     trees rooted at a meeting node with root->match paths). The search
 //     layer prunes NTDs whose validity misses this set entirely (see
 //     docs/reachability.md for the soundness argument).
-//   * ComputeGuidance(...): per-query distance floors for guided search
-//     (SearchOptions::guided_search): for every node, an admissible lower
-//     bound on the total weight of any answer tree CONTAINING it
-//     (cone_floor) and of any answer tree ROOTED at it (root_bound). Both
-//     are derived from per-epoch min-plus passes over the condensed DAG
-//     using the stored edge distances (docs/reachability.md).
 //
 // Built on the first TemporalGraph::reachability() call, once per graph
 // and its copies, and persisted in the binary archive format
-// (serialization.cc, version 3: a load installs the stored labels; older
+// (serialization.cc, version 4: a load installs the stored labels; older
 // versions build on first use).
 // Construction is O(epochs * (V + E + labels)); probes are O(label size)
 // with the DFS fallback bounded by the condensed DAG.
@@ -86,15 +68,12 @@ class ReachabilityIndex {
   /// Keyword capacity of the per-query viability bitmask passes.
   static constexpr int kMaxViabilityKeywords = 64;
 
-  /// One (chain, position, distance) entry; meaning depends on the side
-  /// (out-labels store the minimum reachable position, in-labels the
-  /// maximum reaching position). `weight` is the minimum condensed-DAG
-  /// cost of touching the chain anywhere — tracked independently of the
-  /// positional representative, so it lower-bounds every occurrence.
+  /// One (chain, position) entry; meaning depends on the side (out-labels
+  /// store the minimum reachable position, in-labels the maximum reaching
+  /// position).
   struct LabelEntry {
     int32_t chain = 0;
     int32_t pos = 0;
-    double weight = 0.0;
   };
 
   /// Construction-time facts surfaced through graph_stats / --layout.
@@ -122,52 +101,6 @@ class ReachabilityIndex {
   /// no such instant exists. Monotone non-decreasing in t.
   temporal::TimePoint EarliestArrival(NodeId u, temporal::TimePoint t,
                                       NodeId v) const;
-
-  /// Admissible lower bound on the weight of any u -> v path in G_t under
-  /// the search convention w(u) + sum(edge + entered node). Returns
-  /// +infinity when v is unreachable from u at t (or either is dead), w(u)
-  /// when u == v alive. Exact on chain-shaped DAGs; otherwise it combines
-  /// the out-label distance of u toward v's chain with the in-label
-  /// distance of v from u's chain (max of the two one-sided bounds), each
-  /// falling back to 0 when truncation dropped the chain — never above the
-  /// true path weight.
-  double DistanceLowerBound(NodeId u, temporal::TimePoint t, NodeId v) const;
-
-  /// min over `targets` of DistanceLowerBound(u, t, target): a lower bound
-  /// on reaching ANY node of a keyword's match set. +infinity when no
-  /// target is reachable.
-  double DistanceLowerBound(NodeId u, temporal::TimePoint t,
-                            const std::vector<NodeId>& targets) const;
-
-  /// Per-node admissible floors for guided search. Filled by
-  /// ComputeGuidance; read-only afterwards, safe to share across threads.
-  struct GuidanceData {
-    /// root_bound[n]: lower bound on the total weight of any answer tree
-    /// ROOTED at n, at any instant (+infinity when n can never be a
-    /// meeting root — some keyword is unreachable in every alive epoch).
-    std::vector<double> root_bound;
-    /// cone_floor[n]: lower bound on the total weight of any answer tree
-    /// CONTAINING n — min over potential roots reaching n of that root's
-    /// bound (+infinity when n lies under no potential root: n can never
-    /// sit on an answer tree at all).
-    std::vector<double> cone_floor;
-  };
-
-  /// Per-query guidance floors from the filtered match lists (the same
-  /// inputs as ComputeViability). Per epoch it runs one multi-source
-  /// Dijkstra per keyword over the REVERSED alive snapshot (delta_j[v] =
-  /// exact cheapest v -> match_j path weight under the search convention,
-  /// excluding w(v) itself), combines them into a per-node root bound
-  /// (w(v) + max_j delta_j[v] — paths may share prefixes, so only the max
-  /// single-path bound is sound), and min-propagates the root bound down
-  /// the condensed DAG for the cone floor. `g` must be the graph this
-  /// index was built from (the epoch snapshots index into its adjacency).
-  /// With no keywords, or more than kMaxViabilityKeywords, the floors
-  /// degenerate to root_bound[n] = w(n) and cone_floor[n] = 0 — trivially
-  /// admissible, so guided search silently becomes a no-op.
-  void ComputeGuidance(const TemporalGraph& g,
-                       const std::vector<std::vector<NodeId>>& matches,
-                       GuidanceData* out) const;
 
   /// Per-query viability sets. `matches[j]` lists the match nodes of
   /// keyword j (duplicates allowed). On return, (*out)[n] is the set of
@@ -199,11 +132,6 @@ class ReachabilityIndex {
     std::vector<int32_t> scc_of;       // per node; -1 = dead in this epoch
     std::vector<int32_t> dag_offsets;  // num_sccs + 1
     std::vector<int32_t> dag_edges;    // deduped, ascending per source
-    /// Parallel to dag_edges: min over the alive graph edges realizing the
-    /// condensed edge of (edge weight + entered-node weight) — the
-    /// min-plus metric of the distance labels.
-    std::vector<double> dag_minw;
-    std::vector<double> scc_minw;      // per SCC, min alive node weight
     std::vector<int32_t> chain_of;     // per SCC
     std::vector<int32_t> chain_pos;    // per SCC, position along its chain
     int32_t num_chains = 0;
@@ -226,11 +154,13 @@ class ReachabilityIndex {
 
   temporal::TimePoint timeline_length_ = 0;
   NodeId num_nodes_ = 0;
-  std::vector<double> node_weight_;  // per node, for the distance probes
   std::vector<Epoch> epochs_;
   std::vector<int32_t> epoch_of_;  // per instant -> index into epochs_
   BuildStats stats_;
 };
+
+static_assert(sizeof(ReachabilityIndex::LabelEntry) == 8,
+              "label entries are two int32s; the .tgb blob stores them so");
 
 }  // namespace tgks::graph
 

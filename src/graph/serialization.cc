@@ -186,12 +186,12 @@ Result<TemporalGraph> LoadGraphFromFile(const std::string& path) {
 namespace {
 
 constexpr char kBinaryMagic[4] = {'T', 'G', 'K', 'B'};
-// Version 2 appended the reachability labeling blob; version 3 extended it
-// with distance labels (per-entry weights, condensed-edge distances, and
-// per-SCC min node weights — docs/reachability.md). Version 1 and 2 files
-// are still read: their labeling blob is ignored and the index is built
-// on first use, exactly as for a graph that never had a blob.
-constexpr uint32_t kBinaryVersion = 3;
+// Version 2 appended the reachability labeling blob; version 3 added
+// distance arrays to it and version 4 dropped them again
+// (docs/file_formats.md). Version 1 to 3 files are still read: their
+// labeling blob is ignored and the index is built on first use, exactly as
+// for a graph that never had a blob.
+constexpr uint32_t kBinaryVersion = 4;
 // Caps that keep a corrupt length field from driving giant allocations.
 constexpr uint32_t kMaxBinaryCount = 1u << 28;
 constexpr uint32_t kMaxLabelLength = 1u << 20;
@@ -276,9 +276,9 @@ Result<IntervalSet> ReadValidity(std::istream& in) {
 }  // namespace
 
 /// Friend of ReachabilityIndex and TemporalGraph: persists and restores the
-/// labeling blob appended by binary format version 2 and extended with
-/// distances in version 3. Writing is a plain field dump; reading validates
-/// every index-bearing field before installing the parsed labels verbatim
+/// labeling blob of binary format version 4. Writing is a plain field dump;
+/// reading bounds every count by the graph it belongs to before allocating,
+/// validates every index-bearing field, and installs the parsed labels verbatim
 /// into the loaded graph's still-empty lazy cell, so a load builds nothing
 /// and the save -> load -> save byte-identity is trivial.
 class ReachabilityIndexSerializer {
@@ -290,10 +290,8 @@ class ReachabilityIndexSerializer {
       WriteI32(out, epoch.end);
       WriteU32(out, static_cast<uint32_t>(epoch.num_sccs));
       WriteI32Vector(out, epoch.scc_of);
-      WriteF64Vector(out, epoch.scc_minw);
       WriteI32Vector(out, epoch.dag_offsets);
       WriteI32Vector(out, epoch.dag_edges);
-      WriteF64Vector(out, epoch.dag_minw);
       WriteI32Vector(out, epoch.chain_of);
       WriteI32Vector(out, epoch.chain_pos);
       WriteU32(out, static_cast<uint32_t>(epoch.num_chains));
@@ -310,12 +308,6 @@ class ReachabilityIndexSerializer {
     auto index = std::make_shared<ReachabilityIndex>();
     index->timeline_length_ = graph->timeline_length();
     index->num_nodes_ = graph->num_nodes();
-    // Node weights are already in the node records; mirror them instead of
-    // storing a second copy in the blob.
-    index->node_weight_.reserve(static_cast<size_t>(graph->num_nodes()));
-    for (NodeId v = 0; v < graph->num_nodes(); ++v) {
-      index->node_weight_.push_back(graph->node(v).weight);
-    }
     uint32_t epoch_count;
     if (!ReadU32(in, &epoch_count) || epoch_count == 0 ||
         epoch_count > static_cast<uint32_t>(graph->timeline_length())) {
@@ -324,11 +316,16 @@ class ReachabilityIndexSerializer {
     index->epoch_of_.assign(static_cast<size_t>(graph->timeline_length()), 0);
     TimePoint expected_begin = 0;
     const auto num_nodes = static_cast<size_t>(graph->num_nodes());
+    // Every count below is bounded by the graph before anything is sized
+    // by it: SCCs partition the alive nodes, condensed edges are deduped
+    // alive edges, and the build truncates every label to kMaxLabelEntries.
+    const auto max_dag_edges = static_cast<size_t>(graph->num_edges());
+    constexpr int32_t kMaxSlice = ReachabilityIndex::kMaxLabelEntries;
     for (uint32_t i = 0; i < epoch_count; ++i) {
       ReachabilityIndex::Epoch epoch;
       uint32_t num_sccs, num_chains;
       if (!ReadI32(in, &epoch.begin) || !ReadI32(in, &epoch.end) ||
-          !ReadU32(in, &num_sccs) || num_sccs > kMaxBinaryCount ||
+          !ReadU32(in, &num_sccs) || num_sccs > num_nodes ||
           epoch.begin != expected_begin || epoch.end < epoch.begin ||
           epoch.end >= graph->timeline_length()) {
         return Status::Corruption("bad reachability epoch header");
@@ -336,34 +333,27 @@ class ReachabilityIndexSerializer {
       epoch.num_sccs = static_cast<int32_t>(num_sccs);
       const auto sccs = static_cast<size_t>(num_sccs);
       if (!ReadI32Vector(in, num_nodes, &epoch.scc_of) ||
-          !ReadF64Vector(in, sccs, &epoch.scc_minw) ||
           !ReadI32Vector(in, sccs + 1, &epoch.dag_offsets)) {
         return Status::Corruption("bad reachability SCC map");
       }
-      if (!ValidOffsets(epoch.dag_offsets) ||
+      if (!ValidOffsets(epoch.dag_offsets, max_dag_edges, num_sccs) ||
           !ReadI32Vector(in,
                          static_cast<size_t>(epoch.dag_offsets.back()),
                          &epoch.dag_edges) ||
-          !ReadF64Vector(in, static_cast<size_t>(epoch.dag_offsets.back()),
-                         &epoch.dag_minw) ||
           !ReadI32Vector(in, sccs, &epoch.chain_of) ||
           !ReadI32Vector(in, sccs, &epoch.chain_pos) ||
           !ReadU32(in, &num_chains) || num_chains > num_sccs) {
         return Status::Corruption("bad reachability DAG/chain block");
       }
-      for (const double w : epoch.dag_minw) {
-        if (!(w >= 0.0)) {
-          return Status::Corruption("negative reachability edge distance");
-        }
-      }
       epoch.num_chains = static_cast<int32_t>(num_chains);
+      const size_t max_labels = sccs * static_cast<size_t>(kMaxSlice);
       if (!ReadI32Vector(in, sccs + 1, &epoch.out_offsets) ||
-          !ValidOffsets(epoch.out_offsets) ||
+          !ValidOffsets(epoch.out_offsets, max_labels, kMaxSlice) ||
           !ReadLabels(in, static_cast<size_t>(epoch.out_offsets.back()),
                       &epoch.out_labels) ||
           !ReadBytes(in, sccs, &epoch.out_complete) ||
           !ReadI32Vector(in, sccs + 1, &epoch.in_offsets) ||
-          !ValidOffsets(epoch.in_offsets) ||
+          !ValidOffsets(epoch.in_offsets, max_labels, kMaxSlice) ||
           !ReadLabels(in, static_cast<size_t>(epoch.in_offsets.back()),
                       &epoch.in_labels) ||
           !ReadBytes(in, sccs, &epoch.in_complete)) {
@@ -420,18 +410,12 @@ class ReachabilityIndexSerializer {
     for (const int32_t x : v) WriteI32(out, x);
   }
 
-  static void WriteF64Vector(std::ostream& out,
-                             const std::vector<double>& v) {
-    for (const double x : v) WriteF64(out, x);
-  }
-
   static void WriteLabels(
       std::ostream& out,
       const std::vector<ReachabilityIndex::LabelEntry>& labels) {
     for (const auto& entry : labels) {
       WriteI32(out, entry.chain);
       WriteI32(out, entry.pos);
-      WriteF64(out, entry.weight);
     }
   }
 
@@ -450,23 +434,12 @@ class ReachabilityIndexSerializer {
     return true;
   }
 
-  static bool ReadF64Vector(std::istream& in, size_t count,
-                            std::vector<double>* v) {
-    if (count > kMaxBinaryCount) return false;
-    v->resize(count);
-    for (size_t i = 0; i < count; ++i) {
-      if (!ReadF64(in, &(*v)[i])) return false;
-    }
-    return true;
-  }
-
   static bool ReadLabels(std::istream& in, size_t count,
                          std::vector<ReachabilityIndex::LabelEntry>* v) {
     if (count > kMaxBinaryCount) return false;
     v->resize(count);
     for (size_t i = 0; i < count; ++i) {
-      if (!ReadI32(in, &(*v)[i].chain) || !ReadI32(in, &(*v)[i].pos) ||
-          !ReadF64(in, &(*v)[i].weight) || !((*v)[i].weight >= 0.0)) {
+      if (!ReadI32(in, &(*v)[i].chain) || !ReadI32(in, &(*v)[i].pos)) {
         return false;
       }
     }
@@ -482,13 +455,18 @@ class ReachabilityIndexSerializer {
                                      static_cast<std::streamsize>(count)));
   }
 
-  /// Offsets must start at 0 and be non-decreasing (CSR invariant).
-  static bool ValidOffsets(const std::vector<int32_t>& offsets) {
+  /// Offsets must start at 0 and be non-decreasing (CSR invariant), give
+  /// no slot more than `max_slice` entries and end at most at `max_total`.
+  static bool ValidOffsets(const std::vector<int32_t>& offsets,
+                           size_t max_total, uint32_t max_slice) {
     if (offsets.empty() || offsets.front() != 0) return false;
     for (size_t i = 1; i < offsets.size(); ++i) {
-      if (offsets[i] < offsets[i - 1]) return false;
+      if (offsets[i] < offsets[i - 1] ||
+          static_cast<uint32_t>(offsets[i] - offsets[i - 1]) > max_slice) {
+        return false;
+      }
     }
-    return static_cast<uint32_t>(offsets.back()) <= kMaxBinaryCount;
+    return static_cast<size_t>(offsets.back()) <= max_total;
   }
 };
 
@@ -574,9 +552,9 @@ Result<TemporalGraph> LoadGraphBinary(std::istream& in) {
   }
   Result<TemporalGraph> graph = builder.Build();
   if (!graph.ok() || version < kBinaryVersion) {
-    // Version 1 has no labeling blob; version 2's blob predates the
-    // distance labels, so it is ignored and the index (with distances) is
-    // built on first use — read-compat without a parser per legacy layout.
+    // Version 1 has no labeling blob and the blobs of versions 2 and 3 have
+    // other layouts, so theirs is ignored and the index is built on first
+    // use — read-compat without a parser per legacy layout.
     return graph;
   }
   // The current version carries the labeling; install it as the graph's

@@ -48,17 +48,14 @@ Result<TemporalGraph> LoadGraphFromFile(const std::string& path);
 ///   per node: f64 weight, u32 label length + bytes,
 ///             u32 interval count + (i32 start, i32 end)*
 ///   per edge: u32 src, u32 dst, f64 weight, intervals as above
-///   version >= 2: the reachability labeling blob (per epoch: bounds, SCC
+///   version 4: the reachability labeling blob (per epoch: bounds, SCC
 ///             map, condensed DAG CSR, chain cover, truncated in/out chain
 ///             labels + completeness bits — see reachability_index.h)
-///   version 3: the labeling blob gains the distance side (per-entry label
-///             weights, condensed-edge min-plus distances, per-SCC min node
-///             weights — docs/reachability.md, "Distance-guided search")
 ///
 /// Loading validates through GraphBuilder (strict policy), so a corrupt or
 /// adversarial file cannot produce an invariant-violating graph. Version 1
-/// and 2 files (no blob / a blob without distances) are still accepted;
-/// their index is rebuilt from scratch. Current-version files install the
+/// to 3 files (no blob / blobs of older layouts) are still accepted; their
+/// index is built on first use. Current-version files install the
 /// persisted labels verbatim, so a save -> load round trip reproduces them
 /// byte-identically.
 Status SaveGraphBinary(const TemporalGraph& graph, std::ostream& out);

@@ -10,9 +10,6 @@ std::string SearchStats::ToString() const {
      << " ntds_merged=" << ntds_merged << " dedup_hits=" << dedup_hits
      << " prunes=" << prunes
      << " reachability_prunes=" << reachability_prunes
-     << " guided_prunes=" << guided_prunes
-     << " guided_reorders=" << guided_reorders
-     << " bound_tightenings=" << bound_tightenings
      << " edges_scanned=" << edges_scanned
      << " interval_ops=" << interval_ops
      << " heap_high_water=" << heap_high_water << " micros_match="

@@ -47,13 +47,6 @@ struct SearchStats {
   int64_t reachability_prunes = 0;  ///< Sources + NTDs discarded by the
                                     ///< reachability prune
                                     ///< (docs/reachability.md).
-  int64_t guided_prunes = 0;    ///< Sources/NTDs/meetings discarded by the
-                                ///< guidance floors (guided search,
-                                ///< docs/reachability.md).
-  int64_t guided_reorders = 0;  ///< Pop priorities lowered by the guidance
-                                ///< cone-floor cap.
-  int64_t bound_tightenings = 0;  ///< Sec.-4.2 stop tests shaped by a
-                                  ///< guidance-capped frontier entry.
   int64_t edges_scanned = 0;  ///< In-edges examined during expansion.
 
   // Hot-structure pressure.
@@ -86,9 +79,6 @@ struct SearchStats {
     dedup_hits += other.dedup_hits;
     prunes += other.prunes;
     reachability_prunes += other.reachability_prunes;
-    guided_prunes += other.guided_prunes;
-    guided_reorders += other.guided_reorders;
-    bound_tightenings += other.bound_tightenings;
     edges_scanned += other.edges_scanned;
     interval_ops += other.interval_ops;
     if (other.heap_high_water > heap_high_water) {

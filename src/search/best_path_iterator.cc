@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -28,10 +27,10 @@ BestPathIterator::BestPathIterator(const graph::TemporalGraph& graph,
       lazy_(options_.ranking.factors ==
             FactorList{RankFactor::kRelevance}),
       scratch_(BestPathScratchPool::Acquire()) {
-  // Reachability/guidance labels do not cover delta elements; callers must
-  // disable both while a non-empty overlay is live (the engine does).
+  // Reachability labels do not cover delta elements; callers must disable
+  // viability while a non-empty overlay is live (the engine does).
   assert(options_.overlay == nullptr || options_.overlay->empty() ||
-         (options_.viability == nullptr && options_.guidance_floor == nullptr));
+         options_.viability == nullptr);
   if (masks_ && options_.viability != nullptr) {
     if (options_.viability_masks != nullptr) {
       assert(options_.viability_masks->size() == options_.viability->size());
@@ -71,14 +70,6 @@ BestPathIterator::BestPathIterator(const graph::TemporalGraph& graph,
       ++stats_.reachability_prunes;
       continue;
     }
-    if (options_.guidance_floor != nullptr &&
-        (*options_.guidance_floor)[static_cast<size_t>(source)] ==
-            std::numeric_limits<double>::infinity()) {
-      // No potential root reaches the source in any alive epoch, so no
-      // answer tree contains it and its backward expansion is fruitless.
-      ++stats_.guided_prunes;
-      continue;
-    }
     if (masks_) {
       PushNtd(slot, origin, source, TimeMask::FromIntervalSet(src.validity),
               src.weight, kInvalidNtd, graph::kInvalidEdge);
@@ -87,27 +78,8 @@ BestPathIterator::BestPathIterator(const graph::TemporalGraph& graph,
               graph::kInvalidEdge);
     }
     // A lone source NTD is actionable: nothing to settle.
-    const BestPathSourceEntry entry = MakeSourceEntry(TopScore(slot), origin);
-    capped_sources_ += entry.capped;
-    scratch_->sources.push(entry);
+    scratch_->sources.push(BestPathSourceEntry{TopScore(slot), origin});
   }
-}
-
-BestPathSourceEntry BestPathIterator::MakeSourceEntry(const ScoreKey& score,
-                                                      int32_t origin) {
-  BestPathSourceEntry entry{score, origin, false};
-  if (options_.guidance_cap_divisor > 0.0 &&
-      options_.guidance_floor != nullptr) {
-    const double cap =
-        -(*options_.guidance_floor)[static_cast<size_t>(source(origin))] /
-        options_.guidance_cap_divisor;
-    if (cap < entry.score[0]) {
-      entry.score.Set(0, cap);
-      entry.capped = true;
-      ++stats_.guided_reorders;
-    }
-  }
-  return entry;
 }
 
 template <typename Time>
@@ -207,7 +179,6 @@ bool BestPathIterator::SettleTop(BestPathOrigin& slot,
 NtdId BestPathIterator::Next() {
   if (scratch_->sources.empty()) return kInvalidNtd;
   const int32_t origin = scratch_->sources.top().origin;
-  const bool was_capped = scratch_->sources.top().capped;
   BestPathOrigin& slot = scratch_->origins[static_cast<size_t>(origin)];
   [[maybe_unused]] const int32_t trace_iter = options_.trace_iter + origin;
   // Every queued source is settled, so its head / queue top is actionable.
@@ -257,11 +228,8 @@ NtdId BestPathIterator::Next() {
   ExpandNeighbors(slot, id);
   // Settle the source right away, so its heap-of-sources entry carries its
   // next actionable score and the other sources' entries stay exact.
-  capped_sources_ -= was_capped;
   if (Settle(slot, origin)) {
-    const BestPathSourceEntry entry = MakeSourceEntry(TopScore(slot), origin);
-    capped_sources_ += entry.capped;
-    scratch_->sources.replace_top(entry);
+    scratch_->sources.replace_top(BestPathSourceEntry{TopScore(slot), origin});
   } else {
     scratch_->sources.pop();
   }
@@ -371,15 +339,6 @@ bool BestPathIterator::ChildSurvives(const BestPathOrigin& slot,
     // leaves claims over non-viable instants unrecorded, which never
     // changes accepted results (see docs/reachability.md).
     ++stats_.reachability_prunes;
-    return false;
-  }
-  if (options_.guidance_floor != nullptr &&
-      (*options_.guidance_floor)[static_cast<size_t>(neighbor)] ==
-          std::numeric_limits<double>::infinity()) {
-    // The neighbor sits under no potential root, so no answer tree uses a
-    // path through it; its unrecorded claims only concern equally dead
-    // instants at an equally dead node.
-    ++stats_.guided_prunes;
     return false;
   }
   TGKS_STATS(++stats_.interval_ops);
@@ -535,14 +494,6 @@ void BestPathIterator::ExpandNeighborsSubsumption(BestPathOrigin& slot,
       // subsume anything a viable path needs: any NTD it would subsume is
       // itself wholly non-viable and gets pruned here too.
       ++stats_.reachability_prunes;
-      return;
-    }
-    if (options_.guidance_floor != nullptr &&
-        (*options_.guidance_floor)[static_cast<size_t>(neighbor)] ==
-            std::numeric_limits<double>::infinity()) {
-      // Same argument per node instead of per instant: anything this NTD
-      // would subsume lives at the same dead node and is equally useless.
-      ++stats_.guided_prunes;
       return;
     }
 

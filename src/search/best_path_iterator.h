@@ -106,15 +106,6 @@ struct IteratorStats {
   /// (Options::viability). Affects the explored state space, so it is a
   /// real work counter, never compiled out.
   int64_t reachability_prunes = 0;
-  /// NTDs discarded because the node's guidance cone floor is +infinity
-  /// (Options::guidance_floor): no answer tree can ever contain the node,
-  /// so the path prefix is dead weight. Like reachability_prunes, a real
-  /// work counter, never compiled out.
-  int64_t guided_prunes = 0;
-  /// Heap-of-sources entries whose priority the guidance cone-floor cap
-  /// lowered (Options::guidance_cap_divisor). Control flow, never compiled
-  /// out.
-  int64_t guided_reorders = 0;
   // Observability additions (zero in TGKS_NO_STATS builds).
   int64_t prunes = 0;            ///< Elements rejected by predicate pruning.
   int64_t interval_ops = 0;      ///< IntervalSet ops on the expansion path.
@@ -163,37 +154,19 @@ class BestPathIterator {
     /// and shares it across keywords; when null, the iterator converts
     /// `viability` itself. Ignored on longer timelines.
     const std::vector<temporal::TimeMask>* viability_masks = nullptr;
-    /// Optional per-node guided-search cone floors (not owned; one entry
-    /// per graph node — GuidanceData::cone_floor). Only the +infinity
-    /// entries act here: a node with an infinite floor can never lie on any
-    /// answer tree (no potential root reaches it in any alive epoch), so a
-    /// source with an infinite floor starts exhausted and expansion toward
-    /// such a node is discarded. Finite floors do not prune — they shape
-    /// the engine-level pop priority instead (SearchOptions::guided_search).
-    /// Hereditary like viability: expansion from a finite-floor NTD only
-    /// needs nodes on root->match paths, all of which have finite floors.
-    const std::vector<double>* guidance_floor = nullptr;
-    /// Guided search (requires guidance_floor; <= 0 = off): caps each
-    /// source's heap-of-sources priority at -cone_floor[source] divided by
-    /// this, the bound kind's frontier multiplier. Every future pop of a
-    /// source routes through it, so the cap is an admissible bound on the
-    /// source's remaining trees; it only reorders sources, never the pops
-    /// within one (see SearchEngine's guided_search and
-    /// IteratorStats::guided_reorders).
-    double guidance_cap_divisor = 0.0;
     /// Optional append overlay for live graphs (not owned; see
     /// graph/delta_overlay.h). When set and non-empty, expansion walks the
     /// base ExpansionView run and then the node's delta in-edge run — the
     /// exact enumeration a rebuilt graph would produce — and node reads
     /// route by id between base and delta storage. Must not be combined
-    /// with viability/guidance_floor: reachability labels do not cover
-    /// delta elements (the engine forces both off while a delta is live).
+    /// with viability: reachability labels do not cover delta elements
+    /// (the engine forces it off while a delta is live).
     const graph::DeltaOverlay* overlay = nullptr;
   };
 
   /// Starts one backward expansion per entry of `sources`; source i is the
   /// NTD origin i. A source that fails the predicate prune (or the
-  /// viability / guidance gates) starts exhausted.
+  /// viability gate) starts exhausted.
   BestPathIterator(const graph::TemporalGraph& graph,
                    std::span<const graph::NodeId> sources, Options options);
   /// The one-source case.
@@ -210,8 +183,7 @@ class BestPathIterator {
   /// the frontier is exhausted.
   NtdId Next();
 
-  /// Score of the NTD Next() would pop (guidance-capped under
-  /// Options::guidance_cap_divisor), or nullptr when exhausted. Every
+  /// Score of the NTD Next() would pop, or nullptr when exhausted. Every
   /// source is settled — stale queue entries skipped, or in lazy mode its
   /// next pop created — at construction and at the end of each Next(), so
   /// this is a plain read.
@@ -219,10 +191,6 @@ class BestPathIterator {
     return scratch_->sources.empty() ? nullptr
                                      : &scratch_->sources.top().score;
   }
-
-  /// Whether any source's heap-of-sources entry is guidance-capped right
-  /// now — at the top, or displaced below it by its cap.
-  bool HasCappedSource() const { return capped_sources_ > 0; }
 
   /// The NTD arena entry (valid for any id returned by Next()). Its `time`
   /// is meaningful only when uses_time_masks(); TimeOf reads either.
@@ -323,10 +291,6 @@ class BestPathIterator {
   template <typename Fn>
   decltype(auto) WithReader(Fn&& fn) const;
 
-  /// Heap-of-sources entry for source `origin` whose settled queue top
-  /// scores `score`: the score, capped under guided search.
-  BestPathSourceEntry MakeSourceEntry(const ScoreKey& score, int32_t origin);
-
   /// Appends an NTD of source `origin` to the arena and queues it — in
   /// lazy mode as the source's head. `time` is copied into the NTD (a wide
   /// time is copy-assigned into its parallel arena slot, which keeps its
@@ -354,8 +318,8 @@ class BestPathIterator {
 
   /// The partition checks of the child of the NTD with `parent_time` /
   /// `parent_dist` at slot `s`, in Algorithm 1's order: predicate prune,
-  /// T∩ = parent_time ∩ val(edge) non-empty, viability, guidance floor,
-  /// then `slot`'s claims. Counts the slot as scanned. True iff the child
+  /// T∩ = parent_time ∩ val(edge) non-empty, viability, then `slot`'s
+  /// claims. Counts the slot as scanned. True iff the child
   /// is to be created, with T∩ in `*tmp`.
   template <typename Time, typename Reader>
   bool ChildSurvives(const BestPathOrigin& slot, const Time& parent_time,
@@ -401,7 +365,6 @@ class BestPathIterator {
 
   BestPathScratchPool::Handle scratch_;
   IteratorStats stats_;
-  int32_t capped_sources_ = 0;  ///< Capped entries in the heap of sources.
 };
 
 }  // namespace tgks::search

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 
 #include "graph/delta_overlay.h"
 #include "graph/expansion_view.h"
@@ -53,7 +52,7 @@ LabelCorrectingIterator::LabelCorrectingIterator(
                        ? options_.overlay->total_nodes()
                        : graph.num_nodes()));
   assert(options_.overlay == nullptr || options_.overlay->empty() ||
-         (options_.viability == nullptr && options_.guidance_floor == nullptr));
+         options_.viability == nullptr);
   scratch_->Reset();
   const IntervalSet& validity =
       options_.overlay != nullptr
@@ -70,15 +69,6 @@ NtdId LabelCorrectingIterator::TryKeep(NodeId node, const IntervalSet& time,
   if (options_.viability != nullptr &&
       !time.Overlaps((*options_.viability)[static_cast<size_t>(node)])) {
     ++stats_.reachability_prunes;
-    return kInvalidNtd;
-  }
-  if (options_.guidance_floor != nullptr &&
-      (*options_.guidance_floor)[static_cast<size_t>(node)] ==
-          std::numeric_limits<double>::infinity()) {
-    // The node sits under no potential root in any alive epoch; no answer
-    // tree can use a fragment at it (same hereditary argument as the
-    // viability prune, per node instead of per instant).
-    ++stats_.guided_prunes;
     return kInvalidNtd;
   }
   NodeSubsumption& state = scratch_->states.Activate(
@@ -223,7 +213,7 @@ std::vector<InverseSearchResult> SearchInverse(
     const std::vector<std::vector<NodeId>>& matches,
     InverseRankFactor factor, int32_t k,
     int64_t max_relaxations_per_iterator, bool reachability_prune,
-    bool guided_prune, const graph::DeltaOverlay* overlay) {
+    const graph::DeltaOverlay* overlay) {
   const size_t m = matches.size();
   LabelCorrectingIterator::Options options;
   options.factor = factor;
@@ -232,18 +222,12 @@ std::vector<InverseSearchResult> SearchInverse(
     // Reachability labels do not cover delta elements; fall back to the
     // sound no-prune mode until the next compaction rebuilds them.
     reachability_prune = false;
-    guided_prune = false;
     options.overlay = overlay;
   }
   std::vector<IntervalSet> viability;
   if (reachability_prune) {
     graph.reachability().ComputeViability(matches, &viability);
     options.viability = &viability;
-  }
-  graph::ReachabilityIndex::GuidanceData guidance;
-  if (guided_prune) {
-    graph.reachability().ComputeGuidance(graph, matches, &guidance);
-    options.guidance_floor = &guidance.cone_floor;
   }
 
   // One iterator per match node, grouped by keyword.

@@ -64,9 +64,6 @@ struct LabelCorrectingStats {
   /// Arrivals discarded because their time set missed the viability set
   /// (Options::viability). Control-flow state, never compiled out.
   int64_t reachability_prunes = 0;
-  /// Arrivals discarded because the node's guidance cone floor is +infinity
-  /// (Options::guidance_floor). Control-flow state, never compiled out.
-  int64_t guided_prunes = 0;
   int64_t interval_ops = 0;           ///< IntervalSet ops on the hot path.
   int64_t worklist_high_water = 0;    ///< Max worklist size ever reached.
 };
@@ -105,16 +102,9 @@ class LabelCorrectingIterator {
     /// it would have covered, never fewer per-instant optima at viable
     /// instants.
     const std::vector<temporal::IntervalSet>* viability = nullptr;
-    /// Optional per-node guided-search cone floors (not owned —
-    /// GuidanceData::cone_floor from ReachabilityIndex::ComputeGuidance).
-    /// Only the +infinity entries act: a node under no potential root can
-    /// never join an answer tree, so arrivals there are dropped before the
-    /// dominance check. Finite floors are weight bounds and do not apply to
-    /// the inverse (time-only) ranking directions.
-    const std::vector<double>* guidance_floor = nullptr;
     /// Optional append overlay for live graphs (not owned; see
     /// graph/delta_overlay.h and search/expansion_reader.h). Must not be
-    /// combined with viability/guidance_floor while non-empty.
+    /// combined with viability while non-empty.
     const graph::DeltaOverlay* overlay = nullptr;
   };
 
@@ -198,18 +188,15 @@ struct InverseSearchResult {
 /// searches to archive-scale timelines or set the valve.
 /// `reachability_prune` opts into the viability prune of
 /// docs/reachability.md (identical results, smaller explored state space).
-/// `guided_prune` opts into the guidance infinity-floor prune (also
-/// identical results: only nodes provably outside every answer tree are
-/// skipped).
 /// `overlay`, when set and non-empty, searches the live snapshot (base
-/// graph + delta); both prunes are forced off in that case because the
+/// graph + delta); the prune is forced off in that case because the
 /// reachability labels do not cover delta elements.
 std::vector<InverseSearchResult> SearchInverse(
     const graph::TemporalGraph& graph,
     const std::vector<std::vector<graph::NodeId>>& matches,
     InverseRankFactor factor, int32_t k,
     int64_t max_relaxations_per_iterator = 200000,
-    bool reachability_prune = false, bool guided_prune = false,
+    bool reachability_prune = false,
     const graph::DeltaOverlay* overlay = nullptr);
 
 }  // namespace tgks::search

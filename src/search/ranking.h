@@ -135,14 +135,6 @@ class ScoreKey {
     values_[size_++] = value;
   }
 
-  /// Overwrites one component in place. Used by guided search to cap an
-  /// iterator front's primary component to its admissible floor; the key
-  /// must already have the component (Set never grows the key).
-  void Set(size_t i, double value) {
-    assert(i < size_);
-    values_[i] = value;
-  }
-
   friend bool operator==(const ScoreKey& a, const ScoreKey& b) {
     if (a.size_ != b.size_) return false;
     for (uint32_t i = 0; i < a.size_; ++i) {

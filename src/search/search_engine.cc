@@ -1,6 +1,5 @@
 #include "search/search_engine.h"
 
-#include "cache/guidance_cache.h"
 #include "cache/match_set_cache.h"
 #include "cache/query_caches.h"
 #include "cache/viability_cache.h"
@@ -71,9 +70,6 @@ struct EngineMetrics {
   obs::Counter* stop_deadline;
   obs::Counter* stop_cancelled;
   obs::Counter* reachability_prunes;
-  obs::Counter* guided_prunes;
-  obs::Counter* guided_reorders;
-  obs::Counter* bound_tightenings;
   obs::Gauge* heap_high_water;
   obs::Histogram* query_micros;
   obs::Histogram* pops_per_query;
@@ -114,16 +110,6 @@ struct EngineMetrics {
       out->reachability_prunes = reg.GetCounter(
           "tgks_search_reachability_prunes_total",
           "Sources and NTDs discarded by the reachability prune.");
-      out->guided_prunes = reg.GetCounter(
-          "tgks_search_guided_prunes_total",
-          "NTDs and meeting candidates discarded by guided search.");
-      out->guided_reorders = reg.GetCounter(
-          "tgks_search_guided_reorders_total",
-          "Engine pop priorities lowered by the guidance cone-floor cap.");
-      out->bound_tightenings = reg.GetCounter(
-          "tgks_search_bound_tightenings_total",
-          "Sec.-4.2 stop tests evaluated while >= 1 guidance-capped entry "
-          "shaped a keyword frontier.");
       out->heap_high_water = reg.GetGauge(
           "tgks_search_heap_high_water",
           "Most entries one frontier source ever held: its queue, plus its "
@@ -288,7 +274,6 @@ class Runner {
       // with it would be unsound until compaction folds the delta into a
       // new base graph (docs/ingest.md, "Conservative pruning").
       options_.reachability_prune = false;
-      options_.guided_search = false;
     }
   }
 
@@ -352,60 +337,6 @@ class Runner {
       }
       filter_timer_.Stop();
     }
-    // Guided search is a weight-bound technique: the floors only speak the
-    // relevance primary's language, so any other primary leaves it off (a
-    // documented no-op — SearchOptions::guided_search).
-    guided_active_ = options_.guided_search &&
-                     query_.ranking.primary() == RankFactor::kRelevance;
-    if (guided_active_) {
-      // Cap divisor = the §4.2 bound kind's frontier multiplier: the stop
-      // test scales the frontier weight d by this factor before comparing
-      // against the k-th result, so dividing each cap by it keeps every
-      // deferral shallower than the unguided stop depth (see
-      // CreateFrontier) while the multiplied-back bound still equals the
-      // full cone floor.
-      const double m = static_cast<double>(m_);
-      switch (options_.bound) {
-        case UpperBoundKind::kAccurate:
-          cap_divisor_ = 1.0;
-          break;
-        case UpperBoundKind::kEmpirical:
-          cap_divisor_ = m;
-          break;
-        case UpperBoundKind::kAverage:
-          cap_divisor_ = (2.0 * m) / (m + 1.0);
-          break;
-      }
-      // Per-query guidance floors, computed once from the filtered match
-      // lists before any parallel fan-out (read-only afterwards, shared by
-      // the prefetch tasks). Memoized like viability, in the level-2b
-      // guidance cache — same exact-key scheme, disjoint namespace.
-      filter_timer_.Start();
-      cache::GuidanceCache* gcache =
-          options_.query_caches != nullptr
-              ? &options_.query_caches->guidance()
-              : nullptr;
-      if (gcache != nullptr) {
-        cache::ViabilityKey key = cache::MakeViabilityKey(match_lists_);
-        guidance_shared_ = gcache->Lookup(key);
-        if (guidance_shared_ == nullptr) {
-          auto computed = std::make_shared<cache::GuidanceData>();
-          graph_.reachability().ComputeGuidance(graph_, match_lists_,
-                                                computed.get());
-          guidance_shared_ =
-              gcache->Insert(std::move(key), std::move(computed));
-          ++response_.counters.cache_guidance_misses;
-        } else {
-          ++response_.counters.cache_guidance_hits;
-        }
-        guidance_view_ = guidance_shared_.get();
-      } else {
-        graph_.reachability().ComputeGuidance(graph_, match_lists_,
-                                              &guidance_);
-        guidance_view_ = &guidance_;
-      }
-      filter_timer_.Stop();
-    }
     // Parallel mode needs >= 2 keywords to fan out and falls back when a
     // trace is attached (QueryTrace is single-threaded by contract).
     use_parallel_ = options_.parallel_keywords && m_ >= 2 &&
@@ -450,28 +381,6 @@ class Runner {
 
   /// Builds keyword `kw`'s frontier over its filtered match list. Trace
   /// ids of its sources continue after the previous keywords' sources.
-  ///
-  /// Under guided search each source's heap-of-sources priority is capped
-  /// at the negated cone floor of the source, divided by the bound kind's
-  /// frontier multiplier (cap_divisor_): every future pop of the source
-  /// routes through it, so no unseen tree reachable via it can score above
-  /// -cone_floor[source], and since -floor/divisor >= -floor the divided
-  /// cap is still an admissible per-source upper bound (within-source pops
-  /// are monotone non-increasing, so it stays valid for the source's whole
-  /// remaining frontier). Capped fronts feed SelectKeyword and the §4.2
-  /// bound test unchanged.
-  ///
-  /// Why divide: the cap defers the source until the raw frontier reaches
-  /// weight floor/divisor. The stop test fires once the frontier weight d
-  /// satisfies kth <= multiplier * d, i.e. at depth kth/divisor — and every
-  /// source that sits in a top-k tree has floor <= kth, so its deferral
-  /// depth floor/divisor never exceeds the unguided stop depth: guided
-  /// search never pops MORE than unguided for the top-k it must still
-  /// deliver. An undivided cap defers up to `multiplier` times deeper and
-  /// can starve the very sources the results come from, ballooning pops.
-  /// Meanwhile the stop test loses nothing: the §4.2 empirical bound
-  /// multiplies the capped front back by `multiplier`, so a junk source's
-  /// frontier contributes exactly its floor.
   void CreateFrontier(size_t kw) {
     BestPathIterator::Options iter_options;
     iter_options.ranking = query_.ranking;
@@ -485,10 +394,6 @@ class Runner {
       if (!viability_masks_.empty()) {
         iter_options.viability_masks = &viability_masks_;
       }
-    }
-    if (guided_active_) {
-      iter_options.guidance_floor = &guidance_view_->cone_floor;
-      iter_options.guidance_cap_divisor = cap_divisor_;
     }
     iter_options.trace_iter = 0;
     for (size_t i = 0; i < kw; ++i) {
@@ -605,13 +510,9 @@ class Runner {
               obs::TraceEventKind::kKeywordHit, node, -1,
               static_cast<double>(response_.counters.results));
         });
-        if (SkipMeeting(node)) {
-          ++response_.counters.guided_prunes;
-        } else {
-          generate_timer_.Start();
-          GenerateCandidates(node, row, static_cast<size_t>(kw), popped);
-          generate_timer_.Stop();
-        }
+        generate_timer_.Start();
+        GenerateCandidates(node, row, static_cast<size_t>(kw), popped);
+        generate_timer_.Stop();
       }
 
       if (options_.k > 0 &&
@@ -875,34 +776,6 @@ class Runner {
     assert(false && "kAssemble is not a verdict");
   }
 
-  /// guided_search: should candidate generation at this met-all node be
-  /// skipped? True when the node's root bound proves no tree rooted here
-  /// can be a STRICT top-k improvement: an infinite root bound means the
-  /// node can never root an answer tree (every enumeration here would die
-  /// on empty common time), and once k results exist a root bound strictly
-  /// above the kth result's weight admits only strictly-worse trees —
-  /// which Finalize would truncate away unexamined. Strictness keeps ties
-  /// exact: a tree tying the kth weight can still displace it under the
-  /// signature tie-break, so equal bounds generate normally. Runs
-  /// identically at sequential pop-consumption and parallel replay-
-  /// consumption (same pop order, same kth evolution), preserving the
-  /// bit-identical parallel contract.
-  bool SkipMeeting(NodeId node) const {
-    if (!guided_active_) return false;
-    const double root_bound =
-        guidance_view_->root_bound[static_cast<size_t>(node)];
-    if (root_bound == std::numeric_limits<double>::infinity()) return true;
-    if (options_.k > 0 &&
-        static_cast<int64_t>(results_.size()) >= options_.k) {
-      // primaries_ is the negated-weight list, descending; the kth entry is
-      // the current kth result's score, so -primaries_[k-1] is its weight.
-      const double kth_weight =
-          -primaries_[static_cast<size_t>(options_.k) - 1];
-      if (root_bound > kth_weight) return true;
-    }
-    return false;
-  }
-
   /// §4.2 stop test: does the kth best found result already beat the upper
   /// bound on everything unseen?
   bool KthBeatsBound() {
@@ -912,22 +785,13 @@ class Runner {
     double best_top = -kInf;   // max over keyword queue tops.
     double worst_top = kInf;   // min over keyword queue tops.
     bool any = false;
-    bool any_capped = false;
     for (size_t kw = 0; kw < m_; ++kw) {
-      const BestPathIterator& frontier = *iterators_[kw];
-      const ScoreKey* front = frontier.PeekScore();
+      const ScoreKey* front = iterators_[kw]->PeekScore();
       if (front == nullptr) continue;
       any = true;
-      // A capped source entry ANYWHERE in the heap of sources shapes this
-      // test: either it is the front (bounding d directly) or the cap
-      // displaced it below a better raw entry, raising the front — the
-      // tightening that lets the stop fire before the capped source's
-      // frontier is drained.
-      any_capped |= frontier.HasCappedSource();
       best_top = std::max(best_top, (*front)[0]);
       worst_top = std::min(worst_top, (*front)[0]);
     }
-    if (any_capped) ++response_.counters.bound_tightenings;
     return KthBeatsBoundOver(any, best_top, worst_top);
   }
 
@@ -1029,14 +893,9 @@ class Runner {
   enum class AbortReason { kNone, kCancel, kDeadline };
 
   struct RecordedPop {
-    ScoreKey score;  ///< The frontier's peek at pop time (guidance-capped
-                     ///< under guided_search).
+    ScoreKey score;  ///< The frontier's peek at pop time.
     NtdId ntd;
     NodeId node;
-    /// Whether the frontier held >= 1 guidance-capped source entry right
-    /// after this pop — the sequential HasCappedSource() state the replay's
-    /// stop test must see at this cursor position.
-    bool capped_behind = false;
   };
 
   /// Per-keyword prefetch state. Written only by that keyword's task
@@ -1047,7 +906,6 @@ class Runner {
     size_t cursor = 0;               ///< Consumed prefix (replay).
     bool exhausted = false;          ///< Frontier drained: no more pops.
     ScoreKey tail{};                 ///< Next pop's score when !exhausted.
-    bool initial_capped = false;     ///< HasCappedSource() before any pop.
     AbortReason abort = AbortReason::kNone;
     double expand_seconds = 0.0;     ///< Task CPU time, summed over rounds.
   };
@@ -1093,18 +951,6 @@ class Runner {
     return nullptr;
   }
 
-  /// Whether keyword kw's frontier held any guidance-capped source entry at
-  /// the replay's current cursor — the recorded sequential
-  /// HasCappedSource() state after the last consumed pop (at creation
-  /// before the first). The unconsumed front entry was in the heap of
-  /// sources at that instant, so this covers capped fronts and capped
-  /// entries displaced below them alike.
-  bool StreamCappedState(size_t kw) const {
-    const KeywordStream& ks = streams_[kw];
-    if (ks.cursor > 0) return ks.pops[ks.cursor - 1].capped_behind;
-    return ks.initial_capped;
-  }
-
   /// SelectKeyword() replayed over stream fronts; same tie-breaks.
   int ReplaySelectKeyword() {
     const bool round_robin =
@@ -1137,16 +983,13 @@ class Runner {
     double best_top = -kInf;
     double worst_top = kInf;
     bool any = false;
-    bool any_capped = false;
     for (size_t kw = 0; kw < m_; ++kw) {
       const ScoreKey* front = StreamFront(kw);
       if (front == nullptr) continue;
       any = true;
-      any_capped |= StreamCappedState(kw);
       best_top = std::max(best_top, (*front)[0]);
       worst_top = std::min(worst_top, (*front)[0]);
     }
-    if (any_capped) ++response_.counters.bound_tightenings;
     return KthBeatsBoundOver(any, best_top, worst_top);
   }
 
@@ -1223,13 +1066,9 @@ class Runner {
       ++response_.counters.pops;
       const int32_t row = meetings_->Add(pop.node, kw, pop.ntd);
       if (meetings_->MetAll(row)) {
-        if (SkipMeeting(pop.node)) {
-          ++response_.counters.guided_prunes;
-        } else {
-          generate_timer_.Start();
-          GenerateCandidates(pop.node, row, kw, pop.ntd);
-          generate_timer_.Stop();
-        }
+        generate_timer_.Start();
+        GenerateCandidates(pop.node, row, kw, pop.ntd);
+        generate_timer_.Stop();
       }
       if (options_.k > 0 &&
           static_cast<int64_t>(results_.size()) >= options_.k &&
@@ -1296,10 +1135,7 @@ class Runner {
     KeywordStream& ks = streams_[kw];
     Stopwatch expand;
     expand.Start();
-    if (!iterators_[kw]) {
-      CreateFrontier(kw);
-      ks.initial_capped = iterators_[kw]->HasCappedSource();
-    }
+    if (!iterators_[kw]) CreateFrontier(kw);
     BestPathIterator& frontier = *iterators_[kw];
     int64_t deadline_countdown = 1;
     int64_t produced = 0;
@@ -1318,8 +1154,8 @@ class Runner {
       const ScoreKey score = *frontier.PeekScore();
       const NtdId popped = frontier.Next();
       assert(popped != kInvalidNtd);
-      ks.pops.push_back(RecordedPop{score, popped, frontier.ntd(popped).node,
-                                    frontier.HasCappedSource()});
+      ks.pops.push_back(
+          RecordedPop{score, popped, frontier.ntd(popped).node});
       ++produced;
     }
     if (const ScoreKey* next = frontier.PeekScore(); next == nullptr) {
@@ -1380,10 +1216,6 @@ class Runner {
       c.subsumption_skips += is.subsumption_skips;
       c.subsumption_evictions += is.subsumption_evictions;
       c.reachability_prunes += is.reachability_prunes;
-      c.guided_prunes += is.guided_prunes;
-      // In parallel mode, like the other frontier-level counters, cap
-      // events can include prefetch overshoot.
-      c.guided_reorders += is.guided_reorders;
       for (int32_t origin = 0; origin < frontier->num_sources(); ++origin) {
         if (frontier->num_ntds(origin) > 1) {
           // The paper's "average number of NTDs associated with each node
@@ -1415,9 +1247,6 @@ class Runner {
     s.ntds_created = c.ntds_created;
     s.dedup_hits = c.useless_pops + c.duplicates;
     s.reachability_prunes = c.reachability_prunes;
-    s.guided_prunes = c.guided_prunes;
-    s.guided_reorders = c.guided_reorders;
-    s.bound_tightenings = c.bound_tightenings;
     s.interval_ops = engine_interval_ops_;
     for (const auto& frontier : iterators_) {
       if (!frontier) continue;
@@ -1439,9 +1268,6 @@ class Runner {
     gm.ntds_created->Increment(s.ntds_created);
     gm.results->Increment(c.results);
     gm.reachability_prunes->Increment(c.reachability_prunes);
-    gm.guided_prunes->Increment(c.guided_prunes);
-    gm.guided_reorders->Increment(c.guided_reorders);
-    gm.bound_tightenings->Increment(c.bound_tightenings);
     switch (response_.stop_reason) {
       case StopReason::kExhausted:
         gm.stop_exhausted->Increment();
@@ -1503,17 +1329,6 @@ class Runner {
   const std::vector<IntervalSet>* viability_view_ = nullptr;
   /// The live viability as masks, when the timeline fits a TimeMask.
   std::vector<TimeMask> viability_masks_;
-  /// guided_search only (relevance primary): per-node answer-tree weight
-  /// floors, shared read-only like viability. `guidance_view_` points at
-  /// the live storage (local or cache-shared).
-  bool guided_active_ = false;
-  /// Frontier multiplier of options_.bound; caps are cone_floor divided by
-  /// this so deferrals never outrun the stop depth (see CreateFrontier).
-  double cap_divisor_ = 1.0;
-  graph::ReachabilityIndex::GuidanceData guidance_;
-  std::shared_ptr<const graph::ReachabilityIndex::GuidanceData>
-      guidance_shared_;
-  const graph::ReachabilityIndex::GuidanceData* guidance_view_ = nullptr;
 
   // Candidate generation. Every buffer lives for the whole query, so a
   // warm candidate allocates only if it becomes a result.

@@ -90,44 +90,10 @@ struct SearchOptions {
   /// bound sweep, sequential and parallel; the work saved is visible in
   /// SearchCounters::reachability_prunes. Off by default.
   bool reachability_prune = false;
-  /// Opt-in distance-guided search (docs/reachability.md, "Guided
-  /// search"): the engine computes per-node admissible answer-tree weight
-  /// floors from the ReachabilityIndex distance labels
-  /// (ReachabilityIndex::ComputeGuidance) and uses them three ways, all
-  /// result-preserving:
-  ///   1. ordering/bounds — each source's priority in its keyword
-  ///      frontier's heap of sources is capped at the source's negated
-  ///      cone floor, divided by the bound kind's frontier multiplier
-  ///      (every future pop of the source routes through it, so no unseen
-  ///      tree via it can score above the cap; the division keeps every
-  ///      deferral shallower than the bound's own stop depth, so guided
-  ///      never pops more than unguided). Capped fronts feed the §4.2
-  ///      bound test unchanged — the multiplier scales them back to the
-  ///      full floor — firing
-  ///      stop_bound earlier (see SearchCounters::bound_tightenings);
-  ///      under kAccurate the exact top-k guarantee is preserved because
-  ///      the cap is admissible.
-  ///   2. infinity pruning — nodes whose cone floor is +infinity (under no
-  ///      potential root) are never expanded, like reachability_prune but
-  ///      per node (SearchCounters::guided_prunes).
-  ///   3. meeting skip — once k results exist, candidate generation is
-  ///      skipped at met-all nodes whose ROOT bound cannot strictly beat
-  ///      the current kth result.
-  /// Active only when the primary ranking factor is relevance (the floors
-  /// are weight bounds); a documented no-op otherwise. Parallel replay
-  /// remains bit-identical to sequential by construction — the caps are
-  /// recorded in the prefetch streams, and the meeting skip runs at
-  /// replay-consumption time against the identical kth evolution. Like the
-  /// reachability prune, exhaustive runs return provably identical
-  /// results; bounded runs under the heuristic bounds may stop at a
-  /// different pop (docs/reachability.md, "Bounded stops"). Off by
-  /// default.
-  bool guided_search = false;
   /// Opt-in per-graph query caches (docs/caching.md; not owned, thread-safe,
   /// must outlive the call). Level 1 serves keyword match sets in Search();
-  /// level 2 memoizes ComputeViability under reachability_prune and level
-  /// 2b memoizes ComputeGuidance under guided_search, each keyed by the
-  /// exact filtered match lists so a hit is bit-identical to
+  /// level 2 memoizes ComputeViability under reachability_prune, keyed by
+  /// the exact filtered match lists so a hit is bit-identical to
   /// recomputation. Results and work counters are unchanged by caching —
   /// only wall time and the SearchCounters::cache_* fields differ.
   cache::QueryCaches* query_caches = nullptr;
@@ -137,8 +103,8 @@ struct SearchOptions {
   /// delta postings, expansion walks base in-edge runs followed by delta
   /// runs (the exact enumeration order a rebuilt graph would produce), and
   /// candidate assembly routes delta element ids through the overlay. A
-  /// non-empty overlay forces reachability_prune and guided_search OFF for
-  /// the call: the base ReachabilityIndex does not speak for delta-touched
+  /// non-empty overlay forces reachability_prune OFF for the call: the
+  /// base ReachabilityIndex does not speak for delta-touched
   /// connectivity, so the only sound policy until compaction folds the
   /// delta in is to not prune (docs/ingest.md, "Conservative pruning").
   /// An empty overlay is identical to null.
@@ -234,20 +200,6 @@ struct SearchCounters {
   /// reachability_prune only: match sources dropped plus expansion NTDs
   /// discarded because their time set missed the viability set.
   int64_t reachability_prunes = 0;
-  /// guided_search only: frontier-level infinity-floor prunes (sources and
-  /// expansions at nodes under no potential root) plus engine-level
-  /// meeting skips.
-  int64_t guided_prunes = 0;
-  /// guided_search only: heap-of-sources priorities actually lowered by
-  /// the source cone-floor cap (a proxy for how often guidance reordered or
-  /// tightened the frontier).
-  int64_t guided_reorders = 0;
-  /// guided_search only: §4.2 stop-test evaluations in which at least one
-  /// keyword frontier's heap of sources held a guidance-capped entry — at
-  /// the front (bounding the frontier directly) or displaced below a
-  /// better raw entry by its cap, which is what lets the stop fire before
-  /// that source's expansion is drained.
-  int64_t bound_tightenings = 0;
   int64_t results = 0;             ///< Distinct valid results found.
   /// Parallel mode only: prefetch rounds run, and pops prefetched past the
   /// stop point (work a sequential run would not have done; their edge
@@ -261,10 +213,6 @@ struct SearchCounters {
   int64_t cache_match_misses = 0;
   int64_t cache_viability_hits = 0;
   int64_t cache_viability_misses = 0;
-  /// query_caches + guided_search: guidance-floor computations served from
-  /// / missed by the level-2b cache.
-  int64_t cache_guidance_hits = 0;
-  int64_t cache_guidance_misses = 0;
   /// Mean NTDs per reached node per source (the paper's "average number
   /// of NTDs associated with each node"), over sources that expanded past
   /// themselves.

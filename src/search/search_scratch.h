@@ -193,14 +193,11 @@ struct BestPathOrigin {
   }
 };
 
-/// Heap-of-sources entry: a source's next pop score (guidance-capped under
-/// guided search) and the source's index in the frontier.
+/// Heap-of-sources entry: a source's next pop score and the source's index
+/// in the frontier.
 struct BestPathSourceEntry {
   ScoreKey score;
   int32_t origin;
-  /// The primary component was lowered by the guidance cone-floor cap.
-  /// Not part of the ordering; feeds BestPathIterator::HasCappedSource.
-  bool capped;
 };
 struct BestPathSourceBetter {
   // True iff `a` pops first: best score, with the smaller source index

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 #include <queue>
 #include <unordered_map>
 
-#include "graph/reachability_index.h"
 #include "search/best_path_iterator.h"
 #include "temporal/interval_set.h"
 
@@ -20,14 +18,10 @@ using temporal::IntervalSet;
 namespace {
 
 /// [25]-style planner: forward Dijkstra over the subgraph of elements valid
-/// throughout the range. `guided` switches the pop order to A* on the
-/// reachability index's admissible distance lower bounds (see the header);
-/// because the label heuristic need not be consistent (truncation falls
-/// back to 0), closed nodes reopen on improvement — the first pop of the
-/// TARGET is still optimal by the standard admissibility argument.
+/// throughout the range.
 std::optional<TimeRangePath> ThroughoutPath(const graph::TemporalGraph& graph,
                                             NodeId source, NodeId target,
-                                            Interval range, bool guided) {
+                                            Interval range) {
   const IntervalSet window{range};
   auto usable_node = [&](NodeId n) {
     return graph.node(n).validity.Subsumes(window);
@@ -37,25 +31,10 @@ std::optional<TimeRangePath> ThroughoutPath(const graph::TemporalGraph& graph,
   };
   if (!usable_node(source) || !usable_node(target)) return std::nullopt;
 
-  // Remaining-cost heuristic: DistanceLowerBound includes the probed node's
-  // own weight, which the running g already carries, so subtract it back
-  // out. +infinity refutes the node entirely (no path to the target even in
-  // the full snapshot at range.start, let alone throughout the range).
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  auto heuristic = [&](NodeId n) -> double {
-    if (!guided) return 0.0;
-    const double lb =
-        graph.reachability().DistanceLowerBound(n, range.start, target);
-    if (lb == kInf) return kInf;
-    return std::max(0.0, lb - graph.node(n).weight);
-  };
-
   struct Entry {
-    double priority;  // g + h
-    double dist;      // g
+    double dist;
     NodeId node;
     bool operator>(const Entry& other) const {
-      if (priority != other.priority) return priority > other.priority;
       if (dist != other.dist) return dist > other.dist;
       return node > other.node;
     }
@@ -63,16 +42,13 @@ std::optional<TimeRangePath> ThroughoutPath(const graph::TemporalGraph& graph,
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> queue;
   std::unordered_map<NodeId, double> best;
   std::unordered_map<NodeId, EdgeId> parent;
-  const double source_h = heuristic(source);
-  if (source_h == kInf) return std::nullopt;
   best[source] = graph.node(source).weight;
-  queue.push({graph.node(source).weight + source_h,
-              graph.node(source).weight, source});
+  queue.push({graph.node(source).weight, source});
   std::optional<double> target_dist;
   while (!queue.empty()) {
     const Entry top = queue.top();
     queue.pop();
-    if (top.dist > best.at(top.node)) continue;  // Stale (reopened since).
+    if (top.dist > best.at(top.node)) continue;  // Stale.
     if (top.node == target) {
       target_dist = top.dist;
       break;
@@ -85,11 +61,9 @@ std::optional<TimeRangePath> ThroughoutPath(const graph::TemporalGraph& graph,
           top.dist + graph.edge(e).weight + graph.node(next).weight;
       const auto it = best.find(next);
       if (it == best.end() || nd < it->second) {
-        const double h = heuristic(next);
-        if (h == kInf) continue;
         best[next] = nd;
         parent[next] = e;
-        queue.push({nd + h, nd, next});
+        queue.push({nd, next});
       }
     }
   }
@@ -142,7 +116,7 @@ std::optional<TimeRangePath> SometimePath(const graph::TemporalGraph& graph,
 
 std::optional<TimeRangePath> ShortestPathInRange(
     const graph::TemporalGraph& graph, NodeId source, NodeId target,
-    Interval range, RangeSemantics semantics, bool guided) {
+    Interval range, RangeSemantics semantics) {
   assert(source >= 0 && source < graph.num_nodes());
   assert(target >= 0 && target < graph.num_nodes());
   if (range.IsEmpty() || range.start < 0 ||
@@ -151,7 +125,7 @@ std::optional<TimeRangePath> ShortestPathInRange(
   }
   switch (semantics) {
     case RangeSemantics::kThroughout:
-      return ThroughoutPath(graph, source, target, range, guided);
+      return ThroughoutPath(graph, source, target, range);
     case RangeSemantics::kSometime:
       return SometimePath(graph, source, target, range);
   }

@@ -51,19 +51,10 @@ struct TimeRangePath {
 /// Shortest path from `source` to `target` w.r.t. `range`; nullopt when no
 /// qualifying path exists. `range` must be non-empty and inside the
 /// timeline.
-///
-/// `guided` opts into A*-style ordering for kThroughout: the pop priority
-/// is inflated by ReachabilityIndex::DistanceLowerBound(node, range.start,
-/// target) — admissible because every throughout-valid path is in
-/// particular valid at range.start — and nodes that cannot reach the target
-/// at range.start are skipped outright. The returned path is identical (the
-/// heuristic is admissible and closed nodes reopen on improvement); only
-/// the number of relaxations shrinks. Ignored under kSometime.
 std::optional<TimeRangePath> ShortestPathInRange(
     const graph::TemporalGraph& graph, graph::NodeId source,
     graph::NodeId target, temporal::Interval range,
-    RangeSemantics semantics = RangeSemantics::kThroughout,
-    bool guided = false);
+    RangeSemantics semantics = RangeSemantics::kThroughout);
 
 }  // namespace tgks::search
 

@@ -62,8 +62,6 @@ std::string CacheFingerprint(const exec::SingleQuery& single) {
   fp += tri(single.parallel_keywords);
   fp += "\x1f reach=";
   fp += tri(single.reachability_prune);
-  fp += "\x1f guided=";
-  fp += tri(single.guided_search);
   fp += "\x1f matches=";
   for (const auto& list : single.query.matches) {
     for (const graph::NodeId id : list) {
@@ -93,32 +91,15 @@ void WriteCounters(const search::SearchCounters& counters, JsonWriter* w) {
   w->Key("duplicates"); w->Int(counters.duplicates);
   w->Key("combo_overflows"); w->Int(counters.combo_overflows);
   w->Key("reachability_prunes"); w->Int(counters.reachability_prunes);
-  if (counters.guided_prunes != 0 || counters.guided_reorders != 0 ||
-      counters.bound_tightenings != 0) {
-    // Present only when guided search ran, so unguided stats bodies (and
-    // their golden transcripts) keep their exact byte layout.
-    w->Key("guided_prunes"); w->Int(counters.guided_prunes);
-    w->Key("guided_reorders"); w->Int(counters.guided_reorders);
-    w->Key("bound_tightenings"); w->Int(counters.bound_tightenings);
-  }
   if (counters.cache_match_hits != 0 || counters.cache_match_misses != 0 ||
       counters.cache_viability_hits != 0 ||
-      counters.cache_viability_misses != 0 ||
-      counters.cache_guidance_hits != 0 ||
-      counters.cache_guidance_misses != 0) {
+      counters.cache_viability_misses != 0) {
     // Present only when query caches were active, so cache-off stats bodies
     // (and their golden transcripts) keep their exact byte layout.
     w->Key("cache_match_hits"); w->Int(counters.cache_match_hits);
     w->Key("cache_match_misses"); w->Int(counters.cache_match_misses);
     w->Key("cache_viability_hits"); w->Int(counters.cache_viability_hits);
     w->Key("cache_viability_misses"); w->Int(counters.cache_viability_misses);
-    if (counters.cache_guidance_hits != 0 ||
-        counters.cache_guidance_misses != 0) {
-      // Nested guard: guidance-cache traffic only exists under guided
-      // search, so cached-but-unguided bodies stay byte-stable too.
-      w->Key("cache_guidance_hits"); w->Int(counters.cache_guidance_hits);
-      w->Key("cache_guidance_misses"); w->Int(counters.cache_guidance_misses);
-    }
   }
   w->Key("results"); w->Int(counters.results);
   w->EndObject();
@@ -584,8 +565,6 @@ HttpResponse RequestRouter::HandleVarz() const {
     write_cache_stats(context_.query_caches->match_sets().stats());
     w.Key("viability_cache");
     write_cache_stats(context_.query_caches->viability().stats());
-    w.Key("guidance_cache");
-    write_cache_stats(context_.query_caches->guidance().stats());
     w.Key("query_cache_generation");
     w.Int(static_cast<int64_t>(context_.query_caches->generation()));
   }
@@ -806,19 +785,6 @@ bool RequestRouter::HandleSearch(const HttpRequest& request,
       return true;
     }
     single.reachability_prune = reach->AsBool();
-  }
-
-  // Optional per-request guided search (docs/reachability.md): distance
-  // lower bounds from the reachability index cap iterator fronts and skip
-  // hopeless meeting nodes. Top-k results are identical either way.
-  if (const JsonValue* guided = doc->Find("guided_search");
-      guided != nullptr) {
-    if (!guided->is_bool()) {
-      *immediate = JsonResponse(
-          400, JsonErrorBody("request", "guided_search must be a bool"));
-      return true;
-    }
-    single.guided_search = guided->AsBool();
   }
 
   // Optional per-request cache bypass (docs/caching.md): "cache": false

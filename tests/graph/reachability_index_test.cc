@@ -12,14 +12,13 @@
 // determinism, and byte-identical serialization round trips. The lazy
 // index (built on the first reachability() call, shared by every copy of a
 // graph) is pinned too: concurrent first calls share one build, saving is
-// independent of whether the index was probed before, a version-3 load
-// installs the persisted labels without building, and pruned and guided
-// searches are the same on an untouched graph and on a pre-built one.
+// independent of whether the index was probed before, a version-4 load
+// installs the persisted labels without building, and pruned searches are
+// the same on an untouched graph and on a pre-built one.
 
 #include <algorithm>
 #include <cstdint>
 #include <latch>
-#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -232,155 +231,6 @@ void CheckViability(const TemporalGraph& g, Rng* rng,
   }
 }
 
-/// Brute-force snapshot distances under the search convention, EXCLUDING
-/// the start node's weight: D[u][v] = min over paths u -> v in G_t of
-/// sum(edge weight + entered-node weight), D[u][u] = 0 for alive u,
-/// +infinity otherwise. Floyd-Warshall per instant (n <= 16 here).
-std::vector<std::vector<double>> SnapshotDistances(const TemporalGraph& g,
-                                                   TimePoint t) {
-  const double kInf = std::numeric_limits<double>::infinity();
-  const auto n = static_cast<size_t>(g.num_nodes());
-  std::vector<std::vector<double>> d(n, std::vector<double>(n, kInf));
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    if (g.NodeAliveAt(u, t)) d[static_cast<size_t>(u)][static_cast<size_t>(u)] = 0.0;
-  }
-  for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
-    if (!g.EdgeAliveAt(e, t)) continue;
-    const NodeId src = g.edge(e).src, dst = g.edge(e).dst;
-    if (!g.NodeAliveAt(src, t) || !g.NodeAliveAt(dst, t)) continue;
-    const double cost = g.edge(e).weight + g.node(dst).weight;
-    auto& cell = d[static_cast<size_t>(src)][static_cast<size_t>(dst)];
-    cell = std::min(cell, cost);
-  }
-  for (size_t k = 0; k < n; ++k) {
-    for (size_t i = 0; i < n; ++i) {
-      if (d[i][k] == kInf) continue;
-      for (size_t j = 0; j < n; ++j) {
-        d[i][j] = std::min(d[i][j], d[i][k] + d[k][j]);
-      }
-    }
-  }
-  return d;
-}
-
-/// DistanceLowerBound contract against the brute snapshot metric: +infinity
-/// exactly on unreachable pairs, w(u) on the diagonal, and never above the
-/// true cheapest path weight anywhere else. The match-set overload must be
-/// the min of the single-target probes.
-void CheckDistanceBounds(const TemporalGraph& g, Rng* rng,
-                         const std::string& context) {
-  const ReachabilityIndex& index = g.reachability();
-  const double kInf = std::numeric_limits<double>::infinity();
-  for (TimePoint t = 0; t < g.timeline_length(); ++t) {
-    const auto d = SnapshotDistances(g, t);
-    for (NodeId u = 0; u < g.num_nodes(); ++u) {
-      for (NodeId v = 0; v < g.num_nodes(); ++v) {
-        const double bound = index.DistanceLowerBound(u, t, v);
-        const double truth =
-            d[static_cast<size_t>(u)][static_cast<size_t>(v)];
-        if (truth == kInf) {
-          ASSERT_EQ(bound, kInf)
-              << context << ": finite bound on unreachable (u=" << u
-              << ", t=" << t << ", v=" << v << ")";
-        } else if (u == v) {
-          ASSERT_DOUBLE_EQ(bound, g.node(u).weight) << context;
-        } else {
-          ASSERT_LE(bound, g.node(u).weight + truth + 1e-9)
-              << context << ": inadmissible distance bound (u=" << u
-              << ", t=" << t << ", v=" << v << ", true "
-              << g.node(u).weight + truth << ")";
-          ASSERT_GE(bound, 0.0) << context;
-        }
-      }
-      // Match-set overload == min over singles, on a random target set.
-      std::vector<NodeId> targets;
-      const size_t count = 1 + rng->Uniform(4);
-      for (size_t i = 0; i < count; ++i) {
-        targets.push_back(static_cast<NodeId>(
-            rng->Uniform(static_cast<uint64_t>(g.num_nodes()))));
-      }
-      double expected = kInf;
-      for (const NodeId v : targets) {
-        expected = std::min(expected, index.DistanceLowerBound(u, t, v));
-      }
-      ASSERT_EQ(index.DistanceLowerBound(u, t, targets), expected)
-          << context << ": match-set overload (u=" << u << ", t=" << t
-          << ")";
-    }
-  }
-}
-
-/// ComputeGuidance against its per-instant definition, computed with the
-/// brute snapshot metric: root_bound[n] = min over alive instants of
-/// w(n) + max_j (min over alive matches s of D[n][s]); cone_floor[n] = min
-/// over instants and over roots r reaching n of root_bound-at-that-instant.
-/// The guidance Dijkstra is exact per epoch, so this is an EQUALITY check,
-/// not just admissibility.
-void CheckGuidance(const TemporalGraph& g, Rng* rng,
-                   const std::string& context) {
-  const ReachabilityIndex& index = g.reachability();
-  const double kInf = std::numeric_limits<double>::infinity();
-  const size_t num_keywords = 1 + rng->Uniform(3);
-  std::vector<std::vector<NodeId>> matches(num_keywords);
-  for (auto& list : matches) {
-    const size_t count = 1 + rng->Uniform(3);
-    for (size_t i = 0; i < count; ++i) {
-      list.push_back(static_cast<NodeId>(
-          rng->Uniform(static_cast<uint64_t>(g.num_nodes()))));
-    }
-  }
-
-  ReachabilityIndex::GuidanceData guidance;
-  index.ComputeGuidance(g, matches, &guidance);
-  const auto n = static_cast<size_t>(g.num_nodes());
-  ASSERT_EQ(guidance.root_bound.size(), n);
-  ASSERT_EQ(guidance.cone_floor.size(), n);
-
-  std::vector<double> expected_root(n, kInf), expected_cone(n, kInf);
-  for (TimePoint t = 0; t < g.timeline_length(); ++t) {
-    const auto d = SnapshotDistances(g, t);
-    std::vector<double> root_at_t(n, kInf);
-    for (NodeId r = 0; r < g.num_nodes(); ++r) {
-      if (!g.NodeAliveAt(r, t)) continue;
-      double maxd = 0.0;
-      for (const auto& list : matches) {
-        double best = kInf;
-        for (const NodeId s : list) {
-          if (g.NodeAliveAt(s, t)) {
-            best = std::min(
-                best, d[static_cast<size_t>(r)][static_cast<size_t>(s)]);
-          }
-        }
-        maxd = std::max(maxd, best);
-      }
-      root_at_t[static_cast<size_t>(r)] = g.node(r).weight + maxd;
-      expected_root[static_cast<size_t>(r)] =
-          std::min(expected_root[static_cast<size_t>(r)],
-                   root_at_t[static_cast<size_t>(r)]);
-    }
-    for (NodeId node = 0; node < g.num_nodes(); ++node) {
-      for (NodeId r = 0; r < g.num_nodes(); ++r) {
-        if (d[static_cast<size_t>(r)][static_cast<size_t>(node)] == kInf) {
-          continue;  // r does not reach node at t
-        }
-        expected_cone[static_cast<size_t>(node)] =
-            std::min(expected_cone[static_cast<size_t>(node)],
-                     root_at_t[static_cast<size_t>(r)]);
-      }
-    }
-  }
-  for (NodeId node = 0; node < g.num_nodes(); ++node) {
-    ASSERT_DOUBLE_EQ(guidance.root_bound[static_cast<size_t>(node)],
-                     expected_root[static_cast<size_t>(node)])
-        << context << ": root_bound witness (node=" << node
-        << ", keywords=" << num_keywords << ")";
-    ASSERT_DOUBLE_EQ(guidance.cone_floor[static_cast<size_t>(node)],
-                     expected_cone[static_cast<size_t>(node)])
-        << context << ": cone_floor witness (node=" << node
-        << ", keywords=" << num_keywords << ")";
-  }
-}
-
 class ReachabilityOracleTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ReachabilityOracleTest, EveryTripleMatchesSnapshotBfs) {
@@ -395,8 +245,6 @@ TEST_P(ReachabilityOracleTest, EveryTripleMatchesSnapshotBfs) {
     CheckAllTriples(g, context);
     CheckProperties(g, &rng, context);
     CheckViability(g, &rng, context);
-    CheckDistanceBounds(g, &rng, context);
-    CheckGuidance(g, &rng, context);
   }
 }
 
@@ -464,31 +312,6 @@ TEST(ReachabilityIndexTest, CycleCollapsesToOneScc) {
     }
   }
   EXPECT_EQ(g->reachability().stats().sccs, 1);
-}
-
-TEST(ReachabilityIndexTest, GuidanceDegeneratesToTrivialFloors) {
-  // No keywords, or more than kMaxViabilityKeywords: the floors must fall
-  // back to root_bound = w(n), cone_floor = 0 (trivially admissible, so
-  // guided search becomes a no-op instead of an error).
-  Rng rng(987);
-  const TemporalGraph g = RandomGraph(&rng, 10, 20, 5);
-  const ReachabilityIndex& index = g.reachability();
-  for (const size_t num_keywords :
-       {size_t{0},
-        static_cast<size_t>(ReachabilityIndex::kMaxViabilityKeywords) + 1}) {
-    std::vector<std::vector<NodeId>> matches(num_keywords,
-                                             std::vector<NodeId>{0});
-    ReachabilityIndex::GuidanceData guidance;
-    index.ComputeGuidance(g, matches, &guidance);
-    ASSERT_EQ(guidance.root_bound.size(), static_cast<size_t>(g.num_nodes()));
-    for (NodeId n = 0; n < g.num_nodes(); ++n) {
-      EXPECT_DOUBLE_EQ(guidance.root_bound[static_cast<size_t>(n)],
-                       g.node(n).weight)
-          << "keywords=" << num_keywords << " node=" << n;
-      EXPECT_DOUBLE_EQ(guidance.cone_floor[static_cast<size_t>(n)], 0.0)
-          << "keywords=" << num_keywords << " node=" << n;
-    }
-  }
 }
 
 TEST(ReachabilityIndexTest, ProbesOutsideTimelineAreFalse) {
@@ -599,7 +422,7 @@ TEST(LazyReachabilityTest, SaveIsIndependentOfFirstUse) {
   }
 }
 
-TEST(LazyReachabilityTest, VersionThreeLoadInstallsWithoutBuilding) {
+TEST(LazyReachabilityTest, VersionFourLoadInstallsWithoutBuilding) {
   const TemporalGraph g = LabeledGraph(91, 14, 30, 7);
   std::ostringstream out;
   ASSERT_TRUE(graph::SaveGraphBinary(g, out).ok());
@@ -619,9 +442,10 @@ TEST(LazyReachabilityTest, LegacyVersionsBuildOnFirstUse) {
   const TemporalGraph g = LabeledGraph(93, 14, 30, 7);
   std::ostringstream out;
   ASSERT_TRUE(graph::SaveGraphBinary(g, out).ok());
-  for (const char version : {1, 2}) {
+  for (const char version : {1, 2, 3}) {
     // Same records under an older version number: the loader stops after
-    // the edge records and ignores the (to it, unknown) trailing blob.
+    // the edge records and ignores the trailing blob, whose layout those
+    // versions did not share.
     std::string bytes = out.str();
     bytes[4] = version;
     std::istringstream in(bytes);
@@ -634,58 +458,48 @@ TEST(LazyReachabilityTest, LegacyVersionsBuildOnFirstUse) {
   }
 }
 
-TEST(LazyReachabilityTest, PrunedAndGuidedSearchesMatchPrebuiltIndex) {
+TEST(LazyReachabilityTest, PrunedSearchesMatchPrebuiltIndex) {
   int64_t reachability_prunes = 0;
-  int64_t guided_events = 0;
   for (uint64_t seed = 500; seed < 508; ++seed) {
-    for (const bool guided : {false, true}) {
-      const TemporalGraph untouched = LabeledGraph(seed, 24, 40, 6);
-      const TemporalGraph prebuilt = LabeledGraph(seed, 24, 40, 6);
-      (void)prebuilt.reachability();
-      const graph::InvertedIndex untouched_index(untouched);
-      const graph::InvertedIndex prebuilt_index(prebuilt);
-      const search::SearchEngine lazy(untouched, &untouched_index);
-      const search::SearchEngine eager(prebuilt, &prebuilt_index);
+    const TemporalGraph untouched = LabeledGraph(seed, 24, 40, 6);
+    const TemporalGraph prebuilt = LabeledGraph(seed, 24, 40, 6);
+    (void)prebuilt.reachability();
+    const graph::InvertedIndex untouched_index(untouched);
+    const graph::InvertedIndex prebuilt_index(prebuilt);
+    const search::SearchEngine lazy(untouched, &untouched_index);
+    const search::SearchEngine eager(prebuilt, &prebuilt_index);
 
-      auto query = search::ParseQuery("alpha, beta, gamma");
-      ASSERT_TRUE(query.ok()) << query.status();
-      search::SearchOptions options;
-      options.k = 5;
-      options.reachability_prune = !guided;
-      options.guided_search = guided;
-      auto a = lazy.Search(*query, options);
-      auto b = eager.Search(*query, options);
-      ASSERT_TRUE(a.ok() && b.ok());
+    auto query = search::ParseQuery("alpha, beta, gamma");
+    ASSERT_TRUE(query.ok()) << query.status();
+    search::SearchOptions options;
+    options.k = 5;
+    options.reachability_prune = true;
+    auto a = lazy.Search(*query, options);
+    auto b = eager.Search(*query, options);
+    ASSERT_TRUE(a.ok() && b.ok());
 
-      const std::string context = "seed " + std::to_string(seed) +
-                                  (guided ? " guided" : " pruned");
-      ASSERT_EQ(a->results.size(), b->results.size()) << context;
-      for (size_t i = 0; i < a->results.size(); ++i) {
-        std::string sig_a, sig_b;
-        a->results[i].AppendSignature(&sig_a);
-        b->results[i].AppendSignature(&sig_b);
-        EXPECT_EQ(sig_a, sig_b) << context << " rank " << i;
-        EXPECT_EQ(a->results[i].total_weight, b->results[i].total_weight)
-            << context << " rank " << i;
-      }
-      const search::SearchCounters& ca = a->counters;
-      const search::SearchCounters& cb = b->counters;
-      EXPECT_EQ(ca.pops, cb.pops) << context;
-      EXPECT_EQ(ca.useless_pops, cb.useless_pops) << context;
-      EXPECT_EQ(ca.ntds_created, cb.ntds_created) << context;
-      EXPECT_EQ(ca.edges_scanned, cb.edges_scanned) << context;
-      EXPECT_EQ(ca.candidates, cb.candidates) << context;
-      EXPECT_EQ(ca.reachability_prunes, cb.reachability_prunes) << context;
-      EXPECT_EQ(ca.guided_prunes, cb.guided_prunes) << context;
-      EXPECT_EQ(ca.guided_reorders, cb.guided_reorders) << context;
-      EXPECT_EQ(ca.bound_tightenings, cb.bound_tightenings) << context;
-      reachability_prunes += ca.reachability_prunes;
-      guided_events += ca.guided_prunes + ca.guided_reorders;
+    const std::string context = "seed " + std::to_string(seed);
+    ASSERT_EQ(a->results.size(), b->results.size()) << context;
+    for (size_t i = 0; i < a->results.size(); ++i) {
+      std::string sig_a, sig_b;
+      a->results[i].AppendSignature(&sig_a);
+      b->results[i].AppendSignature(&sig_b);
+      EXPECT_EQ(sig_a, sig_b) << context << " rank " << i;
+      EXPECT_EQ(a->results[i].total_weight, b->results[i].total_weight)
+          << context << " rank " << i;
     }
+    const search::SearchCounters& ca = a->counters;
+    const search::SearchCounters& cb = b->counters;
+    EXPECT_EQ(ca.pops, cb.pops) << context;
+    EXPECT_EQ(ca.useless_pops, cb.useless_pops) << context;
+    EXPECT_EQ(ca.ntds_created, cb.ntds_created) << context;
+    EXPECT_EQ(ca.edges_scanned, cb.edges_scanned) << context;
+    EXPECT_EQ(ca.candidates, cb.candidates) << context;
+    EXPECT_EQ(ca.reachability_prunes, cb.reachability_prunes) << context;
+    reachability_prunes += ca.reachability_prunes;
   }
   // The index was actually read on the lazy side.
   EXPECT_GT(reachability_prunes, 0);
-  EXPECT_GT(guided_events, 0);
 }
 
 }  // namespace

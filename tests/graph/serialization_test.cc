@@ -1,10 +1,15 @@
 #include "graph/serialization.h"
 
+#include <cstdint>
+#include <cstring>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "graph/graph_builder.h"
+#include "graph/reachability_index.h"
 #include "testutil/paper_graphs.h"
 
 namespace tgks::graph {
@@ -166,6 +171,72 @@ TEST(BinarySerializationTest, PreservesExoticValues) {
   EXPECT_EQ(loaded->edge(0).validity, g->edge(0).validity);
 }
 
+/// Little-endian writer for hand-made .tgb files.
+class TgbWriter {
+ public:
+  TgbWriter& U32(uint32_t v) {
+    for (int i = 0; i < 4; ++i) {
+      bytes_.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+    }
+    return *this;
+  }
+  TgbWriter& I32s(const std::vector<int32_t>& v) {
+    for (const int32_t x : v) U32(static_cast<uint32_t>(x));
+    return *this;
+  }
+  TgbWriter& F64(double v) {
+    uint64_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    for (int i = 0; i < 8; ++i) {
+      bytes_.push_back(static_cast<char>((bits >> (8 * i)) & 0xFF));
+    }
+    return *this;
+  }
+  TgbWriter& Raw(const std::string& s) {
+    bytes_ += s;
+    return *this;
+  }
+  /// One node record: weight 0, `label`, valid at instant 0 only.
+  TgbWriter& Node(const std::string& label) {
+    return F64(0.0).U32(static_cast<uint32_t>(label.size())).Raw(label)
+        .U32(1).I32s({0, 0});
+  }
+  const std::string& bytes() const { return bytes_; }
+
+ private:
+  std::string bytes_;
+};
+
+/// The labeling fields RejectsCorruptInput corrupts; the defaults are the
+/// labels the build gives the graph 0 -> 1 on a one-instant timeline.
+struct TwoNodeBlob {
+  uint32_t num_sccs = 2;
+  std::vector<int32_t> dag_offsets = {0, 1, 1};
+  std::vector<int32_t> out_offsets = {0, 1, 2};
+};
+
+/// A version-4 file of the graph 0 -> 1, valid at instant 0 only, with one
+/// epoch whose labeling carries `blob`'s fields.
+std::string TwoNodeTgb(const TwoNodeBlob& blob) {
+  TgbWriter w;
+  w.Raw("TGKB").U32(4).U32(1).U32(2).U32(1);
+  w.Node("a").Node("b");
+  w.U32(0).U32(1).F64(1.0).U32(1).I32s({0, 0});  // Edge 0 -> 1.
+  w.U32(1);                                      // One epoch.
+  w.I32s({0, 0}).U32(blob.num_sccs);             // [0, 0], SCC count.
+  w.I32s({0, 1});                                // scc_of
+  w.I32s(blob.dag_offsets).I32s({1});            // Condensed DAG.
+  w.I32s({0, 0}).I32s({0, 1}).U32(1);            // One chain: 0, 1.
+  w.I32s(blob.out_offsets).I32s({0, 0, 0, 1}).Raw(std::string(2, '\x01'));
+  w.I32s({0, 1, 2}).I32s({0, 0, 0, 1}).Raw(std::string(2, '\x01'));
+  return w.bytes();
+}
+
+Status LoadBytes(const std::string& bytes) {
+  std::istringstream in(bytes, std::ios::binary);
+  return LoadGraphBinary(in).status();
+}
+
 TEST(BinarySerializationTest, RejectsCorruptInput) {
   const TemporalGraph g = testutil::MakeSocialNetworkGraph();
   std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
@@ -192,6 +263,61 @@ TEST(BinarySerializationTest, RejectsCorruptInput) {
     bad[15] = '\x7F';
     std::istringstream in(bad, std::ios::binary);
     EXPECT_FALSE(LoadGraphBinary(in).ok());
+  }
+  // The labeling blob's counts are bounded by the graph before anything is
+  // sized by them. The hand-made file is sound as written...
+  {
+    const std::string good = TwoNodeTgb({});
+    std::istringstream in(good, std::ios::binary);
+    auto loaded = LoadGraphBinary(in);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    std::ostringstream again;
+    ASSERT_TRUE(SaveGraphBinary(*loaded, again).ok());
+    EXPECT_EQ(again.str(), good);
+  }
+  // ...but SCCs partition the alive nodes,
+  {
+    TwoNodeBlob blob;
+    blob.num_sccs = 3;
+    const Status status = LoadBytes(TwoNodeTgb(blob));
+    EXPECT_EQ(status.code(), StatusCode::kCorruption);
+    EXPECT_NE(status.ToString().find("bad reachability epoch header"),
+              std::string::npos)
+        << status;
+  }
+  // condensed edges are deduped alive edges,
+  {
+    TwoNodeBlob blob;
+    blob.dag_offsets = {0, 2, 2};
+    const Status status = LoadBytes(TwoNodeTgb(blob));
+    EXPECT_EQ(status.code(), StatusCode::kCorruption);
+    EXPECT_NE(status.ToString().find("bad reachability DAG/chain block"),
+              std::string::npos)
+        << status;
+  }
+  // and no label holds more than kMaxLabelEntries entries.
+  {
+    TwoNodeBlob blob;
+    const int32_t over = ReachabilityIndex::kMaxLabelEntries + 1;
+    blob.out_offsets = {0, over, over};
+    const Status status = LoadBytes(TwoNodeTgb(blob));
+    EXPECT_EQ(status.code(), StatusCode::kCorruption);
+    EXPECT_NE(status.ToString().find("bad reachability label block"),
+              std::string::npos)
+        << status;
+  }
+  // A 65-byte file claiming 2^28 - 1 SCCs for one node fails at the epoch
+  // header instead of sizing arrays by the claim.
+  {
+    TgbWriter w;
+    w.Raw("TGKB").U32(4).U32(1).U32(1).U32(0).Node("a");
+    w.U32(1).I32s({0, 0}).U32((1u << 28) - 1).I32s({0});
+    ASSERT_EQ(w.bytes().size(), 65u);
+    const Status status = LoadBytes(w.bytes());
+    EXPECT_EQ(status.code(), StatusCode::kCorruption);
+    EXPECT_NE(status.ToString().find("bad reachability epoch header"),
+              std::string::npos)
+        << status;
   }
 }
 

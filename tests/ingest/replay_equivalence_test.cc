@@ -333,13 +333,12 @@ void CheckReplayEquivalence(const Dataset& data, const std::string& context) {
                              std::string(UpperBoundKindName(config.bound)) +
                              " q=" + query.ToString());
 
-      // Conservative pruning: requesting the opt-in prunes with a live
+      // Conservative pruning: requesting the opt-in prune with a live
       // overlay must be a forced no-op — the base reachability labels do
       // not speak for delta connectivity, so the engine runs unpruned and
       // stays bit-identical (docs/ingest.md, "Conservative pruning").
       SearchOptions pruned_live = live_options;
       pruned_live.reachability_prune = true;
-      pruned_live.guided_search = true;
       const auto forced_off = subject.Search(query, pruned_live);
       ASSERT_TRUE(forced_off.ok()) << context;
       ExpectSameResponse(*want, *forced_off,
@@ -347,7 +346,6 @@ void CheckReplayEquivalence(const Dataset& data, const std::string& context) {
                              std::to_string(config.k) +
                              " q=" + query.ToString());
       EXPECT_EQ(forced_off->counters.reachability_prunes, 0) << context;
-      EXPECT_EQ(forced_off->counters.guided_prunes, 0) << context;
     }
   }
 

@@ -136,8 +136,6 @@ void ExpectStatsAreSums(
     sum.subsumption_skips += s.subsumption_skips;
     sum.subsumption_evictions += s.subsumption_evictions;
     sum.reachability_prunes += s.reachability_prunes;
-    sum.guided_prunes += s.guided_prunes;
-    sum.guided_reorders += s.guided_reorders;
     sum.prunes += s.prunes;
     sum.interval_ops += s.interval_ops;
     sum.heap_high_water = std::max(sum.heap_high_water, s.heap_high_water);
@@ -152,8 +150,6 @@ void ExpectStatsAreSums(
   EXPECT_EQ(f.subsumption_skips, sum.subsumption_skips);
   EXPECT_EQ(f.subsumption_evictions, sum.subsumption_evictions);
   EXPECT_EQ(f.reachability_prunes, sum.reachability_prunes);
-  EXPECT_EQ(f.guided_prunes, sum.guided_prunes);
-  EXPECT_EQ(f.guided_reorders, sum.guided_reorders);
   EXPECT_EQ(f.prunes, sum.prunes);
   EXPECT_EQ(f.interval_ops, sum.interval_ops);
   EXPECT_EQ(f.heap_high_water, sum.heap_high_water);

@@ -154,8 +154,6 @@ void ExpectSameStats(const IteratorStats& a, const IteratorStats& b,
   EXPECT_EQ(a.subsumption_skips, b.subsumption_skips) << ctx;
   EXPECT_EQ(a.subsumption_evictions, b.subsumption_evictions) << ctx;
   EXPECT_EQ(a.reachability_prunes, b.reachability_prunes) << ctx;
-  EXPECT_EQ(a.guided_prunes, b.guided_prunes) << ctx;
-  EXPECT_EQ(a.guided_reorders, b.guided_reorders) << ctx;
   EXPECT_EQ(a.prunes, b.prunes) << ctx;
   EXPECT_EQ(a.interval_ops, b.interval_ops) << ctx;
   EXPECT_EQ(a.heap_high_water, b.heap_high_water) << ctx;
@@ -245,9 +243,6 @@ void ExpectSameResponse(const SearchResponse& a, const SearchResponse& b,
   TGKS_EXPECT_SAME(combo_overflows);
   TGKS_EXPECT_SAME(memo_hits);
   TGKS_EXPECT_SAME(reachability_prunes);
-  TGKS_EXPECT_SAME(guided_prunes);
-  TGKS_EXPECT_SAME(guided_reorders);
-  TGKS_EXPECT_SAME(bound_tightenings);
   TGKS_EXPECT_SAME(results);
   TGKS_EXPECT_SAME(avg_ntds_per_node);
 #undef TGKS_EXPECT_SAME

@@ -11,7 +11,7 @@
 //   tgks_loadgen --workload dblp|social [--host H] [--port P]
 //                [--qps Q] [--duration-s S] [--connections C]
 //                [--num-queries N] [--k K] [--deadline-ms MS]
-//                [--guided] [--zipf S] [--no-cache] [--ingest-mix R]
+//                [--zipf S] [--no-cache] [--ingest-mix R]
 //                [--label NAME] [--json-out FILE]
 //
 // --ingest-mix R (0 < R <= 1, server must run --serve --live) interleaves
@@ -24,11 +24,6 @@
 // and every response's x-snapshot-generation header feeds a lag metric:
 // how many generations behind the newest published snapshot each search's
 // pinned snapshot was. R = 1 measures ingest-only throughput.
-//
-// --guided sets "guided_search": true on every request body, exercising the
-// server's distance-guided search path (docs/reachability.md); the flag is
-// echoed in the JSON row as guided_search so baseline and guided runs stay
-// distinguishable in BENCH_throughput.json.
 //
 // --zipf S replays the workload with Zipf(S)-distributed query popularity
 // instead of round-robin: a fixed-seed schedule maps request ticks onto
@@ -91,7 +86,6 @@ struct Options {
   int k = 0;             // 0 = server default.
   int deadline_ms = 0;   // 0 = no deadline-ms header.
   bool parallel_keywords = false;  // Request the server's parallel mode.
-  bool guided = false;   // Send "guided_search": true on every request.
   double zipf = 0;       // 0 = round-robin; > 0 = Zipf popularity skew.
   bool no_cache = false;  // Send "cache": false on every request.
   double ingest_mix = 0;  // Fraction of ticks that POST /v1/ingest.
@@ -104,7 +98,7 @@ void Usage(const char* argv0) {
                "usage: %s --workload dblp|social [--host H] [--port P]\n"
                "          [--qps Q] [--duration-s S] [--connections C]\n"
                "          [--num-queries N] [--k K] [--deadline-ms MS]\n"
-               "          [--parallel-keywords] [--guided] [--zipf S]"
+               "          [--parallel-keywords] [--zipf S]"
                " [--no-cache]\n"
                "          [--ingest-mix R] [--label NAME] [--json-out FILE]\n",
                argv0);
@@ -123,10 +117,6 @@ std::string BuildRequest(const Options& opts,
   }
   if (opts.parallel_keywords) {
     body.Key("parallel_keywords");
-    body.Bool(true);
-  }
-  if (opts.guided) {
-    body.Key("guided_search");
     body.Bool(true);
   }
   if (opts.no_cache) {
@@ -541,8 +531,6 @@ int main(int argc, char** argv) {
       opts.deadline_ms = std::atoi(next("--deadline-ms"));
     } else if (arg == "--parallel-keywords") {
       opts.parallel_keywords = true;
-    } else if (arg == "--guided") {
-      opts.guided = true;
     } else if (arg == "--zipf") {
       opts.zipf = std::atof(next("--zipf"));
     } else if (arg == "--no-cache") {
@@ -785,8 +773,6 @@ int main(int argc, char** argv) {
   row.Int(opts.deadline_ms == 0 ? -1 : opts.deadline_ms);
   row.Key("parallel_keywords");
   row.Bool(opts.parallel_keywords);
-  row.Key("guided_search");
-  row.Bool(opts.guided);
   row.Key("retry_after_waits");
   row.Int(total.retry_after_waits);
   // Zipf/cache accounting: zipf_s 0 = round-robin replay; the x-cache

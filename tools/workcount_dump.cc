@@ -41,14 +41,6 @@
 // holds (golden suite, dblp) and pins the rest bit-for-bit (see
 // docs/reachability.md, "Bounded stops").
 //
-// --guided enables SearchOptions::guided_search and appends the
-// guided_reorders / bound_tightenings / guided_prunes counters to each line
-// (only then, same byte-stability contract). scripts/workcount_check.sh
-// --guided diffs the guided result fingerprints against the unguided run
-// (guided search never changes the top-k) and asserts per-query
-// ntds_popped(guided) <= ntds_popped(baseline) plus an aggregate savings
-// floor (see docs/reachability.md, "Distance-guided search").
-//
 // --layout prints the ExpansionView packing statistics (time
 // representation, bytes per slot, slot counts, inline/pooled split,
 // validity-pool interning hit rate, nodes whose in-slots share one
@@ -117,7 +109,6 @@ bool g_parallel = false;  // Run queries in parallel-keyword mode.
 bool g_results = false;   // Print result fingerprints, not work counters.
 bool g_pruned = false;    // Run with the reachability prune enabled.
 bool g_cache = false;     // Run with the query caches (levels 1-2) enabled.
-bool g_guided = false;    // Run with distance-guided search enabled.
 bool g_popseq = false;    // Print pop-sequence fingerprints.
 bool g_candidates = false;  // Print result-generation counters.
 int32_t g_pad_timeline = 0;  // Rebuild graphs over >= this many instants.
@@ -139,7 +130,6 @@ tgks::search::SearchOptions SuiteOptions(tgks::cache::QueryCaches* caches) {
   tgks::search::SearchOptions options;
   options.k = 10;
   options.reachability_prune = g_pruned;
-  options.guided_search = g_guided;
   options.query_caches = caches;
   if (g_parallel) {
     options.parallel_keywords = true;
@@ -288,13 +278,6 @@ void PrintCounters(const std::string& tag, int index,
   if (g_pruned) {
     std::printf(" reachability_prunes=%lld",
                 static_cast<long long>(c.reachability_prunes));
-  }
-  if (g_guided) {
-    std::printf(" guided_reorders=%lld bound_tightenings=%lld"
-                " guided_prunes=%lld",
-                static_cast<long long>(c.guided_reorders),
-                static_cast<long long>(c.bound_tightenings),
-                static_cast<long long>(c.guided_prunes));
   }
   std::printf("\n");
 }
@@ -525,8 +508,6 @@ int main(int argc, char** argv) {
       g_pruned = true;
     } else if (std::strcmp(argv[i], "--cache") == 0) {
       g_cache = true;
-    } else if (std::strcmp(argv[i], "--guided") == 0) {
-      g_guided = true;
     } else if (std::strcmp(argv[i], "--popseq") == 0) {
       g_popseq = true;
     } else if (std::strcmp(argv[i], "--candidates") == 0) {
@@ -552,11 +533,10 @@ int main(int argc, char** argv) {
     std::fprintf(
         stderr,
         "usage: %s [--parallel] [--results|--popseq|--candidates] [--pruned] "
-        "[--cache] [--guided] [--pad-timeline <n>] <golden-dir> "
+        "[--cache] [--pad-timeline <n>] <golden-dir> "
         "[graph stems...]\n"
         "       %s [--parallel] [--results|--popseq|--candidates] [--pruned] "
-        "[--cache] "
-        "[--guided] [--pad-timeline <n>] "
+        "[--cache] [--pad-timeline <n>] "
         "--dataset <dblp|dblp-bounded|social> ...\n"
         "       %s [--pad-timeline <n>] --layout <dblp|dblp-bounded|social> "
         "[--layout ...]\n",
