@@ -3,13 +3,7 @@
 // queries/sec and latency percentiles, and cross-checks that every thread
 // count reproduces the sequential results bit-identically.
 //
-// A second sweep re-runs every multi-thread cell with
-// SearchOptions::parallel_keywords (per-keyword prefetch + deterministic
-// replay inside each query, docs/executor.md); those rows carry
-// "mode": "parallel-keywords" and are held to the same bit-identical
-// cross-check — the mode must change latency, never answers.
-//
-// A third, single-threaded sweep re-runs each dataset with
+// A second, single-threaded sweep re-runs each dataset with
 // SearchOptions::reachability_prune (docs/reachability.md); those rows
 // carry "mode": "reach-prune" plus the index construction cost
 // (index_build_ms, label_bytes). The fingerprint cross-check is reported
@@ -17,7 +11,7 @@
 // different frontier under the heuristic bounds ("Bounded stops"), and the
 // suites where equality does hold are gated by workcount_check.sh --pruned.
 //
-// A fourth sweep pairs the prune with the in-engine query caches
+// A third sweep pairs the prune with the in-engine query caches
 // (docs/caching.md): "reach-prune-viability-cold" runs the batch on empty
 // caches, "reach-prune-viability-warm" re-runs the same batch through the
 // same executor so every viability lookup hits. Both rows ARE enforced
@@ -183,21 +177,6 @@ int SweepDataset(const std::string& name, const graph::TemporalGraph& graph,
     const bool identical = Fingerprints(response) == ref_prints;
     if (!identical) ++mismatches;
     PrintRow(name, "sequential", threads, -1, response, identical);
-  }
-
-  // Parallel-keyword sweep: same cells, each query additionally fanned out
-  // across its keywords on the shared pool. The fingerprint cross-check is
-  // the mode's whole contract — any divergence fails the binary.
-  for (const int threads : SweepThreads()) {
-    if (threads == 1) continue;  // One worker cannot overlap prefetch tasks.
-    exec::ExecutorOptions options = ref_options;
-    options.threads = threads;
-    options.search.parallel_keywords = true;
-    exec::QueryExecutor executor(graph, &index, options);
-    const exec::BatchResponse response = executor.Run(batch);
-    const bool identical = Fingerprints(response) == ref_prints;
-    if (!identical) ++mismatches;
-    PrintRow(name, "parallel-keywords", threads, -1, response, identical);
   }
 
   // The reachability index is built on first use. Build it here, outside

@@ -15,11 +15,6 @@
 //   --deadline-ms N  per-query wall-clock budget (default: none)
 //   --batch FILE     run every query in FILE concurrently ('#' = comment)
 //   --threads N      worker threads for --batch / --serve (default: hardware)
-//   --parallel-keywords  fan each query's keywords out as parallel tasks
-//                    (docs/performance.md); identical results, lower tail
-//                    latency when idle workers exist. With --serve this is
-//                    the default mode clients can override per request via
-//                    the "parallel_keywords" JSON field.
 //   --reachability-prune  discard expansion work the reachability index
 //                    proves can never reach an answer (docs/reachability.md;
 //                    savings appear as reachability_prunes under --stats).
@@ -67,7 +62,6 @@
 
 #include <signal.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -130,12 +124,12 @@ int Usage() {
   std::cerr
       << "usage: tgks_cli (GRAPH.tgf | --demo) [--k N] [--bound KIND] "
          "[--stats] [--trace] [--metrics] [--deadline-ms N] "
-         "[--parallel-keywords] [--reachability-prune] "
+         "[--reachability-prune] "
          "(\"QUERY\" | --batch FILE [--threads N])\n"
          "       tgks_cli (GRAPH.tgf | --dataset dblp|social) --serve "
          "[--host ADDR] [--port N] [--threads N] [--max-queue N] "
          "[--max-inflight-bytes N] [--deadline-ms N] [--drain-timeout-ms N] "
-         "[--parallel-keywords] [--reachability-prune] "
+         "[--reachability-prune] "
          "[--cache] [--live [--max-ingest-bytes N] [--compact-bytes N] "
          "[--compact-age-ms N]]\n";
   return 2;
@@ -356,8 +350,6 @@ int main(int argc, char** argv) {
       options.k = std::atoi(argv[++i]);
     } else if (arg == "--threads" && i + 1 < argc) {
       threads = std::atoi(argv[++i]);
-    } else if (arg == "--parallel-keywords") {
-      options.parallel_keywords = true;
     } else if (arg == "--reachability-prune") {
       options.reachability_prune = true;
     } else if (arg == "--cache") {
@@ -530,19 +522,6 @@ int main(int argc, char** argv) {
   options.deadline_ms = deadline_ms;
   tgks::obs::QueryTrace flight_recorder(/*capacity=*/512);
   if (trace) options.trace = &flight_recorder;
-  // Single-query parallel mode brings its own pool (no executor here).
-  std::unique_ptr<tgks::exec::ThreadPool> pool;
-  tgks::search::TaskSubmitFn submit_fn;
-  if (options.parallel_keywords) {
-    pool = std::make_unique<tgks::exec::ThreadPool>(
-        threads > 0 ? threads
-                    : static_cast<int>(std::max(
-                          1u, std::thread::hardware_concurrency())));
-    submit_fn = [&pool](std::function<void()> task) {
-      pool->Submit(std::move(task));
-    };
-    options.task_submitter = &submit_fn;
-  }
   const tgks::search::SearchEngine engine(graph, &index);
   auto response = engine.Search(*query, options);
   if (!response.ok()) {

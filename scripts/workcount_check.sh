@@ -36,13 +36,6 @@
 # stats modes — any diff means the search explored a different state space
 # and must be reviewed as a semantic change, not noise.
 #
-# With --results-only the counter diff is skipped; instead both suites run
-# twice — sequentially and in the engine's parallel-keyword mode — and the
-# per-query result fingerprints (workcount_dump --results) are diffed
-# against each other. The parallel mode's counters legitimately include
-# prefetch overshoot, so its gate is result equivalence, not counter
-# equivalence.
-#
 # With --pruned both suites run with the reachability prune enabled
 # (docs/reachability.md) and are gated two ways: the pruned-mode work
 # counters (which append reachability_prunes) are diffed against
@@ -65,19 +58,15 @@
 #
 # Usage:
 #   scripts/workcount_check.sh <build-dir>
-#   scripts/workcount_check.sh <build-dir> --results-only
 #   scripts/workcount_check.sh <build-dir> --pruned
 #   scripts/workcount_check.sh <build-dir> --wide
 #   TGKS_UPDATE_WORKCOUNTS=1 scripts/workcount_check.sh <build-dir>   # regen
 set -euo pipefail
 
-BUILD_DIR="${1:?usage: workcount_check.sh <build-dir> [--results-only|--pruned|--wide]}"
-RESULTS_ONLY=0
+BUILD_DIR="${1:?usage: workcount_check.sh <build-dir> [--pruned|--wide]}"
 PRUNED=0
 WIDE=0
-if [[ "${2:-}" == "--results-only" ]]; then
-  RESULTS_ONLY=1
-elif [[ "${2:-}" == "--pruned" ]]; then
+if [[ "${2:-}" == "--pruned" ]]; then
   PRUNED=1
 elif [[ "${2:-}" == "--wide" ]]; then
   WIDE=1
@@ -139,26 +128,6 @@ wide_results_suite() {  # <label> <dump args...>
   rm -f "${narrow}" "${wide}"
 }
 
-results_suite() {  # <label> <dump args...>
-  local label="$1"; shift
-  local seq par
-  seq="$(mktemp)"
-  par="$(mktemp)"
-  "${DUMP}" --results "$@" > "${seq}"
-  "${DUMP}" --results --parallel "$@" > "${par}"
-  if ! diff -u "${seq}" "${par}"; then
-    rm -f "${seq}" "${par}"
-    echo "" >&2
-    echo "workcount_check: FAIL — parallel-keyword mode returned different" >&2
-    echo "results than sequential mode on the ${label} suite. The parallel" >&2
-    echo "mode's contract is exact result equivalence; this is a bug, not" >&2
-    echo "a counter drift." >&2
-    exit 1
-  fi
-  echo "workcount_check: OK (${label}: $(wc -l < "${seq}") queries, parallel == sequential results)"
-  rm -f "${seq}" "${par}"
-}
-
 pruned_results_suite() {  # <label> <dump args...>
   local label="$1"; shift
   local off on
@@ -216,13 +185,6 @@ if [[ "${WIDE}" == "1" ]]; then
   wide_results_suite "pruned golden" --pruned "${GOLDEN_DIR}"
   wide_results_suite "pruned datasets" --pruned --dataset dblp \
     --dataset dblp-bounded --dataset social
-  exit 0
-fi
-
-if [[ "${RESULTS_ONLY}" == "1" ]]; then
-  results_suite "golden" "${GOLDEN_DIR}"
-  results_suite "datasets" --dataset dblp --dataset dblp-bounded \
-    --dataset social
   exit 0
 fi
 

@@ -5,7 +5,7 @@
 // uncached request (stats excluded — those bodies carry per-run wall
 // times), so a hit is bit-identical to a miss by construction. Keys are the
 // router's canonical fingerprint of everything that can affect the answer:
-// canonical query text, effective k and bound, the prune/parallel flags,
+// canonical query text, effective k and bound, the prune flag,
 // and any explicit match lists. Deadlines are deliberately NOT in the key —
 // only complete responses are cached, and a complete answer is a valid
 // answer under any deadline.

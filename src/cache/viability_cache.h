@@ -18,7 +18,7 @@
 //
 // Values are shared_ptr<const vector<IntervalSet>> — one entry per graph
 // node, read-only after construction, safe to share across concurrent
-// queries and parallel prefetch tasks.
+// queries.
 
 #ifndef TGKS_CACHE_VIABILITY_CACHE_H_
 #define TGKS_CACHE_VIABILITY_CACHE_H_

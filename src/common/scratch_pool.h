@@ -10,12 +10,9 @@
 //
 // Cross-thread release is supported: destroying a handle parks the object
 // on the RELEASING thread's free list, with no synchronization needed
-// beyond whatever ordered the handle's transfer (the parallel-keyword
-// search acquires scratches inside pool-worker prefetch tasks and releases
-// them wherever the query's Runner is destroyed; the task group's join
-// provides the ordering). Scratch capacity migrates with the handle, so
-// pools self-balance across the executor's workers; MaxFree bounds each
-// thread's list independently.
+// beyond whatever ordered the handle's transfer. Scratch capacity migrates
+// with the handle, so pools self-balance across the executor's workers;
+// MaxFree bounds each thread's list independently.
 
 #ifndef TGKS_COMMON_SCRATCH_POOL_H_
 #define TGKS_COMMON_SCRATCH_POOL_H_

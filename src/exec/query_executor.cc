@@ -78,10 +78,7 @@ QueryExecutor::QueryExecutor(const graph::TemporalGraph& graph,
       index_(index),
       options_(options),
       engine_(graph, index),
-      pool_(std::make_unique<ThreadPool>(ResolveThreads(options.threads))),
-      submit_fn_([this](std::function<void()> task) {
-        pool_->Submit(std::move(task));
-      }) {}
+      pool_(std::make_unique<ThreadPool>(ResolveThreads(options.threads))) {}
 
 QueryExecutor::~QueryExecutor() = default;
 
@@ -96,7 +93,6 @@ BatchResponse QueryExecutor::Run(const std::vector<BatchQuery>& batch) {
   // The batch token rides in the secondary slot so a caller-supplied
   // search.cancel keeps working; either token stops a query.
   per_query.extra_cancel = &cancel_;
-  if (per_query.parallel_keywords) per_query.task_submitter = &submit_fn_;
 
   BatchResponse out;
   out.responses.reserve(batch.size());
@@ -194,9 +190,6 @@ void QueryExecutor::Submit(SingleQuery single, SingleQueryCallback done) {
     options.deadline_ms = options_.deadline_ms;
   }
   options.cancel = single.cancel;
-  if (single.parallel_keywords.has_value()) {
-    options.parallel_keywords = *single.parallel_keywords;
-  }
   if (single.reachability_prune.has_value()) {
     options.reachability_prune = *single.reachability_prune;
   }
@@ -210,7 +203,6 @@ void QueryExecutor::Submit(SingleQuery single, SingleQueryCallback done) {
   if (single.use_query_caches.has_value() && !*single.use_query_caches) {
     options.query_caches = nullptr;
   }
-  if (options.parallel_keywords) options.task_submitter = &submit_fn_;
   pool_->Submit([this, single = std::move(single), options,
                  done = std::move(done)]() mutable {
     Stopwatch latency;

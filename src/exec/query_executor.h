@@ -109,10 +109,6 @@ struct SingleQuery {
   /// token preset in ExecutorOptions::search.extra_cancel — either one
   /// stops the query.
   const std::atomic<bool>* cancel = nullptr;
-  /// Per-request override of SearchOptions::parallel_keywords; unset
-  /// inherits the executor default. The executor wires its own pool in as
-  /// the task submitter either way.
-  std::optional<bool> parallel_keywords;
   /// Per-request override of SearchOptions::reachability_prune; unset
   /// inherits the executor default.
   std::optional<bool> reachability_prune;
@@ -198,12 +194,6 @@ class QueryExecutor {
   ExecutorOptions options_;
   search::SearchEngine engine_;
   std::unique_ptr<ThreadPool> pool_;
-  /// Bridges SearchOptions::task_submitter onto the shared pool for
-  /// parallel-keyword queries. Nested submission cannot deadlock: the
-  /// engine's task groups claim unpicked tasks inline (common/task_group.h),
-  /// so a query running on a saturated pool degrades to sequential
-  /// execution instead of waiting on itself.
-  search::TaskSubmitFn submit_fn_;
   /// Serializes Run(): one batch at a time in the shared pool.
   std::mutex run_mu_;
   std::atomic<bool> cancel_{false};

@@ -73,12 +73,6 @@ struct EngineMetrics {
   obs::Gauge* heap_high_water;
   obs::Histogram* query_micros;
   obs::Histogram* pops_per_query;
-  // Parallel-keyword merge family (docs/performance.md).
-  obs::Counter* parallel_queries;
-  obs::Counter* parallel_merge_rounds;
-  obs::Counter* parallel_merge_overshoot;
-  obs::Counter* parallel_merge_stall_refills;
-  obs::Histogram* parallel_keyword_expand_micros;
 
   static EngineMetrics& Get() {
     static EngineMetrics* m = [] {
@@ -118,21 +112,6 @@ struct EngineMetrics {
           "tgks_query_micros", "Instrumented per-query time (microseconds).");
       out->pops_per_query = reg.GetHistogram(
           "tgks_search_pops_per_query", "NTD pops per query.");
-      out->parallel_queries = reg.GetCounter(
-          "tgks_search_parallel_queries_total",
-          "Queries that ran the parallel-keyword merge path.");
-      out->parallel_merge_rounds = reg.GetCounter(
-          "tgks_search_parallel_merge_rounds_total",
-          "Per-keyword prefetch rounds across parallel queries.");
-      out->parallel_merge_overshoot = reg.GetCounter(
-          "tgks_search_parallel_merge_overshoot_pops_total",
-          "Pops prefetched past the stop point (wasted parallel work).");
-      out->parallel_merge_stall_refills = reg.GetCounter(
-          "tgks_search_parallel_merge_stall_refills_total",
-          "Replay stalls that forced an extra prefetch round.");
-      out->parallel_keyword_expand_micros = reg.GetHistogram(
-          "tgks_search_parallel_keyword_expand_micros",
-          "Per-keyword prefetch-task expansion time (microseconds).");
       return out;
     }();
     return *m;
@@ -292,16 +271,23 @@ class Runner {
 
   SearchResponse Run() {
     if (options_.deadline_ms > 0) {
-      deadline_ = Now() + std::chrono::milliseconds(options_.deadline_ms);
-      has_deadline_ = true;
+      // A deadline past the clock's last instant could never fire, and
+      // Now() + deadline_ms would overflow: such a query runs without one.
+      // (A clock that reads before its epoch gets the room from the epoch.)
+      using Clock = std::chrono::steady_clock;
+      const Clock::time_point now = Now();
+      const auto room = std::chrono::duration_cast<std::chrono::milliseconds>(
+          Clock::time_point::max() - std::max(now, Clock::time_point{}));
+      if (options_.deadline_ms < room.count()) {
+        deadline_ = now + std::chrono::milliseconds(options_.deadline_ms);
+        has_deadline_ = true;
+      }
     }
     FilterMatches();
     if (options_.reachability_prune) {
       // Per-query viability sets from the graph's reachability labeling
-      // (docs/reachability.md). Computed once from the filtered match
-      // lists, before any parallel fan-out; read-only afterwards, so the
-      // prefetch tasks can share the vector without synchronization.
-      // With a viability cache (docs/caching.md) the computation is
+      // (docs/reachability.md), computed once from the filtered match
+      // lists. With a viability cache (docs/caching.md) the computation is
       // memoized on the exact filtered lists: a hit shares an immutable
       // vector computed by an earlier query with the same keyword set.
       filter_timer_.Start();
@@ -337,30 +323,22 @@ class Runner {
       }
       filter_timer_.Stop();
     }
-    // Parallel mode needs >= 2 keywords to fan out and falls back when a
-    // trace is attached (QueryTrace is single-threaded by contract).
-    use_parallel_ = options_.parallel_keywords && m_ >= 2 &&
-                    options_.trace == nullptr;
-    if (use_parallel_) {
-      RunParallel();
+    // One clock read per phase switch, not two per pop: the frontier
+    // build plus the whole loop are timed here, and Finalize() takes the
+    // generation time nested inside back out to get seconds_expand.
+    expand_timer_.Start();
+    CreateIterators();
+    const bool any_keyword_dead =
+        std::any_of(iterators_.begin(), iterators_.end(),
+                    [](const auto& f) { return f->PeekScore() == nullptr; });
+    if (any_keyword_dead) {
+      // Some keyword has no qualifying match: no result can exist.
+      response_.exhausted = true;
+      response_.stop_reason = StopReason::kExhausted;
     } else {
-      // One clock read per phase switch, not two per pop: the frontier
-      // build plus the whole loop are timed here, and Finalize() takes the
-      // generation time nested inside back out to get seconds_expand.
-      expand_timer_.Start();
-      CreateIterators();
-      const bool any_keyword_dead =
-          std::any_of(iterators_.begin(), iterators_.end(),
-                      [](const auto& f) { return f->PeekScore() == nullptr; });
-      if (any_keyword_dead) {
-        // Some keyword has no qualifying match: no result can exist.
-        response_.exhausted = true;
-        response_.stop_reason = StopReason::kExhausted;
-      } else {
-        MainLoop();
-      }
-      expand_timer_.Stop();
+      MainLoop();
     }
+    expand_timer_.Stop();
     Finalize();
     return std::move(response_);
   }
@@ -377,29 +355,6 @@ class Runner {
             options_.cancel->load(std::memory_order_relaxed)) ||
            (options_.extra_cancel != nullptr &&
             options_.extra_cancel->load(std::memory_order_relaxed));
-  }
-
-  /// Builds keyword `kw`'s frontier over its filtered match list. Trace
-  /// ids of its sources continue after the previous keywords' sources.
-  void CreateFrontier(size_t kw) {
-    BestPathIterator::Options iter_options;
-    iter_options.ranking = query_.ranking;
-    iter_options.prune = query_.predicate.get();
-    iter_options.containedby_prune = options_.containedby_prune;
-    iter_options.duration_index = options_.duration_index;
-    iter_options.trace = options_.trace;
-    iter_options.overlay = options_.overlay;
-    if (options_.reachability_prune) {
-      iter_options.viability = viability_view_;
-      if (!viability_masks_.empty()) {
-        iter_options.viability_masks = &viability_masks_;
-      }
-    }
-    iter_options.trace_iter = 0;
-    for (size_t i = 0; i < kw; ++i) {
-      iter_options.trace_iter += static_cast<int32_t>(match_lists_[i].size());
-    }
-    iterators_[kw].emplace(graph_, match_lists_[kw], iter_options);
   }
 
   /// QUALIFY(s, P): drop matches that cannot satisfy the predicate.
@@ -423,9 +378,26 @@ class Runner {
     filter_timer_.Stop();
   }
 
+  /// Builds one frontier per keyword over its filtered match list. Trace
+  /// ids of a keyword's sources continue after the previous keywords'.
   void CreateIterators() {
+    BestPathIterator::Options iter_options;
+    iter_options.ranking = query_.ranking;
+    iter_options.prune = query_.predicate.get();
+    iter_options.containedby_prune = options_.containedby_prune;
+    iter_options.duration_index = options_.duration_index;
+    iter_options.trace = options_.trace;
+    iter_options.overlay = options_.overlay;
+    if (options_.reachability_prune) {
+      iter_options.viability = viability_view_;
+      if (!viability_masks_.empty()) {
+        iter_options.viability_masks = &viability_masks_;
+      }
+    }
+    iter_options.trace_iter = 0;
     for (size_t kw = 0; kw < m_; ++kw) {
-      CreateFrontier(kw);
+      iterators_[kw].emplace(graph_, match_lists_[kw], iter_options);
+      iter_options.trace_iter += static_cast<int32_t>(match_lists_[kw].size());
       response_.counters.iterators += iterators_[kw]->num_sources();
     }
   }
@@ -792,12 +764,6 @@ class Runner {
       best_top = std::max(best_top, (*front)[0]);
       worst_top = std::min(worst_top, (*front)[0]);
     }
-    return KthBeatsBoundOver(any, best_top, worst_top);
-  }
-
-  /// The bound computation shared by sequential mode (frontier peeks)
-  /// and parallel replay (recorded stream fronts — the exact same scores).
-  bool KthBeatsBoundOver(bool any, double best_top, double worst_top) {
     if (!any) return true;  // Exhausted: everything has been seen.
 
     // Accurate bound (Propositions 4.1-4.3): an unseen result is emitted at
@@ -858,317 +824,6 @@ class Runner {
     return kth >= bound;
   }
 
-  // ---- Parallel keyword mode ---------------------------------------------
-  //
-  // Each keyword's pop sequence is independent of the others: a keyword's
-  // frontier advances only through its own Next() calls. The global
-  // interleaving (SelectKeyword) merely decides how MANY pops of each
-  // per-keyword sequence get consumed. Parallel mode exploits this in two
-  // stages:
-  //
-  //   1. Prefetch rounds: one task per keyword pops up to a budget from
-  //      that keyword's frontier, recording (score, ntd, node) per pop.
-  //      Tasks touch disjoint per-keyword state (frontier, stream) and a
-  //      barrier joins the round, so there is no shared mutable state
-  //      between concurrent tasks.
-  //   2. Replay merge: the coordinator replays the EXACT sequential
-  //      interleaving over the recorded streams — keyword selection,
-  //      meeting-candidate assembly, top-k admission, and the §4.2 stop
-  //      test all run single-threaded against stream fronts that carry the
-  //      same scores the sequential heaps would have shown. A stream that
-  //      runs dry while its frontier is live triggers the next round.
-  //
-  // Result sets, scores, and the consumed-pop count are identical to
-  // sequential mode by construction, for every bound kind. What changes is
-  // iterator-level work: pops prefetched past the stop point
-  // (parallel_overshoot_pops) still scanned edges and created NTDs, so
-  // those counters can exceed a sequential run's. With a fixed round
-  // budget (parallel_deterministic) they are reproducible run-to-run; the
-  // default budget adapts to measured round wall time.
-
-  static constexpr int64_t kDefaultRoundBudget = 512;
-  static constexpr int64_t kMinRoundBudget = 128;
-  static constexpr int64_t kMaxRoundBudget = 16384;
-
-  enum class AbortReason { kNone, kCancel, kDeadline };
-
-  struct RecordedPop {
-    ScoreKey score;  ///< The frontier's peek at pop time.
-    NtdId ntd;
-    NodeId node;
-  };
-
-  /// Per-keyword prefetch state. Written only by that keyword's task
-  /// (rounds are joined before the coordinator reads), except `cursor`,
-  /// which only the coordinator touches.
-  struct KeywordStream {
-    std::vector<RecordedPop> pops;   ///< Produced pops, keyword order.
-    size_t cursor = 0;               ///< Consumed prefix (replay).
-    bool exhausted = false;          ///< Frontier drained: no more pops.
-    ScoreKey tail{};                 ///< Next pop's score when !exhausted.
-    AbortReason abort = AbortReason::kNone;
-    double expand_seconds = 0.0;     ///< Task CPU time, summed over rounds.
-  };
-
-  void RunParallel() {
-    streams_.resize(m_);
-    round_budget_ = options_.parallel_round_budget > 0
-                        ? options_.parallel_round_budget
-                        : kDefaultRoundBudget;
-
-    // Round 1: build every keyword frontier and prefetch the first
-    // budget of pops.
-    std::vector<size_t> all(m_);
-    for (size_t kw = 0; kw < m_; ++kw) all[kw] = kw;
-    RunPrefetchRound(all);
-    for (const auto& frontier : iterators_) {
-      if (frontier) response_.counters.iterators += frontier->num_sources();
-    }
-    if (StopOnAbort()) return;
-    for (const KeywordStream& ks : streams_) {
-      if (ks.exhausted && ks.pops.empty()) {
-        // Some keyword has no qualifying match: no result can exist.
-        // (Sequential mode's any_keyword_dead check; the other keywords'
-        // round-1 prefetch is counted as overshoot.)
-        response_.exhausted = true;
-        response_.stop_reason = StopReason::kExhausted;
-        return;
-      }
-    }
-    merge_timer_.Start();
-    ReplayLoop();
-    merge_timer_.Stop();
-  }
-
-  /// Score of keyword kw's next pop — recorded but unconsumed, or the
-  /// frontier's peek after the last round — or nullptr when fully
-  /// exhausted. Mirrors what iterators_[kw]->PeekScore() shows sequential
-  /// mode.
-  const ScoreKey* StreamFront(size_t kw) const {
-    const KeywordStream& ks = streams_[kw];
-    if (ks.cursor < ks.pops.size()) return &ks.pops[ks.cursor].score;
-    if (!ks.exhausted) return &ks.tail;
-    return nullptr;
-  }
-
-  /// SelectKeyword() replayed over stream fronts; same tie-breaks.
-  int ReplaySelectKeyword() {
-    const bool round_robin =
-        options_.round_robin_keywords && query_.ranking.PrimaryIsTemporal();
-    if (round_robin) {
-      for (size_t step = 0; step < m_; ++step) {
-        const int kw = static_cast<int>((rr_cursor_ + step) % m_);
-        if (StreamFront(static_cast<size_t>(kw)) != nullptr) {
-          rr_cursor_ = (kw + 1) % static_cast<int>(m_);
-          return kw;
-        }
-      }
-      return -1;
-    }
-    int best = -1;
-    const ScoreKey* best_score = nullptr;
-    for (size_t kw = 0; kw < m_; ++kw) {
-      const ScoreKey* front = StreamFront(kw);
-      if (front == nullptr) continue;
-      if (best < 0 || ScoreBetter(*front, *best_score)) {
-        best = static_cast<int>(kw);
-        best_score = front;
-      }
-    }
-    return best;
-  }
-
-  bool ReplayKthBeatsBound() {
-    constexpr double kInf = std::numeric_limits<double>::infinity();
-    double best_top = -kInf;
-    double worst_top = kInf;
-    bool any = false;
-    for (size_t kw = 0; kw < m_; ++kw) {
-      const ScoreKey* front = StreamFront(kw);
-      if (front == nullptr) continue;
-      any = true;
-      best_top = std::max(best_top, (*front)[0]);
-      worst_top = std::min(worst_top, (*front)[0]);
-    }
-    return KthBeatsBoundOver(any, best_top, worst_top);
-  }
-
-  /// Maps a stop observed during a prefetch round (by the coordinator or a
-  /// task) onto the sequential stop protocol. Returns true when the search
-  /// must stop. Checked after every round: a task that aborted must stop
-  /// the query, or the replay would spin refilling it forever.
-  bool StopOnAbort() {
-    bool task_cancel = false;
-    bool task_deadline = false;
-    for (const KeywordStream& ks : streams_) {
-      task_cancel |= ks.abort == AbortReason::kCancel;
-      task_deadline |= ks.abort == AbortReason::kDeadline;
-    }
-    if (Cancelled() || task_cancel) {
-      response_.truncated = true;
-      response_.cancelled = true;
-      response_.stop_reason = StopReason::kCancelled;
-      return true;
-    }
-    if (task_deadline || (has_deadline_ && Now() >= deadline_)) {
-      response_.truncated = true;
-      response_.deadline_exceeded = true;
-      response_.stop_reason = StopReason::kDeadline;
-      return true;
-    }
-    return false;
-  }
-
-  /// The sequential MainLoop, replayed over recorded streams.
-  void ReplayLoop() {
-    int64_t deadline_countdown = 1;
-    while (true) {
-      if (Cancelled()) {
-        response_.truncated = true;
-        response_.cancelled = true;
-        response_.stop_reason = StopReason::kCancelled;
-        return;
-      }
-      if (has_deadline_ && --deadline_countdown <= 0) {
-        deadline_countdown = kDeadlineCheckStridePops;
-        if (Now() >= deadline_) {
-          response_.truncated = true;
-          response_.deadline_exceeded = true;
-          response_.stop_reason = StopReason::kDeadline;
-          return;
-        }
-      }
-      if (options_.max_pops > 0 &&
-          response_.counters.pops >= options_.max_pops) {
-        response_.truncated = true;
-        response_.stop_reason = StopReason::kMaxPops;
-        return;
-      }
-      const int selected = ReplaySelectKeyword();
-      if (selected < 0) {
-        response_.exhausted = true;  // Every frontier drained.
-        response_.stop_reason = StopReason::kExhausted;
-        return;
-      }
-      const size_t kw = static_cast<size_t>(selected);
-      KeywordStream& ks = streams_[kw];
-      if (ks.cursor == ks.pops.size()) {
-        // Live frontier but no recorded pop: prefetch another round for it
-        // (batching in other streams running low).
-        merge_timer_.Stop();
-        RefillRound(kw);
-        merge_timer_.Start();
-        if (StopOnAbort()) return;
-        continue;
-      }
-
-      const RecordedPop& pop = ks.pops[ks.cursor++];
-      ++response_.counters.pops;
-      const int32_t row = meetings_->Add(pop.node, kw, pop.ntd);
-      if (meetings_->MetAll(row)) {
-        generate_timer_.Start();
-        GenerateCandidates(pop.node, row, kw, pop.ntd);
-        generate_timer_.Stop();
-      }
-      if (options_.k > 0 &&
-          static_cast<int64_t>(results_.size()) >= options_.k &&
-          ReplayKthBeatsBound()) {
-        response_.stop_reason = StopReason::kBound;
-        return;
-      }
-    }
-  }
-
-  /// Prefetches another round for `hot_kw` (which the replay needs next)
-  /// plus any other live stream running low, so stalls batch.
-  void RefillRound(size_t hot_kw) {
-    ++stall_refills_;
-    std::vector<size_t> refill;
-    const int64_t low_water = std::max<int64_t>(1, round_budget_ / 4);
-    for (size_t kw = 0; kw < m_; ++kw) {
-      const KeywordStream& ks = streams_[kw];
-      if (ks.exhausted) continue;
-      const int64_t available =
-          static_cast<int64_t>(ks.pops.size() - ks.cursor);
-      if (kw == hot_kw || available < low_water) refill.push_back(kw);
-    }
-    RunPrefetchRound(refill);
-  }
-
-  void RunPrefetchRound(const std::vector<size_t>& kws) {
-    if (kws.empty()) return;
-    ++response_.counters.parallel_rounds;
-    int64_t budget = round_budget_;
-    if (options_.max_pops > 0) {
-      // Prefetching past max_pops is pure waste: the replay stops there.
-      const int64_t remaining =
-          options_.max_pops - response_.counters.pops;
-      budget = std::clamp<int64_t>(remaining, 1, budget);
-    }
-    Stopwatch round_wall;
-    round_wall.Start();
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(kws.size());
-    for (const size_t kw : kws) {
-      tasks.push_back([this, kw, budget] { PrefetchKeyword(kw, budget); });
-    }
-    common::RunTaskGroup(options_.task_submitter, std::move(tasks));
-    round_wall.Stop();
-    if (!options_.parallel_deterministic) {
-      // Aim for ~0.5-4 ms rounds: long enough to amortize the barrier,
-      // short enough to keep overshoot small. Uses the real clock, so the
-      // budget sequence — and with it the iterator-level counters — is
-      // timing-dependent in this (default) mode.
-      const double s = round_wall.seconds();
-      if (s < 0.0005) {
-        round_budget_ = std::min<int64_t>(round_budget_ * 2, kMaxRoundBudget);
-      } else if (s > 0.004) {
-        round_budget_ = std::max<int64_t>(round_budget_ / 2, kMinRoundBudget);
-      }
-    }
-  }
-
-  /// One keyword's prefetch task: build its frontier on first call, then
-  /// pop up to `budget` NTDs off it, recording each pop. Touches only this
-  /// keyword's stream and frontier.
-  void PrefetchKeyword(size_t kw, int64_t budget) {
-    KeywordStream& ks = streams_[kw];
-    Stopwatch expand;
-    expand.Start();
-    if (!iterators_[kw]) CreateFrontier(kw);
-    BestPathIterator& frontier = *iterators_[kw];
-    int64_t deadline_countdown = 1;
-    int64_t produced = 0;
-    while (produced < budget && frontier.PeekScore() != nullptr) {
-      if (Cancelled()) {
-        ks.abort = AbortReason::kCancel;
-        break;
-      }
-      if (has_deadline_ && --deadline_countdown <= 0) {
-        deadline_countdown = kDeadlineCheckStridePops;
-        if (Now() >= deadline_) {
-          ks.abort = AbortReason::kDeadline;
-          break;
-        }
-      }
-      const ScoreKey score = *frontier.PeekScore();
-      const NtdId popped = frontier.Next();
-      assert(popped != kInvalidNtd);
-      ks.pops.push_back(
-          RecordedPop{score, popped, frontier.ntd(popped).node});
-      ++produced;
-    }
-    if (const ScoreKey* next = frontier.PeekScore(); next == nullptr) {
-      ks.exhausted = true;
-    } else {
-      // Sources are settled eagerly, so the peek IS the next pop's score —
-      // the replay's frontier bound.
-      ks.tail = *next;
-    }
-    expand.Stop();
-    ks.expand_seconds += expand.seconds();
-  }
-
   void Finalize() {
     std::string sig_a, sig_b;  // Tie-break buffers, reused per comparison.
     std::sort(results_.begin(), results_.end(),
@@ -1190,25 +845,12 @@ class Runner {
     c.seconds_match = match_timer_.seconds();
     c.seconds_filter = filter_timer_.seconds();
     c.seconds_generate = generate_timer_.seconds();
-    if (use_parallel_) {
-      for (const KeywordStream& ks : streams_) {
-        c.parallel_overshoot_pops +=
-            static_cast<int64_t>(ks.pops.size() - ks.cursor);
-        // Expansion ran inside the prefetch tasks: CPU time summed over
-        // tasks, so it can exceed the query's wall time.
-        c.seconds_expand += ks.expand_seconds;
-      }
-      c.seconds_merge = merge_timer_.seconds();
-    } else {
-      // Frontier build + main loop, minus the generation nested inside.
-      c.seconds_expand =
-          std::max(0.0, expand_timer_.seconds() - c.seconds_generate);
-    }
+    // Frontier build + main loop, minus the generation nested inside.
+    c.seconds_expand =
+        std::max(0.0, expand_timer_.seconds() - c.seconds_generate);
     int64_t pushed_nodes_sum = 0;
     int64_t active_ntds_sum = 0;
     for (const auto& frontier : iterators_) {
-      // A parallel frontier is missing when its keyword's task never ran.
-      if (!frontier) continue;
       const IteratorStats& is = frontier->stats();
       c.useless_pops += is.useless_pops;
       c.ntds_created += frontier->num_ntds();
@@ -1249,7 +891,6 @@ class Runner {
     s.reachability_prunes = c.reachability_prunes;
     s.interval_ops = engine_interval_ops_;
     for (const auto& frontier : iterators_) {
-      if (!frontier) continue;
       const IteratorStats& is = frontier->stats();
       s.ntds_merged += is.subsumption_skips + is.subsumption_evictions;
       s.prunes += is.prunes;
@@ -1288,16 +929,6 @@ class Runner {
     gm.heap_high_water->Max(s.heap_high_water);
     gm.query_micros->Observe(s.MicrosTotal());
     gm.pops_per_query->Observe(s.pops);
-    if (use_parallel_) {
-      gm.parallel_queries->Increment();
-      gm.parallel_merge_rounds->Increment(c.parallel_rounds);
-      gm.parallel_merge_overshoot->Increment(c.parallel_overshoot_pops);
-      gm.parallel_merge_stall_refills->Increment(stall_refills_);
-      for (const KeywordStream& ks : streams_) {
-        gm.parallel_keyword_expand_micros->Observe(
-            std::llround(ks.expand_seconds * 1e6));
-      }
-    }
 #endif  // TGKS_NO_STATS
   }
 
@@ -1321,7 +952,7 @@ class Runner {
 
   std::vector<std::vector<NodeId>> match_lists_;
   /// reachability_prune only: per-node viable instants, shared read-only by
-  /// every iterator (and every parallel prefetch task). `viability_view_`
+  /// every iterator. `viability_view_`
   /// points at whichever storage is live: the locally computed vector, or
   /// an immutable vector shared through the viability cache.
   std::vector<IntervalSet> viability_;
@@ -1344,17 +975,10 @@ class Runner {
   CandidateMemoPool::Handle memo_;  ///< Acquired at the first memo pop.
   bool memo_ready_ = false;  ///< memo_ serves the current pop.
 
-  /// One frontier per keyword over its filtered match list. Empty only in
-  /// parallel mode, until the keyword's first prefetch task builds it.
+  /// One frontier per keyword over its filtered match list, built by
+  /// CreateIterators().
   std::vector<std::optional<BestPathIterator>> iterators_;
   int rr_cursor_ = 0;
-
-  // Parallel-keyword state (unused on the sequential path).
-  bool use_parallel_ = false;
-  std::vector<KeywordStream> streams_;
-  int64_t round_budget_ = kDefaultRoundBudget;
-  int64_t stall_refills_ = 0;
-  Stopwatch merge_timer_;
 
   MeetingTablePool::Handle meetings_;  ///< Per-(node, keyword) pop lists.
   std::vector<ResultTree> results_;

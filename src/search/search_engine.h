@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "common/task_group.h"
 #include "graph/inverted_index.h"
 #include "graph/temporal_graph.h"
 #include "obs/query_trace.h"
@@ -48,9 +47,6 @@ enum class UpperBoundKind {
 };
 
 std::string_view UpperBoundKindName(UpperBoundKind kind);
-
-/// Submits a ready-to-run task to some executor (see common/task_group.h).
-using TaskSubmitFn = common::TaskSubmitFn;
 
 /// How many pops the main loop runs between wall-clock deadline polls.
 /// steady_clock::now() is a vDSO call that dominates a cheap pop, so the
@@ -87,7 +83,7 @@ struct SearchOptions {
   /// has been observed to return strictly MORE of the true top-k (see
   /// docs/reachability.md, "Bounded stops"). The pruning-soundness
   /// differential suite pins exact equality across its 60-graph ranking x
-  /// bound sweep, sequential and parallel; the work saved is visible in
+  /// bound sweep; the work saved is visible in
   /// SearchCounters::reachability_prunes. Off by default.
   bool reachability_prune = false;
   /// Opt-in per-graph query caches (docs/caching.md; not owned, thread-safe,
@@ -116,7 +112,9 @@ struct SearchOptions {
   /// Wall-clock budget for one Search() call in milliseconds (<= 0 = none).
   /// When it expires the search stops at the next pop boundary and returns
   /// whatever was found, sorted and truncated to k, with
-  /// `deadline_exceeded` set on the response.
+  /// `deadline_exceeded` set on the response. A budget that reaches past
+  /// the clock's last representable instant could never expire and runs
+  /// as none.
   int64_t deadline_ms = -1;
   /// Cooperative cancellation token (not owned; may be shared by many
   /// queries). When non-null and set, the search stops at the next pop
@@ -131,40 +129,14 @@ struct SearchOptions {
   /// TGKS_NO_STATS build records nothing.
   obs::QueryTrace* trace = nullptr;
 
-  /// Opt-in intra-query parallelism: each keyword's frontier prefetches
-  /// pops as a task on `task_submitter`, and the
-  /// coordinator replays the exact sequential interleaving over the
-  /// recorded per-keyword streams. Result sets, scores, and the
-  /// consumed-pop count are identical to sequential mode by construction
-  /// (any bound kind); iterator-level counters may include prefetch
-  /// overshoot (see SearchCounters::parallel_overshoot_pops and
-  /// docs/performance.md). Ignored when the query has fewer than two
-  /// keywords or carries a trace (QueryTrace is single-threaded).
-  bool parallel_keywords = false;
-  /// With parallel_keywords: pin the per-round prefetch budget so every
-  /// work counter — including the overshoot-bearing iterator counters —
-  /// is reproducible run-to-run. Off by default: the budget adapts to
-  /// measured round wall time for better latency, making iterator-level
-  /// counters (not results) timing-dependent.
-  bool parallel_deterministic = false;
-  /// Per-keyword pops prefetched per round in parallel mode; <= 0 picks
-  /// the default (512).
-  int64_t parallel_round_budget = 0;
-  /// Executor hook for parallel_keywords (not owned; must outlive the
-  /// call). Null runs the prefetch tasks inline on the calling thread —
-  /// same merge code path, no concurrency.
-  const TaskSubmitFn* task_submitter = nullptr;
-
   /// Test seam: when non-null the deadline machinery reads this clock
-  /// instead of std::chrono::steady_clock::now(). Must be monotone and, in
-  /// parallel mode, callable from concurrent worker threads.
+  /// instead of std::chrono::steady_clock::now(). Must be monotone.
   std::chrono::steady_clock::time_point (*clock_fn)(void* ctx) = nullptr;
   void* clock_ctx = nullptr;
 
-  /// Test seam: when non-null the sequential main loop calls this after
-  /// every pop with the keyword, its frontier and the popped NTD, so a
-  /// caller can fingerprint the pop sequence (workcount_dump --popseq).
-  /// Not called in parallel mode.
+  /// Test seam: when non-null the main loop calls this after every pop
+  /// with the keyword, its frontier and the popped NTD, so a caller can
+  /// fingerprint the pop sequence (workcount_dump --popseq).
   void (*pop_fn)(void* ctx, size_t keyword, const BestPathIterator& frontier,
                  NtdId popped) = nullptr;
   void* pop_ctx = nullptr;
@@ -201,11 +173,6 @@ struct SearchCounters {
   /// discarded because their time set missed the viability set.
   int64_t reachability_prunes = 0;
   int64_t results = 0;             ///< Distinct valid results found.
-  /// Parallel mode only: prefetch rounds run, and pops prefetched past the
-  /// stop point (work a sequential run would not have done; their edge
-  /// scans / NTDs are included in the frontier-level counters above).
-  int64_t parallel_rounds = 0;
-  int64_t parallel_overshoot_pops = 0;
   /// query_caches only (docs/caching.md): keyword match-set lookups served
   /// from / missed by the level-1 cache, and viability computations served
   /// from / missed by the level-2 cache. All zero when caching is off.
@@ -226,10 +193,6 @@ struct SearchCounters {
   double seconds_filter = 0.0;
   double seconds_expand = 0.0;
   double seconds_generate = 0.0;
-  /// Parallel mode only: wall time of the replay/merge loop. seconds_expand
-  /// is then CPU time summed over prefetch tasks and can exceed the query's
-  /// wall time; seconds_merge overlaps both it and seconds_generate.
-  double seconds_merge = 0.0;
 };
 
 /// Why the main loop stopped.

@@ -15,13 +15,9 @@
 // scratch is two-level: one shared NTD arena and heap of sources, plus one
 // BestPathOrigin slot per source holding that source's own queue and
 // per-node tables. The engine builds one frontier per keyword, so a query
-// holds one BestPathScratch per keyword. In parallel-keyword mode
-// (SearchOptions::parallel_keywords) frontiers are constructed inside
-// per-keyword prefetch tasks, so each pool worker acquires from its own
-// thread-local pool; the scratches are later released on whichever thread
-// destroys the query's Runner — cross-thread release is part of the
-// ScratchPool contract (see common/scratch_pool.h). See
-// docs/performance.md for layout and measurements.
+// holds one BestPathScratch per keyword, acquired from the running
+// thread's pool (see common/scratch_pool.h). See docs/performance.md for
+// layout and measurements.
 
 #ifndef TGKS_SEARCH_SEARCH_SCRATCH_H_
 #define TGKS_SEARCH_SEARCH_SCRATCH_H_

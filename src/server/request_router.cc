@@ -39,8 +39,8 @@ HttpResponse JsonResponse(int status, std::string body) {
 
 /// Canonical result-cache key (docs/caching.md): everything that can change
 /// the response bytes. The query contributes its canonical text (parsed,
-/// deduplicated, ToString-normalized), then effective k, the bound /
-/// parallel / prune overrides, and any explicit match lists. Deadlines are
+/// deduplicated, ToString-normalized), then effective k, the bound and
+/// prune overrides, and any explicit match lists. Deadlines are
 /// deliberately excluded — only complete responses are cached, and a
 /// complete answer is valid under any deadline. Overrides encode tri-state
 /// ('-' = inherit the executor default) so a request that spells an option
@@ -58,8 +58,6 @@ std::string CacheFingerprint(const exec::SingleQuery& single) {
   const auto tri = [](const std::optional<bool>& v) {
     return !v.has_value() ? '-' : (*v ? '1' : '0');
   };
-  fp += "\x1f par=";
-  fp += tri(single.parallel_keywords);
   fp += "\x1f reach=";
   fp += tri(single.reachability_prune);
   fp += "\x1f matches=";
@@ -758,21 +756,14 @@ bool RequestRouter::HandleSearch(const HttpRequest& request,
     }
   }
 
-  const bool include_stats = [&] {
-    const JsonValue* stats = doc->Find("stats");
-    return stats != nullptr && stats->AsBool();
-  }();
-
-  // Optional per-request parallel-keyword override (docs/serving.md);
-  // absent inherits the executor's default mode.
-  if (const JsonValue* parallel = doc->Find("parallel_keywords");
-      parallel != nullptr) {
-    if (!parallel->is_bool()) {
-      *immediate = JsonResponse(
-          400, JsonErrorBody("request", "parallel_keywords must be a bool"));
+  bool include_stats = false;
+  if (const JsonValue* stats = doc->Find("stats"); stats != nullptr) {
+    if (!stats->is_bool()) {
+      *immediate =
+          JsonResponse(400, JsonErrorBody("request", "stats must be a bool"));
       return true;
     }
-    single.parallel_keywords = parallel->AsBool();
+    include_stats = stats->AsBool();
   }
 
   // Optional per-request reachability prune (docs/reachability.md); results

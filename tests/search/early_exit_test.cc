@@ -3,14 +3,22 @@
 //  - every exit path returns results sorted best-first and truncated to k;
 //  - repeated runs of the same query produce bit-identical orderings
 //    (the QueueCompare tie-break pops older NTDs first, and equal-score
-//    iterators are scheduled by ascending index).
+//    iterators are scheduled by ascending index);
+//  - the deadline clock is polled once per kDeadlineCheckStridePops pops,
+//    and a deadline past the clock's range runs as none.
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdint>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "graph/graph_builder.h"
 #include "graph/inverted_index.h"
 #include "search/best_path_iterator.h"
@@ -26,6 +34,7 @@ using graph::InvertedIndex;
 using graph::NodeId;
 using graph::TemporalGraph;
 using temporal::IntervalSet;
+using temporal::TimePoint;
 
 Query MustParse(const std::string& text) {
   auto q = ParseQuery(text);
@@ -194,6 +203,156 @@ TEST(DeterminismTest, QueueCompareBreaksScoreTiesByAge) {
   EXPECT_EQ(iter.ntd(a).node, first);
   EXPECT_EQ(iter.ntd(b2).node, second);
   EXPECT_EQ(iter.Next(), kInvalidNtd);
+}
+
+// ---------------------------------------------------------------------------
+// Deadline clock: amortized polling and out-of-range budgets.
+
+TemporalGraph RandomGraph(Rng* rng, int num_nodes, int num_edges,
+                          TimePoint horizon) {
+  while (true) {
+    GraphBuilder b(horizon, graph::ValidityPolicy::kClamp);
+    std::vector<std::pair<TimePoint, TimePoint>> node_span;
+    for (int i = 0; i < num_nodes; ++i) {
+      const TimePoint a = static_cast<TimePoint>(rng->Uniform(horizon));
+      const TimePoint c = static_cast<TimePoint>(rng->Uniform(horizon));
+      node_span.emplace_back(std::min(a, c), std::max(a, c));
+      b.AddNode("n" + std::to_string(i),
+                IntervalSet{{node_span.back().first, node_span.back().second}},
+                static_cast<double>(rng->Uniform(3)));
+    }
+    for (int i = 0; i < num_edges; ++i) {
+      const NodeId u = static_cast<NodeId>(rng->Uniform(num_nodes));
+      const NodeId v = static_cast<NodeId>(rng->Uniform(num_nodes));
+      if (u == v) continue;
+      const TimePoint a = static_cast<TimePoint>(rng->Uniform(horizon));
+      const TimePoint c = static_cast<TimePoint>(rng->Uniform(horizon));
+      // kClamp rejects the whole build when an edge's validity clamped to
+      // its endpoints' comes out empty; skip such edges so dense graphs
+      // (many edge draws) stay constructible.
+      const TimePoint lo = std::max({std::min(a, c), node_span[u].first,
+                                     node_span[v].first});
+      const TimePoint hi = std::min({std::max(a, c), node_span[u].second,
+                                     node_span[v].second});
+      if (lo > hi) continue;
+      b.AddEdge(u, v, IntervalSet{{std::min(a, c), std::max(a, c)}},
+                static_cast<double>(1 + rng->Uniform(3)));
+    }
+    auto g = b.Build();
+    if (g.ok()) return std::move(g).value();
+  }
+}
+
+std::vector<NodeId> RandomMatches(Rng* rng, const TemporalGraph& g, int k) {
+  std::vector<NodeId> out;
+  for (const uint64_t v : rng->SampleWithoutReplacement(
+           static_cast<uint64_t>(g.num_nodes()), static_cast<uint64_t>(k))) {
+    out.push_back(static_cast<NodeId>(v));
+  }
+  return out;
+}
+
+/// Injectable clock: counts calls; returns base until `expire_after_calls`
+/// calls have happened, then a far-future instant.
+struct FakeClock {
+  std::chrono::steady_clock::time_point base =
+      std::chrono::steady_clock::time_point(std::chrono::seconds(1000));
+  int64_t calls = 0;
+  int64_t expire_after_calls = -1;  // -1 = never expire.
+
+  static std::chrono::steady_clock::time_point Read(void* ctx) {
+    auto* clock = static_cast<FakeClock*>(ctx);
+    const int64_t n = ++clock->calls;
+    if (clock->expire_after_calls >= 0 && n > clock->expire_after_calls) {
+      return clock->base + std::chrono::hours(24);
+    }
+    return clock->base;
+  }
+};
+
+// Regression for the per-pop clock poll: the main loop must read the clock
+// once per kDeadlineCheckStridePops pops, not once per pop. Pre-fix this
+// fails with calls ~= pops.
+TEST(DeadlineStrideTest, ClockPolledOncePerStride) {
+  Rng rng(2468);
+  const TemporalGraph g = RandomGraph(&rng, 16, 40, 8);
+  const std::vector<std::vector<NodeId>> matches = {RandomMatches(&rng, g, 4),
+                                                    RandomMatches(&rng, g, 4)};
+  Query q;
+  q.keywords = {"a", "b"};
+  const SearchEngine engine(g);
+  FakeClock clock;  // Never expires: the search runs to its natural stop.
+  SearchOptions options;
+  options.k = 0;
+  options.deadline_ms = 60'000;
+  options.clock_fn = &FakeClock::Read;
+  options.clock_ctx = &clock;
+  auto r = engine.SearchWithMatches(q, matches, options);
+  ASSERT_TRUE(r.ok());
+  EXPECT_FALSE(r->deadline_exceeded);
+  ASSERT_GT(r->counters.pops, 0);
+  // One read arms the deadline; the loop then reads every stride pops
+  // (+1 slack for the first-iteration poll).
+  const int64_t max_reads =
+      r->counters.pops / kDeadlineCheckStridePops + 3;
+  EXPECT_LE(clock.calls, max_reads)
+      << "deadline clock polled per pop (" << clock.calls
+      << " reads for " << r->counters.pops << " pops)";
+}
+
+// The documented worst case: once the deadline passes, the loop overshoots
+// by at most kDeadlineCheckStridePops - 1 pops before the next poll fires.
+TEST(DeadlineStrideTest, OvershootBoundedByStride) {
+  Rng rng(1357);
+  const TemporalGraph g = RandomGraph(&rng, 20, 60, 8);
+  const std::vector<std::vector<NodeId>> matches = {RandomMatches(&rng, g, 5),
+                                                    RandomMatches(&rng, g, 5)};
+  Query q;
+  q.keywords = {"a", "b"};
+  const SearchEngine engine(g);
+  FakeClock clock;
+  // Read 1 arms the deadline; read 2 (first in-loop poll) still passes; the
+  // clock is expired from read 3 on, so the loop may consume at most one
+  // full stride of pops after the first poll before stopping.
+  clock.expire_after_calls = 2;
+  SearchOptions options;
+  options.k = 0;
+  options.deadline_ms = 1000;
+  options.clock_fn = &FakeClock::Read;
+  options.clock_ctx = &clock;
+  auto r = engine.SearchWithMatches(q, matches, options);
+  ASSERT_TRUE(r.ok());
+  if (r->stop_reason == StopReason::kExhausted) {
+    GTEST_SKIP() << "graph exhausted before the deadline could fire";
+  }
+  EXPECT_EQ(r->stop_reason, StopReason::kDeadline);
+  EXPECT_TRUE(r->deadline_exceeded);
+  EXPECT_TRUE(r->truncated);
+  // First poll fires at pop 1; the expired poll at pop 1 + stride.
+  EXPECT_LE(r->counters.pops, 1 + kDeadlineCheckStridePops);
+}
+
+// A deadline past the clock's last representable instant can never fire,
+// and Now() + deadline_ms would overflow the clock: the search must give
+// the no-deadline answer, not stop on a wrapped instant.
+TEST(EarlyExitTest, DeadlinePastClockRangeRunsWithoutDeadline) {
+  const TemporalGraph g = testutil::MakeSocialNetworkGraph();
+  const InvertedIndex index(g);
+  const SearchEngine engine(g, &index);
+  SearchOptions options;
+  options.k = 0;
+  auto unbounded = engine.Search(MustParse("mary, john"), options);
+  ASSERT_TRUE(unbounded.ok()) << unbounded.status();
+  FakeClock clock;
+  options.deadline_ms = std::numeric_limits<int64_t>::max();
+  options.clock_fn = &FakeClock::Read;
+  options.clock_ctx = &clock;
+  auto r = engine.Search(MustParse("mary, john"), options);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r->stop_reason, StopReason::kExhausted);
+  EXPECT_FALSE(r->deadline_exceeded);
+  EXPECT_FALSE(r->results.empty());
+  EXPECT_EQ(OrderedSignatures(*r), OrderedSignatures(*unbounded));
 }
 
 }  // namespace

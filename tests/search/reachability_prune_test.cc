@@ -6,8 +6,7 @@
 // never changes the result set of an exhaustive run (provable — a wholly
 // non-viable NTD can never be part of an accepted tree), and across this
 // suite's pinned 60-graph ranking x bound sweep the BOUNDED runs agree
-// exactly too (result sets, scores, stop reasons), sequentially and in
-// parallel-keyword mode. On larger graphs a bounded stop can fire at a
+// exactly too (result sets, scores, stop reasons). On larger graphs a bounded stop can fire at a
 // slightly different frontier point and swap results at the k-th boundary
 // (docs/reachability.md, "Bounded stops"); that behavior is pinned
 // bit-for-bit by scripts/workcount_check.sh --pruned, not here. The sweep
@@ -23,7 +22,6 @@
 //   - reachability_prunes stays zero when the option is off.
 
 #include <algorithm>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -31,7 +29,6 @@
 
 #include "baseline/dijkstra_iterator.h"
 #include "common/random.h"
-#include "exec/thread_pool.h"
 #include "graph/graph_builder.h"
 #include "graph/reachability_index.h"
 #include "search/label_correcting_iterator.h"
@@ -139,7 +136,7 @@ class ReachabilityPruneDifferentialTest
 // The satellite soundness gate: on 60 random graphs (same seed protocol as
 // snapshot_reducibility_test: 10 seeds x 6 rounds), the pruned run must
 // reproduce the unpruned run exactly — at k = 5 with every bound kind, at
-// k = 0 (exhaustion path), and through the parallel-keyword replay.
+// k = 0 (exhaustion path).
 TEST_P(ReachabilityPruneDifferentialTest, PruneOnMatchesPruneOffExactly) {
   static constexpr RankFactor kFactors[] = {
       RankFactor::kRelevance, RankFactor::kEndTimeDesc,
@@ -147,10 +144,6 @@ TEST_P(ReachabilityPruneDifferentialTest, PruneOnMatchesPruneOffExactly) {
   static constexpr UpperBoundKind kBounds[] = {UpperBoundKind::kEmpirical,
                                                UpperBoundKind::kAccurate,
                                                UpperBoundKind::kAverage};
-  exec::ThreadPool pool{4};
-  TaskSubmitFn submit = [&pool](std::function<void()> task) {
-    pool.Submit(std::move(task));
-  };
   Rng rng(GetParam());
   for (int round = 0; round < 6; ++round) {
     const TemporalGraph g = RandomGraph(&rng, 12, 26, 8);
@@ -182,16 +175,6 @@ TEST_P(ReachabilityPruneDifferentialTest, PruneOnMatchesPruneOffExactly) {
       ExpectResultsRespectReachability(g, *r_on, kc);
       EXPECT_EQ(r_off->counters.reachability_prunes, 0) << kc;
       EXPECT_GE(r_on->counters.reachability_prunes, 0) << kc;
-
-      // Parallel-keyword mode composes with the prune: the replay contract
-      // makes it identical to the pruned sequential run, which this suite
-      // just pinned to the unpruned one.
-      SearchOptions par = on;
-      par.parallel_keywords = true;
-      par.task_submitter = &submit;
-      auto r_par = engine.SearchWithMatches(q, matches, par);
-      ASSERT_TRUE(r_par.ok()) << kc;
-      ExpectSameResults(*r_off, *r_par, kc + " parallel");
     }
   }
 }

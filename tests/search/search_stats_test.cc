@@ -110,8 +110,7 @@ TEST(SearchStatsTest, PopulatedOnExhaustedExit) {
 }
 
 // seconds_expand is the frontier build plus the main loop, minus the
-// candidate generation timed inside it (docs/observability.md); in
-// parallel-keyword mode it is the prefetch tasks' expansion time.
+// candidate generation timed inside it (docs/observability.md).
 TEST(SearchStatsTest, ExpandTimeIsLoopTimeMinusGeneration) {
   const TemporalGraph g = testutil::MakeSocialNetworkGraph();
   const InvertedIndex index(g);
@@ -131,12 +130,6 @@ TEST(SearchStatsTest, ExpandTimeIsLoopTimeMinusGeneration) {
   EXPECT_LE(c.seconds_match + c.seconds_filter + c.seconds_expand +
                 c.seconds_generate,
             wall);
-
-  options.parallel_keywords = true;  // Null submitter: inline prefetch.
-  auto par = engine.Search(MustParse("mary, john"), options);
-  ASSERT_TRUE(par.ok()) << par.status();
-  EXPECT_GT(par->counters.seconds_expand, 0.0);
-  EXPECT_GT(par->counters.seconds_merge, 0.0);
 }
 
 TEST(SearchStatsTest, PopulatedOnBoundExit) {

@@ -85,7 +85,6 @@ struct Options {
   int num_queries = 100;
   int k = 0;             // 0 = server default.
   int deadline_ms = 0;   // 0 = no deadline-ms header.
-  bool parallel_keywords = false;  // Request the server's parallel mode.
   double zipf = 0;       // 0 = round-robin; > 0 = Zipf popularity skew.
   bool no_cache = false;  // Send "cache": false on every request.
   double ingest_mix = 0;  // Fraction of ticks that POST /v1/ingest.
@@ -98,8 +97,7 @@ void Usage(const char* argv0) {
                "usage: %s --workload dblp|social [--host H] [--port P]\n"
                "          [--qps Q] [--duration-s S] [--connections C]\n"
                "          [--num-queries N] [--k K] [--deadline-ms MS]\n"
-               "          [--parallel-keywords] [--zipf S]"
-               " [--no-cache]\n"
+               "          [--zipf S] [--no-cache]\n"
                "          [--ingest-mix R] [--label NAME] [--json-out FILE]\n",
                argv0);
 }
@@ -114,10 +112,6 @@ std::string BuildRequest(const Options& opts,
   if (opts.k > 0) {
     body.Key("k");
     body.Int(opts.k);
-  }
-  if (opts.parallel_keywords) {
-    body.Key("parallel_keywords");
-    body.Bool(true);
   }
   if (opts.no_cache) {
     body.Key("cache");
@@ -529,8 +523,6 @@ int main(int argc, char** argv) {
       opts.k = std::atoi(next("--k"));
     } else if (arg == "--deadline-ms") {
       opts.deadline_ms = std::atoi(next("--deadline-ms"));
-    } else if (arg == "--parallel-keywords") {
-      opts.parallel_keywords = true;
     } else if (arg == "--zipf") {
       opts.zipf = std::atof(next("--zipf"));
     } else if (arg == "--no-cache") {
@@ -771,8 +763,6 @@ int main(int argc, char** argv) {
   row.Int(total.errors);
   row.Key("deadline_ms");
   row.Int(opts.deadline_ms == 0 ? -1 : opts.deadline_ms);
-  row.Key("parallel_keywords");
-  row.Bool(opts.parallel_keywords);
   row.Key("retry_after_waits");
   row.Int(total.retry_after_waits);
   // Zipf/cache accounting: zipf_s 0 = round-robin replay; the x-cache

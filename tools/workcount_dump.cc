@@ -21,9 +21,9 @@
 //    just the toy ones. Each workload runs under both relevance and
 //    duration ranking to cover the partition AND subsumption semantics.
 //
-// Usage: workcount_dump [--parallel] [--results|--popseq|--candidates]
+// Usage: workcount_dump [--results|--popseq|--candidates]
 //            [--pruned] [--cache] <golden-dir> [stems...]
-//        workcount_dump [--parallel] [--results|--popseq|--candidates]
+//        workcount_dump [--results|--popseq|--candidates]
 //            [--pruned] [--cache] --dataset <dblp|social> ...
 //        workcount_dump --layout <dblp|social> [--layout ...]
 //        (every form also takes --pad-timeline <n>)
@@ -57,12 +57,7 @@
 //
 // --results replaces the counter lines with per-query result fingerprints
 // (result count, stop reason, an order-sensitive hash over every result
-// tree's signature/time/weight). --parallel runs the same queries in the
-// engine's parallel-keyword mode (deterministic sub-mode, inline prefetch).
-// The parallel mode's iterator-level counters legitimately include prefetch
-// overshoot, so the CI gate (scripts/workcount_check.sh --results-only)
-// compares the two modes through --results, where the engine's contract is
-// bit-identical output.
+// tree's signature/time/weight).
 //
 // --popseq replaces the counter lines with per-query pop-sequence
 // fingerprints: for each keyword frontier, its pop count and one
@@ -71,7 +66,7 @@
 // so a change to how NTDs are created or numbered leaves the lines alone
 // while any change to what is popped, or in which order, shows up.
 // scripts/workcount_check.sh diffs them against tests/golden/popseq*.expected
-// in default, --pruned and --wide modes. Sequential mode only.
+// in default, --pruned and --wide modes.
 //
 // --candidates replaces the counter lines with the result-generation
 // counters of each query: candidates, duplicates, root_reducible,
@@ -80,7 +75,7 @@
 // change to candidate generation that must not change what it decides
 // (only how fast) leaves the lines alone. scripts/workcount_check.sh diffs
 // them against tests/golden/candidates*.expected in default, --pruned and
-// --wide modes. Sequential mode only.
+// --wide modes.
 
 #include <cstdint>
 #include <cstdio>
@@ -105,7 +100,6 @@
 namespace {
 
 // Set from the command line; apply to both query suites.
-bool g_parallel = false;  // Run queries in parallel-keyword mode.
 bool g_results = false;   // Print result fingerprints, not work counters.
 bool g_pruned = false;    // Run with the reachability prune enabled.
 bool g_cache = false;     // Run with the query caches (levels 1-2) enabled.
@@ -131,12 +125,6 @@ tgks::search::SearchOptions SuiteOptions(tgks::cache::QueryCaches* caches) {
   options.k = 10;
   options.reachability_prune = g_pruned;
   options.query_caches = caches;
-  if (g_parallel) {
-    options.parallel_keywords = true;
-    // Deterministic budget + inline prefetch (null task_submitter): the
-    // dump stays bit-stable without depending on a thread pool.
-    options.parallel_deterministic = true;
-  }
   return options;
 }
 
@@ -500,9 +488,7 @@ int main(int argc, char** argv) {
   // Strip the mode flags (position-independent) before the suite args.
   std::vector<char*> args;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--parallel") == 0) {
-      g_parallel = true;
-    } else if (std::strcmp(argv[i], "--results") == 0) {
+    if (std::strcmp(argv[i], "--results") == 0) {
       g_results = true;
     } else if (std::strcmp(argv[i], "--pruned") == 0) {
       g_pruned = true;
@@ -518,24 +504,21 @@ int main(int argc, char** argv) {
       args.push_back(argv[i]);
     }
   }
-  if (g_popseq && (g_parallel || g_results)) {
-    std::fprintf(stderr,
-                 "--popseq runs sequentially and replaces --results\n");
+  if (g_popseq && g_results) {
+    std::fprintf(stderr, "--popseq replaces --results\n");
     return 2;
   }
-  if (g_candidates && (g_parallel || g_results || g_popseq)) {
-    std::fprintf(stderr,
-                 "--candidates runs sequentially and replaces --results and "
-                 "--popseq\n");
+  if (g_candidates && (g_results || g_popseq)) {
+    std::fprintf(stderr, "--candidates replaces --results and --popseq\n");
     return 2;
   }
   if (args.empty()) {
     std::fprintf(
         stderr,
-        "usage: %s [--parallel] [--results|--popseq|--candidates] [--pruned] "
+        "usage: %s [--results|--popseq|--candidates] [--pruned] "
         "[--cache] [--pad-timeline <n>] <golden-dir> "
         "[graph stems...]\n"
-        "       %s [--parallel] [--results|--popseq|--candidates] [--pruned] "
+        "       %s [--results|--popseq|--candidates] [--pruned] "
         "[--cache] [--pad-timeline <n>] "
         "--dataset <dblp|dblp-bounded|social> ...\n"
         "       %s [--pad-timeline <n>] --layout <dblp|dblp-bounded|social> "
