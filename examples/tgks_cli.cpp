@@ -15,19 +15,13 @@
 //   --deadline-ms N  per-query wall-clock budget (default: none)
 //   --batch FILE     run every query in FILE concurrently ('#' = comment)
 //   --threads N      worker threads for --batch / --serve (default: hardware)
-//   --reachability-prune  discard expansion work the reachability index
-//                    proves can never reach an answer (docs/reachability.md;
-//                    savings appear as reachability_prunes under --stats).
-//                    With --serve, clients can override per request via the
-//                    "reachability_prune" JSON field.
 //   --cache          enable the query caches (docs/caching.md): keyword
-//                    match sets + viability memoization everywhere, plus
-//                    the serving-layer result cache under --serve. Results
-//                    are bit-identical with or without it; HTTP clients can
-//                    bypass per request via the "cache" JSON field.
-//   --cache-match-bytes N      level-1 byte budget (default 8 MiB)
-//   --cache-viability-bytes N  level-2 byte budget (default 64 MiB)
-//   --cache-result-bytes N     level-3 byte budget (default 64 MiB)
+//                    match sets everywhere, plus the serving-layer result
+//                    cache under --serve. Results are bit-identical with or
+//                    without it; HTTP clients can bypass per request via the
+//                    "cache" JSON field.
+//   --cache-match-bytes N   match-set cache byte budget (default 8 MiB)
+//   --cache-result-bytes N  result cache byte budget (default 64 MiB)
 //
 // Serving options (see docs/serving.md):
 //   --serve                 run the HTTP server instead of a query
@@ -124,12 +118,10 @@ int Usage() {
   std::cerr
       << "usage: tgks_cli (GRAPH.tgf | --demo) [--k N] [--bound KIND] "
          "[--stats] [--trace] [--metrics] [--deadline-ms N] "
-         "[--reachability-prune] "
          "(\"QUERY\" | --batch FILE [--threads N])\n"
          "       tgks_cli (GRAPH.tgf | --dataset dblp|social) --serve "
          "[--host ADDR] [--port N] [--threads N] [--max-queue N] "
          "[--max-inflight-bytes N] [--deadline-ms N] [--drain-timeout-ms N] "
-         "[--reachability-prune] "
          "[--cache] [--live [--max-ingest-bytes N] [--compact-bytes N] "
          "[--compact-age-ms N]]\n";
   return 2;
@@ -177,7 +169,7 @@ int RunServe(const tgks::graph::TemporalGraph& graph,
 
   // Live mode: every publish invalidates the serving-layer result cache,
   // so a post-publish hit can never surface a pre-publish answer
-  // (docs/ingest.md). Levels 1-2 need no hook — each snapshot carries its
+  // (docs/ingest.md). Match-set caches need no hook — each snapshot carries its
   // own fresh bundle, so the router-level pointer stays unset.
   if (live != nullptr && result_cache != nullptr) {
     tgks::cache::ResultCache* rc = result_cache.get();
@@ -350,14 +342,10 @@ int main(int argc, char** argv) {
       options.k = std::atoi(argv[++i]);
     } else if (arg == "--threads" && i + 1 < argc) {
       threads = std::atoi(argv[++i]);
-    } else if (arg == "--reachability-prune") {
-      options.reachability_prune = true;
     } else if (arg == "--cache") {
       cache_enabled = true;
     } else if (arg == "--cache-match-bytes" && i + 1 < argc) {
       cache_options.match_set_bytes = std::atoll(argv[++i]);
-    } else if (arg == "--cache-viability-bytes" && i + 1 < argc) {
-      cache_options.viability_bytes = std::atoll(argv[++i]);
     } else if (arg == "--cache-result-bytes" && i + 1 < argc) {
       cache_result_bytes = std::atoll(argv[++i]);
     } else if (arg == "--live") {
@@ -472,11 +460,6 @@ int main(int argc, char** argv) {
   }
   const tgks::graph::TemporalGraph& base_graph =
       live != nullptr ? *live_base->graph : graph;
-  // The reachability index is built on first use; build it now when the
-  // prune that reads it is on, so the first query does not pay for it.
-  if (options.reachability_prune) {
-    (void)base_graph.reachability();
-  }
   std::optional<tgks::graph::InvertedIndex> local_index;
   if (live == nullptr) local_index.emplace(base_graph);
   const tgks::graph::InvertedIndex& index =

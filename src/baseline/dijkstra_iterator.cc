@@ -14,18 +14,15 @@ using graph::NodeId;
 DijkstraIterator::DijkstraIterator(
     const graph::TemporalGraph& graph, NodeId source,
     std::optional<temporal::TimePoint> snapshot,
-    const std::vector<temporal::IntervalSet>* viability,
     const graph::DeltaOverlay* overlay)
     : graph_(&graph),
       source_(source),
       snapshot_(snapshot),
-      viability_(viability),
       overlay_(overlay),
       scratch_(DijkstraScratchPool::Acquire()) {
   assert(source >= 0 &&
          source < (overlay_ != nullptr ? overlay_->total_nodes()
                                        : graph.num_nodes()));
-  assert(overlay_ == nullptr || overlay_->empty() || viability_ == nullptr);
   scratch_->Reset();
   if (!NodeVisible(source)) return;
   const double d0 = overlay_ != nullptr
@@ -38,18 +35,11 @@ DijkstraIterator::DijkstraIterator(
   scratch_->queue.push(DijkstraQueueEntry{d0, source});
 }
 
-bool DijkstraIterator::NodeVisible(NodeId n) {
+bool DijkstraIterator::NodeVisible(NodeId n) const {
   if (!snapshot_.has_value()) return true;
-  const bool alive = overlay_ != nullptr && overlay_->IsDeltaNode(n)
-                         ? overlay_->NodeAliveAt(n, *snapshot_)
-                         : graph_->NodeAliveAt(n, *snapshot_);
-  if (!alive) return false;
-  if (viability_ != nullptr &&
-      !(*viability_)[static_cast<size_t>(n)].Contains(*snapshot_)) {
-    ++reachability_prunes_;
-    return false;
-  }
-  return true;
+  return overlay_ != nullptr && overlay_->IsDeltaNode(n)
+             ? overlay_->NodeAliveAt(n, *snapshot_)
+             : graph_->NodeAliveAt(n, *snapshot_);
 }
 
 bool DijkstraIterator::EdgeVisible(EdgeId e) const {
@@ -86,11 +76,6 @@ NodeId DijkstraIterator::Next() {
       const NodeId neighbor = reader.src(s);
       if (snapshot_.has_value() &&
           !reader.NodeAliveAt(neighbor, *snapshot_)) {
-        return;
-      }
-      if (snapshot_.has_value() && viability_ != nullptr &&
-          !(*viability_)[static_cast<size_t>(neighbor)].Contains(*snapshot_)) {
-        ++reachability_prunes_;
         return;
       }
       const double nd =

@@ -19,7 +19,6 @@
 #include "common/scratch_pool.h"
 #include "graph/temporal_graph.h"
 #include "search/quad_heap.h"
-#include "temporal/interval_set.h"
 #include "temporal/time_point.h"
 
 namespace tgks::graph {
@@ -70,17 +69,10 @@ using DijkstraScratchPool = common::ScratchPool<DijkstraScratch, 8192>;
 class DijkstraIterator {
  public:
   /// `snapshot`: when set, nodes/edges not alive at that instant are
-  /// invisible. `viability` (not owned; one IntervalSet per graph node)
-  /// additionally hides nodes whose viability set misses the snapshot
-  /// instant — the reachability prune of docs/reachability.md applied to
-  /// the BANKS(I) inner runs; ignored in whole-graph mode. `overlay` (not
-  /// owned) extends the walk over a live snapshot's delta; it must not be
-  /// combined with `viability` while non-empty. The graph must outlive the
-  /// iterator.
+  /// invisible. `overlay` (not owned) extends the walk over a live
+  /// snapshot's delta. The graph must outlive the iterator.
   DijkstraIterator(const graph::TemporalGraph& graph, graph::NodeId source,
                    std::optional<temporal::TimePoint> snapshot = std::nullopt,
-                   const std::vector<temporal::IntervalSet>* viability =
-                       nullptr,
                    const graph::DeltaOverlay* overlay = nullptr);
 
   DijkstraIterator(const DijkstraIterator&) = delete;
@@ -105,22 +97,18 @@ class DijkstraIterator {
 
   graph::NodeId source() const { return source_; }
   int64_t nodes_settled() const { return nodes_settled_; }
-  /// Nodes hidden by the viability gate (0 without one).
-  int64_t reachability_prunes() const { return reachability_prunes_; }
 
  private:
   bool EdgeVisible(graph::EdgeId e) const;
-  bool NodeVisible(graph::NodeId n);
+  bool NodeVisible(graph::NodeId n) const;
   void SettleTop();
 
   const graph::TemporalGraph* graph_;
   graph::NodeId source_;
   std::optional<temporal::TimePoint> snapshot_;
-  const std::vector<temporal::IntervalSet>* viability_;
   const graph::DeltaOverlay* overlay_ = nullptr;
   DijkstraScratchPool::Handle scratch_;
   int64_t nodes_settled_ = 0;
-  int64_t reachability_prunes_ = 0;
 };
 
 }  // namespace tgks::baseline

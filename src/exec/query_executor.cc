@@ -36,7 +36,6 @@ void AccumulateCounters(const search::SearchCounters& c,
   total->useless_pops += c.useless_pops;
   total->ntds_created += c.ntds_created;
   total->edges_scanned += c.edges_scanned;
-  total->reachability_prunes += c.reachability_prunes;
   total->nodes_visited += c.nodes_visited;
   total->candidates += c.candidates;
   total->invalid_time += c.invalid_time;
@@ -190,9 +189,6 @@ void QueryExecutor::Submit(SingleQuery single, SingleQueryCallback done) {
     options.deadline_ms = options_.deadline_ms;
   }
   options.cancel = single.cancel;
-  if (single.reachability_prune.has_value()) {
-    options.reachability_prune = *single.reachability_prune;
-  }
   if (single.snapshot.graph != nullptr) {
     // Live snapshot: the overlay and the snapshot's own cache bundle
     // replace the executor-wide defaults (the bundle was created at the

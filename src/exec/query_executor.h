@@ -109,9 +109,6 @@ struct SingleQuery {
   /// token preset in ExecutorOptions::search.extra_cancel — either one
   /// stops the query.
   const std::atomic<bool>* cancel = nullptr;
-  /// Per-request override of SearchOptions::reachability_prune; unset
-  /// inherits the executor default.
-  std::optional<bool> reachability_prune;
   /// When false, runs this query with SearchOptions::query_caches nulled
   /// out — the per-request "cache": false bypass (docs/caching.md). Unset
   /// or true inherits the executor default.

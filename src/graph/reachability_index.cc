@@ -429,87 +429,6 @@ TimePoint ReachabilityIndex::EarliestArrival(NodeId u, TimePoint t,
   return temporal::kNoTimePoint;
 }
 
-void ReachabilityIndex::ComputeViability(
-    const std::vector<std::vector<NodeId>>& matches,
-    std::vector<IntervalSet>* out) const {
-  const size_t m = matches.size();
-  std::vector<std::vector<Interval>> acc(static_cast<size_t>(num_nodes_));
-  const auto mark = [&acc](NodeId n, TimePoint begin, TimePoint end) {
-    std::vector<Interval>& slots = acc[static_cast<size_t>(n)];
-    if (!slots.empty() && slots.back().end + 1 == begin) {
-      slots.back().end = end;  // Epochs arrive in ascending time order.
-    } else {
-      slots.push_back(Interval(begin, end));
-    }
-  };
-
-  // Beyond the mask width (or with no keywords at all) fall back to "alive
-  // implies viable" — pruning degenerates to a no-op, which is still sound.
-  const bool degenerate =
-      m == 0 || m > static_cast<size_t>(kMaxViabilityKeywords);
-
-  std::vector<uint64_t> reach;
-  std::vector<uint8_t> viable;
-  for (const Epoch& epoch : epochs_) {
-    const auto num_sccs = static_cast<size_t>(epoch.num_sccs);
-    if (degenerate) {
-      for (NodeId n = 0; n < num_nodes_; ++n) {
-        if (epoch.scc_of[static_cast<size_t>(n)] >= 0) {
-          mark(n, epoch.begin, epoch.end);
-        }
-      }
-      continue;
-    }
-    // Bit j of reach[c]: some node of SCC c reaches an alive match of
-    // keyword j within this epoch's snapshot.
-    reach.assign(num_sccs, 0);
-    for (size_t j = 0; j < m; ++j) {
-      const uint64_t bit = uint64_t{1} << j;
-      for (const NodeId s : matches[j]) {
-        const int32_t c = epoch.scc_of[static_cast<size_t>(s)];
-        if (c >= 0) reach[static_cast<size_t>(c)] |= bit;
-      }
-    }
-    for (int32_t c = epoch.num_sccs - 1; c >= 0; --c) {
-      uint64_t bits = reach[static_cast<size_t>(c)];
-      for (int32_t i = epoch.dag_offsets[static_cast<size_t>(c)];
-           i < epoch.dag_offsets[static_cast<size_t>(c) + 1]; ++i) {
-        bits |= reach[static_cast<size_t>(
-            epoch.dag_edges[static_cast<size_t>(i)])];
-      }
-      reach[static_cast<size_t>(c)] = bits;
-    }
-    // Potential roots reach every keyword; viability is their forward
-    // closure (every node on a root -> match path, §4.1 answer shape).
-    const uint64_t full =
-        m == 64 ? ~uint64_t{0} : (uint64_t{1} << m) - 1;
-    viable.assign(num_sccs, 0);
-    for (int32_t c = 0; c < epoch.num_sccs; ++c) {
-      if (reach[static_cast<size_t>(c)] == full) {
-        viable[static_cast<size_t>(c)] = 1;
-      }
-      if (viable[static_cast<size_t>(c)] == 0) continue;
-      for (int32_t i = epoch.dag_offsets[static_cast<size_t>(c)];
-           i < epoch.dag_offsets[static_cast<size_t>(c) + 1]; ++i) {
-        viable[static_cast<size_t>(
-            epoch.dag_edges[static_cast<size_t>(i)])] = 1;
-      }
-    }
-    for (NodeId n = 0; n < num_nodes_; ++n) {
-      const int32_t c = epoch.scc_of[static_cast<size_t>(n)];
-      if (c >= 0 && viable[static_cast<size_t>(c)] != 0) {
-        mark(n, epoch.begin, epoch.end);
-      }
-    }
-  }
-
-  out->clear();
-  out->reserve(static_cast<size_t>(num_nodes_));
-  for (NodeId n = 0; n < num_nodes_; ++n) {
-    out->push_back(IntervalSet(acc[static_cast<size_t>(n)]));
-  }
-}
-
 bool ReachabilityIndex::IdenticalTo(const ReachabilityIndex& other) const {
   if (timeline_length_ != other.timeline_length_ ||
       num_nodes_ != other.num_nodes_ ||

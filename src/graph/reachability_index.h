@@ -1,4 +1,4 @@
-// ReachabilityIndex: temporal reachability labeling for expansion pruning.
+// ReachabilityIndex: temporal reachability labeling.
 //
 // The transformed temporal graph is, per time instant, an ordinary directed
 // graph (the snapshot G_t, §2.2). Because validity is interval-based, the
@@ -24,18 +24,13 @@
 //     truncated-vs-truncated miss falls back to a DFS over the condensed
 //     DAG pruned by topological id.
 //
-// On top of the boolean oracle the index derives:
-//
-//   * EarliestArrival(u, t, v): the smallest instant t' >= t at which u
-//     reaches v (kNoTimePoint if none) — a lower bound on when any result
-//     tree can connect the pair, monotone non-decreasing in t.
-//   * ComputeViability(...): per-query, the set of instants at which a node
-//     can still participate in *some* answer tree — it must be forward-
-//     reachable from a potential root, where a potential root is a node
-//     that reaches an alive match of every keyword (§4.1 answer shape:
-//     trees rooted at a meeting node with root->match paths). The search
-//     layer prunes NTDs whose validity misses this set entirely (see
-//     docs/reachability.md for the soundness argument).
+// On top of the boolean oracle the index derives EarliestArrival(u, t, v):
+// the smallest instant t' >= t at which u reaches v (kNoTimePoint if none) —
+// a lower bound on when any result tree can connect the pair, monotone
+// non-decreasing in t. No search path reads the index; tests use it as a
+// reachability oracle for answers, and graph_stats, workcount_dump --layout
+// and the dblp benchmark report its build statistics
+// (docs/reachability.md).
 //
 // Built on the first TemporalGraph::reachability() call, once per graph
 // and its copies, and persisted in the binary archive format
@@ -64,9 +59,6 @@ class ReachabilityIndex {
   /// by id (creation order along the topological order), so low ids cover
   /// the bulk of the DAG and truncation rarely loses completeness.
   static constexpr int kMaxLabelEntries = 8;
-
-  /// Keyword capacity of the per-query viability bitmask passes.
-  static constexpr int kMaxViabilityKeywords = 64;
 
   /// One (chain, position) entry; meaning depends on the side (out-labels
   /// store the minimum reachable position, in-labels the maximum reaching
@@ -101,16 +93,6 @@ class ReachabilityIndex {
   /// no such instant exists. Monotone non-decreasing in t.
   temporal::TimePoint EarliestArrival(NodeId u, temporal::TimePoint t,
                                       NodeId v) const;
-
-  /// Per-query viability sets. `matches[j]` lists the match nodes of
-  /// keyword j (duplicates allowed). On return, (*out)[n] is the set of
-  /// instants t at which n lies in the forward closure of the potential
-  /// roots of G_t — nodes reaching an alive match of every keyword. Any
-  /// NTD whose time set misses (*out)[n] can never contribute to an answer
-  /// tree. With more than kMaxViabilityKeywords keywords every node is
-  /// reported fully viable (pruning silently disabled, still sound).
-  void ComputeViability(const std::vector<std::vector<NodeId>>& matches,
-                        std::vector<temporal::IntervalSet>* out) const;
 
   const BuildStats& stats() const { return stats_; }
   NodeId num_nodes() const { return num_nodes_; }

@@ -54,7 +54,7 @@ namespace tgks::ingest {
 
 /// One immutable published view of the live graph. Queries read `graph`,
 /// `index`, and `overlay` directly (overlay may be null — base-only
-/// snapshot); `caches` is the snapshot's private level-1/2/2b bundle,
+/// snapshot); `caches` is the snapshot's private match-set cache bundle,
 /// created empty at publish so no entry can ever predate the data.
 struct GraphSnapshot {
   uint64_t generation = 0;

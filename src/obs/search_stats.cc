@@ -9,7 +9,6 @@ std::string SearchStats::ToString() const {
   os << "pops=" << pops << " ntds_created=" << ntds_created
      << " ntds_merged=" << ntds_merged << " dedup_hits=" << dedup_hits
      << " prunes=" << prunes
-     << " reachability_prunes=" << reachability_prunes
      << " edges_scanned=" << edges_scanned
      << " interval_ops=" << interval_ops
      << " heap_high_water=" << heap_high_water << " micros_match="

@@ -10,8 +10,7 @@
 // Instrumentation sites are wrapped in TGKS_STATS(...) so a build configured
 // with -DTGKS_NO_STATS=ON compiles them out entirely; the struct itself is
 // always present (fields just stay zero), keeping the API stable across both
-// build flavours. bench_throughput demonstrates the default build stays
-// within noise of the compiled-out one.
+// build flavours.
 
 #ifndef TGKS_OBS_SEARCH_STATS_H_
 #define TGKS_OBS_SEARCH_STATS_H_
@@ -44,9 +43,6 @@ struct SearchStats {
   int64_t dedup_hits = 0;     ///< Stale queue entries skipped + duplicate
                               ///< result trees re-derived.
   int64_t prunes = 0;         ///< Elements skipped by predicate pruning (§5).
-  int64_t reachability_prunes = 0;  ///< Sources + NTDs discarded by the
-                                    ///< reachability prune
-                                    ///< (docs/reachability.md).
   int64_t edges_scanned = 0;  ///< In-edges examined during expansion.
 
   // Hot-structure pressure.
@@ -78,7 +74,6 @@ struct SearchStats {
     ntds_merged += other.ntds_merged;
     dedup_hits += other.dedup_hits;
     prunes += other.prunes;
-    reachability_prunes += other.reachability_prunes;
     edges_scanned += other.edges_scanned;
     interval_ops += other.interval_ops;
     if (other.heap_high_water > heap_high_water) {

@@ -27,22 +27,6 @@ BestPathIterator::BestPathIterator(const graph::TemporalGraph& graph,
       lazy_(options_.ranking.factors ==
             FactorList{RankFactor::kRelevance}),
       scratch_(BestPathScratchPool::Acquire()) {
-  // Reachability labels do not cover delta elements; callers must disable
-  // viability while a non-empty overlay is live (the engine does).
-  assert(options_.overlay == nullptr || options_.overlay->empty() ||
-         options_.viability == nullptr);
-  if (masks_ && options_.viability != nullptr) {
-    if (options_.viability_masks != nullptr) {
-      assert(options_.viability_masks->size() == options_.viability->size());
-      viability_masks_ = options_.viability_masks->data();
-    } else {
-      own_viability_masks_.reserve(options_.viability->size());
-      for (const IntervalSet& v : *options_.viability) {
-        own_viability_masks_.push_back(TimeMask::FromIntervalSet(v));
-      }
-      viability_masks_ = own_viability_masks_.data();
-    }
-  }
   scratch_->Reset(sources.size());
   for (int32_t origin = 0; origin < num_sources_; ++origin) {
     const NodeId source = sources[static_cast<size_t>(origin)];
@@ -61,15 +45,6 @@ BestPathIterator::BestPathIterator(const graph::TemporalGraph& graph,
       continue;  // QUALIFY(s, P) failed; the source starts exhausted.
     }
     if (src.validity.IsEmpty()) continue;
-    if (options_.viability != nullptr &&
-        !src.validity.Overlaps(
-            (*options_.viability)[static_cast<size_t>(source)])) {
-      // The source can never sit on an answer tree at any of its instants;
-      // its whole backward expansion would be fruitless
-      // (docs/reachability.md).
-      ++stats_.reachability_prunes;
-      continue;
-    }
     if (masks_) {
       PushNtd(slot, origin, source, TimeMask::FromIntervalSet(src.validity),
               src.weight, kInvalidNtd, graph::kInvalidEdge);
@@ -334,13 +309,6 @@ bool BestPathIterator::ChildSurvives(const BestPathOrigin& slot,
   view.IntersectEdgeValidity(s, parent_time, tmp);
   TGKS_STATS(++stats_.interval_ops);
   if (tmp->IsEmpty()) return false;
-  if (options_.viability != nullptr && !Viable(neighbor, *tmp)) {
-    // No instant of this NTD can sit on an answer tree; dropping it here
-    // leaves claims over non-viable instants unrecorded, which never
-    // changes accepted results (see docs/reachability.md).
-    ++stats_.reachability_prunes;
-    return false;
-  }
   TGKS_STATS(++stats_.interval_ops);
   if (FullyClaimed(slot, neighbor, *tmp)) {
     // Every instant is already claimed at the neighbor by strictly earlier
@@ -489,13 +457,6 @@ void BestPathIterator::ExpandNeighborsSubsumption(BestPathOrigin& slot,
     view.IntersectEdgeValidity(s, parent_time, &tmp);
     TGKS_STATS(++stats_.interval_ops);
     if (tmp.IsEmpty()) return;
-    if (options_.viability != nullptr && !Viable(neighbor, tmp)) {
-      // A wholly non-viable NTD can neither appear in a result nor evict /
-      // subsume anything a viable path needs: any NTD it would subsume is
-      // itself wholly non-viable and gets pruned here too.
-      ++stats_.reachability_prunes;
-      return;
-    }
 
     NodeSubsumption& entry =
         slot.subsumption.Activate(static_cast<uint32_t>(neighbor),

@@ -48,8 +48,8 @@
 // Time sets have two representations, chosen once per iterator from the
 // graph's timeline_length() (docs/performance.md, "Word-parallel time
 // masks"): on timelines of at most TimeMask::kCapacity (128) instants, NTD
-// times, per-node claims, the per-edge intersection, viability and the
-// temporal score factors are all TimeMasks — two 64-bit words each. Longer
+// times, per-node claims, the per-edge intersection and the temporal score
+// factors are all TimeMasks — two 64-bit words each. Longer
 // timelines run the same loops on IntervalSets, with NTD times in an arena
 // parallel to the NTDs. Both produce identical pops and work counters;
 // TimeOf() reads an NTD's time in either.
@@ -102,10 +102,6 @@ struct IteratorStats {
   int64_t nodes_reached = 0;     ///< Distinct nodes with >= 1 popped NTD.
   int64_t subsumption_skips = 0; ///< Algorithm-2 case-1 prunes.
   int64_t subsumption_evictions = 0;  ///< Algorithm-2 case-3 removals.
-  /// NTDs discarded because their time set missed the viability set
-  /// (Options::viability). Affects the explored state space, so it is a
-  /// real work counter, never compiled out.
-  int64_t reachability_prunes = 0;
   // Observability additions (zero in TGKS_NO_STATS builds).
   int64_t prunes = 0;            ///< Elements rejected by predicate pruning.
   int64_t interval_ops = 0;      ///< IntervalSet ops on the expansion path.
@@ -141,32 +137,17 @@ class BestPathIterator {
     /// TGKS_NO_STATS builds.
     obs::QueryTrace* trace = nullptr;
     int32_t trace_iter = -1;
-    /// Optional per-node viability sets (not owned; one entry per graph
-    /// node). When set, an expansion product whose time set misses the
-    /// neighbor's viability entirely is discarded instead of pushed, and a
-    /// source with empty viability overlap starts exhausted — the
-    /// reachability prune of docs/reachability.md. Soundness rests on
-    /// viability being *hereditary*: backward expansion from a viable NTD
-    /// only visits nodes viable at the same instants.
-    const std::vector<temporal::IntervalSet>* viability = nullptr;
-    /// Optional mask form of `viability` (not owned; same length), read on
-    /// timelines that fit a TimeMask. The engine converts once per query
-    /// and shares it across keywords; when null, the iterator converts
-    /// `viability` itself. Ignored on longer timelines.
-    const std::vector<temporal::TimeMask>* viability_masks = nullptr;
     /// Optional append overlay for live graphs (not owned; see
     /// graph/delta_overlay.h). When set and non-empty, expansion walks the
     /// base ExpansionView run and then the node's delta in-edge run — the
     /// exact enumeration a rebuilt graph would produce — and node reads
-    /// route by id between base and delta storage. Must not be combined
-    /// with viability: reachability labels do not cover delta elements
-    /// (the engine forces it off while a delta is live).
+    /// route by id between base and delta storage.
     const graph::DeltaOverlay* overlay = nullptr;
   };
 
   /// Starts one backward expansion per entry of `sources`; source i is the
-  /// NTD origin i. A source that fails the predicate prune (or the
-  /// viability gate) starts exhausted.
+  /// NTD origin i. A source that fails the predicate prune starts
+  /// exhausted.
   BestPathIterator(const graph::TemporalGraph& graph,
                    std::span<const graph::NodeId> sources, Options options);
   /// The one-source case.
@@ -318,9 +299,9 @@ class BestPathIterator {
 
   /// The partition checks of the child of the NTD with `parent_time` /
   /// `parent_dist` at slot `s`, in Algorithm 1's order: predicate prune,
-  /// T∩ = parent_time ∩ val(edge) non-empty, viability, then `slot`'s
-  /// claims. Counts the slot as scanned. True iff the child
-  /// is to be created, with T∩ in `*tmp`.
+  /// T∩ = parent_time ∩ val(edge) non-empty, then `slot`'s claims. Counts
+  /// the slot as scanned. True iff the child is to be created, with T∩ in
+  /// `*tmp`.
   template <typename Time, typename Reader>
   bool ChildSurvives(const BestPathOrigin& slot, const Time& parent_time,
                      double parent_dist, int64_t s, graph::NodeId neighbor,
@@ -331,15 +312,6 @@ class BestPathIterator {
   template <typename Time, typename Reader>
   bool ElementsMayQualify(const Reader& reader, int64_t s,
                           graph::NodeId neighbor) const;
-
-  /// Whether `time` overlaps the viability of `node`
-  /// (Options::viability must be set).
-  bool Viable(graph::NodeId node, const temporal::TimeMask& time) const {
-    return time.Overlaps(viability_masks_[static_cast<size_t>(node)]);
-  }
-  bool Viable(graph::NodeId node, const temporal::IntervalSet& time) const {
-    return time.Overlaps((*options_.viability)[static_cast<size_t>(node)]);
-  }
 
   /// True iff every instant of `time` is already claimed at `node` by
   /// `slot`'s source (allocation-free).
@@ -357,11 +329,6 @@ class BestPathIterator {
   /// Lazy successor generation: partition semantics with factors exactly
   /// {relevance}.
   bool lazy_ = false;
-  /// Mask viability, one entry per node, when masks_ and
-  /// Options::viability are set: Options::viability_masks' buffer or, when
-  /// that is null, own_viability_masks_'.
-  const temporal::TimeMask* viability_masks_ = nullptr;
-  std::vector<temporal::TimeMask> own_viability_masks_;
 
   BestPathScratchPool::Handle scratch_;
   IteratorStats stats_;

@@ -5,7 +5,6 @@
 
 #include "graph/delta_overlay.h"
 #include "graph/expansion_view.h"
-#include "graph/reachability_index.h"
 #include "search/expansion_reader.h"
 #include "search/result_tree.h"
 
@@ -51,8 +50,6 @@ LabelCorrectingIterator::LabelCorrectingIterator(
          source < (options_.overlay != nullptr
                        ? options_.overlay->total_nodes()
                        : graph.num_nodes()));
-  assert(options_.overlay == nullptr || options_.overlay->empty() ||
-         options_.viability == nullptr);
   scratch_->Reset();
   const IntervalSet& validity =
       options_.overlay != nullptr
@@ -66,11 +63,6 @@ LabelCorrectingIterator::LabelCorrectingIterator(
 
 NtdId LabelCorrectingIterator::TryKeep(NodeId node, const IntervalSet& time,
                                        NtdId parent, EdgeId via_edge) {
-  if (options_.viability != nullptr &&
-      !time.Overlaps((*options_.viability)[static_cast<size_t>(node)])) {
-    ++stats_.reachability_prunes;
-    return kInvalidNtd;
-  }
   NodeSubsumption& state = scratch_->states.Activate(
       static_cast<uint32_t>(node), [this](NodeSubsumption& stale) {
         stale.Fresh(temporal::NtdIndexKind::kRowMajor,
@@ -212,23 +204,13 @@ std::vector<InverseSearchResult> SearchInverse(
     const graph::TemporalGraph& graph,
     const std::vector<std::vector<NodeId>>& matches,
     InverseRankFactor factor, int32_t k,
-    int64_t max_relaxations_per_iterator, bool reachability_prune,
+    int64_t max_relaxations_per_iterator,
     const graph::DeltaOverlay* overlay) {
   const size_t m = matches.size();
   LabelCorrectingIterator::Options options;
   options.factor = factor;
   options.max_relaxations = max_relaxations_per_iterator;
-  if (overlay != nullptr && !overlay->empty()) {
-    // Reachability labels do not cover delta elements; fall back to the
-    // sound no-prune mode until the next compaction rebuilds them.
-    reachability_prune = false;
-    options.overlay = overlay;
-  }
-  std::vector<IntervalSet> viability;
-  if (reachability_prune) {
-    graph.reachability().ComputeViability(matches, &viability);
-    options.viability = &viability;
-  }
+  if (overlay != nullptr && !overlay->empty()) options.overlay = overlay;
 
   // One iterator per match node, grouped by keyword.
   std::vector<std::vector<std::unique_ptr<LabelCorrectingIterator>>> per_kw(m);

@@ -61,9 +61,6 @@ namespace tgks::search {
 /// are control-flow state and always maintained).
 struct LabelCorrectingStats {
   int64_t fragments_dropped = 0;      ///< Arrivals covered by kept subsets.
-  /// Arrivals discarded because their time set missed the viability set
-  /// (Options::viability). Control-flow state, never compiled out.
-  int64_t reachability_prunes = 0;
   int64_t interval_ops = 0;           ///< IntervalSet ops on the hot path.
   int64_t worklist_high_water = 0;    ///< Max worklist size ever reached.
 };
@@ -93,18 +90,8 @@ class LabelCorrectingIterator {
     /// `trace_iter` as their iterator id. Ignored in TGKS_NO_STATS builds.
     obs::QueryTrace* trace = nullptr;
     int32_t trace_iter = -1;
-    /// Optional per-node viability sets (not owned; one entry per graph
-    /// node) — the reachability prune of docs/reachability.md. An arrival
-    /// whose time set misses the node's viability entirely is dropped
-    /// before the dominance check. Sound for the same hereditary reason as
-    /// BestPathIterator: a wholly non-viable fragment can never join into
-    /// an answer tree, and pruning it only *keeps more* of the fragments
-    /// it would have covered, never fewer per-instant optima at viable
-    /// instants.
-    const std::vector<temporal::IntervalSet>* viability = nullptr;
     /// Optional append overlay for live graphs (not owned; see
-    /// graph/delta_overlay.h and search/expansion_reader.h). Must not be
-    /// combined with viability while non-empty.
+    /// graph/delta_overlay.h and search/expansion_reader.h).
     const graph::DeltaOverlay* overlay = nullptr;
   };
 
@@ -186,17 +173,13 @@ struct InverseSearchResult {
 /// every returned tree is still valid. The state space is worst-case
 /// exponential in the timeline (like Algorithm 2), so keep inverse
 /// searches to archive-scale timelines or set the valve.
-/// `reachability_prune` opts into the viability prune of
-/// docs/reachability.md (identical results, smaller explored state space).
 /// `overlay`, when set and non-empty, searches the live snapshot (base
-/// graph + delta); the prune is forced off in that case because the
-/// reachability labels do not cover delta elements.
+/// graph + delta).
 std::vector<InverseSearchResult> SearchInverse(
     const graph::TemporalGraph& graph,
     const std::vector<std::vector<graph::NodeId>>& matches,
     InverseRankFactor factor, int32_t k,
     int64_t max_relaxations_per_iterator = 200000,
-    bool reachability_prune = false,
     const graph::DeltaOverlay* overlay = nullptr);
 
 }  // namespace tgks::search

@@ -2,12 +2,10 @@
 
 #include "cache/match_set_cache.h"
 #include "cache/query_caches.h"
-#include "cache/viability_cache.h"
 #include "common/scratch_pool.h"
 #include "common/strings.h"
 #include "common/timer.h"
 #include "graph/delta_overlay.h"
-#include "graph/reachability_index.h"
 #include "obs/metrics.h"
 #include "search/candidate_memo.h"
 
@@ -69,7 +67,6 @@ struct EngineMetrics {
   obs::Counter* stop_max_pops;
   obs::Counter* stop_deadline;
   obs::Counter* stop_cancelled;
-  obs::Counter* reachability_prunes;
   obs::Gauge* heap_high_water;
   obs::Histogram* query_micros;
   obs::Histogram* pops_per_query;
@@ -101,9 +98,6 @@ struct EngineMetrics {
       out->stop_cancelled = reg.GetCounter(
           "tgks_search_stop_cancelled_total",
           "Queries stopped by a cancellation token.");
-      out->reachability_prunes = reg.GetCounter(
-          "tgks_search_reachability_prunes_total",
-          "Sources and NTDs discarded by the reachability prune.");
       out->heap_high_water = reg.GetGauge(
           "tgks_search_heap_high_water",
           "Most entries one frontier source ever held: its queue, plus its "
@@ -247,13 +241,6 @@ class Runner {
     // An empty overlay is indistinguishable from none; normalizing here
     // keeps every downstream check a plain null test.
     options_.overlay = NonEmpty(options_.overlay);
-    if (options_.overlay != nullptr) {
-      // Conservative no-prune fallback on live snapshots: the base
-      // ReachabilityIndex does not cover delta connectivity, so pruning
-      // with it would be unsound until compaction folds the delta into a
-      // new base graph (docs/ingest.md, "Conservative pruning").
-      options_.reachability_prune = false;
-    }
   }
 
   Runner(const Runner&) = delete;
@@ -284,45 +271,6 @@ class Runner {
       }
     }
     FilterMatches();
-    if (options_.reachability_prune) {
-      // Per-query viability sets from the graph's reachability labeling
-      // (docs/reachability.md), computed once from the filtered match
-      // lists. With a viability cache (docs/caching.md) the computation is
-      // memoized on the exact filtered lists: a hit shares an immutable
-      // vector computed by an earlier query with the same keyword set.
-      filter_timer_.Start();
-      cache::ViabilityCache* vcache =
-          options_.query_caches != nullptr
-              ? &options_.query_caches->viability()
-              : nullptr;
-      if (vcache != nullptr) {
-        cache::ViabilityKey key = cache::MakeViabilityKey(match_lists_);
-        viability_shared_ = vcache->Lookup(key);
-        if (viability_shared_ == nullptr) {
-          auto computed = std::make_shared<std::vector<IntervalSet>>();
-          graph_.reachability().ComputeViability(match_lists_,
-                                                 computed.get());
-          viability_shared_ =
-              vcache->Insert(std::move(key), std::move(computed));
-          ++response_.counters.cache_viability_misses;
-        } else {
-          ++response_.counters.cache_viability_hits;
-        }
-        viability_view_ = viability_shared_.get();
-      } else {
-        graph_.reachability().ComputeViability(match_lists_, &viability_);
-        viability_view_ = &viability_;
-      }
-      if (TimeMask::Fits(graph_.timeline_length())) {
-        // The frontiers run on masks: convert once here rather than once
-        // per keyword.
-        viability_masks_.reserve(viability_view_->size());
-        for (const IntervalSet& v : *viability_view_) {
-          viability_masks_.push_back(TimeMask::FromIntervalSet(v));
-        }
-      }
-      filter_timer_.Stop();
-    }
     // One clock read per phase switch, not two per pop: the frontier
     // build plus the whole loop are timed here, and Finalize() takes the
     // generation time nested inside back out to get seconds_expand.
@@ -388,12 +336,6 @@ class Runner {
     iter_options.duration_index = options_.duration_index;
     iter_options.trace = options_.trace;
     iter_options.overlay = options_.overlay;
-    if (options_.reachability_prune) {
-      iter_options.viability = viability_view_;
-      if (!viability_masks_.empty()) {
-        iter_options.viability_masks = &viability_masks_;
-      }
-    }
     iter_options.trace_iter = 0;
     for (size_t kw = 0; kw < m_; ++kw) {
       iterators_[kw].emplace(graph_, match_lists_[kw], iter_options);
@@ -857,7 +799,6 @@ class Runner {
       c.edges_scanned += is.edges_scanned;
       c.subsumption_skips += is.subsumption_skips;
       c.subsumption_evictions += is.subsumption_evictions;
-      c.reachability_prunes += is.reachability_prunes;
       for (int32_t origin = 0; origin < frontier->num_sources(); ++origin) {
         if (frontier->num_ntds(origin) > 1) {
           // The paper's "average number of NTDs associated with each node
@@ -888,7 +829,6 @@ class Runner {
     s.pops = c.pops;
     s.ntds_created = c.ntds_created;
     s.dedup_hits = c.useless_pops + c.duplicates;
-    s.reachability_prunes = c.reachability_prunes;
     s.interval_ops = engine_interval_ops_;
     for (const auto& frontier : iterators_) {
       const IteratorStats& is = frontier->stats();
@@ -908,7 +848,6 @@ class Runner {
     gm.pops->Increment(s.pops);
     gm.ntds_created->Increment(s.ntds_created);
     gm.results->Increment(c.results);
-    gm.reachability_prunes->Increment(c.reachability_prunes);
     switch (response_.stop_reason) {
       case StopReason::kExhausted:
         gm.stop_exhausted->Increment();
@@ -934,7 +873,7 @@ class Runner {
 
  public:
   Stopwatch match_timer_;  // Started by SearchEngine during match lookup.
-  // Level-1 cache activity during SearchEngine's match materialization,
+  // Match-set cache activity during SearchEngine's match materialization,
   // surfaced through SearchCounters by Finalize().
   int64_t cache_match_hits_ = 0;
   int64_t cache_match_misses_ = 0;
@@ -942,8 +881,8 @@ class Runner {
  private:
   const graph::TemporalGraph& graph_;
   const Query& query_;
-  /// By value: the ctor normalizes an empty overlay to null and forces the
-  /// prune flags off on live snapshots, so the struct must be mutable.
+  /// By value: the ctor normalizes an empty overlay to null, so the struct
+  /// must be mutable.
   SearchOptions options_;
   const size_t m_;
 
@@ -951,15 +890,6 @@ class Runner {
   bool has_deadline_ = false;
 
   std::vector<std::vector<NodeId>> match_lists_;
-  /// reachability_prune only: per-node viable instants, shared read-only by
-  /// every iterator. `viability_view_`
-  /// points at whichever storage is live: the locally computed vector, or
-  /// an immutable vector shared through the viability cache.
-  std::vector<IntervalSet> viability_;
-  std::shared_ptr<const std::vector<IntervalSet>> viability_shared_;
-  const std::vector<IntervalSet>* viability_view_ = nullptr;
-  /// The live viability as masks, when the timeline fits a TimeMask.
-  std::vector<TimeMask> viability_masks_;
 
   // Candidate generation. Every buffer lives for the whole query, so a
   // warm candidate allocates only if it becomes a result.

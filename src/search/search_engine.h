@@ -70,26 +70,9 @@ struct SearchOptions {
   /// Documented extension (§5 deviation): also prune elements disjoint from
   /// a CONTAINED BY window. Off by default for paper fidelity.
   bool containedby_prune = false;
-  /// Opt-in reachability pruning (docs/reachability.md): before expansion,
-  /// the engine computes per-node viability sets from the graph's
-  /// ReachabilityIndex — the instants at which a node can still lie on
-  /// some answer tree (forward closure of the nodes that temporally reach
-  /// an alive match of EVERY keyword). Match sources with empty viability
-  /// start exhausted, and expansion discards NTDs whose time set misses
-  /// the neighbor's viability entirely. Exhaustive runs (k <= 0) provably
-  /// return identical results; bounded runs stop on a smaller frontier, so
-  /// the §4.2 test can fire at a slightly different pop and swap results
-  /// at the stopping boundary — under the heuristic bounds the pruned run
-  /// has been observed to return strictly MORE of the true top-k (see
-  /// docs/reachability.md, "Bounded stops"). The pruning-soundness
-  /// differential suite pins exact equality across its 60-graph ranking x
-  /// bound sweep; the work saved is visible in
-  /// SearchCounters::reachability_prunes. Off by default.
-  bool reachability_prune = false;
   /// Opt-in per-graph query caches (docs/caching.md; not owned, thread-safe,
-  /// must outlive the call). Level 1 serves keyword match sets in Search();
-  /// level 2 memoizes ComputeViability under reachability_prune, keyed by
-  /// the exact filtered match lists so a hit is bit-identical to
+  /// must outlive the call). The engine reads its match-set level: Search()
+  /// serves keyword match sets from it, so a hit is bit-identical to
   /// recomputation. Results and work counters are unchanged by caching —
   /// only wall time and the SearchCounters::cache_* fields differ.
   cache::QueryCaches* query_caches = nullptr;
@@ -98,11 +81,7 @@ struct SearchOptions {
   /// graph elements through it — keyword match lists gain the overlay's
   /// delta postings, expansion walks base in-edge runs followed by delta
   /// runs (the exact enumeration order a rebuilt graph would produce), and
-  /// candidate assembly routes delta element ids through the overlay. A
-  /// non-empty overlay forces reachability_prune OFF for the call: the
-  /// base ReachabilityIndex does not speak for delta-touched
-  /// connectivity, so the only sound policy until compaction folds the
-  /// delta in is to not prune (docs/ingest.md, "Conservative pruning").
+  /// candidate assembly routes delta element ids through the overlay.
   /// An empty overlay is identical to null.
   const graph::DeltaOverlay* overlay = nullptr;
   /// Safety valve: stop after this many NTD pops (<= 0 = unlimited).
@@ -169,17 +148,11 @@ struct SearchCounters {
   /// assembling them (docs/algorithms.md, "Redundant keyword paths").
   /// Each is also counted under the verdict it replayed.
   int64_t memo_hits = 0;
-  /// reachability_prune only: match sources dropped plus expansion NTDs
-  /// discarded because their time set missed the viability set.
-  int64_t reachability_prunes = 0;
   int64_t results = 0;             ///< Distinct valid results found.
   /// query_caches only (docs/caching.md): keyword match-set lookups served
-  /// from / missed by the level-1 cache, and viability computations served
-  /// from / missed by the level-2 cache. All zero when caching is off.
+  /// from / missed by the match-set cache. Both zero when caching is off.
   int64_t cache_match_hits = 0;
   int64_t cache_match_misses = 0;
-  int64_t cache_viability_hits = 0;
-  int64_t cache_viability_misses = 0;
   /// Mean NTDs per reached node per source (the paper's "average number
   /// of NTDs associated with each node"), over sources that expanded past
   /// themselves.

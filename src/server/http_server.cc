@@ -21,6 +21,7 @@
 #include <map>
 #include <mutex>
 #include <set>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -600,6 +601,11 @@ HttpServer::~HttpServer() { Shutdown(); }
 Status HttpServer::Start() {
   if (running_.load(std::memory_order_acquire)) {
     return Status::Internal("server already running");
+  }
+  // htons would silently wrap an out-of-range port (70000 binds 4464).
+  if (options_.port < 0 || options_.port > 65535) {
+    return Status::InvalidArgument("port out of range [0, 65535]: " +
+                                   std::to_string(options_.port));
   }
   // Socket writes to dead peers must surface as EPIPE, not kill the
   // process (also covers the wake pipe racing shutdown).

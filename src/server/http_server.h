@@ -36,7 +36,8 @@ namespace tgks::server {
 
 struct HttpServerOptions {
   std::string bind_address = "127.0.0.1";
-  /// TCP port; 0 binds an ephemeral port (read it back via port()).
+  /// TCP port in [0, 65535]; 0 binds an ephemeral port (read it back via
+  /// port()). Start() rejects anything outside that range.
   int port = 0;
   int backlog = 128;
   /// Forces the portable poll() backend instead of epoll.

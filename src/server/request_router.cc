@@ -39,12 +39,12 @@ HttpResponse JsonResponse(int status, std::string body) {
 
 /// Canonical result-cache key (docs/caching.md): everything that can change
 /// the response bytes. The query contributes its canonical text (parsed,
-/// deduplicated, ToString-normalized), then effective k, the bound and
-/// prune overrides, and any explicit match lists. Deadlines are
-/// deliberately excluded — only complete responses are cached, and a
-/// complete answer is valid under any deadline. Overrides encode tri-state
-/// ('-' = inherit the executor default) so a request that spells an option
-/// and one that inherits it never alias.
+/// deduplicated, ToString-normalized), then effective k, the bound
+/// override, and any explicit match lists. Deadlines are deliberately
+/// excluded — only complete responses are cached, and a complete answer is
+/// valid under any deadline. An unset bound encodes as '-' (inherit the
+/// executor default) so a request that spells the bound and one that
+/// inherits it never alias.
 std::string CacheFingerprint(const exec::SingleQuery& single) {
   std::string fp = single.query.query.ToString();
   fp += "\x1f k=";
@@ -55,11 +55,6 @@ std::string CacheFingerprint(const exec::SingleQuery& single) {
   } else {
     fp += '-';
   }
-  const auto tri = [](const std::optional<bool>& v) {
-    return !v.has_value() ? '-' : (*v ? '1' : '0');
-  };
-  fp += "\x1f reach=";
-  fp += tri(single.reachability_prune);
   fp += "\x1f matches=";
   for (const auto& list : single.query.matches) {
     for (const graph::NodeId id : list) {
@@ -88,16 +83,11 @@ void WriteCounters(const search::SearchCounters& counters, JsonWriter* w) {
   w->Key("predicate_rejected"); w->Int(counters.predicate_rejected);
   w->Key("duplicates"); w->Int(counters.duplicates);
   w->Key("combo_overflows"); w->Int(counters.combo_overflows);
-  w->Key("reachability_prunes"); w->Int(counters.reachability_prunes);
-  if (counters.cache_match_hits != 0 || counters.cache_match_misses != 0 ||
-      counters.cache_viability_hits != 0 ||
-      counters.cache_viability_misses != 0) {
+  if (counters.cache_match_hits != 0 || counters.cache_match_misses != 0) {
     // Present only when query caches were active, so cache-off stats bodies
     // (and their golden transcripts) keep their exact byte layout.
     w->Key("cache_match_hits"); w->Int(counters.cache_match_hits);
     w->Key("cache_match_misses"); w->Int(counters.cache_match_misses);
-    w->Key("cache_viability_hits"); w->Int(counters.cache_viability_hits);
-    w->Key("cache_viability_misses"); w->Int(counters.cache_viability_misses);
   }
   w->Key("results"); w->Int(counters.results);
   w->EndObject();
@@ -110,7 +100,6 @@ void WriteStats(const obs::SearchStats& stats, JsonWriter* w) {
   w->Key("ntds_merged"); w->Int(stats.ntds_merged);
   w->Key("dedup_hits"); w->Int(stats.dedup_hits);
   w->Key("prunes"); w->Int(stats.prunes);
-  w->Key("reachability_prunes"); w->Int(stats.reachability_prunes);
   w->Key("edges_scanned"); w->Int(stats.edges_scanned);
   w->Key("interval_ops"); w->Int(stats.interval_ops);
   w->Key("heap_high_water"); w->Int(stats.heap_high_water);
@@ -561,8 +550,6 @@ HttpResponse RequestRouter::HandleVarz() const {
   if (context_.query_caches != nullptr) {
     w.Key("match_cache");
     write_cache_stats(context_.query_caches->match_sets().stats());
-    w.Key("viability_cache");
-    write_cache_stats(context_.query_caches->viability().stats());
     w.Key("query_cache_generation");
     w.Int(static_cast<int64_t>(context_.query_caches->generation()));
   }
@@ -764,18 +751,6 @@ bool RequestRouter::HandleSearch(const HttpRequest& request,
       return true;
     }
     include_stats = stats->AsBool();
-  }
-
-  // Optional per-request reachability prune (docs/reachability.md); results
-  // are identical either way, only the explored state space shrinks.
-  if (const JsonValue* reach = doc->Find("reachability_prune");
-      reach != nullptr) {
-    if (!reach->is_bool()) {
-      *immediate = JsonResponse(
-          400, JsonErrorBody("request", "reachability_prune must be a bool"));
-      return true;
-    }
-    single.reachability_prune = reach->AsBool();
   }
 
   // Optional per-request cache bypass (docs/caching.md): "cache": false

@@ -75,10 +75,10 @@ struct RouterContext {
   int64_t max_deadline_ms = 60 * 1000;
   /// Human-readable dataset name reported by /varz.
   std::string dataset_name;
-  /// Optional serving-layer result cache (level 3, docs/caching.md; not
+  /// Optional serving-layer result cache (level 2, docs/caching.md; not
   /// owned). Null = caching off: every search runs, no x-cache header.
   cache::ResultCache* result_cache = nullptr;
-  /// Optional in-engine cache bundle (levels 1-2; not owned). The executor
+  /// Optional in-engine cache bundle (level 1; not owned). The executor
   /// reaches it through its SearchOptions; the router only needs it for
   /// /varz and the /v1/cache/invalidate hook.
   cache::QueryCaches* query_caches = nullptr;

@@ -4,8 +4,8 @@
 // The paper's timelines are short and discrete, and its own Algorithm 2
 // already decides subsumption on per-instant bitmaps (Fig. 5). When a
 // graph's timeline has at most kCapacity instants, every time set the best
-// path iterators touch — element validities, NTD times, per-node claims,
-// viability — fits in two 64-bit words. Then ∩ / ∪ / ⊆ are two word
+// path iterators touch — element validities, NTD times, per-node claims —
+// fits in two 64-bit words. Then ∩ / ∪ / ⊆ are two word
 // operations each, and Start / End / Duration are ctz / clz / popcount,
 // against an interval-list merge per operation on IntervalSet.
 //

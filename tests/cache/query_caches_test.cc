@@ -1,12 +1,10 @@
-// In-engine cache bundle tests: match-set materialization and case folding
-// (level 1), viability key canonicalization (level 2), and the bundle's
-// InvalidateAll generation hook.
+// In-engine cache bundle tests: match-set materialization and case folding,
+// and the bundle's InvalidateAll generation hook.
 
 #include "cache/query_caches.h"
 
 #include <gtest/gtest.h>
 
-#include "cache/viability_cache.h"
 #include "graph/graph_builder.h"
 #include "graph/inverted_index.h"
 #include "temporal/interval_set.h"
@@ -76,56 +74,17 @@ TEST(MatchSetCacheTest, UnknownKeywordCachesEmptySet) {
   EXPECT_TRUE(hit);  // Negative entries are cached too.
 }
 
-TEST(ViabilityKeyTest, KeywordOrderDoesNotChangeTheKey) {
-  // ComputeViability is keyword-order-invariant, so the key must be too.
-  const std::vector<std::vector<NodeId>> ab = {{1, 2, 3}, {4, 5}};
-  const std::vector<std::vector<NodeId>> ba = {{4, 5}, {1, 2, 3}};
-  EXPECT_EQ(MakeViabilityKey(ab), MakeViabilityKey(ba));
-  EXPECT_EQ(ViabilityKeyHash{}(MakeViabilityKey(ab)),
-            ViabilityKeyHash{}(MakeViabilityKey(ba)));
-}
-
-TEST(ViabilityKeyTest, DifferentListsDifferentKeys) {
-  const std::vector<std::vector<NodeId>> a = {{1, 2, 3}, {4, 5}};
-  const std::vector<std::vector<NodeId>> b = {{1, 2, 3}, {4, 6}};
-  EXPECT_FALSE(MakeViabilityKey(a) == MakeViabilityKey(b));
-}
-
-TEST(ViabilityKeyTest, ListBoundariesMatter) {
-  // {1,2},{3} vs {1},{2,3}: same flattened ids, different partitions. The
-  // length prefix in the encoding must keep them distinct.
-  const std::vector<std::vector<NodeId>> a = {{1, 2}, {3}};
-  const std::vector<std::vector<NodeId>> b = {{1}, {2, 3}};
-  EXPECT_FALSE(MakeViabilityKey(a) == MakeViabilityKey(b));
-}
-
-TEST(ViabilityCacheTest, InsertThenLookup) {
-  ViabilityCache cache(1 << 20);
-  const ViabilityKey key = MakeViabilityKey({{1, 2}});
-  EXPECT_EQ(cache.Lookup(key), nullptr);
-  auto value = std::make_shared<ViabilityVector>(3);
-  (*value)[1] = IntervalSet{{0, 5}};
-  const auto stored = cache.Insert(key, value);
-  EXPECT_EQ(stored.get(), value.get());
-  const auto got = cache.Lookup(key);
-  ASSERT_NE(got, nullptr);
-  EXPECT_EQ((*got)[1], (IntervalSet{{0, 5}}));
-}
-
 TEST(QueryCachesTest, InvalidateAllClearsBothLevelsAndBumpsGeneration) {
   const TemporalGraph g = SmallGraph();
   const graph::InvertedIndex index(g);
   QueryCaches caches;
   bool hit = true;
   caches.match_sets().GetOrCompute(g, index, "likes", &hit);
-  caches.viability().Insert(MakeViabilityKey({{0, 1}}),
-                            std::make_shared<ViabilityVector>(3));
   EXPECT_EQ(caches.generation(), 0u);
 
   EXPECT_EQ(caches.InvalidateAll(), 1u);
   EXPECT_EQ(caches.generation(), 1u);
   EXPECT_EQ(caches.match_sets().stats().entries, 0);
-  EXPECT_EQ(caches.viability().stats().entries, 0);
   caches.match_sets().GetOrCompute(g, index, "likes", &hit);
   EXPECT_FALSE(hit);  // Gone — recomputed after invalidation.
 }

@@ -8,13 +8,11 @@
 // loudly with the witness triple on any mismatch. Property tests cover the
 // EarliestArrival contract (lower bound, monotone in the start instant,
 // "a later start never reaches more"), transitivity of the boolean oracle,
-// per-query viability against its set-theoretic definition, build
-// determinism, and byte-identical serialization round trips. The lazy
+// build determinism, and byte-identical serialization round trips. The lazy
 // index (built on the first reachability() call, shared by every copy of a
 // graph) is pinned too: concurrent first calls share one build, saving is
-// independent of whether the index was probed before, a version-4 load
-// installs the persisted labels without building, and pruned searches are
-// the same on an untouched graph and on a pre-built one.
+// independent of whether the index was probed before, and a version-4 load
+// installs the persisted labels without building.
 
 #include <algorithm>
 #include <cstdint>
@@ -28,11 +26,8 @@
 
 #include "common/random.h"
 #include "graph/graph_builder.h"
-#include "graph/inverted_index.h"
 #include "graph/reachability_index.h"
 #include "graph/serialization.h"
-#include "search/query_parser.h"
-#include "search/search_engine.h"
 #include "temporal/interval_set.h"
 
 namespace tgks {
@@ -175,62 +170,6 @@ void CheckProperties(const TemporalGraph& g, Rng* rng,
   }
 }
 
-void CheckViability(const TemporalGraph& g, Rng* rng,
-                    const std::string& context) {
-  const ReachabilityIndex& index = g.reachability();
-  const auto oracle = BfsOracle(g);
-  const size_t num_keywords = 1 + rng->Uniform(3);
-  std::vector<std::vector<NodeId>> matches(num_keywords);
-  for (auto& list : matches) {
-    const size_t count = 1 + rng->Uniform(3);
-    for (size_t i = 0; i < count; ++i) {
-      list.push_back(
-          static_cast<NodeId>(rng->Uniform(static_cast<uint64_t>(
-              g.num_nodes()))));
-    }
-  }
-
-  std::vector<IntervalSet> viability;
-  index.ComputeViability(matches, &viability);
-  ASSERT_EQ(viability.size(), static_cast<size_t>(g.num_nodes()));
-
-  for (TimePoint t = 0; t < g.timeline_length(); ++t) {
-    // Definition: roots reach an alive match of every keyword; a node is
-    // viable iff some root reaches it.
-    uint64_t root_mask = 0;
-    for (NodeId r = 0; r < g.num_nodes(); ++r) {
-      if (!g.NodeAliveAt(r, t)) continue;
-      bool all = true;
-      for (const auto& list : matches) {
-        bool any = false;
-        for (const NodeId s : list) {
-          if (g.NodeAliveAt(s, t) && OracleReaches(oracle, r, t, s)) {
-            any = true;
-            break;
-          }
-        }
-        if (!any) {
-          all = false;
-          break;
-        }
-      }
-      if (all) root_mask |= uint64_t{1} << r;
-    }
-    uint64_t viable_mask = 0;
-    for (NodeId r = 0; r < g.num_nodes(); ++r) {
-      if ((root_mask >> r) & 1) {
-        viable_mask |= oracle[static_cast<size_t>(t)][static_cast<size_t>(r)];
-      }
-    }
-    for (NodeId node = 0; node < g.num_nodes(); ++node) {
-      ASSERT_EQ(viability[static_cast<size_t>(node)].Contains(t),
-                ((viable_mask >> node) & 1) != 0)
-          << context << ": viability witness (node=" << node << ", t=" << t
-          << ", keywords=" << num_keywords << ")";
-    }
-  }
-}
-
 class ReachabilityOracleTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ReachabilityOracleTest, EveryTripleMatchesSnapshotBfs) {
@@ -244,7 +183,6 @@ TEST_P(ReachabilityOracleTest, EveryTripleMatchesSnapshotBfs) {
                                 " round " + std::to_string(round);
     CheckAllTriples(g, context);
     CheckProperties(g, &rng, context);
-    CheckViability(g, &rng, context);
   }
 }
 
@@ -331,8 +269,7 @@ TEST(ReachabilityIndexTest, ProbesOutsideTimelineAreFalse) {
 // ---------------------------------------------------------------------------
 // The lazily built index.
 
-/// A seeded random graph with labels from a small pool, so keyword queries
-/// have several matches per keyword. Edges are drawn inside their
+/// A seeded random graph with labels from a small pool. Edges are drawn inside their
 /// endpoints' common lifetime, so every draw is valid. Each call is an
 /// independent build whose reachability() has never been called; equal
 /// seeds give equal graphs.
@@ -456,50 +393,6 @@ TEST(LazyReachabilityTest, LegacyVersionsBuildOnFirstUse) {
     EXPECT_TRUE(loaded->reachability().IdenticalTo(g.reachability()))
         << "version " << int{version};
   }
-}
-
-TEST(LazyReachabilityTest, PrunedSearchesMatchPrebuiltIndex) {
-  int64_t reachability_prunes = 0;
-  for (uint64_t seed = 500; seed < 508; ++seed) {
-    const TemporalGraph untouched = LabeledGraph(seed, 24, 40, 6);
-    const TemporalGraph prebuilt = LabeledGraph(seed, 24, 40, 6);
-    (void)prebuilt.reachability();
-    const graph::InvertedIndex untouched_index(untouched);
-    const graph::InvertedIndex prebuilt_index(prebuilt);
-    const search::SearchEngine lazy(untouched, &untouched_index);
-    const search::SearchEngine eager(prebuilt, &prebuilt_index);
-
-    auto query = search::ParseQuery("alpha, beta, gamma");
-    ASSERT_TRUE(query.ok()) << query.status();
-    search::SearchOptions options;
-    options.k = 5;
-    options.reachability_prune = true;
-    auto a = lazy.Search(*query, options);
-    auto b = eager.Search(*query, options);
-    ASSERT_TRUE(a.ok() && b.ok());
-
-    const std::string context = "seed " + std::to_string(seed);
-    ASSERT_EQ(a->results.size(), b->results.size()) << context;
-    for (size_t i = 0; i < a->results.size(); ++i) {
-      std::string sig_a, sig_b;
-      a->results[i].AppendSignature(&sig_a);
-      b->results[i].AppendSignature(&sig_b);
-      EXPECT_EQ(sig_a, sig_b) << context << " rank " << i;
-      EXPECT_EQ(a->results[i].total_weight, b->results[i].total_weight)
-          << context << " rank " << i;
-    }
-    const search::SearchCounters& ca = a->counters;
-    const search::SearchCounters& cb = b->counters;
-    EXPECT_EQ(ca.pops, cb.pops) << context;
-    EXPECT_EQ(ca.useless_pops, cb.useless_pops) << context;
-    EXPECT_EQ(ca.ntds_created, cb.ntds_created) << context;
-    EXPECT_EQ(ca.edges_scanned, cb.edges_scanned) << context;
-    EXPECT_EQ(ca.candidates, cb.candidates) << context;
-    EXPECT_EQ(ca.reachability_prunes, cb.reachability_prunes) << context;
-    reachability_prunes += ca.reachability_prunes;
-  }
-  // The index was actually read on the lazy side.
-  EXPECT_GT(reachability_prunes, 0);
 }
 
 }  // namespace

@@ -250,54 +250,6 @@ TEST(LiveGraphTest, CompactFoldsTheDeltaEquivalently) {
   EXPECT_GE(stats.last_swap_seconds, 0.0);
 }
 
-TEST(LiveGraphTest, PrunedQueriesAfterCompactMatchUnpruned) {
-  LiveGraph live(MakeBase(), ManualOnly());
-  IngestErrorDetail error;
-  IngestBatch batch;
-  // "dave fresh" hangs below carol; "erin fresh" is isolated, so no root
-  // reaching alice can reach it and the reachability prune drops it.
-  batch.nodes.push_back(MakeNode("dave fresh", IntervalSet{{0, 9}}, 1.0));
-  batch.nodes.push_back(MakeNode("erin fresh", IntervalSet{{0, 9}}, 1.0));
-  IngestEdge edge;
-  edge.src = 2;
-  edge.dst_new = 0;
-  batch.edges.push_back(edge);
-  ASSERT_TRUE(live.Apply(batch, &error).ok());
-  ASSERT_TRUE(live.Compact(/*manual=*/true).ok());
-
-  // The compacted snapshot has no overlay, so the prune is armed; its
-  // graph's reachability index is built by the first pruned query.
-  const GraphSnapshotHandle snap = live.Acquire();
-  ASSERT_EQ(snap->overlay_or_null(), nullptr);
-  search::SearchEngine engine(*snap->graph, snap->index.get());
-  search::Query query;
-  query.keywords = {"alice", "fresh"};
-  search::SearchOptions options;
-  options.k = 5;
-  const auto unpruned = engine.Search(query, options);
-  ASSERT_TRUE(unpruned.ok());
-  ASSERT_EQ(unpruned->results.size(), 1u);
-  EXPECT_EQ(unpruned->results[0].root, 0);
-
-  const auto signatures = [](const search::SearchResponse& response) {
-    std::vector<std::string> out;
-    for (const search::ResultTree& tree : response.results) {
-      std::string sig;
-      tree.AppendSignature(&sig);
-      out.push_back(sig);
-    }
-    return out;
-  };
-  search::SearchOptions pruned_options = options;
-  pruned_options.reachability_prune = true;
-  const auto pruned = engine.Search(query, pruned_options);
-  ASSERT_TRUE(pruned.ok());
-  EXPECT_EQ(signatures(*pruned), signatures(*unpruned));
-  EXPECT_GT(pruned->counters.reachability_prunes, 0);
-  EXPECT_EQ(pruned->results[0].total_weight,
-            unpruned->results[0].total_weight);
-}
-
 TEST(LiveGraphTest, ApplyReportsLockWaitApartFromApplyTime) {
   LiveGraph live(MakeBase(), ManualOnly());
   IngestErrorDetail error;

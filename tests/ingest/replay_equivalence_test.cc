@@ -15,9 +15,7 @@
 //      against the build-once graph, across bound kinds and k (bounded and
 //      exhaustive);
 //   3. the query level, post-compaction: the folded graph against the
-//      build-once graph — and since a compacted snapshot carries fully
-//      rebuilt reachability labels, the opt-in prune must be re-armed and
-//      still exhaustively result-identical.
+//      build-once graph, exhaustively.
 //
 // Integer weights keep every distance an exact double, so all comparisons
 // are == (no epsilon).
@@ -332,20 +330,6 @@ void CheckReplayEquivalence(const Dataset& data, const std::string& context) {
                              " bound=" +
                              std::string(UpperBoundKindName(config.bound)) +
                              " q=" + query.ToString());
-
-      // Conservative pruning: requesting the opt-in prune with a live
-      // overlay must be a forced no-op — the base reachability labels do
-      // not speak for delta connectivity, so the engine runs unpruned and
-      // stays bit-identical (docs/ingest.md, "Conservative pruning").
-      SearchOptions pruned_live = live_options;
-      pruned_live.reachability_prune = true;
-      const auto forced_off = subject.Search(query, pruned_live);
-      ASSERT_TRUE(forced_off.ok()) << context;
-      ExpectSameResponse(*want, *forced_off,
-                         context + " forced-off prunes k=" +
-                             std::to_string(config.k) +
-                             " q=" + query.ToString());
-      EXPECT_EQ(forced_off->counters.reachability_prunes, 0) << context;
     }
   }
 
@@ -368,30 +352,6 @@ void CheckReplayEquivalence(const Dataset& data, const std::string& context) {
     ASSERT_TRUE(got.ok()) << context;
     ExpectSameResponse(*want, *got,
                        context + " compacted q=" + query.ToString());
-
-    // Compaction rebuilt the reachability labels, so the conservative
-    // prune the overlay forced off is re-armed. Under the accurate bound
-    // the pruned top-k is exact, so its score sequence must match the
-    // unpruned oracle's; tree identity is compared on scores rather than
-    // signatures because tied-score trees may surface either
-    // representative (docs/reachability.md).
-    SearchOptions pruned;
-    pruned.k = 3;
-    pruned.bound = search::UpperBoundKind::kAccurate;
-    pruned.reachability_prune = true;
-    SearchOptions unpruned = pruned;
-    unpruned.reachability_prune = false;
-    const auto pruned_got = folded.Search(query, pruned);
-    const auto pruned_want = oracle.Search(query, unpruned);
-    ASSERT_TRUE(pruned_got.ok()) << context;
-    ASSERT_TRUE(pruned_want.ok()) << context;
-    ASSERT_EQ(pruned_got->results.size(), pruned_want->results.size())
-        << context << " pruned q=" << query.ToString();
-    for (size_t i = 0; i < pruned_want->results.size(); ++i) {
-      EXPECT_EQ(pruned_got->results[i].total_weight,
-                pruned_want->results[i].total_weight)
-          << context << " pruned q=" << query.ToString() << " result " << i;
-    }
   }
 }
 

@@ -1,9 +1,9 @@
 // Cached-vs-uncached differential sweep (docs/caching.md): across 60 random
 // temporal graphs, every search must return bit-identical results and
-// identical work counters whether the in-engine query caches (match sets +
-// viability memoization) are enabled or not — on a cold cache AND on a warm
-// one. The warm pass also asserts the caches actually served hits, so a
-// silently disabled cache cannot pass as "identical".
+// identical work counters whether the in-engine match-set cache is enabled
+// or not — on a cold cache AND on a warm one. The warm pass also asserts the
+// cache actually served hits, so a silently disabled cache cannot pass as
+// "identical".
 
 #include <algorithm>
 #include <cstdint>
@@ -80,13 +80,11 @@ void ExpectSameResponse(const SearchResponse& expected,
   EXPECT_EQ(e.results, a.results);
   EXPECT_EQ(e.subsumption_skips, a.subsumption_skips);
   EXPECT_EQ(e.subsumption_evictions, a.subsumption_evictions);
-  EXPECT_EQ(e.reachability_prunes, a.reachability_prunes);
 }
 
 TEST(CacheDifferentialTest, SixtyGraphsBitIdenticalColdAndWarm) {
   Rng rng(0xcac4e);
   int64_t total_match_hits = 0;
-  int64_t total_viability_hits = 0;
   for (int gi = 0; gi < kGraphs; ++gi) {
     const TemporalGraph g = RandomGraph(&rng, 12, 26, 8);
     const graph::InvertedIndex index(g);
@@ -95,7 +93,6 @@ TEST(CacheDifferentialTest, SixtyGraphsBitIdenticalColdAndWarm) {
 
     SearchOptions uncached;
     uncached.k = 5;
-    uncached.reachability_prune = true;  // Exercise the viability path.
     SearchOptions cached = uncached;
     cached.query_caches = &caches;
 
@@ -118,23 +115,20 @@ TEST(CacheDifferentialTest, SixtyGraphsBitIdenticalColdAndWarm) {
         ASSERT_TRUE(with_caches.ok()) << with_caches.status().ToString();
         ExpectSameResponse(*reference, *with_caches);
         if (pass == 1) {
-          // Warm pass: every keyword and viability lookup must hit.
+          // Warm pass: every keyword lookup must hit.
           EXPECT_EQ(with_caches->counters.cache_match_misses, 0);
-          EXPECT_EQ(with_caches->counters.cache_viability_misses, 0);
           total_match_hits += with_caches->counters.cache_match_hits;
-          total_viability_hits += with_caches->counters.cache_viability_hits;
         }
       }
     }
   }
   // The differential is only meaningful if the caches actually served.
   EXPECT_EQ(total_match_hits, kGraphs * 3 * 2);
-  EXPECT_GT(total_viability_hits, 0);
 }
 
 TEST(CacheDifferentialTest, ExplicitMatchProtocolBitIdentical) {
   // SearchWithMatches (the social-workload protocol) skips the match-set
-  // cache but shares the viability cache; same differential contract.
+  // cache; same differential contract, and no cache lookups at all.
   Rng rng(0xbeef);
   for (int gi = 0; gi < 20; ++gi) {
     const TemporalGraph g = RandomGraph(&rng, 12, 26, 8);
@@ -143,7 +137,6 @@ TEST(CacheDifferentialTest, ExplicitMatchProtocolBitIdentical) {
 
     SearchOptions uncached;
     uncached.k = 5;
-    uncached.reachability_prune = true;
     SearchOptions cached = uncached;
     cached.query_caches = &caches;
 
@@ -165,10 +158,8 @@ TEST(CacheDifferentialTest, ExplicitMatchProtocolBitIdentical) {
       auto with_caches = engine.SearchWithMatches(q, matches, cached);
       ASSERT_TRUE(with_caches.ok());
       ExpectSameResponse(*reference, *with_caches);
-      if (pass == 1) {
-        EXPECT_EQ(with_caches->counters.cache_viability_misses, 0);
-        EXPECT_GT(with_caches->counters.cache_viability_hits, 0);
-      }
+      EXPECT_EQ(with_caches->counters.cache_match_hits, 0);
+      EXPECT_EQ(with_caches->counters.cache_match_misses, 0);
     }
   }
 }

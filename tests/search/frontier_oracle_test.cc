@@ -135,7 +135,6 @@ void ExpectStatsAreSums(
     sum.nodes_reached += s.nodes_reached;
     sum.subsumption_skips += s.subsumption_skips;
     sum.subsumption_evictions += s.subsumption_evictions;
-    sum.reachability_prunes += s.reachability_prunes;
     sum.prunes += s.prunes;
     sum.interval_ops += s.interval_ops;
     sum.heap_high_water = std::max(sum.heap_high_water, s.heap_high_water);
@@ -149,7 +148,6 @@ void ExpectStatsAreSums(
   EXPECT_EQ(f.nodes_reached, sum.nodes_reached);
   EXPECT_EQ(f.subsumption_skips, sum.subsumption_skips);
   EXPECT_EQ(f.subsumption_evictions, sum.subsumption_evictions);
-  EXPECT_EQ(f.reachability_prunes, sum.reachability_prunes);
   EXPECT_EQ(f.prunes, sum.prunes);
   EXPECT_EQ(f.interval_ops, sum.interval_ops);
   EXPECT_EQ(f.heap_high_water, sum.heap_high_water);

@@ -12,11 +12,11 @@
 //   1. iterator level: the same pop sequence (ids, nodes, distances,
 //      parents, edges, times), the same per-source pop lists and every
 //      IteratorStats counter, for all four rankings, with and without the
-//      predicate prune and the reachability prune;
+//      predicate prune;
 //   2. engine level: the same answers, stop reasons, every SearchCounters
 //      field and the observability counters (interval_ops and
-//      heap_high_water included), across rankings, predicates, the
-//      reachability prune, bounded and exhaustive k (pop-capped);
+//      heap_high_water included), across rankings, predicates, bounded and
+//      exhaustive k (pop-capped);
 //   3. the same with a delta overlay over a base prefix of the graph.
 
 #include <algorithm>
@@ -32,7 +32,6 @@
 #include "graph/delta_overlay.h"
 #include "graph/graph_builder.h"
 #include "graph/inverted_index.h"
-#include "graph/reachability_index.h"
 #include "search/best_path_iterator.h"
 #include "search/search_engine.h"
 #include "temporal/interval_set.h"
@@ -153,7 +152,6 @@ void ExpectSameStats(const IteratorStats& a, const IteratorStats& b,
   EXPECT_EQ(a.nodes_reached, b.nodes_reached) << ctx;
   EXPECT_EQ(a.subsumption_skips, b.subsumption_skips) << ctx;
   EXPECT_EQ(a.subsumption_evictions, b.subsumption_evictions) << ctx;
-  EXPECT_EQ(a.reachability_prunes, b.reachability_prunes) << ctx;
   EXPECT_EQ(a.prunes, b.prunes) << ctx;
   EXPECT_EQ(a.interval_ops, b.interval_ops) << ctx;
   EXPECT_EQ(a.heap_high_water, b.heap_high_water) << ctx;
@@ -163,14 +161,9 @@ void ExpectSameStats(const IteratorStats& a, const IteratorStats& b,
 void ExpectSameFrontier(const TemporalGraph& narrow, const TemporalGraph& wide,
                         const std::vector<NodeId>& sources,
                         const BestPathIterator::Options& options,
-                        const std::vector<IntervalSet>* viability,
                         const std::string& ctx) {
-  BestPathIterator::Options narrow_options = options;
-  BestPathIterator::Options wide_options = options;
-  narrow_options.viability = viability;
-  wide_options.viability = viability;
-  BestPathIterator n_iter(narrow, sources, narrow_options);
-  BestPathIterator w_iter(wide, sources, wide_options);
+  BestPathIterator n_iter(narrow, sources, options);
+  BestPathIterator w_iter(wide, sources, options);
   ASSERT_TRUE(n_iter.uses_time_masks()) << ctx;
   ASSERT_FALSE(w_iter.uses_time_masks()) << ctx;
   for (int pop = 0;; ++pop) {
@@ -242,7 +235,6 @@ void ExpectSameResponse(const SearchResponse& a, const SearchResponse& b,
   TGKS_EXPECT_SAME(duplicates);
   TGKS_EXPECT_SAME(combo_overflows);
   TGKS_EXPECT_SAME(memo_hits);
-  TGKS_EXPECT_SAME(reachability_prunes);
   TGKS_EXPECT_SAME(results);
   TGKS_EXPECT_SAME(avg_ntds_per_node);
 #undef TGKS_EXPECT_SAME
@@ -254,7 +246,6 @@ void ExpectSameResponse(const SearchResponse& a, const SearchResponse& b,
   TGKS_EXPECT_SAME(ntds_merged);
   TGKS_EXPECT_SAME(dedup_hits);
   TGKS_EXPECT_SAME(prunes);
-  TGKS_EXPECT_SAME(reachability_prunes);
   TGKS_EXPECT_SAME(edges_scanned);
   TGKS_EXPECT_SAME(interval_ops);
   TGKS_EXPECT_SAME(heap_high_water);
@@ -288,21 +279,16 @@ class TimeRepresentationTest
 TEST_P(TimeRepresentationTest, FrontiersPopIdentically) {
   const std::vector<NodeId> sources = Bucket(narrow_, nullptr, 0);
   const auto predicates = RandomPredicates(rng_.get(), horizon_);
-  std::vector<IntervalSet> viability;
-  narrow_.reachability().ComputeViability(
-      {Bucket(narrow_, nullptr, 0), Bucket(narrow_, nullptr, 1)}, &viability);
   for (const RankFactor factor : kFactors) {
     BestPathIterator::Options options;
     options.ranking.factors = {factor};
     const std::string ctx =
         context_ + " factor " + std::to_string(static_cast<int>(factor));
-    ExpectSameFrontier(narrow_, wide_, sources, options, nullptr, ctx);
-    ExpectSameFrontier(narrow_, wide_, sources, options, &viability,
-                       ctx + " viability");
+    ExpectSameFrontier(narrow_, wide_, sources, options, ctx);
     for (size_t p = 0; p < predicates.size(); ++p) {
       options.prune = predicates[p].get();
       options.containedby_prune = (p % 2) == 1;
-      ExpectSameFrontier(narrow_, wide_, sources, options, nullptr,
+      ExpectSameFrontier(narrow_, wide_, sources, options,
                          ctx + " predicate " + std::to_string(p));
     }
   }
@@ -316,36 +302,32 @@ TEST_P(TimeRepresentationTest, EnginesAnswerIdentically) {
   const auto predicates = RandomPredicates(rng_.get(), horizon_);
   const std::vector<std::vector<std::string>> keyword_sets = {
       {"k0"}, {"k1", "k2"}, {"k3", "k4", "k0"}};
-  const auto run = [&](Query query, bool prune, int32_t k,
-                       bool containedby_prune) {
+  const auto run = [&](Query query, int32_t k, bool containedby_prune) {
     SearchOptions options;
     options.k = k;
     // Caps keep the exhaustive three-keyword runs of the densest graphs
     // cheap; a capped stop must match as well.
     options.max_pops = 600;
     options.max_combos_per_pop = 64;
-    options.reachability_prune = prune;
     options.containedby_prune = containedby_prune;
     const auto a = n_engine.Search(query, options);
     const auto b = w_engine.Search(query, options);
     ASSERT_TRUE(a.ok() && b.ok()) << context_;
     ExpectSameResponse(*a, *b,
-                       context_ + " q=" + query.ToString() + " prune=" +
-                           std::to_string(prune) + " k=" + std::to_string(k));
+                       context_ + " q=" + query.ToString() +
+                           " k=" + std::to_string(k));
   };
   for (const auto& keywords : keyword_sets) {
     for (const RankFactor factor : kFactors) {
       Query query;
       query.keywords = keywords;
       query.ranking.factors = {factor, RankFactor::kRelevance};
-      // Every prune / k combination without a predicate...
-      for (const bool prune : {false, true}) {
-        for (const int32_t k : {3, 0}) run(query, prune, k, false);
-      }
-      // ...and each predicate once, alternating the prune switches.
+      // Both k without a predicate...
+      for (const int32_t k : {3, 0}) run(query, k, false);
+      // ...and each predicate once, alternating the containedby prune.
       for (size_t p = 0; p < predicates.size(); ++p) {
         query.predicate = predicates[p];
-        run(query, (p % 2) == 0, 3, (p % 2) == 1);
+        run(query, 3, (p % 2) == 1);
       }
     }
   }

@@ -347,7 +347,6 @@ TEST(HttpServerTest, VarzReportsCacheSections) {
   EXPECT_EQ(varz->Find("result_cache")->Find("hits")->AsInt(), 1);
   EXPECT_EQ(varz->Find("result_cache")->Find("misses")->AsInt(), 1);
   ASSERT_NE(varz->Find("match_cache"), nullptr);
-  ASSERT_NE(varz->Find("viability_cache"), nullptr);
   EXPECT_EQ(varz->Find("result_cache_generation")->AsInt(), 0);
 }
 
@@ -364,7 +363,6 @@ TEST(HttpServerTest, BadRequestsProduceTypedErrors) {
       {R"({"query":"Mary","k":-1})", "request"},
       {R"({"query":"Mary","matches":"nope"})", "request"},
       {R"({"query":"Mary","stats":"yes"})", "request"},
-      {R"({"query":"Mary","reachability_prune":1})", "request"},
       {R"({"query":"Mary","cache":"off"})", "request"},
   };
   for (const Case& c : cases) {
@@ -520,6 +518,27 @@ TEST(HttpServerTest, ShutdownClosesListener) {
   EXPECT_FALSE(client.Connect(port));
 }
 
+// A port outside [0, 65535] is an error, not a port modulo 65536: 65536
+// would otherwise bind an ephemeral port and -1 would bind 65535. Start()
+// rejects it before touching the router or admission controller.
+TEST(HttpServerTest, RejectsPortAboveRange) {
+  HttpServerOptions options;
+  options.port = 65536;
+  HttpServer server(nullptr, nullptr, options);
+  const Status status = server.Start();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+  EXPECT_FALSE(server.running());
+}
+
+TEST(HttpServerTest, RejectsNegativePort) {
+  HttpServerOptions options;
+  options.port = -1;
+  HttpServer server(nullptr, nullptr, options);
+  const Status status = server.Start();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+  EXPECT_FALSE(server.running());
+}
+
 TEST(HttpServerTest, PollBackendServes) {
   TestServerOptions opts;
   opts.use_poll = true;
@@ -547,7 +566,8 @@ TEST(HttpServerTest, UnknownFieldsAreIgnored) {
                       PostRequest("/v1/search",
                                   R"({"query":"Mary, John",)"
                                   R"("parallel_keywords":true,)"
-                                  R"("guided_search":true})"),
+                                  R"("guided_search":true,)"
+                                  R"("reachability_prune":true})"),
                       &stale),
             200);
   EXPECT_EQ(stale.body, plain.body);

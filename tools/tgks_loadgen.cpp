@@ -5,7 +5,7 @@
 // serializes them into POST /v1/search bodies, and replays them over a set
 // of keep-alive connections at a target aggregate QPS. Reports achieved
 // qps and latency percentiles, in a human table and as one JSON row
-// suitable for appending to BENCH_throughput.json.
+// (--json-out appends it to a file).
 //
 // Usage:
 //   tgks_loadgen --workload dblp|social [--host H] [--port P]

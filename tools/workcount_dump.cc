@@ -14,32 +14,24 @@
 //  * Golden files: tiny checked-in .tgf graphs with hand-written queries
 //    (social / archive / sparse / weighted stems in tests/golden/).
 //  * Generated datasets (--dataset dblp|dblp-bounded|social): the seeded
-//    datagen
-//    workloads the throughput benchmarks run, at a fixed scale and query
+//    datagen workloads the benchmarks run, at a fixed scale and query
 //    count independent of the TGKS_BENCH_* environment, so layout and
 //    data-structure changes are pinned on benchmark-shaped graphs — not
 //    just the toy ones. Each workload runs under both relevance and
 //    duration ranking to cover the partition AND subsumption semantics.
 //
 // Usage: workcount_dump [--results|--popseq|--candidates]
-//            [--pruned] [--cache] <golden-dir> [stems...]
+//            [--cache] <golden-dir> [stems...]
 //        workcount_dump [--results|--popseq|--candidates]
-//            [--pruned] [--cache] --dataset <dblp|social> ...
+//            [--cache] --dataset <dblp|social> ...
 //        workcount_dump --layout <dblp|social> [--layout ...]
 //        (every form also takes --pad-timeline <n>)
 //
-// --cache runs the same suite with the in-engine query caches (levels 1-2,
-// docs/caching.md) enabled and appends one "cache-summary <tag> ..." line
+// --cache runs the same suite with the in-engine match-set cache
+// (docs/caching.md) enabled and appends one "cache-summary <tag> ..." line
 // per suite with the accumulated hit/miss tallies. The per-query counter
 // and result lines must stay bit-identical to the uncached run — that is
 // the differential scripts/cache_check.sh enforces.
-//
-// --pruned enables SearchOptions::reachability_prune and appends the
-// reachability_prunes counter to each line (only then, so the unpruned
-// expected files stay byte-identical). scripts/workcount_check.sh --pruned
-// diffs the result fingerprints against the unpruned run where equality
-// holds (golden suite, dblp) and pins the rest bit-for-bit (see
-// docs/reachability.md, "Bounded stops").
 //
 // --layout prints the ExpansionView packing statistics (time
 // representation, bytes per slot, slot counts, inline/pooled split,
@@ -53,11 +45,12 @@
 // instead of the TimeMask one, and since the two paths do identical work,
 // the output must equal the unpadded run's line for line —
 // scripts/workcount_check.sh --wide diffs it against the same expected
-// files.
+// files, result fingerprints included.
 //
 // --results replaces the counter lines with per-query result fingerprints
 // (result count, stop reason, an order-sensitive hash over every result
-// tree's signature/time/weight).
+// tree's signature/time/weight). scripts/workcount_check.sh diffs them
+// against tests/golden/results*.expected in default and --wide modes.
 //
 // --popseq replaces the counter lines with per-query pop-sequence
 // fingerprints: for each keyword frontier, its pop count and one
@@ -66,7 +59,7 @@
 // so a change to how NTDs are created or numbered leaves the lines alone
 // while any change to what is popped, or in which order, shows up.
 // scripts/workcount_check.sh diffs them against tests/golden/popseq*.expected
-// in default, --pruned and --wide modes.
+// in default and --wide modes.
 //
 // --candidates replaces the counter lines with the result-generation
 // counters of each query: candidates, duplicates, root_reducible,
@@ -74,8 +67,8 @@
 // results. They pin how Algorithm 3's combinations were classified, so a
 // change to candidate generation that must not change what it decides
 // (only how fast) leaves the lines alone. scripts/workcount_check.sh diffs
-// them against tests/golden/candidates*.expected in default, --pruned and
-// --wide modes.
+// them against tests/golden/candidates*.expected in default and --wide
+// modes.
 
 #include <cstdint>
 #include <cstdio>
@@ -101,8 +94,7 @@ namespace {
 
 // Set from the command line; apply to both query suites.
 bool g_results = false;   // Print result fingerprints, not work counters.
-bool g_pruned = false;    // Run with the reachability prune enabled.
-bool g_cache = false;     // Run with the query caches (levels 1-2) enabled.
+bool g_cache = false;     // Run with the match-set cache enabled.
 bool g_popseq = false;    // Print pop-sequence fingerprints.
 bool g_candidates = false;  // Print result-generation counters.
 int32_t g_pad_timeline = 0;  // Rebuild graphs over >= this many instants.
@@ -123,7 +115,6 @@ int PadTimeline(tgks::graph::TemporalGraph* graph) {
 tgks::search::SearchOptions SuiteOptions(tgks::cache::QueryCaches* caches) {
   tgks::search::SearchOptions options;
   options.k = 10;
-  options.reachability_prune = g_pruned;
   options.query_caches = caches;
   return options;
 }
@@ -135,24 +126,16 @@ tgks::search::SearchOptions SuiteOptions(tgks::cache::QueryCaches* caches) {
 struct CacheTally {
   int64_t match_hits = 0;
   int64_t match_misses = 0;
-  int64_t viability_hits = 0;
-  int64_t viability_misses = 0;
 
   void Add(const tgks::search::SearchCounters& c) {
     match_hits += c.cache_match_hits;
     match_misses += c.cache_match_misses;
-    viability_hits += c.cache_viability_hits;
-    viability_misses += c.cache_viability_misses;
   }
 
   void Print(const std::string& tag) const {
-    std::printf(
-        "cache-summary %s match_hits=%lld match_misses=%lld "
-        "viability_hits=%lld viability_misses=%lld\n",
-        tag.c_str(), static_cast<long long>(match_hits),
-        static_cast<long long>(match_misses),
-        static_cast<long long>(viability_hits),
-        static_cast<long long>(viability_misses));
+    std::printf("cache-summary %s match_hits=%lld match_misses=%lld\n",
+                tag.c_str(), static_cast<long long>(match_hits),
+                static_cast<long long>(match_misses));
   }
 };
 
@@ -254,20 +237,13 @@ void PrintCounters(const std::string& tag, int index,
   std::printf(
       "%s#%d ntds_pushed=%lld ntds_popped=%lld edges_scanned=%lld "
       "useless_pops=%lld subsumption_skips=%lld "
-      "subsumption_evictions=%lld",
+      "subsumption_evictions=%lld\n",
       tag.c_str(), index, static_cast<long long>(c.ntds_created),
       static_cast<long long>(c.pops),
       static_cast<long long>(c.edges_scanned),
       static_cast<long long>(c.useless_pops),
       static_cast<long long>(c.subsumption_skips),
       static_cast<long long>(c.subsumption_evictions));
-  // Only in --pruned mode, so the long-standing expected files stay
-  // byte-identical while the pruned-mode golden files pin the new counter.
-  if (g_pruned) {
-    std::printf(" reachability_prunes=%lld",
-                static_cast<long long>(c.reachability_prunes));
-  }
-  std::printf("\n");
 }
 
 void PrintCandidates(const std::string& tag, int index,
@@ -363,8 +339,8 @@ int BuildDataset(const std::string& name, tgks::graph::TemporalGraph* graph,
     dp.vocab_size = 2500;
     dp.seed = 42;
     // dblp-bounded truncates each paper 8 instants past publication, so
-    // subtree validity is no longer a timeline suffix — the coverage hole
-    // the append-only default can never exercise (docs/reachability.md).
+    // subtree validity is no longer a timeline suffix — the temporal shape
+    // the append-only default can never exercise.
     if (name == "dblp-bounded") dp.validity_horizon = 8;
     auto d = tgks::datagen::GenerateDblp(dp);
     if (!d.ok()) {
@@ -418,9 +394,9 @@ int RunDataset(const std::string& name) {
   // Pass 1: the workload's own ranking (relevance -> partition semantics).
   // Pass 2: duration ranking -> subsumption semantics, so Algorithm 2's
   // counters are pinned on benchmark-shaped graphs too. In --cache mode the
-  // second pass reuses the first pass's match lists, so its match/viability
-  // lookups are all hits — the warm half of the hit-rate floor the
-  // cache_check.sh gate asserts.
+  // second pass reuses the first pass's match sets, so its match lookups
+  // are all hits — the warm half of the hit-rate floor the cache_check.sh
+  // gate asserts.
   const char* pass_tags[2] = {"", "-duration"};
   for (int pass = 0; pass < 2; ++pass) {
     int qi = 0;
@@ -490,8 +466,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--results") == 0) {
       g_results = true;
-    } else if (std::strcmp(argv[i], "--pruned") == 0) {
-      g_pruned = true;
     } else if (std::strcmp(argv[i], "--cache") == 0) {
       g_cache = true;
     } else if (std::strcmp(argv[i], "--popseq") == 0) {
@@ -515,10 +489,10 @@ int main(int argc, char** argv) {
   if (args.empty()) {
     std::fprintf(
         stderr,
-        "usage: %s [--results|--popseq|--candidates] [--pruned] "
+        "usage: %s [--results|--popseq|--candidates] "
         "[--cache] [--pad-timeline <n>] <golden-dir> "
         "[graph stems...]\n"
-        "       %s [--results|--popseq|--candidates] [--pruned] "
+        "       %s [--results|--popseq|--candidates] "
         "[--cache] [--pad-timeline <n>] "
         "--dataset <dblp|dblp-bounded|social> ...\n"
         "       %s [--pad-timeline <n>] --layout <dblp|dblp-bounded|social> "
