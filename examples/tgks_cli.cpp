@@ -8,9 +8,10 @@
 // Options:
 //   --k N            top-k (default 10; 0 = all results)
 //   --bound KIND     accurate | empirical | average (default empirical)
-//   --stats          print work counters and the per-query stats profile
+//   --stats          print the work counters, the phase times and the
+//                    prunes / interval_ops / heap_high_water profile
 //   --trace          record and print the iterator event trace (single
-//                    query only; no-op in TGKS_NO_STATS builds)
+//                    query only)
 //   --metrics        print the process metrics registry (Prometheus text)
 //   --deadline-ms N  per-query wall-clock budget (default: none)
 //   --batch FILE     run every query in FILE concurrently ('#' = comment)
@@ -248,6 +249,16 @@ bool LoadBatchFile(const std::string& path, std::vector<std::string>* out) {
   return true;
 }
 
+/// The --stats profile line: SearchStats plus the phase times.
+void PrintStats(const char* label, const tgks::search::SearchCounters& c,
+                const tgks::obs::SearchStats& stats) {
+  std::cout << "  " << label << ": " << stats.ToString()
+            << " ms_match=" << c.seconds_match * 1e3
+            << " ms_filter=" << c.seconds_filter * 1e3
+            << " ms_expand=" << c.seconds_expand * 1e3
+            << " ms_generate=" << c.seconds_generate * 1e3 << "\n";
+}
+
 int RunBatch(const tgks::graph::TemporalGraph& graph,
              const tgks::graph::InvertedIndex& index,
              const std::vector<std::string>& lines,
@@ -295,7 +306,7 @@ int RunBatch(const tgks::graph::TemporalGraph& graph,
             << response.latency.max_ms << "\n";
   if (stats) {
     tgks::examples::PrintCounters(response.totals);
-    std::cout << "  batch stats: " << response.stats.ToString() << "\n";
+    PrintStats("batch stats", response.totals, response.stats);
   }
   if (metrics) std::cout << tgks::obs::GlobalMetrics().RenderText();
   return response.failed == 0 ? 0 : 1;
@@ -518,7 +529,7 @@ int main(int argc, char** argv) {
   }
   if (stats) {
     tgks::examples::PrintCounters(response->counters);
-    std::cout << "  stats: " << response->stats.ToString() << "\n";
+    PrintStats("stats", response->counters, response->stats);
   }
   if (trace) std::cout << flight_recorder.ToString();
   if (metrics) std::cout << tgks::obs::GlobalMetrics().RenderText();

@@ -21,7 +21,6 @@ std::string CacheStats::ToString() const {
 
 CacheMetrics MetricsForLevel(const std::string& level) {
   CacheMetrics m;
-#ifndef TGKS_NO_STATS
   obs::MetricsRegistry& reg = obs::GlobalMetrics();
   const obs::LabelSet labels = {{"level", level}};
   m.hits = reg.GetCounter("tgks_cache_hits_total",
@@ -36,9 +35,6 @@ CacheMetrics MetricsForLevel(const std::string& level) {
                                labels);
   m.bytes = reg.GetGauge("tgks_cache_bytes",
                          "Resident accounted bytes, by level.", labels);
-#else
-  (void)level;
-#endif  // TGKS_NO_STATS
   return m;
 }
 

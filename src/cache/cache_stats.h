@@ -1,9 +1,9 @@
 // Shared bookkeeping types for the cache subsystem (docs/caching.md).
 //
-// Every cache keeps its own always-on CacheStats (plain counters under the
-// cache mutex) so gates and /varz can read hit rates even in TGKS_NO_STATS
-// builds, and optionally mirrors increments into obs::MetricsRegistry
-// instruments through a CacheMetrics pointer bundle.
+// Every cache keeps its own CacheStats (plain counters under the cache
+// mutex) so gates and /varz can read hit rates, and optionally mirrors
+// increments into obs::MetricsRegistry instruments through a CacheMetrics
+// pointer bundle.
 
 #ifndef TGKS_CACHE_CACHE_STATS_H_
 #define TGKS_CACHE_CACHE_STATS_H_
@@ -37,7 +37,7 @@ struct CacheStats {
 };
 
 /// Nullable obs instrument bundle; a null pointer (or null member) means
-/// "don't export" — the TGKS_NO_STATS configuration.
+/// "don't export" (a bare LruCache built without instruments).
 struct CacheMetrics {
   obs::Counter* hits = nullptr;
   obs::Counter* misses = nullptr;
@@ -48,8 +48,7 @@ struct CacheMetrics {
 
 /// Registers (or fetches) the standard instrument family for one cache
 /// level, labeled {level="<level>"}: tgks_cache_{hits,misses,insertions,
-/// evictions}_total and tgks_cache_bytes. Returns an all-null bundle in
-/// TGKS_NO_STATS builds.
+/// evictions}_total and tgks_cache_bytes.
 CacheMetrics MetricsForLevel(const std::string& level);
 
 }  // namespace tgks::cache

@@ -29,29 +29,6 @@ double Percentile(const std::vector<double>& sorted, double p) {
   return sorted[idx];
 }
 
-void AccumulateCounters(const search::SearchCounters& c,
-                        search::SearchCounters* total) {
-  total->iterators += c.iterators;
-  total->pops += c.pops;
-  total->useless_pops += c.useless_pops;
-  total->ntds_created += c.ntds_created;
-  total->edges_scanned += c.edges_scanned;
-  total->nodes_visited += c.nodes_visited;
-  total->candidates += c.candidates;
-  total->invalid_time += c.invalid_time;
-  total->invalid_structure += c.invalid_structure;
-  total->root_reducible += c.root_reducible;
-  total->predicate_rejected += c.predicate_rejected;
-  total->duplicates += c.duplicates;
-  total->combo_overflows += c.combo_overflows;
-  total->memo_hits += c.memo_hits;
-  total->results += c.results;
-  total->seconds_match += c.seconds_match;
-  total->seconds_filter += c.seconds_filter;
-  total->seconds_expand += c.seconds_expand;
-  total->seconds_generate += c.seconds_generate;
-}
-
 }  // namespace
 
 LatencySummary SummarizeLatencies(std::vector<double> latencies_seconds) {
@@ -146,14 +123,13 @@ BatchResponse QueryExecutor::Run(const std::vector<BatchQuery>& batch) {
       continue;
     }
     ++out.completed;
-    AccumulateCounters(response->counters, &out.totals);
-    TGKS_STATS(out.stats.Merge(response->stats));
+    out.totals.Merge(response->counters);
+    out.stats.Merge(response->stats);
     if (response->truncated) ++out.truncated;
     if (response->deadline_exceeded) ++out.deadline_exceeded;
     if (response->cancelled) ++out.cancelled;
   }
   out.latency = SummarizeLatencies(out.latencies_seconds);
-#ifndef TGKS_NO_STATS
   {
     // Batch-level instruments: per-query wall latency and batch size.
     static obs::Histogram* latency_micros =
@@ -170,7 +146,6 @@ BatchResponse QueryExecutor::Run(const std::vector<BatchQuery>& batch) {
     batches->Increment();
     batch_queries->Increment(static_cast<int64_t>(out.responses.size()));
   }
-#endif  // TGKS_NO_STATS
   return out;
 }
 
@@ -218,7 +193,6 @@ void QueryExecutor::Submit(SingleQuery single, SingleQueryCallback done) {
                                        single.snapshot.index))
             : run(engine_);
     latency.Stop();
-#ifndef TGKS_NO_STATS
     {
       static obs::Counter* singles = obs::GlobalMetrics().GetCounter(
           "tgks_single_queries_total",
@@ -229,7 +203,6 @@ void QueryExecutor::Submit(SingleQuery single, SingleQueryCallback done) {
       singles->Increment();
       latency_micros->Observe(std::llround(latency.seconds() * 1e6));
     }
-#endif  // TGKS_NO_STATS
     done(std::move(response), latency.seconds());
     inflight_singles_.fetch_sub(1, std::memory_order_relaxed);
   });

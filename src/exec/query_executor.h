@@ -71,11 +71,10 @@ struct BatchResponse {
   std::vector<Result<search::SearchResponse>> responses;
   /// Per-query wall-clock latencies, index-aligned (seconds).
   std::vector<double> latencies_seconds;
-  /// Counters summed over the ok() responses.
+  /// Counters summed over the ok() responses (SearchCounters::Merge).
   search::SearchCounters totals;
   /// Observability profiles merged over the ok() responses (sums, except
-  /// heap_high_water which takes the batch max). All-zero in TGKS_NO_STATS
-  /// builds.
+  /// heap_high_water which takes the batch max).
   obs::SearchStats stats;
   LatencySummary latency;
   /// Wall-clock time for the whole batch (submission to last completion).

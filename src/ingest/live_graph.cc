@@ -18,7 +18,6 @@ using temporal::IntervalSet;
 
 namespace {
 
-#ifndef TGKS_NO_STATS
 struct IngestMetrics {
   obs::Counter* batches;
   obs::Counter* nodes;
@@ -71,7 +70,6 @@ struct IngestMetrics {
     return *m;
   }
 };
-#endif  // TGKS_NO_STATS
 
 void FillError(IngestErrorDetail* error, IngestErrorCode code, int64_t offset,
                std::string message) {
@@ -159,8 +157,8 @@ Result<uint64_t> LiveGraph::Apply(const IngestBatch& batch,
   lock_wait.Start();
   std::lock_guard<std::mutex> lock(mu_);
   lock_wait.Stop();
-  TGKS_STATS(IngestMetrics::Get().lock_wait_micros->Observe(
-      static_cast<int64_t>(lock_wait.seconds() * 1e6)));
+  IngestMetrics::Get().lock_wait_micros->Observe(
+      static_cast<int64_t>(lock_wait.seconds() * 1e6));
   Stopwatch timer;
   timer.Start();
   GraphSnapshotHandle snap;
@@ -213,7 +211,7 @@ Result<uint64_t> LiveGraph::Apply(const IngestBatch& batch,
       msg << "\"src\" " << out.src << " does not exist (have " << base_total
           << " nodes)";
       FillError(error, IngestErrorCode::kBadNodeRef, offset, msg.str());
-      TGKS_STATS(IngestMetrics::Get().rejected->Increment());
+      IngestMetrics::Get().rejected->Increment();
       return Status::InvalidArgument(error->message);
     }
     if (edge.dst_new < 0 && (out.dst < 0 || out.dst >= base_total)) {
@@ -221,7 +219,7 @@ Result<uint64_t> LiveGraph::Apply(const IngestBatch& batch,
       msg << "\"dst\" " << out.dst << " does not exist (have " << base_total
           << " nodes)";
       FillError(error, IngestErrorCode::kBadNodeRef, offset, msg.str());
-      TGKS_STATS(IngestMetrics::Get().rejected->Increment());
+      IngestMetrics::Get().rejected->Increment();
       return Status::InvalidArgument(error->message);
     }
     out.weight = edge.weight;
@@ -238,7 +236,7 @@ Result<uint64_t> LiveGraph::Apply(const IngestBatch& batch,
       msg << "edge " << out.src << "->" << out.dst
           << " is never valid within its endpoints' lifetimes";
       FillError(error, IngestErrorCode::kEdgeNeverValid, offset, msg.str());
-      TGKS_STATS(IngestMetrics::Get().rejected->Increment());
+      IngestMetrics::Get().rejected->Increment();
       return Status::InvalidArgument(error->message);
     }
     new_edges.push_back(std::move(out));
@@ -260,7 +258,6 @@ Result<uint64_t> LiveGraph::Apply(const IngestBatch& batch,
   ingest_stats_.batches += 1;
   ingest_stats_.nodes_added += static_cast<int64_t>(batch.nodes.size());
   ingest_stats_.edges_added += static_cast<int64_t>(batch.edges.size());
-#ifndef TGKS_NO_STATS
   {
     IngestMetrics& m = IngestMetrics::Get();
     m.batches->Increment();
@@ -270,12 +267,11 @@ Result<uint64_t> LiveGraph::Apply(const IngestBatch& batch,
     m.generation->Set(static_cast<int64_t>(next->generation));
     m.delta_bytes->Set(static_cast<int64_t>(next->overlay->ApproxBytes()));
   }
-#endif  // TGKS_NO_STATS
   const uint64_t generation = next->generation;
   Publish(std::move(next));
   timer.Stop();
-  TGKS_STATS(IngestMetrics::Get().apply_micros->Observe(
-      static_cast<int64_t>(timer.seconds() * 1e6)));
+  IngestMetrics::Get().apply_micros->Observe(
+      static_cast<int64_t>(timer.seconds() * 1e6));
   stop_cv_.notify_all();  // Wake the compactor to re-check the size policy.
   return generation;
 }
@@ -344,7 +340,6 @@ Result<uint64_t> LiveGraph::CompactLocked(bool manual) {
   compaction_stats_.edges_folded += overlay.num_delta_edges();
   compaction_stats_.last_rebuild_seconds = rebuild.seconds();
   compaction_stats_.last_swap_seconds = swap.seconds();
-#ifndef TGKS_NO_STATS
   {
     IngestMetrics& m = IngestMetrics::Get();
     m.compactions->Increment();
@@ -354,7 +349,6 @@ Result<uint64_t> LiveGraph::CompactLocked(bool manual) {
     m.compact_micros->Observe(
         static_cast<int64_t>(rebuild.seconds() * 1e6));
   }
-#endif  // TGKS_NO_STATS
   return generation;
 }
 

@@ -63,10 +63,10 @@ NtdId BestPathIterator::PushNtd(BestPathOrigin& slot, int32_t origin,
                                 NtdId parent, EdgeId via_edge) {
   const ScoreKey score = MakeScoreKey(options_.ranking, dist, time);
   const NtdId id = static_cast<NtdId>(scratch_->arena.size());
-  TGKS_STATS(if (options_.trace != nullptr && parent != kInvalidNtd) {
+  if (options_.trace != nullptr && parent != kInvalidNtd) {
     options_.trace->Record(obs::TraceEventKind::kExpand, node,
                            options_.trace_iter + origin, dist);
-  });
+  }
   Ntd& ntd = scratch_->arena.EmplaceBack();
   ntd.node = node;
   ntd.origin = origin;
@@ -95,8 +95,7 @@ NtdId BestPathIterator::PushNtd(BestPathOrigin& slot, int32_t origin,
   }
   ++slot.ntds;
   ++stats_.ntds_pushed;
-  TGKS_STATS(stats_.heap_high_water =
-                 std::max(stats_.heap_high_water, held));
+  stats_.heap_high_water = std::max(stats_.heap_high_water, held);
   return id;
 }
 
@@ -128,10 +127,10 @@ bool BestPathIterator::SettleTop(BestPathOrigin& slot,
     if (ntd.state == NtdState::kDead) {
       slot.queue.pop();  // Evicted by Alg.-2 subsumption while queued.
       ++stats_.useless_pops;
-      TGKS_STATS(if (options_.trace != nullptr) {
+      if (options_.trace != nullptr) {
         options_.trace->Record(obs::TraceEventKind::kDedupHit, ntd.node,
                                trace_iter, ntd.dist);
-      });
+      }
       continue;
     }
     if (!UsesSubsumptionSemantics() && NtdFullyClaimed(slot, id)) {
@@ -139,11 +138,11 @@ bool BestPathIterator::SettleTop(BestPathOrigin& slot,
       // "visited(n, t) = true for all t in T -> continue" (Alg. 1 line 5).
       slot.queue.pop();
       ++stats_.useless_pops;
-      TGKS_STATS(++stats_.interval_ops);
-      TGKS_STATS(if (options_.trace != nullptr) {
+      ++stats_.interval_ops;
+      if (options_.trace != nullptr) {
         options_.trace->Record(obs::TraceEventKind::kDedupHit, ntd.node,
                                trace_iter, ntd.dist);
-      });
+      }
       continue;
     }
     return true;
@@ -167,10 +166,10 @@ NtdId BestPathIterator::Next() {
   }
   Ntd& ntd = scratch_->arena[static_cast<size_t>(id)];
   ntd.state = NtdState::kPopped;
-  TGKS_STATS(if (options_.trace != nullptr) {
+  if (options_.trace != nullptr) {
     options_.trace->Record(obs::TraceEventKind::kPop, ntd.node, trace_iter,
                            ntd.dist);
-  });
+  }
   if (!UsesSubsumptionSemantics()) {
     // Claim the instants of T (Alg. 1 lines 7-9). We mark the full T; pops
     // whose T is entirely claimed are skipped in SettleTop.
@@ -189,7 +188,7 @@ NtdId BestPathIterator::Next() {
       scratch_->tmp2.AssignUnionOf(visited, TimeAs<IntervalSet>(id));
       visited = scratch_->tmp2;
     }
-    TGKS_STATS(++stats_.interval_ops);
+    ++stats_.interval_ops;
   }
   std::vector<NtdId>& popped_here = slot.popped.Activate(
       static_cast<uint32_t>(ntd.node),
@@ -292,11 +291,11 @@ bool BestPathIterator::ChildSurvives(const BestPathOrigin& slot,
   ++stats_.edges_scanned;
   if (options_.prune != nullptr &&
       !ElementsMayQualify<Time>(view, s, neighbor)) {
-    TGKS_STATS(++stats_.prunes);
-    TGKS_STATS(if (options_.trace != nullptr) {
+    ++stats_.prunes;
+    if (options_.trace != nullptr) {
       options_.trace->Record(obs::TraceEventKind::kPrune, neighbor,
                              trace_iter, parent_dist);
-    });
+    }
     return false;
   }
   // T∩ = T ∩ val(n' -> n); by the model invariant T∩ ⊆ val(n').
@@ -307,16 +306,16 @@ bool BestPathIterator::ChildSurvives(const BestPathOrigin& slot,
   // in-place update); lazy expansion only checks the claims once the
   // child is next to pop.
   view.IntersectEdgeValidity(s, parent_time, tmp);
-  TGKS_STATS(++stats_.interval_ops);
+  ++stats_.interval_ops;
   if (tmp->IsEmpty()) return false;
-  TGKS_STATS(++stats_.interval_ops);
+  ++stats_.interval_ops;
   if (FullyClaimed(slot, neighbor, *tmp)) {
     // Every instant is already claimed at the neighbor by strictly earlier
     // (hence no-worse) pops — safe to drop.
-    TGKS_STATS(if (options_.trace != nullptr) {
+    if (options_.trace != nullptr) {
       options_.trace->Record(obs::TraceEventKind::kDedupHit, neighbor,
                              trace_iter, parent_dist);
-    });
+    }
     return false;
   }
   return true;
@@ -377,9 +376,9 @@ void BestPathIterator::PushContinuations(BestPathOrigin& slot, NtdId id,
           LazyQueueEntry{child_dist(s), order | ordinal++, s, id, 1});
     });
   }
-  TGKS_STATS(stats_.heap_high_water = std::max(
-                 stats_.heap_high_water,
-                 static_cast<int64_t>(slot.lazy_queue.size())));
+  stats_.heap_high_water =
+      std::max(stats_.heap_high_water,
+               static_cast<int64_t>(slot.lazy_queue.size()));
 }
 
 template <typename Time, typename Reader>
@@ -447,15 +446,15 @@ void BestPathIterator::ExpandNeighborsSubsumption(BestPathOrigin& slot,
     const NodeId neighbor = view.src(s);
     if (options_.prune != nullptr &&
         !ElementsMayQualify<Time>(view, s, neighbor)) {
-      TGKS_STATS(++stats_.prunes);
-      TGKS_STATS(if (options_.trace != nullptr) {
+      ++stats_.prunes;
+      if (options_.trace != nullptr) {
         options_.trace->Record(obs::TraceEventKind::kPrune, neighbor,
                                trace_iter, parent_dist);
-      });
+      }
       return;
     }
     view.IntersectEdgeValidity(s, parent_time, &tmp);
-    TGKS_STATS(++stats_.interval_ops);
+    ++stats_.interval_ops;
     if (tmp.IsEmpty()) return;
 
     NodeSubsumption& entry =
@@ -466,10 +465,10 @@ void BestPathIterator::ExpandNeighborsSubsumption(BestPathOrigin& slot,
     // and has no shorter duration; skip.
     if (entry.index->SubsumedByExisting(tmp)) {
       ++stats_.subsumption_skips;
-      TGKS_STATS(if (options_.trace != nullptr) {
+      if (options_.trace != nullptr) {
         options_.trace->Record(obs::TraceEventKind::kDedupHit, neighbor,
                                trace_iter, parent_dist);
-      });
+      }
       return;
     }
     // Case 3 (lines 13-15): evict NTDs strictly subsumed by T∩. Only queued

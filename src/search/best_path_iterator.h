@@ -102,7 +102,7 @@ struct IteratorStats {
   int64_t nodes_reached = 0;     ///< Distinct nodes with >= 1 popped NTD.
   int64_t subsumption_skips = 0; ///< Algorithm-2 case-1 prunes.
   int64_t subsumption_evictions = 0;  ///< Algorithm-2 case-3 removals.
-  // Observability additions (zero in TGKS_NO_STATS builds).
+  // Observability additions.
   int64_t prunes = 0;            ///< Elements rejected by predicate pruning.
   int64_t interval_ops = 0;      ///< IntervalSet ops on the expansion path.
   /// Max entries any source held: its queue, plus its head in lazy mode.
@@ -133,8 +133,7 @@ class BestPathIterator {
     temporal::NtdIndexKind duration_index =
         temporal::NtdIndexKind::kRowMajor;
     /// Optional event recorder (not owned; null = no tracing). Events of
-    /// source i carry `trace_iter + i` as their iterator id. Ignored in
-    /// TGKS_NO_STATS builds.
+    /// source i carry `trace_iter + i` as their iterator id.
     obs::QueryTrace* trace = nullptr;
     int32_t trace_iter = -1;
     /// Optional append overlay for live graphs (not owned; see

@@ -81,23 +81,23 @@ NtdId LabelCorrectingIterator::TryKeep(NodeId node, const IntervalSet& time,
         arena_[static_cast<size_t>(state.row_to_ntd[static_cast<size_t>(row)])]
             .time);
     uncovered.Swap(scratch_->tmp3);
-    TGKS_STATS(++stats_.interval_ops);
+    ++stats_.interval_ops;
     if (uncovered.IsEmpty()) {
-      TGKS_STATS(++stats_.fragments_dropped);
-      TGKS_STATS(if (options_.trace != nullptr) {
+      ++stats_.fragments_dropped;
+      if (options_.trace != nullptr) {
         options_.trace->Record(obs::TraceEventKind::kDedupHit, node,
                                options_.trace_iter, 0.0);
-      });
+      }
       return kInvalidNtd;
     }
   }
   const NtdId id = static_cast<NtdId>(arena_.size());
   const temporal::NtdRowHandle row = state.index->AddRow(time);
   state.BindRow(row, id);
-  TGKS_STATS(if (options_.trace != nullptr) {
+  if (options_.trace != nullptr) {
     options_.trace->Record(obs::TraceEventKind::kExpand, node,
                            options_.trace_iter, 0.0);
-  });
+  }
   Fragment fragment;
   fragment.node = node;
   fragment.time = time;
@@ -123,16 +123,16 @@ bool LabelCorrectingIterator::Run() {
     // Copy: TryKeep below may reallocate the arena.
     const NodeId node = arena_[static_cast<size_t>(id)].node;
     const IntervalSet time = arena_[static_cast<size_t>(id)].time;
-    TGKS_STATS(if (options_.trace != nullptr) {
+    if (options_.trace != nullptr) {
       options_.trace->Record(obs::TraceEventKind::kPop, node,
                              options_.trace_iter,
                              static_cast<double>(time.Duration()));
-    });
+    }
     const graph::ExpansionView& view = graph_->expansion_view();
     const auto relax = [&](const auto& reader) {
       reader.ForEachInSlot(node, [&](int64_t s) {
         reader.IntersectEdgeValidity(s, time, &scratch_->tmp);
-        TGKS_STATS(++stats_.interval_ops);
+        ++stats_.interval_ops;
         if (scratch_->tmp.IsEmpty()) return;
         const NtdId kept =
             TryKeep(reader.src(s), scratch_->tmp, id, reader.edge_id(s));
@@ -144,9 +144,9 @@ bool LabelCorrectingIterator::Run() {
     } else {
       relax(BaseExpansionReader{view});
     }
-    TGKS_STATS(stats_.worklist_high_water =
-                   std::max(stats_.worklist_high_water,
-                            static_cast<int64_t>(worklist_.size())));
+    stats_.worklist_high_water =
+        std::max(stats_.worklist_high_water,
+                 static_cast<int64_t>(worklist_.size()));
   }
   return complete_;
 }

@@ -56,9 +56,7 @@ class DeltaOverlay;  // delta_overlay.h
 
 namespace tgks::search {
 
-/// Work counters for the label-correcting relaxation (observability; all
-/// stay zero in TGKS_NO_STATS builds except relaxations/fragments, which
-/// are control-flow state and always maintained).
+/// Work counters for the label-correcting relaxation (observability).
 struct LabelCorrectingStats {
   int64_t fragments_dropped = 0;      ///< Arrivals covered by kept subsets.
   int64_t interval_ops = 0;           ///< IntervalSet ops on the hot path.
@@ -87,7 +85,7 @@ class LabelCorrectingIterator {
     /// Safety valve on fragment relaxations (<= 0 = unlimited).
     int64_t max_relaxations = -1;
     /// Optional event recorder (not owned; null = no tracing). Events carry
-    /// `trace_iter` as their iterator id. Ignored in TGKS_NO_STATS builds.
+    /// `trace_iter` as their iterator id.
     obs::QueryTrace* trace = nullptr;
     int32_t trace_iter = -1;
     /// Optional append overlay for live graphs (not owned; see

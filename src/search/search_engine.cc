@@ -36,6 +36,32 @@ std::string_view UpperBoundKindName(UpperBoundKind kind) {
   return "unknown";
 }
 
+void SearchCounters::Merge(const SearchCounters& other) {
+  iterators += other.iterators;
+  pops += other.pops;
+  useless_pops += other.useless_pops;
+  ntds_created += other.ntds_created;
+  edges_scanned += other.edges_scanned;
+  subsumption_skips += other.subsumption_skips;
+  subsumption_evictions += other.subsumption_evictions;
+  nodes_visited += other.nodes_visited;
+  candidates += other.candidates;
+  invalid_time += other.invalid_time;
+  invalid_structure += other.invalid_structure;
+  root_reducible += other.root_reducible;
+  predicate_rejected += other.predicate_rejected;
+  duplicates += other.duplicates;
+  combo_overflows += other.combo_overflows;
+  memo_hits += other.memo_hits;
+  results += other.results;
+  cache_match_hits += other.cache_match_hits;
+  cache_match_misses += other.cache_match_misses;
+  seconds_match += other.seconds_match;
+  seconds_filter += other.seconds_filter;
+  seconds_expand += other.seconds_expand;
+  seconds_generate += other.seconds_generate;
+}
+
 std::string_view StopReasonName(StopReason reason) {
   switch (reason) {
     case StopReason::kExhausted:
@@ -54,7 +80,6 @@ std::string_view StopReasonName(StopReason reason) {
 
 namespace {
 
-#ifndef TGKS_NO_STATS
 /// Process-wide instruments, registered once and updated lock-free per
 /// query (see metrics.h: hot path is relaxed atomics via stable pointers).
 struct EngineMetrics {
@@ -111,7 +136,6 @@ struct EngineMetrics {
     return *m;
   }
 };
-#endif  // TGKS_NO_STATS
 
 /// `overlay`, or null when it is null or empty: an empty overlay is
 /// indistinguishable from none.
@@ -419,11 +443,11 @@ class Runner {
       const int32_t row = meetings_->Add(node, static_cast<size_t>(kw), popped);
 
       if (meetings_->MetAll(row)) {
-        TGKS_STATS(if (options_.trace != nullptr) {
+        if (options_.trace != nullptr) {
           options_.trace->Record(
               obs::TraceEventKind::kKeywordHit, node, -1,
               static_cast<double>(response_.counters.results));
-        });
+        }
         generate_timer_.Start();
         GenerateCandidates(node, row, static_cast<size_t>(kw), popped);
         generate_timer_.Stop();
@@ -537,7 +561,7 @@ class Runner {
         narrowed.AssignIntersectionOf(common,
                                       frontier.TimeAs<IntervalSet>(ntd_id));
       }
-      TGKS_STATS(++engine_interval_ops_);
+      ++engine_interval_ops_;
       if (narrowed.IsEmpty()) {
         // Validity pre-check (Algorithm 3 line 17): the chosen paths never
         // coexist; every completion would be invalid too.
@@ -671,9 +695,9 @@ class Runner {
     switch (verdict) {
       case MemoVerdict::kDuplicate:
         ++response_.counters.duplicates;
-        TGKS_STATS(if (options_.trace != nullptr) {
+        if (options_.trace != nullptr) {
           options_.trace->Record(obs::TraceEventKind::kDedupHit, root, -1);
-        });
+        }
         return;
       case MemoVerdict::kRootReducible:
         ++response_.counters.root_reducible;
@@ -790,6 +814,11 @@ class Runner {
     // Frontier build + main loop, minus the generation nested inside.
     c.seconds_expand =
         std::max(0.0, expand_timer_.seconds() - c.seconds_generate);
+    // The observability profile rides the same pass. Finalize() runs on
+    // EVERY stop path (exhausted / bound / max_pops / deadline /
+    // cancelled), so a killed query still reports where its budget went.
+    obs::SearchStats& s = response_.stats;
+    s.interval_ops = engine_interval_ops_;
     int64_t pushed_nodes_sum = 0;
     int64_t active_ntds_sum = 0;
     for (const auto& frontier : iterators_) {
@@ -799,6 +828,9 @@ class Runner {
       c.edges_scanned += is.edges_scanned;
       c.subsumption_skips += is.subsumption_skips;
       c.subsumption_evictions += is.subsumption_evictions;
+      s.prunes += is.prunes;
+      s.interval_ops += is.interval_ops;
+      s.heap_high_water = std::max(s.heap_high_water, is.heap_high_water);
       for (int32_t origin = 0; origin < frontier->num_sources(); ++origin) {
         if (frontier->num_ntds(origin) > 1) {
           // The paper's "average number of NTDs associated with each node
@@ -821,32 +853,10 @@ class Runner {
     c.cache_match_hits = cache_match_hits_;
     c.cache_match_misses = cache_match_misses_;
 
-#ifndef TGKS_NO_STATS
-    // Populate the observability profile. Finalize() runs on EVERY stop
-    // path (exhausted / bound / max_pops / deadline / cancelled), so a
-    // killed query still reports where its budget went.
-    obs::SearchStats& s = response_.stats;
-    s.pops = c.pops;
-    s.ntds_created = c.ntds_created;
-    s.dedup_hits = c.useless_pops + c.duplicates;
-    s.interval_ops = engine_interval_ops_;
-    for (const auto& frontier : iterators_) {
-      const IteratorStats& is = frontier->stats();
-      s.ntds_merged += is.subsumption_skips + is.subsumption_evictions;
-      s.prunes += is.prunes;
-      s.edges_scanned += is.edges_scanned;
-      s.interval_ops += is.interval_ops;
-      s.heap_high_water = std::max(s.heap_high_water, is.heap_high_water);
-    }
-    s.micros_match = std::llround(c.seconds_match * 1e6);
-    s.micros_filter = std::llround(c.seconds_filter * 1e6);
-    s.micros_expand = std::llround(c.seconds_expand * 1e6);
-    s.micros_generate = std::llround(c.seconds_generate * 1e6);
-
     EngineMetrics& gm = EngineMetrics::Get();
     gm.queries->Increment();
-    gm.pops->Increment(s.pops);
-    gm.ntds_created->Increment(s.ntds_created);
+    gm.pops->Increment(c.pops);
+    gm.ntds_created->Increment(c.ntds_created);
     gm.results->Increment(c.results);
     switch (response_.stop_reason) {
       case StopReason::kExhausted:
@@ -866,9 +876,11 @@ class Runner {
         break;
     }
     gm.heap_high_water->Max(s.heap_high_water);
-    gm.query_micros->Observe(s.MicrosTotal());
-    gm.pops_per_query->Observe(s.pops);
-#endif  // TGKS_NO_STATS
+    gm.query_micros->Observe(std::llround(
+        (c.seconds_match + c.seconds_filter + c.seconds_expand +
+         c.seconds_generate) *
+        1e6));
+    gm.pops_per_query->Observe(c.pops);
   }
 
  public:

@@ -104,8 +104,7 @@ struct SearchOptions {
   /// caller-supplied per-query token; either one stops the search.
   const std::atomic<bool>* extra_cancel = nullptr;
   /// Optional flight recorder (not owned). One trace serves ONE query on one
-  /// thread; batch callers must hand each query its own trace or none. A
-  /// TGKS_NO_STATS build records nothing.
+  /// thread; batch callers must hand each query its own trace or none.
   obs::QueryTrace* trace = nullptr;
 
   /// Test seam: when non-null the deadline machinery reads this clock
@@ -166,6 +165,10 @@ struct SearchCounters {
   double seconds_filter = 0.0;
   double seconds_expand = 0.0;
   double seconds_generate = 0.0;
+
+  /// Adds every count and phase time of `other` (batch totals).
+  /// avg_ntds_per_node, a per-query mean, is left as it is.
+  void Merge(const SearchCounters& other);
 };
 
 /// Why the main loop stopped.
@@ -185,8 +188,8 @@ struct SearchResponse {
   /// stop path, including early exits (max_pops / deadline / cancellation).
   std::vector<ResultTree> results;
   SearchCounters counters;
-  /// Observability profile; populated on every stop path. All-zero in
-  /// TGKS_NO_STATS builds.
+  /// Observability values SearchCounters lacks; populated on every stop
+  /// path.
   obs::SearchStats stats;
   StopReason stop_reason = StopReason::kExhausted;
   /// True when every frontier drained (vs. stopping on the bound).

@@ -18,7 +18,6 @@ std::string_view ShedReasonName(ShedReason reason) {
 AdmissionController::AdmissionController(AdmissionOptions options,
                                          obs::MetricsRegistry* registry)
     : options_(options) {
-#ifndef TGKS_NO_STATS
   if (registry == nullptr) registry = &obs::GlobalMetrics();
   depth_gauge_ = registry->GetGauge(
       "tgks_http_admitted_requests",
@@ -37,9 +36,6 @@ AdmissionController::AdmissionController(AdmissionOptions options,
   shed_shutdown_counter_ = registry->GetCounter(
       "tgks_http_shed_total", shed_help,
       {{"reason", std::string(ShedReasonName(ShedReason::kShuttingDown))}});
-#else
-  (void)registry;
-#endif  // TGKS_NO_STATS
 }
 
 bool AdmissionController::TryAdmit(int64_t bytes, ShedReason* why) {

@@ -365,12 +365,10 @@ class HttpServer::Impl {
       fd_to_id_[fd] = conn->id;
       conns_.emplace(conn->id, std::move(conn));
       server_->open_connections_.fetch_add(1, std::memory_order_relaxed);
-#ifndef TGKS_NO_STATS
       static obs::Counter* accepted = obs::GlobalMetrics().GetCounter(
           "tgks_http_connections_accepted_total",
           "TCP connections accepted by the server.");
       accepted->Increment();
-#endif
     }
   }
 

@@ -93,20 +93,18 @@ void WriteCounters(const search::SearchCounters& counters, JsonWriter* w) {
   w->EndObject();
 }
 
-void WriteStats(const obs::SearchStats& stats, JsonWriter* w) {
+/// The "stats" object: SearchStats plus the phase times in microseconds.
+void WriteStats(const search::SearchResponse& response, JsonWriter* w) {
+  const obs::SearchStats& stats = response.stats;
+  const search::SearchCounters& c = response.counters;
   w->BeginObject();
-  w->Key("pops"); w->Int(stats.pops);
-  w->Key("ntds_created"); w->Int(stats.ntds_created);
-  w->Key("ntds_merged"); w->Int(stats.ntds_merged);
-  w->Key("dedup_hits"); w->Int(stats.dedup_hits);
   w->Key("prunes"); w->Int(stats.prunes);
-  w->Key("edges_scanned"); w->Int(stats.edges_scanned);
   w->Key("interval_ops"); w->Int(stats.interval_ops);
   w->Key("heap_high_water"); w->Int(stats.heap_high_water);
-  w->Key("micros_match"); w->Int(stats.micros_match);
-  w->Key("micros_filter"); w->Int(stats.micros_filter);
-  w->Key("micros_expand"); w->Int(stats.micros_expand);
-  w->Key("micros_generate"); w->Int(stats.micros_generate);
+  w->Key("micros_match"); w->Int(std::llround(c.seconds_match * 1e6));
+  w->Key("micros_filter"); w->Int(std::llround(c.seconds_filter * 1e6));
+  w->Key("micros_expand"); w->Int(std::llround(c.seconds_expand * 1e6));
+  w->Key("micros_generate"); w->Int(std::llround(c.seconds_generate * 1e6));
   w->EndObject();
 }
 
@@ -237,7 +235,7 @@ std::string JsonSearchBody(const search::SearchResponse& response,
     w.Key("counters");
     WriteCounters(response.counters, &w);
     w.Key("stats");
-    WriteStats(response.stats, &w);
+    WriteStats(response, &w);
     w.Key("latency_ms");
     w.Double(latency_seconds * 1000.0);
   }
@@ -249,25 +247,18 @@ RequestRouter::RequestRouter(RouterContext context)
     : context_(std::move(context)) {}
 
 void RequestRouter::CountRequest(const std::string& route, int status) const {
-#ifndef TGKS_NO_STATS
   obs::GlobalMetrics()
       .GetCounter("tgks_http_requests_total",
                   "HTTP requests served, by route and status.",
                   {{"route", route}, {"status", std::to_string(status)}})
       ->Increment();
-#else
-  (void)route;
-  (void)status;
-#endif  // TGKS_NO_STATS
 }
 
 void RequestRouter::CountCoalesced() const {
-#ifndef TGKS_NO_STATS
   obs::GlobalMetrics()
       .GetCounter("tgks_cache_coalesced_total",
                   "Requests coalesced onto an identical in-flight search.")
       ->Increment();
-#endif  // TGKS_NO_STATS
 }
 
 HttpResponse RequestRouter::HandleMetrics() const {
@@ -571,8 +562,6 @@ HttpResponse RequestRouter::HandleVarz() const {
   w.Int(requests_total());
   w.Key("draining");
   w.Bool(draining());
-  w.Key("stats_compiled_out");
-  w.Bool(obs::StatsCompiledOut());
   w.EndObject();
   return JsonResponse(200, w.Take());
 }
@@ -925,13 +914,11 @@ bool RequestRouter::HandleSearch(const HttpRequest& request,
                                           std::to_string(snapshot_generation));
         }
         self->CountRequest("/v1/search", http.status);
-#ifndef TGKS_NO_STATS
         obs::GlobalMetrics()
             .GetHistogram("tgks_http_request_micros",
                           "Search request service time (microseconds).", {},
                           {{"route", "/v1/search"}})
             ->Observe(std::llround(seconds * 1e6));
-#endif  // TGKS_NO_STATS
         if (cache_eligible) {
           for (Completion& follower : self->flights_.Finish(fingerprint)) {
             HttpResponse copy = http;

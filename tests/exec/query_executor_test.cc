@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cache/query_caches.h"
 #include "graph/graph_builder.h"
 #include "graph/inverted_index.h"
 #include "search/query_parser.h"
@@ -336,6 +337,86 @@ TEST(QueryExecutorTest, RunQueriesConvenienceWrapper) {
   EXPECT_EQ(out.latencies_seconds.size(), 2u);
   EXPECT_GT(out.wall_seconds, 0.0);
   EXPECT_GT(out.QueriesPerSecond(), 0.0);
+}
+
+// BatchResponse::totals sums every summable counter of the ok() responses,
+// including the subsumption and cache counters only some queries move.
+TEST(QueryExecutorTest, BatchTotalsSumEveryCounter) {
+  const TemporalGraph g = testutil::MakeSocialNetworkGraph();
+  const InvertedIndex index(g);
+  cache::QueryCaches caches;
+  ExecutorOptions options;
+  options.threads = 2;
+  options.search.k = 0;
+  options.search.query_caches = &caches;
+  QueryExecutor executor(g, &index, options);
+  std::vector<search::Query> queries;
+  for (int repeat = 0; repeat < 2; ++repeat) {  // Repeats hit the cache.
+    for (const char* text : {"mary, john", "mary, bob", "bob, ross, john"}) {
+      queries.push_back(MustParse(std::string(text) +
+                                  " rank by descending order of duration"));
+    }
+  }
+  const BatchResponse out = executor.RunQueries(queries);
+  ASSERT_EQ(out.completed, static_cast<int64_t>(queries.size()));
+  search::SearchCounters sum;
+  for (const auto& r : out.responses) {
+    ASSERT_TRUE(r.ok()) << r.status();
+    const search::SearchCounters& c = r->counters;
+    sum.iterators += c.iterators;
+    sum.pops += c.pops;
+    sum.useless_pops += c.useless_pops;
+    sum.ntds_created += c.ntds_created;
+    sum.edges_scanned += c.edges_scanned;
+    sum.subsumption_skips += c.subsumption_skips;
+    sum.subsumption_evictions += c.subsumption_evictions;
+    sum.nodes_visited += c.nodes_visited;
+    sum.candidates += c.candidates;
+    sum.invalid_time += c.invalid_time;
+    sum.invalid_structure += c.invalid_structure;
+    sum.root_reducible += c.root_reducible;
+    sum.predicate_rejected += c.predicate_rejected;
+    sum.duplicates += c.duplicates;
+    sum.combo_overflows += c.combo_overflows;
+    sum.memo_hits += c.memo_hits;
+    sum.results += c.results;
+    sum.cache_match_hits += c.cache_match_hits;
+    sum.cache_match_misses += c.cache_match_misses;
+    sum.seconds_match += c.seconds_match;
+    sum.seconds_filter += c.seconds_filter;
+    sum.seconds_expand += c.seconds_expand;
+    sum.seconds_generate += c.seconds_generate;
+  }
+  // The batch moves the counters the check is about.
+  EXPECT_GT(sum.subsumption_skips, 0);
+  EXPECT_GT(sum.cache_match_hits, 0);
+  EXPECT_GT(sum.cache_match_misses, 0);
+  const search::SearchCounters& t = out.totals;
+#define TGKS_EXPECT_SUM(field) EXPECT_EQ(t.field, sum.field) << #field
+  TGKS_EXPECT_SUM(iterators);
+  TGKS_EXPECT_SUM(pops);
+  TGKS_EXPECT_SUM(useless_pops);
+  TGKS_EXPECT_SUM(ntds_created);
+  TGKS_EXPECT_SUM(edges_scanned);
+  TGKS_EXPECT_SUM(subsumption_skips);
+  TGKS_EXPECT_SUM(subsumption_evictions);
+  TGKS_EXPECT_SUM(nodes_visited);
+  TGKS_EXPECT_SUM(candidates);
+  TGKS_EXPECT_SUM(invalid_time);
+  TGKS_EXPECT_SUM(invalid_structure);
+  TGKS_EXPECT_SUM(root_reducible);
+  TGKS_EXPECT_SUM(predicate_rejected);
+  TGKS_EXPECT_SUM(duplicates);
+  TGKS_EXPECT_SUM(combo_overflows);
+  TGKS_EXPECT_SUM(memo_hits);
+  TGKS_EXPECT_SUM(results);
+  TGKS_EXPECT_SUM(cache_match_hits);
+  TGKS_EXPECT_SUM(cache_match_misses);
+  TGKS_EXPECT_SUM(seconds_match);
+  TGKS_EXPECT_SUM(seconds_filter);
+  TGKS_EXPECT_SUM(seconds_expand);
+  TGKS_EXPECT_SUM(seconds_generate);
+#undef TGKS_EXPECT_SUM
 }
 
 // --- Single-query Submit() (the serving path) -------------------------------

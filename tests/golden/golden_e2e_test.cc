@@ -10,8 +10,7 @@
 // and the diff of the .expected files IS the review artifact.
 //
 // The rendering deliberately excludes wall-clock, counters, and stats so
-// the transcripts are byte-identical across machines, sanitizers, and
-// TGKS_NO_STATS builds.
+// the transcripts are byte-identical across machines and sanitizers.
 
 #include <cstdlib>
 #include <fstream>

@@ -255,21 +255,17 @@ TEST(LiveGraphTest, ApplyReportsLockWaitApartFromApplyTime) {
   IngestErrorDetail error;
   IngestBatch batch;
   batch.nodes.push_back(MakeNode("dave", IntervalSet{{0, 9}}));
-#ifndef TGKS_NO_STATS
   obs::MetricsRegistry& reg = obs::GlobalMetrics();
   const obs::Histogram* apply = reg.GetHistogram("tgks_ingest_apply_micros");
   const obs::Histogram* wait =
       reg.GetHistogram("tgks_ingest_lock_wait_micros");
   const int64_t applies = apply->count();
   const int64_t waits = wait->count();
-#endif
   ASSERT_TRUE(live.Apply(batch, &error).ok());
-#ifndef TGKS_NO_STATS
   // One sample each per batch: the wait for the writer mutex is its own
   // histogram, not part of the apply time.
   EXPECT_EQ(apply->count(), applies + 1);
   EXPECT_EQ(wait->count(), waits + 1);
-#endif
 }
 
 TEST(LiveGraphTest, CompactWithoutDeltaIsANoOp) {

@@ -1,15 +1,10 @@
 // Regression tests: SearchResponse::stats is populated on EVERY stop path
-// (exhausted, bound, max_pops, deadline, cancelled) and stays consistent
-// with the paper counters; the batch executor aggregates per-query stats.
-//
-// Positivity assertions are guarded by obs::StatsCompiledOut() so the suite
-// also passes under -DTGKS_NO_STATS=ON, where it instead pins the contract
-// that every stats field stays zero.
+// (exhausted, bound, max_pops, deadline, cancelled) next to the paper
+// counters; the batch executor aggregates per-query stats.
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <string>
 #include <vector>
 
@@ -39,36 +34,18 @@ Query MustParse(const std::string& text) {
   return std::move(q).value();
 }
 
-/// Invariants every populated stats payload must satisfy, regardless of the
-/// stop path: mirrors of the paper counters agree, phase micros reproduce
-/// the stopwatch seconds, and nothing is negative.
+/// Invariants every populated profile must satisfy, regardless of the stop
+/// path: nothing is negative.
 void ExpectStatsConsistent(const SearchResponse& r) {
   const obs::SearchStats& s = r.stats;
-  if (obs::StatsCompiledOut()) {
-    EXPECT_EQ(s.pops, 0);
-    EXPECT_EQ(s.ntds_created, 0);
-    EXPECT_EQ(s.dedup_hits, 0);
-    EXPECT_EQ(s.prunes, 0);
-    EXPECT_EQ(s.edges_scanned, 0);
-    EXPECT_EQ(s.interval_ops, 0);
-    EXPECT_EQ(s.heap_high_water, 0);
-    EXPECT_EQ(s.MicrosTotal(), 0);
-    return;
-  }
-  EXPECT_EQ(s.pops, r.counters.pops);
-  EXPECT_EQ(s.ntds_created, r.counters.ntds_created);
-  EXPECT_EQ(s.dedup_hits, r.counters.useless_pops + r.counters.duplicates);
   EXPECT_GE(s.prunes, 0);
-  EXPECT_GE(s.edges_scanned, 0);
   EXPECT_GE(s.interval_ops, 0);
   EXPECT_GE(s.heap_high_water, 0);
-  EXPECT_EQ(s.micros_match, std::llround(r.counters.seconds_match * 1e6));
-  EXPECT_EQ(s.micros_filter, std::llround(r.counters.seconds_filter * 1e6));
-  EXPECT_EQ(s.micros_expand, std::llround(r.counters.seconds_expand * 1e6));
-  EXPECT_EQ(s.micros_generate,
-            std::llround(r.counters.seconds_generate * 1e6));
-  EXPECT_EQ(s.MicrosTotal(), s.micros_match + s.micros_filter +
-                                 s.micros_expand + s.micros_generate);
+  const SearchCounters& c = r.counters;
+  EXPECT_GE(c.seconds_match, 0.0);
+  EXPECT_GE(c.seconds_filter, 0.0);
+  EXPECT_GE(c.seconds_expand, 0.0);
+  EXPECT_GE(c.seconds_generate, 0.0);
 }
 
 /// Dense fixture: a clique over `n` nodes, half labeled alpha and half
@@ -100,13 +77,11 @@ TEST(SearchStatsTest, PopulatedOnExhaustedExit) {
   ASSERT_TRUE(r.ok()) << r.status();
   ASSERT_EQ(r->stop_reason, StopReason::kExhausted);
   ExpectStatsConsistent(*r);
-  if (!obs::StatsCompiledOut()) {
-    EXPECT_GT(r->stats.pops, 0);
-    EXPECT_GT(r->stats.ntds_created, 0);
-    EXPECT_GT(r->stats.edges_scanned, 0);
-    EXPECT_GT(r->stats.interval_ops, 0);
-    EXPECT_GE(r->stats.heap_high_water, 1);
-  }
+  EXPECT_GT(r->counters.pops, 0);
+  EXPECT_GT(r->counters.ntds_created, 0);
+  EXPECT_GT(r->counters.edges_scanned, 0);
+  EXPECT_GT(r->stats.interval_ops, 0);
+  EXPECT_GE(r->stats.heap_high_water, 1);
 }
 
 // seconds_expand is the frontier build plus the main loop, minus the
@@ -144,10 +119,8 @@ TEST(SearchStatsTest, PopulatedOnBoundExit) {
   ASSERT_EQ(r->stop_reason, StopReason::kBound);
   EXPECT_FALSE(r->truncated);
   ExpectStatsConsistent(*r);
-  if (!obs::StatsCompiledOut()) {
-    EXPECT_GT(r->stats.pops, 0);
-    EXPECT_GE(r->stats.heap_high_water, 1);
-  }
+  EXPECT_GT(r->counters.pops, 0);
+  EXPECT_GE(r->stats.heap_high_water, 1);
 }
 
 TEST(SearchStatsTest, PopulatedOnMaxPopsExit) {
@@ -163,9 +136,6 @@ TEST(SearchStatsTest, PopulatedOnMaxPopsExit) {
   EXPECT_TRUE(r->truncated);
   EXPECT_EQ(r->counters.pops, 5);
   ExpectStatsConsistent(*r);
-  if (!obs::StatsCompiledOut()) {
-    EXPECT_EQ(r->stats.pops, 5);
-  }
 }
 
 TEST(SearchStatsTest, PopulatedOnDeadlineExit) {
@@ -198,12 +168,10 @@ TEST(SearchStatsTest, PopulatedOnCancelledExit) {
   ASSERT_EQ(r->stop_reason, StopReason::kCancelled);
   EXPECT_EQ(r->counters.pops, 0);
   ExpectStatsConsistent(*r);
-  if (!obs::StatsCompiledOut()) {
-    // Iterators were created before the cancel check, so their source NTDs
-    // are queued: finalization saw real state, not an untouched struct.
-    EXPECT_GT(r->stats.ntds_created, 0);
-    EXPECT_GE(r->stats.heap_high_water, 1);
-  }
+  // Iterators were created before the cancel check, so their source NTDs
+  // are queued: finalization saw real state, not an untouched struct.
+  EXPECT_GT(r->counters.ntds_created, 0);
+  EXPECT_GE(r->stats.heap_high_water, 1);
 }
 
 TEST(SearchStatsTest, TraceRecordsIteratorEvents) {
@@ -216,10 +184,6 @@ TEST(SearchStatsTest, TraceRecordsIteratorEvents) {
   options.trace = &trace;
   auto r = engine.Search(MustParse("mary, john"), options);
   ASSERT_TRUE(r.ok()) << r.status();
-  if (obs::StatsCompiledOut()) {
-    EXPECT_EQ(trace.total_recorded(), 0);
-    return;
-  }
   EXPECT_GT(trace.total_recorded(), 0);
   bool saw_pop = false, saw_expand = false, saw_keyword_hit = false;
   for (const obs::TraceEvent& ev : trace.Events()) {
@@ -266,10 +230,8 @@ TEST(SearchStatsTest, PredicatePruneCountsPrunedElements) {
                          options);
   ASSERT_TRUE(r.ok()) << r.status();
   ExpectStatsConsistent(*r);
-  if (!obs::StatsCompiledOut()) {
-    EXPECT_GT(r->stats.prunes, 0)
-        << "expansion toward the late-only node must hit the prune";
-  }
+  EXPECT_GT(r->stats.prunes, 0)
+      << "expansion toward the late-only node must hit the prune";
 }
 
 TEST(SearchStatsTest, ExecutorAggregatesBatchStats) {
@@ -284,20 +246,17 @@ TEST(SearchStatsTest, ExecutorAggregatesBatchStats) {
       MustParse("mary, john rank by descending order of duration")};
   const exec::BatchResponse batch = executor.RunQueries(queries);
   ASSERT_EQ(batch.completed, 3);
-  int64_t pops = 0, micros = 0, high_water = 0;
+  int64_t prunes = 0, interval_ops = 0, high_water = 0;
   for (const auto& r : batch.responses) {
     ASSERT_TRUE(r.ok());
-    pops += r->stats.pops;
-    micros += r->stats.MicrosTotal();
+    prunes += r->stats.prunes;
+    interval_ops += r->stats.interval_ops;
     high_water = std::max(high_water, r->stats.heap_high_water);
   }
-  EXPECT_EQ(batch.stats.pops, pops);
-  EXPECT_EQ(batch.stats.MicrosTotal(), micros);
+  EXPECT_EQ(batch.stats.prunes, prunes);
+  EXPECT_EQ(batch.stats.interval_ops, interval_ops);
+  EXPECT_GT(batch.stats.interval_ops, 0);
   EXPECT_EQ(batch.stats.heap_high_water, high_water);
-  if (!obs::StatsCompiledOut()) {
-    EXPECT_GT(batch.stats.pops, 0);
-    EXPECT_EQ(batch.stats.pops, batch.totals.pops);
-  }
 }
 
 }  // namespace

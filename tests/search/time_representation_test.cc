@@ -241,12 +241,7 @@ void ExpectSameResponse(const SearchResponse& a, const SearchResponse& b,
   const obs::SearchStats& s = a.stats;
   const obs::SearchStats& t = b.stats;
 #define TGKS_EXPECT_SAME(field) EXPECT_EQ(s.field, t.field) << ctx << " " #field
-  TGKS_EXPECT_SAME(pops);
-  TGKS_EXPECT_SAME(ntds_created);
-  TGKS_EXPECT_SAME(ntds_merged);
-  TGKS_EXPECT_SAME(dedup_hits);
   TGKS_EXPECT_SAME(prunes);
-  TGKS_EXPECT_SAME(edges_scanned);
   TGKS_EXPECT_SAME(interval_ops);
   TGKS_EXPECT_SAME(heap_high_water);
 #undef TGKS_EXPECT_SAME

@@ -3,8 +3,7 @@
 // Prints one line per (graph, query) with the engine's search-work
 // counters. The counters are pure functions of the algorithm (no clocks, no
 // addresses, no thread interleaving), so the output is bit-stable across
-// runs, build flavours (TGKS_NO_STATS included — every printed counter is
-// ungated), and machines. scripts/workcount_check.sh diffs it against
+// runs and machines. scripts/workcount_check.sh diffs it against
 // tests/golden/workcounts.expected in CI to catch silent changes to the
 // amount of work the search performs: an optimization must move time, not
 // pops.
