@@ -16,13 +16,9 @@
 //   --deadline-ms N  per-query wall-clock budget (default: none)
 //   --batch FILE     run every query in FILE concurrently ('#' = comment)
 //   --threads N      worker threads for --batch / --serve (default: hardware)
-//   --cache          enable the query caches (docs/caching.md): keyword
-//                    match sets everywhere, plus the serving-layer result
-//                    cache under --serve. Results are bit-identical with or
-//                    without it; HTTP clients can bypass per request via the
-//                    "cache" JSON field.
-//   --cache-match-bytes N   match-set cache byte budget (default 8 MiB)
-//   --cache-result-bytes N  result cache byte budget (default 64 MiB)
+//
+// Numeric values must be whole decimal integers that fit the flag's type;
+// anything else is a usage error.
 //
 // Serving options (see docs/serving.md):
 //   --serve                 run the HTTP server instead of a query
@@ -34,6 +30,11 @@
 //   --max-queue N           admitted search requests in flight (default 64)
 //   --max-inflight-bytes N  admitted request-body bytes (default 8 MiB)
 //   --drain-timeout-ms N    graceful-shutdown grace period (default 5000)
+//   --cache                 enable the result cache (docs/caching.md).
+//                           Results are bit-identical with or without it;
+//                           HTTP clients can bypass it per request via the
+//                           "cache" JSON field
+//   --cache-result-bytes N  result cache byte budget (default 64 MiB)
 //
 // Live-ingest options (see docs/ingest.md; all require --serve):
 //   --live                  accept POST /v1/ingest and /v1/compact: the
@@ -62,6 +63,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -69,8 +71,8 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "cache/query_caches.h"
 #include "cache/result_cache.h"
+#include "common/strings.h"
 #include "examples/example_util.h"
 #include "exec/query_executor.h"
 #include "obs/metrics.h"
@@ -128,6 +130,21 @@ int Usage() {
   return 2;
 }
 
+/// Parses a numeric flag value strictly: the whole of `text` must be a
+/// decimal integer that fits T. Reports a bad value on stderr.
+template <typename T>
+bool ParseFlag(const std::string& flag, const char* text, T* out) {
+  int64_t value = 0;
+  if (!tgks::ParseInt64(text, &value) ||
+      value < std::numeric_limits<T>::min() ||
+      value > std::numeric_limits<T>::max()) {
+    std::cerr << "invalid value for " << flag << ": '" << text << "'\n";
+    return false;
+  }
+  *out = static_cast<T>(value);
+  return true;
+}
+
 /// SIGTERM/SIGINT request graceful shutdown of --serve.
 volatile sig_atomic_t g_stop_requested = 0;
 
@@ -139,8 +156,7 @@ int RunServe(const tgks::graph::TemporalGraph& graph,
              const tgks::search::SearchOptions& search_options, int threads,
              int64_t deadline_ms, const std::string& host, int port,
              int64_t max_queue, int64_t max_inflight_bytes,
-             int64_t drain_timeout_ms,
-             tgks::cache::QueryCaches* query_caches,
+             int64_t drain_timeout_ms, bool cache_enabled,
              int64_t cache_result_bytes, tgks::ingest::LiveGraph* live,
              int64_t max_ingest_bytes) {
   std::atomic<bool> draining{false};
@@ -159,19 +175,17 @@ int RunServe(const tgks::graph::TemporalGraph& graph,
   admission_options.max_inflight_bytes = max_inflight_bytes;
   tgks::server::AdmissionController admission(admission_options);
 
-  // --cache: the in-engine levels arrive preset on search_options; the
-  // serving-layer result cache is created here so its lifetime brackets the
+  // --cache: the result cache is created here so its lifetime brackets the
   // router's.
   std::unique_ptr<tgks::cache::ResultCache> result_cache;
-  if (query_caches != nullptr) {
+  if (cache_enabled) {
     result_cache =
         std::make_unique<tgks::cache::ResultCache>(cache_result_bytes);
   }
 
   // Live mode: every publish invalidates the serving-layer result cache,
   // so a post-publish hit can never surface a pre-publish answer
-  // (docs/ingest.md). Match-set caches need no hook — each snapshot carries its
-  // own fresh bundle, so the router-level pointer stays unset.
+  // (docs/ingest.md).
   if (live != nullptr && result_cache != nullptr) {
     tgks::cache::ResultCache* rc = result_cache.get();
     live->set_on_publish([rc](uint64_t) { rc->InvalidateAll(); });
@@ -186,7 +200,6 @@ int RunServe(const tgks::graph::TemporalGraph& graph,
   context.default_deadline_ms = deadline_ms;
   context.dataset_name = dataset_name;
   context.result_cache = result_cache.get();
-  context.query_caches = live != nullptr ? nullptr : query_caches;
   context.live = live;
   context.max_ingest_bytes = max_ingest_bytes;
   tgks::server::RequestRouter router(context);
@@ -220,7 +233,7 @@ int RunServe(const tgks::graph::TemporalGraph& graph,
                       "/varz\n")
             << "threads " << executor.threads() << "  max-queue " << max_queue
             << "  max-inflight-bytes " << max_inflight_bytes << "  cache "
-            << (query_caches != nullptr ? "on" : "off") << "  live "
+            << (cache_enabled ? "on" : "off") << "  live "
             << (live != nullptr ? "on" : "off") << "\n"
             << std::flush;
 
@@ -331,7 +344,6 @@ int main(int argc, char** argv) {
   int64_t max_inflight_bytes = 8 * 1024 * 1024;
   int64_t drain_timeout_ms = 5000;
   bool cache_enabled = false;
-  tgks::cache::QueryCachesOptions cache_options;
   int64_t cache_result_bytes = int64_t{64} << 20;
   bool live_enabled = false;
   int64_t max_ingest_bytes = int64_t{4} << 20;
@@ -350,26 +362,27 @@ int main(int argc, char** argv) {
     } else if (arg == "--metrics") {
       metrics = true;
     } else if (arg == "--k" && i + 1 < argc) {
-      options.k = std::atoi(argv[++i]);
+      if (!ParseFlag(arg, argv[++i], &options.k)) return Usage();
     } else if (arg == "--threads" && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
+      if (!ParseFlag(arg, argv[++i], &threads)) return Usage();
     } else if (arg == "--cache") {
       cache_enabled = true;
-    } else if (arg == "--cache-match-bytes" && i + 1 < argc) {
-      cache_options.match_set_bytes = std::atoll(argv[++i]);
     } else if (arg == "--cache-result-bytes" && i + 1 < argc) {
-      cache_result_bytes = std::atoll(argv[++i]);
+      if (!ParseFlag(arg, argv[++i], &cache_result_bytes)) return Usage();
     } else if (arg == "--live") {
       live_enabled = true;
     } else if (arg == "--max-ingest-bytes" && i + 1 < argc) {
-      max_ingest_bytes = std::atoll(argv[++i]);
+      if (!ParseFlag(arg, argv[++i], &max_ingest_bytes)) return Usage();
     } else if (arg == "--compact-bytes" && i + 1 < argc) {
-      compaction_policy.max_delta_bytes =
-          static_cast<size_t>(std::atoll(argv[++i]));
+      int64_t bytes = 0;
+      if (!ParseFlag(arg, argv[++i], &bytes)) return Usage();
+      compaction_policy.max_delta_bytes = static_cast<size_t>(bytes);
     } else if (arg == "--compact-age-ms" && i + 1 < argc) {
-      compaction_policy.max_delta_age_ms = std::atoll(argv[++i]);
+      if (!ParseFlag(arg, argv[++i], &compaction_policy.max_delta_age_ms)) {
+        return Usage();
+      }
     } else if (arg == "--deadline-ms" && i + 1 < argc) {
-      deadline_ms = std::atoll(argv[++i]);
+      if (!ParseFlag(arg, argv[++i], &deadline_ms)) return Usage();
     } else if (arg == "--batch" && i + 1 < argc) {
       batch_path = argv[++i];
     } else if (arg == "--dataset" && i + 1 < argc) {
@@ -377,13 +390,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--host" && i + 1 < argc) {
       host = argv[++i];
     } else if (arg == "--port" && i + 1 < argc) {
-      port = std::atoi(argv[++i]);
+      if (!ParseFlag(arg, argv[++i], &port)) return Usage();
     } else if (arg == "--max-queue" && i + 1 < argc) {
-      max_queue = std::atoll(argv[++i]);
+      if (!ParseFlag(arg, argv[++i], &max_queue)) return Usage();
     } else if (arg == "--max-inflight-bytes" && i + 1 < argc) {
-      max_inflight_bytes = std::atoll(argv[++i]);
+      if (!ParseFlag(arg, argv[++i], &max_inflight_bytes)) return Usage();
     } else if (arg == "--drain-timeout-ms" && i + 1 < argc) {
-      drain_timeout_ms = std::atoll(argv[++i]);
+      if (!ParseFlag(arg, argv[++i], &drain_timeout_ms)) return Usage();
     } else if (arg == "--bound" && i + 1 < argc) {
       const std::string kind = argv[++i];
       if (kind == "accurate") {
@@ -423,8 +436,8 @@ int main(int argc, char** argv) {
     if (!query_text.empty() || batch_mode || trace || !has_graph_source) {
       return Usage();
     }
-  } else if (live_enabled) {
-    std::cerr << "--live requires --serve\n";
+  } else if (live_enabled || cache_enabled) {
+    std::cerr << (live_enabled ? "--live" : "--cache") << " requires --serve\n";
     return Usage();
   } else if (batch_mode) {
     if (!query_text.empty() || !has_graph_source) return Usage();
@@ -464,9 +477,8 @@ int main(int argc, char** argv) {
   std::unique_ptr<tgks::ingest::LiveGraph> live;
   tgks::ingest::GraphSnapshotHandle live_base;
   if (live_enabled) {
-    live = std::make_unique<tgks::ingest::LiveGraph>(
-        std::move(graph), compaction_policy,
-        cache_enabled ? std::optional(cache_options) : std::nullopt);
+    live = std::make_unique<tgks::ingest::LiveGraph>(std::move(graph),
+                                                     compaction_policy);
     live_base = live->Acquire();
   }
   const tgks::graph::TemporalGraph& base_graph =
@@ -476,21 +488,12 @@ int main(int argc, char** argv) {
   const tgks::graph::InvertedIndex& index =
       live != nullptr ? *live_base->index : *local_index;
 
-  // --cache: one bundle shared by every query this process runs (single,
-  // batch, or served); search results are bit-identical either way. In
-  // live mode the per-snapshot bundles take over instead.
-  std::unique_ptr<tgks::cache::QueryCaches> query_caches;
-  if (cache_enabled) {
-    query_caches = std::make_unique<tgks::cache::QueryCaches>(cache_options);
-    if (live == nullptr) options.query_caches = query_caches.get();
-  }
-
   if (serve) {
     std::string served_name = dataset_name;
     if (served_name.empty()) served_name = demo ? "demo" : graph_path;
     return RunServe(base_graph, index, served_name, options, threads,
                     deadline_ms, host, port, max_queue, max_inflight_bytes,
-                    drain_timeout_ms, query_caches.get(), cache_result_bytes,
+                    drain_timeout_ms, cache_enabled, cache_result_bytes,
                     live.get(), max_ingest_bytes);
   }
 

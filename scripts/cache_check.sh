@@ -1,35 +1,16 @@
 #!/usr/bin/env bash
-# Cache correctness + effectiveness gate (docs/caching.md).
-#
-# Three checks:
-#
-#   1. Differential: every workcount_dump suite (counters and result
-#      fingerprints) must be bit-identical with and without --cache. Cached
-#      answers that differ from recomputed answers are a soundness bug, not
-#      a perf regression.
-#   2. Hit-rate floor: the cache-summary lines from the cached dataset run
-#      must clear a warm match-set hit-rate floor. The dataset suites run
-#      each workload twice (relevance + duration ranking), so the second
-#      pass's match-set lookups are all hits: dblp and dblp-bounded measure
-#      42 hits to 30 misses (0.583) and the floor is 0.58 — a drop means the
-#      cache key or eviction broke. The social workload sends explicit match
-#      sets, which make no match-set lookups; only its summary line is
-#      required.
-#   3. HTTP end-to-end: boot `tgks_cli --dataset social --serve --cache`,
-#      POST the same query twice (identical bodies, second is `x-cache:
-#      hit`), verify "cache": false bypasses the cache, and verify
-#      POST /v1/cache/invalidate bumps the generation and turns the next
-#      request back into a miss.
+# Result cache gate (docs/caching.md), HTTP end to end: boot
+# `tgks_cli --dataset social --serve --cache`, POST the same query twice
+# (identical bodies, second is `x-cache: hit`), verify "cache": false
+# bypasses the cache, verify POST /v1/cache/invalidate bumps the generation
+# and turns the next request back into a miss, and verify /varz reports the
+# result cache as the only cache level.
 #
 # usage: scripts/cache_check.sh <build-dir>
 set -euo pipefail
 
 BUILD_DIR="${1:?usage: cache_check.sh <build-dir>}"
-REPO_ROOT="$(cd "$(dirname "$0")/.." && pwd)"
-DUMP="${BUILD_DIR}/tools/workcount_dump"
 CLI="${BUILD_DIR}/examples/tgks_cli"
-GOLDEN_DIR="${REPO_ROOT}/tests/golden"
-[[ -x "${DUMP}" ]] || { echo "cache_check: ${DUMP} not built" >&2; exit 2; }
 [[ -x "${CLI}" ]] || { echo "cache_check: ${CLI} not built" >&2; exit 2; }
 
 WORK="$(mktemp -d)"
@@ -41,52 +22,6 @@ cleanup() {
 }
 trap cleanup EXIT
 
-differential() {  # <label> <dump args...>
-  local label="$1"; shift
-  "${DUMP}" "$@" > "${WORK}/off.txt"
-  "${DUMP}" --cache "$@" > "${WORK}/on.raw"
-  grep -v '^cache-summary' "${WORK}/on.raw" > "${WORK}/on.txt"
-  if ! diff -u "${WORK}/off.txt" "${WORK}/on.txt"; then
-    echo "" >&2
-    echo "cache_check: FAIL — the query caches changed the ${label} suite." >&2
-    echo "Cached answers must be bit-identical to recomputed answers" >&2
-    echo "(docs/caching.md); this is a soundness bug." >&2
-    exit 1
-  fi
-  echo "cache_check: OK (${label}: $(wc -l < "${WORK}/off.txt") lines bit-identical, cached vs uncached)"
-}
-
-echo "== 1. cached-vs-uncached differential =="
-differential "golden counters"  "${GOLDEN_DIR}"
-differential "golden results"   --results "${GOLDEN_DIR}"
-differential "dataset counters" --dataset dblp --dataset dblp-bounded \
-  --dataset social
-differential "dataset results"  --results --dataset dblp \
-  --dataset dblp-bounded --dataset social
-
-echo "== 2. warm hit-rate floor =="
-# The last differential left the cached dataset dump in on.raw.
-grep '^cache-summary' "${WORK}/on.raw" > "${WORK}/summary.txt"
-cat "${WORK}/summary.txt"
-python3 - "${WORK}/summary.txt" <<'EOF'
-import sys
-# None: the workload makes no match-set lookups (explicit match sets).
-floors = {"dblp": 0.58, "dblp-bounded": 0.58, "social": None}
-for line in open(sys.argv[1]):
-    fields = dict(kv.split("=") for kv in line.split()[2:])
-    tag = line.split()[1]
-    floor = floors.pop(tag)
-    if floor is None:
-        print(f"{tag}: summary present")
-        continue
-    mh, mm = int(fields["match_hits"]), int(fields["match_misses"])
-    rate = mh / (mh + mm) if mh + mm else 0.0
-    assert rate >= floor, f"{tag}: match hit rate {rate:.3f} < {floor}"
-    print(f"{tag}: match hit rate {rate:.3f} >= {floor}")
-assert not floors, f"missing cache-summary lines for: {sorted(floors)}"
-EOF
-
-echo "== 3. HTTP result cache end-to-end =="
 export TGKS_BENCH_SCALE="${TGKS_BENCH_SCALE:-0.3}"
 "${CLI}" --dataset social --serve --cache --port 0 \
     > "${WORK}/server.log" 2>&1 &
@@ -150,8 +85,10 @@ echo "cache_check: OK (invalidate -> generation 1 -> miss, body identical)"
 curl -s "${URL}/varz" > "${WORK}/varz.json"
 grep -q '"result_cache"' "${WORK}/varz.json" \
     || { echo "cache_check: /varz missing result_cache section" >&2; exit 1; }
-grep -q '"match_cache"' "${WORK}/varz.json" \
-    || { echo "cache_check: /varz missing match_cache section" >&2; exit 1; }
+if grep -qE '"(match_cache|query_cache_generation)"' "${WORK}/varz.json"; then
+  echo "cache_check: /varz still reports a match-set cache level" >&2
+  exit 1
+fi
 
 kill -TERM "${SERVER_PID}"
 wait "${SERVER_PID}" || { echo "cache_check: bad server exit" >&2; exit 1; }

@@ -1,7 +1,7 @@
 // LruCache: a thread-safe, byte-budget LRU map from Key to
 // shared_ptr<const Value>.
 //
-// This is the storage primitive behind every cache level in src/cache/
+// This is the storage primitive behind the result cache in src/cache/
 // (docs/caching.md). Values are immutable and shared: a Lookup hands back a
 // shared_ptr that stays valid after the entry is evicted, so readers never
 // race eviction. Each entry carries a caller-estimated byte cost; Insert
@@ -10,7 +10,7 @@
 // Stats::oversized) — the computed value is still returned to the caller,
 // it just isn't shared.
 //
-// All operations take one internal mutex. Cache levels sit outside the
+// All operations take one internal mutex. The cache sits outside the
 // per-pop hot loops (one probe per query, not per NTD), so a mutex is cheap
 // relative to the work a hit saves; it also keeps the recency list and the
 // stats coherent without atomics gymnastics.

@@ -1,4 +1,4 @@
-// Level-2 cache (docs/caching.md): normalized request fingerprint ->
+// The result cache (docs/caching.md): normalized request fingerprint ->
 // serialized response body, for the serving layer.
 //
 // The value is the exact byte string the router would have written for an

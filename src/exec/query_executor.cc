@@ -165,14 +165,8 @@ void QueryExecutor::Submit(SingleQuery single, SingleQueryCallback done) {
   }
   options.cancel = single.cancel;
   if (single.snapshot.graph != nullptr) {
-    // Live snapshot: the overlay and the snapshot's own cache bundle
-    // replace the executor-wide defaults (the bundle was created at the
-    // snapshot's publish, so its entries can never predate the data).
+    // Live snapshot: its overlay replaces the executor-wide default.
     options.overlay = single.snapshot.overlay;
-    options.query_caches = single.snapshot.caches;
-  }
-  if (single.use_query_caches.has_value() && !*single.use_query_caches) {
-    options.query_caches = nullptr;
   }
   pool_->Submit([this, single = std::move(single), options,
                  done = std::move(done)]() mutable {
@@ -203,8 +197,10 @@ void QueryExecutor::Submit(SingleQuery single, SingleQueryCallback done) {
       singles->Increment();
       latency_micros->Observe(std::llround(latency.seconds() * 1e6));
     }
-    done(std::move(response), latency.seconds());
+    // Decrement before the callback: a caller woken by it must not still
+    // count this query as in flight.
     inflight_singles_.fetch_sub(1, std::memory_order_relaxed);
+    done(std::move(response), latency.seconds());
   });
 }
 

@@ -108,25 +108,18 @@ struct SingleQuery {
   /// token preset in ExecutorOptions::search.extra_cancel — either one
   /// stops the query.
   const std::atomic<bool>* cancel = nullptr;
-  /// When false, runs this query with SearchOptions::query_caches nulled
-  /// out — the per-request "cache": false bypass (docs/caching.md). Unset
-  /// or true inherits the executor default.
-  std::optional<bool> use_query_caches;
   /// Live-serving snapshot binding (docs/ingest.md). When `graph` is set
   /// the query runs on a per-request SearchEngine over this snapshot's
   /// graph + index instead of the executor's build-time pair, with the
-  /// delta overlay and the snapshot's cache bundle wired into
-  /// SearchOptions (the bundle still yields to a use_query_caches=false
-  /// bypass). `pin` is the RCU epoch hold: it keeps every pointed-to
-  /// structure alive until the query — including its callback — is done,
-  /// so a publish racing this query retires the old snapshot only after
-  /// the last pinned reader drops out.
+  /// delta overlay wired into SearchOptions. `pin` is the RCU epoch hold:
+  /// it keeps every pointed-to structure alive until the query — including
+  /// its callback — is done, so a publish racing this query retires the old
+  /// snapshot only after the last pinned reader drops out.
   struct SnapshotBinding {
     std::shared_ptr<const void> pin;
     const graph::TemporalGraph* graph = nullptr;
     const graph::InvertedIndex* index = nullptr;
     const graph::DeltaOverlay* overlay = nullptr;
-    cache::QueryCaches* caches = nullptr;
   };
   SnapshotBinding snapshot;
 };

@@ -33,9 +33,8 @@
 // (docs/reachability.md).
 //
 // Built on the first TemporalGraph::reachability() call, once per graph
-// and its copies, and persisted in the binary archive format
-// (serialization.cc, version 4: a load installs the stored labels; older
-// versions build on first use).
+// and its copies. It is not persisted: a .tgb load ignores the labels that
+// format versions 2 to 4 stored.
 // Construction is O(epochs * (V + E + labels)); probes are O(label size)
 // with the DFS fallback bounded by the condensed DAG.
 
@@ -99,12 +98,10 @@ class ReachabilityIndex {
   temporal::TimePoint timeline_length() const { return timeline_length_; }
   int64_t num_epochs() const { return static_cast<int64_t>(epochs_.size()); }
 
-  /// Byte-exact structural equality (serialization round-trip pin).
+  /// Byte-exact structural equality (pins that a lazy build equals Build).
   bool IdenticalTo(const ReachabilityIndex& other) const;
 
  private:
-  friend class ReachabilityIndexSerializer;  // serialization.cc
-
   /// One epoch's condensed snapshot. SCC ids are topological: every DAG
   /// edge satisfies src-id < dst-id.
   struct Epoch {
@@ -140,9 +137,6 @@ class ReachabilityIndex {
   std::vector<int32_t> epoch_of_;  // per instant -> index into epochs_
   BuildStats stats_;
 };
-
-static_assert(sizeof(ReachabilityIndex::LabelEntry) == 8,
-              "label entries are two int32s; the .tgb blob stores them so");
 
 }  // namespace tgks::graph
 

@@ -10,7 +10,6 @@
 
 #include "common/strings.h"
 #include "graph/graph_builder.h"
-#include "graph/reachability_index.h"
 
 namespace tgks::graph {
 
@@ -186,12 +185,11 @@ Result<TemporalGraph> LoadGraphFromFile(const std::string& path) {
 namespace {
 
 constexpr char kBinaryMagic[4] = {'T', 'G', 'K', 'B'};
-// Version 2 appended the reachability labeling blob; version 3 added
-// distance arrays to it and version 4 dropped them again
-// (docs/file_formats.md). Version 1 to 3 files are still read: their
-// labeling blob is ignored and the index is built on first use, exactly as
-// for a graph that never had a blob.
-constexpr uint32_t kBinaryVersion = 4;
+// Versions 2 to 4 appended a reachability labeling blob after the edge
+// records; version 5 dropped it again (docs/file_formats.md). Every version
+// is still read: the loader stops after the edge records, so an old blob is
+// ignored and the index is built on first use.
+constexpr uint32_t kBinaryVersion = 5;
 // Caps that keep a corrupt length field from driving giant allocations.
 constexpr uint32_t kMaxBinaryCount = 1u << 28;
 constexpr uint32_t kMaxLabelLength = 1u << 20;
@@ -275,201 +273,6 @@ Result<IntervalSet> ReadValidity(std::istream& in) {
 
 }  // namespace
 
-/// Friend of ReachabilityIndex and TemporalGraph: persists and restores the
-/// labeling blob of binary format version 4. Writing is a plain field dump;
-/// reading bounds every count by the graph it belongs to before allocating,
-/// validates every index-bearing field, and installs the parsed labels verbatim
-/// into the loaded graph's still-empty lazy cell, so a load builds nothing
-/// and the save -> load -> save byte-identity is trivial.
-class ReachabilityIndexSerializer {
- public:
-  static void Write(const ReachabilityIndex& index, std::ostream& out) {
-    WriteU32(out, static_cast<uint32_t>(index.epochs_.size()));
-    for (const auto& epoch : index.epochs_) {
-      WriteI32(out, epoch.begin);
-      WriteI32(out, epoch.end);
-      WriteU32(out, static_cast<uint32_t>(epoch.num_sccs));
-      WriteI32Vector(out, epoch.scc_of);
-      WriteI32Vector(out, epoch.dag_offsets);
-      WriteI32Vector(out, epoch.dag_edges);
-      WriteI32Vector(out, epoch.chain_of);
-      WriteI32Vector(out, epoch.chain_pos);
-      WriteU32(out, static_cast<uint32_t>(epoch.num_chains));
-      WriteI32Vector(out, epoch.out_offsets);
-      WriteLabels(out, epoch.out_labels);
-      WriteBytes(out, epoch.out_complete);
-      WriteI32Vector(out, epoch.in_offsets);
-      WriteLabels(out, epoch.in_labels);
-      WriteBytes(out, epoch.in_complete);
-    }
-  }
-
-  static Status Read(std::istream& in, TemporalGraph* graph) {
-    auto index = std::make_shared<ReachabilityIndex>();
-    index->timeline_length_ = graph->timeline_length();
-    index->num_nodes_ = graph->num_nodes();
-    uint32_t epoch_count;
-    if (!ReadU32(in, &epoch_count) || epoch_count == 0 ||
-        epoch_count > static_cast<uint32_t>(graph->timeline_length())) {
-      return Status::Corruption("bad reachability epoch count");
-    }
-    index->epoch_of_.assign(static_cast<size_t>(graph->timeline_length()), 0);
-    TimePoint expected_begin = 0;
-    const auto num_nodes = static_cast<size_t>(graph->num_nodes());
-    // Every count below is bounded by the graph before anything is sized
-    // by it: SCCs partition the alive nodes, condensed edges are deduped
-    // alive edges, and the build truncates every label to kMaxLabelEntries.
-    const auto max_dag_edges = static_cast<size_t>(graph->num_edges());
-    constexpr int32_t kMaxSlice = ReachabilityIndex::kMaxLabelEntries;
-    for (uint32_t i = 0; i < epoch_count; ++i) {
-      ReachabilityIndex::Epoch epoch;
-      uint32_t num_sccs, num_chains;
-      if (!ReadI32(in, &epoch.begin) || !ReadI32(in, &epoch.end) ||
-          !ReadU32(in, &num_sccs) || num_sccs > num_nodes ||
-          epoch.begin != expected_begin || epoch.end < epoch.begin ||
-          epoch.end >= graph->timeline_length()) {
-        return Status::Corruption("bad reachability epoch header");
-      }
-      epoch.num_sccs = static_cast<int32_t>(num_sccs);
-      const auto sccs = static_cast<size_t>(num_sccs);
-      if (!ReadI32Vector(in, num_nodes, &epoch.scc_of) ||
-          !ReadI32Vector(in, sccs + 1, &epoch.dag_offsets)) {
-        return Status::Corruption("bad reachability SCC map");
-      }
-      if (!ValidOffsets(epoch.dag_offsets, max_dag_edges, num_sccs) ||
-          !ReadI32Vector(in,
-                         static_cast<size_t>(epoch.dag_offsets.back()),
-                         &epoch.dag_edges) ||
-          !ReadI32Vector(in, sccs, &epoch.chain_of) ||
-          !ReadI32Vector(in, sccs, &epoch.chain_pos) ||
-          !ReadU32(in, &num_chains) || num_chains > num_sccs) {
-        return Status::Corruption("bad reachability DAG/chain block");
-      }
-      epoch.num_chains = static_cast<int32_t>(num_chains);
-      const size_t max_labels = sccs * static_cast<size_t>(kMaxSlice);
-      if (!ReadI32Vector(in, sccs + 1, &epoch.out_offsets) ||
-          !ValidOffsets(epoch.out_offsets, max_labels, kMaxSlice) ||
-          !ReadLabels(in, static_cast<size_t>(epoch.out_offsets.back()),
-                      &epoch.out_labels) ||
-          !ReadBytes(in, sccs, &epoch.out_complete) ||
-          !ReadI32Vector(in, sccs + 1, &epoch.in_offsets) ||
-          !ValidOffsets(epoch.in_offsets, max_labels, kMaxSlice) ||
-          !ReadLabels(in, static_cast<size_t>(epoch.in_offsets.back()),
-                      &epoch.in_labels) ||
-          !ReadBytes(in, sccs, &epoch.in_complete)) {
-        return Status::Corruption("bad reachability label block");
-      }
-      for (const int32_t c : epoch.scc_of) {
-        if (c < -1 || c >= epoch.num_sccs) {
-          return Status::Corruption("reachability SCC id out of range");
-        }
-      }
-      for (const int32_t d : epoch.dag_edges) {
-        if (d < 0 || d >= epoch.num_sccs) {
-          return Status::Corruption("reachability DAG edge out of range");
-        }
-      }
-      for (size_t c = 0; c < sccs; ++c) {
-        if (epoch.chain_of[c] < 0 || epoch.chain_of[c] >= epoch.num_chains ||
-            epoch.chain_pos[c] < 0) {
-          return Status::Corruption("reachability chain entry out of range");
-        }
-      }
-      const auto id = static_cast<int32_t>(index->epochs_.size());
-      for (TimePoint t = epoch.begin; t <= epoch.end; ++t) {
-        index->epoch_of_[static_cast<size_t>(t)] = id;
-      }
-      expected_begin = epoch.end + 1;
-      index->epochs_.push_back(std::move(epoch));
-    }
-    if (expected_begin != graph->timeline_length()) {
-      return Status::Corruption("reachability epochs do not cover timeline");
-    }
-    ReachabilityIndex::BuildStats& stats = index->stats_;
-    stats.epochs = static_cast<int64_t>(index->epochs_.size());
-    for (const auto& epoch : index->epochs_) {
-      stats.sccs += epoch.num_sccs;
-      stats.dag_edges += static_cast<int64_t>(epoch.dag_edges.size());
-      stats.chains += epoch.num_chains;
-      stats.label_entries += static_cast<int64_t>(epoch.out_labels.size()) +
-                             static_cast<int64_t>(epoch.in_labels.size());
-    }
-    stats.label_bytes =
-        stats.label_entries *
-        static_cast<int64_t>(sizeof(ReachabilityIndex::LabelEntry));
-    // The graph was built a moment ago and never probed, so this call_once
-    // is the cell's first: reachability() returns these labels from now on.
-    TemporalGraph::ReachabilityCell& cell = *graph->reach_;
-    std::call_once(cell.once, [&] { cell.index = std::move(index); });
-    return Status::OK();
-  }
-
- private:
-  static void WriteI32Vector(std::ostream& out,
-                             const std::vector<int32_t>& v) {
-    for (const int32_t x : v) WriteI32(out, x);
-  }
-
-  static void WriteLabels(
-      std::ostream& out,
-      const std::vector<ReachabilityIndex::LabelEntry>& labels) {
-    for (const auto& entry : labels) {
-      WriteI32(out, entry.chain);
-      WriteI32(out, entry.pos);
-    }
-  }
-
-  static void WriteBytes(std::ostream& out, const std::vector<uint8_t>& v) {
-    out.write(reinterpret_cast<const char*>(v.data()),
-              static_cast<std::streamsize>(v.size()));
-  }
-
-  static bool ReadI32Vector(std::istream& in, size_t count,
-                            std::vector<int32_t>* v) {
-    if (count > kMaxBinaryCount) return false;
-    v->resize(count);
-    for (size_t i = 0; i < count; ++i) {
-      if (!ReadI32(in, &(*v)[i])) return false;
-    }
-    return true;
-  }
-
-  static bool ReadLabels(std::istream& in, size_t count,
-                         std::vector<ReachabilityIndex::LabelEntry>* v) {
-    if (count > kMaxBinaryCount) return false;
-    v->resize(count);
-    for (size_t i = 0; i < count; ++i) {
-      if (!ReadI32(in, &(*v)[i].chain) || !ReadI32(in, &(*v)[i].pos)) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  static bool ReadBytes(std::istream& in, size_t count,
-                        std::vector<uint8_t>* v) {
-    if (count > kMaxBinaryCount) return false;
-    v->resize(count);
-    return count == 0 ||
-           static_cast<bool>(in.read(reinterpret_cast<char*>(v->data()),
-                                     static_cast<std::streamsize>(count)));
-  }
-
-  /// Offsets must start at 0 and be non-decreasing (CSR invariant), give
-  /// no slot more than `max_slice` entries and end at most at `max_total`.
-  static bool ValidOffsets(const std::vector<int32_t>& offsets,
-                           size_t max_total, uint32_t max_slice) {
-    if (offsets.empty() || offsets.front() != 0) return false;
-    for (size_t i = 1; i < offsets.size(); ++i) {
-      if (offsets[i] < offsets[i - 1] ||
-          static_cast<uint32_t>(offsets[i] - offsets[i - 1]) > max_slice) {
-        return false;
-      }
-    }
-    return static_cast<size_t>(offsets.back()) <= max_total;
-  }
-};
-
 Status SaveGraphBinary(const TemporalGraph& graph, std::ostream& out) {
   out.write(kBinaryMagic, 4);
   WriteU32(out, kBinaryVersion);
@@ -491,7 +294,6 @@ Status SaveGraphBinary(const TemporalGraph& graph, std::ostream& out) {
     WriteF64(out, edge.weight);
     WriteValidity(out, edge.validity);
   }
-  ReachabilityIndexSerializer::Write(graph.reachability(), out);
   if (!out) return Status::IOError("binary write failed");
   return Status::OK();
 }
@@ -550,19 +352,9 @@ Result<TemporalGraph> LoadGraphBinary(std::istream& in) {
     builder.AddEdge(static_cast<NodeId>(src), static_cast<NodeId>(dst),
                     std::move(validity).value(), weight);
   }
-  Result<TemporalGraph> graph = builder.Build();
-  if (!graph.ok() || version < kBinaryVersion) {
-    // Version 1 has no labeling blob and the blobs of versions 2 and 3 have
-    // other layouts, so theirs is ignored and the index is built on first
-    // use — read-compat without a parser per legacy layout.
-    return graph;
-  }
-  // The current version carries the labeling; install it as the graph's
-  // index so the persisted bytes win (byte-identical round trips by
-  // design).
-  const Status blob = ReachabilityIndexSerializer::Read(in, &graph.value());
-  if (!blob.ok()) return blob;
-  return graph;
+  // Any labeling blob a version 2-4 file carries after the edges is left
+  // unread.
+  return builder.Build();
 }
 
 Result<TemporalGraph> LoadGraphBinaryFromFile(const std::string& path) {

@@ -48,16 +48,12 @@ Result<TemporalGraph> LoadGraphFromFile(const std::string& path);
 ///   per node: f64 weight, u32 label length + bytes,
 ///             u32 interval count + (i32 start, i32 end)*
 ///   per edge: u32 src, u32 dst, f64 weight, intervals as above
-///   version 4: the reachability labeling blob (per epoch: bounds, SCC
-///             map, condensed DAG CSR, chain cover, truncated in/out chain
-///             labels + completeness bits — see reachability_index.h)
 ///
 /// Loading validates through GraphBuilder (strict policy), so a corrupt or
-/// adversarial file cannot produce an invariant-violating graph. Version 1
-/// to 3 files (no blob / blobs of older layouts) are still accepted; their
-/// index is built on first use. Current-version files install the
-/// persisted labels verbatim, so a save -> load round trip reproduces them
-/// byte-identically.
+/// adversarial file cannot produce an invariant-violating graph. Versions
+/// 1 to 5 are accepted; versions 2 to 4 appended a reachability labeling
+/// blob after the edges, which the loader ignores. The index is built on
+/// first use (TemporalGraph::reachability()).
 Status SaveGraphBinary(const TemporalGraph& graph, std::ostream& out);
 Status SaveGraphBinaryToFile(const TemporalGraph& graph,
                              const std::string& path);

@@ -96,16 +96,14 @@ class TemporalGraph {
   const ExpansionView& expansion_view() const { return *view_; }
 
   /// The temporal reachability labeling (see reachability_index.h), built
-  /// on the first call: only the opt-in prunes read it, so graphs that
-  /// never run one never pay for it. Thread-safe; concurrent first callers
-  /// wait for the one build. Every graph produced by GraphBuilder::Build()
-  /// has one, and copies of a graph share it (and its build). A `.tgb`
-  /// version 3 load installs the persisted labels instead of building.
+  /// on the first call: no search reads it, so graphs that are only
+  /// searched never pay for it. Thread-safe; concurrent first callers wait
+  /// for the one build. Every graph produced by GraphBuilder::Build() has
+  /// one, and copies of a graph share it (and its build).
   const ReachabilityIndex& reachability() const;
 
  private:
   friend class GraphBuilder;
-  friend class ReachabilityIndexSerializer;  // installs persisted labels
 
   /// The lazily filled index, shared by every copy of one built graph.
   struct ReachabilityCell {

@@ -81,9 +81,8 @@ void FillError(IngestErrorDetail* error, IngestErrorCode code, int64_t offset,
 
 }  // namespace
 
-LiveGraph::LiveGraph(graph::TemporalGraph base, CompactionPolicy policy,
-                     std::optional<cache::QueryCachesOptions> cache_options)
-    : policy_(policy), cache_options_(std::move(cache_options)) {
+LiveGraph::LiveGraph(graph::TemporalGraph base, CompactionPolicy policy)
+    : policy_(policy) {
   auto snapshot = std::make_shared<GraphSnapshot>();
   snapshot->generation = 0;
   snapshot->graph =
@@ -91,7 +90,6 @@ LiveGraph::LiveGraph(graph::TemporalGraph base, CompactionPolicy policy,
   snapshot->index =
       std::make_shared<const graph::InvertedIndex>(*snapshot->graph);
   snapshot->overlay = nullptr;
-  snapshot->caches = MakeCaches();
   head_ = std::move(snapshot);
   if (policy_.background) {
     compactor_ = std::thread([this] { BackgroundLoop(); });
@@ -105,12 +103,6 @@ LiveGraph::~LiveGraph() {
   }
   stop_cv_.notify_all();
   if (compactor_.joinable()) compactor_.join();
-}
-
-std::shared_ptr<cache::QueryCaches> LiveGraph::MakeCaches() const {
-  return cache_options_.has_value()
-             ? std::make_shared<cache::QueryCaches>(*cache_options_)
-             : nullptr;
 }
 
 GraphSnapshotHandle LiveGraph::Acquire() const {
@@ -249,7 +241,6 @@ Result<uint64_t> LiveGraph::Apply(const IngestBatch& batch,
   next->overlay =
       graph::DeltaOverlay::Extend(*snap->graph, snap->overlay.get(),
                                   std::move(new_nodes), std::move(new_edges));
-  next->caches = MakeCaches();
   const bool was_compacted =
       snap->overlay == nullptr || snap->overlay->empty();
   if (was_compacted) {
@@ -325,7 +316,6 @@ Result<uint64_t> LiveGraph::CompactLocked(bool manual) {
   next->index =
       std::make_shared<const graph::InvertedIndex>(*next->graph);
   next->overlay = nullptr;
-  next->caches = MakeCaches();
   rebuild.Stop();
 
   Stopwatch swap;

@@ -5,10 +5,9 @@
 //
 //   - a GraphSnapshot is an immutable view: the pooled base graph (SoA +
 //     CSR, never mutated after Build(); its reachability labels are built
-//     by the first query that reads them), the base
-//     inverted index, an optional DeltaOverlay holding everything ingested
-//     since the base was built, and a fresh per-snapshot QueryCaches
-//     bundle;
+//     by the first caller that reads them), the base inverted index, and an
+//     optional DeltaOverlay holding everything ingested since the base was
+//     built;
 //   - every query acquires ONE GraphSnapshotHandle (a shared_ptr) at
 //     admission and runs entirely against it — zero locks on the search
 //     path, and a publish racing the query retires the old snapshot only
@@ -17,9 +16,7 @@
 //     overlay (O(delta) copy; readers of the previous overlay are never
 //     touched), and publishes a new snapshot under the writer mutex with a
 //     bumped generation. The on_publish hook runs after the swap so the
-//     serving layer can invalidate its result cache — combined with the
-//     fresh per-snapshot QueryCaches bundle this is the "generation-bumped
-//     invalidation of every cache level on every publish" contract;
+//     serving layer can invalidate its result cache on every publish;
 //   - Compact() folds the accumulated delta into a full GraphBuilder
 //     rebuild (same element ids and order, so a compacted graph is
 //     indistinguishable from a build-once graph; its empty overlay re-arms
@@ -35,15 +32,14 @@
 #ifndef TGKS_INGEST_LIVE_GRAPH_H_
 #define TGKS_INGEST_LIVE_GRAPH_H_
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 
-#include "cache/query_caches.h"
 #include "common/result.h"
 #include "graph/delta_overlay.h"
 #include "graph/inverted_index.h"
@@ -54,14 +50,12 @@ namespace tgks::ingest {
 
 /// One immutable published view of the live graph. Queries read `graph`,
 /// `index`, and `overlay` directly (overlay may be null — base-only
-/// snapshot); `caches` is the snapshot's private match-set cache bundle,
-/// created empty at publish so no entry can ever predate the data.
+/// snapshot).
 struct GraphSnapshot {
   uint64_t generation = 0;
   std::shared_ptr<const graph::TemporalGraph> graph;
   std::shared_ptr<const graph::InvertedIndex> index;
   std::shared_ptr<const graph::DeltaOverlay> overlay;
-  std::shared_ptr<cache::QueryCaches> caches;
 
   /// The overlay pointer queries should carry: null when there is no delta
   /// (a base or freshly compacted snapshot behaves exactly like a
@@ -113,13 +107,8 @@ struct IngestStats {
 class LiveGraph {
  public:
   /// Takes ownership of the base graph; the base inverted index is built
-  /// here. Generation starts at 0 (the base snapshot). When
-  /// `cache_options` is set every snapshot carries its own fresh
-  /// QueryCaches bundle; when unset snapshots carry no caches (the
-  /// caches-off search path stays byte-identical to static serving).
-  explicit LiveGraph(
-      graph::TemporalGraph base, CompactionPolicy policy = {},
-      std::optional<cache::QueryCachesOptions> cache_options = std::nullopt);
+  /// here. Generation starts at 0 (the base snapshot).
+  explicit LiveGraph(graph::TemporalGraph base, CompactionPolicy policy = {});
   ~LiveGraph();
 
   LiveGraph(const LiveGraph&) = delete;
@@ -175,11 +164,7 @@ class LiveGraph {
 
   void BackgroundLoop();
 
-  /// Fresh per-snapshot cache bundle, or null when caching is off.
-  std::shared_ptr<cache::QueryCaches> MakeCaches() const;
-
   CompactionPolicy policy_;
-  std::optional<cache::QueryCachesOptions> cache_options_;
 
   /// Writer mutex: serializes Apply/Compact and guards every field below
   /// except head_ (which has its own lock so readers never wait on a

@@ -1,7 +1,5 @@
 #include "search/search_engine.h"
 
-#include "cache/match_set_cache.h"
-#include "cache/query_caches.h"
 #include "common/scratch_pool.h"
 #include "common/strings.h"
 #include "common/timer.h"
@@ -54,8 +52,6 @@ void SearchCounters::Merge(const SearchCounters& other) {
   combo_overflows += other.combo_overflows;
   memo_hits += other.memo_hits;
   results += other.results;
-  cache_match_hits += other.cache_match_hits;
-  cache_match_misses += other.cache_match_misses;
   seconds_match += other.seconds_match;
   seconds_filter += other.seconds_filter;
   seconds_expand += other.seconds_expand;
@@ -850,8 +846,6 @@ class Runner {
             ? static_cast<double>(active_ntds_sum) /
                   static_cast<double>(pushed_nodes_sum)
             : 0.0;
-    c.cache_match_hits = cache_match_hits_;
-    c.cache_match_misses = cache_match_misses_;
 
     EngineMetrics& gm = EngineMetrics::Get();
     gm.queries->Increment();
@@ -885,10 +879,6 @@ class Runner {
 
  public:
   Stopwatch match_timer_;  // Started by SearchEngine during match lookup.
-  // Match-set cache activity during SearchEngine's match materialization,
-  // surfaced through SearchCounters by Finalize().
-  int64_t cache_match_hits_ = 0;
-  int64_t cache_match_misses_ = 0;
 
  private:
   const graph::TemporalGraph& graph_;
@@ -948,31 +938,15 @@ Result<SearchResponse> SearchEngine::Search(const Query& query,
   match_timer.Start();
   std::vector<std::vector<NodeId>> matches;
   matches.reserve(query.keywords.size());
-  int64_t match_hits = 0;
-  int64_t match_misses = 0;
-  cache::MatchSetCache* mcache = options.query_caches != nullptr
-                                     ? &options.query_caches->match_sets()
-                                     : nullptr;
   const graph::DeltaOverlay* overlay = NonEmpty(options.overlay);
   for (const std::string& keyword : query.keywords) {
-    if (mcache != nullptr) {
-      // Level-1 cache (docs/caching.md): the cached MatchSet stores the
-      // posting in the index's own sorted-unique form, so copying it into
-      // the mutable match list is indistinguishable from an index lookup.
-      bool hit = false;
-      const auto set = mcache->GetOrCompute(*graph_, *index_, keyword, &hit);
-      matches.push_back(set->nodes);
-      ++(hit ? match_hits : match_misses);
-    } else {
-      const auto posting = index_->Lookup(keyword);
-      matches.emplace_back(posting.begin(), posting.end());
-    }
+    const auto posting = index_->Lookup(keyword);
+    matches.emplace_back(posting.begin(), posting.end());
     if (overlay != nullptr) {
       // Incremental index maintenance (docs/ingest.md): delta postings are
-      // merged at match-materialization time. Cached match sets stay
-      // base-only (they belong to the snapshot's base index); delta ids
-      // all exceed base ids, so the append preserves sorted-unique form —
-      // exactly what a rebuilt index would have returned.
+      // merged at match-materialization time. Delta ids all exceed base
+      // ids, so the append preserves sorted-unique form — exactly what a
+      // rebuilt index would have returned.
       const auto extra = overlay->Postings(AsciiToLower(keyword));
       matches.back().insert(matches.back().end(), extra.begin(), extra.end());
     }
@@ -981,8 +955,6 @@ Result<SearchResponse> SearchEngine::Search(const Query& query,
 
   Runner runner(*graph_, query, std::move(matches), options);
   runner.match_timer_ = match_timer;
-  runner.cache_match_hits_ = match_hits;
-  runner.cache_match_misses_ = match_misses;
   return runner.Run();
 }
 

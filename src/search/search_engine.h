@@ -28,10 +28,6 @@
 #include "search/result_tree.h"
 #include "temporal/ntd_bitmap_index.h"
 
-namespace tgks::cache {
-class QueryCaches;  // cache/query_caches.h
-}  // namespace tgks::cache
-
 namespace tgks::graph {
 class DeltaOverlay;  // graph/delta_overlay.h
 }  // namespace tgks::graph
@@ -70,12 +66,6 @@ struct SearchOptions {
   /// Documented extension (§5 deviation): also prune elements disjoint from
   /// a CONTAINED BY window. Off by default for paper fidelity.
   bool containedby_prune = false;
-  /// Opt-in per-graph query caches (docs/caching.md; not owned, thread-safe,
-  /// must outlive the call). The engine reads its match-set level: Search()
-  /// serves keyword match sets from it, so a hit is bit-identical to
-  /// recomputation. Results and work counters are unchanged by caching —
-  /// only wall time and the SearchCounters::cache_* fields differ.
-  cache::QueryCaches* query_caches = nullptr;
   /// Live-snapshot delta overlay (docs/ingest.md; not owned, immutable,
   /// must outlive the call). When non-null and non-empty the engine reads
   /// graph elements through it — keyword match lists gain the overlay's
@@ -148,10 +138,6 @@ struct SearchCounters {
   /// Each is also counted under the verdict it replayed.
   int64_t memo_hits = 0;
   int64_t results = 0;             ///< Distinct valid results found.
-  /// query_caches only (docs/caching.md): keyword match-set lookups served
-  /// from / missed by the match-set cache. Both zero when caching is off.
-  int64_t cache_match_hits = 0;
-  int64_t cache_match_misses = 0;
   /// Mean NTDs per reached node per source (the paper's "average number
   /// of NTDs associated with each node"), over sources that expanded past
   /// themselves.

@@ -83,12 +83,6 @@ void WriteCounters(const search::SearchCounters& counters, JsonWriter* w) {
   w->Key("predicate_rejected"); w->Int(counters.predicate_rejected);
   w->Key("duplicates"); w->Int(counters.duplicates);
   w->Key("combo_overflows"); w->Int(counters.combo_overflows);
-  if (counters.cache_match_hits != 0 || counters.cache_match_misses != 0) {
-    // Present only when query caches were active, so cache-off stats bodies
-    // (and their golden transcripts) keep their exact byte layout.
-    w->Key("cache_match_hits"); w->Int(counters.cache_match_hits);
-    w->Key("cache_match_misses"); w->Int(counters.cache_match_misses);
-  }
   w->Key("results"); w->Int(counters.results);
   w->EndObject();
 }
@@ -275,23 +269,17 @@ HttpResponse RequestRouter::HandleHealthz() const {
 }
 
 HttpResponse RequestRouter::HandleCacheInvalidate() const {
-  if (context_.result_cache == nullptr && context_.query_caches == nullptr) {
+  if (context_.result_cache == nullptr) {
     return JsonResponse(404,
                         JsonErrorBody("not-found", "caching is not enabled"));
   }
   // The epoch hook (docs/caching.md): a streaming-ingest publisher calls
-  // this after installing a new graph epoch. Every level flips together so
-  // no cached derivative of the old epoch can be served afterwards.
+  // this after installing a new graph epoch, so no cached answer of the old
+  // epoch can be served afterwards.
   JsonWriter w;
   w.BeginObject();
-  if (context_.query_caches != nullptr) {
-    w.Key("query_cache_generation");
-    w.Int(static_cast<int64_t>(context_.query_caches->InvalidateAll()));
-  }
-  if (context_.result_cache != nullptr) {
-    w.Key("result_cache_generation");
-    w.Int(static_cast<int64_t>(context_.result_cache->InvalidateAll()));
-  }
+  w.Key("result_cache_generation");
+  w.Int(static_cast<int64_t>(context_.result_cache->InvalidateAll()));
   w.EndObject();
   return JsonResponse(200, w.Take());
 }
@@ -520,7 +508,9 @@ HttpResponse RequestRouter::HandleVarz() const {
     w.Key("max_inflight_bytes");
     w.Int(context_.admission->options().max_inflight_bytes);
   }
-  const auto write_cache_stats = [&w](const cache::CacheStats& s) {
+  if (context_.result_cache != nullptr) {
+    const cache::CacheStats s = context_.result_cache->stats();
+    w.Key("result_cache");
     w.BeginObject();
     w.Key("hits");
     w.Int(s.hits);
@@ -537,16 +527,6 @@ HttpResponse RequestRouter::HandleVarz() const {
     w.Key("bytes");
     w.Int(s.bytes);
     w.EndObject();
-  };
-  if (context_.query_caches != nullptr) {
-    w.Key("match_cache");
-    write_cache_stats(context_.query_caches->match_sets().stats());
-    w.Key("query_cache_generation");
-    w.Int(static_cast<int64_t>(context_.query_caches->generation()));
-  }
-  if (context_.result_cache != nullptr) {
-    w.Key("result_cache");
-    write_cache_stats(context_.result_cache->stats());
     w.Key("result_cache_generation");
     w.Int(static_cast<int64_t>(context_.result_cache->generation()));
     w.Key("result_cache_coalesced");
@@ -655,9 +635,8 @@ bool RequestRouter::HandleSearch(const HttpRequest& request,
   }
 
   // Live mode (docs/ingest.md): pin ONE snapshot for the whole request,
-  // right here at admission. Everything downstream — matches bounds, the
-  // engine's graph/index/overlay, the per-snapshot query caches — reads
-  // this immutable view; a publish racing the request retires the old
+  // right here at admission. Everything downstream — matches bounds and
+  // the engine's graph/index/overlay — reads this immutable view; a publish racing the request retires the old
   // snapshot only after the query drops the pin.
   ingest::GraphSnapshotHandle snapshot;
   if (context_.live != nullptr) snapshot = context_.live->Acquire();
@@ -743,9 +722,9 @@ bool RequestRouter::HandleSearch(const HttpRequest& request,
   }
 
   // Optional per-request cache bypass (docs/caching.md): "cache": false
-  // skips the result cache for this request AND nulls the engine-level
-  // query caches, giving an uncached reference answer for differential
-  // checks. Default (absent or true) uses whatever the server configured.
+  // skips the result cache for this request, giving an uncached reference
+  // answer for differential checks. Default (absent or true) uses whatever
+  // the server configured.
   bool use_cache = true;
   if (const JsonValue* cache_knob = doc->Find("cache");
       cache_knob != nullptr) {
@@ -755,7 +734,6 @@ bool RequestRouter::HandleSearch(const HttpRequest& request,
       return true;
     }
     use_cache = cache_knob->AsBool();
-    if (!use_cache) single.use_query_caches = false;
   }
 
   // Per-request deadline from the deadline-ms header.
@@ -870,7 +848,6 @@ bool RequestRouter::HandleSearch(const HttpRequest& request,
     single.snapshot.graph = snapshot->graph.get();
     single.snapshot.index = snapshot->index.get();
     single.snapshot.overlay = snapshot->overlay_or_null();
-    single.snapshot.caches = snapshot->caches.get();
   }
 
   AdmissionController* admission = context_.admission;

@@ -7,8 +7,8 @@
 //                    nodes/edges and publishes a new graph snapshot
 //   POST /v1/compact live mode only: synchronously folds the delta into a
 //                    rebuilt base graph
-//   POST /v1/cache/invalidate  epoch invalidation hook: clears every
-//                    configured cache level and bumps the generation
+//   POST /v1/cache/invalidate  epoch invalidation hook: clears the result
+//                    cache and bumps its generation
 //   GET  /metrics    Prometheus text exposition of the global registry
 //   GET  /healthz    liveness/readiness probe (503 while draining)
 //   GET  /varz       JSON snapshot of server state for humans and tests
@@ -39,7 +39,6 @@
 #include <memory>
 #include <string>
 
-#include "cache/query_caches.h"
 #include "cache/result_cache.h"
 #include "cache/single_flight.h"
 #include "exec/query_executor.h"
@@ -75,18 +74,13 @@ struct RouterContext {
   int64_t max_deadline_ms = 60 * 1000;
   /// Human-readable dataset name reported by /varz.
   std::string dataset_name;
-  /// Optional serving-layer result cache (level 2, docs/caching.md; not
-  /// owned). Null = caching off: every search runs, no x-cache header.
+  /// Optional serving-layer result cache (docs/caching.md; not owned).
+  /// Null = caching off: every search runs, no x-cache header.
   cache::ResultCache* result_cache = nullptr;
-  /// Optional in-engine cache bundle (level 1; not owned). The executor
-  /// reaches it through its SearchOptions; the router only needs it for
-  /// /varz and the /v1/cache/invalidate hook.
-  cache::QueryCaches* query_caches = nullptr;
   /// Optional live-graph publication layer (docs/ingest.md; not owned).
   /// Null = static serving: /v1/ingest and /v1/compact answer 404, searches
   /// run against `graph` directly. Non-null = every search pins one
-  /// snapshot at admission and the per-snapshot cache bundle replaces
-  /// `query_caches` on the engine path.
+  /// snapshot at admission and runs against it.
   ingest::LiveGraph* live = nullptr;
   /// Ceiling for /v1/ingest request bodies; larger bodies get 413 before
   /// any parsing.
@@ -124,7 +118,7 @@ class RequestRouter {
   HttpResponse HandleMetrics() const;
   HttpResponse HandleHealthz() const;
   HttpResponse HandleVarz() const;
-  /// POST /v1/cache/invalidate: InvalidateAll on every configured level.
+  /// POST /v1/cache/invalidate: ResultCache::InvalidateAll.
   HttpResponse HandleCacheInvalidate() const;
   /// POST /v1/ingest: validate + apply one batch, publish a new snapshot.
   HttpResponse HandleIngest(const HttpRequest& request) const;

@@ -14,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include "cache/query_caches.h"
 #include "graph/graph_builder.h"
 #include "graph/inverted_index.h"
 #include "search/query_parser.h"
@@ -340,18 +339,16 @@ TEST(QueryExecutorTest, RunQueriesConvenienceWrapper) {
 }
 
 // BatchResponse::totals sums every summable counter of the ok() responses,
-// including the subsumption and cache counters only some queries move.
+// including the subsumption counters only some queries move.
 TEST(QueryExecutorTest, BatchTotalsSumEveryCounter) {
   const TemporalGraph g = testutil::MakeSocialNetworkGraph();
   const InvertedIndex index(g);
-  cache::QueryCaches caches;
   ExecutorOptions options;
   options.threads = 2;
   options.search.k = 0;
-  options.search.query_caches = &caches;
   QueryExecutor executor(g, &index, options);
   std::vector<search::Query> queries;
-  for (int repeat = 0; repeat < 2; ++repeat) {  // Repeats hit the cache.
+  for (int repeat = 0; repeat < 2; ++repeat) {
     for (const char* text : {"mary, john", "mary, bob", "bob, ross, john"}) {
       queries.push_back(MustParse(std::string(text) +
                                   " rank by descending order of duration"));
@@ -380,8 +377,6 @@ TEST(QueryExecutorTest, BatchTotalsSumEveryCounter) {
     sum.combo_overflows += c.combo_overflows;
     sum.memo_hits += c.memo_hits;
     sum.results += c.results;
-    sum.cache_match_hits += c.cache_match_hits;
-    sum.cache_match_misses += c.cache_match_misses;
     sum.seconds_match += c.seconds_match;
     sum.seconds_filter += c.seconds_filter;
     sum.seconds_expand += c.seconds_expand;
@@ -389,8 +384,6 @@ TEST(QueryExecutorTest, BatchTotalsSumEveryCounter) {
   }
   // The batch moves the counters the check is about.
   EXPECT_GT(sum.subsumption_skips, 0);
-  EXPECT_GT(sum.cache_match_hits, 0);
-  EXPECT_GT(sum.cache_match_misses, 0);
   const search::SearchCounters& t = out.totals;
 #define TGKS_EXPECT_SUM(field) EXPECT_EQ(t.field, sum.field) << #field
   TGKS_EXPECT_SUM(iterators);
@@ -410,8 +403,6 @@ TEST(QueryExecutorTest, BatchTotalsSumEveryCounter) {
   TGKS_EXPECT_SUM(combo_overflows);
   TGKS_EXPECT_SUM(memo_hits);
   TGKS_EXPECT_SUM(results);
-  TGKS_EXPECT_SUM(cache_match_hits);
-  TGKS_EXPECT_SUM(cache_match_misses);
   TGKS_EXPECT_SUM(seconds_match);
   TGKS_EXPECT_SUM(seconds_filter);
   TGKS_EXPECT_SUM(seconds_expand);

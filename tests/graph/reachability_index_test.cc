@@ -11,8 +11,8 @@
 // build determinism, and byte-identical serialization round trips. The lazy
 // index (built on the first reachability() call, shared by every copy of a
 // graph) is pinned too: concurrent first calls share one build, saving is
-// independent of whether the index was probed before, and a version-4 load
-// installs the persisted labels without building.
+// independent of whether the index was probed before, and loads of every
+// older .tgb version, labeling blob or not, build on first use.
 
 #include <algorithm>
 #include <cstdint>
@@ -211,10 +211,10 @@ TEST(ReachabilityIndexTest, SerializationRoundTripIsByteIdentical) {
     auto loaded = graph::LoadGraphBinary(in);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
-    // The loaded graph carries the persisted labels verbatim...
+    // The loaded graph builds the same labels on first use...
     EXPECT_TRUE(loaded->reachability().IdenticalTo(g.reachability()))
         << "round " << round;
-    // ...and re-saving reproduces the archive byte for byte.
+    // ...and re-saving reproduces the version-5 archive byte for byte.
     std::ostringstream second;
     ASSERT_TRUE(graph::SaveGraphBinary(loaded.value(), second).ok());
     EXPECT_EQ(first.str(), second.str()) << "round " << round;
@@ -359,32 +359,17 @@ TEST(LazyReachabilityTest, SaveIsIndependentOfFirstUse) {
   }
 }
 
-TEST(LazyReachabilityTest, VersionFourLoadInstallsWithoutBuilding) {
-  const TemporalGraph g = LabeledGraph(91, 14, 30, 7);
-  std::ostringstream out;
-  ASSERT_TRUE(graph::SaveGraphBinary(g, out).ok());
-
-  std::istringstream in(out.str());
-  auto loaded = graph::LoadGraphBinary(in);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  // Persisted labels carry no build timer: nothing was built.
-  EXPECT_EQ(loaded->reachability().stats().build_seconds, 0.0);
-  EXPECT_TRUE(loaded->reachability().IdenticalTo(g.reachability()));
-  // A copy of the loaded graph sees the installed labels too.
-  const TemporalGraph copy = loaded.value();
-  EXPECT_EQ(&copy.reachability(), &loaded->reachability());
-}
-
 TEST(LazyReachabilityTest, LegacyVersionsBuildOnFirstUse) {
   const TemporalGraph g = LabeledGraph(93, 14, 30, 7);
   std::ostringstream out;
   ASSERT_TRUE(graph::SaveGraphBinary(g, out).ok());
-  for (const char version : {1, 2, 3}) {
-    // Same records under an older version number: the loader stops after
-    // the edge records and ignores the trailing blob, whose layout those
-    // versions did not share.
+  for (const char version : {1, 2, 3, 4}) {
+    // Same records under an older version number. Versions 2 to 4 appended
+    // a labeling blob after the edges; the loader stops after the edge
+    // records, so whatever follows them is never read.
     std::string bytes = out.str();
     bytes[4] = version;
+    if (version >= 2) bytes += std::string(64, '\xFF');
     std::istringstream in(bytes);
     auto loaded = graph::LoadGraphBinary(in);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();

@@ -1,7 +1,7 @@
 // Unit tests for the LiveGraph epoch/RCU publication layer
 // (src/ingest/live_graph.h): snapshot pinning and isolation, apply-time
-// validation semantics, overlay chaining, compaction equivalence, cache
-// gating, and the publish hook.
+// validation semantics, overlay chaining, compaction equivalence and the
+// publish hook.
 
 #include "ingest/live_graph.h"
 
@@ -288,32 +288,6 @@ TEST(LiveGraphTest, OnPublishFiresForApplyAndCompact) {
   ASSERT_TRUE(live.Apply(batch, &error).ok());
   ASSERT_TRUE(live.Compact(/*manual=*/true).ok());
   EXPECT_EQ(published, (std::vector<uint64_t>{1, 2}));
-}
-
-TEST(LiveGraphTest, SnapshotCachesFollowTheCacheOptions) {
-  // Caching off (the default): no snapshot ever carries a cache bundle, so
-  // the caches-off search path stays byte-identical to static serving.
-  LiveGraph plain(MakeBase(), ManualOnly());
-  EXPECT_EQ(plain.Acquire()->caches, nullptr);
-  IngestErrorDetail error;
-  IngestBatch batch;
-  batch.nodes.push_back(MakeNode("dave", IntervalSet{{0, 9}}));
-  ASSERT_TRUE(plain.Apply(batch, &error).ok());
-  EXPECT_EQ(plain.Acquire()->caches, nullptr);
-
-  // Caching on: every publish gets its own FRESH bundle (generation-bumped
-  // invalidation — no entry can predate the snapshot's data).
-  LiveGraph cached(MakeBase(), ManualOnly(), cache::QueryCachesOptions{});
-  const auto first = cached.Acquire()->caches;
-  ASSERT_NE(first, nullptr);
-  ASSERT_TRUE(cached.Apply(batch, &error).ok());
-  const auto second = cached.Acquire()->caches;
-  ASSERT_NE(second, nullptr);
-  EXPECT_NE(first.get(), second.get());
-  ASSERT_TRUE(cached.Compact(/*manual=*/true).ok());
-  const auto third = cached.Acquire()->caches;
-  ASSERT_NE(third, nullptr);
-  EXPECT_NE(second.get(), third.get());
 }
 
 TEST(LiveGraphTest, SearchThroughTheOverlaySeesIngestedData) {

@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include "cache/query_caches.h"
 #include "cache/result_cache.h"
 #include "exec/query_executor.h"
 #include "graph/temporal_graph.h"
@@ -31,7 +30,7 @@ using testing::PostRequest;
 struct LiveServerOptions {
   AdmissionOptions admission;
   int64_t max_ingest_bytes = 4 * 1024 * 1024;
-  bool cache = false;  ///< Per-snapshot query caches + HTTP result cache.
+  bool cache = false;  ///< HTTP result cache.
 };
 
 // The full live serving stack: LiveGraph under the router, the executor
@@ -43,10 +42,7 @@ class LiveTestServer {
                           LiveServerOptions opts = LiveServerOptions()) {
     ingest::CompactionPolicy policy;
     policy.background = false;  // Tests drive compaction via /v1/compact.
-    live_ = std::make_unique<ingest::LiveGraph>(
-        std::move(graph), policy,
-        opts.cache ? std::optional(cache::QueryCachesOptions{})
-                   : std::nullopt);
+    live_ = std::make_unique<ingest::LiveGraph>(std::move(graph), policy);
     base_ = live_->Acquire();
     if (opts.cache) {
       result_cache_ = std::make_unique<cache::ResultCache>(int64_t{8} << 20);

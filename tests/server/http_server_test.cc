@@ -57,7 +57,7 @@ struct TestServerOptions {
   int drain_timeout_ms = 2000;
   bool use_poll = false;
   int32_t default_k = 10;
-  bool cache = false;  ///< Wire the full cache stack (docs/caching.md).
+  bool cache = false;  ///< Wire the result cache (docs/caching.md).
 };
 
 // Owns the whole serving stack over a given graph, bound to an ephemeral
@@ -72,9 +72,7 @@ class TestServer {
     exec_options.search.k = opts.default_k;
     exec_options.search.extra_cancel = &shutdown_cancel_;
     if (opts.cache) {
-      query_caches_ = std::make_unique<cache::QueryCaches>();
       result_cache_ = std::make_unique<cache::ResultCache>(int64_t{8} << 20);
-      exec_options.search.query_caches = query_caches_.get();
     }
     executor_ = std::make_unique<exec::QueryExecutor>(graph_, &index_,
                                                       exec_options);
@@ -86,7 +84,6 @@ class TestServer {
     context.draining = &draining_;
     context.default_k = opts.default_k;
     context.dataset_name = "test";
-    context.query_caches = query_caches_.get();
     context.result_cache = result_cache_.get();
     router_ = std::make_unique<RequestRouter>(context);
     HttpServerOptions server_options;
@@ -112,7 +109,6 @@ class TestServer {
   graph::InvertedIndex index_;
   std::atomic<bool> draining_{false};
   std::atomic<bool> shutdown_cancel_{false};
-  std::unique_ptr<cache::QueryCaches> query_caches_;
   std::unique_ptr<cache::ResultCache> result_cache_;
   std::unique_ptr<exec::QueryExecutor> executor_;
   std::unique_ptr<AdmissionController> admission_;
@@ -337,7 +333,7 @@ TEST(HttpServerTest, CacheInvalidateBumpsGenerationAndEmptiesCache) {
   auto body = ParseBody(inv);
   ASSERT_TRUE(body.ok()) << inv.body;
   EXPECT_EQ(body->Find("result_cache_generation")->AsInt(), 1);
-  EXPECT_EQ(body->Find("query_cache_generation")->AsInt(), 1);
+  EXPECT_EQ(body->Find("query_cache_generation"), nullptr);  // One level.
 
   ClientResponse after;
   ASSERT_EQ(FetchOnce(ts.port(), request, &after), 200);
@@ -384,7 +380,8 @@ TEST(HttpServerTest, VarzReportsCacheSections) {
   ASSERT_NE(varz->Find("result_cache"), nullptr) << r.body;
   EXPECT_EQ(varz->Find("result_cache")->Find("hits")->AsInt(), 1);
   EXPECT_EQ(varz->Find("result_cache")->Find("misses")->AsInt(), 1);
-  ASSERT_NE(varz->Find("match_cache"), nullptr);
+  EXPECT_EQ(varz->Find("match_cache"), nullptr);  // One cache level.
+  EXPECT_EQ(varz->Find("query_cache_generation"), nullptr);
   EXPECT_EQ(varz->Find("result_cache_generation")->AsInt(), 0);
 }
 

@@ -20,17 +20,11 @@
 //    duration ranking to cover the partition AND subsumption semantics.
 //
 // Usage: workcount_dump [--results|--popseq|--candidates]
-//            [--cache] <golden-dir> [stems...]
+//            <golden-dir> [stems...]
 //        workcount_dump [--results|--popseq|--candidates]
-//            [--cache] --dataset <dblp|social> ...
+//            --dataset <dblp|social> ...
 //        workcount_dump --layout <dblp|social> [--layout ...]
 //        (every form also takes --pad-timeline <n>)
-//
-// --cache runs the same suite with the in-engine match-set cache
-// (docs/caching.md) enabled and appends one "cache-summary <tag> ..." line
-// per suite with the accumulated hit/miss tallies. The per-query counter
-// and result lines must stay bit-identical to the uncached run — that is
-// the differential scripts/cache_check.sh enforces.
 //
 // --layout prints the ExpansionView packing statistics (time
 // representation, bytes per slot, slot counts, inline/pooled split,
@@ -77,7 +71,6 @@
 #include <string>
 #include <vector>
 
-#include "cache/query_caches.h"
 #include "datagen/dblp_generator.h"
 #include "datagen/query_generator.h"
 #include "datagen/social_generator.h"
@@ -93,7 +86,6 @@ namespace {
 
 // Set from the command line; apply to both query suites.
 bool g_results = false;   // Print result fingerprints, not work counters.
-bool g_cache = false;     // Run with the match-set cache enabled.
 bool g_popseq = false;    // Print pop-sequence fingerprints.
 bool g_candidates = false;  // Print result-generation counters.
 int32_t g_pad_timeline = 0;  // Rebuild graphs over >= this many instants.
@@ -111,32 +103,11 @@ int PadTimeline(tgks::graph::TemporalGraph* graph) {
   return 0;
 }
 
-tgks::search::SearchOptions SuiteOptions(tgks::cache::QueryCaches* caches) {
+tgks::search::SearchOptions SuiteOptions() {
   tgks::search::SearchOptions options;
   options.k = 10;
-  options.query_caches = caches;
   return options;
 }
-
-/// Running totals of the engine's cache counters for one suite; printed as
-/// one trailing summary line per suite in --cache mode only, so the cached
-/// dump is the uncached dump plus the summary lines (scripts/cache_check.sh
-/// strips them before diffing and then asserts hit-rate floors on them).
-struct CacheTally {
-  int64_t match_hits = 0;
-  int64_t match_misses = 0;
-
-  void Add(const tgks::search::SearchCounters& c) {
-    match_hits += c.cache_match_hits;
-    match_misses += c.cache_match_misses;
-  }
-
-  void Print(const std::string& tag) const {
-    std::printf("cache-summary %s match_hits=%lld match_misses=%lld\n",
-                tag.c_str(), static_cast<long long>(match_hits),
-                static_cast<long long>(match_misses));
-  }
-};
 
 /// FNV-1a over raw bytes, continuing from `h`.
 uint64_t Fnv1a(uint64_t h, const void* data, size_t size) {
@@ -289,10 +260,6 @@ int RunGoldenStems(const std::string& dir,
     if (const int rc = PadTimeline(&g); rc != 0) return rc;
     const tgks::graph::InvertedIndex index(g);
     const tgks::search::SearchEngine engine(g, &index);
-    // Caches are per-graph (match lists embed node ids), so each stem gets
-    // its own bundle; hits come from repeated keywords within the stem.
-    tgks::cache::QueryCaches caches;
-    CacheTally tally;
     int qi = 0;
     for (const std::string& text :
          LoadQueryLines(dir + "/" + stem + ".queries")) {
@@ -302,8 +269,7 @@ int RunGoldenStems(const std::string& dir,
         return 1;
       }
       PopSeqRecorder popseq;
-      tgks::search::SearchOptions options =
-          SuiteOptions(g_cache ? &caches : nullptr);
+      tgks::search::SearchOptions options = SuiteOptions();
       if (g_popseq) {
         options.pop_fn = &PopSeqRecorder::OnPop;
         options.pop_ctx = &popseq;
@@ -313,10 +279,8 @@ int RunGoldenStems(const std::string& dir,
         std::fprintf(stderr, "search: %s\n", r.status().ToString().c_str());
         return 1;
       }
-      tally.Add(r->counters);
       PrintQuery(stem, qi++, *r, popseq);
     }
-    if (g_cache) tally.Print(stem);
   }
   return 0;
 }
@@ -381,10 +345,7 @@ int RunDataset(const std::string& name) {
 
   const tgks::graph::InvertedIndex index(graph);
   const tgks::search::SearchEngine engine(graph, &index);
-  tgks::cache::QueryCaches caches;
-  CacheTally tally;
-  tgks::search::SearchOptions options =
-      SuiteOptions(g_cache ? &caches : nullptr);
+  tgks::search::SearchOptions options = SuiteOptions();
   PopSeqRecorder popseq;
   if (g_popseq) {
     options.pop_fn = &PopSeqRecorder::OnPop;
@@ -392,10 +353,7 @@ int RunDataset(const std::string& name) {
   }
   // Pass 1: the workload's own ranking (relevance -> partition semantics).
   // Pass 2: duration ranking -> subsumption semantics, so Algorithm 2's
-  // counters are pinned on benchmark-shaped graphs too. In --cache mode the
-  // second pass reuses the first pass's match sets, so its match lookups
-  // are all hits — the warm half of the hit-rate floor the cache_check.sh
-  // gate asserts.
+  // counters are pinned on benchmark-shaped graphs too.
   const char* pass_tags[2] = {"", "-duration"};
   for (int pass = 0; pass < 2; ++pass) {
     int qi = 0;
@@ -412,11 +370,9 @@ int RunDataset(const std::string& name) {
         std::fprintf(stderr, "search: %s\n", r.status().ToString().c_str());
         return 1;
       }
-      tally.Add(r->counters);
       PrintQuery(name + pass_tags[pass], qi++, *r, popseq);
     }
   }
-  if (g_cache) tally.Print(name);
   return 0;
 }
 
@@ -465,8 +421,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--results") == 0) {
       g_results = true;
-    } else if (std::strcmp(argv[i], "--cache") == 0) {
-      g_cache = true;
     } else if (std::strcmp(argv[i], "--popseq") == 0) {
       g_popseq = true;
     } else if (std::strcmp(argv[i], "--candidates") == 0) {
@@ -489,10 +443,10 @@ int main(int argc, char** argv) {
     std::fprintf(
         stderr,
         "usage: %s [--results|--popseq|--candidates] "
-        "[--cache] [--pad-timeline <n>] <golden-dir> "
+        "[--pad-timeline <n>] <golden-dir> "
         "[graph stems...]\n"
         "       %s [--results|--popseq|--candidates] "
-        "[--cache] [--pad-timeline <n>] "
+        "[--pad-timeline <n>] "
         "--dataset <dblp|dblp-bounded|social> ...\n"
         "       %s [--pad-timeline <n>] --layout <dblp|dblp-bounded|social> "
         "[--layout ...]\n",
