@@ -68,11 +68,17 @@ TEST(IngestConcurrencyTest, ConcurrentIngestCompactionAndSearch) {
 
   std::atomic<bool> done{false};
   std::atomic<int64_t> rejected{0};
+  // Writers hold off until every reader is inside its loop, so on a loaded
+  // host the readers still overlap the writes instead of starting after them.
+  std::atomic<int> readers_running{0};
 
   std::vector<std::thread> writers;
   writers.reserve(kWriters);
   for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&live, &rejected, w] {
+    writers.emplace_back([&live, &rejected, &readers_running, w] {
+      while (readers_running.load(std::memory_order_acquire) < kReaders) {
+        std::this_thread::yield();
+      }
       for (int t = 0; t < kBatchesPerWriter; ++t) {
         IngestErrorDetail error;
         if (!live.Apply(MakeBatch(w, t), &error).ok()) {
@@ -86,13 +92,18 @@ TEST(IngestConcurrencyTest, ConcurrentIngestCompactionAndSearch) {
   readers.reserve(kReaders);
   std::vector<int64_t> reads(kReaders, 0);
   for (int r = 0; r < kReaders; ++r) {
-    readers.emplace_back([&live, &done, &reads, r] {
+    readers.emplace_back([&live, &done, &readers_running, &reads, r] {
       uint64_t last_generation = 0;
       search::Query query;
       query.keywords = {"live"};
       search::SearchOptions options;
       options.k = 0;  // Exhaustive: one result per matching node.
+      bool running = false;
       while (!done.load(std::memory_order_acquire)) {
+        if (!running) {
+          running = true;
+          readers_running.fetch_add(1, std::memory_order_release);
+        }
         const GraphSnapshotHandle snap = live.Acquire();
         // Publishes are ordered: a later acquire never sees an older head.
         ASSERT_GE(snap->generation, last_generation);
