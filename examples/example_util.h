@@ -1,11 +1,17 @@
-// Shared pretty-printing helpers for the examples.
+// Shared helpers for the examples and tools: result printing and strict
+// numeric flag parsing.
 
 #ifndef TGKS_EXAMPLES_EXAMPLE_UTIL_H_
 #define TGKS_EXAMPLES_EXAMPLE_UTIL_H_
 
+#include <cmath>
+#include <cstdint>
 #include <iostream>
+#include <limits>
 #include <string>
+#include <type_traits>
 
+#include "common/strings.h"
 #include "graph/temporal_graph.h"
 #include "search/search_engine.h"
 
@@ -46,6 +52,24 @@ inline void PrintCounters(const search::SearchCounters& c) {
             << " nodes_visited=" << c.nodes_visited
             << " candidates=" << c.candidates << " results=" << c.results
             << " avg_ntds_per_node=" << c.avg_ntds_per_node << "]\n";
+}
+
+/// Parses a numeric flag value strictly: the whole of `text` must be a
+/// decimal integer that fits T, or a finite number when T is double.
+/// Reports a bad value on stderr.
+template <typename T>
+bool ParseFlag(const std::string& flag, const char* text, T* out) {
+  bool ok = false;
+  if constexpr (std::is_floating_point_v<T>) {
+    ok = ParseDouble(text, out) && std::isfinite(*out);
+  } else {
+    int64_t value = 0;
+    ok = ParseInt64(text, &value) && value >= std::numeric_limits<T>::min() &&
+         value <= std::numeric_limits<T>::max();
+    if (ok) *out = static_cast<T>(value);
+  }
+  if (!ok) std::cerr << "invalid value for " << flag << ": '" << text << "'\n";
+  return ok;
 }
 
 }  // namespace tgks::examples

@@ -24,7 +24,7 @@
 //   --serve                 run the HTTP server instead of a query
 //   --dataset NAME          serve the benchmark dataset dblp or social
 //                           (generated in-process with the bench seeds, so
-//                           tgks_loadgen workloads line up)
+//                           perfbench's match sets line up)
 //   --host ADDR             bind address (default 127.0.0.1)
 //   --port N                TCP port (default 8080; 0 = ephemeral)
 //   --max-queue N           admitted search requests in flight (default 64)
@@ -63,7 +63,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -72,7 +71,6 @@
 
 #include "bench/bench_util.h"
 #include "cache/result_cache.h"
-#include "common/strings.h"
 #include "examples/example_util.h"
 #include "exec/query_executor.h"
 #include "obs/metrics.h"
@@ -88,6 +86,7 @@
 
 namespace {
 
+using tgks::examples::ParseFlag;
 using tgks::graph::GraphBuilder;
 using tgks::graph::NodeId;
 using tgks::graph::TemporalGraph;
@@ -128,21 +127,6 @@ int Usage() {
          "[--cache] [--live [--max-ingest-bytes N] [--compact-bytes N] "
          "[--compact-age-ms N]]\n";
   return 2;
-}
-
-/// Parses a numeric flag value strictly: the whole of `text` must be a
-/// decimal integer that fits T. Reports a bad value on stderr.
-template <typename T>
-bool ParseFlag(const std::string& flag, const char* text, T* out) {
-  int64_t value = 0;
-  if (!tgks::ParseInt64(text, &value) ||
-      value < std::numeric_limits<T>::min() ||
-      value > std::numeric_limits<T>::max()) {
-    std::cerr << "invalid value for " << flag << ": '" << text << "'\n";
-    return false;
-  }
-  *out = static_cast<T>(value);
-  return true;
 }
 
 /// SIGTERM/SIGINT request graceful shutdown of --serve.
@@ -291,8 +275,8 @@ int RunBatch(const tgks::graph::TemporalGraph& graph,
 
   tgks::exec::ExecutorOptions exec_options;
   exec_options.threads = threads;
-  exec_options.deadline_ms = deadline_ms;
   exec_options.search = options;
+  exec_options.search.deadline_ms = deadline_ms;
   tgks::exec::QueryExecutor executor(graph, &index, exec_options);
   const tgks::exec::BatchResponse response = executor.Run(batch);
 

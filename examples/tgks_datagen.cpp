@@ -5,23 +5,29 @@
 //                       [--seed S] OUT
 //
 // The output format is chosen by the file extension: ".tgb" writes the
-// compact binary format, anything else the .tgf text format.
+// compact binary format, anything else the .tgf text format. Numeric values
+// must parse whole (sizes and the timeline as 32-bit integers, the seed as
+// a 64-bit one, the connectivity as a finite number); anything else is a
+// usage error.
 //
 // Examples:
 //   tgks_gen dblp --papers 20000 --authors 8000 --venues 100 dblp.tgb
 //   tgks_gen social --nodes 50000 --connectivity 0.5 net.tgf
 
-#include <cstring>
+#include <cstdint>
 #include <iostream>
 #include <string>
 
 #include "common/random.h"
 #include "datagen/dblp_generator.h"
 #include "datagen/social_generator.h"
+#include "examples/example_util.h"
 #include "graph/graph_stats.h"
 #include "graph/serialization.h"
 
 namespace {
+
+using tgks::examples::ParseFlag;
 
 int Usage() {
   std::cerr << "usage:\n"
@@ -30,12 +36,6 @@ int Usage() {
                "  tgks_gen social [--nodes N] [--connectivity P]"
                " [--timeline T] [--seed S] OUT\n";
   return 2;
-}
-
-bool NextInt(int argc, char** argv, int* i, int64_t* out) {
-  if (*i + 1 >= argc) return false;
-  *out = std::atoll(argv[++*i]);
-  return true;
 }
 
 int WriteGraph(const tgks::graph::TemporalGraph& graph,
@@ -64,28 +64,32 @@ int main(int argc, char** argv) {
   if (argc < 3) return Usage();
   const std::string mode = argv[1];
   std::string out_path;
-  int64_t papers = 10000, authors = 4000, venues = 60, nodes = 20000;
-  int64_t timeline = 100, seed = 42;
+  int32_t papers = 10000, authors = 4000, venues = 60, nodes = 20000;
+  int32_t timeline = 100;
+  int64_t seed = 42;
   double connectivity = 0.7;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    int64_t value = 0;
-    if (arg == "--papers" && NextInt(argc, argv, &i, &value)) {
-      papers = value;
-    } else if (arg == "--authors" && NextInt(argc, argv, &i, &value)) {
-      authors = value;
-    } else if (arg == "--venues" && NextInt(argc, argv, &i, &value)) {
-      venues = value;
-    } else if (arg == "--nodes" && NextInt(argc, argv, &i, &value)) {
-      nodes = value;
-    } else if (arg == "--timeline" && NextInt(argc, argv, &i, &value)) {
-      timeline = value;
-    } else if (arg == "--seed" && NextInt(argc, argv, &i, &value)) {
-      seed = value;
-    } else if (arg == "--connectivity" && i + 1 < argc) {
-      connectivity = std::atof(argv[++i]);
-    } else if (!arg.empty() && arg[0] == '-') {
-      return Usage();
+    if (!arg.empty() && arg[0] == '-') {
+      if (i + 1 >= argc) return Usage();
+      const char* value = argv[++i];
+      bool ok = false;
+      if (arg == "--papers") {
+        ok = ParseFlag(arg, value, &papers);
+      } else if (arg == "--authors") {
+        ok = ParseFlag(arg, value, &authors);
+      } else if (arg == "--venues") {
+        ok = ParseFlag(arg, value, &venues);
+      } else if (arg == "--nodes") {
+        ok = ParseFlag(arg, value, &nodes);
+      } else if (arg == "--timeline") {
+        ok = ParseFlag(arg, value, &timeline);
+      } else if (arg == "--seed") {
+        ok = ParseFlag(arg, value, &seed);
+      } else if (arg == "--connectivity") {
+        ok = ParseFlag(arg, value, &connectivity);
+      }
+      if (!ok) return Usage();
     } else if (out_path.empty()) {
       out_path = arg;
     } else {
@@ -96,9 +100,9 @@ int main(int argc, char** argv) {
 
   if (mode == "dblp") {
     tgks::datagen::DblpParams params;
-    params.num_papers = static_cast<int32_t>(papers);
-    params.num_authors = static_cast<int32_t>(authors);
-    params.num_venues = static_cast<int32_t>(venues);
+    params.num_papers = papers;
+    params.num_authors = authors;
+    params.num_venues = venues;
     params.seed = static_cast<uint64_t>(seed);
     auto dataset = tgks::datagen::GenerateDblp(params);
     if (!dataset.ok()) {
@@ -109,8 +113,8 @@ int main(int argc, char** argv) {
   }
   if (mode == "social") {
     tgks::datagen::SocialParams params;
-    params.num_nodes = static_cast<int32_t>(nodes);
-    params.timeline_length = static_cast<tgks::temporal::TimePoint>(timeline);
+    params.num_nodes = nodes;
+    params.timeline_length = timeline;
     params.edge_connectivity = connectivity;
     params.seed = static_cast<uint64_t>(seed);
     auto dataset = tgks::datagen::GenerateSocial(params);

@@ -3,17 +3,15 @@
 # social dataset and walks the whole streaming lifecycle over real HTTP —
 # ingest a batch, verify a query admitted after the publish sees it, fold
 # the delta via /v1/compact, verify the folded graph still answers, then
-# replay a mixed read/write tgks_loadgen run and SIGTERM the server with
-# ingest traffic in flight to prove the drain stays clean.
+# drive a mixed read/write `curl --parallel` load and SIGTERM the server
+# with ingest traffic in flight to prove the drain stays clean.
 #
 # usage: scripts/ingest_smoke.sh <build-dir>
 set -euo pipefail
 
 BUILD_DIR="${1:?usage: ingest_smoke.sh <build-dir>}"
 CLI="${BUILD_DIR}/examples/tgks_cli"
-LOADGEN="${BUILD_DIR}/tools/tgks_loadgen"
 [[ -x "${CLI}" ]] || { echo "ingest_smoke: ${CLI} not built" >&2; exit 1; }
-[[ -x "${LOADGEN}" ]] || { echo "ingest_smoke: ${LOADGEN} not built" >&2; exit 1; }
 
 export TGKS_BENCH_SCALE="${TGKS_BENCH_SCALE:-0.3}"
 
@@ -57,6 +55,38 @@ stop_server() {  # SIGTERM must drain and exit 0.
   fi
   grep -q "shutdown requested" "${WORK}/server.log" \
       || { echo "ingest_smoke: no drain banner" >&2; exit 1; }
+}
+
+load_config() {  # args: count endpoint:body-file...; prints a curl config.
+  # `count` POSTs to /v1/<endpoint>, cycling over the targets; each writes
+  # one "<endpoint> <http_code> <curl exitcode>" line.
+  local count="$1"; shift
+  local targets=("$@") target i
+  for ((i = 0; i < count; ++i)); do
+    target="${targets[i % ${#targets[@]}]}"
+    (( i == 0 )) || echo next
+    printf 'url = "http://127.0.0.1:%s/v1/%s"\n' "${PORT}" "${target%%:*}"
+    printf 'data-binary = "@%s"\noutput = "/dev/null"\nmax-time = 30\n' \
+        "${target#*:}"
+    printf 'write-out = "%s %%{http_code} %%{exitcode}\\n"\n' \
+        "${target%%:*}"
+  done
+}
+
+tally() {  # args: tally-file count; prints it, sets OK SHED OTHER ERRORS.
+  sort "$1" | uniq -c
+  local lines
+  lines="$(wc -l < "$1")"
+  if [[ "${lines}" -ne "$2" ]]; then
+    echo "ingest_smoke: ${lines} of $2 requests reported" >&2
+    exit 1
+  fi
+  read -r OK SHED OTHER ERRORS < <(awk '
+      $3 != 0 { errors++; next }
+      $2 ~ /^2/ { ok++; next }
+      $2 == 429 { shed++; next }
+      { other++ }
+      END { print ok + 0, shed + 0, other + 0, errors + 0 }' "$1")
 }
 
 expect_code() {  # args: expected-code curl-args...
@@ -129,31 +159,52 @@ expect_code 404 -X POST --data '{"nodes":[]}' \
 expect_code 404 -X POST "http://127.0.0.1:${PORT}/v1/compact"
 stop_server
 
-echo "== pass 3: mixed read/write replay, then drain with writes in flight =="
+echo "== pass 3: mixed read/write load, then drain with writes in flight =="
 start_server --live
-"${LOADGEN}" --workload social --port "${PORT}" --connections 2 --qps 50 \
-    --duration-s 5 --num-queries 20 --deadline-ms 2000 --ingest-mix 0.2 \
-    --json-out "${WORK}/rows.jsonl"
-python3 - "${WORK}/rows.jsonl" <<'EOF'
-import json, sys
-row = json.loads(open(sys.argv[1]).read().splitlines()[-1])
-assert row["ingest_2xx"] > 0, f"no ingest succeeded: {row}"
-assert row["status_429"] == 0, f"unexpected shed on healthy server: {row}"
-assert row["status_other"] == 0 and row["errors"] == 0, row
-assert row["final_generation"] >= row["ingest_2xx"], row
-print(f"pass 3 ok: {row['ingest_2xx']} writes published, "
-      f"generation {row['final_generation']}, "
-      f"gen-lag mean {row['gen_lag_mean']:.2f}")
-EOF
+# The social graph is unlabeled, so searches name their match sets; each
+# write stitches a fresh node to base node 0, as in pass 1.
+printf '{"query":"a, b","matches":[[1,2,3],[40,41,42]],"k":10}' \
+    > "${WORK}/search1.json"
+printf '{"query":"a, b, c","matches":[[5,6],[70,71],[300,301]],"k":10}' \
+    > "${WORK}/search2.json"
+printf '%s' '{"nodes":[{"label":"live smoke","weight":1.0}],' \
+    '"edges":[{"src":0,"dst_new":0}]}' > "${WORK}/ingest.json"
+SEARCH1=search:"${WORK}/search1.json"
+SEARCH2=search:"${WORK}/search2.json"
+INGEST=ingest:"${WORK}/ingest.json"
+
+# One write in five.
+load_config 250 "${SEARCH1}" "${SEARCH2}" "${SEARCH1}" "${SEARCH2}" \
+    "${INGEST}" > "${WORK}/load3.cfg"
+curl --no-progress-meter --parallel --parallel-max 2 -K "${WORK}/load3.cfg" \
+    > "${WORK}/tally3" || true
+tally "${WORK}/tally3" 250
+WRITES="$(grep -c '^ingest 200 0$' "${WORK}/tally3" || true)"
+if (( WRITES == 0 || SHED != 0 || OTHER != 0 || ERRORS != 0 )); then
+  echo "ingest_smoke: pass 3 wants acknowledged writes and all 2xx:" \
+       "${WRITES} writes, ${OK} ok, ${SHED} shed, ${OTHER} other," \
+       "${ERRORS} transport errors" >&2
+  exit 1
+fi
+expect_code 200 "http://127.0.0.1:${PORT}/varz"
+GENERATION="$(grep -oE '"snapshot_generation":[0-9]+' "${WORK}/body.out" \
+               | cut -d: -f2)"
+if (( GENERATION < WRITES )); then
+  echo "ingest_smoke: generation ${GENERATION} < ${WRITES} writes" >&2
+  exit 1
+fi
+echo "pass 3 ok: ${WRITES} writes published, generation ${GENERATION}"
 
 # Drain while a background writer is mid-stream: in-flight requests finish
-# or shed, the listener closes, and the exit stays clean.
-"${LOADGEN}" --workload social --port "${PORT}" --connections 2 --qps 50 \
-    --duration-s 10 --num-queries 20 --ingest-mix 0.5 \
-    --json-out "${WORK}/rows2.jsonl" > /dev/null 2>&1 &
-LOADGEN_PID=$!
+# or shed, the listener closes, and the exit stays clean. The run is far
+# longer than the wait, so writes are in flight at the SIGTERM.
+load_config 20000 "${SEARCH1}" "${INGEST}" > "${WORK}/load4.cfg"
+curl --no-progress-meter --parallel --parallel-max 2 -K "${WORK}/load4.cfg" \
+    > /dev/null 2>&1 &
+LOAD_PID=$!
 sleep 2
 stop_server
-wait "${LOADGEN_PID}" 2>/dev/null || true
+kill "${LOAD_PID}" 2>/dev/null || true
+wait "${LOAD_PID}" 2>/dev/null || true
 
 echo "ingest_smoke: OK"

@@ -1,23 +1,8 @@
 #include "cache/cache_stats.h"
 
-#include <cstdio>
-
 #include "obs/metrics.h"
 
 namespace tgks::cache {
-
-std::string CacheStats::ToString() const {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "hits=%lld misses=%lld hit_rate=%.3f insertions=%lld "
-                "evictions=%lld oversized=%lld entries=%lld bytes=%lld",
-                static_cast<long long>(hits), static_cast<long long>(misses),
-                HitRate(), static_cast<long long>(insertions),
-                static_cast<long long>(evictions),
-                static_cast<long long>(oversized),
-                static_cast<long long>(entries), static_cast<long long>(bytes));
-  return buf;
-}
 
 CacheMetrics MetricsForLevel(const std::string& level) {
   CacheMetrics m;

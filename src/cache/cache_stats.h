@@ -33,7 +33,6 @@ struct CacheStats {
     const int64_t n = lookups();
     return n == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(n);
   }
-  std::string ToString() const;
 };
 
 /// Nullable obs instrument bundle; a null pointer (or null member) means

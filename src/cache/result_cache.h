@@ -5,16 +5,16 @@
 // uncached request (stats excluded — those bodies carry per-run wall
 // times), so a hit is bit-identical to a miss by construction. Keys are the
 // router's canonical fingerprint of everything that can affect the answer:
-// canonical query text, effective k and bound, the prune flag,
-// and any explicit match lists. Deadlines are deliberately NOT in the key —
-// only complete responses are cached, and a complete answer is a valid
-// answer under any deadline.
+// canonical query text, effective k and bound, any explicit match lists,
+// and on a live graph the pinned snapshot's generation. Deadlines are
+// deliberately NOT in the key — only complete responses are cached, and a
+// complete answer is a valid answer under any deadline.
 //
 // Invalidation is generational: InvalidateAll() bumps the generation and
 // clears the map. A search that began under generation G refuses to insert
 // once the generation has moved past G, so a slow in-flight query can never
-// resurrect a pre-invalidation answer — the contract the future
-// streaming-ingest epoch publisher relies on.
+// resurrect a pre-invalidation answer — the contract LiveGraph::on_publish
+// relies on when it invalidates the cache after every publish.
 
 #ifndef TGKS_CACHE_RESULT_CACHE_H_
 #define TGKS_CACHE_RESULT_CACHE_H_

@@ -65,7 +65,6 @@ BatchResponse QueryExecutor::Run(const std::vector<BatchQuery>& batch) {
   cancel_.store(false, std::memory_order_relaxed);
 
   search::SearchOptions per_query = options_.search;
-  if (options_.deadline_ms > 0) per_query.deadline_ms = options_.deadline_ms;
   // The batch token rides in the secondary slot so a caller-supplied
   // search.cancel keeps working; either token stops a query.
   per_query.extra_cancel = &cancel_;
@@ -158,11 +157,7 @@ void QueryExecutor::Submit(SingleQuery single, SingleQueryCallback done) {
   search::SearchOptions options = options_.search;
   if (single.k > 0) options.k = single.k;
   if (single.bound.has_value()) options.bound = *single.bound;
-  if (single.deadline_ms > 0) {
-    options.deadline_ms = single.deadline_ms;
-  } else if (options_.deadline_ms > 0) {
-    options.deadline_ms = options_.deadline_ms;
-  }
+  if (single.deadline_ms > 0) options.deadline_ms = single.deadline_ms;
   options.cancel = single.cancel;
   if (single.snapshot.graph != nullptr) {
     // Live snapshot: its overlay replaces the executor-wide default.

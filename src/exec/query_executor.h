@@ -38,10 +38,8 @@ namespace tgks::exec {
 struct ExecutorOptions {
   /// Worker threads; <= 0 picks std::thread::hardware_concurrency().
   int threads = 0;
-  /// Per-query wall-clock deadline in milliseconds (<= 0 = none). Applied
-  /// on top of `search` (overrides search.deadline_ms when positive).
-  int64_t deadline_ms = -1;
-  /// Base engine options for every query in a batch. A caller-supplied
+  /// Base engine options for every query in a batch, including the
+  /// per-query wall-clock deadline (`search.deadline_ms`). A caller-supplied
   /// `search.cancel` token is honored: the executor's batch token rides in
   /// `search.extra_cancel`, and either token stops a query.
   search::SearchOptions search;
@@ -101,7 +99,7 @@ struct SingleQuery {
   /// Bound override; unset inherits ExecutorOptions::search.bound.
   std::optional<search::UpperBoundKind> bound;
   /// Per-request wall-clock deadline in milliseconds; <= 0 inherits
-  /// ExecutorOptions::deadline_ms.
+  /// ExecutorOptions::search.deadline_ms.
   int64_t deadline_ms = -1;
   /// Per-request cancellation token (not owned; must outlive the callback).
   /// Rides in SearchOptions::cancel, so it composes with a server-wide

@@ -289,9 +289,7 @@ Result<uint64_t> LiveGraph::CompactLocked(bool manual) {
   // Full rebuild: every element re-enters the builder in id order, so the
   // compacted graph assigns identical ids and its CSR enumerates edges in
   // the identical order — a query cannot tell a compacted snapshot from a
-  // graph that was built with the data from day one. The empty overlay
-  // re-arms the prunes it disabled; the new graph's reachability labeling
-  // is built by the first query that runs one, not here under mu_.
+  // graph that was built with the data from day one.
   graph::GraphBuilder builder(base.timeline_length());
   const NodeId total_nodes = overlay.total_nodes();
   for (NodeId n = 0; n < total_nodes; ++n) {

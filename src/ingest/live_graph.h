@@ -19,11 +19,10 @@
 //     serving layer can invalidate its result cache on every publish;
 //   - Compact() folds the accumulated delta into a full GraphBuilder
 //     rebuild (same element ids and order, so a compacted graph is
-//     indistinguishable from a build-once graph; its empty overlay re-arms
-//     the expansion prunes that live snapshots conservatively disable).
-//     Queries keep reading their pinned snapshots and the swap itself is a
-//     pointer store, but the rebuild holds the writer mutex: an Apply()
-//     that arrives meanwhile waits for it (tgks_ingest_lock_wait_micros).
+//     indistinguishable from a build-once graph). Queries keep reading
+//     their pinned snapshots and the swap itself is a pointer store, but
+//     the rebuild holds the writer mutex: an Apply() that arrives
+//     meanwhile waits for it (tgks_ingest_lock_wait_micros).
 //
 // Writer-side mutual exclusion is one mutex (ingest batches and compaction
 // serialize); reader-side is the head pointer's own lock, held only for a
@@ -59,7 +58,7 @@ struct GraphSnapshot {
 
   /// The overlay pointer queries should carry: null when there is no delta
   /// (a base or freshly compacted snapshot behaves exactly like a
-  /// build-once graph, prunes included).
+  /// build-once graph).
   const graph::DeltaOverlay* overlay_or_null() const {
     return overlay != nullptr && !overlay->empty() ? overlay.get() : nullptr;
   }

@@ -40,8 +40,7 @@ BestPathIterator::BestPathIterator(const graph::TemporalGraph& graph,
                                  ? options_.overlay->NodeAt(graph, source)
                                  : graph.node(source);
     if (options_.prune != nullptr &&
-        !options_.prune->ElementMayQualify(src.validity,
-            options_.containedby_prune)) {
+        !options_.prune->ElementMayQualify(src.validity)) {
       continue;  // QUALIFY(s, P) failed; the source starts exhausted.
     }
     if (src.validity.IsEmpty()) continue;
@@ -252,13 +251,12 @@ template <typename Time, typename Reader>
 bool BestPathIterator::ElementsMayQualify(const Reader& view, int64_t s,
                                           NodeId neighbor) const {
   const PredicateExpr& prune = *options_.prune;
-  const bool containedby = options_.containedby_prune;
   if constexpr (std::is_same_v<Time, TimeMask>) {
-    return prune.ElementMayQualify(view.edge_mask(s), containedby) &&
-           prune.ElementMayQualify(view.node_mask(neighbor), containedby);
+    return prune.ElementMayQualify(view.edge_mask(s)) &&
+           prune.ElementMayQualify(view.node_mask(neighbor));
   } else {
     const auto may_qualify = [&](const IntervalSet& validity) {
-      return prune.ElementMayQualify(validity, containedby);
+      return prune.ElementMayQualify(validity);
     };
     return view.WithEdgeValidity(s, may_qualify) &&
            view.WithNodeValidity(neighbor, may_qualify);

@@ -125,8 +125,6 @@ class BestPathIterator {
     RankingSpec ranking;
     /// Optional element-level predicate pruning (§5). Not owned.
     const PredicateExpr* prune = nullptr;
-    /// Extension: also prune on CONTAINED BY windows (see PredicateExpr).
-    bool containedby_prune = false;
     /// Subsumption index implementation for duration ranking. Row-major
     /// is the measured-fastest at laptop scale (see bench_ablation_bitmap);
     /// kColumnMajor is the paper's Fig.-5 structure.

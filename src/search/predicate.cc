@@ -139,19 +139,16 @@ bool CoversWindow(const TimeMask& validity, Interval window) {
 
 }  // namespace
 
-bool PredicateExpr::ElementMayQualify(const IntervalSet& validity,
-                                      bool containedby_prune) const {
-  return MayQualify(validity, containedby_prune);
+bool PredicateExpr::ElementMayQualify(const IntervalSet& validity) const {
+  return MayQualify(validity);
 }
 
-bool PredicateExpr::ElementMayQualify(const TimeMask& validity,
-                                      bool containedby_prune) const {
-  return MayQualify(validity, containedby_prune);
+bool PredicateExpr::ElementMayQualify(const TimeMask& validity) const {
+  return MayQualify(validity);
 }
 
 template <typename Set>
-bool PredicateExpr::MayQualify(const Set& validity,
-                               bool containedby_prune) const {
+bool PredicateExpr::MayQualify(const Set& validity) const {
   switch (kind_) {
     case Kind::kAtom:
       switch (op_) {
@@ -171,10 +168,7 @@ bool PredicateExpr::MayQualify(const Set& validity,
           return CoversWindow(validity, Interval(t1_, t2_));
         case PredicateOp::kContainedBy:
           // §5: "we are not able to prune nodes and edges during backward
-          // expansion using this predicate" — unless the extension is on.
-          if (containedby_prune) {
-            return OverlapsWindow(validity, Interval(t1_, t2_));
-          }
+          // expansion using this predicate".
           return true;
       }
       return true;
@@ -182,16 +176,14 @@ bool PredicateExpr::MayQualify(const Set& validity,
       // A result satisfying the conjunction satisfies every child, so every
       // child's necessary condition applies.
       for (const auto& child : children_) {
-        if (!child->MayQualify(validity, containedby_prune)) {
-          return false;
-        }
+        if (!child->MayQualify(validity)) return false;
       }
       return true;
     case Kind::kOr:
       // A result satisfies some child; the element must pass at least one
       // child's necessary condition.
       for (const auto& child : children_) {
-        if (child->MayQualify(validity, containedby_prune)) return true;
+        if (child->MayQualify(validity)) return true;
       }
       return false;
     case Kind::kNot:

@@ -15,8 +15,7 @@
 // nodes and edges during backward expansion (§5): if an element's validity
 // fails the test, no result through that element can satisfy the predicate.
 // Faithful to the paper, CONTAINED BY admits no element pruning (its
-// element test is always true); see SearchOptions::containedby_prune for the
-// documented extension.
+// element test is always true).
 
 #ifndef TGKS_SEARCH_PREDICATE_H_
 #define TGKS_SEARCH_PREDICATE_H_
@@ -72,17 +71,10 @@ class PredicateExpr {
   /// through an element with validity `validity` can satisfy the predicate;
   /// true means "maybe". NOT subtrees and CONTAINED BY atoms are
   /// conservative (always "maybe").
-  ///
-  /// `containedby_prune` enables the documented extension: a CONTAINED BY
-  /// [a,b] atom then requires the element to overlap [a,b] — sound because a
-  /// non-empty result time inside [a,b] needs every element valid somewhere
-  /// in [a,b] — but off by default for fidelity to §5.
-  bool ElementMayQualify(const temporal::IntervalSet& validity,
-                         bool containedby_prune = false) const;
+  bool ElementMayQualify(const temporal::IntervalSet& validity) const;
   /// The same test on a mask validity (narrow-timeline expansion); equal
   /// to the IntervalSet form on `validity.ToIntervalSet()`.
-  bool ElementMayQualify(const temporal::TimeMask& validity,
-                         bool containedby_prune = false) const;
+  bool ElementMayQualify(const temporal::TimeMask& validity) const;
 
   /// True iff generated results are guaranteed to satisfy the predicate
   /// whenever every element passed ElementMayQualify (e.g., a pure
@@ -110,7 +102,7 @@ class PredicateExpr {
 
   /// ElementMayQualify over either time representation.
   template <typename Set>
-  bool MayQualify(const Set& validity, bool containedby_prune) const;
+  bool MayQualify(const Set& validity) const;
 
   Kind kind_ = Kind::kAtom;
   // Atom payload.

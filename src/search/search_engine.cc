@@ -338,8 +338,7 @@ class Runner {
               options_.overlay != nullptr
                   ? options_.overlay->NodeAt(graph_, n).validity
                   : graph_.node(n).validity;
-          return !pred->ElementMayQualify(validity,
-                                          options_.containedby_prune);
+          return !pred->ElementMayQualify(validity);
         });
       }
     }
@@ -352,7 +351,6 @@ class Runner {
     BestPathIterator::Options iter_options;
     iter_options.ranking = query_.ranking;
     iter_options.prune = query_.predicate.get();
-    iter_options.containedby_prune = options_.containedby_prune;
     iter_options.duration_index = options_.duration_index;
     iter_options.trace = options_.trace;
     iter_options.overlay = options_.overlay;

@@ -63,9 +63,6 @@ struct SearchOptions {
   /// fastest; kColumnMajor is the paper's Fig.-5 layout — see
   /// bench_ablation_bitmap).
   temporal::NtdIndexKind duration_index = temporal::NtdIndexKind::kRowMajor;
-  /// Documented extension (§5 deviation): also prune elements disjoint from
-  /// a CONTAINED BY window. Off by default for paper fidelity.
-  bool containedby_prune = false;
   /// Live-snapshot delta overlay (docs/ingest.md; not owned, immutable,
   /// must outlive the call). When non-null and non-empty the engine reads
   /// graph elements through it — keyword match lists gain the overlay's

@@ -885,8 +885,8 @@ bool RequestRouter::HandleSearch(const HttpRequest& request,
         }
         if (admission != nullptr) admission->Release(bytes);
         if (snapshot_generation >= 0) {
-          // Which snapshot answered: loadgen reads this to measure how far
-          // reads lag the newest published generation.
+          // Which snapshot answered: perfbench reads this to measure how
+          // far reads lag the newest published generation.
           http.extra_headers.emplace_back("x-snapshot-generation",
                                           std::to_string(snapshot_generation));
         }

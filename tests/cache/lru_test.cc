@@ -134,7 +134,6 @@ TEST(CacheStatsTest, HitRateAndToString) {
   stats.hits = 3;
   stats.misses = 1;
   EXPECT_DOUBLE_EQ(stats.HitRate(), 0.75);
-  EXPECT_NE(stats.ToString().find("hits=3"), std::string::npos);
 }
 
 }  // namespace

@@ -162,7 +162,7 @@ TEST(QueryExecutorTest, DeadlineFiresWithoutCorruptingCounters) {
   const InvertedIndex index(g);
   ExecutorOptions options;
   options.threads = 2;
-  options.deadline_ms = 1;
+  options.search.deadline_ms = 1;
   options.search.k = 5;
   QueryExecutor executor(g, &index, options);
   std::vector<BatchQuery> batch;

@@ -1,8 +1,7 @@
 // Engine-level property sweep: on random temporal graphs, for every ranking
 // factor, bound kind, and predicate shape, every returned result must be
-// well-formed per Definition 2.2, the ranking order must hold, top-k must be
-// a prefix of the exhaustive run's ordering (for the accurate bound), and
-// the containedby-prune extension must not change the result set.
+// well-formed per Definition 2.2, the ranking order must hold, and top-k
+// must be a prefix of the exhaustive run's ordering (for the accurate bound).
 
 #include <algorithm>
 #include <set>
@@ -166,31 +165,6 @@ TEST(EnginePredicatePropertyTest, AllPredicatesWellFormedAndPruneConsistent) {
     std::set<std::string> found;
     for (const auto& tree : r->results) found.insert(tree.Signature());
     EXPECT_EQ(found, qualifying) << text;
-  }
-}
-
-TEST(EnginePredicatePropertyTest, ContainedByPruneExtensionLossless) {
-  Rng rng(4048);
-  for (int round = 0; round < 3; ++round) {
-    const TemporalGraph g = RandomGraph(&rng, 12, 26, 10);
-    const std::vector<std::vector<NodeId>> matches = {
-        RandomMatches(&rng, g, 3), RandomMatches(&rng, g, 3)};
-    auto q = ParseQuery("a, b result time contained by [2,7]");
-    ASSERT_TRUE(q.ok());
-    const SearchEngine engine(g);
-    SearchOptions plain;
-    plain.k = 0;
-    SearchOptions pruned = plain;
-    pruned.containedby_prune = true;
-    auto r_plain = engine.SearchWithMatches(*q, matches, plain);
-    auto r_pruned = engine.SearchWithMatches(*q, matches, pruned);
-    ASSERT_TRUE(r_plain.ok());
-    ASSERT_TRUE(r_pruned.ok());
-    std::set<std::string> a, b;
-    for (const auto& tree : r_plain->results) a.insert(tree.Signature());
-    for (const auto& tree : r_pruned->results) b.insert(tree.Signature());
-    EXPECT_EQ(a, b);
-    EXPECT_LE(r_pruned->counters.pops, r_plain->counters.pops);
   }
 }
 

@@ -176,20 +176,17 @@ TEST(PredicateTruthTableTest, ElementPruningIsSoundForEveryAtom) {
   // §5 soundness: ElementMayQualify(v) == false must imply that NO
   // non-empty result time contained in v satisfies the predicate — a
   // result routed through the element has val(R) ⊆ val(element).
-  for (const bool containedby_prune : {false, true}) {
-    for (const AtomCase& c : AllAtomCases()) {
-      const auto expr = MakeAtom(c.op, c.t1, c.t2);
-      for (unsigned vmask = 1; vmask < kNumSets; ++vmask) {
-        const IntervalSet validity = SetFromMask(vmask);
-        if (expr->ElementMayQualify(validity, containedby_prune)) continue;
-        for (unsigned rmask = 1; rmask < kNumSets; ++rmask) {
-          if ((rmask & ~vmask) != 0) continue;  // val(R) ⊆ validity only.
-          EXPECT_FALSE(expr->EvalResultTime(SetFromMask(rmask)))
-              << expr->ToString() << ": pruned validity "
-              << validity.ToString() << " admits result time "
-              << SetFromMask(rmask).ToString()
-              << " (containedby_prune=" << containedby_prune << ")";
-        }
+  for (const AtomCase& c : AllAtomCases()) {
+    const auto expr = MakeAtom(c.op, c.t1, c.t2);
+    for (unsigned vmask = 1; vmask < kNumSets; ++vmask) {
+      const IntervalSet validity = SetFromMask(vmask);
+      if (expr->ElementMayQualify(validity)) continue;
+      for (unsigned rmask = 1; rmask < kNumSets; ++rmask) {
+        if ((rmask & ~vmask) != 0) continue;  // val(R) ⊆ validity only.
+        EXPECT_FALSE(expr->EvalResultTime(SetFromMask(rmask)))
+            << expr->ToString() << ": pruned validity "
+            << validity.ToString() << " admits result time "
+            << SetFromMask(rmask).ToString();
       }
     }
   }

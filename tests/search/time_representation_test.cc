@@ -282,7 +282,6 @@ TEST_P(TimeRepresentationTest, FrontiersPopIdentically) {
     ExpectSameFrontier(narrow_, wide_, sources, options, ctx);
     for (size_t p = 0; p < predicates.size(); ++p) {
       options.prune = predicates[p].get();
-      options.containedby_prune = (p % 2) == 1;
       ExpectSameFrontier(narrow_, wide_, sources, options,
                          ctx + " predicate " + std::to_string(p));
     }
@@ -297,14 +296,13 @@ TEST_P(TimeRepresentationTest, EnginesAnswerIdentically) {
   const auto predicates = RandomPredicates(rng_.get(), horizon_);
   const std::vector<std::vector<std::string>> keyword_sets = {
       {"k0"}, {"k1", "k2"}, {"k3", "k4", "k0"}};
-  const auto run = [&](Query query, int32_t k, bool containedby_prune) {
+  const auto run = [&](Query query, int32_t k) {
     SearchOptions options;
     options.k = k;
     // Caps keep the exhaustive three-keyword runs of the densest graphs
     // cheap; a capped stop must match as well.
     options.max_pops = 600;
     options.max_combos_per_pop = 64;
-    options.containedby_prune = containedby_prune;
     const auto a = n_engine.Search(query, options);
     const auto b = w_engine.Search(query, options);
     ASSERT_TRUE(a.ok() && b.ok()) << context_;
@@ -318,11 +316,11 @@ TEST_P(TimeRepresentationTest, EnginesAnswerIdentically) {
       query.keywords = keywords;
       query.ranking.factors = {factor, RankFactor::kRelevance};
       // Both k without a predicate...
-      for (const int32_t k : {3, 0}) run(query, k, false);
-      // ...and each predicate once, alternating the containedby prune.
-      for (size_t p = 0; p < predicates.size(); ++p) {
-        query.predicate = predicates[p];
-        run(query, 3, (p % 2) == 1);
+      for (const int32_t k : {3, 0}) run(query, k);
+      // ...and each predicate once.
+      for (const auto& predicate : predicates) {
+        query.predicate = predicate;
+        run(query, 3);
       }
     }
   }

@@ -65,7 +65,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -74,6 +73,7 @@
 #include "datagen/dblp_generator.h"
 #include "datagen/query_generator.h"
 #include "datagen/social_generator.h"
+#include "examples/example_util.h"
 #include "graph/expansion_view.h"
 #include "graph/graph_builder.h"
 #include "graph/inverted_index.h"
@@ -426,7 +426,10 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--candidates") == 0) {
       g_candidates = true;
     } else if (std::strcmp(argv[i], "--pad-timeline") == 0 && i + 1 < argc) {
-      g_pad_timeline = static_cast<int32_t>(std::atoi(argv[++i]));
+      if (!tgks::examples::ParseFlag("--pad-timeline", argv[++i],
+                                     &g_pad_timeline)) {
+        return 2;
+      }
     } else {
       args.push_back(argv[i]);
     }
