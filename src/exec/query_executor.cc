@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <condition_variable>
-#include <mutex>
+#include <cstddef>
+#include <latch>
 #include <thread>
 
 #include "common/timer.h"
@@ -50,69 +50,37 @@ LatencySummary SummarizeLatencies(std::vector<double> latencies_seconds) {
 QueryExecutor::QueryExecutor(const graph::TemporalGraph& graph,
                              const graph::InvertedIndex* index,
                              ExecutorOptions options)
-    : graph_(&graph),
-      index_(index),
-      options_(options),
+    : options_(options),
       engine_(graph, index),
       pool_(std::make_unique<ThreadPool>(ResolveThreads(options.threads))) {}
 
 QueryExecutor::~QueryExecutor() = default;
 
 BatchResponse QueryExecutor::Run(const std::vector<BatchQuery>& batch) {
-  // Enforce the one-batch-at-a-time contract: concurrent Run() calls would
-  // otherwise interleave in the shared pool and race on cancel_'s reset.
-  std::lock_guard<std::mutex> run_lock(run_mu_);
-  cancel_.store(false, std::memory_order_relaxed);
-
-  search::SearchOptions per_query = options_.search;
-  // The batch token rides in the secondary slot so a caller-supplied
-  // search.cancel keeps working; either token stops a query.
-  per_query.extra_cancel = &cancel_;
-
   BatchResponse out;
   out.responses.reserve(batch.size());
   out.latencies_seconds.assign(batch.size(), 0.0);
-  // Pre-fill the index-aligned slots; workers overwrite their own slot only,
-  // so no two threads touch the same element.
+  // Pre-fill the index-aligned slots; each callback overwrites its own slot
+  // only, so no two threads touch the same element.
   for (size_t i = 0; i < batch.size(); ++i) {
     out.responses.emplace_back(Status::Internal("query not executed"));
   }
 
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  size_t remaining = batch.size();
-
+  std::latch remaining(static_cast<std::ptrdiff_t>(batch.size()));
   Stopwatch wall;
   wall.Start();
   for (size_t i = 0; i < batch.size(); ++i) {
-    pool_->Submit([this, &batch, &out, &per_query, &done_mu, &done_cv,
-                   &remaining, i] {
-      Stopwatch latency;
-      latency.Start();
-      const BatchQuery& bq = batch[i];
-      Result<search::SearchResponse> response =
-          bq.matches.empty()
-              ? engine_.Search(bq.query, per_query)
-              : engine_.SearchWithMatches(bq.query, bq.matches, per_query);
-      latency.Stop();
-      out.latencies_seconds[i] = latency.seconds();
-      out.responses[i] = std::move(response);
-      // Notify while still holding done_mu: the waiter can only destroy the
-      // cv after reacquiring the mutex with remaining == 0, which orders the
-      // destruction after every worker's notify. Notifying after unlock
-      // would let the last two workers race Run()'s return and touch a
-      // destroyed cv.
-      {
-        std::lock_guard<std::mutex> lock(done_mu);
-        --remaining;
-        done_cv.notify_one();
-      }
-    });
+    SingleQuery single;
+    single.query = batch[i];
+    Submit(std::move(single),
+           [&out, &remaining, i](Result<search::SearchResponse> response,
+                                 double seconds) {
+             out.responses[i] = std::move(response);
+             out.latencies_seconds[i] = seconds;
+             remaining.count_down();
+           });
   }
-  {
-    std::unique_lock<std::mutex> lock(done_mu);
-    done_cv.wait(lock, [&remaining] { return remaining == 0; });
-  }
+  remaining.wait();
   wall.Stop();
   out.wall_seconds = wall.seconds();
 
@@ -129,22 +97,6 @@ BatchResponse QueryExecutor::Run(const std::vector<BatchQuery>& batch) {
     if (response->cancelled) ++out.cancelled;
   }
   out.latency = SummarizeLatencies(out.latencies_seconds);
-  {
-    // Batch-level instruments: per-query wall latency and batch size.
-    static obs::Histogram* latency_micros =
-        obs::GlobalMetrics().GetHistogram(
-            "tgks_batch_query_latency_micros",
-            "Per-query wall-clock latency inside batches (microseconds).");
-    static obs::Counter* batches = obs::GlobalMetrics().GetCounter(
-        "tgks_batches_total", "Executor batches completed.");
-    static obs::Counter* batch_queries = obs::GlobalMetrics().GetCounter(
-        "tgks_batch_queries_total", "Queries submitted through batches.");
-    for (const double seconds : out.latencies_seconds) {
-      latency_micros->Observe(std::llround(seconds * 1e6));
-    }
-    batches->Increment();
-    batch_queries->Increment(static_cast<int64_t>(out.responses.size()));
-  }
   return out;
 }
 
@@ -152,13 +104,14 @@ void QueryExecutor::Submit(SingleQuery single, SingleQueryCallback done) {
   inflight_singles_.fetch_add(1, std::memory_order_relaxed);
   // The per-query options derive from the executor's base search options:
   // a preset extra_cancel (e.g. the server's shutdown token) is preserved,
-  // the request's own token rides in the primary slot, and the request
-  // deadline wins over the executor default when set.
+  // the request's own token (when it brings one) replaces the base token in
+  // the primary slot, and the request deadline wins over the executor
+  // default when set.
   search::SearchOptions options = options_.search;
   if (single.k > 0) options.k = single.k;
   if (single.bound.has_value()) options.bound = *single.bound;
   if (single.deadline_ms > 0) options.deadline_ms = single.deadline_ms;
-  options.cancel = single.cancel;
+  if (single.cancel != nullptr) options.cancel = single.cancel;
   if (single.snapshot.graph != nullptr) {
     // Live snapshot: its overlay replaces the executor-wide default.
     options.overlay = single.snapshot.overlay;
@@ -185,10 +138,10 @@ void QueryExecutor::Submit(SingleQuery single, SingleQueryCallback done) {
     {
       static obs::Counter* singles = obs::GlobalMetrics().GetCounter(
           "tgks_single_queries_total",
-          "Queries submitted through the single-query path.");
+          "Queries run by the executor (Submit and Run).");
       static obs::Histogram* latency_micros = obs::GlobalMetrics().GetHistogram(
           "tgks_single_query_latency_micros",
-          "Single-query wall-clock latency (microseconds).");
+          "Per-query wall-clock latency in the executor (microseconds).");
       singles->Increment();
       latency_micros->Observe(std::llround(latency.seconds() * 1e6));
     }
@@ -197,14 +150,6 @@ void QueryExecutor::Submit(SingleQuery single, SingleQueryCallback done) {
     inflight_singles_.fetch_sub(1, std::memory_order_relaxed);
     done(std::move(response), latency.seconds());
   });
-}
-
-BatchResponse QueryExecutor::RunQueries(
-    const std::vector<search::Query>& queries) {
-  std::vector<BatchQuery> batch;
-  batch.reserve(queries.size());
-  for (const search::Query& q : queries) batch.push_back(BatchQuery{q, {}});
-  return Run(batch);
 }
 
 }  // namespace tgks::exec

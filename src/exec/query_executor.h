@@ -10,10 +10,12 @@
 // SearchResponse — is bit-identical to running the same queries
 // sequentially, regardless of thread count or scheduling order.
 //
-// Robustness controls ride on SearchOptions: a per-query wall-clock deadline
-// and a batch-wide cooperative cancellation token, both checked at the
-// engine's pop boundary (deadline_exceeded / cancelled surface on the
-// response instead of a crash or unbounded run).
+// Every query, batched or not, runs through Submit(); Run() is a loop of
+// Submit() calls that waits for the last callback. Robustness controls ride
+// on SearchOptions: a per-query wall-clock deadline and cooperative
+// cancellation tokens, checked at the engine's pop boundary
+// (deadline_exceeded / cancelled surface on the response instead of a crash
+// or unbounded run).
 
 #ifndef TGKS_EXEC_QUERY_EXECUTOR_H_
 #define TGKS_EXEC_QUERY_EXECUTOR_H_
@@ -22,7 +24,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -38,10 +39,11 @@ namespace tgks::exec {
 struct ExecutorOptions {
   /// Worker threads; <= 0 picks std::thread::hardware_concurrency().
   int threads = 0;
-  /// Base engine options for every query in a batch, including the
-  /// per-query wall-clock deadline (`search.deadline_ms`). A caller-supplied
-  /// `search.cancel` token is honored: the executor's batch token rides in
-  /// `search.extra_cancel`, and either token stops a query.
+  /// Base engine options for every query, including the per-query
+  /// wall-clock deadline (`search.deadline_ms`). A caller-supplied
+  /// `search.cancel` token stops every query that brings no token of its
+  /// own; `search.extra_cancel` (e.g. a server-wide shutdown token) stops
+  /// every query.
   search::SearchOptions search;
 };
 
@@ -91,7 +93,7 @@ struct BatchResponse {
 };
 
 /// One independently submitted query (the serving path): its own deadline
-/// and cancellation token instead of the batch-wide ones.
+/// and cancellation token instead of the executor-wide ones.
 struct SingleQuery {
   BatchQuery query;
   /// Result-count override; <= 0 inherits ExecutorOptions::search.k.
@@ -101,10 +103,10 @@ struct SingleQuery {
   /// Per-request wall-clock deadline in milliseconds; <= 0 inherits
   /// ExecutorOptions::search.deadline_ms.
   int64_t deadline_ms = -1;
-  /// Per-request cancellation token (not owned; must outlive the callback).
-  /// Rides in SearchOptions::cancel, so it composes with a server-wide
-  /// token preset in ExecutorOptions::search.extra_cancel — either one
-  /// stops the query.
+  /// Per-request cancellation token (not owned; must outlive the callback);
+  /// null inherits ExecutorOptions::search.cancel. Rides in
+  /// SearchOptions::cancel, so it composes with a server-wide token preset
+  /// in ExecutorOptions::search.extra_cancel — either one stops the query.
   const std::atomic<bool>* cancel = nullptr;
   /// Live-serving snapshot binding (docs/ingest.md). When `graph` is set
   /// the query runs on a per-request SearchEngine over this snapshot's
@@ -127,15 +129,13 @@ struct SingleQuery {
 using SingleQueryCallback =
     std::function<void(Result<search::SearchResponse>, double seconds)>;
 
-/// Runs batches of independent queries concurrently over one shared graph.
+/// Runs independent queries concurrently over one shared graph.
 ///
-/// The graph (and index, if given) must outlive the executor. Run() is
-/// synchronous and may be called repeatedly; one batch runs at a time,
-/// enforced by an internal mutex — concurrent Run() calls from different
-/// threads serialize rather than interleave. Submit() is the asynchronous
-/// single-query path used by the serving layer: submitted queries share the
-/// worker pool with batches (they interleave freely) but are unaffected by
-/// batch-wide Cancel().
+/// The graph (and index, if given) must outlive the executor. Submit() is
+/// the asynchronous single-query path, and the only place a query runs.
+/// Run() submits a whole batch and blocks until it completes; it may be
+/// called repeatedly and from several threads at once, and its queries
+/// interleave freely in the shared pool with other batches and Submit()s.
 class QueryExecutor {
  public:
   /// `index` may be null if every BatchQuery carries explicit matches.
@@ -146,12 +146,9 @@ class QueryExecutor {
   QueryExecutor(const QueryExecutor&) = delete;
   QueryExecutor& operator=(const QueryExecutor&) = delete;
 
-  /// Runs every query of `batch`, blocking until all complete (or stop on
-  /// their deadline / the cancellation token).
+  /// Submits every query of `batch` and blocks until all complete (or stop
+  /// on their deadline / a cancellation token).
   BatchResponse Run(const std::vector<BatchQuery>& batch);
-
-  /// Convenience wrapper: index-resolved queries only.
-  BatchResponse RunQueries(const std::vector<search::Query>& queries);
 
   /// Schedules one query on the shared pool and returns immediately; `done`
   /// runs on a worker thread when the query completes (on any stop path).
@@ -161,29 +158,19 @@ class QueryExecutor {
   /// thread, concurrently with Run() and other Submit() calls.
   void Submit(SingleQuery single, SingleQueryCallback done);
 
-  /// Queries submitted through Submit() that have not yet run their
+  /// Queries submitted (by Submit() or Run()) that have not yet run their
   /// callback. The serving layer's admission control reads this as the
   /// executor-side queue depth.
   int64_t inflight_singles() const {
     return inflight_singles_.load(std::memory_order_relaxed);
   }
 
-  /// Cooperatively cancels the in-flight batch (callable from any thread);
-  /// in-flight queries stop at their next pop boundary with `cancelled`
-  /// set. Cleared automatically when the next batch starts.
-  void Cancel() { cancel_.store(true, std::memory_order_relaxed); }
-
   int threads() const { return pool_->num_threads(); }
 
  private:
-  const graph::TemporalGraph* graph_;
-  const graph::InvertedIndex* index_;
   ExecutorOptions options_;
   search::SearchEngine engine_;
   std::unique_ptr<ThreadPool> pool_;
-  /// Serializes Run(): one batch at a time in the shared pool.
-  std::mutex run_mu_;
-  std::atomic<bool> cancel_{false};
   std::atomic<int64_t> inflight_singles_{0};
 };
 

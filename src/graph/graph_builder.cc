@@ -1,6 +1,7 @@
 #include "graph/graph_builder.h"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <sstream>
 #include <utility>
@@ -64,9 +65,9 @@ Result<TemporalGraph> GraphBuilder::Build() {
       msg << "edge " << e << " references missing node";
       return Status::InvalidArgument(msg.str());
     }
-    if (edge.weight < 0) {
+    if (!std::isfinite(edge.weight) || edge.weight < 0) {
       std::ostringstream msg;
-      msg << "edge " << e << " has negative weight";
+      msg << "edge " << e << " has negative or non-finite weight";
       return Status::InvalidArgument(msg.str());
     }
     const IntervalSet endpoint_common =
@@ -92,9 +93,10 @@ Result<TemporalGraph> GraphBuilder::Build() {
     }
   }
   for (NodeId v = 0; v < n; ++v) {
-    if (nodes_[static_cast<size_t>(v)].weight < 0) {
+    const double weight = nodes_[static_cast<size_t>(v)].weight;
+    if (!std::isfinite(weight) || weight < 0) {
       std::ostringstream msg;
-      msg << "node " << v << " has negative weight";
+      msg << "node " << v << " has negative or non-finite weight";
       return Status::InvalidArgument(msg.str());
     }
   }

@@ -87,7 +87,7 @@ struct SearchOptions {
   /// boundary with `cancelled` set on the response.
   const std::atomic<bool>* cancel = nullptr;
   /// Optional second cancellation token, checked alongside `cancel`. Lets a
-  /// batch-wide token (e.g. QueryExecutor::Cancel) compose with a
+  /// process-wide token (e.g. the server's shutdown token) compose with a
   /// caller-supplied per-query token; either one stops the search.
   const std::atomic<bool>* extra_cancel = nullptr;
   /// Optional flight recorder (not owned). One trace serves ONE query on one

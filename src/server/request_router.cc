@@ -772,7 +772,7 @@ bool RequestRouter::HandleSearch(const HttpRequest& request,
     // Tier 1: fingerprint hit. Serves the stored bytes immediately,
     // bypassing admission — that is the cache's whole point under load.
     if (const auto hit = context_.result_cache->Lookup(fingerprint)) {
-      *immediate = JsonResponse(200, hit->body);
+      *immediate = JsonResponse(200, *hit);
       immediate->extra_headers.emplace_back("x-cache", "hit");
       if (snapshot != nullptr) {
         immediate->extra_headers.emplace_back(
@@ -878,9 +878,8 @@ bool RequestRouter::HandleSearch(const HttpRequest& request,
           // truncated covers deadline, cancellation, and max_pops). Insert
           // precedes Finish so a late arrival either hits the cache or
           // opens the next flight — never falls between the two.
-          auto cached = std::make_shared<cache::CachedResult>();
-          cached->body = http.body;
-          result_cache->Insert(fingerprint, std::move(cached),
+          result_cache->Insert(fingerprint,
+                               std::make_shared<const std::string>(http.body),
                                cache_generation);
         }
         if (admission != nullptr) admission->Release(bytes);

@@ -194,48 +194,14 @@ TEST(QueryExecutorTest, DeadlineFiresWithoutCorruptingCounters) {
   EXPECT_EQ(out.totals.pops, pops_sum);
 }
 
-TEST(QueryExecutorTest, CancelStopsInFlightBatch) {
-  const TemporalGraph g = MakeChainGraph(200000);
-  const InvertedIndex index(g);
-  ExecutorOptions options;
-  options.threads = 2;
-  options.search.k = 0;  // Exhaustive: would take far longer than the cancel.
-  QueryExecutor executor(g, &index, options);
-  std::vector<BatchQuery> batch;
-  for (int i = 0; i < 4; ++i) {
-    batch.push_back(BatchQuery{MustParse("left, right"), {}});
-  }
-  std::thread canceller([&executor] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    executor.Cancel();
-  });
-  const BatchResponse out = executor.Run(batch);
-  canceller.join();
-  EXPECT_EQ(out.completed, 4);
-  EXPECT_EQ(out.failed, 0);
-  EXPECT_GT(out.cancelled, 0);
-  for (const auto& r : out.responses) {
-    ASSERT_TRUE(r.ok());
-    EXPECT_TRUE(r->cancelled || r->exhausted);
-  }
-  // The token resets for the next batch: a fresh small run completes.
-  const TemporalGraph small = testutil::MakeSocialNetworkGraph();
-  const InvertedIndex small_index(small);
-  QueryExecutor fresh_check(small, &small_index, options);
-  const BatchResponse again =
-      fresh_check.Run({BatchQuery{MustParse("mary, john"), {}}});
-  EXPECT_EQ(again.cancelled, 0);
-  EXPECT_EQ(again.completed, 1);
-}
-
 TEST(QueryExecutorTest, CallerSuppliedCancelTokenIsHonored) {
   const TemporalGraph g = MakeChainGraph(100000);
   const InvertedIndex index(g);
   ExecutorOptions options;
   options.threads = 2;
   options.search.k = 0;  // Exhaustive: only the token can stop it quickly.
-  // The caller wires their own token; the executor's batch token must ride
-  // alongside it, not replace it.
+  // The caller wires their own token into the base options; every batch
+  // query, which brings no token of its own, must inherit it.
   std::atomic<bool> caller_token{true};  // Already set: stop at first pop.
   options.search.cancel = &caller_token;
   QueryExecutor executor(g, &index, options);
@@ -251,19 +217,9 @@ TEST(QueryExecutorTest, CallerSuppliedCancelTokenIsHonored) {
     EXPECT_TRUE(r->cancelled);
     EXPECT_EQ(r->stop_reason, search::StopReason::kCancelled);
   }
-  // The executor-side token still works with a caller token present.
-  caller_token.store(false);
-  std::thread canceller([&executor] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    executor.Cancel();
-  });
-  const BatchResponse again = executor.Run(batch);
-  canceller.join();
-  EXPECT_EQ(again.completed, 4);
-  EXPECT_GT(again.cancelled, 0);
 }
 
-TEST(QueryExecutorTest, ConcurrentRunCallsSerializeAndStayCorrect) {
+TEST(QueryExecutorTest, ConcurrentRunCallsStayCorrect) {
   const TemporalGraph g = testutil::MakeSocialNetworkGraph();
   const InvertedIndex index(g);
   const std::vector<BatchQuery> batch = SocialBatch();
@@ -277,9 +233,9 @@ TEST(QueryExecutorTest, ConcurrentRunCallsSerializeAndStayCorrect) {
   ExecutorOptions options = sequential;
   options.threads = 4;
   QueryExecutor executor(g, &index, options);
-  // Run() is documented as one-batch-at-a-time; concurrent calls must
-  // serialize (not interleave in the pool) and each produce the same
-  // responses as a sequential run.
+  // Concurrent Run() calls interleave their queries in the shared pool;
+  // each must still fill its own slots and produce the same responses as a
+  // sequential run.
   std::vector<BatchResponse> outs(4);
   {
     std::vector<std::thread> callers;
@@ -323,21 +279,6 @@ TEST(QueryExecutorTest, ExplicitMatchesAndInvalidQueriesInOneBatch) {
   EXPECT_FALSE(out.responses[1]->results.empty());
 }
 
-TEST(QueryExecutorTest, RunQueriesConvenienceWrapper) {
-  const TemporalGraph g = testutil::MakeSocialNetworkGraph();
-  const InvertedIndex index(g);
-  ExecutorOptions options;
-  options.threads = 2;
-  QueryExecutor executor(g, &index, options);
-  const BatchResponse out =
-      executor.RunQueries({MustParse("mary, john"), MustParse("mary, bob")});
-  EXPECT_EQ(out.completed, 2);
-  EXPECT_EQ(out.responses.size(), 2u);
-  EXPECT_EQ(out.latencies_seconds.size(), 2u);
-  EXPECT_GT(out.wall_seconds, 0.0);
-  EXPECT_GT(out.QueriesPerSecond(), 0.0);
-}
-
 // BatchResponse::totals sums every summable counter of the ok() responses,
 // including the subsumption counters only some queries move.
 TEST(QueryExecutorTest, BatchTotalsSumEveryCounter) {
@@ -347,14 +288,15 @@ TEST(QueryExecutorTest, BatchTotalsSumEveryCounter) {
   options.threads = 2;
   options.search.k = 0;
   QueryExecutor executor(g, &index, options);
-  std::vector<search::Query> queries;
+  std::vector<BatchQuery> queries;
   for (int repeat = 0; repeat < 2; ++repeat) {
     for (const char* text : {"mary, john", "mary, bob", "bob, ross, john"}) {
-      queries.push_back(MustParse(std::string(text) +
-                                  " rank by descending order of duration"));
+      queries.push_back(BatchQuery{
+          MustParse(std::string(text) + " rank by descending order of duration"),
+          {}});
     }
   }
-  const BatchResponse out = executor.RunQueries(queries);
+  const BatchResponse out = executor.Run(queries);
   ASSERT_EQ(out.completed, static_cast<int64_t>(queries.size()));
   search::SearchCounters sum;
   for (const auto& r : out.responses) {

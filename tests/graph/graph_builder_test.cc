@@ -1,6 +1,7 @@
 #include "graph/graph_builder.h"
 
 #include <algorithm>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -62,6 +63,25 @@ TEST(GraphBuilderTest, RejectsNegativeWeights) {
     const NodeId v = b.AddNode("y");
     b.AddEdge(u, v, IntervalSet{{0, 1}}, -2.0);
     EXPECT_FALSE(b.Build().ok());
+  }
+}
+
+TEST(GraphBuilderTest, RejectsNonFiniteWeights) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    {
+      GraphBuilder b(5);
+      b.AddNode("x", bad);
+      EXPECT_FALSE(b.Build().ok()) << bad;
+    }
+    {
+      GraphBuilder b(5);
+      const NodeId u = b.AddNode("x");
+      const NodeId v = b.AddNode("y");
+      b.AddEdge(u, v, IntervalSet{{0, 1}}, bad);
+      EXPECT_FALSE(b.Build().ok()) << bad;
+    }
   }
 }
 

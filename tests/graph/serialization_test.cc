@@ -131,6 +131,21 @@ TEST(SerializationTest, RejectsCorruptInputs) {
   }
 }
 
+TEST(SerializationTest, RejectsNonFiniteWeights) {
+  const char* cases[] = {
+      "node 0 nan @* a\nnode 1 0 @* b\nedge 0 1 1 @*\n",
+      "node 0 inf @* a\nnode 1 0 @* b\nedge 0 1 1 @*\n",
+      "node 0 0 @* a\nnode 1 0 @* b\nedge 0 1 nan @*\n",
+      "node 0 0 @* a\nnode 1 0 @* b\nedge 0 1 inf @*\n",
+  };
+  for (const char* records : cases) {
+    std::istringstream in(std::string("tgf 1\ntimeline 5\n") + records);
+    const auto loaded = LoadGraph(in);
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << records;
+  }
+}
+
 TEST(BinarySerializationTest, RoundTrip) {
   const TemporalGraph g = testutil::MakeSocialNetworkGraph();
   std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
@@ -313,6 +328,28 @@ TEST(BinarySerializationTest, RejectsCorruptInput) {
     auto loaded = LoadIgnoringBlob(w.bytes());
     ASSERT_TRUE(loaded.ok());
     EXPECT_EQ(loaded->num_nodes(), 1);
+  }
+}
+
+TEST(BinarySerializationTest, RejectsNonFiniteWeights) {
+  const TemporalGraph g = testutil::MakeSocialNetworkGraph();
+  std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(SaveGraphBinary(g, buffer).ok());
+  const std::string blob = buffer.str();
+  // Node 0's weight is the first field after the 20-byte header (magic,
+  // version, timeline, node and edge counts): patch it with a NaN or an
+  // infinity, little-endian as WriteF64 stores it.
+  constexpr size_t kNode0Weight = 20;
+  for (const uint64_t bits : {0x7FF8000000000000ull, 0x7FF0000000000000ull}) {
+    std::string bad = blob;
+    for (int i = 0; i < 8; ++i) {
+      bad[kNode0Weight + static_cast<size_t>(i)] =
+          static_cast<char>((bits >> (8 * i)) & 0xFF);
+    }
+    std::istringstream in(bad, std::ios::binary);
+    EXPECT_EQ(LoadGraphBinary(in).status().code(),
+              StatusCode::kInvalidArgument)
+        << std::hex << bits;
   }
 }
 

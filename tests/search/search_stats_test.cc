@@ -241,10 +241,11 @@ TEST(SearchStatsTest, ExecutorAggregatesBatchStats) {
   options.threads = 2;
   options.search.k = 0;
   exec::QueryExecutor executor(g, &index, options);
-  const std::vector<Query> queries = {
-      MustParse("mary, john"), MustParse("mary, bob"),
-      MustParse("mary, john rank by descending order of duration")};
-  const exec::BatchResponse batch = executor.RunQueries(queries);
+  const std::vector<exec::BatchQuery> queries = {
+      {MustParse("mary, john"), {}},
+      {MustParse("mary, bob"), {}},
+      {MustParse("mary, john rank by descending order of duration"), {}}};
+  const exec::BatchResponse batch = executor.Run(queries);
   ASSERT_EQ(batch.completed, 3);
   int64_t prunes = 0, interval_ops = 0, high_water = 0;
   for (const auto& r : batch.responses) {
