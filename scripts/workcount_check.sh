@@ -39,6 +39,15 @@
 # stats modes — any diff means the search explored a different state space
 # and must be reviewed as a semantic change, not noise.
 #
+# With --quality it runs the answer-quality gate instead: workcount_dump
+# --quality compares the default bound's top-10 with the exact top-10
+# (UpperBoundKind::kAccurate) on the two perfbench query sets, against
+# tests/golden/quality.expected. The exact top-k must never move, so a
+# changed exact_hash fails, and so does a higher summed default weight
+# (default_weight; lower is better). Both hold under TGKS_UPDATE_WORKCOUNTS=1
+# too: regeneration only records moves of exact_equal, recall and a lower
+# default_weight, which the change must state. About a minute and a half.
+#
 # With --wide every graph is rebuilt over a 200-instant timeline
 # (workcount_dump --pad-timeline), past the 128 instants a TimeMask holds,
 # so the search runs its IntervalSet path instead of the word-parallel mask
@@ -49,13 +58,17 @@
 # Usage:
 #   scripts/workcount_check.sh <build-dir>
 #   scripts/workcount_check.sh <build-dir> --wide
+#   scripts/workcount_check.sh <build-dir> --quality
 #   TGKS_UPDATE_WORKCOUNTS=1 scripts/workcount_check.sh <build-dir>   # regen
 set -euo pipefail
 
-BUILD_DIR="${1:?usage: workcount_check.sh <build-dir> [--wide]}"
+BUILD_DIR="${1:?usage: workcount_check.sh <build-dir> [--wide|--quality]}"
 # --wide's padded timeline: any length past TimeMask::kCapacity (128).
 PAD=()
-if [[ "${2:-}" == "--wide" ]]; then
+QUALITY=0
+if [[ "${2:-}" == "--quality" ]]; then
+  QUALITY=1
+elif [[ "${2:-}" == "--wide" ]]; then
   if [[ "${TGKS_UPDATE_WORKCOUNTS:-0}" == "1" ]]; then
     echo "workcount_check: --wide only diffs; regenerate without it" >&2
     exit 2
@@ -96,6 +109,54 @@ check_suite() {  # <expected-file> <dump args...>
   echo "workcount_check: OK ($(wc -l < "${expected}") queries bit-identical vs $(basename "${expected}"))"
   rm -f "${actual}"
 }
+
+# The quality gate: hard rules first (they also bind a regeneration), then
+# a plain diff of everything else the file pins.
+check_quality() {  # <expected-file>
+  local expected="$1"
+  local actual
+  actual="$(mktemp)"
+  "${DUMP}" --quality > "${actual}"
+  if [[ -f "${expected}" ]] && ! awk '
+      { for (i = 2; i <= NF; ++i) { split($i, kv, "="); f[FILENAME, $1, kv[1]] = kv[2] } sets[$1] = 1 }
+      END {
+        bad = 0
+        for (s in sets) {
+          if (f[ARGV[1], s, "exact_hash"] != f[ARGV[2], s, "exact_hash"]) {
+            printf "workcount_check: FAIL — %s: the exact top-k moved (exact_hash %s -> %s)\n", s, f[ARGV[1], s, "exact_hash"], f[ARGV[2], s, "exact_hash"] > "/dev/stderr"
+            bad = 1
+          }
+          if (f[ARGV[2], s, "default_weight"] + 0 > f[ARGV[1], s, "default_weight"] + 0) {
+            printf "workcount_check: FAIL — %s: summed default top-k weight rose (%s -> %s)\n", s, f[ARGV[1], s, "default_weight"], f[ARGV[2], s, "default_weight"] > "/dev/stderr"
+            bad = 1
+          }
+        }
+        exit bad
+      }' "${expected}" "${actual}"; then
+    rm -f "${actual}"
+    exit 1
+  fi
+  if [[ "${TGKS_UPDATE_WORKCOUNTS:-0}" == "1" ]]; then
+    cp "${actual}" "${expected}"
+    echo "workcount_check: updated $(basename "${expected}")"
+  elif ! diff -u "${expected}" "${actual}"; then
+    rm -f "${actual}"
+    echo "" >&2
+    echo "workcount_check: FAIL — answer quality moved against" >&2
+    echo "$(basename "${expected}"). If the change is intentional, re-run" >&2
+    echo "with TGKS_UPDATE_WORKCOUNTS=1, commit the new file and state the" >&2
+    echo "move in CHANGES.md." >&2
+    exit 1
+  else
+    echo "workcount_check: OK (quality identical to $(basename "${expected}"))"
+  fi
+  rm -f "${actual}"
+}
+
+if [[ "${QUALITY}" == "1" ]]; then
+  check_quality "${GOLDEN_DIR}/quality.expected"
+  exit 0
+fi
 
 # One pass per output mode; the expected files are named after the mode
 # (no flag = the work counters in workcounts*.expected).
