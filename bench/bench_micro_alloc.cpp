@@ -210,8 +210,11 @@ bool MeasureCandidateGeneration() {
 /// 90 of the 200-query dblp workload on the small dblp graph the dblp-batch
 /// benchmark runs ("gelapu, paper, dokisugi, venue": at node 0 one met-all
 /// pop meets 19 x 400 x 12 combinations, whose "paper" and "venue" paths
-/// mostly peel away), k = 0, capped at the pops it takes at k = 10. Nearly
-/// all its candidates are memo hits, and a hit must allocate nothing.
+/// mostly peel away), k = 0, capped at 41,302 pops: what its k = 10 run
+/// took before relevance ties went to the frontier with fewer sources.
+/// That run now stops after 2,937 pops, too few memo hits to resolve the
+/// budget. Nearly all its candidates are memo hits, and a hit must
+/// allocate nothing.
 bool MeasureMemoHits() {
   datagen::DblpParams params;  // perfbench/dblp_batch.cc's graph.
   params.num_papers = 400;
@@ -228,9 +231,8 @@ bool MeasureMemoHits() {
   const search::Query query =
       datagen::MakeDblpWorkload(dblp, workload)[90].query;
   search::SearchOptions options;
-  options.k = 10;
-  options.max_pops = (*engine.Search(query, options)).counters.pops;
   options.k = 0;
+  options.max_pops = 41302;
   const GenerationAllocs run(engine, query, options);
   std::printf(
       "{\"scenario\": \"engine_memo_hits\", \"candidates\": %lld, "

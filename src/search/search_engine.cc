@@ -363,8 +363,11 @@ class Runner {
   }
 
   /// Selects which keyword's frontier expands next (§4.1): global best for
-  /// relevance, keyword round-robin for temporal rankings. Returns the
-  /// keyword, or -1 when every frontier is exhausted.
+  /// relevance, keyword round-robin for temporal rankings. The paper leaves
+  /// ties between frontier tops open; they go to the frontier with fewer
+  /// sources, then to the lower keyword index, so a rare keyword is not
+  /// held back while a common one drains a whole distance shell. Returns
+  /// the keyword, or -1 when every frontier is exhausted.
   int SelectKeyword() {
     const bool round_robin =
         options_.round_robin_keywords && query_.ranking.PrimaryIsTemporal();
@@ -383,7 +386,10 @@ class Runner {
     for (size_t kw = 0; kw < m_; ++kw) {
       const ScoreKey* front = iterators_[kw]->PeekScore();
       if (front == nullptr) continue;
-      if (best < 0 || ScoreBetter(*front, *best_score)) {
+      if (best < 0 || ScoreBetter(*front, *best_score) ||
+          (!ScoreBetter(*best_score, *front) &&
+           iterators_[kw]->num_sources() <
+               iterators_[static_cast<size_t>(best)]->num_sources())) {
         best = static_cast<int>(kw);
         best_score = front;
       }

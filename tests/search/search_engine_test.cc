@@ -243,6 +243,49 @@ TEST(SearchEngineTest, RoundRobinOnOffSameResultSet) {
   EXPECT_EQ(sig_a, sig_b);
 }
 
+// Three "a" matches and one "b" match below one root, the "a" edges of
+// weight 1, 2 and 3 and the "b" edge of weight 1. The two frontier tops tie
+// at weight 0 (the matches) and again at weight 1 (the root): each tie goes
+// to "b", the frontier with fewer sources, where the lower keyword index
+// would pick "a". The exact top-k does not depend on the tie order.
+TEST(SearchEngineTest, RelevanceTiesGoToTheFrontierWithFewerSources) {
+  graph::GraphBuilder b(4);
+  const NodeId root = b.AddNode("root");
+  std::vector<std::vector<NodeId>> matches(2);
+  for (const double weight : {1.0, 2.0, 3.0}) {
+    matches[0].push_back(b.AddNode("a"));
+    b.AddEdge(root, matches[0].back(), weight);
+  }
+  matches[1].push_back(b.AddNode("b"));
+  b.AddEdge(root, matches[1].back(), 1.0);
+  const TemporalGraph g = std::move(b.Build()).value();
+  const SearchEngine engine(g);
+  const Query q = MustParse("a, b");
+
+  SearchOptions options = Exhaustive();
+  std::string keywords;
+  options.pop_ctx = &keywords;
+  options.pop_fn = [](void* ctx, size_t keyword, const BestPathIterator&,
+                      NtdId) {
+    *static_cast<std::string*>(ctx) += std::to_string(keyword);
+  };
+  auto all = engine.SearchWithMatches(q, matches, options);
+  ASSERT_TRUE(all.ok());
+  EXPECT_EQ(keywords, "10001000");
+  ASSERT_EQ(all->results.size(), 3u);
+
+  SearchOptions topk;
+  topk.k = 2;
+  topk.bound = UpperBoundKind::kAccurate;
+  auto top = engine.SearchWithMatches(q, matches, topk);
+  ASSERT_TRUE(top.ok());
+  ASSERT_EQ(top->results.size(), 2u);
+  for (size_t i = 0; i < top->results.size(); ++i) {
+    EXPECT_EQ(top->results[i].Signature(), all->results[i].Signature()) << i;
+    EXPECT_EQ(top->results[i].total_weight, 2.0 + static_cast<double>(i));
+  }
+}
+
 TEST(SearchEngineTest, TopKAccurateBoundFindsTrueTopK) {
   const TemporalGraph g = testutil::MakeSocialNetworkGraph();
   const InvertedIndex index(g);
