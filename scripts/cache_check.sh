@@ -4,7 +4,11 @@
 # (identical bodies, second is `x-cache: hit`), verify "cache": false
 # bypasses the cache, verify POST /v1/cache/invalidate bumps the generation
 # and turns the next request back into a miss, and verify /varz reports the
-# result cache as the only cache level.
+# result cache as the only cache level. Then the live section: boot with
+# `--live`, and check that a publish that misses the cached search's read
+# set carries the entry (a hit under the new generation, body equal to an
+# uncached reference) while one that adds an in-edge to an expanded node
+# drops it (docs/caching.md, "Read sets").
 #
 # usage: scripts/cache_check.sh <build-dir>
 set -euo pipefail
@@ -23,21 +27,31 @@ cleanup() {
 trap cleanup EXIT
 
 export TGKS_BENCH_SCALE="${TGKS_BENCH_SCALE:-0.3}"
-"${CLI}" --dataset social --serve --cache --port 0 \
-    > "${WORK}/server.log" 2>&1 &
-SERVER_PID=$!
-PORT=""
-for _ in $(seq 1 200); do
-  PORT="$(grep -oE 'http://127\.0\.0\.1:[0-9]+' "${WORK}/server.log" \
-          | head -1 | sed 's/.*://' || true)"
-  [[ -n "${PORT}" ]] && break
-  kill -0 "${SERVER_PID}" 2>/dev/null \
-      || { echo "cache_check: server died:"; cat "${WORK}/server.log"; exit 1; }
-  sleep 0.3
-done
-[[ -n "${PORT}" ]] || { echo "cache_check: no port" >&2; exit 1; }
-URL="http://127.0.0.1:${PORT}"
+boot() {  # <log-file> [extra tgks_cli flags...]; sets SERVER_PID and URL
+  local log="$1"; shift
+  "${CLI}" --dataset social --serve --cache --port 0 "$@" > "${log}" 2>&1 &
+  SERVER_PID=$!
+  local port=""
+  for _ in $(seq 1 200); do
+    port="$(grep -oE 'http://127\.0\.0\.1:[0-9]+' "${log}" \
+            | head -1 | sed 's/.*://' || true)"
+    [[ -n "${port}" ]] && break
+    kill -0 "${SERVER_PID}" 2>/dev/null \
+        || { echo "cache_check: server died:"; cat "${log}"; exit 1; }
+    sleep 0.3
+  done
+  [[ -n "${port}" ]] || { echo "cache_check: no port" >&2; exit 1; }
+  URL="http://127.0.0.1:${port}"
+}
+stop() {
+  kill -TERM "${SERVER_PID}"
+  wait "${SERVER_PID}" || { echo "cache_check: bad server exit" >&2; exit 1; }
+  SERVER_PID=""
+}
+
+boot "${WORK}/server.log"
 BODY='{"query":"n1, n2","matches":[[1],[2]],"k":3}'
+REFERENCE='{"query":"n1, n2","matches":[[1],[2]],"k":3,"cache":false}'
 
 post() {  # <body-out> <headers-out> [extra curl args...]
   local body="$1" headers="$2"; shift 2
@@ -46,8 +60,11 @@ post() {  # <body-out> <headers-out> [extra curl args...]
   [[ "${code}" == "200" ]] \
       || { echo "cache_check: HTTP ${code}" >&2; cat "${body}" >&2; exit 1; }
 }
+header() {  # <headers-file> <name> -> prints the header's value ("" if absent)
+  grep -i "^$2:" "$1" | tr -d '\r' | awk '{print $2}' || true
+}
 xcache() {  # <headers-file> -> prints the x-cache value ("" if absent)
-  grep -i '^x-cache:' "$1" | tr -d '\r' | awk '{print $2}' || true
+  header "$1" x-cache
 }
 
 post "${WORK}/b1" "${WORK}/h1" -X POST --data "${BODY}" "${URL}/v1/search"
@@ -61,8 +78,7 @@ cmp "${WORK}/b1" "${WORK}/b2" \
 echo "cache_check: OK (miss then hit, bodies byte-identical)"
 
 # Per-request opt-out: "cache": false must bypass the cache entirely.
-post "${WORK}/b3" "${WORK}/h3" -X POST \
-    --data '{"query":"n1, n2","matches":[[1],[2]],"k":3,"cache":false}' \
+post "${WORK}/b3" "${WORK}/h3" -X POST --data "${REFERENCE}" \
     "${URL}/v1/search"
 [[ -z "$(xcache "${WORK}/h3")" ]] \
     || { echo "cache_check: cache:false still touched the cache" >&2; exit 1; }
@@ -90,7 +106,48 @@ if grep -qE '"(match_cache|query_cache_generation)"' "${WORK}/varz.json"; then
   exit 1
 fi
 
-kill -TERM "${SERVER_PID}"
-wait "${SERVER_PID}" || { echo "cache_check: bad server exit" >&2; exit 1; }
-SERVER_PID=""
+stop
+
+# Live section: read-set validation across publishes.
+boot "${WORK}/live.log" --live
+expect_search() {  # <tag> <x-cache> <generation>: search, compare to reference
+  local tag="$1" want="$2" generation="$3"
+  post "${WORK}/${tag}" "${WORK}/${tag}.h" -X POST --data "${BODY}" \
+      "${URL}/v1/search"
+  post "${WORK}/${tag}.ref" "${WORK}/${tag}.ref.h" -X POST \
+      --data "${REFERENCE}" "${URL}/v1/search"
+  [[ "$(xcache "${WORK}/${tag}.h")" == "${want}" ]] \
+      || { echo "cache_check: ${tag}: x-cache is" \
+                "'$(xcache "${WORK}/${tag}.h")', want '${want}'" >&2; exit 1; }
+  [[ "$(header "${WORK}/${tag}.h" x-snapshot-generation)" == "${generation}" ]] \
+      || { echo "cache_check: ${tag}: not answered at generation" \
+                "${generation}" >&2; exit 1; }
+  cmp "${WORK}/${tag}" "${WORK}/${tag}.ref" \
+      || { echo "cache_check: ${tag}: body differs from the uncached" \
+                "reference" >&2; exit 1; }
+}
+expect_search l1 miss 0
+expect_search l2 hit 0
+# Two new nodes joined only to each other: no in-slot the search read
+# changed, and match-set queries read no postings.
+post "${WORK}/i1" "${WORK}/i1.h" -X POST "${URL}/v1/ingest" --data \
+    '{"nodes":[{"label":"cachecheck a","weight":1},{"label":"cachecheck b","weight":1}],
+      "edges":[{"src_new":0,"dst_new":1},{"src_new":1,"dst_new":0}]}'
+expect_search l3 hit 1
+echo "cache_check: OK (live: a publish outside the read set carries the entry)"
+# An in-edge to node 1, the first keyword's match: its frontier popped it
+# first, so the publish touches the read set.
+post "${WORK}/i2" "${WORK}/i2.h" -X POST "${URL}/v1/ingest" --data \
+    '{"nodes":[{"label":"cachecheck c","weight":1}],
+      "edges":[{"src_new":0,"dst":1}]}'
+expect_search l4 miss 2
+expect_search l5 hit 2
+echo "cache_check: OK (live: an in-edge to an expanded node drops the entry)"
+curl -s "${URL}/varz" > "${WORK}/live_varz.json"
+grep -q '"carried_hits":1,' "${WORK}/live_varz.json" \
+    || { echo "cache_check: /varz carried_hits is not 1:" >&2;
+         cat "${WORK}/live_varz.json" >&2; exit 1; }
+grep -qE '"read_set_bytes":[1-9]' "${WORK}/live_varz.json" \
+    || { echo "cache_check: /varz reports no read_set_bytes" >&2; exit 1; }
+stop
 echo "cache_check: OK"

@@ -112,6 +112,7 @@ void QueryExecutor::Submit(SingleQuery single, SingleQueryCallback done) {
   if (single.bound.has_value()) options.bound = *single.bound;
   if (single.deadline_ms > 0) options.deadline_ms = single.deadline_ms;
   if (single.cancel != nullptr) options.cancel = single.cancel;
+  options.report_expanded_nodes |= single.report_expanded_nodes;
   if (single.snapshot.graph != nullptr) {
     // Live snapshot: its overlay replaces the executor-wide default.
     options.overlay = single.snapshot.overlay;

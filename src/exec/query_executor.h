@@ -108,6 +108,9 @@ struct SingleQuery {
   /// SearchOptions::cancel, so it composes with a server-wide token preset
   /// in ExecutorOptions::search.extra_cancel — either one stops the query.
   const std::atomic<bool>* cancel = nullptr;
+  /// Sets SearchOptions::report_expanded_nodes: the response lists the
+  /// nodes the query expanded (the result cache's read set).
+  bool report_expanded_nodes = false;
   /// Live-serving snapshot binding (docs/ingest.md). When `graph` is set
   /// the query runs on a per-request SearchEngine over this snapshot's
   /// graph + index instead of the executor's build-time pair, with the

@@ -93,6 +93,10 @@ struct SearchOptions {
   /// Optional flight recorder (not owned). One trace serves ONE query on one
   /// thread; batch callers must hand each query its own trace or none.
   obs::QueryTrace* trace = nullptr;
+  /// Output request, like `trace`: when true the response lists the nodes
+  /// the query expanded (SearchResponse::expanded_nodes). The search itself
+  /// is unchanged.
+  bool report_expanded_nodes = false;
 
   /// Test seam: when non-null the deadline machinery reads this clock
   /// instead of std::chrono::steady_clock::now(). Must be monotone.
@@ -183,6 +187,10 @@ struct SearchResponse {
   bool deadline_exceeded = false;
   /// True when the cancellation token stopped the search.
   bool cancelled = false;
+  /// Sorted ids of every node a keyword frontier popped, hence every node
+  /// whose in-slots the search read (docs/caching.md, "Read sets"). Filled
+  /// only under SearchOptions::report_expanded_nodes.
+  std::vector<graph::NodeId> expanded_nodes;
 };
 
 /// Top-k keyword search over one temporal graph.
