@@ -26,7 +26,10 @@
 // on a warm query with hundreds of sources per keyword: one pooled scratch
 // per keyword and no allocation per pop (see MeasureFrontierQuery). A sixth
 // gates the candidate memo on a warm query with a large cross product: no
-// allocation per memo hit (see MeasureMemoHits).
+// allocation per memo hit (see MeasureMemoHits). A seventh gates the
+// bounded result set on a warm k = 10 query that accepts far more than k
+// trees: a tree past the k-th allocates only its seen-set entry (see
+// MeasureResultsPastK).
 //
 // Emits one JSON row per scenario:
 //   {"scenario": ..., "pops": N, "allocs": A, "allocs_per_pop": R}
@@ -206,6 +209,87 @@ bool MeasureCandidateGeneration() {
   return run.Check(non_accepted, "duplicates or rejected candidates");
 }
 
+/// The small dblp graph the dblp-batch benchmark runs
+/// (perfbench/dblp_batch.cc).
+datagen::DblpDataset MakeDblpBatchGraph() {
+  datagen::DblpParams params;
+  params.num_papers = 400;
+  params.num_authors = 150;
+  params.num_venues = 12;
+  params.vocab_size = 2500;
+  params.seed = 42;
+  return std::move(datagen::GenerateDblp(params)).value();
+}
+
+/// Query `i` of the 200-query workload dblp-batch runs on that graph.
+search::Query DblpBatchQuery(const datagen::DblpDataset& dblp, size_t i) {
+  datagen::QueryWorkloadParams workload;
+  workload.num_queries = 200;
+  return datagen::MakeDblpWorkload(dblp, workload)[i].query;
+}
+
+/// The bounded result set (docs/performance.md, "Bounded result set"):
+/// query 5 of the dblp-batch workload ("maputi, cefalu, degamunu, tazu"),
+/// k = 10, accepts hundreds of trees, ties on its integer weights, before
+/// the bound stops it. Only the ten best are kept, so a tree past the k-th
+/// may allocate its seen-set node and signature string and nothing more.
+/// As in GenerationAllocs, a run with generation off and capped at the
+/// first run's pops isolates candidate generation. The budget is
+/// kAllocsPerTreePastK per accepted tree past the k-th, plus a slack of
+/// kAllocsPerResult per kept tree and kAllocsPerQuery; the query must
+/// have more trees past the k-th than that slack, so one more allocation
+/// each would trip the gate.
+bool MeasureResultsPastK() {
+  constexpr int64_t kAllocsPerTreePastK = 2;
+  const datagen::DblpDataset dblp = MakeDblpBatchGraph();
+  const graph::InvertedIndex index(dblp.graph);
+  const search::SearchEngine engine(dblp.graph, &index);
+  const search::Query query = DblpBatchQuery(dblp, 5);
+  search::SearchOptions options;
+  options.k = 10;
+  const auto search = [&] { return engine.Search(query, options); };
+  search::SearchCounters on;
+  search::SearchCounters off;
+  const int64_t allocs_on = CountQueryAllocs(search, &on);
+  options.max_pops = on.pops;
+  options.max_combos_per_pop = 0;
+  const int64_t allocs = allocs_on - CountQueryAllocs(search, &off);
+  const int64_t past_k = on.results - options.k;
+  const int64_t slack = GenerationAllocs::kAllocsPerQuery +
+                        GenerationAllocs::kAllocsPerResult * options.k;
+  const int64_t budget = slack + kAllocsPerTreePastK * past_k;
+  std::printf(
+      "{\"scenario\": \"engine_results_past_k\", \"k\": %d, \"pops\": %lld, "
+      "\"results\": %lld, \"past_k\": %lld, \"allocs\": %lld, "
+      "\"budget\": %lld}\n",
+      options.k, static_cast<long long>(on.pops),
+      static_cast<long long>(on.results), static_cast<long long>(past_k),
+      static_cast<long long>(allocs), static_cast<long long>(budget));
+  std::fflush(stdout);
+  if (off.pops != on.pops || off.candidates != 0) {
+    std::fprintf(stderr, "FAIL: generation on/off runs popped differently\n");
+    return false;
+  }
+  if (past_k <= slack) {
+    std::fprintf(stderr,
+                 "FAIL: %lld trees past the k-th cannot resolve a slack of "
+                 "%lld allocations\n",
+                 static_cast<long long>(past_k),
+                 static_cast<long long>(slack));
+    return false;
+  }
+  if (allocs > budget) {
+    std::fprintf(stderr,
+                 "FAIL: candidate generation made %lld allocations, over the "
+                 "budget of %lld: trees past the k-th allocate more than "
+                 "their seen-set entry\n",
+                 static_cast<long long>(allocs),
+                 static_cast<long long>(budget));
+    return false;
+  }
+  return true;
+}
+
 /// Candidate memo (docs/algorithms.md, "Redundant keyword paths"): query
 /// 90 of the 200-query dblp workload on the small dblp graph the dblp-batch
 /// benchmark runs ("gelapu, paper, dokisugi, venue": at node 0 one met-all
@@ -216,20 +300,10 @@ bool MeasureCandidateGeneration() {
 /// budget. Nearly all its candidates are memo hits, and a hit must
 /// allocate nothing.
 bool MeasureMemoHits() {
-  datagen::DblpParams params;  // perfbench/dblp_batch.cc's graph.
-  params.num_papers = 400;
-  params.num_authors = 150;
-  params.num_venues = 12;
-  params.vocab_size = 2500;
-  params.seed = 42;
-  const datagen::DblpDataset dblp =
-      std::move(datagen::GenerateDblp(params)).value();
+  const datagen::DblpDataset dblp = MakeDblpBatchGraph();
   const graph::InvertedIndex index(dblp.graph);
   const search::SearchEngine engine(dblp.graph, &index);
-  datagen::QueryWorkloadParams workload;
-  workload.num_queries = 200;
-  const search::Query query =
-      datagen::MakeDblpWorkload(dblp, workload)[90].query;
+  const search::Query query = DblpBatchQuery(dblp, 90);
   search::SearchOptions options;
   options.k = 0;
   options.max_pops = 41302;
@@ -453,7 +527,10 @@ int Main() {
   }
   const bool frontiers_ok = MeasureFrontierQuery(graph);
   const bool generation_ok = MeasureCandidateGeneration();
-  return MeasureMemoHits() && generation_ok && frontiers_ok ? 0 : 1;
+  const bool memo_ok = MeasureMemoHits();
+  return MeasureResultsPastK() && memo_ok && generation_ok && frontiers_ok
+             ? 0
+             : 1;
 }
 
 }  // namespace

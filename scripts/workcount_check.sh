@@ -46,7 +46,7 @@
 # changed exact_hash fails, and so does a higher summed default weight
 # (default_weight; lower is better). Both hold under TGKS_UPDATE_WORKCOUNTS=1
 # too: regeneration only records moves of exact_equal, recall and a lower
-# default_weight, which the change must state. About a minute and a half.
+# default_weight, which the change must state. About a minute.
 #
 # With --wide every graph is rebuilt over a 200-instant timeline
 # (workcount_dump --pad-timeline), past the 128 instants a TimeMask holds,

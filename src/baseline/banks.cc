@@ -16,6 +16,9 @@ using search::ResultTree;
 
 namespace {
 
+/// BANKS's ranking: relevance alone.
+const search::RankingSpec kRelevance{};
+
 class BanksRunner {
  public:
   BanksRunner(const graph::TemporalGraph& graph,
@@ -126,9 +129,7 @@ class BanksRunner {
         generate_timer_.Stop();
         expand_timer_.Start();
       }
-      if (options_.k > 0 &&
-          static_cast<int64_t>(results_.size()) >= options_.k &&
-          KthBeatsBound()) {
+      if (results_.full() && KthBeatsBound()) {
         expand_timer_.Stop();
         return;
       }
@@ -172,9 +173,8 @@ class BanksRunner {
       iter.PathEdgesInto(root, &path_edges_);
       candidate_matches_[i] = iter.source();
     }
-    ResultTree tree;
     switch (assembler_.Assemble(root, &path_edges_, candidate_matches_,
-                                &seen_, &tree)) {
+                                &seen_)) {
       case CandidateRejection::kNotATree:
       case CandidateRejection::kRootReducible:
         return;
@@ -193,23 +193,25 @@ class BanksRunner {
         break;
     }
     ++response_.counters.generated;
+    assembler_.Build(&tree_);
     if (options_.snapshot.has_value() &&
-        !tree.time.Contains(*options_.snapshot)) {
+        !tree_.time.Contains(*options_.snapshot)) {
       // Defensive: cannot happen (all elements are alive at the snapshot).
       ++response_.counters.invalid_time;
       return;
     }
-    if (accept_ != nullptr && !(*accept_)(tree)) {
+    if (accept_ != nullptr && !(*accept_)(tree_)) {
       ++response_.counters.predicate_rejected;
       return;
     }
-    seen_.insert(assembler_.signature());
-    const double weight = tree.total_weight;
-    // BANKS scores by relevance only; fill the score for the default spec.
-    tree.score = search::MakeScore(search::RankingSpec{}, weight, tree.time);
-    weights_.insert(std::lower_bound(weights_.begin(), weights_.end(), weight),
-                    weight);
-    results_.push_back(std::move(tree));
+    const std::string* signature = &*seen_.insert(assembler_.signature()).first;
+    // BANKS ranks by relevance alone, whose score is -weight: the lighter
+    // tree first, ties to the smaller signature.
+    if (ResultTree* slot = results_.Offer(
+            search::MakeScoreKey(kRelevance, tree_.total_weight, tree_.time),
+            signature)) {
+      std::swap(*slot, tree_);
+    }
     ++response_.counters.results;
   }
 
@@ -233,22 +235,12 @@ class BanksRunner {
         bound_weight = (dmin + dmin * static_cast<double>(m_)) / 2.0;
         break;
     }
-    return weights_[static_cast<size_t>(options_.k) - 1] <= bound_weight;
+    // The k-th lightest weight, negated back from its relevance score.
+    return -results_.worst()[0] <= bound_weight;
   }
 
   void Finalize() {
-    std::sort(results_.begin(), results_.end(),
-              [](const ResultTree& a, const ResultTree& b) {
-                if (a.total_weight != b.total_weight) {
-                  return a.total_weight < b.total_weight;
-                }
-                return a.Signature() < b.Signature();
-              });
-    if (options_.k > 0 &&
-        static_cast<int64_t>(results_.size()) > options_.k) {
-      results_.resize(static_cast<size_t>(options_.k));
-    }
-    response_.results = std::move(results_);
+    response_.results = results_.TakeRanked(kRelevance);
     response_.counters.nodes_visited = static_cast<int64_t>(reached_.size());
     response_.counters.seconds_expand = expand_timer_.seconds();
     response_.counters.seconds_generate = generate_timer_.seconds();
@@ -269,9 +261,9 @@ class BanksRunner {
   std::vector<std::vector<Entry>> heap_;
 
   std::unordered_map<NodeId, std::vector<std::vector<int32_t>>> reached_;
-  std::vector<ResultTree> results_;
-  std::vector<double> weights_;  // Ascending accepted weights.
   search::SignatureSet seen_;
+  ResultTree tree_;  // The candidate being accepted; swapped into results_.
+  search::TopKResults results_{options_.k};
 
   Stopwatch expand_timer_, generate_timer_;
   BanksResponse response_;

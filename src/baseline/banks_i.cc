@@ -1,6 +1,5 @@
 #include "baseline/banks_i.h"
 
-#include <algorithm>
 #include <unordered_map>
 
 namespace tgks::baseline {
@@ -48,6 +47,7 @@ BanksIResponse RunBanksI(const graph::TemporalGraph& graph,
     }
   }
 
+  search::TopKResults top(options.k);
   for (auto& [signature, tree] : merged) {
     // Result time is exact (computed from elements at assembly); apply the
     // full predicate on the merged result, then rank by the query spec.
@@ -56,21 +56,14 @@ BanksIResponse RunBanksI(const graph::TemporalGraph& graph,
       ++response.counters.predicate_rejected;
       continue;
     }
-    tree.score =
-        search::MakeScore(query.ranking, tree.total_weight, tree.time);
-    response.results.push_back(std::move(tree));
+    ++response.counters.results;
+    if (ResultTree* slot = top.Offer(
+            search::MakeScoreKey(query.ranking, tree.total_weight, tree.time),
+            &signature)) {
+      *slot = std::move(tree);
+    }
   }
-  response.counters.results =
-      static_cast<int64_t>(response.results.size());
-  std::sort(response.results.begin(), response.results.end(),
-            [](const ResultTree& a, const ResultTree& b) {
-              if (a.score != b.score) return search::ScoreBetter(a.score, b.score);
-              return a.Signature() < b.Signature();
-            });
-  if (options.k > 0 &&
-      static_cast<int64_t>(response.results.size()) > options.k) {
-    response.results.resize(static_cast<size_t>(options.k));
-  }
+  response.results = top.TakeRanked(query.ranking);
   return response;
 }
 

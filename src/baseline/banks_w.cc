@@ -1,6 +1,7 @@
 #include "baseline/banks_w.h"
 
-#include <algorithm>
+#include <string>
+#include <vector>
 
 namespace tgks::baseline {
 
@@ -22,20 +23,20 @@ BanksResponse RunBanksW(const graph::TemporalGraph& graph,
     run_options.k = 0;
   }
   BanksResponse response = RunBanks(graph, matches, run_options, &accept);
-  // Re-score under the query's ranking spec and re-rank.
+  // Re-rank under the query's ranking spec. Under a relevance primary
+  // BANKS already kept at most k trees.
+  std::vector<std::string> signatures;
+  signatures.reserve(response.results.size());  // Offer keeps pointers.
+  search::TopKResults top(options.k);
   for (ResultTree& tree : response.results) {
-    tree.score =
-        search::MakeScore(query.ranking, tree.total_weight, tree.time);
+    signatures.push_back(tree.Signature());
+    if (ResultTree* slot = top.Offer(
+            search::MakeScoreKey(query.ranking, tree.total_weight, tree.time),
+            &signatures.back())) {
+      *slot = std::move(tree);
+    }
   }
-  std::sort(response.results.begin(), response.results.end(),
-            [](const ResultTree& a, const ResultTree& b) {
-              if (a.score != b.score) return search::ScoreBetter(a.score, b.score);
-              return a.Signature() < b.Signature();
-            });
-  if (temporal_primary && options.k > 0 &&
-      static_cast<int64_t>(response.results.size()) > options.k) {
-    response.results.resize(static_cast<size_t>(options.k));
-  }
+  response.results = top.TakeRanked(query.ranking);
   return response;
 }
 

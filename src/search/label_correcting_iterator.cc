@@ -266,11 +266,12 @@ std::vector<InverseSearchResult> SearchInverse(
           chosen[i].first->PathEdgesInto(chosen[i].second, &path_edges);
           leaf_matches[i] = chosen[i].first->source();
         }
-        if (assembler.Assemble(root, &path_edges, leaf_matches, &seen,
-                               &tree) != CandidateRejection::kAccepted) {
+        if (assembler.Assemble(root, &path_edges, leaf_matches, &seen) !=
+            CandidateRejection::kAccepted) {
           return;
         }
         seen.insert(assembler.signature());
+        assembler.Build(&tree);
         InverseSearchResult result;
         result.root = tree.root;
         result.nodes = std::move(tree.nodes);

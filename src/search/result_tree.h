@@ -5,7 +5,7 @@
 // instant, and satisfying the query predicates. Candidates are assembled
 // from one best-path NTD per keyword meeting at a common root; this module
 // turns such a bundle of paths into a validated, reduced, canonicalized
-// ResultTree.
+// ResultTree, and keeps the k best of a search's trees.
 
 #ifndef TGKS_SEARCH_RESULT_TREE_H_
 #define TGKS_SEARCH_RESULT_TREE_H_
@@ -48,12 +48,59 @@ struct ResultTree {
   /// Stable identity for deduplication: root plus the sorted edge set, as
   /// "root:e1,e2,...,".
   std::string Signature() const;
-  /// Signature() appended to `*out`; allocates only if `*out` must grow.
-  void AppendSignature(std::string* out) const;
 };
 
 /// Signatures of the trees a search has already accepted.
 using SignatureSet = std::unordered_set<std::string>;
+
+/// The k best result trees in the order every search ranks by: the better
+/// score first, ties to the smaller signature. Over distinct trees that
+/// order is strict and total, so which trees are kept, and their order,
+/// does not depend on the order they are offered in.
+///
+/// A bounded set keeps its trees in a heap with the worst on top, so a tree
+/// that does not beat it is turned away before anything is built for it.
+/// k <= 0 keeps every tree. Nothing is reserved for k: a huge k costs only
+/// the trees actually kept.
+class TopKResults {
+ public:
+  explicit TopKResults(int64_t k) : k_(k > 0 ? static_cast<size_t>(k) : 0) {}
+
+  /// Whether the set is bounded and holds k trees.
+  bool full() const { return k_ > 0 && entries_.size() >= k_; }
+
+  /// The worst kept tree's score, the k-th best score offered so far.
+  /// Requires full().
+  const ScoreKey& worst() const { return entries_.front().score; }
+
+  /// Offers a tree with `score` and signature `*signature`, which must
+  /// outlive the set. Returns the tree to build it in, or null when the set
+  /// is full and the tree does not beat worst(). The returned tree is a
+  /// fresh one or the evicted worst, whose buffers keep their capacity;
+  /// the caller overwrites every field but the score.
+  ResultTree* Offer(const ScoreKey& score, const std::string* signature);
+
+  /// The kept trees, best first, each scored under `ranking` (the spec the
+  /// offered scores were made with). Leaves the set empty.
+  std::vector<ResultTree> TakeRanked(const RankingSpec& ranking);
+
+ private:
+  struct Entry {
+    ScoreKey score;
+    const std::string* signature;
+    size_t tree;  ///< Index into trees_.
+  };
+  /// The ranking order: true iff `a` ranks before `b`.
+  static bool Before(const Entry& a, const Entry& b) {
+    if (!(a.score == b.score)) return ScoreBetter(a.score, b.score);
+    return *a.signature < *b.signature;
+  }
+
+  size_t k_;
+  /// Bounded: a heap under Before, so the worst entry is on top.
+  std::vector<Entry> entries_;
+  std::vector<ResultTree> trees_;
+};
 
 /// Why a candidate bundle failed to become a result.
 enum class CandidateRejection {
@@ -78,6 +125,9 @@ enum class CandidateRejection {
 ///     ties to the smaller NodeId;
 ///  4. apply the root rule, then look the reduced tree's signature up in the
 ///     caller's seen set before timing and weighing the tree.
+///
+/// Building the ResultTree is a separate step (Build), so that a caller
+/// that ranks trees by time and weight builds only those it keeps.
 class CandidateAssembler {
  public:
   /// `match_lists[i]`, when given, is keyword i's full match set, sorted
@@ -94,15 +144,27 @@ class CandidateAssembler {
   /// repeated; the buffer is sorted and deduplicated in place. `matches[i]`
   /// is keyword i's designated match node.
   ///
-  /// Returns kDuplicate, without timing or building anything, when the
-  /// reduced tree's signature is in `seen` (which may be null). On
-  /// kAccepted `*out` holds the tree, its score left to the caller. After
-  /// kEmptyTime or kAccepted, signature() names the reduced tree; the
-  /// caller inserts it into `seen` once its own checks pass.
+  /// Names, times and weighs the reduced tree but builds nothing. Returns
+  /// kDuplicate, without timing, when the reduced tree's signature is in
+  /// `seen` (which may be null). After kEmptyTime or kAccepted, signature()
+  /// names the reduced tree; after kAccepted, time() and weight() hold its
+  /// exact validity and weight, and Build() fills a ResultTree with it. The
+  /// caller inserts the signature into `seen` once its own checks pass.
   CandidateRejection Assemble(graph::NodeId root,
                               std::vector<graph::EdgeId>* path_edges,
                               const std::vector<graph::NodeId>& matches,
-                              const SignatureSet* seen, ResultTree* out);
+                              const SignatureSet* seen);
+
+  /// Fills `*out` with the tree the last Assemble accepted: everything but
+  /// the score, which is left to the caller. Every other field is
+  /// overwritten, so `out` may be a recycled tree whose buffers keep their
+  /// capacity.
+  void Build(ResultTree* out) const;
+
+  /// The last accepted tree's exact validity and total weight (see
+  /// ResultTree::total_weight for the summation order).
+  const temporal::IntervalSet& time() const { return time_; }
+  double weight() const { return weight_; }
 
   /// Signature of the last reduced candidate (see Assemble).
   const std::string& signature() const { return signature_; }
@@ -123,7 +185,6 @@ class CandidateAssembler {
   void ComputeCoverage(const std::vector<graph::NodeId>& matches);
   void Peel();
   bool ComputeTimeAndWeight();
-  void Build(const std::vector<graph::EdgeId>& edges, ResultTree* out) const;
 
   const graph::Node& NodeAt(graph::NodeId id) const;
   const graph::Edge& EdgeAt(graph::EdgeId id) const;
@@ -150,6 +211,7 @@ class CandidateAssembler {
   std::vector<int64_t> leaves_;       ///< Peel heap of (depth, -position).
   size_t m_ = 0;
   int32_t root_pos_ = 0;
+  std::vector<graph::EdgeId> tree_edges_;  ///< Reduced tree's edges, sorted.
   std::string signature_;
   temporal::IntervalSet time_, narrow_;
   double weight_ = 0.0;

@@ -467,9 +467,7 @@ class Runner {
         generate_timer_.Stop();
       }
 
-      if (options_.k > 0 &&
-          static_cast<int64_t>(results_.size()) >= options_.k &&
-          KthBeatsBound()) {
+      if (results_.full() && KthBeatsBound()) {
         response_.stop_reason = StopReason::kBound;
         return;
       }
@@ -614,11 +612,8 @@ class Runner {
       iterators_[kw]->PathEdgesInto(chosen_[kw], &path_edges_);
     }
     SetCandidateMatches();
-    ResultTree tree;
-    Settle(root,
-           assembler_.Assemble(root, &path_edges_, candidate_matches_,
-                               &seen_, &tree),
-           &tree);
+    Settle(root, assembler_.Assemble(root, &path_edges_, candidate_matches_,
+                                     &seen_));
   }
 
   /// The memo path of EmitCandidate (docs/algorithms.md, "Redundant
@@ -646,15 +641,14 @@ class Runner {
     path_edges_.clear();
     memo_->CoreEdgesInto(redundant, choice, &path_edges_);
     SetCandidateMatches();
-    ResultTree tree;
-    const CandidateRejection why = assembler_.Assemble(
-        root, &path_edges_, candidate_matches_, &seen_, &tree);
+    const CandidateRejection why =
+        assembler_.Assemble(root, &path_edges_, candidate_matches_, &seen_);
     if (why == CandidateRejection::kNotATree ||
         !assembler_.RedundantCoverHolds(redundant)) {
       memo_->Insert(key, MemoVerdict::kAssemble);
       return false;
     }
-    memo_->Insert(key, Settle(root, why, &tree));
+    memo_->Insert(key, Settle(root, why));
     return true;
   }
 
@@ -668,7 +662,7 @@ class Runner {
   /// Counts an assembled candidate's verdict and, on acceptance, records
   /// the result. Returns what a later candidate with the same reduced tree
   /// would be: an accepted tree makes it a duplicate.
-  MemoVerdict Settle(NodeId root, CandidateRejection why, ResultTree* tree) {
+  MemoVerdict Settle(NodeId root, CandidateRejection why) {
     switch (why) {
       case CandidateRejection::kNotATree:
         ++response_.counters.invalid_structure;
@@ -686,21 +680,21 @@ class Runner {
         break;
     }
     // Final predicate check; skippable when element pruning was exact (§5).
+    const IntervalSet& time = assembler_.time();
     if (query_.predicate != nullptr && !query_.predicate->PruningIsExact() &&
-        !query_.predicate->EvalResultTime(tree->time)) {
+        !query_.predicate->EvalResultTime(time)) {
       CountVerdict(root, MemoVerdict::kPredicateRejected);
       return MemoVerdict::kPredicateRejected;
     }
-    seen_.insert(assembler_.signature());
-    tree->score = MakeScore(query_.ranking, tree->total_weight, tree->time);
-    // Track primary scores (descending) for the §4.2 stop test.
-    const double primary = tree->score[0];
-    primaries_.insert(
-        std::upper_bound(primaries_.begin(), primaries_.end(), primary,
-                         std::greater<double>()),
-        primary);
-    results_.push_back(std::move(*tree));
+    // seen_'s elements never move, so the top-k set ranks by this copy of
+    // the signature. The tree is built only if it enters the top k.
+    const std::string* signature = &*seen_.insert(assembler_.signature()).first;
     ++response_.counters.results;
+    const ScoreKey score =
+        MakeScoreKey(query_.ranking, assembler_.weight(), time);
+    if (ResultTree* slot = results_.Offer(score, signature)) {
+      assembler_.Build(slot);
+    }
     return MemoVerdict::kDuplicate;
   }
 
@@ -800,26 +794,13 @@ class Runner {
         bound = average;
         break;
     }
-    const double kth = primaries_[static_cast<size_t>(options_.k) - 1];
+    // The k-th best tree's primary score is the k-th best primary score.
+    const double kth = results_.worst()[0];
     return kth >= bound;
   }
 
   void Finalize() {
-    std::string sig_a, sig_b;  // Tie-break buffers, reused per comparison.
-    std::sort(results_.begin(), results_.end(),
-              [&](const ResultTree& a, const ResultTree& b) {
-                if (a.score != b.score) return ScoreBetter(a.score, b.score);
-                sig_a.clear();
-                sig_b.clear();
-                a.AppendSignature(&sig_a);
-                b.AppendSignature(&sig_b);
-                return sig_a < sig_b;
-              });
-    if (options_.k > 0 &&
-        static_cast<int64_t>(results_.size()) > options_.k) {
-      results_.resize(static_cast<size_t>(options_.k));
-    }
-    response_.results = std::move(results_);
+    response_.results = results_.TakeRanked(query_.ranking);
 
     SearchCounters& c = response_.counters;
     c.seconds_match = match_timer_.seconds();
@@ -915,7 +896,8 @@ class Runner {
   std::vector<std::vector<NodeId>> match_lists_;
 
   // Candidate generation. Every buffer lives for the whole query, so a
-  // warm candidate allocates only if it becomes a result.
+  // warm candidate allocates only if it becomes a result: its seen_ entry,
+  // and its tree if it enters the top k.
   CandidateAssembler assembler_;  ///< Covers by the filtered match_lists_.
   std::vector<NtdId> chosen_;  ///< NTD per keyword, of that keyword's frontier.
   std::vector<int32_t> chosen_pos_;  ///< chosen_[kw]'s index in its list.
@@ -934,8 +916,7 @@ class Runner {
   int rr_cursor_ = 0;
 
   MeetingTablePool::Handle meetings_;  ///< Per-(node, keyword) pop lists.
-  std::vector<ResultTree> results_;
-  std::vector<double> primaries_;  // Primary scores, descending.
+  TopKResults results_{options_.k};  ///< The k best accepted trees.
 
   Stopwatch filter_timer_, expand_timer_, generate_timer_;
   int64_t engine_interval_ops_ = 0;  ///< Intersections in combo enumeration.

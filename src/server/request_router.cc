@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "common/strings.h"
 #include "graph/expansion_view.h"
@@ -38,6 +41,16 @@ HttpResponse JsonResponse(int status, std::string body) {
   return response;
 }
 
+/// Appends `value` as a base-128 varint: seven bits a byte, low bits
+/// first, the high bit set on every byte but the last.
+void AppendVarint(uint64_t value, std::string* out) {
+  while (value >= 0x80) {
+    out->push_back(static_cast<char>(value | 0x80));
+    value >>= 7;
+  }
+  out->push_back(static_cast<char>(value));
+}
+
 /// Canonical result-cache key (docs/caching.md): everything that can change
 /// the response bytes. The query contributes its canonical text (parsed,
 /// deduplicated, ToString-normalized), then effective k, the bound
@@ -46,6 +59,12 @@ HttpResponse JsonResponse(int status, std::string body) {
 /// valid under any deadline. An unset bound encodes as '-' (inherit the
 /// executor default) so a request that spells the bound and one that
 /// inherits it never alias.
+///
+/// The engine sorts and deduplicates every match list before reading it,
+/// so a list is keyed as its sorted distinct ids, exactly: their count,
+/// then each id's gap from the previous one (the first from 0), all as
+/// varints. The count ends the list, so two list sequences share a key
+/// only if they hold the same ids.
 std::string CacheFingerprint(const exec::SingleQuery& single) {
   std::string fp = single.query.query.ToString();
   fp += "\x1f k=";
@@ -57,12 +76,17 @@ std::string CacheFingerprint(const exec::SingleQuery& single) {
     fp += '-';
   }
   fp += "\x1f matches=";
+  std::vector<graph::NodeId> ids;
   for (const auto& list : single.query.matches) {
-    for (const graph::NodeId id : list) {
-      fp += std::to_string(id);
-      fp += ',';
+    ids.assign(list.begin(), list.end());
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    AppendVarint(ids.size(), &fp);
+    graph::NodeId previous = 0;
+    for (const graph::NodeId id : ids) {  // Ids are validated non-negative.
+      AppendVarint(static_cast<uint64_t>(id - previous), &fp);
+      previous = id;
     }
-    fp += ';';
   }
   return fp;
 }

@@ -314,18 +314,20 @@ TEST(CandidateAssemblyOracleTest, DuplicateBeforeBuildKeepsEveryCounter) {
     for (const Bundle& bundle : bundles) {
       std::vector<EdgeId> edges = bundle.edges;
       ResultTree early_tree;
-      const CandidateRejection e = early.Assemble(
-          bundle.root, &edges, bundle.matches, &early_seen, &early_tree);
+      const CandidateRejection e =
+          early.Assemble(bundle.root, &edges, bundle.matches, &early_seen);
       if (e == CandidateRejection::kAccepted) {
         early_seen.insert(early.signature());
+        early.Build(&early_tree);
       }
       ++early_counts[name(e)];
 
       edges = bundle.edges;
       ResultTree late_tree;
       CandidateRejection l = late.Assemble(bundle.root, &edges, bundle.matches,
-                                           /*seen=*/nullptr, &late_tree);
+                                           /*seen=*/nullptr);
       if (l == CandidateRejection::kAccepted) {
+        late.Build(&late_tree);
         ASSERT_EQ(late.signature(), late_tree.Signature());
         if (!late_seen.insert(late_tree.Signature()).second) {
           l = CandidateRejection::kDuplicate;
@@ -439,7 +441,10 @@ TEST(CandidateAssemblyOracleTest, RedundantPathsPeelAwayWhenTheMemoSaysSo) {
       std::vector<EdgeId> full_edges = bundle.edges;
       ResultTree full_tree;
       const CandidateRejection full = full_assembler.Assemble(
-          bundle.root, &full_edges, bundle.matches, &seen, &full_tree);
+          bundle.root, &full_edges, bundle.matches, &seen);
+      if (full == CandidateRejection::kAccepted) {
+        full_assembler.Build(&full_tree);
+      }
       // The memo's tree test is exactly the assembler's.
       ASSERT_EQ(memo.FormsTree(choice.data()),
                 full != CandidateRejection::kNotATree)
@@ -456,7 +461,10 @@ TEST(CandidateAssemblyOracleTest, RedundantPathsPeelAwayWhenTheMemoSaysSo) {
       memo.CoreEdgesInto(redundant, choice.data(), &core_edges);
       ResultTree core_tree;
       const CandidateRejection core = core_assembler.Assemble(
-          bundle.root, &core_edges, bundle.matches, &seen, &core_tree);
+          bundle.root, &core_edges, bundle.matches, &seen);
+      if (core == CandidateRejection::kAccepted) {
+        core_assembler.Build(&core_tree);
+      }
       ASSERT_NE(core, CandidateRejection::kNotATree) << context;
       const bool same_tree =
           core == full && (core == CandidateRejection::kRootReducible ||

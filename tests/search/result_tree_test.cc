@@ -1,7 +1,10 @@
 #include "search/result_tree.h"
 
+#include <algorithm>
+#include <limits>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -29,11 +32,12 @@ std::optional<ResultTree> Assemble(const TemporalGraph& g, NodeId root,
   CandidateAssembler assembler(g, match_lists);
   std::vector<EdgeId> edges;
   for (const auto& path : paths) edges.insert(edges.end(), path.begin(), path.end());
-  ResultTree tree;
   const CandidateRejection outcome =
-      assembler.Assemble(root, &edges, matches, /*seen=*/nullptr, &tree);
+      assembler.Assemble(root, &edges, matches, /*seen=*/nullptr);
   if (why != nullptr) *why = outcome;
   if (outcome != CandidateRejection::kAccepted) return std::nullopt;
+  ResultTree tree;
+  assembler.Build(&tree);
   return tree;
 }
 
@@ -276,32 +280,133 @@ TEST(ResultTreeTest, DuplicateFoundBeforeBuildMatchesBuildFirst) {
   CandidateAssembler assembler(g, &lists);
   SignatureSet seen;
   std::vector<EdgeId> x{EdgeId{2}, EdgeId{3}, EdgeId{2}};
-  ResultTree first;
   ASSERT_EQ(assembler.Assemble(0, &x, {NodeId{3}, NodeId{4}, NodeId{3}},
-                               &seen, &first),
+                               &seen),
             CandidateRejection::kAccepted);
+  ResultTree first;
+  assembler.Build(&first);
   EXPECT_EQ(assembler.signature(), first.Signature());
   seen.insert(assembler.signature());
 
   const std::vector<NodeId> y_matches{NodeId{2}, NodeId{4}, NodeId{3}};
   std::vector<EdgeId> y{EdgeId{0}, EdgeId{1}, EdgeId{3}, EdgeId{2}};
-  ResultTree untouched;
-  EXPECT_EQ(assembler.Assemble(0, &y, y_matches, &seen, &untouched),
+  EXPECT_EQ(assembler.Assemble(0, &y, y_matches, &seen),
             CandidateRejection::kDuplicate);
   EXPECT_EQ(assembler.signature(), first.Signature());
-  EXPECT_EQ(untouched.root, graph::kInvalidNode);  // Nothing was built.
 
   // Building first, as a search without the early lookup would, yields the
   // same tree: the signature check after the build calls it a duplicate too.
   std::vector<EdgeId> y_again{EdgeId{0}, EdgeId{1}, EdgeId{3}, EdgeId{2}};
-  ResultTree built;
-  ASSERT_EQ(assembler.Assemble(0, &y_again, y_matches, /*seen=*/nullptr,
-                               &built),
+  ASSERT_EQ(assembler.Assemble(0, &y_again, y_matches, /*seen=*/nullptr),
             CandidateRejection::kAccepted);
+  ResultTree built;
+  assembler.Build(&built);
   EXPECT_EQ(built.Signature(), first.Signature());
   EXPECT_EQ(built.time, first.time);
   EXPECT_EQ(built.total_weight, first.total_weight);
   EXPECT_EQ(built.keyword_nodes, first.keyword_nodes);
+}
+
+// Assemble names, times and weighs the tree; Build fills a ResultTree from
+// that state, overwriting every field of a recycled tree.
+TEST(ResultTreeTest, BuildFillsARecycledTreeFromTheLastAcceptedCandidate) {
+  const TemporalGraph g = MakeChainGraph();
+  CandidateAssembler assembler(g, nullptr);
+  std::vector<EdgeId> big{EdgeId{0}, EdgeId{1}, EdgeId{2}};
+  ASSERT_EQ(assembler.Assemble(0, &big, {NodeId{2}, NodeId{3}}, nullptr),
+            CandidateRejection::kAccepted);
+  EXPECT_EQ(assembler.time(), (IntervalSet{{2, 4}}));
+  EXPECT_DOUBLE_EQ(assembler.weight(), 3.0);
+  ResultTree recycled;
+  assembler.Build(&recycled);
+  EXPECT_EQ(recycled.Signature(), assembler.signature());
+  recycled.score = {-3.0};
+
+  // The single-node tree at node 2, built over the three-edge tree.
+  std::vector<EdgeId> none;
+  ASSERT_EQ(assembler.Assemble(2, &none, {NodeId{2}}, nullptr),
+            CandidateRejection::kAccepted);
+  assembler.Build(&recycled);
+  const auto fresh = Assemble(g, 2, {{}}, {NodeId{2}});
+  ASSERT_TRUE(fresh.has_value());
+  EXPECT_EQ(recycled.root, fresh->root);
+  EXPECT_EQ(recycled.nodes, fresh->nodes);
+  EXPECT_EQ(recycled.edges, fresh->edges);
+  EXPECT_EQ(recycled.time, fresh->time);
+  EXPECT_EQ(recycled.total_weight, fresh->total_weight);
+  EXPECT_EQ(recycled.keyword_nodes, fresh->keyword_nodes);
+  EXPECT_EQ(recycled.score, (ScoreVec{-3.0}));  // Left to the caller.
+  EXPECT_EQ(assembler.time(), recycled.time);
+  EXPECT_EQ(assembler.weight(), recycled.total_weight);
+}
+
+// One-edge trees under root 0, as (weight, edge).
+using WeightedEdges = std::vector<std::pair<double, EdgeId>>;
+
+// Offers `trees` to a set of size k in the given order; returns the kept
+// signatures, best first.
+std::vector<std::string> KeepTopK(int64_t k, const WeightedEdges& trees) {
+  const RankingSpec relevance;
+  const IntervalSet time{{0, 1}};
+  std::vector<std::string> signatures;
+  signatures.reserve(trees.size());  // The set points into it.
+  TopKResults top(k);
+  for (const auto& [weight, edge] : trees) {
+    ResultTree tree;
+    tree.root = 0;
+    tree.edges = {edge};
+    tree.time = time;
+    tree.total_weight = weight;
+    signatures.push_back(tree.Signature());
+    ResultTree* slot =
+        top.Offer(MakeScoreKey(relevance, weight, time), &signatures.back());
+    if (slot != nullptr) *slot = std::move(tree);
+  }
+  std::vector<std::string> kept;
+  for (const ResultTree& tree : top.TakeRanked(relevance)) {
+    EXPECT_EQ(tree.score, (ScoreVec{-tree.total_weight}));
+    kept.push_back(tree.Signature());
+  }
+  return kept;
+}
+
+TEST(ResultTreeTest, TopKKeepsTheBestTreesWhateverTheOfferOrder) {
+  // Ties on weight 2 go to the smaller signature as a string: "0:10," sorts
+  // before "0:2,".
+  WeightedEdges trees = {{2.0, 2}, {3.0, 1}, {2.0, 10}, {1.0, 7},
+                         {2.0, 11}, {4.0, 3}, {2.0, 4}};
+  const std::vector<std::string> all = {"0:7,", "0:10,", "0:11,", "0:2,",
+                                        "0:4,", "0:1,",  "0:3,"};
+  std::sort(trees.begin(), trees.end());
+  do {
+    for (const int64_t k : {1, 3, 6}) {
+      EXPECT_EQ(KeepTopK(k, trees),
+                std::vector<std::string>(all.begin(), all.begin() + k));
+    }
+    EXPECT_EQ(KeepTopK(0, trees), all);
+    EXPECT_EQ(KeepTopK(std::numeric_limits<int32_t>::max(), trees), all);
+  } while (std::next_permutation(trees.begin(), trees.end()));
+}
+
+TEST(ResultTreeTest, TopKTurnsAwayTreesThatDoNotBeatTheWorst) {
+  const RankingSpec relevance;
+  const IntervalSet time{{0, 1}};
+  const std::string a = "0:1,", b = "0:2,", c = "0:3,";
+  TopKResults top(2);
+  EXPECT_FALSE(top.full());
+  ASSERT_NE(top.Offer(MakeScoreKey(relevance, 1.0, time), &b), nullptr);
+  ASSERT_NE(top.Offer(MakeScoreKey(relevance, 2.0, time), &c), nullptr);
+  ASSERT_TRUE(top.full());
+  EXPECT_EQ(top.worst()[0], -2.0);
+  // Worse than the worst, and tied with it but a larger signature.
+  EXPECT_EQ(top.Offer(MakeScoreKey(relevance, 3.0, time), &a), nullptr);
+  const std::string d = "0:4,";
+  EXPECT_EQ(top.Offer(MakeScoreKey(relevance, 2.0, time), &d), nullptr);
+  // Tied with the worst and a smaller signature: evicts it, recycling its
+  // tree.
+  ResultTree* slot = top.Offer(MakeScoreKey(relevance, 2.0, time), &a);
+  ASSERT_NE(slot, nullptr);
+  EXPECT_EQ(top.worst()[0], -2.0);
 }
 
 }  // namespace

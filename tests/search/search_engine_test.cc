@@ -1,7 +1,9 @@
 #include "search/search_engine.h"
 
 #include <algorithm>
+#include <limits>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -283,6 +285,101 @@ TEST(SearchEngineTest, RelevanceTiesGoToTheFrontierWithFewerSources) {
   for (size_t i = 0; i < top->results.size(); ++i) {
     EXPECT_EQ(top->results[i].Signature(), all->results[i].Signature()) << i;
     EXPECT_EQ(top->results[i].total_weight, 2.0 + static_cast<double>(i));
+  }
+}
+
+// A root with one "b" leaf (edge 0) and twelve "a" leaves (edges 1-12),
+// every edge of weight 1: twelve answers of equal weight, "0:0,i,".
+struct TiedStar {
+  TemporalGraph graph;
+  std::vector<std::vector<NodeId>> matches{2};
+};
+
+TiedStar MakeTiedStar() {
+  graph::GraphBuilder b(4);
+  TiedStar star;
+  const NodeId root = b.AddNode("root");
+  star.matches[1].push_back(b.AddNode("b"));
+  b.AddEdge(root, star.matches[1].back(), 1.0);
+  for (int i = 0; i < 12; ++i) {
+    star.matches[0].push_back(b.AddNode("a"));
+    b.AddEdge(root, star.matches[0].back(), 1.0);
+  }
+  star.graph = std::move(b.Build()).value();
+  return star;
+}
+
+// The pops of one search, as "keyword:node;" per pop.
+SearchResponse SearchRecordingPops(const SearchEngine& engine, const Query& q,
+                                   const std::vector<std::vector<NodeId>>& m,
+                                   SearchOptions options, std::string* pops) {
+  options.pop_ctx = pops;
+  options.pop_fn = [](void* ctx, size_t keyword,
+                      const BestPathIterator& frontier, NtdId id) {
+    *static_cast<std::string*>(ctx) += std::to_string(keyword) + ":" +
+                                       std::to_string(frontier.ntd(id).node) +
+                                       ";";
+  };
+  auto r = engine.SearchWithMatches(q, m, options);
+  EXPECT_TRUE(r.ok());
+  return std::move(r).value();
+}
+
+// The engine keeps only the k best trees. With ties on weight the k kept
+// are the signature-smallest (as strings, so edge 10 before edge 2), and a
+// bounded run answers exactly the first k of an unbounded run that pops
+// the same NTDs.
+TEST(SearchEngineTest, TopKKeepsTheSignatureSmallestTiedTrees) {
+  const TiedStar star = MakeTiedStar();
+  const SearchEngine engine(star.graph);
+  const Query q = MustParse("a, b");
+
+  SearchOptions bounded;
+  bounded.k = 3;
+  bounded.bound = UpperBoundKind::kAccurate;
+  std::string bounded_pops;
+  const SearchResponse top =
+      SearchRecordingPops(engine, q, star.matches, bounded, &bounded_pops);
+  EXPECT_EQ(top.counters.results, 12);  // Accepted; nine turned away.
+
+  SearchOptions all = Exhaustive();
+  all.max_pops = top.counters.pops;
+  std::string all_pops;
+  const SearchResponse every =
+      SearchRecordingPops(engine, q, star.matches, all, &all_pops);
+  EXPECT_EQ(all_pops, bounded_pops);
+  ASSERT_EQ(every.results.size(), 12u);
+
+  ASSERT_EQ(top.results.size(), 3u);
+  const std::vector<std::string> want = {"0:0,1,", "0:0,10,", "0:0,11,"};
+  for (size_t i = 0; i < top.results.size(); ++i) {
+    EXPECT_EQ(top.results[i].Signature(), want[i]) << i;
+    EXPECT_EQ(top.results[i].Signature(), every.results[i].Signature()) << i;
+    EXPECT_EQ(top.results[i].score, every.results[i].score) << i;
+    EXPECT_EQ(top.results[i].keyword_nodes, every.results[i].keyword_nodes);
+  }
+}
+
+// A caller may pass any k: nothing is reserved for it, and a k larger than
+// the answer count answers like k <= 0 (all trees, no stop test).
+TEST(SearchEngineTest, HugeKBehavesLikeUnboundedK) {
+  const TemporalGraph g = testutil::MakeSocialNetworkGraph();
+  const InvertedIndex index(g);
+  const SearchEngine engine(g, &index);
+  const Query q = MustParse("Mary, John");
+  SearchOptions huge;
+  huge.k = std::numeric_limits<int32_t>::max();
+  auto big = engine.Search(q, huge);
+  auto all = engine.Search(q, Exhaustive());
+  ASSERT_TRUE(big.ok());
+  ASSERT_TRUE(all.ok());
+  EXPECT_EQ(big->stop_reason, StopReason::kExhausted);
+  EXPECT_EQ(big->counters.pops, all->counters.pops);
+  ASSERT_GT(all->results.size(), 1u);
+  ASSERT_EQ(big->results.size(), all->results.size());
+  for (size_t i = 0; i < all->results.size(); ++i) {
+    EXPECT_EQ(big->results[i].Signature(), all->results[i].Signature()) << i;
+    EXPECT_EQ(big->results[i].score, all->results[i].score) << i;
   }
 }
 

@@ -11,6 +11,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -279,6 +280,54 @@ TEST(HttpServerTest, ResultCacheMissThenHitBitIdentical) {
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(*h, "hit");
   EXPECT_EQ(miss.body, hit.body);  // Bit-identical, not just equivalent.
+}
+
+// The engine sorts and deduplicates each explicit match list, so the cache
+// keys a list by its distinct ids: a permuted or repeated list hits the
+// entry of the list it spells, and lists with different ids never share
+// one. Ids past 127 take two varint bytes in the key.
+TEST(HttpServerTest, MatchListsKeyTheCacheByTheirDistinctIds) {
+  TestServerOptions opts;
+  opts.cache = true;
+  TestServer ts(MakeChainGraph(300), opts);
+  const auto request = [](const std::string& matches) {
+    return PostRequest("/v1/search", R"({"query":"a, b","k":3,"matches":)" +
+                                         matches + "}");
+  };
+  const auto cache_header = [](const ClientResponse& r) -> std::string {
+    const std::string* h = r.FindHeader("x-cache");
+    return h == nullptr ? "none" : *h;
+  };
+  // Distinct id lists, including a moved list boundary and gaps that a
+  // byte of another id could be mistaken for.
+  const std::vector<std::string> distinct = {
+      "[[1,130],[129]]",   "[[1],[130,129]]",  "[[1,130,2],[129]]",
+      "[[1,2,129],[129]]", "[[129,1],[130]]",  "[[257],[129]]",
+      "[[1,3],[129]]",     "[[1,130],[129,0]]"};
+  std::vector<std::string> bodies;
+  for (const std::string& matches : distinct) {
+    ClientResponse r;
+    ASSERT_EQ(FetchOnce(ts.port(), request(matches), &r), 200) << matches;
+    EXPECT_EQ(cache_header(r), "miss") << matches;
+    bodies.push_back(r.body);
+  }
+  for (size_t i = 0; i < distinct.size(); ++i) {
+    ClientResponse r;
+    ASSERT_EQ(FetchOnce(ts.port(), request(distinct[i]), &r), 200);
+    EXPECT_EQ(cache_header(r), "hit") << distinct[i];
+    EXPECT_EQ(r.body, bodies[i]) << distinct[i];
+  }
+  // Permuted and repeated spellings of the first and second lists.
+  for (const auto& [matches, of] :
+       std::vector<std::pair<std::string, size_t>>{
+           {"[[130,1],[129]]", 0},
+           {"[[130,1,130,1],[129,129]]", 0},
+           {"[[1],[129,130,129]]", 1}}) {
+    ClientResponse r;
+    ASSERT_EQ(FetchOnce(ts.port(), request(matches), &r), 200);
+    EXPECT_EQ(cache_header(r), "hit") << matches;
+    EXPECT_EQ(r.body, bodies[of]) << matches;
+  }
 }
 
 TEST(HttpServerTest, PerRequestCacheFalseBypassesTheCache) {

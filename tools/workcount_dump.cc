@@ -72,8 +72,8 @@
 // recall (the multiset overlap of default and exact scores, §6.3), the
 // summed default and exact top-k weights (lower is better) and one hash
 // over every exact score list. scripts/workcount_check.sh --quality diffs
-// it against tests/golden/quality.expected. The exact side costs about a
-// minute and a half, so it is a CI step, not a ctest.
+// it against tests/golden/quality.expected. The run takes about a minute,
+// nearly all of it the exact side, so it is a CI step, not a ctest.
 
 #include <algorithm>
 #include <cstdint>
