@@ -46,12 +46,10 @@ inline void PrintResults(const graph::TemporalGraph& g,
   }
 }
 
-/// One-line summary of the work the engine did.
+/// One-line summary of the work the engine did: every counter, phase
+/// times as ms_<phase>.
 inline void PrintCounters(const search::SearchCounters& c) {
-  std::cout << "  [iterators=" << c.iterators << " pops=" << c.pops
-            << " nodes_visited=" << c.nodes_visited
-            << " candidates=" << c.candidates << " results=" << c.results
-            << " avg_ntds_per_node=" << c.avg_ntds_per_node << "]\n";
+  std::cout << "  [" << c.ToString() << "]\n";
 }
 
 /// Parses a numeric flag value strictly: the whole of `text` must be a

@@ -250,16 +250,6 @@ bool LoadBatchFile(const std::string& path, std::vector<std::string>* out) {
   return true;
 }
 
-/// The --stats profile line: SearchStats plus the phase times.
-void PrintStats(const char* label, const tgks::search::SearchCounters& c,
-                const tgks::obs::SearchStats& stats) {
-  std::cout << "  " << label << ": " << stats.ToString()
-            << " ms_match=" << c.seconds_match * 1e3
-            << " ms_filter=" << c.seconds_filter * 1e3
-            << " ms_expand=" << c.seconds_expand * 1e3
-            << " ms_generate=" << c.seconds_generate * 1e3 << "\n";
-}
-
 int RunBatch(const tgks::graph::TemporalGraph& graph,
              const tgks::graph::InvertedIndex& index,
              const std::vector<std::string>& lines,
@@ -307,7 +297,7 @@ int RunBatch(const tgks::graph::TemporalGraph& graph,
             << response.latency.max_ms << "\n";
   if (stats) {
     tgks::examples::PrintCounters(response.totals);
-    PrintStats("batch stats", response.totals, response.stats);
+    std::cout << "  batch stats: " << response.stats.ToString() << "\n";
   }
   if (metrics) std::cout << tgks::obs::GlobalMetrics().RenderText();
   return response.failed == 0 ? 0 : 1;
@@ -520,7 +510,7 @@ int main(int argc, char** argv) {
   }
   if (stats) {
     tgks::examples::PrintCounters(response->counters);
-    PrintStats("stats", response->counters, response->stats);
+    std::cout << "  stats: " << response->stats.ToString() << "\n";
   }
   if (trace) std::cout << flight_recorder.ToString();
   if (metrics) std::cout << tgks::obs::GlobalMetrics().RenderText();

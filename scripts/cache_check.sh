@@ -14,42 +14,10 @@
 set -euo pipefail
 
 BUILD_DIR="${1:?usage: cache_check.sh <build-dir>}"
-CLI="${BUILD_DIR}/examples/tgks_cli"
-[[ -x "${CLI}" ]] || { echo "cache_check: ${CLI} not built" >&2; exit 2; }
+GATE=cache_check
+source "$(dirname "$0")/http_gate_lib.sh"
 
-WORK="$(mktemp -d)"
-SERVER_PID=""
-cleanup() {
-  [[ -n "${SERVER_PID}" ]] && kill "${SERVER_PID}" 2>/dev/null || true
-  wait 2>/dev/null || true
-  rm -rf "${WORK}"
-}
-trap cleanup EXIT
-
-export TGKS_BENCH_SCALE="${TGKS_BENCH_SCALE:-0.3}"
-boot() {  # <log-file> [extra tgks_cli flags...]; sets SERVER_PID and URL
-  local log="$1"; shift
-  "${CLI}" --dataset social --serve --cache --port 0 "$@" > "${log}" 2>&1 &
-  SERVER_PID=$!
-  local port=""
-  for _ in $(seq 1 200); do
-    port="$(grep -oE 'http://127\.0\.0\.1:[0-9]+' "${log}" \
-            | head -1 | sed 's/.*://' || true)"
-    [[ -n "${port}" ]] && break
-    kill -0 "${SERVER_PID}" 2>/dev/null \
-        || { echo "cache_check: server died:"; cat "${log}"; exit 1; }
-    sleep 0.3
-  done
-  [[ -n "${port}" ]] || { echo "cache_check: no port" >&2; exit 1; }
-  URL="http://127.0.0.1:${port}"
-}
-stop() {
-  kill -TERM "${SERVER_PID}"
-  wait "${SERVER_PID}" || { echo "cache_check: bad server exit" >&2; exit 1; }
-  SERVER_PID=""
-}
-
-boot "${WORK}/server.log"
+start_server --cache
 BODY='{"query":"n1, n2","matches":[[1],[2]],"k":3}'
 REFERENCE='{"query":"n1, n2","matches":[[1],[2]],"k":3,"cache":false}'
 
@@ -106,10 +74,10 @@ if grep -qE '"(match_cache|query_cache_generation)"' "${WORK}/varz.json"; then
   exit 1
 fi
 
-stop
+stop_server
 
 # Live section: read-set validation across publishes.
-boot "${WORK}/live.log" --live
+start_server --cache --live
 expect_search() {  # <tag> <x-cache> <generation>: search, compare to reference
   local tag="$1" want="$2" generation="$3"
   post "${WORK}/${tag}" "${WORK}/${tag}.h" -X POST --data "${BODY}" \
@@ -149,5 +117,5 @@ grep -q '"carried_hits":1,' "${WORK}/live_varz.json" \
          cat "${WORK}/live_varz.json" >&2; exit 1; }
 grep -qE '"read_set_bytes":[1-9]' "${WORK}/live_varz.json" \
     || { echo "cache_check: /varz reports no read_set_bytes" >&2; exit 1; }
-stop
+stop_server
 echo "cache_check: OK"

@@ -10,96 +10,8 @@
 set -euo pipefail
 
 BUILD_DIR="${1:?usage: serve_smoke.sh <build-dir>}"
-CLI="${BUILD_DIR}/examples/tgks_cli"
-[[ -x "${CLI}" ]] || { echo "serve_smoke: ${CLI} not built" >&2; exit 1; }
-
-# Small dataset so the server's generation stays fast.
-export TGKS_BENCH_SCALE="${TGKS_BENCH_SCALE:-0.3}"
-
-WORK="$(mktemp -d)"
-SERVER_PID=""
-cleanup() {
-  [[ -n "${SERVER_PID}" ]] && kill "${SERVER_PID}" 2>/dev/null || true
-  wait 2>/dev/null || true
-  rm -rf "${WORK}"
-}
-trap cleanup EXIT
-
-start_server() {  # args: extra tgks_cli flags; sets SERVER_PID and PORT.
-  : > "${WORK}/server.log"
-  "${CLI}" --dataset social --serve --port 0 "$@" \
-      > "${WORK}/server.log" 2>&1 &
-  SERVER_PID=$!
-  PORT=""
-  for _ in $(seq 1 200); do
-    PORT="$(grep -oE 'http://127\.0\.0\.1:[0-9]+' "${WORK}/server.log" \
-            | head -1 | sed 's/.*://' || true)"
-    [[ -n "${PORT}" ]] && return 0
-    kill -0 "${SERVER_PID}" 2>/dev/null \
-        || { echo "serve_smoke: server died:"; cat "${WORK}/server.log"; exit 1; }
-    sleep 0.3
-  done
-  echo "serve_smoke: server never printed its port" >&2
-  cat "${WORK}/server.log" >&2
-  exit 1
-}
-
-stop_server() {  # SIGTERM must drain and exit 0.
-  kill -TERM "${SERVER_PID}"
-  local status=0
-  wait "${SERVER_PID}" || status=$?
-  SERVER_PID=""
-  if [[ "${status}" -ne 0 ]]; then
-    echo "serve_smoke: server exited ${status} after SIGTERM" >&2
-    cat "${WORK}/server.log" >&2
-    exit 1
-  fi
-  grep -q "shutdown requested" "${WORK}/server.log" \
-      || { echo "serve_smoke: no drain banner" >&2; exit 1; }
-}
-
-load_config() {  # args: count endpoint:body-file...; prints a curl config.
-  # `count` POSTs to /v1/<endpoint>, cycling over the targets; each writes
-  # one "<endpoint> <http_code> <curl exitcode>" line.
-  local count="$1"; shift
-  local targets=("$@") target i
-  for ((i = 0; i < count; ++i)); do
-    target="${targets[i % ${#targets[@]}]}"
-    (( i == 0 )) || echo next
-    printf 'url = "http://127.0.0.1:%s/v1/%s"\n' "${PORT}" "${target%%:*}"
-    printf 'data-binary = "@%s"\noutput = "/dev/null"\nmax-time = 30\n' \
-        "${target#*:}"
-    printf 'write-out = "%s %%{http_code} %%{exitcode}\\n"\n' \
-        "${target%%:*}"
-  done
-}
-
-tally() {  # args: tally-file count; prints it, sets OK SHED OTHER ERRORS.
-  sort "$1" | uniq -c
-  local lines
-  lines="$(wc -l < "$1")"
-  if [[ "${lines}" -ne "$2" ]]; then
-    echo "serve_smoke: ${lines} of $2 requests reported" >&2
-    exit 1
-  fi
-  read -r OK SHED OTHER ERRORS < <(awk '
-      $3 != 0 { errors++; next }
-      $2 ~ /^2/ { ok++; next }
-      $2 == 429 { shed++; next }
-      { other++ }
-      END { print ok + 0, shed + 0, other + 0, errors + 0 }' "$1")
-}
-
-expect_code() {  # args: expected-code curl-args...
-  local expected="$1"; shift
-  local code
-  code="$(curl -s -o "${WORK}/body.out" -w '%{http_code}' "$@")"
-  if [[ "${code}" != "${expected}" ]]; then
-    echo "serve_smoke: expected ${expected}, got ${code} for: $*" >&2
-    cat "${WORK}/body.out" >&2
-    exit 1
-  fi
-}
+GATE=serve_smoke
+source "$(dirname "$0")/http_gate_lib.sh"
 
 echo "== pass 1: healthy server, zero non-2xx expected =="
 start_server

@@ -34,30 +34,6 @@ std::string_view UpperBoundKindName(UpperBoundKind kind) {
   return "unknown";
 }
 
-void SearchCounters::Merge(const SearchCounters& other) {
-  iterators += other.iterators;
-  pops += other.pops;
-  useless_pops += other.useless_pops;
-  ntds_created += other.ntds_created;
-  edges_scanned += other.edges_scanned;
-  subsumption_skips += other.subsumption_skips;
-  subsumption_evictions += other.subsumption_evictions;
-  nodes_visited += other.nodes_visited;
-  candidates += other.candidates;
-  invalid_time += other.invalid_time;
-  invalid_structure += other.invalid_structure;
-  root_reducible += other.root_reducible;
-  predicate_rejected += other.predicate_rejected;
-  duplicates += other.duplicates;
-  combo_overflows += other.combo_overflows;
-  memo_hits += other.memo_hits;
-  results += other.results;
-  seconds_match += other.seconds_match;
-  seconds_filter += other.seconds_filter;
-  seconds_expand += other.seconds_expand;
-  seconds_generate += other.seconds_generate;
-}
-
 std::string_view StopReasonName(StopReason reason) {
   switch (reason) {
     case StopReason::kExhausted:

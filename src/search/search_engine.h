@@ -16,6 +16,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/result.h"
@@ -111,51 +112,25 @@ struct SearchOptions {
   void* pop_ctx = nullptr;
 };
 
-/// Work counters for the evaluation harness (§6's reported quantities).
+/// Work counters for the evaluation harness (§6's reported quantities) and
+/// the Figs. 7-10 phase breakdown in seconds; each field is declared, with
+/// its meaning, in TGKS_SEARCH_COUNTERS (obs/search_stats.h).
 struct SearchCounters {
-  /// Best-path sources started: the filtered match nodes of every keyword
-  /// frontier, including sources that start exhausted.
-  int64_t iterators = 0;
-  int64_t pops = 0;                ///< NTDs popped (all frontiers).
-  /// Stale queue entries skipped; 0 under pure relevance ranking, whose
-  /// frontiers skip a fully claimed child before creating it.
-  int64_t useless_pops = 0;
-  int64_t ntds_created = 0;        ///< Arena NTDs across frontiers.
-  int64_t edges_scanned = 0;       ///< In-edges examined across frontiers.
-  int64_t subsumption_skips = 0;   ///< Algorithm-2 case-1 prunes.
-  int64_t subsumption_evictions = 0;  ///< Algorithm-2 case-3 removals.
-  int64_t nodes_visited = 0;       ///< Distinct nodes popped by >=1 source.
-  int64_t candidates = 0;          ///< NTD-set combinations examined.
-  int64_t invalid_time = 0;        ///< Candidates with empty common time.
-  int64_t invalid_structure = 0;   ///< Path unions that were not trees.
-  int64_t root_reducible = 0;      ///< Candidates dropped per the root rule.
-  int64_t predicate_rejected = 0;  ///< Results failing the final check.
-  int64_t duplicates = 0;          ///< Re-derived known trees.
-  /// Met-all pops whose cross product max_combos_per_pop cut short: at
-  /// least one combination was left unvisited.
-  int64_t combo_overflows = 0;
-  /// Candidates whose verdict the pop's candidate memo replayed instead of
-  /// assembling them (docs/algorithms.md, "Redundant keyword paths").
-  /// Each is also counted under the verdict it replayed.
-  int64_t memo_hits = 0;
-  int64_t results = 0;             ///< Distinct valid results found.
-  /// Mean NTDs per reached node per source (the paper's "average number
-  /// of NTDs associated with each node"), over sources that expanded past
-  /// themselves.
-  double avg_ntds_per_node = 0.0;
-
-  /// Wall-clock phase breakdown in seconds (Figs. 7-10): keyword-match
-  /// lookup, predicate filtering of matches, best-path iteration, result
-  /// generation. seconds_expand is the frontier build plus the whole main
-  /// loop minus seconds_generate (docs/observability.md).
-  double seconds_match = 0.0;
-  double seconds_filter = 0.0;
-  double seconds_expand = 0.0;
-  double seconds_generate = 0.0;
+  TGKS_SEARCH_COUNTERS(TGKS_FIELD_DECLARE)
 
   /// Adds every count and phase time of `other` (batch totals).
   /// avg_ntds_per_node, a per-query mean, is left as it is.
-  void Merge(const SearchCounters& other);
+  void Merge(const SearchCounters& other) {
+    TGKS_SEARCH_COUNTERS(TGKS_FIELD_MERGE)
+  }
+
+  template <typename Fn>
+  void ForEachField(Fn&& fn) const {
+    TGKS_SEARCH_COUNTERS(TGKS_FIELD_VISIT)
+  }
+
+  /// One-line key=value rendering (tgks_cli --stats).
+  std::string ToString() const { return obs::FieldsToString(*this); }
 };
 
 /// Why the main loop stopped.

@@ -5,20 +5,15 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <signal.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <sys/types.h>
 #include <unistd.h>
 
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
-
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <map>
 #include <mutex>
 #include <set>
 #include <string>
@@ -63,81 +58,30 @@ struct PollEvent {
   bool error = false;
 };
 
-/// Readiness backend: epoll on Linux, poll() everywhere (and for tests).
-class Poller {
+/// The readiness backend: a level-triggered epoll set.
+class Epoll {
  public:
-  virtual ~Poller() = default;
-  virtual bool Add(int fd, bool want_read, bool want_write) = 0;
-  virtual void Update(int fd, bool want_read, bool want_write) = 0;
-  virtual void Remove(int fd) = 0;
-  /// Blocks up to timeout_ms; fills *events. Returns false on fatal error.
-  virtual bool Wait(int timeout_ms, std::vector<PollEvent>* events) = 0;
-};
-
-class PollPoller : public Poller {
- public:
-  bool Add(int fd, bool want_read, bool want_write) override {
-    interest_[fd] = Mask(want_read, want_write);
-    return true;
-  }
-  void Update(int fd, bool want_read, bool want_write) override {
-    interest_[fd] = Mask(want_read, want_write);
-  }
-  void Remove(int fd) override { interest_.erase(fd); }
-
-  bool Wait(int timeout_ms, std::vector<PollEvent>* events) override {
-    fds_.clear();
-    for (const auto& [fd, mask] : interest_) {
-      fds_.push_back(pollfd{fd, mask, 0});
-    }
-    const int n = ::poll(fds_.data(), fds_.size(), timeout_ms);
-    if (n < 0) return errno == EINTR;
-    events->clear();
-    for (const pollfd& p : fds_) {
-      if (p.revents == 0) continue;
-      PollEvent event;
-      event.fd = p.fd;
-      event.readable = (p.revents & (POLLIN | POLLHUP)) != 0;
-      event.writable = (p.revents & POLLOUT) != 0;
-      event.error = (p.revents & (POLLERR | POLLNVAL)) != 0;
-      events->push_back(event);
-    }
-    return true;
-  }
-
- private:
-  static short Mask(bool want_read, bool want_write) {
-    short mask = 0;
-    if (want_read) mask |= POLLIN;
-    if (want_write) mask |= POLLOUT;
-    return mask;
-  }
-  std::map<int, short> interest_;
-  std::vector<pollfd> fds_;
-};
-
-#ifdef __linux__
-class EpollPoller : public Poller {
- public:
-  EpollPoller() : epfd_(epoll_create1(EPOLL_CLOEXEC)) {}
-  ~EpollPoller() override {
+  Epoll() : epfd_(epoll_create1(EPOLL_CLOEXEC)) {}
+  ~Epoll() {
     if (epfd_ >= 0) ::close(epfd_);
   }
+  Epoll(const Epoll&) = delete;
+  Epoll& operator=(const Epoll&) = delete;
+
   bool ok() const { return epfd_ >= 0; }
 
-  bool Add(int fd, bool want_read, bool want_write) override {
+  bool Add(int fd, bool want_read, bool want_write) {
     epoll_event event = Event(fd, want_read, want_write);
     return epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &event) == 0;
   }
-  void Update(int fd, bool want_read, bool want_write) override {
+  void Update(int fd, bool want_read, bool want_write) {
     epoll_event event = Event(fd, want_read, want_write);
     epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &event);
   }
-  void Remove(int fd) override {
-    epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
-  }
+  void Remove(int fd) { epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr); }
 
-  bool Wait(int timeout_ms, std::vector<PollEvent>* events) override {
+  /// Blocks up to timeout_ms; fills *events. Returns false on fatal error.
+  bool Wait(int timeout_ms, std::vector<PollEvent>* events) {
     epoll_event buffer[64];
     const int n = epoll_wait(epfd_, buffer, 64, timeout_ms);
     if (n < 0) return errno == EINTR;
@@ -163,19 +107,6 @@ class EpollPoller : public Poller {
   }
   int epfd_;
 };
-#endif  // __linux__
-
-std::unique_ptr<Poller> MakePoller(bool use_poll) {
-#ifdef __linux__
-  if (!use_poll) {
-    auto poller = std::make_unique<EpollPoller>();
-    if (poller->ok()) return poller;
-  }
-#else
-  (void)use_poll;
-#endif
-  return std::make_unique<PollPoller>();
-}
 
 /// Completions cross from executor workers to the I/O thread through this
 /// queue. It is shared-owned by the server loop and by every in-flight
@@ -212,20 +143,20 @@ class HttpServer::Impl {
       : server_(server),
         listen_fd_(listen_fd),
         wake_read_fd_(wake_read_fd),
-        completions_(std::move(completions)),
-        poller_(MakePoller(server->options_.use_poll)) {}
+        completions_(std::move(completions)) {}
 
   ~Impl() {
     if (listen_fd_ >= 0) ::close(listen_fd_);
     if (wake_read_fd_ >= 0) ::close(wake_read_fd_);
   }
 
+  /// False when the epoll set could not be created or take the listener
+  /// and the wake pipe.
   bool Init() {
-    if (!poller_->Add(listen_fd_, /*want_read=*/true, /*want_write=*/false)) {
-      return false;
-    }
-    return poller_->Add(wake_read_fd_, /*want_read=*/true,
-                        /*want_write=*/false);
+    return poller_.ok() &&
+           poller_.Add(listen_fd_, /*want_read=*/true, /*want_write=*/false) &&
+           poller_.Add(wake_read_fd_, /*want_read=*/true,
+                       /*want_write=*/false);
   }
 
   /// Thread-safe: wakes the loop (conn id 0 is never assigned, so the
@@ -238,7 +169,7 @@ class HttpServer::Impl {
       const Phase phase = CurrentPhase();
       if (phase == Phase::kExit) break;
       const int timeout_ms = WaitTimeoutMs(phase);
-      if (!poller_->Wait(timeout_ms, &events)) break;
+      if (!poller_.Wait(timeout_ms, &events)) break;
       for (const PollEvent& event : events) {
         if (event.fd == wake_read_fd_) {
           DrainWakePipe();
@@ -288,7 +219,7 @@ class HttpServer::Impl {
                                            server_->options_.drain_timeout_ms);
       // Stop accepting: the listen socket leaves the interest set (and
       // closes, so the port frees immediately).
-      poller_->Remove(listen_fd_);
+      poller_.Remove(listen_fd_);
       ::close(listen_fd_);
       listen_fd_ = -1;
       // Idle connections have nothing more coming; close them now.
@@ -358,7 +289,7 @@ class HttpServer::Impl {
       auto conn = std::make_unique<Conn>(server_->options_.limits);
       conn->fd = fd;
       conn->id = next_conn_id_++;
-      if (!poller_->Add(fd, /*want_read=*/true, /*want_write=*/false)) {
+      if (!poller_.Add(fd, /*want_read=*/true, /*want_write=*/false)) {
         ::close(fd);
         continue;
       }
@@ -508,7 +439,7 @@ class HttpServer::Impl {
   }
 
   void RefreshInterest(Conn* conn) {
-    poller_->Update(conn->fd, /*want_read=*/true, conn->want_write());
+    poller_.Update(conn->fd, /*want_read=*/true, conn->want_write());
   }
 
   void DeliverCompletions() {
@@ -554,7 +485,7 @@ class HttpServer::Impl {
         conn->pending->cancel.store(true, std::memory_order_release);
       }
     }
-    poller_->Remove(conn->fd);
+    poller_.Remove(conn->fd);
     fd_to_id_.erase(conn->fd);
     ::close(conn->fd);
     conns_.erase(it);
@@ -576,7 +507,7 @@ class HttpServer::Impl {
   int listen_fd_;
   int wake_read_fd_;
   std::shared_ptr<CompletionQueue> completions_;
-  std::unique_ptr<Poller> poller_;
+  Epoll poller_;
   uint64_t next_conn_id_ = 1;
   std::unordered_map<uint64_t, std::unique_ptr<Conn>> conns_;
   std::unordered_map<int, uint64_t> fd_to_id_;
@@ -660,8 +591,9 @@ Status HttpServer::Start() {
 
   impl_ = std::make_unique<Impl>(this, listen_fd, pipe_fds[0], completions);
   if (!impl_->Init()) {
+    const Status status = Errno("epoll");
     impl_.reset();
-    return Status::Internal("failed to register poller fds");
+    return status;
   }
   shutdown_requested_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);

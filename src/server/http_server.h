@@ -1,7 +1,6 @@
 // HttpServer: a dependency-free HTTP/1.1 server for the search service.
 //
-// One I/O thread runs a readiness loop (epoll on Linux by default, with a
-// portable poll() backend selectable for tests) over nonblocking sockets:
+// One I/O thread runs a level-triggered epoll loop over nonblocking sockets:
 // it accepts connections, feeds bytes to the incremental request parser,
 // hands complete requests to the RequestRouter, and flushes fixed-length
 // responses, honoring keep-alive. Search requests complete asynchronously
@@ -40,8 +39,6 @@ struct HttpServerOptions {
   /// port()). Start() rejects anything outside that range.
   int port = 0;
   int backlog = 128;
-  /// Forces the portable poll() backend instead of epoll.
-  bool use_poll = false;
   /// Accepted connections beyond this are closed immediately.
   int max_connections = 1024;
   HttpRequestParser::Limits limits;

@@ -91,39 +91,45 @@ std::string CacheFingerprint(const exec::SingleQuery& single) {
   return fp;
 }
 
+/// Writes one table field (obs/search_stats.h) as a member of the object
+/// being built: a kSeconds phase time as micros_<phase>, rounded; a kMean
+/// not at all.
+template <obs::FieldKind kKind, typename T>
+void WriteField(std::string_view name, T value, JsonWriter* w) {
+  if constexpr (kKind == obs::FieldKind::kSeconds) {
+    w->Key("micros_" + std::string(obs::PhaseName(name)));
+    w->Int(std::llround(value * 1e6));
+  } else if constexpr (kKind != obs::FieldKind::kMean) {
+    w->Key(name);
+    w->Int(value);
+  }
+}
+
+/// The "counters" object: the SearchCounters table's counts.
 void WriteCounters(const search::SearchCounters& counters, JsonWriter* w) {
   w->BeginObject();
-  w->Key("iterators"); w->Int(counters.iterators);
-  w->Key("pops"); w->Int(counters.pops);
-  w->Key("useless_pops"); w->Int(counters.useless_pops);
-  w->Key("ntds_created"); w->Int(counters.ntds_created);
-  w->Key("edges_scanned"); w->Int(counters.edges_scanned);
-  w->Key("subsumption_skips"); w->Int(counters.subsumption_skips);
-  w->Key("subsumption_evictions"); w->Int(counters.subsumption_evictions);
-  w->Key("nodes_visited"); w->Int(counters.nodes_visited);
-  w->Key("candidates"); w->Int(counters.candidates);
-  w->Key("invalid_time"); w->Int(counters.invalid_time);
-  w->Key("invalid_structure"); w->Int(counters.invalid_structure);
-  w->Key("root_reducible"); w->Int(counters.root_reducible);
-  w->Key("predicate_rejected"); w->Int(counters.predicate_rejected);
-  w->Key("duplicates"); w->Int(counters.duplicates);
-  w->Key("combo_overflows"); w->Int(counters.combo_overflows);
-  w->Key("results"); w->Int(counters.results);
+  counters.ForEachField([w]<obs::FieldKind kKind>(std::string_view name,
+                                                  auto value) {
+    if constexpr (kKind != obs::FieldKind::kSeconds) {
+      WriteField<kKind>(name, value, w);
+    }
+  });
   w->EndObject();
 }
 
-/// The "stats" object: SearchStats plus the phase times in microseconds.
+/// The "stats" object: SearchStats plus the counters' phase times.
 void WriteStats(const search::SearchResponse& response, JsonWriter* w) {
-  const obs::SearchStats& stats = response.stats;
-  const search::SearchCounters& c = response.counters;
   w->BeginObject();
-  w->Key("prunes"); w->Int(stats.prunes);
-  w->Key("interval_ops"); w->Int(stats.interval_ops);
-  w->Key("heap_high_water"); w->Int(stats.heap_high_water);
-  w->Key("micros_match"); w->Int(std::llround(c.seconds_match * 1e6));
-  w->Key("micros_filter"); w->Int(std::llround(c.seconds_filter * 1e6));
-  w->Key("micros_expand"); w->Int(std::llround(c.seconds_expand * 1e6));
-  w->Key("micros_generate"); w->Int(std::llround(c.seconds_generate * 1e6));
+  response.stats.ForEachField(
+      [w]<obs::FieldKind kKind>(std::string_view name, auto value) {
+        WriteField<kKind>(name, value, w);
+      });
+  response.counters.ForEachField(
+      [w]<obs::FieldKind kKind>(std::string_view name, auto value) {
+        if constexpr (kKind == obs::FieldKind::kSeconds) {
+          WriteField<kKind>(name, value, w);
+        }
+      });
   w->EndObject();
 }
 

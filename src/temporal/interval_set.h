@@ -10,8 +10,8 @@
 // Storage is a small-buffer optimization: up to kInlineIntervals intervals
 // live inline in the object (no heap touch at all — the overwhelmingly
 // common case), spilling to a heap buffer beyond that. The destination-
-// passing operations (IntersectInto / UnionInPlace / SubtractInto and their
-// Assign* spellings) reuse the destination's existing capacity, which is
+// passing operations (AssignIntersectionOf / AssignUnionOf /
+// AssignDifferenceOf) reuse the destination's existing capacity, which is
 // what makes the search iterators' steady-state loop allocation-free (see
 // docs/performance.md).
 
@@ -120,21 +120,8 @@ class IntervalSet {
   /// Set difference (this \ other).
   IntervalSet Subtract(const IntervalSet& other) const;
 
-  /// Destination-passing variants: *out is overwritten with the result,
-  /// reusing its capacity. `out` must not alias this or `other`.
-  void IntersectInto(const IntervalSet& other, IntervalSet* out) const {
-    out->AssignIntersectionOf(*this, other);
-  }
-  void SubtractInto(const IntervalSet& other, IntervalSet* out) const {
-    out->AssignDifferenceOf(*this, other);
-  }
-  /// this = this ∪ other, via `scratch` (overwritten; must alias neither).
-  void UnionInPlace(const IntervalSet& other, IntervalSet* scratch) {
-    scratch->AssignUnionOf(*this, other);
-    Swap(*scratch);
-  }
-
-  /// Assign-from-operation forms; `this` must not alias `a` or `b`.
+  /// Destination-passing forms: *this is overwritten with the result,
+  /// reusing its capacity. `this` must not alias `a` or `b`.
   void AssignIntersectionOf(const IntervalSet& a, const IntervalSet& b);
   void AssignUnionOf(const IntervalSet& a, const IntervalSet& b);
   void AssignDifferenceOf(const IntervalSet& a, const IntervalSet& b);

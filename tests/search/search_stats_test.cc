@@ -260,5 +260,59 @@ TEST(SearchStatsTest, ExecutorAggregatesBatchStats) {
   EXPECT_EQ(batch.stats.heap_high_water, high_water);
 }
 
+/// The merge of one field of `into` and `from` under `kind`, computed here
+/// rather than by obs::MergeField.
+template <typename T>
+T ExpectedMerge(obs::FieldKind kind, T into, T from) {
+  switch (kind) {
+    case obs::FieldKind::kCount:
+    case obs::FieldKind::kSeconds:
+      return into + from;
+    case obs::FieldKind::kMax:
+      return std::max(into, from);
+    case obs::FieldKind::kMean:
+      return into;
+  }
+  return into;
+}
+
+// Both Merges follow each table entry's kind: every field gets its own
+// values, and each pair merges both ways, so a max keeps either side.
+TEST(CounterTableTest, MergeFollowsEachEntrysKind) {
+  SearchCounters a, b;
+  obs::SearchStats s, t;
+  int i = 0;
+#define TGKS_FILL(x, y, type, name)    \
+  ++i;                                 \
+  x.name = static_cast<type>(i * 1.5); \
+  y.name = static_cast<type>(100 + i * 2.25);
+#define TGKS_FILL_COUNTERS(type, name, kind, help) TGKS_FILL(a, b, type, name)
+#define TGKS_FILL_STATS(type, name, kind, help) TGKS_FILL(s, t, type, name)
+  TGKS_SEARCH_COUNTERS(TGKS_FILL_COUNTERS)
+  TGKS_SEARCH_STATS(TGKS_FILL_STATS)
+#undef TGKS_FILL_STATS
+#undef TGKS_FILL_COUNTERS
+#undef TGKS_FILL
+  SearchCounters ab = a, ba = b;
+  ab.Merge(b);
+  ba.Merge(a);
+  obs::SearchStats st = s, ts = t;
+  st.Merge(t);
+  ts.Merge(s);
+#define TGKS_CHECK(merged, into, from, kind, name)                     \
+  EXPECT_EQ(merged.name,                                               \
+            ExpectedMerge(obs::FieldKind::kind, into.name, from.name)) \
+      << #merged "." #name;
+#define TGKS_CHECK_COUNTERS(type, name, kind, help) \
+  TGKS_CHECK(ab, a, b, kind, name) TGKS_CHECK(ba, b, a, kind, name)
+#define TGKS_CHECK_STATS(type, name, kind, help) \
+  TGKS_CHECK(st, s, t, kind, name) TGKS_CHECK(ts, t, s, kind, name)
+  TGKS_SEARCH_COUNTERS(TGKS_CHECK_COUNTERS)
+  TGKS_SEARCH_STATS(TGKS_CHECK_STATS)
+#undef TGKS_CHECK_STATS
+#undef TGKS_CHECK_COUNTERS
+#undef TGKS_CHECK
+}
+
 }  // namespace
 }  // namespace tgks::search

@@ -216,34 +216,16 @@ void ExpectSameResponse(const SearchResponse& a, const SearchResponse& b,
     EXPECT_EQ(a.results[i].score, b.results[i].score)
         << ctx << " result " << i;
   }
-  const SearchCounters& x = a.counters;
-  const SearchCounters& y = b.counters;
-#define TGKS_EXPECT_SAME(field) EXPECT_EQ(x.field, y.field) << ctx << " " #field
-  TGKS_EXPECT_SAME(iterators);
-  TGKS_EXPECT_SAME(pops);
-  TGKS_EXPECT_SAME(useless_pops);
-  TGKS_EXPECT_SAME(ntds_created);
-  TGKS_EXPECT_SAME(edges_scanned);
-  TGKS_EXPECT_SAME(subsumption_skips);
-  TGKS_EXPECT_SAME(subsumption_evictions);
-  TGKS_EXPECT_SAME(nodes_visited);
-  TGKS_EXPECT_SAME(candidates);
-  TGKS_EXPECT_SAME(invalid_time);
-  TGKS_EXPECT_SAME(invalid_structure);
-  TGKS_EXPECT_SAME(root_reducible);
-  TGKS_EXPECT_SAME(predicate_rejected);
-  TGKS_EXPECT_SAME(duplicates);
-  TGKS_EXPECT_SAME(combo_overflows);
-  TGKS_EXPECT_SAME(memo_hits);
-  TGKS_EXPECT_SAME(results);
-  TGKS_EXPECT_SAME(avg_ntds_per_node);
+  // Every table entry but the phase times, which are wall clock.
+#define TGKS_EXPECT_SAME(type, name, kind, help)                     \
+  if (obs::FieldKind::kind != obs::FieldKind::kSeconds) {            \
+    EXPECT_EQ(a.counters.name, b.counters.name) << ctx << " " #name; \
+  }
+  TGKS_SEARCH_COUNTERS(TGKS_EXPECT_SAME)
 #undef TGKS_EXPECT_SAME
-  const obs::SearchStats& s = a.stats;
-  const obs::SearchStats& t = b.stats;
-#define TGKS_EXPECT_SAME(field) EXPECT_EQ(s.field, t.field) << ctx << " " #field
-  TGKS_EXPECT_SAME(prunes);
-  TGKS_EXPECT_SAME(interval_ops);
-  TGKS_EXPECT_SAME(heap_high_water);
+#define TGKS_EXPECT_SAME(type, name, kind, help) \
+  EXPECT_EQ(a.stats.name, b.stats.name) << ctx << " " #name;
+  TGKS_SEARCH_STATS(TGKS_EXPECT_SAME)
 #undef TGKS_EXPECT_SAME
 }
 

@@ -5,6 +5,10 @@
 
 #include "server/http_server.h"
 
+#include <fcntl.h>
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -56,7 +60,6 @@ struct TestServerOptions {
   int threads = 2;
   AdmissionOptions admission;
   int drain_timeout_ms = 2000;
-  bool use_poll = false;
   int32_t default_k = 10;
   bool cache = false;  ///< Wire the result cache (docs/caching.md).
 };
@@ -89,7 +92,6 @@ class TestServer {
     router_ = std::make_unique<RequestRouter>(context);
     HttpServerOptions server_options;
     server_options.port = 0;
-    server_options.use_poll = opts.use_poll;
     server_options.drain_timeout_ms = opts.drain_timeout_ms;
     server_options.draining_flag = &draining_;
     server_options.shutdown_cancel = &shutdown_cancel_;
@@ -234,6 +236,38 @@ TEST(HttpServerTest, SearchWithStatsIncludesCounters) {
   EXPECT_EQ(rendered_stats->Find("micros_generate")->AsInt(), 7);
   EXPECT_EQ(rendered_stats->Find("interval_ops")->AsInt(), 11);
   EXPECT_EQ(rendered_stats->Find("heap_high_water")->AsInt(), 3);
+}
+
+// The "counters" object holds exactly the counter table's counts, and
+// "stats" the stats table then a micros_<phase> per phase time, each in
+// table order (obs/search_stats.h).
+TEST(HttpServerTest, StatsObjectsFollowTheCounterTable) {
+  auto body = JsonValue::Parse(JsonSearchBody(search::SearchResponse(),
+                                              /*latency_seconds=*/0.0,
+                                              /*include_stats=*/true));
+  ASSERT_TRUE(body.ok());
+  std::vector<std::string> counters, stats, phases;
+#define TGKS_NAME(type, name, kind, help)                             \
+  if (obs::FieldKind::kind == obs::FieldKind::kCount) {               \
+    counters.push_back(#name);                                        \
+  } else if (obs::FieldKind::kind == obs::FieldKind::kSeconds) {      \
+    phases.push_back("micros_" + std::string(obs::PhaseName(#name))); \
+  }
+  TGKS_SEARCH_COUNTERS(TGKS_NAME)
+#undef TGKS_NAME
+#define TGKS_NAME(type, name, kind, help) stats.push_back(#name);
+  TGKS_SEARCH_STATS(TGKS_NAME)
+#undef TGKS_NAME
+  stats.insert(stats.end(), phases.begin(), phases.end());
+  const auto keys = [&](const char* object) {
+    std::vector<std::string> out;
+    for (const auto& member : body->Find(object)->members()) {
+      out.push_back(member.first);
+    }
+    return out;
+  };
+  EXPECT_EQ(keys("counters"), counters);
+  EXPECT_EQ(keys("stats"), stats);
 }
 
 TEST(HttpServerTest, ExplicitMatchSetsBypassTheIndex) {
@@ -623,17 +657,32 @@ TEST(HttpServerTest, RejectsNegativePort) {
   EXPECT_FALSE(server.running());
 }
 
-TEST(HttpServerTest, PollBackendServes) {
-  TestServerOptions opts;
-  opts.use_poll = true;
-  TestServer ts(testutil::MakeSocialNetworkGraph(), opts);
-  ClientResponse r;
-  ASSERT_EQ(FetchOnce(ts.port(), GetRequest("/healthz"), &r), 200);
-  ASSERT_EQ(FetchOnce(ts.port(),
-                      PostRequest("/v1/search", R"({"query":"Mary, John"})"),
-                      &r),
-            200);
-  EXPECT_EQ(ParseBody(r)->Find("status")->AsString(), "ok");
+// Start() fails when it cannot create its epoll set. Start opens the
+// listener, then the wake pipe, then the epoll set, each on the lowest free
+// descriptor, so the lowest descriptor limit under which Start gets past
+// the first two leaves none for epoll_create1.
+TEST(HttpServerTest, StartFailsWithoutEpoll) {
+  const int probe = ::open("/dev/null", O_RDONLY);
+  ASSERT_GE(probe, 0);
+  ::close(probe);
+  rlimit saved{};
+  ASSERT_EQ(getrlimit(RLIMIT_NOFILE, &saved), 0);
+  std::string epoll_error;
+  for (int limit = probe + 1; limit < probe + 64 && epoll_error.empty();
+       ++limit) {
+    rlimit tight = saved;
+    tight.rlim_cur = static_cast<rlim_t>(limit);
+    ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &tight), 0);
+    HttpServer server(nullptr, nullptr, HttpServerOptions());
+    const Status status = server.Start();
+    ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &saved), 0);
+    ASSERT_FALSE(status.ok()) << "started under " << limit << " descriptors";
+    EXPECT_FALSE(server.running());
+    if (status.ToString().find("epoll") != std::string::npos) {
+      epoll_error = status.ToString();
+    }
+  }
+  EXPECT_FALSE(epoll_error.empty());
 }
 
 // Keys the router does not know are ignored, so a request that still
