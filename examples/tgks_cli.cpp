@@ -75,6 +75,7 @@
 #include "exec/query_executor.h"
 #include "obs/metrics.h"
 #include "obs/query_trace.h"
+#include "obs/search_stats.h"
 #include "graph/graph_builder.h"
 #include "graph/inverted_index.h"
 #include "graph/serialization.h"
@@ -296,7 +297,9 @@ int RunBatch(const tgks::graph::TemporalGraph& graph,
             << "  p99 " << response.latency.p99_ms << "  max "
             << response.latency.max_ms << "\n";
   if (stats) {
-    tgks::examples::PrintCounters(response.totals);
+    std::cout << "  ["
+              << tgks::obs::FieldsToString(response.totals, /*merged=*/true)
+              << "]\n";
     std::cout << "  batch stats: " << response.stats.ToString() << "\n";
   }
   if (metrics) std::cout << tgks::obs::GlobalMetrics().RenderText();

@@ -34,6 +34,12 @@
 # every result tree's signature, time and weight, diffed against
 # tests/golden/results.expected / results_datasets.expected.
 #
+# A last gate pins per-keyword work on the two perfbench query sets:
+# workcount_dump --keywords prints, per query, the stop reason and each
+# keyword's match count and frontier pops, diffed against
+# tests/golden/keywords.expected. It shows which keyword's frontier a
+# change of expansion work lands on (dblp#175's `maputi`, for one).
+#
 # The counters measure *algorithmic* work (pops, scans, prunes) rather than
 # wall time, so they are bit-stable across machines, build flavours, and
 # stats modes — any diff means the search explored a different state space
@@ -169,3 +175,4 @@ for mode in "" --popseq --candidates --results; do
   check_suite "${GOLDEN_DIR}/${stem}_datasets.expected" \
     "${PAD[@]}" ${mode} "${DATASETS[@]}"
 done
+check_suite "${GOLDEN_DIR}/keywords.expected" "${PAD[@]}" --keywords

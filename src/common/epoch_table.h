@@ -1,9 +1,8 @@
 // Flat epoch-versioned hash tables with O(1) bulk reset.
 //
-// The search iterators need per-NodeId state (visited instants, popped NTD
-// lists, subsumption indexes) that is written for a small working set of
-// nodes per query but must be conceptually empty at the start of every
-// query. node-based hash maps pay an allocation per insert and a pointer
+// The search iterators need per-NodeId state (visited instants, subsumption
+// indexes) that is written for a small working set of nodes per query but
+// must be conceptually empty at the start of every query. node-based hash maps pay an allocation per insert and a pointer
 // chase per probe; a dense NodeId-indexed array cannot work either, because
 // the engine runs thousands of expansions per query concurrently (one per
 // match node, each with its own tables) and each would pin O(num_nodes)

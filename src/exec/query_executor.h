@@ -72,6 +72,7 @@ struct BatchResponse {
   /// Per-query wall-clock latencies, index-aligned (seconds).
   std::vector<double> latencies_seconds;
   /// Counters summed over the ok() responses (SearchCounters::Merge).
+  /// Render with obs::FieldsToString(totals, /*merged=*/true).
   search::SearchCounters totals;
   /// Observability profiles merged over the ok() responses (sums, except
   /// heap_high_water which takes the batch max).

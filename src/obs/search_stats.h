@@ -32,7 +32,8 @@ enum class FieldKind {
   /// A phase time `seconds_<phase>`, summed. Rendered as `micros_<phase>`
   /// (rounded) in the HTTP "stats" object and as `ms_<phase>` by ToString.
   kSeconds,
-  /// A per-query mean: not merged and not on the wire; ToString only.
+  /// A per-query mean: not merged and not on the wire; rendered for one
+  /// query only, never in a merged total.
   kMean,
 };
 
@@ -112,15 +113,17 @@ void AppendKeyValue(std::string* out, std::string_view name, int64_t value);
 void AppendKeyValue(std::string* out, std::string_view name, double value);
 
 /// One-line key=value rendering of every field of a table struct, in table
-/// order; a kSeconds field is written as ms_<phase>.
+/// order; a kSeconds field is written as ms_<phase>. With `merged` (a batch
+/// total) the kMean fields are left out: Merge does not combine a mean, so
+/// a total's would read as a measured value.
 template <typename Fields>
-std::string FieldsToString(const Fields& fields) {
+std::string FieldsToString(const Fields& fields, bool merged = false) {
   std::string out;
-  fields.ForEachField([&out]<FieldKind kKind>(std::string_view name,
-                                              auto value) {
+  fields.ForEachField([&out, merged]<FieldKind kKind>(std::string_view name,
+                                                      auto value) {
     if constexpr (kKind == FieldKind::kSeconds) {
       AppendKeyValue(&out, "ms_" + std::string(PhaseName(name)), value * 1e3);
-    } else {
+    } else if (kKind != FieldKind::kMean || !merged) {
       AppendKeyValue(&out, name, value);
     }
   });

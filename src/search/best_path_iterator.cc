@@ -17,6 +17,15 @@ using graph::NodeId;
 using temporal::IntervalSet;
 using temporal::TimeMask;
 
+template <typename Fn>
+decltype(auto) BestPathIterator::WithReader(Fn&& fn) const {
+  const graph::ExpansionView& view = graph_->expansion_view();
+  if (options_.overlay != nullptr && !options_.overlay->empty()) {
+    return fn(OverlayExpansionReader{view, *options_.overlay});
+  }
+  return fn(BaseExpansionReader{view});
+}
+
 BestPathIterator::BestPathIterator(const graph::TemporalGraph& graph,
                                    std::span<const NodeId> sources,
                                    Options options)
@@ -28,32 +37,37 @@ BestPathIterator::BestPathIterator(const graph::TemporalGraph& graph,
             FactorList{RankFactor::kRelevance}),
       scratch_(BestPathScratchPool::Acquire()) {
   scratch_->Reset(sources.size());
-  for (int32_t origin = 0; origin < num_sources_; ++origin) {
-    const NodeId source = sources[static_cast<size_t>(origin)];
-    assert(source >= 0 &&
-           source < (options_.overlay != nullptr
-                         ? options_.overlay->total_nodes()
-                         : graph.num_nodes()));
-    BestPathOrigin& slot = scratch_->origins[static_cast<size_t>(origin)];
-    slot.Reset(source);
-    const graph::Node& src = options_.overlay != nullptr
-                                 ? options_.overlay->NodeAt(graph, source)
-                                 : graph.node(source);
-    if (options_.prune != nullptr &&
-        !options_.prune->ElementMayQualify(src.validity)) {
-      continue;  // QUALIFY(s, P) failed; the source starts exhausted.
+  WithReader([&](const auto& reader) {
+    for (int32_t origin = 0; origin < num_sources_; ++origin) {
+      const NodeId source = sources[static_cast<size_t>(origin)];
+      assert(source >= 0 &&
+             source < (options_.overlay != nullptr
+                           ? options_.overlay->total_nodes()
+                           : graph.num_nodes()));
+      BestPathOrigin& slot = scratch_->origins[static_cast<size_t>(origin)];
+      slot.Reset(source);
+      const auto start = [&](const auto& validity, double weight) {
+        if (options_.prune != nullptr &&
+            !options_.prune->ElementMayQualify(validity)) {
+          return;  // QUALIFY(s, P) failed; the source starts exhausted.
+        }
+        if (validity.IsEmpty()) return;
+        PushNtd(slot, origin, source, validity, weight, kInvalidNtd,
+                graph::kInvalidEdge);
+        // A lone source NTD is actionable: nothing to settle.
+        scratch_->sources.push(BestPathSourceEntry{TopScore(slot), origin});
+      };
+      if (masks_) {
+        // The view's precomputed mask: no IntervalSet conversion per source.
+        start(reader.node_mask(source), reader.node_weight(source));
+      } else {
+        const graph::Node& src = options_.overlay != nullptr
+                                     ? options_.overlay->NodeAt(graph, source)
+                                     : graph.node(source);
+        start(src.validity, src.weight);
+      }
     }
-    if (src.validity.IsEmpty()) continue;
-    if (masks_) {
-      PushNtd(slot, origin, source, TimeMask::FromIntervalSet(src.validity),
-              src.weight, kInvalidNtd, graph::kInvalidEdge);
-    } else {
-      PushNtd(slot, origin, source, src.validity, src.weight, kInvalidNtd,
-              graph::kInvalidEdge);
-    }
-    // A lone source NTD is actionable: nothing to settle.
-    scratch_->sources.push(BestPathSourceEntry{TopScore(slot), origin});
-  }
+  });
 }
 
 template <typename Time>
@@ -171,32 +185,31 @@ NtdId BestPathIterator::Next() {
   }
   if (!UsesSubsumptionSemantics()) {
     // Claim the instants of T (Alg. 1 lines 7-9). We mark the full T; pops
-    // whose T is entirely claimed are skipped in SettleTop.
+    // whose T is entirely claimed are skipped in SettleTop. Only pops claim,
+    // so a node's first claim is the source's first pop there.
     if (masks_) {
       slot.visited_masks.Activate(static_cast<uint32_t>(ntd.node),
-                                  [](TimeMask& stale) { stale = TimeMask(); })
-          |= ntd.time;
+                                  [&](TimeMask& stale) {
+                                    stale = TimeMask();
+                                    ++slot.nodes_reached;
+                                    ++stats_.nodes_reached;
+                                  }) |= ntd.time;
     } else {
       // The union lands in the tmp2 double-buffer, then copy-assigns into
       // the slot: unlike a swap, this keeps every spill buffer pinned to its
       // owner, so slot and scratch capacities each grow monotonically to
       // their own high-water mark and the steady state allocates nothing.
       IntervalSet& visited = slot.visited.Activate(
-          static_cast<uint32_t>(ntd.node),
-          [](IntervalSet& stale) { stale.Clear(); });
+          static_cast<uint32_t>(ntd.node), [&](IntervalSet& stale) {
+            stale.Clear();
+            ++slot.nodes_reached;
+            ++stats_.nodes_reached;
+          });
       scratch_->tmp2.AssignUnionOf(visited, TimeAs<IntervalSet>(id));
       visited = scratch_->tmp2;
     }
     ++stats_.interval_ops;
   }
-  std::vector<NtdId>& popped_here = slot.popped.Activate(
-      static_cast<uint32_t>(ntd.node),
-      [](std::vector<NtdId>& stale) { stale.clear(); });
-  if (popped_here.empty()) {
-    ++slot.nodes_reached;
-    ++stats_.nodes_reached;
-  }
-  popped_here.push_back(id);
   ++stats_.ntds_popped;
   ExpandNeighbors(slot, id);
   // Settle the source right away, so its heap-of-sources entry carries its
@@ -207,15 +220,6 @@ NtdId BestPathIterator::Next() {
     scratch_->sources.pop();
   }
   return id;
-}
-
-template <typename Fn>
-decltype(auto) BestPathIterator::WithReader(Fn&& fn) const {
-  const graph::ExpansionView& view = graph_->expansion_view();
-  if (options_.overlay != nullptr && !options_.overlay->empty()) {
-    return fn(OverlayExpansionReader{view, *options_.overlay});
-  }
-  return fn(BaseExpansionReader{view});
 }
 
 bool BestPathIterator::Settle(BestPathOrigin& slot, int32_t origin) {
@@ -432,6 +436,11 @@ void BestPathIterator::ExpandNeighborsSubsumption(BestPathOrigin& slot,
   {
     NodeSubsumption& here =
         slot.subsumption.Activate(static_cast<uint32_t>(node), fresh_index);
+    if (!here.popped) {
+      here.popped = true;
+      ++slot.nodes_reached;
+      ++stats_.nodes_reached;
+    }
     Ntd& self = scratch_->arena[static_cast<size_t>(id)];
     if (self.index_row < 0) {
       self.index_row = here.index->AddRow(parent_time);
@@ -493,17 +502,6 @@ void BestPathIterator::ExpandNeighborsSubsumption(BestPathOrigin& slot,
     scratch_->arena[static_cast<size_t>(next_id)].index_row = row;
     entry.BindRow(row, next_id);
   });
-}
-
-std::span<const NtdId> BestPathIterator::PoppedAt(NodeId node,
-                                                  int32_t origin) const {
-  // The returned span aims into the list's own heap buffer, which stays put
-  // even if the popped table rehashes.
-  const std::vector<NtdId>* popped_here =
-      scratch_->origins[static_cast<size_t>(origin)].popped.Find(
-          static_cast<uint32_t>(node));
-  if (popped_here == nullptr) return {};
-  return *popped_here;
 }
 
 std::vector<EdgeId> BestPathIterator::PathEdges(NtdId id) const {

@@ -28,12 +28,13 @@
 // An iterator runs one such expansion per source and always pops the
 // globally best NTD across them (§4.1's "expand the best iterator"), so the
 // engine needs one iterator — a keyword frontier — per keyword instead of
-// one per match. Sources never interact: each keeps its own queue, claims,
-// pop lists and subsumption indexes, and pops exactly the sequence a
-// one-source iterator over it would. A 4-ary heap of sources, keyed by each
-// source's settled queue top (ties to the smaller source index), merges
-// those sequences. NTDs of all sources share one arena and carry their
-// source's index in Ntd::origin.
+// one per match. Sources never interact: each keeps its own queue, claims
+// and subsumption indexes, and pops exactly the sequence a one-source
+// iterator over it would. A 4-ary heap of sources, keyed by each source's
+// settled queue top (ties to the smaller source index), merges those
+// sequences. NTDs of all sources share one arena and carry their source's
+// index in Ntd::origin. The iterator keeps no per-node list of its pops:
+// the engine files each pop in its own meeting lists as Next() returns it.
 //
 // Under pure relevance ranking (partition semantics, factors exactly
 // {relevance}) successors are generated lazily, as in partial-expansion A*
@@ -199,11 +200,6 @@ class BestPathIterator {
       return scratch_->wide_times[static_cast<size_t>(id)];
     }
   }
-
-  /// Popped NTD ids of source `origin` at `node`, in pop order. Empty if
-  /// that source never reached the node.
-  std::span<const NtdId> PoppedAt(graph::NodeId node,
-                                  int32_t origin = 0) const;
 
   /// Edge ids of the forward path node -> ... -> source encoded by `id`'s
   /// parent chain (empty when `id` is the source NTD).

@@ -62,14 +62,6 @@ bool ScoreBetter(const ScoreVec& a, const ScoreVec& b) {
   return false;
 }
 
-bool ScoreBetter(const ScoreKey& a, const ScoreKey& b) {
-  assert(a.size() == b.size());
-  for (uint32_t i = 0; i < a.size(); ++i) {
-    if (a[i] != b[i]) return a[i] > b[i];
-  }
-  return false;
-}
-
 ScoreVec BestPossibleScore(const RankingSpec& spec) {
   return ScoreVec(spec.factors.size(),
                   std::numeric_limits<double>::infinity());

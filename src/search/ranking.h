@@ -197,7 +197,14 @@ inline ScoreKey MakeScoreKey(const RankingSpec& spec, double weight,
 
 /// Lexicographic comparison; true iff `a` is strictly better than `b`.
 bool ScoreBetter(const ScoreVec& a, const ScoreVec& b);
-bool ScoreBetter(const ScoreKey& a, const ScoreKey& b);
+/// Inline: the source and queue heap comparators call it on every sift.
+inline bool ScoreBetter(const ScoreKey& a, const ScoreKey& b) {
+  assert(a.size() == b.size());
+  for (uint32_t i = 0; i < a.size(); ++i) {
+    if (a[i] != b[i]) return a[i] > b[i];
+  }
+  return false;
+}
 
 /// The best conceivable score (+inf everywhere), useful as an initial bound.
 ScoreVec BestPossibleScore(const RankingSpec& spec);

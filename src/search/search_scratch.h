@@ -88,6 +88,9 @@ struct NodeSubsumption {
   temporal::NtdIndexKind kind = temporal::NtdIndexKind::kRowMajor;
   temporal::TimePoint timeline = -1;
   std::vector<NtdId> row_to_ntd;  // kInvalidNtd marks a dead slot.
+  /// The source has popped an NTD here. The entry itself is activated
+  /// earlier, by the first push to the node.
+  bool popped = false;
 
   /// Returns the index, reset for a fresh use — recycled when the cached
   /// one matches `kind`/`timeline`, rebuilt otherwise.
@@ -101,6 +104,7 @@ struct NodeSubsumption {
       index->Reset();
     }
     row_to_ntd.clear();
+    popped = false;
     return *index;
   }
 
@@ -168,8 +172,7 @@ struct BestPathOrigin {
   // Partition claims, in the frontier's time representation.
   common::FlatEpochMap<temporal::TimeMask> visited_masks;
   common::FlatEpochMap<temporal::IntervalSet> visited;
-  common::FlatEpochMap<std::vector<NtdId>> popped;      // Pop order per node.
-  common::FlatEpochMap<NodeSubsumption> subsumption;    // Duration ranking.
+  common::FlatEpochMap<NodeSubsumption> subsumption;  // Duration ranking.
   graph::NodeId source = graph::kInvalidNode;
   int64_t ntds = 0;           ///< NTDs this source created.
   int64_t nodes_reached = 0;  ///< Distinct nodes it popped.
@@ -181,7 +184,6 @@ struct BestPathOrigin {
     pops = 0;
     visited_masks.Clear();
     visited.Clear();
-    popped.Clear();
     subsumption.Clear();
     source = new_source;
     ntds = 0;

@@ -13,6 +13,7 @@
 #include "graph/graph_builder.h"
 #include "search/search_engine.h"
 #include "testutil/paper_graphs.h"
+#include "testutil/pop_recorder.h"
 
 namespace tgks::search {
 namespace {
@@ -236,10 +237,10 @@ TEST(BestPathIteratorTest, TimeIncompatiblePathNotReported) {
   testutil::SocialNetworkIds ids;
   const TemporalGraph g = testutil::MakeSocialNetworkGraph(&ids);
   BestPathIterator iter(g, ids.john, {});
-  while (iter.Next() != kInvalidNtd) {
-  }
+  testutil::PopRecorder pops(&iter);
+  pops.Drain();
   // Mary is reached (via Bob chains), never with an empty time.
-  const auto at_mary = iter.PoppedAt(ids.mary);
+  const auto at_mary = pops.At(ids.mary);
   ASSERT_FALSE(at_mary.empty());
   for (const NtdId id : at_mary) {
     EXPECT_FALSE(iter.TimeOf(id).IsEmpty());
@@ -342,11 +343,11 @@ TEST(BestPathIteratorTest, DurationExample33KeepsOverlappingNtds) {
   BestPathIterator::Options options;
   options.ranking.factors = {RankFactor::kDurationDesc};
   BestPathIterator iter(*g, s, options);
-  while (iter.Next() != kInvalidNtd) {
-  }
+  testutil::PopRecorder pops(&iter);
+  pops.Drain();
   // At n, both windows survive (neither subsumes the other).
   int64_t best_duration_at_n2 = 0;
-  for (const NtdId id : iter.PoppedAt(n2)) {
+  for (const NtdId id : pops.At(n2)) {
     best_duration_at_n2 =
         std::max(best_duration_at_n2, iter.TimeOf(id).Duration());
   }
@@ -367,12 +368,12 @@ TEST(BestPathIteratorTest, DurationSubsumptionPrunesInferiorArrivals) {
   BestPathIterator::Options options;
   options.ranking.factors = {RankFactor::kDurationDesc};
   BestPathIterator iter(*g, s, options);
-  while (iter.Next() != kInvalidNtd) {
-  }
+  testutil::PopRecorder pops(&iter);
+  pops.Drain();
   EXPECT_GE(iter.stats().subsumption_skips, 1);
   // Only one NTD survives at mid (the [0,9] one subsumes [2,4]).
-  EXPECT_EQ(iter.PoppedAt(mid).size(), 1u);
-  EXPECT_EQ(iter.PoppedAt(far).size(), 1u);
+  EXPECT_EQ(pops.At(mid).size(), 1u);
+  EXPECT_EQ(pops.At(far).size(), 1u);
 }
 
 TEST(BestPathIteratorTest, PredicatePruneBlocksExpansion) {
@@ -386,14 +387,12 @@ TEST(BestPathIteratorTest, PredicatePruneBlocksExpansion) {
   BestPathIterator iter(g, ids.john, options);
   // John's validity starts at 0, so the source qualifies... but John's
   // validity is [0,7]: Start 0 < 2, qualifies. Bob joined at t2: pruned.
-  while (iter.Next() != kInvalidNtd) {
-  }
-  EXPECT_TRUE(iter.PoppedAt(ids.bob).empty());
-  EXPECT_TRUE(iter.PoppedAt(ids.mary).empty() ||
-              !iter.PoppedAt(ids.mary).empty());  // Mary only via Microsoft.
-  // Via Microsoft the path validity is [5,7] ∩ [0,2] = empty, so Mary stays
-  // unreached.
-  EXPECT_TRUE(iter.PoppedAt(ids.mary).empty());
+  testutil::PopRecorder pops(&iter);
+  pops.Drain();
+  EXPECT_TRUE(pops.At(ids.bob).empty());
+  // Mary could only be reached via Microsoft, where the path validity is
+  // [5,7] ∩ [0,2] = empty, so Mary stays unreached.
+  EXPECT_TRUE(pops.At(ids.mary).empty());
 }
 
 TEST(BestPathIteratorTest, SourceFailingPredicateStartsExhausted) {

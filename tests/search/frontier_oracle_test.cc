@@ -26,6 +26,7 @@
 #include "obs/query_trace.h"
 #include "search/best_path_iterator.h"
 #include "search/predicate.h"
+#include "testutil/pop_recorder.h"
 
 namespace tgks::search {
 namespace {
@@ -179,6 +180,9 @@ DrainCounts ExpectFrontierMatchesMerge(
   }
   EXPECT_EQ(frontier.num_sources(), static_cast<int32_t>(sources.size()));
   ExpectStatsAreSums(frontier, singles);
+  testutil::PopRecorder frontier_pops(&frontier);
+  std::vector<testutil::PopRecorder> single_pops;
+  for (const auto& single : singles) single_pops.emplace_back(single.get());
   DrainCounts counts;
   int64_t& pops = counts.pops;
   while (true) {
@@ -200,7 +204,7 @@ DrainCounts ExpectFrontierMatchesMerge(
     counts.ties += tie;
     if (best < 0) {
       EXPECT_EQ(frontier.PeekScore(), nullptr);
-      EXPECT_EQ(frontier.Next(), kInvalidNtd);
+      EXPECT_EQ(frontier_pops.Next(), kInvalidNtd);
       break;
     }
     BestPathIterator& single = *singles[static_cast<size_t>(best)];
@@ -210,8 +214,8 @@ DrainCounts ExpectFrontierMatchesMerge(
       return counts;
     }
     EXPECT_TRUE(*peek == *single.PeekScore()) << "pop " << pops;
-    const NtdId want = single.Next();
-    const NtdId got = frontier.Next();
+    const NtdId want = single_pops[static_cast<size_t>(best)].Next();
+    const NtdId got = frontier_pops.Next();
     if (got == kInvalidNtd) {
       ADD_FAILURE() << "frontier exhausted at pop " << pops;
       return counts;
@@ -248,9 +252,11 @@ DrainCounts ExpectFrontierMatchesMerge(
     EXPECT_EQ(frontier.source(origin), sources[i]);
     EXPECT_EQ(frontier.num_ntds(origin), singles[i]->num_ntds());
     EXPECT_EQ(frontier.nodes_reached(origin), singles[i]->nodes_reached());
+    EXPECT_EQ(frontier.nodes_reached(origin),
+              frontier_pops.NodesReached(origin));
     for (NodeId n = 0; n < total_nodes; ++n) {
-      const auto got = frontier.PoppedAt(n, origin);
-      const auto want = singles[i]->PoppedAt(n);
+      const auto got = frontier_pops.At(n, origin);
+      const auto want = single_pops[i].At(n);
       EXPECT_EQ(got.size(), want.size()) << "source " << i << " node " << n;
       for (size_t j = 0; j < std::min(got.size(), want.size()); ++j) {
         EXPECT_EQ(frontier.ntd(got[j]).dist, singles[i]->ntd(want[j]).dist);
@@ -364,8 +370,9 @@ TEST(FrontierOracleTest, SourceThatStartsExhaustedNeverPops) {
   BestPathIterator frontier(*g, sources, options);
   ASSERT_EQ(frontier.num_sources(), 2);
   EXPECT_EQ(frontier.num_ntds(0), 0);
+  testutil::PopRecorder pops(&frontier);
   std::vector<NodeId> popped;
-  for (NtdId id = frontier.Next(); id != kInvalidNtd; id = frontier.Next()) {
+  for (NtdId id = pops.Next(); id != kInvalidNtd; id = pops.Next()) {
     EXPECT_EQ(frontier.ntd(id).origin, 1);
     popped.push_back(frontier.ntd(id).node);
   }
@@ -373,7 +380,7 @@ TEST(FrontierOracleTest, SourceThatStartsExhaustedNeverPops) {
   EXPECT_EQ(frontier.num_ntds(0), 0);
   EXPECT_EQ(frontier.nodes_reached(0), 0);
   EXPECT_EQ(frontier.nodes_reached(1), 2);
-  EXPECT_TRUE(frontier.PoppedAt(early, 0).empty());
+  EXPECT_TRUE(pops.At(early, 0).empty());
 
   // Every source exhausted from the start: nothing to peek or pop.
   const std::vector<NodeId> dead = {early};

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -258,6 +259,11 @@ TEST(SearchStatsTest, ExecutorAggregatesBatchStats) {
   EXPECT_EQ(batch.stats.interval_ops, interval_ops);
   EXPECT_GT(batch.stats.interval_ops, 0);
   EXPECT_EQ(batch.stats.heap_high_water, high_water);
+  // The merged totals render without the per-query mean they never merged.
+  EXPECT_GT(batch.totals.pops, 0);
+  EXPECT_EQ(obs::FieldsToString(batch.totals, /*merged=*/true)
+                .find("avg_ntds_per_node"),
+            std::string::npos);
 }
 
 /// The merge of one field of `into` and `from` under `kind`, computed here
@@ -312,6 +318,26 @@ TEST(CounterTableTest, MergeFollowsEachEntrysKind) {
 #undef TGKS_CHECK_STATS
 #undef TGKS_CHECK_COUNTERS
 #undef TGKS_CHECK
+}
+
+// A merged total renders every field but the kMean ones, whose Merge keeps
+// the left-hand value; a single query's rendering keeps them all.
+TEST(CounterTableTest, MergedTotalsLeaveMeansOut) {
+  SearchCounters c;
+  c.pops = 7;
+  c.avg_ntds_per_node = 2.5;
+  const std::string query = c.ToString();
+  const std::string totals = obs::FieldsToString(c, /*merged=*/true);
+  EXPECT_NE(query.find("avg_ntds_per_node=2.5"), std::string::npos) << query;
+  c.ForEachField([&]<obs::FieldKind kKind>(std::string_view name, auto) {
+    const std::string key =
+        kKind == obs::FieldKind::kSeconds
+            ? "ms_" + std::string(obs::PhaseName(name))
+            : std::string(name);
+    const bool shown = (" " + totals).find(" " + key + "=") != std::string::npos;
+    EXPECT_EQ(shown, kKind != obs::FieldKind::kMean) << key << ": " << totals;
+    EXPECT_NE((" " + query).find(" " + key + "="), std::string::npos) << key;
+  });
 }
 
 }  // namespace

@@ -27,6 +27,7 @@
 #include "common/random.h"
 #include "graph/graph_builder.h"
 #include "search/best_path_iterator.h"
+#include "testutil/pop_recorder.h"
 
 namespace tgks {
 namespace {
@@ -86,8 +87,8 @@ void CheckSnapshotReducibility(const TemporalGraph& g, NodeId source,
                                const std::string& context) {
   search::BestPathIterator::Options options;  // Pure relevance ranking.
   search::BestPathIterator iter(g, source, options);
-  while (iter.Next() != search::kInvalidNtd) {
-  }
+  testutil::PopRecorder pops(&iter);
+  pops.Drain();
 
   // Oracle: exhaustive per-snapshot Dijkstra from the same source.
   std::vector<baseline::DijkstraIterator> snapshots;
@@ -100,7 +101,7 @@ void CheckSnapshotReducibility(const TemporalGraph& g, NodeId source,
 
   for (NodeId n = 0; n < g.num_nodes(); ++n) {
     IntervalSet covered;  // Union of popped NTD time-sets at n.
-    for (const search::NtdId id : iter.PoppedAt(n)) {
+    for (const search::NtdId id : pops.At(n)) {
       const search::Ntd& ntd = iter.ntd(id);
       const IntervalSet time = iter.TimeOf(id);
       ASSERT_EQ(ntd.node, n);
@@ -123,7 +124,7 @@ void CheckSnapshotReducibility(const TemporalGraph& g, NodeId source,
     for (TimePoint t = 0; t < g.timeline_length(); ++t) {
       // Check 1: per-instant minimum distance equals snapshot Dijkstra.
       std::optional<double> temporal_best;
-      for (const search::NtdId id : iter.PoppedAt(n)) {
+      for (const search::NtdId id : pops.At(n)) {
         const search::Ntd& ntd = iter.ntd(id);
         if (!iter.TimeOf(id).Contains(t)) continue;
         if (!temporal_best.has_value() || ntd.dist < *temporal_best) {

@@ -10,9 +10,10 @@
 // masks hold several runs, in both words. It then checks
 //
 //   1. iterator level: the same pop sequence (ids, nodes, distances,
-//      parents, edges, times), the same per-source pop lists and every
-//      IteratorStats counter, for all four rankings, with and without the
-//      predicate prune;
+//      parents, edges, times), the same per-source pops at every node and
+//      every IteratorStats counter, for all four rankings, with and without
+//      the predicate prune; and on each path, every source's nodes_reached
+//      equals the distinct nodes it popped;
 //   2. engine level: the same answers, stop reasons, every SearchCounters
 //      field and the observability counters (interval_ops and
 //      heap_high_water included), across rankings, predicates, bounded and
@@ -36,6 +37,7 @@
 #include "search/search_engine.h"
 #include "temporal/interval_set.h"
 #include "temporal/time_mask.h"
+#include "testutil/pop_recorder.h"
 
 namespace tgks::search {
 namespace {
@@ -166,14 +168,16 @@ void ExpectSameFrontier(const TemporalGraph& narrow, const TemporalGraph& wide,
   BestPathIterator w_iter(wide, sources, options);
   ASSERT_TRUE(n_iter.uses_time_masks()) << ctx;
   ASSERT_FALSE(w_iter.uses_time_masks()) << ctx;
+  testutil::PopRecorder n_pops(&n_iter);
+  testutil::PopRecorder w_pops(&w_iter);
   for (int pop = 0;; ++pop) {
     const ScoreKey* n_peek = n_iter.PeekScore();
     const ScoreKey* w_peek = w_iter.PeekScore();
     ASSERT_EQ(n_peek == nullptr, w_peek == nullptr) << ctx << " pop " << pop;
     if (n_peek == nullptr) break;
     ASSERT_TRUE(*n_peek == *w_peek) << ctx << " pop " << pop;
-    const NtdId n_id = n_iter.Next();
-    const NtdId w_id = w_iter.Next();
+    const NtdId n_id = n_pops.Next();
+    const NtdId w_id = w_pops.Next();
     ASSERT_EQ(n_id, w_id) << ctx << " pop " << pop;
     const Ntd& a = n_iter.ntd(n_id);
     const Ntd& b = w_iter.ntd(w_id);
@@ -192,8 +196,8 @@ void ExpectSameFrontier(const TemporalGraph& narrow, const TemporalGraph& wide,
                            : narrow.num_nodes();
   for (int32_t origin = 0; origin < n_iter.num_sources(); ++origin) {
     for (NodeId v = 0; v < total; ++v) {
-      const auto got = n_iter.PoppedAt(v, origin);
-      const auto want = w_iter.PoppedAt(v, origin);
+      const auto got = n_pops.At(v, origin);
+      const auto want = w_pops.At(v, origin);
       ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(),
                              want.end()))
           << ctx << " source " << origin << " node " << v;
@@ -266,6 +270,44 @@ TEST_P(TimeRepresentationTest, FrontiersPopIdentically) {
       options.prune = predicates[p].get();
       ExpectSameFrontier(narrow_, wide_, sources, options,
                          ctx + " predicate " + std::to_string(p));
+    }
+  }
+}
+
+// nodes_reached is counted where a source first claims a node (partition)
+// or first pops one (subsumption), not read off a pop list; it must still
+// equal the distinct nodes each source popped, on both time paths.
+TEST_P(TimeRepresentationTest, NodesReachedCountsDistinctPoppedNodes) {
+  const std::vector<NodeId> sources = Bucket(narrow_, nullptr, 0);
+  const auto predicates = RandomPredicates(rng_.get(), horizon_);
+  for (const RankFactor factor : kFactors) {
+    for (const PredicateExpr* prune : {static_cast<const PredicateExpr*>(
+                                           nullptr),
+                                       predicates[0].get()}) {
+      BestPathIterator::Options options;
+      options.ranking.factors = {factor};
+      options.prune = prune;
+      for (const TemporalGraph* g : {&narrow_, &wide_}) {
+        const std::string ctx =
+            context_ + " factor " + std::to_string(static_cast<int>(factor)) +
+            (prune != nullptr ? " pruned" : "") +
+            (g == &wide_ ? " wide" : " narrow");
+        BestPathIterator iter(*g, sources, options);
+        ASSERT_EQ(iter.uses_time_masks(), g == &narrow_) << ctx;
+        testutil::PopRecorder pops(&iter);
+        for (NtdId id = pops.Next(); id != kInvalidNtd; id = pops.Next()) {
+          // After every pop, not only once drained: a count taken when a
+          // node is first pushed would run ahead of the pops until then.
+          const int32_t origin = iter.ntd(id).origin;
+          ASSERT_EQ(iter.nodes_reached(origin), pops.NodesReached(origin))
+              << ctx << " source " << origin;
+        }
+        int64_t total = 0;
+        for (int32_t origin = 0; origin < iter.num_sources(); ++origin) {
+          total += pops.NodesReached(origin);
+        }
+        EXPECT_EQ(iter.nodes_reached(), total) << ctx;
+      }
     }
   }
 }

@@ -26,6 +26,7 @@
 //        workcount_dump --layout <dblp|social> [--layout ...]
 //        (every form above also takes --pad-timeline <n>)
 //        workcount_dump --quality
+//        workcount_dump [--pad-timeline <n>] --keywords
 //
 // --layout prints the ExpansionView packing statistics (time
 // representation, bytes per slot, slot counts, inline/pooled split,
@@ -74,6 +75,14 @@
 // over every exact score list. scripts/workcount_check.sh --quality diffs
 // it against tests/golden/quality.expected. The run takes about a minute,
 // nearly all of it the exact side, so it is a CI step, not a ctest.
+//
+// --keywords prints one line per query of the same two sets (default
+// bound, k = 10): the stop reason and, per keyword, its match count and
+// the pops of its frontier ("<keyword>=<matches>:<pops>"). It pins where a
+// query's expansion work goes, keyword by keyword, on the workloads
+// perfbench measures; scripts/workcount_check.sh diffs it against
+// tests/golden/keywords.expected in default and --wide modes. About a
+// second.
 
 #include <algorithm>
 #include <cstdint>
@@ -82,6 +91,7 @@
 #include <fstream>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/random.h"
@@ -104,6 +114,7 @@ bool g_results = false;   // Print result fingerprints, not work counters.
 bool g_popseq = false;    // Print pop-sequence fingerprints.
 bool g_candidates = false;  // Print result-generation counters.
 bool g_quality = false;   // Print default-vs-exact answer quality.
+bool g_keywords = false;  // Print per-keyword matches and pops.
 int32_t g_pad_timeline = 0;  // Rebuild graphs over >= this many instants.
 
 /// Applies --pad-timeline to a freshly built or loaded graph.
@@ -508,7 +519,22 @@ int AddQuality(const tgks::search::SearchEngine& engine,
   return 0;
 }
 
-int RunQuality() {
+/// One query of the perfbench query sets. `matches` is empty for dblp,
+/// whose keywords the engine resolves through `index`; social queries carry
+/// their match sets and no index.
+struct PerfbenchQuery {
+  const tgks::search::SearchEngine& engine;
+  const tgks::graph::InvertedIndex* index;
+  const tgks::search::Query& query;
+  const std::vector<std::vector<tgks::graph::NodeId>>& matches;
+};
+
+/// Rebuilds the two perfbench query sets at perfbench scale and calls
+/// `fn(set, index_in_set, query)` on each query in order, dblp first:
+/// perfbench/dblp_batch.cc's 200 dblp queries and perfbench/http_load.cc's
+/// 200 social match-set queries.
+template <typename Fn>
+int ForEachPerfbenchQuery(Fn&& fn) {
   constexpr int kQueries = 200;
   {
     // perfbench/dblp_batch.cc's graph (scale 0.05) and query set.
@@ -524,17 +550,21 @@ int RunQuality() {
                    d.status().ToString().c_str());
       return 1;
     }
+    if (const int rc = PadTimeline(&d->graph); rc != 0) return rc;
     const tgks::graph::InvertedIndex index(d->graph);
     const tgks::search::SearchEngine engine(d->graph, &index);
     tgks::datagen::QueryWorkloadParams params;
     params.num_queries = kQueries;
-    QualityTally tally;
+    const std::vector<std::vector<tgks::graph::NodeId>> resolved_by_index;
+    int q = 0;
     for (const auto& wq : tgks::datagen::MakeDblpWorkload(*d, params)) {
-      if (const int rc = AddQuality(engine, wq.query, {}, &tally); rc != 0) {
+      if (const int rc = fn("dblp", q++,
+                            PerfbenchQuery{engine, &index, wq.query,
+                                           resolved_by_index});
+          rc != 0) {
         return rc;
       }
     }
-    tally.Print("dblp");
   }
   auto d = tgks::datagen::GenerateSocial(SocialParams());
   if (!d.ok()) {
@@ -542,10 +572,10 @@ int RunQuality() {
                  d.status().ToString().c_str());
     return 1;
   }
+  if (const int rc = PadTimeline(&d->graph); rc != 0) return rc;
   const tgks::graph::TemporalGraph& graph = d->graph;
   const tgks::search::SearchEngine engine(graph);
   const auto base_nodes = static_cast<int64_t>(graph.num_nodes());
-  QualityTally tally;
   // The fixed query set of perfbench/http_load.cc (kQuerySetSeed), rebuilt
   // as match lists instead of JSON bodies.
   tgks::Rng rng(1234);
@@ -571,12 +601,67 @@ int RunQuality() {
       std::fprintf(stderr, "parse: %s\n", query.status().ToString().c_str());
       return 1;
     }
-    if (const int rc = AddQuality(engine, *query, matches, &tally); rc != 0) {
+    if (const int rc =
+            fn("social", q, PerfbenchQuery{engine, nullptr, *query, matches});
+        rc != 0) {
       return rc;
     }
   }
-  tally.Print("social");
   return 0;
+}
+
+int RunQuality() {
+  QualityTally dblp, social;
+  const int rc = ForEachPerfbenchQuery(
+      [&](const char* set, int, const PerfbenchQuery& pq) {
+        return AddQuality(pq.engine, pq.query, pq.matches,
+                          std::strcmp(set, "dblp") == 0 ? &dblp : &social);
+      });
+  if (rc != 0) return rc;
+  dblp.Print("dblp");
+  social.Print("social");
+  return 0;
+}
+
+/// Pop count per keyword frontier of one query (--keywords).
+void CountPop(void* ctx, size_t keyword,
+              const tgks::search::BestPathIterator&, tgks::search::NtdId) {
+  auto* pops = static_cast<std::vector<int64_t>*>(ctx);
+  ++(*pops)[keyword];
+}
+
+int RunKeywords() {
+  return ForEachPerfbenchQuery(
+      [](const char* set, int q, const PerfbenchQuery& pq) {
+        const size_t keywords = pq.query.keywords.size();
+        std::vector<int64_t> pops(keywords, 0);
+        tgks::search::SearchOptions options = SuiteOptions();
+        options.pop_fn = &CountPop;
+        options.pop_ctx = &pops;
+        auto r = pq.matches.empty()
+                     ? pq.engine.Search(pq.query, options)
+                     : pq.engine.SearchWithMatches(pq.query, pq.matches,
+                                                   options);
+        if (!r.ok()) {
+          std::fprintf(stderr, "search: %s\n",
+                       r.status().ToString().c_str());
+          return 1;
+        }
+        const std::string_view stop =
+            tgks::search::StopReasonName(r->stop_reason);
+        std::printf("%s#%d stop=%.*s", set, q, static_cast<int>(stop.size()),
+                    stop.data());
+        for (size_t kw = 0; kw < keywords; ++kw) {
+          const size_t matches = pq.matches.empty()
+                                     ? pq.index->Lookup(pq.query.keywords[kw])
+                                           .size()
+                                     : pq.matches[kw].size();
+          std::printf(" %s=%zu:%lld", pq.query.keywords[kw].c_str(), matches,
+                      static_cast<long long>(pops[kw]));
+        }
+        std::printf("\n");
+        return 0;
+      });
 }
 
 }  // namespace
@@ -593,6 +678,8 @@ int main(int argc, char** argv) {
       g_candidates = true;
     } else if (std::strcmp(argv[i], "--quality") == 0) {
       g_quality = true;
+    } else if (std::strcmp(argv[i], "--keywords") == 0) {
+      g_keywords = true;
     } else if (std::strcmp(argv[i], "--pad-timeline") == 0 && i + 1 < argc) {
       if (!tgks::examples::ParseFlag("--pad-timeline", argv[++i],
                                      &g_pad_timeline)) {
@@ -612,11 +699,18 @@ int main(int argc, char** argv) {
   }
   if (g_quality) {
     if (!args.empty() || g_results || g_popseq || g_candidates ||
-        g_pad_timeline > 0) {
+        g_keywords || g_pad_timeline > 0) {
       std::fprintf(stderr, "--quality takes no other argument\n");
       return 2;
     }
     return RunQuality();
+  }
+  if (g_keywords) {
+    if (!args.empty() || g_results || g_popseq || g_candidates) {
+      std::fprintf(stderr, "--keywords takes only --pad-timeline\n");
+      return 2;
+    }
+    return RunKeywords();
   }
   if (args.empty()) {
     std::fprintf(
@@ -629,8 +723,9 @@ int main(int argc, char** argv) {
         "--dataset <dblp|dblp-bounded|social> ...\n"
         "       %s [--pad-timeline <n>] --layout <dblp|dblp-bounded|social> "
         "[--layout ...]\n"
-        "       %s --quality\n",
-        argv[0], argv[0], argv[0], argv[0]);
+        "       %s --quality\n"
+        "       %s [--pad-timeline <n>] --keywords\n",
+        argv[0], argv[0], argv[0], argv[0], argv[0]);
     return 2;
   }
   if (std::strcmp(args[0], "--dataset") == 0 ||
