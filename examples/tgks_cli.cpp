@@ -58,7 +58,6 @@
 
 #include <signal.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <fstream>
@@ -144,15 +143,9 @@ int RunServe(const tgks::graph::TemporalGraph& graph,
              int64_t drain_timeout_ms, bool cache_enabled,
              int64_t cache_result_bytes, tgks::ingest::LiveGraph* live,
              int64_t max_ingest_bytes) {
-  std::atomic<bool> draining{false};
-  std::atomic<bool> shutdown_cancel{false};
-
   tgks::exec::ExecutorOptions exec_options;
   exec_options.threads = threads;
   exec_options.search = search_options;
-  // The server-wide shutdown token rides in extra_cancel so each request's
-  // own token (per-connection cancel) stays in the primary slot.
-  exec_options.search.extra_cancel = &shutdown_cancel;
   tgks::exec::QueryExecutor executor(graph, &index, exec_options);
 
   tgks::server::AdmissionOptions admission_options;
@@ -184,7 +177,6 @@ int RunServe(const tgks::graph::TemporalGraph& graph,
   context.graph = &graph;
   context.executor = &executor;
   context.admission = &admission;
-  context.draining = &draining;
   context.default_k = search_options.k;
   context.default_deadline_ms = deadline_ms;
   context.dataset_name = dataset_name;
@@ -197,9 +189,7 @@ int RunServe(const tgks::graph::TemporalGraph& graph,
   server_options.bind_address = host;
   server_options.port = port;
   server_options.drain_timeout_ms = static_cast<int>(drain_timeout_ms);
-  server_options.draining_flag = &draining;
-  server_options.shutdown_cancel = &shutdown_cancel;
-  tgks::server::HttpServer server(&router, &admission, server_options);
+  tgks::server::HttpServer server(&router, server_options);
 
   const tgks::Status status = server.Start();
   if (!status.ok()) {

@@ -149,80 +149,6 @@ class FlatEpochMap {
   std::vector<V> values_;
 };
 
-/// A set of uint32 keys with O(1) whole-set clear — FlatEpochMap without a
-/// payload, for membership tests like "has this node ever been pushed".
-class FlatEpochSet {
- public:
-  uint32_t size() const { return size_; }
-
-  void Clear() {
-    size_ = 0;
-    if (++epoch_ == 0) {
-      std::fill(epochs_.begin(), epochs_.end(), 0u);
-      epoch_ = 1;
-    }
-  }
-
-  bool Test(uint32_t key) const {
-    if (capacity_ == 0) return false;
-    uint32_t i = Home(key);
-    while (epochs_[i] == epoch_) {
-      if (keys_[i] == key) return true;
-      i = (i + 1) & (capacity_ - 1);
-    }
-    return false;
-  }
-
-  /// Inserts `key`; returns true iff it was absent this epoch.
-  bool TestAndSet(uint32_t key) {
-    if (capacity_ == 0 ||
-        static_cast<uint64_t>(size_ + 1) * 8 > static_cast<uint64_t>(capacity_) * 7) {
-      Rehash(capacity_ == 0 ? kMinCapacity : capacity_ * 2);
-    }
-    uint32_t i = Home(key);
-    while (epochs_[i] == epoch_) {
-      if (keys_[i] == key) return false;
-      i = (i + 1) & (capacity_ - 1);
-    }
-    keys_[i] = key;
-    epochs_[i] = epoch_;
-    ++size_;
-    return true;
-  }
-
- private:
-  static constexpr uint32_t kMinCapacity = 16;
-
-  uint32_t Home(uint32_t key) const {
-    return internal::HashKey(key) >> shift_;
-  }
-
-  void Rehash(uint32_t new_capacity) {
-    std::vector<uint32_t> old_keys = std::move(keys_);
-    std::vector<uint32_t> old_epochs = std::move(epochs_);
-    const uint32_t old_capacity = capacity_;
-    keys_.assign(new_capacity, 0u);
-    epochs_.assign(new_capacity, 0u);
-    capacity_ = new_capacity;
-    shift_ = 32;
-    for (uint32_t c = new_capacity; c > 1; c >>= 1) --shift_;
-    for (uint32_t i = 0; i < old_capacity; ++i) {
-      if (old_epochs[i] != epoch_) continue;
-      uint32_t j = Home(old_keys[i]);
-      while (epochs_[j] == epoch_) j = (j + 1) & (capacity_ - 1);
-      keys_[j] = old_keys[i];
-      epochs_[j] = epoch_;
-    }
-  }
-
-  uint32_t size_ = 0;
-  uint32_t capacity_ = 0;
-  uint32_t shift_ = 32;
-  uint32_t epoch_ = 1;
-  std::vector<uint32_t> keys_;
-  std::vector<uint32_t> epochs_;
-};
-
 }  // namespace tgks::common
 
 #endif  // TGKS_COMMON_EPOCH_TABLE_H_

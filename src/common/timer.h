@@ -24,18 +24,6 @@ class Stopwatch {
   double total_ = 0.0;
 };
 
-/// RAII span: accumulates into the stopwatch for the scope's lifetime.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Stopwatch* watch) : watch_(watch) { watch_->Start(); }
-  ~ScopedTimer() { watch_->Stop(); }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  Stopwatch* watch_;
-};
-
 }  // namespace tgks
 
 #endif  // TGKS_COMMON_TIMER_H_

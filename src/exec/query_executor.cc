@@ -102,11 +102,8 @@ BatchResponse QueryExecutor::Run(const std::vector<BatchQuery>& batch) {
 
 void QueryExecutor::Submit(SingleQuery single, SingleQueryCallback done) {
   inflight_singles_.fetch_add(1, std::memory_order_relaxed);
-  // The per-query options derive from the executor's base search options:
-  // a preset extra_cancel (e.g. the server's shutdown token) is preserved,
-  // the request's own token (when it brings one) replaces the base token in
-  // the primary slot, and the request deadline wins over the executor
-  // default when set.
+  // The per-query options derive from the executor's base search options;
+  // the request's own token, deadline, k and bound win when it sets them.
   search::SearchOptions options = options_.search;
   if (single.k > 0) options.k = single.k;
   if (single.bound.has_value()) options.bound = *single.bound;

@@ -42,8 +42,7 @@ struct ExecutorOptions {
   /// Base engine options for every query, including the per-query
   /// wall-clock deadline (`search.deadline_ms`). A caller-supplied
   /// `search.cancel` token stops every query that brings no token of its
-  /// own; `search.extra_cancel` (e.g. a server-wide shutdown token) stops
-  /// every query.
+  /// own.
   search::SearchOptions search;
 };
 
@@ -105,9 +104,7 @@ struct SingleQuery {
   /// ExecutorOptions::search.deadline_ms.
   int64_t deadline_ms = -1;
   /// Per-request cancellation token (not owned; must outlive the callback);
-  /// null inherits ExecutorOptions::search.cancel. Rides in
-  /// SearchOptions::cancel, so it composes with a server-wide token preset
-  /// in ExecutorOptions::search.extra_cancel — either one stops the query.
+  /// null inherits ExecutorOptions::search.cancel.
   const std::atomic<bool>* cancel = nullptr;
   /// Sets SearchOptions::report_expanded_nodes: the response lists the
   /// nodes the query expanded (the result cache's read set).
@@ -156,10 +153,9 @@ class QueryExecutor {
 
   /// Schedules one query on the shared pool and returns immediately; `done`
   /// runs on a worker thread when the query completes (on any stop path).
-  /// The per-request deadline overrides the executor default, and the
-  /// per-request cancel token is honored alongside any server-wide
-  /// `search.extra_cancel` preset in ExecutorOptions. Callable from any
-  /// thread, concurrently with Run() and other Submit() calls.
+  /// The per-request deadline and cancel token override the executor
+  /// defaults. Callable from any thread, concurrently with Run() and other
+  /// Submit() calls.
   void Submit(SingleQuery single, SingleQueryCallback done);
 
   /// Queries submitted (by Submit() or Run()) that have not yet run their

@@ -309,10 +309,8 @@ class Runner {
   }
 
   bool Cancelled() const {
-    return (options_.cancel != nullptr &&
-            options_.cancel->load(std::memory_order_relaxed)) ||
-           (options_.extra_cancel != nullptr &&
-            options_.extra_cancel->load(std::memory_order_relaxed));
+    return options_.cancel != nullptr &&
+           options_.cancel->load(std::memory_order_relaxed);
   }
 
   /// QUALIFY(s, P): drop matches that cannot satisfy the predicate.

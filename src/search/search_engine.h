@@ -87,10 +87,6 @@ struct SearchOptions {
   /// queries). When non-null and set, the search stops at the next pop
   /// boundary with `cancelled` set on the response.
   const std::atomic<bool>* cancel = nullptr;
-  /// Optional second cancellation token, checked alongside `cancel`. Lets a
-  /// process-wide token (e.g. the server's shutdown token) compose with a
-  /// caller-supplied per-query token; either one stops the search.
-  const std::atomic<bool>* extra_cancel = nullptr;
   /// Optional flight recorder (not owned). One trace serves ONE query on one
   /// thread; batch callers must hand each query its own trace or none.
   obs::QueryTrace* trace = nullptr;

@@ -15,7 +15,6 @@
 #include <chrono>
 #include <cstring>
 #include <mutex>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -205,7 +204,7 @@ class HttpServer::Impl {
   enum class Phase {
     kServing,
     kDraining,    ///< Shutdown requested; queries still running.
-    kCancelling,  ///< Drain timeout passed; shutdown token set.
+    kCancelling,  ///< Drain timeout passed; every held search cancelled.
     kExit,
   };
 
@@ -229,16 +228,7 @@ class HttpServer::Impl {
     if (Clock::now() >= drain_deadline_) {
       if (!cancel_sent_) {
         cancel_sent_ = true;
-        if (server_->options_.shutdown_cancel != nullptr) {
-          server_->options_.shutdown_cancel->store(
-              true, std::memory_order_release);
-        }
-        // Belt and braces: also flip every pending per-request token.
-        for (auto& [id, conn] : conns_) {
-          if (conn->pending != nullptr) {
-            conn->pending->cancel.store(true, std::memory_order_release);
-          }
-        }
+        CancelHeldSearches();
         hard_deadline_ = Clock::now() + std::chrono::milliseconds(
                                             server_->options_.drain_timeout_ms +
                                             10000);
@@ -396,11 +386,6 @@ class HttpServer::Impl {
     } else {
       conn->awaiting = true;
       conn->pending = std::move(pending);
-      if (cancel_sent_ && conn->pending != nullptr) {
-        // Shutdown already in its cancel phase: don't let a late request
-        // run to completion.
-        conn->pending->cancel.store(true, std::memory_order_release);
-      }
     }
     conn->parser.Reset();
   }
@@ -474,16 +459,33 @@ class HttpServer::Impl {
     }
   }
 
+  static void Cancel(PendingSearch* pending) {
+    if (pending != nullptr) {
+      pending->cancel.store(true, std::memory_order_release);
+    }
+  }
+
+  /// Cancels every search the server holds, shared or not, on a live
+  /// connection or a closed one. The router admits none once draining.
+  void CancelHeldSearches() {
+    for (const auto& [id, conn] : conns_) Cancel(conn->pending.get());
+    for (const auto& [id, pending] : zombies_) Cancel(pending.get());
+  }
+
+  /// `cancel_pending`: the peer is gone or broken, so its search (unless
+  /// shared) has no one to answer.
   void DestroyConn(uint64_t id, bool cancel_pending) {
     const auto it = conns_.find(id);
     if (it == conns_.end()) return;
     Conn* conn = it->second.get();
     if (conn->awaiting) {
-      // A completion for this id is still coming; remember to drop it.
-      zombies_.insert(id);
-      if (cancel_pending && conn->pending != nullptr) {
-        conn->pending->cancel.store(true, std::memory_order_release);
+      // A completion for this id is still coming: remember to drop it, and
+      // keep the search's handle so that shutdown can still cancel it.
+      if (cancel_pending && conn->pending != nullptr &&
+          !conn->pending->shared) {
+        Cancel(conn->pending.get());
       }
+      zombies_.emplace(id, std::move(conn->pending));
     }
     poller_.Remove(conn->fd);
     fd_to_id_.erase(conn->fd);
@@ -493,10 +495,12 @@ class HttpServer::Impl {
   }
 
   void CloseEverything() {
+    // No response can be delivered any more.
+    CancelHeldSearches();
     std::vector<uint64_t> ids;
     ids.reserve(conns_.size());
     for (const auto& [id, conn] : conns_) ids.push_back(id);
-    for (const uint64_t id : ids) DestroyConn(id, /*cancel_pending=*/true);
+    for (const uint64_t id : ids) DestroyConn(id, /*cancel_pending=*/false);
     if (listen_fd_ >= 0) {
       ::close(listen_fd_);
       listen_fd_ = -1;
@@ -511,19 +515,19 @@ class HttpServer::Impl {
   uint64_t next_conn_id_ = 1;
   std::unordered_map<uint64_t, std::unique_ptr<Conn>> conns_;
   std::unordered_map<int, uint64_t> fd_to_id_;
-  /// Connection ids destroyed while a completion was in flight: their
-  /// response is dropped on arrival (admission was already released by the
-  /// router's completion path).
-  std::set<uint64_t> zombies_;
+  /// Connections destroyed while a completion was in flight, with their
+  /// search's handle (null for a coalesced request): the response is
+  /// dropped on arrival (admission was already released by the router's
+  /// completion path).
+  std::unordered_map<uint64_t, std::shared_ptr<PendingSearch>> zombies_;
   bool draining_started_ = false;
   bool cancel_sent_ = false;
   Clock::time_point drain_deadline_{};
   Clock::time_point hard_deadline_{};
 };
 
-HttpServer::HttpServer(RequestRouter* router, AdmissionController* admission,
-                       HttpServerOptions options)
-    : router_(router), admission_(admission), options_(std::move(options)) {}
+HttpServer::HttpServer(RequestRouter* router, HttpServerOptions options)
+    : router_(router), options_(std::move(options)) {}
 
 HttpServer::~HttpServer() { Shutdown(); }
 
@@ -603,12 +607,11 @@ Status HttpServer::Start() {
 
 void HttpServer::Shutdown() {
   if (!running_.load(std::memory_order_acquire)) return;
+  // Before the loop sees the request: once it cancels what it holds, the
+  // router starts no search it would miss.
+  router_->BeginDrain();
   bool expected = false;
   if (shutdown_requested_.compare_exchange_strong(expected, true)) {
-    if (options_.draining_flag != nullptr) {
-      options_.draining_flag->store(true, std::memory_order_release);
-    }
-    if (admission_ != nullptr) admission_->BeginShutdown();
     // Wake the loop so it notices the request promptly.
     if (impl_ != nullptr) impl_->Wake();
   }

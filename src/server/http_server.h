@@ -8,11 +8,16 @@
 // loop is woken through a self-pipe, so sockets are only ever touched by
 // the I/O thread.
 //
-// Graceful shutdown (Shutdown(), typically from a SIGTERM handler):
-//   1. stop accepting; /healthz turns 503; new searches are shed (503)
+// The server holds the cancel handle of every search it started, until its
+// completion arrives, including searches whose client has gone away.
+// Graceful shutdown (Shutdown(), typically from a SIGTERM handler) is the
+// server's decision alone:
+//   1. the router drains (RequestRouter::BeginDrain): /healthz turns 503 and
+//      new searches are shed (503); the server stops accepting
 //   2. in-flight queries keep running up to drain_timeout_ms
-//   3. stragglers are cancelled through the shutdown token; their JSON
-//      responses (stop_reason "cancelled") are still flushed
+//   3. the server cancels every search it holds; the engine stops each at
+//      its next pop, and the JSON responses (stop_reason "cancelled") of
+//      clients still connected are flushed
 //   4. connections close and the I/O thread exits
 //
 // docs/serving.md documents the wire format and these semantics.
@@ -27,7 +32,6 @@
 #include <thread>
 
 #include "common/result.h"
-#include "server/admission.h"
 #include "server/connection.h"
 #include "server/request_router.h"
 
@@ -43,15 +47,8 @@ struct HttpServerOptions {
   int max_connections = 1024;
   HttpRequestParser::Limits limits;
   /// Grace period for in-flight queries during Shutdown() before the
-  /// shutdown cancel token is set.
+  /// server cancels the searches it holds.
   int drain_timeout_ms = 5000;
-  /// Optional flag flipped to true when draining starts (wire the same
-  /// atomic into RouterContext::draining so /healthz flips to 503).
-  std::atomic<bool>* draining_flag = nullptr;
-  /// Optional server-wide cancel token set when the drain timeout expires
-  /// (wire the same atomic into ExecutorOptions::search.extra_cancel so
-  /// straggler queries stop at their next pop boundary).
-  std::atomic<bool>* shutdown_cancel = nullptr;
 };
 
 /// The serving loop. Construction does not open sockets; Start() binds,
@@ -59,10 +56,7 @@ struct HttpServerOptions {
 /// borrows) must outlive the server.
 class HttpServer {
  public:
-  /// `admission` may be null; when set, Shutdown() puts it in draining mode
-  /// so racing requests shed instead of admitting.
-  HttpServer(RequestRouter* router, AdmissionController* admission,
-             HttpServerOptions options);
+  HttpServer(RequestRouter* router, HttpServerOptions options);
   ~HttpServer();
 
   HttpServer(const HttpServer&) = delete;
@@ -91,7 +85,6 @@ class HttpServer {
   friend class Impl;
 
   RequestRouter* router_;
-  AdmissionController* admission_;
   HttpServerOptions options_;
   int port_ = 0;
   std::atomic<bool> running_{false};

@@ -284,6 +284,46 @@ std::string JsonSearchBody(const search::SearchResponse& response,
 RequestRouter::RequestRouter(RouterContext context)
     : context_(std::move(context)) {}
 
+void RequestRouter::BeginDrain() {
+  draining_.store(true, std::memory_order_release);
+  if (context_.admission != nullptr) context_.admission->BeginShutdown();
+}
+
+bool RequestRouter::Admit(int64_t bytes, ShedReason* why) const {
+  if (context_.admission != nullptr) {
+    return context_.admission->TryAdmit(bytes, why);
+  }
+  if (!draining()) return true;
+  *why = ShedReason::kShuttingDown;
+  return false;
+}
+
+HttpResponse RequestRouter::ShedResponse(ShedReason shed) const {
+  if (shed == ShedReason::kShuttingDown) {
+    HttpResponse response = JsonResponse(
+        503, JsonErrorBody("draining", "server is shutting down"));
+    response.close_connection = true;
+    return response;
+  }
+  const int retry_after = context_.admission->options().retry_after_seconds;
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("error");
+  w.BeginObject();
+  w.Key("type");
+  w.String("overload");
+  w.Key("reason");
+  w.String(ShedReasonName(shed));
+  w.Key("retry_after_seconds");
+  w.Int(retry_after);
+  w.EndObject();
+  w.EndObject();
+  HttpResponse response = JsonResponse(429, w.Take());
+  response.extra_headers.emplace_back("retry-after",
+                                      std::to_string(retry_after));
+  return response;
+}
+
 void RequestRouter::CountRequest(const std::string& route, int status) const {
   obs::GlobalMetrics()
       .GetCounter("tgks_http_requests_total",
@@ -355,32 +395,7 @@ HttpResponse RequestRouter::HandleIngest(const HttpRequest& request) const {
   // --max-inflight-bytes and its slot against --max-queue, so a flood of
   // writes sheds with 429 instead of starving reads (docs/ingest.md).
   ShedReason shed = ShedReason::kNone;
-  if (context_.admission != nullptr &&
-      !context_.admission->TryAdmit(bytes, &shed)) {
-    if (shed == ShedReason::kShuttingDown) {
-      HttpResponse response = JsonResponse(
-          503, JsonErrorBody("draining", "server is shutting down"));
-      response.close_connection = true;
-      return response;
-    }
-    JsonWriter w;
-    w.BeginObject();
-    w.Key("error");
-    w.BeginObject();
-    w.Key("type");
-    w.String("overload");
-    w.Key("reason");
-    w.String(ShedReasonName(shed));
-    w.Key("retry_after_seconds");
-    w.Int(context_.admission->options().retry_after_seconds);
-    w.EndObject();
-    w.EndObject();
-    HttpResponse response = JsonResponse(429, w.Take());
-    response.extra_headers.emplace_back(
-        "retry-after",
-        std::to_string(context_.admission->options().retry_after_seconds));
-    return response;
-  }
+  if (!Admit(bytes, &shed)) return ShedResponse(shed);
   // Admitted: everything below runs synchronously (validation plus an
   // O(delta) overlay copy), so release on every exit path.
   const auto release = [&] {
@@ -844,30 +859,8 @@ bool RequestRouter::HandleSearch(const HttpRequest& request,
   // Admission: bounded work in flight; excess load is shed, not queued.
   const int64_t bytes = static_cast<int64_t>(request.body.size());
   ShedReason shed = ShedReason::kNone;
-  if (context_.admission != nullptr &&
-      !context_.admission->TryAdmit(bytes, &shed)) {
-    if (shed == ShedReason::kShuttingDown) {
-      *immediate = JsonResponse(
-          503, JsonErrorBody("draining", "server is shutting down"));
-      immediate->close_connection = true;
-    } else {
-      JsonWriter w;
-      w.BeginObject();
-      w.Key("error");
-      w.BeginObject();
-      w.Key("type");
-      w.String("overload");
-      w.Key("reason");
-      w.String(ShedReasonName(shed));
-      w.Key("retry_after_seconds");
-      w.Int(context_.admission->options().retry_after_seconds);
-      w.EndObject();
-      w.EndObject();
-      *immediate = JsonResponse(429, w.Take());
-      immediate->extra_headers.emplace_back(
-          "retry-after",
-          std::to_string(context_.admission->options().retry_after_seconds));
-    }
+  if (!Admit(bytes, &shed)) {
+    *immediate = ShedResponse(shed);
     if (cache_eligible) {
       // The flight dies with its shed leader; parked followers get a copy
       // of the shed response rather than hanging forever.
@@ -881,12 +874,13 @@ bool RequestRouter::HandleSearch(const HttpRequest& request,
   }
 
   // Admitted: hand to the executor. The cancel handle outlives this frame
-  // via the shared_ptr captured in the completion. A cache-filling leader
-  // does NOT export the handle: the search's result is shared (cache entry
-  // + any coalesced followers), so one client's disconnect must not cancel
-  // it — the flight runs to completion regardless (docs/caching.md).
+  // via the shared_ptr captured in the completion. A cache-filling leader's
+  // result is shared (cache entry + any coalesced followers), so its handle
+  // is marked shared: one client's disconnect must not cancel it, only
+  // shutdown does (docs/caching.md).
   auto handle = std::make_shared<PendingSearch>();
-  if (pending != nullptr && !cache_eligible) *pending = handle;
+  handle->shared = cache_eligible;
+  if (pending != nullptr) *pending = handle;
   single.cancel = &handle->cancel;
 
   // Bind the pinned snapshot to the query: the executor runs it against

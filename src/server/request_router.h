@@ -21,16 +21,24 @@
 // request runs and a complete 200 response is inserted before followers
 // are released (x-cache: miss). On a live graph each inserted body carries
 // its search's read set, and a hit may come from an entry stored on an
-// earlier snapshot that no publish since has touched. Cache-filling searches are decoupled from the client:
-// the disconnect-cancel handle is not wired, so shared work runs to
-// completion even if the initiating client goes away.
+// earlier snapshot that no publish since has touched. Cache-filling
+// searches are decoupled from the client: their cancel handle is marked
+// shared, so shared work runs to completion even if the initiating client
+// goes away, and only shutdown cancels it.
 //
 // The router owns no sockets: the connection layer hands it a complete
 // HttpRequest and either gets the response synchronously (metrics, health,
 // errors, shed requests) or a deferred completion via callback when the
-// query was admitted and submitted to the executor. A per-request cancel
-// token handle is returned for admitted searches so the server can cancel
-// the query when the client disconnects mid-flight.
+// query was admitted and submitted to the executor. The cancel handle of
+// every admitted search is returned, so the server holds every search it
+// started: it cancels one whose client disconnects mid-flight (unless the
+// handle is shared) and all of them when its drain times out.
+//
+// BeginDrain() starts the server's graceful shutdown on the router's side:
+// /healthz turns 503, /varz reports "draining": true, and from then on
+// every request that needs admission (a search that would run, an ingest
+// batch) sheds with 503, so no search starts that the server does not
+// already hold.
 
 #ifndef TGKS_SERVER_REQUEST_ROUTER_H_
 #define TGKS_SERVER_REQUEST_ROUTER_H_
@@ -63,9 +71,6 @@ struct RouterContext {
   const graph::TemporalGraph* graph = nullptr;
   exec::QueryExecutor* executor = nullptr;
   AdmissionController* admission = nullptr;
-  /// Set by the server during graceful shutdown; /healthz turns 503 and new
-  /// searches are shed once it is true.
-  const std::atomic<bool>* draining = nullptr;
   /// Defaults for fields the request body omits.
   int32_t default_k = 20;
   /// Ceiling for the request's `k` (guards against "k": 1e9 bodies).
@@ -90,11 +95,15 @@ struct RouterContext {
   int64_t max_ingest_bytes = 4 * 1024 * 1024;
 };
 
-/// A deferred search in flight: the server keeps the handle to cancel the
-/// query if the client goes away. The handle owns the token the executor
-/// reads, so it must live until the completion callback has run.
+/// A deferred search in flight: the server keeps the handle until the
+/// completion arrives, to cancel the query if the client goes away or the
+/// drain times out. The handle owns the token the executor reads, so it
+/// must live until the completion callback has run.
 struct PendingSearch {
   std::atomic<bool> cancel{false};
+  /// The search fills the result cache: its answer also goes to the cache
+  /// and to coalesced followers, so a disconnect must not cancel it.
+  bool shared = false;
 };
 
 class RequestRouter {
@@ -106,11 +115,16 @@ class RequestRouter {
   using Completion = std::function<void(HttpResponse)>;
 
   /// Routes `request`. Returns true when *immediate holds the full response
-  /// (no deferred work). Returns false when the request was admitted and
-  /// submitted: `done` will be called exactly once later, and *pending
-  /// holds the cancel handle (set pending->cancel to abort on disconnect).
+  /// (no deferred work). Returns false when the request is deferred: `done`
+  /// will be called exactly once later, and *pending holds the admitted
+  /// search's cancel handle (null for a request coalesced onto another's
+  /// search).
   bool Handle(const HttpRequest& request, HttpResponse* immediate,
               Completion done, std::shared_ptr<PendingSearch>* pending);
+
+  /// Starts draining (see the header comment) and puts the admission
+  /// controller in shutdown mode. Idempotent; callable from any thread.
+  void BeginDrain();
 
   /// Requests handled so far, by final status class (for /varz and tests).
   int64_t requests_total() const {
@@ -137,12 +151,16 @@ class RequestRouter {
   /// Counts one coalesced request in tgks_cache_coalesced_total.
   void CountCoalesced() const;
 
-  bool draining() const {
-    return context_.draining != nullptr &&
-           context_.draining->load(std::memory_order_relaxed);
-  }
+  /// Admits a search or ingest batch of `bytes`: the admission
+  /// controller's verdict, or without one, refused only while draining.
+  bool Admit(int64_t bytes, ShedReason* why) const;
+  /// 503 "draining" (closing the connection) or 429 with Retry-After.
+  HttpResponse ShedResponse(ShedReason shed) const;
+
+  bool draining() const { return draining_.load(std::memory_order_acquire); }
 
   RouterContext context_;
+  std::atomic<bool> draining_{false};
   std::atomic<int64_t> requests_total_{0};
   /// Coalesces concurrent identical cacheable searches (keyed by the result
   /// cache fingerprint plus, on a live graph, the pinned generation); unused

@@ -1,5 +1,5 @@
-// FlatEpochMap / FlatEpochSet: the per-node scratch tables of the search
-// hot path. Key properties under test:
+// FlatEpochMap: the per-node scratch table of the search hot path. Key
+// properties under test:
 //
 //   * map semantics (Find/Activate) against std::unordered_map, including
 //     across growth and across O(1) epoch Clear()s,
@@ -7,13 +7,11 @@
 //     values keep their heap capacity across epochs (the zero-allocation
 //     contract),
 //   * epoch counter wraparound falls back to a full stamp wipe rather than
-//     resurrecting stale entries,
-//   * set semantics (Test/TestAndSet) against std::unordered_set.
+//     resurrecting stale entries.
 
 #include <cstdint>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -119,7 +117,9 @@ TEST(FlatEpochMapTest, DifferentialAgainstUnorderedMap) {
         const auto it = model.find(key);
         ASSERT_EQ(found != nullptr, it != model.end())
             << "round " << round << " key " << key;
-        if (found != nullptr) EXPECT_EQ(*found, it->second);
+        if (found != nullptr) {
+          EXPECT_EQ(*found, it->second);
+        }
       }
     }
     ASSERT_EQ(map.size(), model.size());
@@ -139,36 +139,6 @@ TEST(FlatEpochMapTest, EpochWraparoundDoesNotResurrectEntries) {
     ASSERT_EQ(map.Find(5), nullptr) << "clear " << i;
     map.Activate(5, [](int& stale) { stale = 0; }) = i;
     ASSERT_EQ(*map.Find(5), i);
-  }
-}
-
-TEST(FlatEpochSetTest, TestAndSetSemantics) {
-  FlatEpochSet set;
-  EXPECT_FALSE(set.Test(9));
-  EXPECT_TRUE(set.TestAndSet(9));   // Newly inserted.
-  EXPECT_FALSE(set.TestAndSet(9));  // Already present.
-  EXPECT_TRUE(set.Test(9));
-  set.Clear();
-  EXPECT_FALSE(set.Test(9));
-  EXPECT_TRUE(set.TestAndSet(9));
-}
-
-TEST(FlatEpochSetTest, DifferentialAgainstUnorderedSet) {
-  Rng rng(4242);
-  FlatEpochSet set;
-  std::unordered_set<uint32_t> model;
-  for (int round = 0; round < 10; ++round) {
-    for (int op = 0; op < 2000; ++op) {
-      const uint32_t key = static_cast<uint32_t>(rng.Uniform(500));
-      if (rng.Bernoulli(0.5)) {
-        EXPECT_EQ(set.TestAndSet(key), model.insert(key).second);
-      } else {
-        EXPECT_EQ(set.Test(key), model.count(key) > 0);
-      }
-    }
-    EXPECT_EQ(set.size(), model.size());
-    set.Clear();
-    model.clear();
   }
 }
 

@@ -36,13 +36,13 @@ TEST(StatusTest, AllCodesHaveNames) {
 
 TEST(StatusTest, EqualityComparesCodeAndMessage) {
   EXPECT_EQ(Status::OK(), Status());
-  EXPECT_EQ(Status::NotFound("x"), Status::NotFound("x"));
-  EXPECT_FALSE(Status::NotFound("x") == Status::NotFound("y"));
-  EXPECT_FALSE(Status::NotFound("x") == Status::IOError("x"));
+  EXPECT_EQ(Status::Corruption("x"), Status::Corruption("x"));
+  EXPECT_FALSE(Status::Corruption("x") == Status::Corruption("y"));
+  EXPECT_FALSE(Status::Corruption("x") == Status::IOError("x"));
 }
 
 Status FailWhenNegative(int v) {
-  if (v < 0) return Status::OutOfRange("negative");
+  if (v < 0) return Status::InvalidArgument("negative");
   return Status::OK();
 }
 
@@ -53,7 +53,7 @@ Status Chain(int v) {
 
 TEST(StatusTest, ReturnIfErrorPropagates) {
   EXPECT_TRUE(Chain(1).ok());
-  EXPECT_EQ(Chain(-1).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(Chain(-1).code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ResultTest, HoldsValue) {
@@ -64,9 +64,9 @@ TEST(ResultTest, HoldsValue) {
 }
 
 TEST(ResultTest, HoldsError) {
-  Result<int> r = Status::NotFound("no node");
+  Result<int> r = Status::IOError("no file");
   ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(r.status().code(), StatusCode::kIOError);
 }
 
 TEST(ResultTest, MoveOnlyPayload) {

@@ -320,6 +320,12 @@ TEST(QueryExecutorTest, BatchTotalsSumEveryCounter) {
 
 // --- Single-query Submit() (the serving path) -------------------------------
 
+SingleQuery Single(const std::string& text) {
+  SingleQuery single;
+  single.query.query = MustParse(text);
+  return single;
+}
+
 // Helper: submits one query and blocks for its completion.
 Result<search::SearchResponse> SubmitAndWait(QueryExecutor* executor,
                                              SingleQuery single,
@@ -349,8 +355,7 @@ TEST(QueryExecutorTest, SubmitRunsOneQueryAsynchronously) {
   options.search.k = 5;
   QueryExecutor executor(g, &index, options);
   double seconds = -1.0;
-  auto r = SubmitAndWait(&executor, SingleQuery{{MustParse("mary, john"), {}}},
-                         &seconds);
+  auto r = SubmitAndWait(&executor, Single("mary, john"), &seconds);
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_FALSE(r->results.empty());
   EXPECT_GE(seconds, 0.0);
@@ -364,7 +369,7 @@ TEST(QueryExecutorTest, SubmitHonorsPerRequestDeadline) {
   options.threads = 2;
   options.search.k = 5;
   QueryExecutor executor(g, &index, options);
-  SingleQuery single{{MustParse("left, right"), {}}};
+  SingleQuery single = Single("left, right");
   single.deadline_ms = 1;
   auto r = SubmitAndWait(&executor, std::move(single));
   ASSERT_TRUE(r.ok()) << r.status();
@@ -380,26 +385,9 @@ TEST(QueryExecutorTest, SubmitHonorsPerRequestCancelToken) {
   options.search.k = 0;  // Exhaustive: only the token can stop it quickly.
   QueryExecutor executor(g, &index, options);
   std::atomic<bool> token{true};  // Pre-set: stop at the first pop boundary.
-  SingleQuery single{{MustParse("left, right"), {}}};
+  SingleQuery single = Single("left, right");
   single.cancel = &token;
   auto r = SubmitAndWait(&executor, std::move(single));
-  ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_TRUE(r->cancelled);
-  EXPECT_EQ(r->stop_reason, search::StopReason::kCancelled);
-}
-
-TEST(QueryExecutorTest, SubmitComposesWithPresetExtraCancel) {
-  // A server-wide shutdown token preset in the base options stops submitted
-  // queries even when they carry no per-request token.
-  const TemporalGraph g = MakeChainGraph(100000);
-  const InvertedIndex index(g);
-  std::atomic<bool> shutdown{true};
-  ExecutorOptions options;
-  options.threads = 2;
-  options.search.k = 0;
-  options.search.extra_cancel = &shutdown;
-  QueryExecutor executor(g, &index, options);
-  auto r = SubmitAndWait(&executor, SingleQuery{{MustParse("left, right"), {}}});
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_TRUE(r->cancelled);
   EXPECT_EQ(r->stop_reason, search::StopReason::kCancelled);
@@ -415,7 +403,7 @@ TEST(QueryExecutorTest, SubmitsInterleaveWithBatchesSafely) {
   std::atomic<int> completions{0};
   constexpr int kSingles = 16;
   for (int i = 0; i < kSingles; ++i) {
-    executor.Submit(SingleQuery{{MustParse("mary, john"), {}}},
+    executor.Submit(Single("mary, john"),
                     [&completions](Result<search::SearchResponse> r, double) {
                       EXPECT_TRUE(r.ok());
                       completions.fetch_add(1);

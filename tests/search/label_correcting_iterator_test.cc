@@ -240,7 +240,9 @@ TEST(SearchInverseTest, ResultsAreValidSortedAndDeduplicated) {
         EXPECT_EQ(time, r.time);
         EXPECT_EQ(r.value, InverseValue(factor, r.time));
         EXPECT_EQ(r.edges.size() + 1, r.nodes.size());
-        if (i > 0) EXPECT_LE(results[i - 1].value, r.value);
+        if (i > 0) {
+          EXPECT_LE(results[i - 1].value, r.value);
+        }
         EXPECT_TRUE(seen.insert({r.root, r.edges}).second);
       }
     }

@@ -210,7 +210,7 @@ TEST(TerminationBoundTest, BoundTightnessOrdering) {
   const InvertedIndex index(f.graph);
   const SearchEngine engine(f.graph, &index);
   int64_t pops_empirical = 0, pops_average = 0, pops_accurate = 0;
-  for (const auto [kind, pops] :
+  for (const auto& [kind, pops] :
        {std::pair{UpperBoundKind::kEmpirical, &pops_empirical},
         std::pair{UpperBoundKind::kAverage, &pops_average},
         std::pair{UpperBoundKind::kAccurate, &pops_accurate}}) {

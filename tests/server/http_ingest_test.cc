@@ -3,21 +3,15 @@
 // ingest bodies, snapshot-generation propagation, and result-cache
 // validation across publishes (docs/ingest.md, docs/caching.md).
 
-#include <atomic>
-#include <memory>
 #include <string>
 
 #include <gtest/gtest.h>
 
-#include "cache/result_cache.h"
-#include "exec/query_executor.h"
-#include "graph/temporal_graph.h"
 #include "ingest/live_graph.h"
-#include "server/http_server.h"
 #include "server/http_test_client.h"
 #include "server/json_io.h"
-#include "server/request_router.h"
 #include "testutil/paper_graphs.h"
+#include "testutil/test_server.h"
 
 namespace tgks::server {
 namespace {
@@ -26,77 +20,15 @@ using testing::ClientResponse;
 using testing::FetchOnce;
 using testing::GetRequest;
 using testing::PostRequest;
+using testing::TestServer;
+using testing::TestServerOptions;
 
-struct LiveServerOptions {
-  AdmissionOptions admission;
-  int64_t max_ingest_bytes = 4 * 1024 * 1024;
-  bool cache = false;  ///< HTTP result cache.
-};
-
-// The full live serving stack: LiveGraph under the router, the executor
-// reading the pinned base snapshot, and (optionally) the result cache wired
-// to log every publish's change set — the same topology tgks_cli --live
-// builds.
-class LiveTestServer {
- public:
-  explicit LiveTestServer(graph::TemporalGraph graph,
-                          LiveServerOptions opts = LiveServerOptions()) {
-    ingest::CompactionPolicy policy;
-    policy.background = false;  // Tests drive compaction via /v1/compact.
-    live_ = std::make_unique<ingest::LiveGraph>(std::move(graph), policy);
-    base_ = live_->Acquire();
-    if (opts.cache) {
-      result_cache_ = std::make_unique<cache::ResultCache>(int64_t{8} << 20);
-      cache::ResultCache* rc = result_cache_.get();
-      live_->set_on_publish([rc](uint64_t generation, cache::ReadSet changes) {
-        rc->Publish(generation, std::move(changes));
-      });
-    }
-    exec::ExecutorOptions exec_options;
-    exec_options.threads = 2;
-    exec_options.search.k = 10;
-    exec_options.search.extra_cancel = &shutdown_cancel_;
-    executor_ = std::make_unique<exec::QueryExecutor>(
-        *base_->graph, base_->index.get(), exec_options);
-    admission_ = std::make_unique<AdmissionController>(opts.admission);
-    RouterContext context;
-    context.graph = base_->graph.get();
-    context.executor = executor_.get();
-    context.admission = admission_.get();
-    context.draining = &draining_;
-    context.default_k = 10;
-    context.dataset_name = "live-test";
-    context.result_cache = result_cache_.get();
-    context.live = live_.get();
-    context.max_ingest_bytes = opts.max_ingest_bytes;
-    router_ = std::make_unique<RequestRouter>(context);
-    HttpServerOptions server_options;
-    server_options.port = 0;
-    server_options.draining_flag = &draining_;
-    server_options.shutdown_cancel = &shutdown_cancel_;
-    server_ = std::make_unique<HttpServer>(router_.get(), admission_.get(),
-                                           server_options);
-    const Status status = server_->Start();
-    EXPECT_TRUE(status.ok()) << status;
-  }
-
-  ~LiveTestServer() { server_->Shutdown(); }
-
-  int port() const { return server_->port(); }
-  ingest::LiveGraph* live() { return live_.get(); }
-  AdmissionController* admission() { return admission_.get(); }
-
- private:
-  std::unique_ptr<ingest::LiveGraph> live_;
-  ingest::GraphSnapshotHandle base_;  // Keeps the executor's refs alive.
-  std::atomic<bool> draining_{false};
-  std::atomic<bool> shutdown_cancel_{false};
-  std::unique_ptr<cache::ResultCache> result_cache_;
-  std::unique_ptr<exec::QueryExecutor> executor_;
-  std::unique_ptr<AdmissionController> admission_;
-  std::unique_ptr<RequestRouter> router_;
-  std::unique_ptr<HttpServer> server_;
-};
+// The live stack: the same topology tgks_cli --serve --live builds.
+TestServerOptions LiveOptions() {
+  TestServerOptions opts;
+  opts.live = true;
+  return opts;
+}
 
 Result<JsonValue> ParseBody(const ClientResponse& response) {
   return JsonValue::Parse(response.body);
@@ -107,7 +39,7 @@ constexpr char kFreshBatch[] =
         "edges": [{"src": 0, "dst_new": 0}]})";
 
 TEST(HttpIngestTest, IngestThenSearchSeesTheNewData) {
-  LiveTestServer ts(testutil::MakeSocialNetworkGraph());
+  TestServer ts(testutil::MakeSocialNetworkGraph(), LiveOptions());
 
   // Before the publish the keyword matches nothing.
   ClientResponse before;
@@ -164,7 +96,7 @@ TEST(HttpIngestTest, IngestThenSearchSeesTheNewData) {
 }
 
 TEST(HttpIngestTest, StructuredValidationErrors) {
-  LiveTestServer ts(testutil::MakeSocialNetworkGraph());
+  TestServer ts(testutil::MakeSocialNetworkGraph(), LiveOptions());
   ClientResponse r;
 
   // Parse-level: wrong label type → bad-shape with array position.
@@ -216,9 +148,9 @@ TEST(HttpIngestTest, StructuredValidationErrors) {
 }
 
 TEST(HttpIngestTest, OversizedBatchIsRejectedWith413) {
-  LiveServerOptions opts;
+  TestServerOptions opts = LiveOptions();
   opts.max_ingest_bytes = 64;
-  LiveTestServer ts(testutil::MakeSocialNetworkGraph(), opts);
+  TestServer ts(testutil::MakeSocialNetworkGraph(), opts);
   const std::string big =
       R"({"nodes":[{"label":")" + std::string(200, 'x') + R"("}]})";
   ClientResponse r;
@@ -231,9 +163,9 @@ TEST(HttpIngestTest, OversizedBatchIsRejectedWith413) {
 }
 
 TEST(HttpIngestTest, IngestBytesCountAgainstTheSharedAdmissionBudget) {
-  LiveServerOptions opts;
+  TestServerOptions opts = LiveOptions();
   opts.admission.max_inflight_bytes = 16;
-  LiveTestServer ts(testutil::MakeSocialNetworkGraph(), opts);
+  TestServer ts(testutil::MakeSocialNetworkGraph(), opts);
 
   // The controller always serves one request on an idle server, so pin the
   // budget with a fake inflight search first; the ingest body then lands on
@@ -256,7 +188,7 @@ TEST(HttpIngestTest, IngestBytesCountAgainstTheSharedAdmissionBudget) {
 }
 
 TEST(HttpIngestTest, CompactEndpointFoldsTheDelta) {
-  LiveTestServer ts(testutil::MakeSocialNetworkGraph());
+  TestServer ts(testutil::MakeSocialNetworkGraph(), LiveOptions());
   ClientResponse r;
   ASSERT_EQ(FetchOnce(ts.port(), PostRequest("/v1/ingest", kFreshBatch), &r),
             200);
@@ -294,9 +226,9 @@ TEST(HttpIngestTest, CompactEndpointFoldsTheDelta) {
 }
 
 TEST(HttpIngestTest, PublishInvalidatesTheResultCache) {
-  LiveServerOptions opts;
+  TestServerOptions opts = LiveOptions();
   opts.cache = true;
-  LiveTestServer ts(testutil::MakeSocialNetworkGraph(), opts);
+  TestServer ts(testutil::MakeSocialNetworkGraph(), opts);
   const std::string request =
       PostRequest("/v1/search", R"({"query":"Mary, John","k":3})");
 
@@ -340,9 +272,9 @@ TEST(HttpIngestTest, PublishInvalidatesTheResultCache) {
 // hit is stamped with the generation the request was pinned to; a publish
 // that adds an in-edge to an expanded node drops it.
 TEST(HttpIngestTest, CarriedHitCarriesThePinnedGeneration) {
-  LiveServerOptions opts;
+  TestServerOptions opts = LiveOptions();
   opts.cache = true;
-  LiveTestServer ts(testutil::MakeSocialNetworkGraph(), opts);
+  TestServer ts(testutil::MakeSocialNetworkGraph(), opts);
   const std::string request =
       PostRequest("/v1/search", R"({"query":"Mary, John","k":3})");
   const std::string reference = PostRequest(
@@ -404,7 +336,7 @@ TEST(HttpIngestTest, CarriedHitCarriesThePinnedGeneration) {
 }
 
 TEST(HttpIngestTest, VarzReportsTheLiveSection) {
-  LiveTestServer ts(testutil::MakeSocialNetworkGraph());
+  TestServer ts(testutil::MakeSocialNetworkGraph(), LiveOptions());
   ClientResponse r;
   ASSERT_EQ(FetchOnce(ts.port(), PostRequest("/v1/ingest", kFreshBatch), &r),
             200);

@@ -12,7 +12,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
@@ -20,14 +19,13 @@
 
 #include <gtest/gtest.h>
 
-#include "exec/query_executor.h"
 #include "graph/graph_builder.h"
-#include "graph/inverted_index.h"
 #include "graph/temporal_graph.h"
 #include "server/http_test_client.h"
 #include "server/json_io.h"
 #include "server/request_router.h"
 #include "testutil/paper_graphs.h"
+#include "testutil/test_server.h"
 
 namespace tgks::server {
 namespace {
@@ -37,6 +35,8 @@ using testing::FetchOnce;
 using testing::GetRequest;
 using testing::PostRequest;
 using testing::TestClient;
+using testing::TestServer;
+using testing::TestServerOptions;
 
 // A long "left ... right" chain: expensive to search, so deadline /
 // cancellation / saturation paths fire reliably (see query_executor_test).
@@ -55,69 +55,6 @@ graph::TemporalGraph MakeChainGraph(int n) {
   b.AddEdge(tail, prev, always);
   return std::move(b.Build()).value();
 }
-
-struct TestServerOptions {
-  int threads = 2;
-  AdmissionOptions admission;
-  int drain_timeout_ms = 2000;
-  int32_t default_k = 10;
-  bool cache = false;  ///< Wire the result cache (docs/caching.md).
-};
-
-// Owns the whole serving stack over a given graph, bound to an ephemeral
-// loopback port.
-class TestServer {
- public:
-  explicit TestServer(graph::TemporalGraph graph,
-                      TestServerOptions opts = TestServerOptions())
-      : graph_(std::move(graph)), index_(graph_) {
-    exec::ExecutorOptions exec_options;
-    exec_options.threads = opts.threads;
-    exec_options.search.k = opts.default_k;
-    exec_options.search.extra_cancel = &shutdown_cancel_;
-    if (opts.cache) {
-      result_cache_ = std::make_unique<cache::ResultCache>(int64_t{8} << 20);
-    }
-    executor_ = std::make_unique<exec::QueryExecutor>(graph_, &index_,
-                                                      exec_options);
-    admission_ = std::make_unique<AdmissionController>(opts.admission);
-    RouterContext context;
-    context.graph = &graph_;
-    context.executor = executor_.get();
-    context.admission = admission_.get();
-    context.draining = &draining_;
-    context.default_k = opts.default_k;
-    context.dataset_name = "test";
-    context.result_cache = result_cache_.get();
-    router_ = std::make_unique<RequestRouter>(context);
-    HttpServerOptions server_options;
-    server_options.port = 0;
-    server_options.drain_timeout_ms = opts.drain_timeout_ms;
-    server_options.draining_flag = &draining_;
-    server_options.shutdown_cancel = &shutdown_cancel_;
-    server_ = std::make_unique<HttpServer>(router_.get(), admission_.get(),
-                                           server_options);
-    const Status status = server_->Start();
-    EXPECT_TRUE(status.ok()) << status;
-  }
-
-  ~TestServer() { server_->Shutdown(); }
-
-  int port() const { return server_->port(); }
-  HttpServer* server() { return server_.get(); }
-  AdmissionController* admission() { return admission_.get(); }
-
- private:
-  graph::TemporalGraph graph_;
-  graph::InvertedIndex index_;
-  std::atomic<bool> draining_{false};
-  std::atomic<bool> shutdown_cancel_{false};
-  std::unique_ptr<cache::ResultCache> result_cache_;
-  std::unique_ptr<exec::QueryExecutor> executor_;
-  std::unique_ptr<AdmissionController> admission_;
-  std::unique_ptr<RequestRouter> router_;
-  std::unique_ptr<HttpServer> server_;
-};
 
 Result<JsonValue> ParseBody(const ClientResponse& response) {
   return JsonValue::Parse(response.body);
@@ -581,8 +518,8 @@ TEST(HttpServerTest, DeadlineHeaderStopsLongQuery) {
 
 // Saturation + graceful shutdown, end to end: with a single executor thread
 // and max_queue 1, a second search sheds with 429; Shutdown() then cancels
-// the straggler through the shutdown token and its JSON response (stop
-// reason "cancelled") is still flushed before the connection closes.
+// the straggler through the handle the server holds, and its JSON response
+// (stop reason "cancelled") is still flushed before the connection closes.
 TEST(HttpServerTest, ShedsAtSaturationAndCancelsOnShutdown) {
   TestServerOptions opts;
   opts.threads = 1;
@@ -642,7 +579,7 @@ TEST(HttpServerTest, ShutdownClosesListener) {
 TEST(HttpServerTest, RejectsPortAboveRange) {
   HttpServerOptions options;
   options.port = 65536;
-  HttpServer server(nullptr, nullptr, options);
+  HttpServer server(nullptr, options);
   const Status status = server.Start();
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
   EXPECT_FALSE(server.running());
@@ -651,7 +588,7 @@ TEST(HttpServerTest, RejectsPortAboveRange) {
 TEST(HttpServerTest, RejectsNegativePort) {
   HttpServerOptions options;
   options.port = -1;
-  HttpServer server(nullptr, nullptr, options);
+  HttpServer server(nullptr, options);
   const Status status = server.Start();
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
   EXPECT_FALSE(server.running());
@@ -673,7 +610,7 @@ TEST(HttpServerTest, StartFailsWithoutEpoll) {
     rlimit tight = saved;
     tight.rlim_cur = static_cast<rlim_t>(limit);
     ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &tight), 0);
-    HttpServer server(nullptr, nullptr, HttpServerOptions());
+    HttpServer server(nullptr, HttpServerOptions());
     const Status status = server.Start();
     ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &saved), 0);
     ASSERT_FALSE(status.ok()) << "started under " << limit << " descriptors";
@@ -710,9 +647,9 @@ TEST(HttpServerTest, UnknownFieldsAreIgnored) {
 }
 
 // A client that disconnects mid-query must not strand the query or its
-// scratch arenas: shutdown still drains cleanly (the shutdown token stops
-// the search through the engine's per-pop cancel check). Run under TSan in
-// CI — a query racing teardown is a data race there.
+// scratch arenas: shutdown still drains cleanly (the disconnect cancels the
+// search through the engine's per-pop cancel check). Run under TSan in CI —
+// a query racing teardown is a data race there.
 TEST(HttpServerTest, QueryClientDisconnectDrainsCleanly) {
   TestServerOptions opts;
   opts.threads = 2;
@@ -735,6 +672,65 @@ TEST(HttpServerTest, QueryClientDisconnectDrainsCleanly) {
   // query or unreleased scratch would hang or race here.
   ts.server()->Shutdown();
   EXPECT_FALSE(ts.server()->running());
+}
+
+// A cache-filling search survives its client's disconnect, because its
+// answer is shared with the cache and with coalesced followers. Only
+// shutdown can end it: the server keeps the abandoned search's handle and
+// cancels it when the drain times out, and the follower reads the
+// cancelled answer. Run under TSan in CI.
+TEST(HttpServerTest, ShutdownCancelsAnAbandonedCacheFillingSearch) {
+  TestServerOptions opts;
+  opts.cache = true;
+  opts.drain_timeout_ms = 50;
+  TestServer ts(MakeChainGraph(150000), opts);
+  const std::string search =
+      PostRequest("/v1/search", R"({"query":"left, right"})");
+
+  TestClient leader;
+  ASSERT_TRUE(leader.Connect(ts.port()));
+  ASSERT_TRUE(leader.Send(search));
+  for (int i = 0; i < 500 && ts.admission()->depth() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(ts.admission()->depth(), 1);
+
+  // The identical request coalesces onto the leader's search.
+  TestClient follower;
+  ASSERT_TRUE(follower.Connect(ts.port()));
+  ASSERT_TRUE(follower.Send(search));
+  int64_t coalesced = 0;
+  for (int i = 0; i < 500 && coalesced == 0; ++i) {
+    ClientResponse varz;
+    ASSERT_EQ(FetchOnce(ts.port(), GetRequest("/varz"), &varz), 200);
+    auto body = ParseBody(varz);
+    ASSERT_TRUE(body.ok()) << varz.body;
+    coalesced = body->Find("result_cache_coalesced")->AsInt();
+    if (coalesced == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  }
+  ASSERT_EQ(coalesced, 1);
+
+  // The leader vanishes; wait until the server has closed its connection.
+  leader.Abort();
+  for (int i = 0; i < 500 && ts.server()->open_connections() > 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(ts.server()->open_connections(), 1);
+  ASSERT_EQ(ts.admission()->depth(), 1);  // The search still runs.
+
+  ts.server()->Shutdown();
+  EXPECT_FALSE(ts.server()->running());
+  ClientResponse r;
+  ASSERT_TRUE(follower.ReadResponse(&r));
+  EXPECT_EQ(r.status, 200);
+  const std::string* x_cache = r.FindHeader("x-cache");
+  ASSERT_NE(x_cache, nullptr);
+  EXPECT_EQ(*x_cache, "coalesced");
+  auto body = ParseBody(r);
+  ASSERT_TRUE(body.ok()) << r.body;
+  EXPECT_EQ(body->Find("stop_reason")->AsString(), "cancelled");
 }
 
 // Concurrency smoke: several client threads hammer the server with mixed

@@ -142,6 +142,15 @@ class TestClient {
     fd_ = -1;
   }
 
+  /// Closes with a TCP reset (SO_LINGER 0): the server sees the peer gone
+  /// at once, where Close() reads as a half-close it still answers.
+  void Abort() {
+    if (fd_ < 0) return;
+    const struct linger reset = {1, 0};
+    setsockopt(fd_, SOL_SOCKET, SO_LINGER, &reset, sizeof(reset));
+    Close();
+  }
+
  private:
   bool Fill() {
     char chunk[16 * 1024];

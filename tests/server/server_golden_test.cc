@@ -10,23 +10,18 @@
 // Responses deliberately omit stats/counters/latency unless the request
 // asks for them, so the transcript is byte-identical across machines.
 
-#include <atomic>
 #include <cstdlib>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "exec/query_executor.h"
-#include "graph/inverted_index.h"
 #include "graph/serialization.h"
-#include "graph/temporal_graph.h"
-#include "server/http_server.h"
 #include "server/http_test_client.h"
-#include "server/request_router.h"
+#include "testutil/test_server.h"
 
 namespace tgks::server {
 namespace {
@@ -34,6 +29,8 @@ namespace {
 using testing::ClientResponse;
 using testing::FetchOnce;
 using testing::PostRequest;
+using testing::TestServer;
+using testing::TestServerOptions;
 
 std::string GoldenPath(const std::string& file) {
   return std::string(TGKS_GOLDEN_DIR) + "/" + file;
@@ -49,30 +46,10 @@ std::string ReadFile(const std::string& path) {
 TEST(ServerGoldenTest, SearchApiTranscript) {
   auto loaded = graph::LoadGraphFromFile(GoldenPath("social.tgf"));
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  const graph::TemporalGraph graph = std::move(loaded).value();
-  const graph::InvertedIndex index(graph);
-
-  std::atomic<bool> draining{false};
-  std::atomic<bool> shutdown_cancel{false};
-  exec::ExecutorOptions exec_options;
-  exec_options.threads = 1;  // Single worker: deterministic ordering.
-  exec_options.search.k = 10;
-  exec_options.search.extra_cancel = &shutdown_cancel;
-  exec::QueryExecutor executor(graph, &index, exec_options);
-  AdmissionController admission((AdmissionOptions()));
-  RouterContext context;
-  context.graph = &graph;
-  context.executor = &executor;
-  context.admission = &admission;
-  context.draining = &draining;
-  context.default_k = 10;
-  context.dataset_name = "social.tgf";
-  RequestRouter router(context);
-  HttpServerOptions server_options;
-  server_options.draining_flag = &draining;
-  server_options.shutdown_cancel = &shutdown_cancel;
-  HttpServer server(&router, &admission, server_options);
-  ASSERT_TRUE(server.Start().ok());
+  TestServerOptions opts;
+  opts.threads = 1;  // Single worker: deterministic ordering.
+  TestServer ts(std::move(loaded).value(), opts);
+  ASSERT_TRUE(ts.server()->running());
 
   // The canned request bodies. Keep in sync with server_api.expected (the
   // transcript embeds each body, so drift is visible in the diff).
@@ -100,12 +77,12 @@ TEST(ServerGoldenTest, SearchApiTranscript) {
   for (const std::string& body : bodies) {
     ClientResponse response;
     const int status =
-        FetchOnce(server.port(), PostRequest("/v1/search", body), &response);
+        FetchOnce(ts.port(), PostRequest("/v1/search", body), &response);
     ASSERT_GT(status, 0) << body;
     transcript << "\n>> " << body << "\n"
                << "<< " << status << " " << response.body << "\n";
   }
-  server.Shutdown();
+  ts.server()->Shutdown();
 
   const std::string expected_path = GoldenPath("server_api.expected");
   const std::string actual = transcript.str();
