@@ -45,6 +45,7 @@
 #include "baseline/dijkstra_iterator.h"
 #include "bench/bench_util.h"
 #include "graph/delta_overlay.h"
+#include "graph/graph_view.h"
 #include "graph/graph_builder.h"
 #include "search/best_path_iterator.h"
 #include "search/label_correcting_iterator.h"
@@ -504,14 +505,14 @@ int Main() {
   }
 
   const WeightedOverlay weighted = MakeWeightedOverlay(graph);
+  const graph::GraphView weighted_view(*weighted.base, weighted.overlay.get());
   hot_path_allocs += MeasureScenario("best_path_partition_weighted_overlay",
                                      [&] {
     int64_t pops = 0;
     for (const graph::NodeId source : sources) {
       search::BestPathIterator::Options options;
       options.ranking.factors = {search::RankFactor::kRelevance};
-      options.overlay = weighted.overlay.get();
-      search::BestPathIterator iter(*weighted.base, source, options);
+      search::BestPathIterator iter(weighted_view, source, options);
       while (iter.Next() != search::kInvalidNtd) ++pops;
     }
     return pops;

@@ -497,7 +497,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   tgks::examples::PrintResults(graph, *query, *response);
-  if (response->deadline_exceeded) {
+  if (response->deadline_exceeded()) {
     std::cout << "(stopped early: deadline of " << deadline_ms
               << " ms exceeded)\n";
   }

@@ -2,9 +2,7 @@
 
 #include <cassert>
 
-#include "graph/delta_overlay.h"
 #include "graph/expansion_view.h"
-#include "search/expansion_reader.h"
 
 namespace tgks::baseline {
 
@@ -13,21 +11,15 @@ using graph::NodeId;
 
 DijkstraIterator::DijkstraIterator(
     const graph::TemporalGraph& graph, NodeId source,
-    std::optional<temporal::TimePoint> snapshot,
-    const graph::DeltaOverlay* overlay)
+    std::optional<temporal::TimePoint> snapshot)
     : graph_(&graph),
       source_(source),
       snapshot_(snapshot),
-      overlay_(overlay),
       scratch_(DijkstraScratchPool::Acquire()) {
-  assert(source >= 0 &&
-         source < (overlay_ != nullptr ? overlay_->total_nodes()
-                                       : graph.num_nodes()));
+  assert(source >= 0 && source < graph.num_nodes());
   scratch_->Reset();
   if (!NodeVisible(source)) return;
-  const double d0 = overlay_ != nullptr
-                        ? overlay_->NodeAt(graph, source).weight
-                        : graph.node(source).weight;
+  const double d0 = graph.node(source).weight;
   DijkstraLabel& label = scratch_->labels.Activate(
       static_cast<uint32_t>(source),
       [](DijkstraLabel& stale) { stale = DijkstraLabel{}; });
@@ -36,14 +28,7 @@ DijkstraIterator::DijkstraIterator(
 }
 
 bool DijkstraIterator::NodeVisible(NodeId n) const {
-  if (!snapshot_.has_value()) return true;
-  return overlay_ != nullptr && overlay_->IsDeltaNode(n)
-             ? overlay_->NodeAliveAt(n, *snapshot_)
-             : graph_->NodeAliveAt(n, *snapshot_);
-}
-
-bool DijkstraIterator::EdgeVisible(EdgeId e) const {
-  return !snapshot_.has_value() || graph_->EdgeAliveAt(e, *snapshot_);
+  return !snapshot_.has_value() || graph_->NodeAliveAt(n, *snapshot_);
 }
 
 void DijkstraIterator::SettleTop() {
@@ -70,34 +55,27 @@ NodeId DijkstraIterator::Next() {
   scratch_->labels.Find(static_cast<uint32_t>(top.node))->settled = true;
   ++nodes_settled_;
   const graph::ExpansionView& view = graph_->expansion_view();
-  const auto expand = [&](const auto& reader) {
-    reader.ForEachInSlot(top.node, [&](int64_t s) {
-      if (snapshot_.has_value() && !reader.EdgeAliveAt(s, *snapshot_)) return;
-      const NodeId neighbor = reader.src(s);
-      if (snapshot_.has_value() &&
-          !reader.NodeAliveAt(neighbor, *snapshot_)) {
-        return;
-      }
-      const double nd =
-          top.dist + reader.edge_weight(s) + reader.node_weight(neighbor);
-      bool fresh = false;
-      DijkstraLabel& label = scratch_->labels.Activate(
-          static_cast<uint32_t>(neighbor), [&fresh](DijkstraLabel& stale) {
-            stale = DijkstraLabel{};
-            fresh = true;
-          });
-      if (label.settled) return;
-      if (fresh || nd < label.dist) {
-        label.dist = nd;
-        label.parent_edge = reader.edge_id(s);
-        scratch_->queue.push(DijkstraQueueEntry{nd, neighbor});
-      }
-    });
-  };
-  if (overlay_ != nullptr && !overlay_->empty()) {
-    expand(search::OverlayExpansionReader{view, *overlay_});
-  } else {
-    expand(search::BaseExpansionReader{view});
+  const graph::ExpansionView::SlotRange slots = view.InSlots(top.node);
+  for (int64_t s = slots.begin; s < slots.end; ++s) {
+    if (snapshot_.has_value() && !view.EdgeAliveAt(s, *snapshot_)) continue;
+    const NodeId neighbor = view.src(s);
+    if (snapshot_.has_value() && !view.NodeAliveAt(neighbor, *snapshot_)) {
+      continue;
+    }
+    const double nd =
+        top.dist + view.edge_weight(s) + view.node_weight(neighbor);
+    bool fresh = false;
+    DijkstraLabel& label = scratch_->labels.Activate(
+        static_cast<uint32_t>(neighbor), [&fresh](DijkstraLabel& stale) {
+          stale = DijkstraLabel{};
+          fresh = true;
+        });
+    if (label.settled) continue;
+    if (fresh || nd < label.dist) {
+      label.dist = nd;
+      label.parent_edge = view.edge_id(s);
+      scratch_->queue.push(DijkstraQueueEntry{nd, neighbor});
+    }
   }
   return top.node;
 }
@@ -123,8 +101,7 @@ void DijkstraIterator::PathEdgesInto(NodeId node,
     const EdgeId e = scratch_->labels.Find(static_cast<uint32_t>(cur))
                          ->parent_edge;
     out->push_back(e);
-    cur = overlay_ != nullptr ? overlay_->EdgeAt(*graph_, e).dst
-                              : graph_->edge(e).dst;
+    cur = graph_->edge(e).dst;
   }
 }
 

@@ -7,7 +7,9 @@
 // single-snapshot behaviour. Like the temporal iterators, its working state
 // (per-node labels, the frontier heap) lives in a pooled scratch so the
 // snapshot sweeps of BANKS(I) — thousands of iterators per query — reuse
-// memory instead of churning hash maps.
+// memory instead of churning hash maps. It walks the base ExpansionView of
+// a build-once graph; live snapshots (delta overlays) are searched only by
+// the engine's keyword frontiers.
 
 #ifndef TGKS_BASELINE_DIJKSTRA_ITERATOR_H_
 #define TGKS_BASELINE_DIJKSTRA_ITERATOR_H_
@@ -20,10 +22,6 @@
 #include "graph/temporal_graph.h"
 #include "search/quad_heap.h"
 #include "temporal/time_point.h"
-
-namespace tgks::graph {
-class DeltaOverlay;  // delta_overlay.h
-}
 
 namespace tgks::baseline {
 
@@ -69,11 +67,9 @@ using DijkstraScratchPool = common::ScratchPool<DijkstraScratch, 8192>;
 class DijkstraIterator {
  public:
   /// `snapshot`: when set, nodes/edges not alive at that instant are
-  /// invisible. `overlay` (not owned) extends the walk over a live
-  /// snapshot's delta. The graph must outlive the iterator.
+  /// invisible. The graph must outlive the iterator.
   DijkstraIterator(const graph::TemporalGraph& graph, graph::NodeId source,
-                   std::optional<temporal::TimePoint> snapshot = std::nullopt,
-                   const graph::DeltaOverlay* overlay = nullptr);
+                   std::optional<temporal::TimePoint> snapshot = std::nullopt);
 
   DijkstraIterator(const DijkstraIterator&) = delete;
   DijkstraIterator& operator=(const DijkstraIterator&) = delete;
@@ -99,14 +95,12 @@ class DijkstraIterator {
   int64_t nodes_settled() const { return nodes_settled_; }
 
  private:
-  bool EdgeVisible(graph::EdgeId e) const;
   bool NodeVisible(graph::NodeId n) const;
   void SettleTop();
 
   const graph::TemporalGraph* graph_;
   graph::NodeId source_;
   std::optional<temporal::TimePoint> snapshot_;
-  const graph::DeltaOverlay* overlay_ = nullptr;
   DijkstraScratchPool::Handle scratch_;
   int64_t nodes_settled_ = 0;
 };

@@ -93,8 +93,8 @@ BatchResponse QueryExecutor::Run(const std::vector<BatchQuery>& batch) {
     out.totals.Merge(response->counters);
     out.stats.Merge(response->stats);
     if (response->truncated) ++out.truncated;
-    if (response->deadline_exceeded) ++out.deadline_exceeded;
-    if (response->cancelled) ++out.cancelled;
+    if (response->deadline_exceeded()) ++out.deadline_exceeded;
+    if (response->cancelled()) ++out.cancelled;
   }
   out.latency = SummarizeLatencies(out.latencies_seconds);
   return out;
@@ -110,16 +110,12 @@ void QueryExecutor::Submit(SingleQuery single, SingleQueryCallback done) {
   if (single.deadline_ms > 0) options.deadline_ms = single.deadline_ms;
   if (single.cancel != nullptr) options.cancel = single.cancel;
   options.report_expanded_nodes |= single.report_expanded_nodes;
-  if (single.snapshot.graph != nullptr) {
-    // Live snapshot: its overlay replaces the executor-wide default.
-    options.overlay = single.snapshot.overlay;
-  }
   pool_->Submit([this, single = std::move(single), options,
                  done = std::move(done)]() mutable {
     Stopwatch latency;
     latency.Start();
     // A snapshot-bound query runs on a throwaway engine over the pinned
-    // graph + index; SearchEngine is two pointers, so this costs nothing
+    // view + index; SearchEngine is three pointers, so this costs nothing
     // and keeps the executor's build-time engine untouched.
     const auto run = [&](const search::SearchEngine& engine) {
       return single.query.matches.empty()
@@ -128,8 +124,8 @@ void QueryExecutor::Submit(SingleQuery single, SingleQueryCallback done) {
                                             single.query.matches, options);
     };
     Result<search::SearchResponse> response =
-        single.snapshot.graph != nullptr
-            ? run(search::SearchEngine(*single.snapshot.graph,
+        single.snapshot.view.has_value()
+            ? run(search::SearchEngine(*single.snapshot.view,
                                        single.snapshot.index))
             : run(engine_);
     latency.Stop();

@@ -14,8 +14,8 @@
 // Submit() calls that waits for the last callback. Robustness controls ride
 // on SearchOptions: a per-query wall-clock deadline and cooperative
 // cancellation tokens, checked at the engine's pop boundary
-// (deadline_exceeded / cancelled surface on the response instead of a crash
-// or unbounded run).
+// (the response's stop reason says so instead of a crash or an unbounded
+// run).
 
 #ifndef TGKS_EXEC_QUERY_EXECUTOR_H_
 #define TGKS_EXEC_QUERY_EXECUTOR_H_
@@ -29,6 +29,7 @@
 
 #include "common/result.h"
 #include "exec/thread_pool.h"
+#include "graph/graph_view.h"
 #include "graph/inverted_index.h"
 #include "graph/temporal_graph.h"
 #include "search/search_engine.h"
@@ -109,18 +110,17 @@ struct SingleQuery {
   /// Sets SearchOptions::report_expanded_nodes: the response lists the
   /// nodes the query expanded (the result cache's read set).
   bool report_expanded_nodes = false;
-  /// Live-serving snapshot binding (docs/ingest.md). When `graph` is set
+  /// Live-serving snapshot binding (docs/ingest.md). When `view` is set
   /// the query runs on a per-request SearchEngine over this snapshot's
-  /// graph + index instead of the executor's build-time pair, with the
-  /// delta overlay wired into SearchOptions. `pin` is the RCU epoch hold:
-  /// it keeps every pointed-to structure alive until the query — including
-  /// its callback — is done, so a publish racing this query retires the old
-  /// snapshot only after the last pinned reader drops out.
+  /// view (base + delta) and index instead of the executor's build-time
+  /// pair. `pin` is the RCU epoch hold: it keeps every pointed-to
+  /// structure alive until the query — including its callback — is done,
+  /// so a publish racing this query retires the old snapshot only after
+  /// the last pinned reader drops out.
   struct SnapshotBinding {
     std::shared_ptr<const void> pin;
-    const graph::TemporalGraph* graph = nullptr;
+    std::optional<graph::GraphView> view;
     const graph::InvertedIndex* index = nullptr;
-    const graph::DeltaOverlay* overlay = nullptr;
   };
   SnapshotBinding snapshot;
 };

@@ -45,7 +45,6 @@
 #include "graph/temporal_graph.h"
 #include "temporal/interval_set.h"
 #include "temporal/time_mask.h"
-#include "temporal/time_point.h"
 
 namespace tgks::graph {
 
@@ -81,7 +80,8 @@ class DeltaOverlay {
   bool IsDeltaNode(NodeId id) const { return id >= base_num_nodes_; }
   bool IsDeltaEdge(EdgeId id) const { return id >= base_num_edges_; }
 
-  /// Cold-path accessors by absolute id (id must be a delta id).
+  /// Cold-path accessors by absolute id (id must be a delta id); GraphView
+  /// routes any id between these and the base graph.
   const Node& delta_node(NodeId id) const {
     assert(IsDeltaNode(id) && id < total_nodes());
     return delta_nodes_[static_cast<size_t>(id - base_num_nodes_)];
@@ -89,14 +89,6 @@ class DeltaOverlay {
   const Edge& delta_edge(EdgeId id) const {
     assert(IsDeltaEdge(id) && id < total_edges());
     return delta_edges_[static_cast<size_t>(id - base_num_edges_)];
-  }
-
-  /// Uniform cold-path reads that route between base and delta storage.
-  const Node& NodeAt(const TemporalGraph& g, NodeId id) const {
-    return IsDeltaNode(id) ? delta_node(id) : g.node(id);
-  }
-  const Edge& EdgeAt(const TemporalGraph& g, EdgeId id) const {
-    return IsDeltaEdge(id) ? delta_edge(id) : g.edge(id);
   }
 
   /// The delta in-edge run of node `n` (absolute id; base or delta node),
@@ -134,15 +126,6 @@ class DeltaOverlay {
   void IntersectEdgeValidity(int64_t slot, const temporal::TimeMask& t,
                              temporal::TimeMask* out) const {
     *out = t & edge_mask(slot);
-  }
-
-  bool EdgeAliveAt(int64_t slot, temporal::TimePoint t) const {
-    return slot_ref(slot).validity.Contains(t);
-  }
-
-  /// `n` must be a delta node; base nodes go through the ExpansionView.
-  bool NodeAliveAt(NodeId n, temporal::TimePoint t) const {
-    return delta_node(n).validity.Contains(t);
   }
 
   template <typename Fn>

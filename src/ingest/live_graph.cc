@@ -160,7 +160,8 @@ Result<uint64_t> LiveGraph::Apply(const IngestBatch& batch,
     std::lock_guard<std::mutex> head_lock(head_mu_);
     snap = head_;
   }
-  const NodeId base_total = snap->total_nodes();
+  const graph::GraphView view = snap->view();
+  const NodeId base_total = view.num_nodes();
 
   // Resolve and clamp edges against the snapshot + this batch. All
   // validation completes before anything is published: a rejected batch
@@ -179,10 +180,7 @@ Result<uint64_t> LiveGraph::Apply(const IngestBatch& batch,
     if (id >= base_total) {
       return new_nodes[static_cast<size_t>(id - base_total)].validity;
     }
-    if (snap->overlay != nullptr) {
-      return snap->overlay->NodeAt(*snap->graph, id).validity;
-    }
-    return snap->graph->node(id).validity;
+    return view.node(id).validity;
   };
 
   std::vector<graph::Edge> new_edges;
@@ -255,9 +253,7 @@ Result<uint64_t> LiveGraph::Apply(const IngestBatch& batch,
   next->overlay =
       graph::DeltaOverlay::Extend(*snap->graph, snap->overlay.get(),
                                   std::move(new_nodes), std::move(new_edges));
-  const bool was_compacted =
-      snap->overlay == nullptr || snap->overlay->empty();
-  if (was_compacted) {
+  if (view.overlay() == nullptr) {  // The first publish since a compaction.
     first_uncompacted_publish_ = std::chrono::steady_clock::now();
   }
   ingest_stats_.batches += 1;
@@ -292,27 +288,22 @@ Result<uint64_t> LiveGraph::CompactLocked(bool manual) {
     std::lock_guard<std::mutex> head_lock(head_mu_);
     snap = head_;
   }
-  if (snap->overlay == nullptr || snap->overlay->empty()) {
-    return snap->generation;  // Nothing to fold.
-  }
+  const graph::GraphView view = snap->view();
+  if (view.overlay() == nullptr) return snap->generation;  // Nothing to fold.
   Stopwatch rebuild;
   rebuild.Start();
-  const graph::DeltaOverlay& overlay = *snap->overlay;
-  const graph::TemporalGraph& base = *snap->graph;
 
   // Full rebuild: every element re-enters the builder in id order, so the
   // compacted graph assigns identical ids and its CSR enumerates edges in
   // the identical order — a query cannot tell a compacted snapshot from a
   // graph that was built with the data from day one.
-  graph::GraphBuilder builder(base.timeline_length());
-  const NodeId total_nodes = overlay.total_nodes();
-  for (NodeId n = 0; n < total_nodes; ++n) {
-    const graph::Node& node = overlay.NodeAt(base, n);
+  graph::GraphBuilder builder(view.timeline_length());
+  for (NodeId n = 0; n < view.num_nodes(); ++n) {
+    const graph::Node& node = view.node(n);
     builder.AddNode(node.label, node.validity, node.weight);
   }
-  const EdgeId total_edges = overlay.total_edges();
-  for (EdgeId e = 0; e < total_edges; ++e) {
-    const graph::Edge& edge = overlay.EdgeAt(base, e);
+  for (EdgeId e = 0; e < view.num_edges(); ++e) {
+    const graph::Edge& edge = view.edge(e);
     builder.AddEdge(edge.src, edge.dst, edge.validity, edge.weight);
   }
   Result<graph::TemporalGraph> rebuilt = builder.Build();
@@ -338,8 +329,8 @@ Result<uint64_t> LiveGraph::CompactLocked(bool manual) {
 
   compaction_stats_.runs += 1;
   if (manual) compaction_stats_.manual_runs += 1;
-  compaction_stats_.nodes_folded += overlay.num_delta_nodes();
-  compaction_stats_.edges_folded += overlay.num_delta_edges();
+  compaction_stats_.nodes_folded += view.overlay()->num_delta_nodes();
+  compaction_stats_.edges_folded += view.overlay()->num_delta_edges();
   compaction_stats_.last_rebuild_seconds = rebuild.seconds();
   compaction_stats_.last_swap_seconds = swap.seconds();
   {
@@ -360,7 +351,7 @@ bool LiveGraph::ShouldCompactLocked() const {
     std::lock_guard<std::mutex> head_lock(head_mu_);
     snap = head_;
   }
-  if (snap->overlay == nullptr || snap->overlay->empty()) return false;
+  if (snap->view().overlay() == nullptr) return false;
   if (policy_.max_delta_bytes > 0 &&
       snap->overlay->ApproxBytes() >= policy_.max_delta_bytes) {
     return true;

@@ -44,14 +44,15 @@
 #include "cache/read_set.h"
 #include "common/result.h"
 #include "graph/delta_overlay.h"
+#include "graph/graph_view.h"
 #include "graph/inverted_index.h"
 #include "graph/temporal_graph.h"
 #include "ingest/ingest_batch.h"
 
 namespace tgks::ingest {
 
-/// One immutable published view of the live graph. Queries read `graph`,
-/// `index`, and `overlay` directly (overlay may be null — base-only
+/// One immutable published view of the live graph: the base `graph` and
+/// its `index`, plus the `overlay` (null on a base or freshly compacted
 /// snapshot).
 struct GraphSnapshot {
   uint64_t generation = 0;
@@ -59,18 +60,10 @@ struct GraphSnapshot {
   std::shared_ptr<const graph::InvertedIndex> index;
   std::shared_ptr<const graph::DeltaOverlay> overlay;
 
-  /// The overlay pointer queries should carry: null when there is no delta
-  /// (a base or freshly compacted snapshot behaves exactly like a
-  /// build-once graph).
-  const graph::DeltaOverlay* overlay_or_null() const {
-    return overlay != nullptr && !overlay->empty() ? overlay.get() : nullptr;
-  }
-  graph::NodeId total_nodes() const {
-    return overlay != nullptr ? overlay->total_nodes() : graph->num_nodes();
-  }
-  graph::EdgeId total_edges() const {
-    return overlay != nullptr ? overlay->total_edges() : graph->num_edges();
-  }
+  /// The graph queries read: base + delta, or the base alone when there is
+  /// no delta (then it behaves exactly like a build-once graph). Valid
+  /// while the snapshot is.
+  graph::GraphView view() const { return {*graph, overlay.get()}; }
 };
 
 /// The RCU pin: holding it keeps every structure the snapshot references

@@ -6,9 +6,7 @@
 #include <utility>
 #include <vector>
 
-#include "graph/delta_overlay.h"
 #include "graph/expansion_view.h"
-#include "search/expansion_reader.h"
 
 namespace tgks::search {
 
@@ -17,19 +15,10 @@ using graph::NodeId;
 using temporal::IntervalSet;
 using temporal::TimeMask;
 
-template <typename Fn>
-decltype(auto) BestPathIterator::WithReader(Fn&& fn) const {
-  const graph::ExpansionView& view = graph_->expansion_view();
-  if (options_.overlay != nullptr && !options_.overlay->empty()) {
-    return fn(OverlayExpansionReader{view, *options_.overlay});
-  }
-  return fn(BaseExpansionReader{view});
-}
-
-BestPathIterator::BestPathIterator(const graph::TemporalGraph& graph,
+BestPathIterator::BestPathIterator(graph::GraphView graph,
                                    std::span<const NodeId> sources,
                                    Options options)
-    : graph_(&graph),
+    : graph_(graph),
       options_(std::move(options)),
       num_sources_(static_cast<int32_t>(sources.size())),
       masks_(TimeMask::Fits(graph.timeline_length())),
@@ -37,13 +26,10 @@ BestPathIterator::BestPathIterator(const graph::TemporalGraph& graph,
             FactorList{RankFactor::kRelevance}),
       scratch_(BestPathScratchPool::Acquire()) {
   scratch_->Reset(sources.size());
-  WithReader([&](const auto& reader) {
+  graph_.WithReader([&](const auto& reader) {
     for (int32_t origin = 0; origin < num_sources_; ++origin) {
       const NodeId source = sources[static_cast<size_t>(origin)];
-      assert(source >= 0 &&
-             source < (options_.overlay != nullptr
-                           ? options_.overlay->total_nodes()
-                           : graph.num_nodes()));
+      assert(source >= 0 && source < graph_.num_nodes());
       BestPathOrigin& slot = scratch_->origins[static_cast<size_t>(origin)];
       slot.Reset(source);
       const auto start = [&](const auto& validity, double weight) {
@@ -61,9 +47,7 @@ BestPathIterator::BestPathIterator(const graph::TemporalGraph& graph,
         // The view's precomputed mask: no IntervalSet conversion per source.
         start(reader.node_mask(source), reader.node_weight(source));
       } else {
-        const graph::Node& src = options_.overlay != nullptr
-                                     ? options_.overlay->NodeAt(graph, source)
-                                     : graph.node(source);
+        const graph::Node& src = graph_.node(source);
         start(src.validity, src.weight);
       }
     }
@@ -224,7 +208,7 @@ NtdId BestPathIterator::Next() {
 
 bool BestPathIterator::Settle(BestPathOrigin& slot, int32_t origin) {
   if (!lazy_) return SettleTop(slot, options_.trace_iter + origin);
-  return WithReader([&](const auto& reader) {
+  return graph_.WithReader([&](const auto& reader) {
     return masks_ ? CreateHead<TimeMask>(slot, reader)
                   : CreateHead<IntervalSet>(slot, reader);
   });
@@ -240,7 +224,7 @@ void BestPathIterator::ExpandNeighbors(BestPathOrigin& slot, NtdId id) {
 
 template <typename Time>
 void BestPathIterator::ExpandNeighborsAs(BestPathOrigin& slot, NtdId id) {
-  WithReader([&](const auto& reader) {
+  graph_.WithReader([&](const auto& reader) {
     if (lazy_) {
       PushContinuations(slot, id, reader);
     } else if (UsesSubsumptionSemantics()) {
@@ -428,7 +412,7 @@ void BestPathIterator::ExpandNeighborsSubsumption(BestPathOrigin& slot,
   [[maybe_unused]] const int32_t trace_iter = options_.trace_iter + origin;
   decltype(auto) tmp = ExpansionBuffer<Time>(*scratch_);
   const auto fresh_index = [this](NodeSubsumption& stale) {
-    stale.Fresh(options_.duration_index, graph_->timeline_length());
+    stale.Fresh(options_.duration_index, graph_.timeline_length());
   };
 
   // Register the popped NTD itself in its node's index (it prunes future

@@ -55,6 +55,12 @@
 // parallel to the NTDs. Both produce identical pops and work counters;
 // TimeOf() reads an NTD's time in either.
 //
+// The graph is a graph::GraphView: a build-once graph, or a live snapshot's
+// base plus delta overlay. The view picks the slot reader the expansion
+// loops run on (graph/expansion_reader.h); over a delta they walk each
+// node's base in-edge run and then its delta run, the order a graph rebuilt
+// with the delta would enumerate, so they pop what a rebuilt graph pops.
+//
 // All working state (NTD arena, heaps, flat per-node epoch tables) lives in
 // a pooled BestPathScratch (search_scratch.h): constructing an iterator on
 // a thread that ran one before reuses the previous state's memory, and the
@@ -70,6 +76,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "graph/graph_view.h"
 #include "graph/temporal_graph.h"
 #include "obs/query_trace.h"
 #include "obs/search_stats.h"
@@ -80,10 +87,6 @@
 #include "temporal/interval_set.h"
 #include "temporal/ntd_bitmap_index.h"
 #include "temporal/time_mask.h"
-
-namespace tgks::graph {
-class DeltaOverlay;  // delta_overlay.h
-}
 
 namespace tgks::search {
 
@@ -135,21 +138,16 @@ class BestPathIterator {
     /// source i carry `trace_iter + i` as their iterator id.
     obs::QueryTrace* trace = nullptr;
     int32_t trace_iter = -1;
-    /// Optional append overlay for live graphs (not owned; see
-    /// graph/delta_overlay.h). When set and non-empty, expansion walks the
-    /// base ExpansionView run and then the node's delta in-edge run — the
-    /// exact enumeration a rebuilt graph would produce — and node reads
-    /// route by id between base and delta storage.
-    const graph::DeltaOverlay* overlay = nullptr;
   };
 
-  /// Starts one backward expansion per entry of `sources`; source i is the
-  /// NTD origin i. A source that fails the predicate prune starts
+  /// Starts one backward expansion per entry of `sources` over `graph`
+  /// (a build-once graph, or a live snapshot's base + delta); source i is
+  /// the NTD origin i. A source that fails the predicate prune starts
   /// exhausted.
-  BestPathIterator(const graph::TemporalGraph& graph,
+  BestPathIterator(graph::GraphView graph,
                    std::span<const graph::NodeId> sources, Options options);
   /// The one-source case.
-  BestPathIterator(const graph::TemporalGraph& graph, graph::NodeId source,
+  BestPathIterator(graph::GraphView graph, graph::NodeId source,
                    Options options)
       : BestPathIterator(graph, std::span<const graph::NodeId>(&source, 1),
                          std::move(options)) {}
@@ -260,11 +258,6 @@ class BestPathIterator {
   void PushContinuations(BestPathOrigin& slot, NtdId id,
                          const Reader& reader);
 
-  /// Calls `fn` with the slot reader for this iterator's graph: base-only,
-  /// or base + delta overlay when a non-empty overlay is set.
-  template <typename Fn>
-  decltype(auto) WithReader(Fn&& fn) const;
-
   /// Appends an NTD of source `origin` to the arena and queues it — in
   /// lazy mode as the source's head. `time` is copied into the NTD (a wide
   /// time is copy-assigned into its parallel arena slot, which keeps its
@@ -275,12 +268,12 @@ class BestPathIterator {
                 const Time& time, double dist, NtdId parent,
                 graph::EdgeId via_edge);
   void ExpandNeighbors(BestPathOrigin& slot, NtdId id);
-  /// Picks the slot reader (base-only or base + delta overlay) and the
-  /// semantics for one time representation.
+  /// Picks the semantics for one time representation, with the graph
+  /// view's slot reader.
   template <typename Time>
   void ExpandNeighborsAs(BestPathOrigin& slot, NtdId id);
   /// Expansion loop bodies, templated over the time representation and a
-  /// slot reader (see best_path_iterator.cc). The base-reader instantiations
+  /// slot reader (graph/expansion_reader.h). The base-reader instantiations
   /// inline to plain view reads, so build-once graphs pay nothing for the
   /// overlay.
   template <typename Time, typename Reader>
@@ -315,7 +308,7 @@ class BestPathIterator {
   /// FullyClaimed for NTD `id`'s own time.
   bool NtdFullyClaimed(const BestPathOrigin& slot, NtdId id) const;
 
-  const graph::TemporalGraph* graph_;
+  graph::GraphView graph_;
   Options options_;
   int32_t num_sources_ = 0;
   bool masks_ = false;  ///< Time representation (see uses_time_masks).

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
-#include "graph/delta_overlay.h"
 #include "graph/expansion_view.h"
-#include "search/expansion_reader.h"
 #include "search/result_tree.h"
 
 namespace tgks::search {
@@ -46,15 +44,9 @@ LabelCorrectingIterator::LabelCorrectingIterator(
       source_(source),
       options_(options),
       scratch_(LabelCorrectingScratchPool::Acquire()) {
-  assert(source >= 0 &&
-         source < (options_.overlay != nullptr
-                       ? options_.overlay->total_nodes()
-                       : graph.num_nodes()));
+  assert(source >= 0 && source < graph.num_nodes());
   scratch_->Reset();
-  const IntervalSet& validity =
-      options_.overlay != nullptr
-          ? options_.overlay->NodeAt(graph, source).validity
-          : graph.node(source).validity;
+  const IntervalSet& validity = graph.node(source).validity;
   if (validity.IsEmpty()) return;
   const NtdId id =
       TryKeep(source, validity, kInvalidNtd, graph::kInvalidEdge);
@@ -129,20 +121,14 @@ bool LabelCorrectingIterator::Run() {
                              static_cast<double>(time.Duration()));
     }
     const graph::ExpansionView& view = graph_->expansion_view();
-    const auto relax = [&](const auto& reader) {
-      reader.ForEachInSlot(node, [&](int64_t s) {
-        reader.IntersectEdgeValidity(s, time, &scratch_->tmp);
-        ++stats_.interval_ops;
-        if (scratch_->tmp.IsEmpty()) return;
-        const NtdId kept =
-            TryKeep(reader.src(s), scratch_->tmp, id, reader.edge_id(s));
-        if (kept != kInvalidNtd) worklist_.push_back(kept);
-      });
-    };
-    if (options_.overlay != nullptr && !options_.overlay->empty()) {
-      relax(OverlayExpansionReader{view, *options_.overlay});
-    } else {
-      relax(BaseExpansionReader{view});
+    const graph::ExpansionView::SlotRange slots = view.InSlots(node);
+    for (int64_t s = slots.begin; s < slots.end; ++s) {
+      view.IntersectEdgeValidity(s, time, &scratch_->tmp);
+      ++stats_.interval_ops;
+      if (scratch_->tmp.IsEmpty()) continue;
+      const NtdId kept =
+          TryKeep(view.src(s), scratch_->tmp, id, view.edge_id(s));
+      if (kept != kInvalidNtd) worklist_.push_back(kept);
     }
     stats_.worklist_high_water =
         std::max(stats_.worklist_high_water,
@@ -204,13 +190,11 @@ std::vector<InverseSearchResult> SearchInverse(
     const graph::TemporalGraph& graph,
     const std::vector<std::vector<NodeId>>& matches,
     InverseRankFactor factor, int32_t k,
-    int64_t max_relaxations_per_iterator,
-    const graph::DeltaOverlay* overlay) {
+    int64_t max_relaxations_per_iterator) {
   const size_t m = matches.size();
   LabelCorrectingIterator::Options options;
   options.factor = factor;
   options.max_relaxations = max_relaxations_per_iterator;
-  if (overlay != nullptr && !overlay->empty()) options.overlay = overlay;
 
   // One iterator per match node, grouped by keyword.
   std::vector<std::vector<std::unique_ptr<LabelCorrectingIterator>>> per_kw(m);
@@ -229,15 +213,12 @@ std::vector<InverseSearchResult> SearchInverse(
   // Join: for every node with fragments from all keywords, combine one
   // fragment per keyword, intersect, assemble.
   std::vector<InverseSearchResult> results;
-  CandidateAssembler assembler(graph, &match_lists, options.overlay);
+  CandidateAssembler assembler(graph, &match_lists);
   SignatureSet seen;
   std::vector<EdgeId> path_edges;
   std::vector<NodeId> leaf_matches(m);
   ResultTree tree;
-  const NodeId total_nodes = options.overlay != nullptr
-                                 ? options.overlay->total_nodes()
-                                 : graph.num_nodes();
-  for (NodeId root = 0; root < total_nodes; ++root) {
+  for (NodeId root = 0; root < graph.num_nodes(); ++root) {
     // Gather (iterator, fragment) pairs per keyword at this node.
     std::vector<std::vector<std::pair<const LabelCorrectingIterator*, NtdId>>>
         lists(m);

@@ -32,6 +32,10 @@
 // keeps at most one fragment per distinct time-set (re-arrivals are covered
 // by themselves), bounding work by the paper's own O(2^T) Algorithm-2
 // worst case; real graphs stay tiny.
+//
+// The iterator reads a build-once graph only: it walks the base
+// ExpansionView and has no live-snapshot (delta overlay) path, which only
+// the engine's keyword frontiers have (search/best_path_iterator.h).
 
 #ifndef TGKS_SEARCH_LABEL_CORRECTING_ITERATOR_H_
 #define TGKS_SEARCH_LABEL_CORRECTING_ITERATOR_H_
@@ -49,10 +53,6 @@
 #include "search/search_scratch.h"
 #include "temporal/interval_set.h"
 #include "temporal/ntd_bitmap_index.h"
-
-namespace tgks::graph {
-class DeltaOverlay;  // delta_overlay.h
-}
 
 namespace tgks::search {
 
@@ -88,9 +88,6 @@ class LabelCorrectingIterator {
     /// `trace_iter` as their iterator id.
     obs::QueryTrace* trace = nullptr;
     int32_t trace_iter = -1;
-    /// Optional append overlay for live graphs (not owned; see
-    /// graph/delta_overlay.h and search/expansion_reader.h).
-    const graph::DeltaOverlay* overlay = nullptr;
   };
 
   /// Prepares a run from `source`; the graph must outlive the iterator.
@@ -171,14 +168,11 @@ struct InverseSearchResult {
 /// every returned tree is still valid. The state space is worst-case
 /// exponential in the timeline (like Algorithm 2), so keep inverse
 /// searches to archive-scale timelines or set the valve.
-/// `overlay`, when set and non-empty, searches the live snapshot (base
-/// graph + delta).
 std::vector<InverseSearchResult> SearchInverse(
     const graph::TemporalGraph& graph,
     const std::vector<std::vector<graph::NodeId>>& matches,
     InverseRankFactor factor, int32_t k,
-    int64_t max_relaxations_per_iterator = 200000,
-    const graph::DeltaOverlay* overlay = nullptr);
+    int64_t max_relaxations_per_iterator = 200000);
 
 }  // namespace tgks::search
 

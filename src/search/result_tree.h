@@ -15,13 +15,10 @@
 #include <unordered_set>
 #include <vector>
 
+#include "graph/graph_view.h"
 #include "graph/temporal_graph.h"
 #include "search/ranking.h"
 #include "temporal/interval_set.h"
-
-namespace tgks::graph {
-class DeltaOverlay;  // delta_overlay.h
-}
 
 namespace tgks::search {
 
@@ -132,12 +129,11 @@ class CandidateAssembler {
  public:
   /// `match_lists[i]`, when given, is keyword i's full match set, sorted
   /// and unique, so that any tree node matching keyword i covers it during
-  /// reduction; otherwise only the designated match covers i. Both
-  /// `match_lists` and `overlay` (which routes element reads for delta ids
-  /// on live snapshots) must outlive the assembler.
-  CandidateAssembler(const graph::TemporalGraph& graph,
-                     const std::vector<std::vector<graph::NodeId>>* match_lists,
-                     const graph::DeltaOverlay* overlay = nullptr);
+  /// reduction; otherwise only the designated match covers i.
+  /// `match_lists` and the viewed graph must outlive the assembler.
+  CandidateAssembler(
+      graph::GraphView graph,
+      const std::vector<std::vector<graph::NodeId>>* match_lists);
 
   /// Assembles the candidate whose forward paths (root -> match) are
   /// concatenated in `path_edges`, in any order and with shared prefixes
@@ -186,12 +182,8 @@ class CandidateAssembler {
   void Peel();
   bool ComputeTimeAndWeight();
 
-  const graph::Node& NodeAt(graph::NodeId id) const;
-  const graph::Edge& EdgeAt(graph::EdgeId id) const;
-
-  const graph::TemporalGraph& graph_;
+  graph::GraphView graph_;
   const std::vector<std::vector<graph::NodeId>>* match_lists_;
-  const graph::DeltaOverlay* overlay_;
 
   // Per-candidate state. Tree nodes are addressed by their position in the
   // sorted `nodes_` array, so position order is NodeId order.

@@ -1,9 +1,7 @@
 #include "search/search_engine.h"
 
 #include "common/scratch_pool.h"
-#include "common/strings.h"
 #include "common/timer.h"
-#include "graph/delta_overlay.h"
 #include "obs/metrics.h"
 #include "search/candidate_memo.h"
 
@@ -108,12 +106,6 @@ struct EngineMetrics {
     return *m;
   }
 };
-
-/// `overlay`, or null when it is null or empty: an empty overlay is
-/// indistinguishable from none.
-const graph::DeltaOverlay* NonEmpty(const graph::DeltaOverlay* overlay) {
-  return overlay != nullptr && !overlay->empty() ? overlay : nullptr;
-}
 
 /// The meeting lists of Algorithm 3: for every reached node and keyword,
 /// the NTDs that keyword's frontier popped there, in pop order. A row is
@@ -228,7 +220,7 @@ constexpr int64_t kMemoMinCombos = 16;
 /// One Search() invocation; owns the keyword frontiers and bookkeeping.
 class Runner {
  public:
-  Runner(const graph::TemporalGraph& graph, const Query& query,
+  Runner(graph::GraphView graph, const Query& query,
          std::vector<std::vector<NodeId>> matches,
          const SearchOptions& options)
       : graph_(graph),
@@ -236,7 +228,7 @@ class Runner {
         options_(options),
         m_(query.keywords.size()),
         match_lists_(std::move(matches)),
-        assembler_(graph, &match_lists_, NonEmpty(options.overlay)),
+        assembler_(graph, &match_lists_),
         chosen_(m_),
         chosen_pos_(m_),
         combo_times_(m_),
@@ -244,13 +236,7 @@ class Runner {
         candidate_matches_(m_),
         iterators_(m_),
         meetings_(MeetingTablePool::Acquire()) {
-    meetings_->Reset(static_cast<size_t>(options.overlay != nullptr
-                                             ? options.overlay->total_nodes()
-                                             : graph.num_nodes()),
-                     m_);
-    // An empty overlay is indistinguishable from none; normalizing here
-    // keeps every downstream check a plain null test.
-    options_.overlay = NonEmpty(options_.overlay);
+    meetings_->Reset(static_cast<size_t>(graph.num_nodes()), m_);
   }
 
   Runner(const Runner&) = delete;
@@ -291,7 +277,6 @@ class Runner {
                     [](const auto& f) { return f->PeekScore() == nullptr; });
     if (any_keyword_dead) {
       // Some keyword has no qualifying match: no result can exist.
-      response_.exhausted = true;
       response_.stop_reason = StopReason::kExhausted;
     } else {
       MainLoop();
@@ -322,11 +307,7 @@ class Runner {
       list.erase(std::unique(list.begin(), list.end()), list.end());
       if (pred != nullptr) {
         std::erase_if(list, [&](NodeId n) {
-          const IntervalSet& validity =
-              options_.overlay != nullptr
-                  ? options_.overlay->NodeAt(graph_, n).validity
-                  : graph_.node(n).validity;
-          return !pred->ElementMayQualify(validity);
+          return !pred->ElementMayQualify(graph_.node(n).validity);
         });
       }
     }
@@ -341,7 +322,6 @@ class Runner {
     iter_options.prune = query_.predicate.get();
     iter_options.duration_index = options_.duration_index;
     iter_options.trace = options_.trace;
-    iter_options.overlay = options_.overlay;
     iter_options.trace_iter = 0;
     for (size_t kw = 0; kw < m_; ++kw) {
       iterators_[kw].emplace(graph_, match_lists_[kw], iter_options);
@@ -393,29 +373,23 @@ class Runner {
     int64_t deadline_countdown = 1;
     while (true) {
       if (Cancelled()) {
-        response_.truncated = true;
-        response_.cancelled = true;
         response_.stop_reason = StopReason::kCancelled;
         return;
       }
       if (has_deadline_ && --deadline_countdown <= 0) {
         deadline_countdown = kDeadlineCheckStridePops;
         if (Now() >= deadline_) {
-          response_.truncated = true;
-          response_.deadline_exceeded = true;
           response_.stop_reason = StopReason::kDeadline;
           return;
         }
       }
       if (options_.max_pops > 0 &&
           response_.counters.pops >= options_.max_pops) {
-        response_.truncated = true;
         response_.stop_reason = StopReason::kMaxPops;
         return;
       }
       const int kw = SelectKeyword();
-      if (kw < 0) {
-        response_.exhausted = true;  // Every frontier drained.
+      if (kw < 0) {  // Every frontier drained.
         response_.stop_reason = StopReason::kExhausted;
         return;
       }
@@ -774,6 +748,8 @@ class Runner {
   }
 
   void Finalize() {
+    response_.truncated = response_.stop_reason != StopReason::kExhausted &&
+                          response_.stop_reason != StopReason::kBound;
     response_.results = results_.TakeRanked(query_.ranking);
 
     SearchCounters& c = response_.counters;
@@ -857,11 +833,9 @@ class Runner {
   Stopwatch match_timer_;  // Started by SearchEngine during match lookup.
 
  private:
-  const graph::TemporalGraph& graph_;
+  const graph::GraphView graph_;
   const Query& query_;
-  /// By value: the ctor normalizes an empty overlay to null, so the struct
-  /// must be mutable.
-  SearchOptions options_;
+  const SearchOptions options_;
   const size_t m_;
 
   std::chrono::steady_clock::time_point deadline_{};
@@ -899,9 +873,9 @@ class Runner {
 
 }  // namespace
 
-SearchEngine::SearchEngine(const graph::TemporalGraph& graph,
+SearchEngine::SearchEngine(graph::GraphView graph,
                            const graph::InvertedIndex* index)
-    : graph_(&graph), index_(index) {}
+    : graph_(graph), index_(index) {}
 
 Result<SearchResponse> SearchEngine::Search(const Query& query,
                                             const SearchOptions& options) const {
@@ -914,22 +888,19 @@ Result<SearchResponse> SearchEngine::Search(const Query& query,
   match_timer.Start();
   std::vector<std::vector<NodeId>> matches;
   matches.reserve(query.keywords.size());
-  const graph::DeltaOverlay* overlay = NonEmpty(options.overlay);
   for (const std::string& keyword : query.keywords) {
     const auto posting = index_->Lookup(keyword);
     matches.emplace_back(posting.begin(), posting.end());
-    if (overlay != nullptr) {
-      // Incremental index maintenance (docs/ingest.md): delta postings are
-      // merged at match-materialization time. Delta ids all exceed base
-      // ids, so the append preserves sorted-unique form — exactly what a
-      // rebuilt index would have returned.
-      const auto extra = overlay->Postings(AsciiToLower(keyword));
-      matches.back().insert(matches.back().end(), extra.begin(), extra.end());
-    }
+    // Incremental index maintenance (docs/ingest.md): delta postings are
+    // merged at match-materialization time. Delta ids all exceed base ids,
+    // so the append preserves sorted-unique form — exactly what a rebuilt
+    // index would have returned.
+    const auto extra = graph_.DeltaPostings(keyword);
+    matches.back().insert(matches.back().end(), extra.begin(), extra.end());
   }
   match_timer.Stop();
 
-  Runner runner(*graph_, query, std::move(matches), options);
+  Runner runner(graph_, query, std::move(matches), options);
   runner.match_timer_ = match_timer;
   return runner.Run();
 }
@@ -941,17 +912,14 @@ Result<SearchResponse> SearchEngine::SearchWithMatches(
   if (matches.size() != query.keywords.size()) {
     return Status::InvalidArgument("one match list per keyword required");
   }
-  const NodeId total_nodes = options.overlay != nullptr
-                                 ? options.overlay->total_nodes()
-                                 : graph_->num_nodes();
   for (const auto& list : matches) {
     for (const NodeId n : list) {
-      if (n < 0 || n >= total_nodes) {
+      if (n < 0 || n >= graph_.num_nodes()) {
         return Status::InvalidArgument("match node out of range");
       }
     }
   }
-  Runner runner(*graph_, query, matches, options);
+  Runner runner(graph_, query, matches, options);
   return runner.Run();
 }
 

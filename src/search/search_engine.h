@@ -8,6 +8,12 @@
 // within the keyword's frontier) for temporal rankings. Termination follows
 // §4.2: the search stops once the kth best result beats the configured
 // upper bound on unseen results.
+//
+// The engine searches a graph::GraphView: a build-once graph, or a live
+// snapshot's base plus delta overlay (docs/ingest.md), whose postings the
+// view adds to the keyword match lists, whose delta runs the keyword
+// frontiers expand after the base runs, and whose elements candidate
+// assembly reads by id. A view with no delta is the base graph.
 
 #ifndef TGKS_SEARCH_SEARCH_ENGINE_H_
 #define TGKS_SEARCH_SEARCH_ENGINE_H_
@@ -20,6 +26,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "graph/graph_view.h"
 #include "graph/inverted_index.h"
 #include "graph/temporal_graph.h"
 #include "obs/query_trace.h"
@@ -28,10 +35,6 @@
 #include "search/query.h"
 #include "search/result_tree.h"
 #include "temporal/ntd_bitmap_index.h"
-
-namespace tgks::graph {
-class DeltaOverlay;  // graph/delta_overlay.h
-}  // namespace tgks::graph
 
 namespace tgks::search {
 
@@ -64,28 +67,19 @@ struct SearchOptions {
   /// fastest; kColumnMajor is the paper's Fig.-5 layout — see
   /// bench_ablation_bitmap).
   temporal::NtdIndexKind duration_index = temporal::NtdIndexKind::kRowMajor;
-  /// Live-snapshot delta overlay (docs/ingest.md; not owned, immutable,
-  /// must outlive the call). When non-null and non-empty the engine reads
-  /// graph elements through it — keyword match lists gain the overlay's
-  /// delta postings, expansion walks base in-edge runs followed by delta
-  /// runs (the exact enumeration order a rebuilt graph would produce), and
-  /// candidate assembly routes delta element ids through the overlay.
-  /// An empty overlay is identical to null.
-  const graph::DeltaOverlay* overlay = nullptr;
   /// Safety valve: stop after this many NTD pops (<= 0 = unlimited).
   int64_t max_pops = -1;
   /// Safety valve: cap on NTD-set cross products explored per pop.
   int64_t max_combos_per_pop = 1 << 16;
   /// Wall-clock budget for one Search() call in milliseconds (<= 0 = none).
   /// When it expires the search stops at the next pop boundary and returns
-  /// whatever was found, sorted and truncated to k, with
-  /// `deadline_exceeded` set on the response. A budget that reaches past
-  /// the clock's last representable instant could never expire and runs
-  /// as none.
+  /// whatever was found, sorted and truncated to k, with stop reason
+  /// kDeadline. A budget that reaches past the clock's last representable
+  /// instant could never expire and runs as none.
   int64_t deadline_ms = -1;
   /// Cooperative cancellation token (not owned; may be shared by many
   /// queries). When non-null and set, the search stops at the next pop
-  /// boundary with `cancelled` set on the response.
+  /// boundary with stop reason kCancelled.
   const std::atomic<bool>* cancel = nullptr;
   /// Optional flight recorder (not owned). One trace serves ONE query on one
   /// thread; batch callers must hand each query its own trace or none.
@@ -150,29 +144,35 @@ struct SearchResponse {
   /// path.
   obs::SearchStats stats;
   StopReason stop_reason = StopReason::kExhausted;
-  /// True when every frontier drained (vs. stopping on the bound).
-  bool exhausted = false;
-  /// True when a safety valve fired (max_pops, deadline, or cancellation).
+  /// True when a safety valve fired (max_pops, deadline, or cancellation):
+  /// stop_reason is neither kExhausted nor kBound.
   bool truncated = false;
-  /// True when the wall-clock deadline expired before completion.
-  bool deadline_exceeded = false;
-  /// True when the cancellation token stopped the search.
-  bool cancelled = false;
   /// Sorted ids of every node a keyword frontier popped, hence every node
   /// whose in-slots the search read (docs/caching.md, "Read sets"). Filled
   /// only under SearchOptions::report_expanded_nodes.
   std::vector<graph::NodeId> expanded_nodes;
+
+  /// True when every frontier drained (vs. stopping on the bound).
+  bool exhausted() const { return stop_reason == StopReason::kExhausted; }
+  /// True when the wall-clock deadline expired before completion.
+  bool deadline_exceeded() const {
+    return stop_reason == StopReason::kDeadline;
+  }
+  /// True when the cancellation token stopped the search.
+  bool cancelled() const { return stop_reason == StopReason::kCancelled; }
 };
 
 /// Top-k keyword search over one temporal graph.
 ///
-/// The graph (and index, if given) must outlive the engine. The engine is
-/// stateless across Search() calls and therefore reusable.
+/// The viewed graph (and index, if given) must outlive the engine. The
+/// engine is stateless across Search() calls and therefore reusable.
 class SearchEngine {
  public:
-  /// `index` resolves keywords to match nodes; pass nullptr if every query
+  /// `graph` is a build-once graph or a live snapshot's base + delta
+  /// (docs/ingest.md). `index` resolves keywords to match nodes over the
+  /// base; the view adds the delta's postings. Pass nullptr if every query
   /// will use SearchWithMatches().
-  explicit SearchEngine(const graph::TemporalGraph& graph,
+  explicit SearchEngine(graph::GraphView graph,
                         const graph::InvertedIndex* index = nullptr);
 
   /// Runs `query`, resolving keywords through the inverted index.
@@ -187,7 +187,7 @@ class SearchEngine {
       const SearchOptions& options = {}) const;
 
  private:
-  const graph::TemporalGraph* graph_;
+  graph::GraphView graph_;
   const graph::InvertedIndex* index_;
 };
 

@@ -1,7 +1,6 @@
 #include "server/admission.h"
 
 #include "obs/metrics.h"
-#include "obs/search_stats.h"
 
 namespace tgks::server {
 
@@ -56,10 +55,8 @@ bool AdmissionController::TryAdmit(int64_t bytes, ShedReason* why) {
     } else {
       ++depth_;
       inflight_bytes_ += bytes;
-      if (depth_gauge_ != nullptr) {
-        depth_gauge_->Set(depth_);
-        bytes_gauge_->Set(inflight_bytes_);
-      }
+      depth_gauge_->Set(depth_);
+      bytes_gauge_->Set(inflight_bytes_);
       if (why != nullptr) *why = ShedReason::kNone;
       return true;
     }
@@ -68,15 +65,13 @@ bool AdmissionController::TryAdmit(int64_t bytes, ShedReason* why) {
   if (why != nullptr) *why = reason;
   switch (reason) {
     case ShedReason::kQueueFull:
-      if (shed_queue_counter_ != nullptr) shed_queue_counter_->Increment();
+      shed_queue_counter_->Increment();
       break;
     case ShedReason::kBytesFull:
-      if (shed_bytes_counter_ != nullptr) shed_bytes_counter_->Increment();
+      shed_bytes_counter_->Increment();
       break;
     case ShedReason::kShuttingDown:
-      if (shed_shutdown_counter_ != nullptr) {
-        shed_shutdown_counter_->Increment();
-      }
+      shed_shutdown_counter_->Increment();
       break;
     case ShedReason::kNone:
       break;
@@ -91,10 +86,8 @@ void AdmissionController::Release(int64_t bytes) {
   inflight_bytes_ -= bytes;
   if (depth_ < 0) depth_ = 0;
   if (inflight_bytes_ < 0) inflight_bytes_ = 0;
-  if (depth_gauge_ != nullptr) {
-    depth_gauge_->Set(depth_);
-    bytes_gauge_->Set(inflight_bytes_);
-  }
+  depth_gauge_->Set(depth_);
+  bytes_gauge_->Set(inflight_bytes_);
 }
 
 void AdmissionController::BeginShutdown() {

@@ -82,7 +82,7 @@ class AdmissionController {
   int64_t inflight_bytes_ = 0;
   int64_t shed_total_ = 0;
   bool shutting_down_ = false;
-  // Instruments (owned by the registry; null when stats are compiled out).
+  // Instruments (owned by the registry).
   obs::Gauge* depth_gauge_ = nullptr;
   obs::Gauge* bytes_gauge_ = nullptr;
   obs::Counter* shed_queue_counter_ = nullptr;

@@ -60,14 +60,11 @@ struct PollEvent {
 /// The readiness backend: a level-triggered epoll set.
 class Epoll {
  public:
-  Epoll() : epfd_(epoll_create1(EPOLL_CLOEXEC)) {}
-  ~Epoll() {
-    if (epfd_ >= 0) ::close(epfd_);
-  }
+  /// Takes ownership of the epoll descriptor `epfd`.
+  explicit Epoll(int epfd) : epfd_(epfd) {}
+  ~Epoll() { ::close(epfd_); }
   Epoll(const Epoll&) = delete;
   Epoll& operator=(const Epoll&) = delete;
-
-  bool ok() const { return epfd_ >= 0; }
 
   bool Add(int fd, bool want_read, bool want_write) {
     epoll_event event = Event(fd, want_read, want_write);
@@ -137,23 +134,23 @@ struct CompletionQueue {
 /// The I/O loop and its connection table. Lives on the server's thread.
 class HttpServer::Impl {
  public:
-  Impl(HttpServer* server, int listen_fd, int wake_read_fd,
+  Impl(HttpServer* server, int listen_fd, int wake_read_fd, int epoll_fd,
        std::shared_ptr<CompletionQueue> completions)
       : server_(server),
         listen_fd_(listen_fd),
         wake_read_fd_(wake_read_fd),
-        completions_(std::move(completions)) {}
+        completions_(std::move(completions)),
+        poller_(epoll_fd) {}
 
   ~Impl() {
     if (listen_fd_ >= 0) ::close(listen_fd_);
     if (wake_read_fd_ >= 0) ::close(wake_read_fd_);
   }
 
-  /// False when the epoll set could not be created or take the listener
-  /// and the wake pipe.
+  /// False when the epoll set could not take the listener and the wake
+  /// pipe.
   bool Init() {
-    return poller_.ok() &&
-           poller_.Add(listen_fd_, /*want_read=*/true, /*want_write=*/false) &&
+    return poller_.Add(listen_fd_, /*want_read=*/true, /*want_write=*/false) &&
            poller_.Add(wake_read_fd_, /*want_read=*/true,
                        /*want_write=*/false);
   }
@@ -589,11 +586,24 @@ Status HttpServer::Start() {
   }
   SetNonBlocking(pipe_fds[0]);
   SetNonBlocking(pipe_fds[1]);
+  // Every descriptor is opened before the first heap object, so a start
+  // that runs out of descriptors unwinds with closes alone. (UBSan's vptr
+  // check opens a pipe to probe memory the first time it sees a type; with
+  // no descriptor left it would report the make_shared below as invalid.)
+  const int epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
+  if (epoll_fd < 0) {
+    const Status status = Errno("epoll");
+    ::close(listen_fd);
+    ::close(pipe_fds[0]);
+    ::close(pipe_fds[1]);
+    return status;
+  }
 
   auto completions = std::make_shared<CompletionQueue>();
   completions->wake_write_fd = pipe_fds[1];
 
-  impl_ = std::make_unique<Impl>(this, listen_fd, pipe_fds[0], completions);
+  impl_ = std::make_unique<Impl>(this, listen_fd, pipe_fds[0], epoll_fd,
+                                 completions);
   if (!impl_->Init()) {
     const Status status = Errno("epoll");
     impl_.reset();

@@ -222,13 +222,13 @@ std::string JsonSearchBody(const search::SearchResponse& response,
   w.Key("stop_reason");
   w.String(search::StopReasonName(response.stop_reason));
   w.Key("exhausted");
-  w.Bool(response.exhausted);
+  w.Bool(response.exhausted());
   w.Key("truncated");
   w.Bool(response.truncated);
   w.Key("deadline_exceeded");
-  w.Bool(response.deadline_exceeded);
+  w.Bool(response.deadline_exceeded());
   w.Key("cancelled");
-  w.Bool(response.cancelled);
+  w.Bool(response.cancelled());
   w.Key("result_count");
   w.Int(static_cast<int64_t>(response.results.size()));
   w.Key("results");
@@ -286,16 +286,11 @@ RequestRouter::RequestRouter(RouterContext context)
 
 void RequestRouter::BeginDrain() {
   draining_.store(true, std::memory_order_release);
-  if (context_.admission != nullptr) context_.admission->BeginShutdown();
+  context_.admission->BeginShutdown();
 }
 
 bool RequestRouter::Admit(int64_t bytes, ShedReason* why) const {
-  if (context_.admission != nullptr) {
-    return context_.admission->TryAdmit(bytes, why);
-  }
-  if (!draining()) return true;
-  *why = ShedReason::kShuttingDown;
-  return false;
+  return context_.admission->TryAdmit(bytes, why);
 }
 
 HttpResponse RequestRouter::ShedResponse(ShedReason shed) const {
@@ -398,9 +393,7 @@ HttpResponse RequestRouter::HandleIngest(const HttpRequest& request) const {
   if (!Admit(bytes, &shed)) return ShedResponse(shed);
   // Admitted: everything below runs synchronously (validation plus an
   // O(delta) overlay copy), so release on every exit path.
-  const auto release = [&] {
-    if (context_.admission != nullptr) context_.admission->Release(bytes);
-  };
+  const auto release = [&] { context_.admission->Release(bytes); };
 
   Result<JsonValue> doc = JsonValue::Parse(request.body);
   if (!doc.ok()) {
@@ -527,9 +520,9 @@ HttpResponse RequestRouter::HandleVarz() const {
     w.Key("snapshot_generation");
     w.Int(static_cast<int64_t>(snap->generation));
     w.Key("snapshot_nodes");
-    w.Int(static_cast<int64_t>(snap->total_nodes()));
+    w.Int(static_cast<int64_t>(snap->view().num_nodes()));
     w.Key("snapshot_edges");
-    w.Int(static_cast<int64_t>(snap->total_edges()));
+    w.Int(static_cast<int64_t>(snap->view().num_edges()));
     w.Key("delta_bytes");
     w.Int(static_cast<int64_t>(
         snap->overlay != nullptr ? snap->overlay->ApproxBytes() : 0));
@@ -554,18 +547,16 @@ HttpResponse RequestRouter::HandleVarz() const {
     w.Key("inflight_queries");
     w.Int(context_.executor->inflight_singles());
   }
-  if (context_.admission != nullptr) {
-    w.Key("admitted");
-    w.Int(context_.admission->depth());
-    w.Key("inflight_bytes");
-    w.Int(context_.admission->inflight_bytes());
-    w.Key("shed_total");
-    w.Int(context_.admission->shed_total());
-    w.Key("max_queue");
-    w.Int(context_.admission->options().max_queue);
-    w.Key("max_inflight_bytes");
-    w.Int(context_.admission->options().max_inflight_bytes);
-  }
+  w.Key("admitted");
+  w.Int(context_.admission->depth());
+  w.Key("inflight_bytes");
+  w.Int(context_.admission->inflight_bytes());
+  w.Key("shed_total");
+  w.Int(context_.admission->shed_total());
+  w.Key("max_queue");
+  w.Int(context_.admission->options().max_queue);
+  w.Key("max_inflight_bytes");
+  w.Int(context_.admission->options().max_inflight_bytes);
   if (context_.result_cache != nullptr) {
     const cache::CacheStats s = context_.result_cache->stats();
     w.Key("result_cache");
@@ -742,7 +733,7 @@ bool RequestRouter::HandleSearch(const HttpRequest& request,
     }
     const int64_t num_nodes =
         snapshot != nullptr
-            ? static_cast<int64_t>(snapshot->total_nodes())
+            ? static_cast<int64_t>(snapshot->view().num_nodes())
             : (context_.graph != nullptr
                    ? static_cast<int64_t>(context_.graph->num_nodes())
                    : 0);
@@ -890,9 +881,8 @@ bool RequestRouter::HandleSearch(const HttpRequest& request,
       snapshot != nullptr ? static_cast<int64_t>(snapshot->generation) : -1;
   if (snapshot != nullptr) {
     single.snapshot.pin = snapshot;
-    single.snapshot.graph = snapshot->graph.get();
+    single.snapshot.view = snapshot->view();
     single.snapshot.index = snapshot->index.get();
-    single.snapshot.overlay = snapshot->overlay_or_null();
     // A live answer is cached with its read set, so that later publishes
     // that miss it carry it forward.
     single.report_expanded_nodes = cache_eligible;
@@ -935,7 +925,7 @@ bool RequestRouter::HandleSearch(const HttpRequest& request,
                                std::make_shared<const std::string>(http.body),
                                cache_epoch, pinned, std::move(read_set));
         }
-        if (admission != nullptr) admission->Release(bytes);
+        admission->Release(bytes);
         if (snapshot_generation >= 0) {
           // Which snapshot answered: perfbench reads this to measure how
           // far reads lag the newest published generation.

@@ -70,6 +70,8 @@ namespace tgks::server {
 struct RouterContext {
   const graph::TemporalGraph* graph = nullptr;
   exec::QueryExecutor* executor = nullptr;
+  /// Required: every search and ingest batch is admitted through it, and
+  /// BeginDrain() puts it in shutdown mode.
   AdmissionController* admission = nullptr;
   /// Defaults for fields the request body omits.
   int32_t default_k = 20;
@@ -152,7 +154,7 @@ class RequestRouter {
   void CountCoalesced() const;
 
   /// Admits a search or ingest batch of `bytes`: the admission
-  /// controller's verdict, or without one, refused only while draining.
+  /// controller's verdict.
   bool Admit(int64_t bytes, ShedReason* why) const;
   /// 503 "draining" (closing the connection) or 429 with Retry-After.
   HttpResponse ShedResponse(ShedReason shed) const;

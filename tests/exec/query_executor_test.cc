@@ -94,7 +94,7 @@ void ExpectResponsesIdentical(const BatchResponse& a, const BatchResponse& b) {
     EXPECT_EQ(ra->counters.candidates, rb->counters.candidates) << i;
     EXPECT_EQ(ra->counters.results, rb->counters.results) << i;
     EXPECT_EQ(ra->stop_reason, rb->stop_reason) << i;
-    EXPECT_EQ(ra->exhausted, rb->exhausted) << i;
+    EXPECT_EQ(ra->exhausted(), rb->exhausted()) << i;
   }
 }
 
@@ -177,7 +177,7 @@ TEST(QueryExecutorTest, DeadlineFiresWithoutCorruptingCounters) {
   int64_t pops_sum = 0;
   for (const auto& r : out.responses) {
     ASSERT_TRUE(r.ok());
-    EXPECT_TRUE(r->deadline_exceeded);
+    EXPECT_TRUE(r->deadline_exceeded());
     EXPECT_TRUE(r->truncated);
     EXPECT_EQ(r->stop_reason, search::StopReason::kDeadline);
     // Sane, uncorrupted state: work happened, results (if any) are sorted
@@ -214,7 +214,7 @@ TEST(QueryExecutorTest, CallerSuppliedCancelTokenIsHonored) {
   EXPECT_EQ(out.cancelled, 4);
   for (const auto& r : out.responses) {
     ASSERT_TRUE(r.ok());
-    EXPECT_TRUE(r->cancelled);
+    EXPECT_TRUE(r->cancelled());
     EXPECT_EQ(r->stop_reason, search::StopReason::kCancelled);
   }
 }
@@ -373,7 +373,7 @@ TEST(QueryExecutorTest, SubmitHonorsPerRequestDeadline) {
   single.deadline_ms = 1;
   auto r = SubmitAndWait(&executor, std::move(single));
   ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_TRUE(r->deadline_exceeded);
+  EXPECT_TRUE(r->deadline_exceeded());
   EXPECT_EQ(r->stop_reason, search::StopReason::kDeadline);
 }
 
@@ -389,7 +389,7 @@ TEST(QueryExecutorTest, SubmitHonorsPerRequestCancelToken) {
   single.cancel = &token;
   auto r = SubmitAndWait(&executor, std::move(single));
   ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_TRUE(r->cancelled);
+  EXPECT_TRUE(r->cancelled());
   EXPECT_EQ(r->stop_reason, search::StopReason::kCancelled);
 }
 

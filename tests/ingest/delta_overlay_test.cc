@@ -1,6 +1,7 @@
 // Unit tests for the DeltaOverlay append layer (src/graph/delta_overlay.h):
-// id routing, Extend chaining, per-destination in-edge runs in ascending
-// edge-id order, delta postings, and the approximate footprint counter.
+// id routing (read through a GraphView), Extend chaining, per-destination
+// in-edge runs in ascending edge-id order, delta postings, and the
+// approximate footprint counter.
 
 #include "graph/delta_overlay.h"
 
@@ -11,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/graph_builder.h"
+#include "graph/graph_view.h"
 #include "graph/temporal_graph.h"
 #include "temporal/interval_set.h"
 
@@ -69,14 +71,15 @@ TEST(DeltaOverlayTest, RoutesIdsBetweenBaseAndDelta) {
   EXPECT_FALSE(overlay->IsDeltaEdge(1));
   EXPECT_TRUE(overlay->IsDeltaEdge(2));
 
-  // NodeAt/EdgeAt route: base ids read the base SoA, delta ids the delta
+  // The view routes: base ids read the base graph, delta ids the delta
   // vectors.
-  EXPECT_EQ(overlay->NodeAt(base, 0).label, "alpha");
-  EXPECT_EQ(overlay->NodeAt(base, 3).label, "delta node");
-  EXPECT_EQ(overlay->NodeAt(base, 3).weight, 5.0);
-  EXPECT_EQ(overlay->EdgeAt(base, 1).dst, 2);
-  EXPECT_EQ(overlay->EdgeAt(base, 2).src, 0);
-  EXPECT_EQ(overlay->EdgeAt(base, 2).weight, 7.0);
+  const GraphView view(base, overlay.get());
+  EXPECT_EQ(view.node(0).label, "alpha");
+  EXPECT_EQ(view.node(3).label, "delta node");
+  EXPECT_EQ(view.node(3).weight, 5.0);
+  EXPECT_EQ(view.edge(1).dst, 2);
+  EXPECT_EQ(view.edge(2).src, 0);
+  EXPECT_EQ(view.edge(2).weight, 7.0);
 }
 
 TEST(DeltaOverlayTest, EmptyOverlayIsEmpty) {
@@ -100,8 +103,8 @@ TEST(DeltaOverlayTest, ExtendChainsAccumulateAndPredecessorIsUntouched) {
   // The successor holds the full accumulated delta...
   EXPECT_EQ(second->num_delta_nodes(), 2);
   EXPECT_EQ(second->num_delta_edges(), 2);
-  EXPECT_EQ(second->NodeAt(base, 3).label, "first wave");
-  EXPECT_EQ(second->NodeAt(base, 4).label, "second wave");
+  EXPECT_EQ(second->delta_node(3).label, "first wave");
+  EXPECT_EQ(second->delta_node(4).label, "second wave");
   // ...and the predecessor (a pinned reader's view) is untouched.
   EXPECT_EQ(first->num_delta_nodes(), 1);
   EXPECT_EQ(first->num_delta_edges(), 1);
@@ -149,8 +152,6 @@ TEST(DeltaOverlayTest, SlotTemporalAccessorsReadEdgeValidity) {
       base, nullptr, {}, {MakeEdge(0, 1, 1.0, IntervalSet{{2, 5}})});
   const auto run = overlay->DeltaInSlots(1);
   ASSERT_EQ(run.end - run.begin, 1);
-  EXPECT_TRUE(overlay->EdgeAliveAt(run.begin, 3));
-  EXPECT_FALSE(overlay->EdgeAliveAt(run.begin, 6));
 
   IntervalSet out;
   overlay->IntersectEdgeValidity(run.begin, IntervalSet{{4, 9}}, &out);

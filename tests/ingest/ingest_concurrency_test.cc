@@ -111,17 +111,17 @@ TEST(IngestConcurrencyTest, ConcurrentIngestCompactionAndSearch) {
 
         // Atomicity: each batch lands whole, so nodes and edges added
         // since the base balance exactly.
-        const graph::NodeId delta_nodes = snap->total_nodes() - kBaseNodes;
-        const graph::EdgeId delta_edges = snap->total_edges() - kBaseEdges;
+        const graph::NodeId delta_nodes =
+            snap->view().num_nodes() - kBaseNodes;
+        const graph::EdgeId delta_edges =
+            snap->view().num_edges() - kBaseEdges;
         ASSERT_EQ(delta_nodes, delta_edges)
             << "half-published batch at generation " << snap->generation;
 
         // A search through the pinned snapshot sees exactly its nodes —
         // racing publishes and compactions must not leak into the view.
-        search::SearchEngine engine(*snap->graph, snap->index.get());
-        search::SearchOptions pinned = options;
-        pinned.overlay = snap->overlay_or_null();
-        const auto response = engine.Search(query, pinned);
+        search::SearchEngine engine(snap->view(), snap->index.get());
+        const auto response = engine.Search(query, options);
         ASSERT_TRUE(response.ok());
         ASSERT_EQ(static_cast<graph::NodeId>(response->results.size()),
                   delta_nodes)

@@ -65,9 +65,9 @@ TEST(LiveGraphTest, BaseSnapshotBehavesLikeBuildOnce) {
   const GraphSnapshotHandle snap = live.Acquire();
   EXPECT_EQ(snap->generation, 0u);
   EXPECT_EQ(snap->overlay, nullptr);
-  EXPECT_EQ(snap->overlay_or_null(), nullptr);
-  EXPECT_EQ(snap->total_nodes(), 3);
-  EXPECT_EQ(snap->total_edges(), 2);
+  EXPECT_EQ(snap->view().overlay(), nullptr);
+  EXPECT_EQ(snap->view().num_nodes(), 3);
+  EXPECT_EQ(snap->view().num_edges(), 2);
   EXPECT_NE(snap->graph, nullptr);
   EXPECT_NE(snap->index, nullptr);
 }
@@ -90,14 +90,14 @@ TEST(LiveGraphTest, ApplyPublishesAndPinnedReadersAreIsolated) {
 
   // The handle pinned before the publish still reads the old view...
   EXPECT_EQ(before->generation, 0u);
-  EXPECT_EQ(before->total_nodes(), 3);
+  EXPECT_EQ(before->view().num_nodes(), 3);
   // ...while a fresh acquire sees the delta.
   const GraphSnapshotHandle after = live.Acquire();
   EXPECT_EQ(after->generation, 1u);
-  EXPECT_EQ(after->total_nodes(), 4);
-  EXPECT_EQ(after->total_edges(), 3);
-  ASSERT_NE(after->overlay_or_null(), nullptr);
-  EXPECT_EQ(after->overlay->NodeAt(*after->graph, 3).label, "dave");
+  EXPECT_EQ(after->view().num_nodes(), 4);
+  EXPECT_EQ(after->view().num_edges(), 3);
+  ASSERT_NE(after->view().overlay(), nullptr);
+  EXPECT_EQ(after->view().node(3).label, "dave");
   EXPECT_GT(live.delta_bytes(), 0u);
 
   const IngestStats stats = live.ingest_stats();
@@ -124,13 +124,13 @@ TEST(LiveGraphTest, ApplyClampsEdgeValidityToEndpoints) {
 
   const GraphSnapshotHandle snap = live.Acquire();
   // Base node 0 is valid [0,9]; dave is [2,6].
-  EXPECT_TRUE(snap->overlay->EdgeAt(*snap->graph, 2).validity ==
+  EXPECT_TRUE(snap->view().edge(2).validity ==
               IntervalSet({{2, 6}}));
-  EXPECT_TRUE(snap->overlay->EdgeAt(*snap->graph, 3).validity ==
+  EXPECT_TRUE(snap->view().edge(3).validity ==
               IntervalSet({{4, 6}}));
   // Batch-relative refs resolved against the pre-batch total (3 nodes).
-  EXPECT_EQ(snap->overlay->EdgeAt(*snap->graph, 2).dst, 3);
-  EXPECT_EQ(snap->overlay->EdgeAt(*snap->graph, 3).src, 3);
+  EXPECT_EQ(snap->view().edge(2).dst, 3);
+  EXPECT_EQ(snap->view().edge(3).src, 3);
 }
 
 TEST(LiveGraphTest, ApplyRejectsWithoutPublishing) {
@@ -160,7 +160,7 @@ TEST(LiveGraphTest, ApplyRejectsWithoutPublishing) {
   // All-or-nothing: neither rejected batch published anything — not even
   // the two valid nodes of the second batch.
   EXPECT_EQ(live.generation(), 0u);
-  EXPECT_EQ(live.Acquire()->total_nodes(), 3);
+  EXPECT_EQ(live.Acquire()->view().num_nodes(), 3);
   EXPECT_EQ(live.ingest_stats().batches, 0);
 }
 
@@ -182,14 +182,14 @@ TEST(LiveGraphTest, SecondApplyChainsTheOverlay) {
 
   const GraphSnapshotHandle after = live.Acquire();
   EXPECT_EQ(after->generation, 2u);
-  EXPECT_EQ(after->total_nodes(), 5);
-  EXPECT_EQ(after->total_edges(), 3);
-  EXPECT_EQ(after->overlay->NodeAt(*after->graph, 4).label, "erin");
-  EXPECT_EQ(after->overlay->EdgeAt(*after->graph, 2).src, 3);
-  EXPECT_EQ(after->overlay->EdgeAt(*after->graph, 2).dst, 4);
+  EXPECT_EQ(after->view().num_nodes(), 5);
+  EXPECT_EQ(after->view().num_edges(), 3);
+  EXPECT_EQ(after->view().node(4).label, "erin");
+  EXPECT_EQ(after->view().edge(2).src, 3);
+  EXPECT_EQ(after->view().edge(2).dst, 4);
   // The generation-1 pin still sees exactly the first batch.
-  EXPECT_EQ(mid->total_nodes(), 4);
-  EXPECT_EQ(mid->total_edges(), 2);
+  EXPECT_EQ(mid->view().num_nodes(), 4);
+  EXPECT_EQ(mid->view().num_edges(), 2);
 }
 
 TEST(LiveGraphTest, CompactFoldsTheDeltaEquivalently) {
@@ -214,19 +214,19 @@ TEST(LiveGraphTest, CompactFoldsTheDeltaEquivalently) {
   // The delta is folded in: no overlay, the rebuilt base owns everything.
   EXPECT_EQ(after->overlay, nullptr);
   EXPECT_EQ(live.delta_bytes(), 0u);
-  ASSERT_EQ(after->graph->num_nodes(), before->total_nodes());
-  ASSERT_EQ(after->graph->num_edges(), before->total_edges());
+  ASSERT_EQ(after->graph->num_nodes(), before->view().num_nodes());
+  ASSERT_EQ(after->graph->num_edges(), before->view().num_edges());
   // Element-for-element identity with the overlay view it replaced.
   for (NodeId n = 0; n < after->graph->num_nodes(); ++n) {
     const graph::Node& folded = after->graph->node(n);
-    const graph::Node& overlaid = before->overlay->NodeAt(*before->graph, n);
+    const graph::Node& overlaid = before->view().node(n);
     EXPECT_EQ(folded.label, overlaid.label) << "node " << n;
     EXPECT_EQ(folded.weight, overlaid.weight) << "node " << n;
     EXPECT_TRUE(folded.validity == overlaid.validity) << "node " << n;
   }
   for (graph::EdgeId e = 0; e < after->graph->num_edges(); ++e) {
     const graph::Edge& folded = after->graph->edge(e);
-    const graph::Edge& overlaid = before->overlay->EdgeAt(*before->graph, e);
+    const graph::Edge& overlaid = before->view().edge(e);
     EXPECT_EQ(folded.src, overlaid.src) << "edge " << e;
     EXPECT_EQ(folded.dst, overlaid.dst) << "edge " << e;
     EXPECT_EQ(folded.weight, overlaid.weight) << "edge " << e;
@@ -303,18 +303,17 @@ TEST(LiveGraphTest, SearchThroughTheOverlaySeesIngestedData) {
   ASSERT_TRUE(live.Apply(batch, &error).ok());
 
   const GraphSnapshotHandle snap = live.Acquire();
-  search::SearchEngine engine(*snap->graph, snap->index.get());
+  search::SearchEngine engine(snap->view(), snap->index.get());
   search::Query query;
   query.keywords = {"fresh"};
-  search::SearchOptions options;
-  options.overlay = snap->overlay_or_null();
-  const auto response = engine.Search(query, options);
+  const auto response = engine.Search(query);
   ASSERT_TRUE(response.ok());
   ASSERT_EQ(response->results.size(), 1u);
   EXPECT_EQ(response->results[0].root, 3);
 
-  // Without the overlay the same engine cannot see the delta.
-  const auto blind = engine.Search(query);
+  // An engine over the base alone cannot see the delta.
+  const search::SearchEngine base_engine(*snap->graph, snap->index.get());
+  const auto blind = base_engine.Search(query);
   ASSERT_TRUE(blind.ok());
   EXPECT_TRUE(blind->results.empty());
 }

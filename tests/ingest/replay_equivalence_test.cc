@@ -9,8 +9,8 @@
 // The suite sweeps 60 seeded random graphs (10 seeds x 6 rounds, the
 // snapshot_reducibility_test recipe) and for each compares
 //
-//   1. the element level: every node and edge read through the overlay
-//      equals the build-once element with the same id;
+//   1. the element level: every node and edge read through the snapshot's
+//      graph view equals the build-once element with the same id;
 //   2. the query level, pre-compaction: searches through the delta overlay
 //      against the build-once graph, across bound kinds and k (bounded and
 //      exhaustive);
@@ -232,22 +232,18 @@ std::unique_ptr<LiveGraph> BuildByIngest(const Dataset& data, int chunks) {
 void ExpectSameElements(const TemporalGraph& oracle,
                         const GraphSnapshotHandle& snap,
                         const std::string& context) {
-  ASSERT_EQ(snap->total_nodes(), oracle.num_nodes()) << context;
-  ASSERT_EQ(snap->total_edges(), oracle.num_edges()) << context;
-  const graph::DeltaOverlay* overlay = snap->overlay.get();
+  const graph::GraphView view = snap->view();
+  ASSERT_EQ(view.num_nodes(), oracle.num_nodes()) << context;
+  ASSERT_EQ(view.num_edges(), oracle.num_edges()) << context;
   for (NodeId n = 0; n < oracle.num_nodes(); ++n) {
-    const graph::Node& got = overlay != nullptr
-                                 ? overlay->NodeAt(*snap->graph, n)
-                                 : snap->graph->node(n);
+    const graph::Node& got = view.node(n);
     EXPECT_EQ(got.label, oracle.node(n).label) << context << " node " << n;
     EXPECT_EQ(got.weight, oracle.node(n).weight) << context << " node " << n;
     EXPECT_TRUE(got.validity == oracle.node(n).validity)
         << context << " node " << n;
   }
   for (EdgeId e = 0; e < oracle.num_edges(); ++e) {
-    const graph::Edge& got = overlay != nullptr
-                                 ? overlay->EdgeAt(*snap->graph, e)
-                                 : snap->graph->edge(e);
+    const graph::Edge& got = view.edge(e);
     EXPECT_EQ(got.src, oracle.edge(e).src) << context << " edge " << e;
     EXPECT_EQ(got.dst, oracle.edge(e).dst) << context << " edge " << e;
     EXPECT_EQ(got.weight, oracle.edge(e).weight) << context << " edge " << e;
@@ -260,7 +256,7 @@ void ExpectSameResponse(const SearchResponse& oracle,
                         const SearchResponse& got,
                         const std::string& context) {
   EXPECT_EQ(got.stop_reason, oracle.stop_reason) << context;
-  EXPECT_EQ(got.exhausted, oracle.exhausted) << context;
+  EXPECT_EQ(got.exhausted(), oracle.exhausted()) << context;
   ASSERT_EQ(got.results.size(), oracle.results.size()) << context;
   for (size_t i = 0; i < oracle.results.size(); ++i) {
     const search::ResultTree& a = oracle.results[i];
@@ -316,22 +312,20 @@ void CheckReplayEquivalence(const Dataset& data, const std::string& context) {
 
   auto live = BuildByIngest(data, /*chunks=*/3);
   const GraphSnapshotHandle snap = live->Acquire();
-  ASSERT_NE(snap->overlay_or_null(), nullptr)
+  ASSERT_NE(snap->view().overlay(), nullptr)
       << context << ": the chunked build produced no delta";
   ExpectSameElements(oracle_graph, snap, context + " pre-compaction");
 
-  const SearchEngine subject(*snap->graph, snap->index.get());
+  const SearchEngine subject(snap->view(), snap->index.get());
   for (const auto& keywords : kKeywordSets) {
     search::Query query;
     query.keywords = keywords;
     for (const QueryConfig& config : kConfigs) {
-      SearchOptions base_options;
-      base_options.k = config.k;
-      base_options.bound = config.bound;
-      SearchOptions live_options = base_options;
-      live_options.overlay = snap->overlay_or_null();
-      const auto want = oracle.Search(query, base_options);
-      const auto got = subject.Search(query, live_options);
+      SearchOptions options;
+      options.k = config.k;
+      options.bound = config.bound;
+      const auto want = oracle.Search(query, options);
+      const auto got = subject.Search(query, options);
       ASSERT_TRUE(want.ok()) << context;
       ASSERT_TRUE(got.ok()) << context;
       ExpectSameResponse(*want, *got,
@@ -398,9 +392,8 @@ std::vector<CachedQuery> CachedQueries(const Dataset& data) {
 /// `read_set`, what the search read.
 std::string FreshBody(const GraphSnapshotHandle& snap, const CachedQuery& q,
                       cache::ReadSet* read_set) {
-  const SearchEngine engine(*snap->graph, snap->index.get());
+  const SearchEngine engine(snap->view(), snap->index.get());
   SearchOptions options = q.options;
-  options.overlay = snap->overlay_or_null();
   options.report_expanded_nodes = true;
   Result<SearchResponse> response =
       q.query.matches.empty()

@@ -10,6 +10,7 @@
 
 #include "common/random.h"
 #include "graph/delta_overlay.h"
+#include "graph/graph_view.h"
 #include "graph/graph_builder.h"
 #include "search/search_engine.h"
 #include "testutil/paper_graphs.h"
@@ -429,25 +430,22 @@ TEST(BestPathIteratorTest, StatsAreConsistent) {
 // iterator; each pop renders as "label:dist:time<edge" (edge -1 at the
 // source).
 
-std::string RenderPop(const TemporalGraph& g, const BestPathIterator& iter,
-                      NtdId id, const graph::DeltaOverlay* overlay = nullptr) {
+std::string RenderPop(graph::GraphView g, const BestPathIterator& iter,
+                      NtdId id) {
   const Ntd& ntd = iter.ntd(id);
-  const graph::Node& node =
-      overlay != nullptr ? overlay->NodeAt(g, ntd.node) : g.node(ntd.node);
+  const graph::Node& node = g.node(ntd.node);
   std::ostringstream out;
   out << node.label << ":" << ntd.dist << ":"
       << iter.TimeOf(id).ToString() << "<" << ntd.via_edge;
   return out.str();
 }
 
-/// Drains `iter` and renders its pops (labels of delta nodes come from
-/// `overlay`).
-std::string PopSequence(const TemporalGraph& g, BestPathIterator* iter,
-                        const graph::DeltaOverlay* overlay = nullptr) {
+/// Drains `iter`, which runs over `g`, and renders its pops.
+std::string PopSequence(graph::GraphView g, BestPathIterator* iter) {
   std::string seq;
   for (NtdId id = iter->Next(); id != kInvalidNtd; id = iter->Next()) {
     if (!seq.empty()) seq += " ";
-    seq += RenderPop(g, *iter, id, overlay);
+    seq += RenderPop(g, *iter, id);
   }
   return seq;
 }
@@ -552,10 +550,9 @@ TEST(BestPathIteratorTieOrderTest, BaseNodeWithADeltaInEdge) {
   const auto overlay =
       graph::DeltaOverlay::Extend(*g, nullptr, std::move(nodes),
                                   std::move(edges));
-  BestPathIterator::Options options;
-  options.overlay = overlay.get();
-  BestPathIterator iter(*g, s, options);
-  EXPECT_EQ(PopSequence(*g, &iter, overlay.get()),
+  const graph::GraphView view(*g, overlay.get());
+  BestPathIterator iter(view, s, BestPathIterator::Options{});
+  EXPECT_EQ(PopSequence(view, &iter),
             "s:0:{[0,3]}<-1 d:0.5:{[1,3]}<4 a:1:{[0,3]}<0 b:1:{[0,3]}<1 "
             "c:1:{[0,3]}<3 far:2:{[0,3]}<2");
 }

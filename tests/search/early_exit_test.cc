@@ -83,8 +83,8 @@ TEST(EarlyExitTest, MaxPopsExitSortsAndTruncatesToK) {
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_TRUE(r->truncated);
   EXPECT_EQ(r->stop_reason, StopReason::kMaxPops);
-  EXPECT_FALSE(r->deadline_exceeded);
-  EXPECT_FALSE(r->cancelled);
+  EXPECT_FALSE(r->deadline_exceeded());
+  EXPECT_FALSE(r->cancelled());
   EXPECT_LE(r->counters.pops, 14);
   // Four results were generated, but the response carries the best k of
   // them, sorted.
@@ -105,10 +105,10 @@ TEST(EarlyExitTest, CancellationTokenStopsImmediately) {
   options.cancel = &cancel;
   auto r = engine.Search(MustParse("mary, john"), options);
   ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_TRUE(r->cancelled);
+  EXPECT_TRUE(r->cancelled());
   EXPECT_TRUE(r->truncated);
   EXPECT_EQ(r->stop_reason, StopReason::kCancelled);
-  EXPECT_FALSE(r->deadline_exceeded);
+  EXPECT_FALSE(r->deadline_exceeded());
   EXPECT_EQ(r->counters.pops, 0);
   EXPECT_TRUE(r->results.empty());
 }
@@ -124,10 +124,10 @@ TEST(EarlyExitTest, UnsetCancelTokenAndNoDeadlineRunToCompletion) {
   options.deadline_ms = 0;  // <= 0 disables the deadline entirely.
   auto r = engine.Search(MustParse("mary, john"), options);
   ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_TRUE(r->exhausted);
+  EXPECT_TRUE(r->exhausted());
   EXPECT_EQ(r->stop_reason, StopReason::kExhausted);
-  EXPECT_FALSE(r->cancelled);
-  EXPECT_FALSE(r->deadline_exceeded);
+  EXPECT_FALSE(r->cancelled());
+  EXPECT_FALSE(r->deadline_exceeded());
   EXPECT_FALSE(r->truncated);
   EXPECT_FALSE(r->results.empty());
 }
@@ -289,7 +289,7 @@ TEST(DeadlineStrideTest, ClockPolledOncePerStride) {
   options.clock_ctx = &clock;
   auto r = engine.SearchWithMatches(q, matches, options);
   ASSERT_TRUE(r.ok());
-  EXPECT_FALSE(r->deadline_exceeded);
+  EXPECT_FALSE(r->deadline_exceeded());
   ASSERT_GT(r->counters.pops, 0);
   // One read arms the deadline; the loop then reads every stride pops
   // (+1 slack for the first-iteration poll).
@@ -326,7 +326,7 @@ TEST(DeadlineStrideTest, OvershootBoundedByStride) {
     GTEST_SKIP() << "graph exhausted before the deadline could fire";
   }
   EXPECT_EQ(r->stop_reason, StopReason::kDeadline);
-  EXPECT_TRUE(r->deadline_exceeded);
+  EXPECT_TRUE(r->deadline_exceeded());
   EXPECT_TRUE(r->truncated);
   // First poll fires at pop 1; the expired poll at pop 1 + stride.
   EXPECT_LE(r->counters.pops, 1 + kDeadlineCheckStridePops);
@@ -350,7 +350,7 @@ TEST(EarlyExitTest, DeadlinePastClockRangeRunsWithoutDeadline) {
   auto r = engine.Search(MustParse("mary, john"), options);
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(r->stop_reason, StopReason::kExhausted);
-  EXPECT_FALSE(r->deadline_exceeded);
+  EXPECT_FALSE(r->deadline_exceeded());
   EXPECT_FALSE(r->results.empty());
   EXPECT_EQ(OrderedSignatures(*r), OrderedSignatures(*unbounded));
 }

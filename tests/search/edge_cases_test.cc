@@ -96,7 +96,7 @@ TEST(DegenerateGraphTest, EmptyGraphAndIsolatedMatches) {
   auto r = engine.SearchWithMatches(*q, {{}}, {});
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->results.empty());
-  EXPECT_TRUE(r->exhausted);
+  EXPECT_TRUE(r->exhausted());
 }
 
 TEST(DegenerateGraphTest, SelfLoopsDoNotBreakSearch) {

@@ -22,6 +22,7 @@
 
 #include "common/random.h"
 #include "graph/delta_overlay.h"
+#include "graph/graph_view.h"
 #include "graph/graph_builder.h"
 #include "obs/query_trace.h"
 #include "search/best_path_iterator.h"
@@ -163,7 +164,7 @@ struct DrainCounts {
 // Drains a frontier over `sources` in lockstep with the merged one-source
 // reference.
 DrainCounts ExpectFrontierMatchesMerge(
-    const TemporalGraph& g, const std::vector<NodeId>& sources,
+    graph::GraphView g, const std::vector<NodeId>& sources,
     BestPathIterator::Options options) {
   constexpr int32_t kTraceBase = 100;
   obs::QueryTrace frontier_trace(1 << 14);
@@ -244,9 +245,6 @@ DrainCounts ExpectFrontierMatchesMerge(
     EXPECT_EQ(got_events[i].ToString(), want_events[i].ToString());
   }
   // Per-source views: NTD counts, reached nodes and pop lists.
-  const NodeId total_nodes = options.overlay != nullptr
-                                 ? options.overlay->total_nodes()
-                                 : g.num_nodes();
   for (size_t i = 0; i < singles.size(); ++i) {
     const int32_t origin = static_cast<int32_t>(i);
     EXPECT_EQ(frontier.source(origin), sources[i]);
@@ -254,7 +252,7 @@ DrainCounts ExpectFrontierMatchesMerge(
     EXPECT_EQ(frontier.nodes_reached(origin), singles[i]->nodes_reached());
     EXPECT_EQ(frontier.nodes_reached(origin),
               frontier_pops.NodesReached(origin));
-    for (NodeId n = 0; n < total_nodes; ++n) {
+    for (NodeId n = 0; n < g.num_nodes(); ++n) {
       const auto got = frontier_pops.At(n, origin);
       const auto want = single_pops[i].At(n);
       EXPECT_EQ(got.size(), want.size()) << "source " << i << " node " << n;
@@ -301,21 +299,19 @@ TEST(FrontierOracleTest, PopsTheMergedOneSourceSequence) {
     for (const Mode& mode : modes) {
       SCOPED_TRACE("graph " + std::to_string(graph_index) + " " +
                    ModeName(mode));
-      const NodeId total_nodes =
-          mode.overlay ? overlay->total_nodes() : g.num_nodes();
+      const graph::GraphView view(g, mode.overlay ? overlay.get() : nullptr);
       const uint64_t count =
-          1 + rng.Uniform(static_cast<uint64_t>(total_nodes));
+          1 + rng.Uniform(static_cast<uint64_t>(view.num_nodes()));
       std::vector<NodeId> sources;
       for (const uint64_t v : rng.SampleWithoutReplacement(
-               static_cast<uint64_t>(total_nodes), count)) {
+               static_cast<uint64_t>(view.num_nodes()), count)) {
         sources.push_back(static_cast<NodeId>(v));
       }
       const auto prune = RandomPrune(&rng);
       BestPathIterator::Options options;
       options.ranking.factors = {mode.factor};
       if (mode.prune) options.prune = prune.get();
-      if (mode.overlay) options.overlay = overlay.get();
-      add(ExpectFrontierMatchesMerge(g, sources, options));
+      add(ExpectFrontierMatchesMerge(view, sources, options));
       if (HasFatalFailure()) return;
     }
     // Whole node set as sources: many sources tie on their first score.

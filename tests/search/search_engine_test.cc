@@ -117,7 +117,7 @@ TEST(SearchEngineTest, UnknownKeywordYieldsNoResults) {
   auto r = engine.Search(MustParse("mary, nonexistent"), Exhaustive());
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->results.empty());
-  EXPECT_TRUE(r->exhausted);
+  EXPECT_TRUE(r->exhausted());
 }
 
 TEST(SearchEngineTest, PredicateFiltersResults) {

@@ -151,7 +151,7 @@ TEST(SearchStatsTest, PopulatedOnDeadlineExit) {
   auto r = engine.Search(MustParse("alpha, beta"), options);
   ASSERT_TRUE(r.ok()) << r.status();
   ASSERT_EQ(r->stop_reason, StopReason::kDeadline);
-  EXPECT_TRUE(r->deadline_exceeded);
+  EXPECT_TRUE(r->deadline_exceeded());
   EXPECT_TRUE(r->truncated);
   ExpectStatsConsistent(*r);
 }

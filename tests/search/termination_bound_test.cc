@@ -171,7 +171,7 @@ void ExpectExhaustiveTopThree(UpperBoundKind bound, SearchResponse* out) {
   auto exhaustive = engine.Search(AlphaBeta(), options);
   ASSERT_TRUE(exhaustive.ok()) << exhaustive.status();
   ASSERT_GT(exhaustive->results.size(), 3u);
-  EXPECT_TRUE(exhaustive->exhausted);
+  EXPECT_TRUE(exhaustive->exhausted());
 
   options.k = 3;
   options.bound = bound;
@@ -220,7 +220,7 @@ TEST(TerminationBoundTest, BoundTightnessOrdering) {
     auto r = engine.Search(AlphaBeta(), options);
     ASSERT_TRUE(r.ok()) << r.status();
     ASSERT_EQ(r->results.size(), 1u);
-    EXPECT_FALSE(r->exhausted);
+    EXPECT_FALSE(r->exhausted());
     *pops = r->counters.pops;
   }
   EXPECT_LE(pops_empirical, pops_average);

@@ -31,6 +31,7 @@
 
 #include "common/random.h"
 #include "graph/delta_overlay.h"
+#include "graph/graph_view.h"
 #include "graph/graph_builder.h"
 #include "graph/inverted_index.h"
 #include "search/best_path_iterator.h"
@@ -131,16 +132,11 @@ std::vector<std::shared_ptr<const PredicateExpr>> RandomPredicates(
 }
 
 /// Nodes whose label carries keyword bucket `k`, over base + delta nodes.
-std::vector<NodeId> Bucket(const TemporalGraph& g,
-                           const graph::DeltaOverlay* overlay, int k) {
+std::vector<NodeId> Bucket(graph::GraphView g, int k) {
   const std::string word = "k" + std::to_string(k);
-  const NodeId total =
-      overlay != nullptr ? overlay->total_nodes() : g.num_nodes();
   std::vector<NodeId> out;
-  for (NodeId n = 0; n < total; ++n) {
-    const std::string& label =
-        overlay != nullptr ? overlay->NodeAt(g, n).label : g.node(n).label;
-    if (label.find(word) != std::string::npos) out.push_back(n);
+  for (NodeId n = 0; n < g.num_nodes(); ++n) {
+    if (g.node(n).label.find(word) != std::string::npos) out.push_back(n);
   }
   return out;
 }
@@ -160,7 +156,7 @@ void ExpectSameStats(const IteratorStats& a, const IteratorStats& b,
 }
 
 /// Drains both frontiers in lockstep and compares everything observable.
-void ExpectSameFrontier(const TemporalGraph& narrow, const TemporalGraph& wide,
+void ExpectSameFrontier(graph::GraphView narrow, graph::GraphView wide,
                         const std::vector<NodeId>& sources,
                         const BestPathIterator::Options& options,
                         const std::string& ctx) {
@@ -191,11 +187,8 @@ void ExpectSameFrontier(const TemporalGraph& narrow, const TemporalGraph& wide,
   }
   ASSERT_EQ(n_iter.num_ntds(), w_iter.num_ntds()) << ctx;
   ExpectSameStats(n_iter.stats(), w_iter.stats(), ctx);
-  const NodeId total = options.overlay != nullptr
-                           ? options.overlay->total_nodes()
-                           : narrow.num_nodes();
   for (int32_t origin = 0; origin < n_iter.num_sources(); ++origin) {
-    for (NodeId v = 0; v < total; ++v) {
+    for (NodeId v = 0; v < narrow.num_nodes(); ++v) {
       const auto got = n_pops.At(v, origin);
       const auto want = w_pops.At(v, origin);
       ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(),
@@ -208,7 +201,7 @@ void ExpectSameFrontier(const TemporalGraph& narrow, const TemporalGraph& wide,
 void ExpectSameResponse(const SearchResponse& a, const SearchResponse& b,
                         const std::string& ctx) {
   EXPECT_EQ(a.stop_reason, b.stop_reason) << ctx;
-  EXPECT_EQ(a.exhausted, b.exhausted) << ctx;
+  EXPECT_EQ(a.exhausted(), b.exhausted()) << ctx;
   EXPECT_EQ(a.truncated, b.truncated) << ctx;
   ASSERT_EQ(a.results.size(), b.results.size()) << ctx;
   for (size_t i = 0; i < a.results.size(); ++i) {
@@ -258,7 +251,7 @@ class TimeRepresentationTest
 };
 
 TEST_P(TimeRepresentationTest, FrontiersPopIdentically) {
-  const std::vector<NodeId> sources = Bucket(narrow_, nullptr, 0);
+  const std::vector<NodeId> sources = Bucket(narrow_, 0);
   const auto predicates = RandomPredicates(rng_.get(), horizon_);
   for (const RankFactor factor : kFactors) {
     BestPathIterator::Options options;
@@ -278,7 +271,7 @@ TEST_P(TimeRepresentationTest, FrontiersPopIdentically) {
 // or first pops one (subsumption), not read off a pop list; it must still
 // equal the distinct nodes each source popped, on both time paths.
 TEST_P(TimeRepresentationTest, NodesReachedCountsDistinctPoppedNodes) {
-  const std::vector<NodeId> sources = Bucket(narrow_, nullptr, 0);
+  const std::vector<NodeId> sources = Bucket(narrow_, 0);
   const auto predicates = RandomPredicates(rng_.get(), horizon_);
   for (const RankFactor factor : kFactors) {
     for (const PredicateExpr* prune : {static_cast<const PredicateExpr*>(
@@ -384,45 +377,29 @@ TEST_P(TimeRepresentationTest, OverlayExpansionMatches) {
   const auto [w_base, w_overlay] = split(kWideTimeline);
   ASSERT_FALSE(n_overlay->empty()) << context_;
 
-  const std::vector<NodeId> sources = Bucket(*n_base, n_overlay.get(), 1);
-  const SearchEngine n_engine(*n_base);
-  const SearchEngine w_engine(*w_base);
-  const std::vector<std::vector<NodeId>> matches = {
-      Bucket(*n_base, n_overlay.get(), 1), Bucket(*n_base, n_overlay.get(), 2)};
+  const graph::GraphView narrow(*n_base, n_overlay.get());
+  const graph::GraphView wide(*w_base, w_overlay.get());
+  const std::vector<NodeId> sources = Bucket(narrow, 1);
+  const SearchEngine n_engine(narrow);
+  const SearchEngine w_engine(wide);
+  const std::vector<std::vector<NodeId>> matches = {Bucket(narrow, 1),
+                                                    Bucket(narrow, 2)};
   for (const RankFactor factor : kFactors) {
     const std::string ctx =
         context_ + " overlay factor " + std::to_string(static_cast<int>(factor));
     BestPathIterator::Options options;
     options.ranking.factors = {factor};
-    options.overlay = n_overlay.get();
-    BestPathIterator::Options w_options = options;
-    w_options.overlay = w_overlay.get();
-    // Each frontier needs its own overlay (over its own base), so this
-    // drains two explicit frontiers instead of calling ExpectSameFrontier.
-    BestPathIterator a(*n_base, sources, options);
-    BestPathIterator b(*w_base, sources, w_options);
-    ASSERT_TRUE(a.uses_time_masks());
-    ASSERT_FALSE(b.uses_time_masks());
-    for (NtdId id = a.Next(); id != kInvalidNtd; id = a.Next()) {
-      ASSERT_EQ(b.Next(), id) << ctx;
-      ASSERT_EQ(a.ntd(id).node, b.ntd(id).node) << ctx;
-      ASSERT_EQ(a.ntd(id).dist, b.ntd(id).dist) << ctx;
-      ASSERT_EQ(a.TimeOf(id), b.TimeOf(id)) << ctx;
-    }
-    ASSERT_EQ(b.Next(), kInvalidNtd) << ctx;
-    ExpectSameStats(a.stats(), b.stats(), ctx);
+    ExpectSameFrontier(narrow, wide, sources, options, ctx);
+    if (HasFatalFailure()) return;
 
     Query query;
     query.keywords = {"x", "y"};
     query.ranking.factors = {factor, RankFactor::kRelevance};
     for (const int32_t k : {3, 0}) {
-      SearchOptions n_search;
-      n_search.k = k;
-      n_search.overlay = n_overlay.get();
-      SearchOptions w_search = n_search;
-      w_search.overlay = w_overlay.get();
-      const auto x = n_engine.SearchWithMatches(query, matches, n_search);
-      const auto y = w_engine.SearchWithMatches(query, matches, w_search);
+      SearchOptions search;
+      search.k = k;
+      const auto x = n_engine.SearchWithMatches(query, matches, search);
+      const auto y = w_engine.SearchWithMatches(query, matches, search);
       ASSERT_TRUE(x.ok() && y.ok()) << ctx;
       ExpectSameResponse(*x, *y, ctx + " k=" + std::to_string(k));
     }
