@@ -7,8 +7,10 @@
 # result cache as the only cache level. Then the live section: boot with
 # `--live`, and check that a publish that misses the cached search's read
 # set carries the entry (a hit under the new generation, body equal to an
-# uncached reference) while one that adds an in-edge to an expanded node
-# drops it (docs/caching.md, "Read sets").
+# uncached reference) while one that adds a zero-increment in-edge to an
+# expanded node drops it, and one whose in-edge there is heavier than any
+# path in the graph carries it past the touch (docs/caching.md, "Read
+# sets").
 #
 # usage: scripts/cache_check.sh <build-dir>
 set -euo pipefail
@@ -103,11 +105,13 @@ post "${WORK}/i1" "${WORK}/i1.h" -X POST "${URL}/v1/ingest" --data \
       "edges":[{"src_new":0,"dst_new":1},{"src_new":1,"dst_new":0}]}'
 expect_search l3 hit 1
 echo "cache_check: OK (live: a publish outside the read set carries the entry)"
-# An in-edge to node 1, the first keyword's match: its frontier popped it
-# first, so the publish touches the read set.
+# An in-edge of weight 0 from a weight-0 node to node 1, the first
+# keyword's match: its frontier popped it first, and a zero increment is
+# within every slack, so the publish changes the read set whatever the
+# dataset's distances.
 post "${WORK}/i2" "${WORK}/i2.h" -X POST "${URL}/v1/ingest" --data \
-    '{"nodes":[{"label":"cachecheck c","weight":1}],
-      "edges":[{"src_new":0,"dst":1}]}'
+    '{"nodes":[{"label":"cachecheck c","weight":0}],
+      "edges":[{"src_new":0,"dst":1,"weight":0}]}'
 expect_search l4 miss 2
 expect_search l5 hit 2
 echo "cache_check: OK (live: an in-edge to an expanded node drops the entry)"
@@ -117,5 +121,17 @@ grep -q '"carried_hits":1,' "${WORK}/live_varz.json" \
          cat "${WORK}/live_varz.json" >&2; exit 1; }
 grep -qE '"read_set_bytes":[1-9]' "${WORK}/live_varz.json" \
     || { echo "cache_check: /varz reports no read_set_bytes" >&2; exit 1; }
+# An in-edge to node 1 heavier than any path in the graph (its 15,000
+# nodes' edges weigh 1 each): the new child lies beyond every frontier's
+# final top, so the entry is carried past a change that named its node.
+post "${WORK}/i3" "${WORK}/i3.h" -X POST "${URL}/v1/ingest" --data \
+    '{"nodes":[{"label":"cachecheck d","weight":0}],
+      "edges":[{"src_new":0,"dst":1,"weight":1000000000}]}'
+expect_search l6 hit 3
+curl -s "${URL}/varz" > "${WORK}/heavy_varz.json"
+grep -q '"carried_past_touch":1,' "${WORK}/heavy_varz.json" \
+    || { echo "cache_check: /varz carried_past_touch is not 1:" >&2;
+         cat "${WORK}/heavy_varz.json" >&2; exit 1; }
+echo "cache_check: OK (live: an in-edge beyond the slack carries the entry)"
 stop_server
 echo "cache_check: OK"

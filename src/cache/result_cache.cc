@@ -1,6 +1,9 @@
 #include "cache/result_cache.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <limits>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -39,11 +42,28 @@ size_t BitmapWords(const std::vector<int32_t>& nodes) {
              : static_cast<size_t>(nodes.back() - nodes.front()) / 64 + 1;
 }
 
+/// The stored code of an infinite slack; codes below it count steps.
+constexpr uint8_t kInfiniteSlack = 255;
+constexpr double kMaxSlackSteps = kInfiniteSlack - 1;
+
+/// Whether `read_set` stores a slack byte per node: it has a value per
+/// node and some value is finite. Otherwise every node's slack is +inf.
+bool StoresSlack(const ReadSet& read_set) {
+  return read_set.values.size() == read_set.nodes.size() &&
+         std::any_of(read_set.values.begin(), read_set.values.end(),
+                     [](double v) { return std::isfinite(v); });
+}
+
 }  // namespace
 
 int64_t ResultCache::StoredReadSet::Bytes(const ReadSet& read_set) {
-  return static_cast<int64_t>(BitmapWords(read_set.nodes) * sizeof(uint64_t)) +
-         WordBytes(read_set.words);
+  const size_t words = BitmapWords(read_set.nodes);
+  int64_t bytes = static_cast<int64_t>(words * sizeof(uint64_t));
+  if (StoresSlack(read_set)) {
+    bytes += static_cast<int64_t>(words * sizeof(uint32_t) +
+                                  read_set.nodes.size());
+  }
+  return bytes + WordBytes(read_set.words);
 }
 
 ResultCache::StoredReadSet::StoredReadSet(ReadSet read_set)
@@ -55,25 +75,79 @@ ResultCache::StoredReadSet::StoredReadSet(ReadSet read_set)
     const uint32_t bit = static_cast<uint32_t>(node - first_);
     bits_[bit / 64] |= uint64_t{1} << (bit % 64);
   }
+  if (!StoresSlack(read_set)) return;
+  ranks_.resize(bits_.size());
+  uint32_t before = 0;
+  for (size_t w = 0; w < bits_.size(); ++w) {
+    ranks_[w] = before;
+    before += static_cast<uint32_t>(std::popcount(bits_[w]));
+  }
+  // The grid spans the largest finite slack in kMaxSlackSteps steps. Each
+  // slack rounds UP to the grid, so a stored slack is never below the
+  // true one and rounding can only turn a carry into an eviction.
+  double largest = 0;
+  for (const double v : read_set.values) {
+    if (std::isfinite(v)) largest = std::max(largest, v);
+  }
+  step_ = largest / kMaxSlackSteps;
+  if (step_ * kMaxSlackSteps < largest) {
+    step_ = std::nextafter(step_, std::numeric_limits<double>::infinity());
+  }
+  slack_.reserve(read_set.values.size());
+  for (const double v : read_set.values) {
+    uint8_t code = kInfiniteSlack;
+    if (!std::isfinite(v)) {
+      // Stays infinite.
+    } else if (v <= 0) {  // Every finite slack, when step_ is 0.
+      code = 0;
+    } else {
+      double steps = std::min(std::ceil(v / step_), kMaxSlackSteps);
+      // The division may have rounded down; the top step covers `largest`.
+      while (steps * step_ < v && steps < kMaxSlackSteps) ++steps;
+      code = static_cast<uint8_t>(steps);
+    }
+    slack_.push_back(code);
+  }
 }
 
 int64_t ResultCache::StoredReadSet::bytes() const {
-  return static_cast<int64_t>(bits_.size() * sizeof(uint64_t)) +
+  return static_cast<int64_t>(bits_.size() * sizeof(uint64_t) +
+                              ranks_.size() * sizeof(uint32_t) +
+                              slack_.size()) +
          WordBytes(words_);
 }
 
-bool ResultCache::StoredReadSet::HasNode(int32_t node) const {
-  if (node < first_) return false;
-  const uint64_t bit = static_cast<uint64_t>(node - first_);
-  return bit / 64 < bits_.size() && ((bits_[bit / 64] >> (bit % 64)) & 1);
+double ResultCache::StoredReadSet::Slack(uint64_t bit) const {
+  if (slack_.empty()) return std::numeric_limits<double>::infinity();
+  const uint64_t word = bits_[bit / 64];
+  const uint64_t below = word & ((uint64_t{1} << (bit % 64)) - 1);
+  const uint8_t code =
+      slack_[ranks_[bit / 64] + static_cast<uint32_t>(std::popcount(below))];
+  return code == kInfiniteSlack ? std::numeric_limits<double>::infinity()
+                                : code * step_;
 }
 
-bool ResultCache::StoredReadSet::Touches(const ReadSet& changes) const {
-  if (WordsIntersect(words_, changes.words)) return true;
-  for (const int32_t node : changes.nodes) {
-    if (HasNode(node)) return true;
+ResultCache::StoredReadSet::Overlap ResultCache::StoredReadSet::Check(
+    const ReadSet& changes) const {
+  if (WordsIntersect(words_, changes.words)) return Overlap::kChanged;
+  const bool increments = changes.values.size() == changes.nodes.size();
+  Overlap overlap = Overlap::kNone;
+  for (size_t i = 0; i < changes.nodes.size(); ++i) {
+    const int32_t node = changes.nodes[i];
+    if (node < first_) continue;
+    const uint64_t bit = static_cast<uint64_t>(node - first_);
+    if (bit / 64 >= bits_.size() ||
+        ((bits_[bit / 64] >> (bit % 64)) & 1) == 0) {
+      continue;
+    }
+    // A new child at the node's distance + increment lies beyond every
+    // frontier's final top only when the increment exceeds the slack.
+    if (!increments || changes.values[i] <= Slack(bit)) {
+      return Overlap::kChanged;
+    }
+    overlap = Overlap::kPastSlack;
   }
-  return false;
+  return overlap;
 }
 
 ResultCache::ResultCache(int64_t byte_budget)
@@ -96,18 +170,26 @@ ResultCache::ResultCache(int64_t byte_budget)
       log_(kPublishLogLength) {}
 
 ResultCache::Validity ResultCache::ValidateLocked(Entry& entry,
-                                                  uint64_t snapshot) const {
+                                                  uint64_t snapshot) {
   if (snapshot <= entry.validated_through) return Validity::kValid;
   // The publish hook runs just after the snapshot swap, so a request can
   // pin a generation the log has not recorded yet.
   if (snapshot > log_last_) return Validity::kUnknown;
   if (entry.validated_through + 1 < log_first_) return Validity::kChanged;
+  int64_t past_slack = 0;
   for (uint64_t g = entry.validated_through + 1; g <= snapshot; ++g) {
-    if (entry.read_set.Touches(log_[g % kPublishLogLength])) {
-      return Validity::kChanged;
+    switch (entry.read_set.Check(log_[g % kPublishLogLength])) {
+      case StoredReadSet::Overlap::kChanged:
+        return Validity::kChanged;
+      case StoredReadSet::Overlap::kPastSlack:
+        ++past_slack;
+        break;
+      case StoredReadSet::Overlap::kNone:
+        break;
     }
   }
   entry.validated_through = snapshot;
+  stats_.carried_past_touch += past_slack;
   return Validity::kValid;
 }
 

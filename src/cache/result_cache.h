@@ -18,12 +18,14 @@
 // Live graphs (docs/caching.md, "Read sets"): every entry records the
 // snapshot generation its search was pinned to and the newest generation
 // it is known to be valid at, plus its read set — the nodes the search
-// expanded and its keywords. Publish() logs each publish's change set in a
-// ring of the last kPublishLogLength publishes. A lookup pinned at a later
-// generation checks only the logged change sets since the entry was last
-// validated: if none touches the read set the entry is carried forward,
-// else it is erased. A lookup pinned before the entry's own generation
-// never hits. On a static graph every entry and lookup sits at generation
+// expanded, each with its slack, and its keywords. Publish() logs each
+// publish's change set in a ring of the last kPublishLogLength publishes.
+// A lookup pinned at a later generation checks only the logged change sets
+// since the entry was last validated: if none touches the read set the
+// entry is carried forward, else it is erased. A change set touches it by
+// sharing a word, or by naming an expanded node with an increment no
+// larger than the node's slack. A lookup pinned before the entry's own
+// generation never hits. On a static graph every entry and lookup sits at generation
 // 0 and nothing is ever published.
 //
 // Invalidation is also epochal: InvalidateAll() bumps the cache's own
@@ -62,6 +64,9 @@ struct CacheStats {
   /// Hits on an entry first stored at an earlier snapshot generation than
   /// the lookup's: answers carried across publishes.
   int64_t carried_hits = 0;
+  /// Change sets an entry was carried past although they named one of its
+  /// nodes: every increment there exceeded the node's slack.
+  int64_t carried_past_touch = 0;
   int64_t misses = 0;
   int64_t insertions = 0;
   int64_t evictions = 0;
@@ -139,24 +144,41 @@ class ResultCache {
 
  private:
   /// An entry's read set as stored: its nodes as a bitmap over [first id,
-  /// last id], so one Touches probe per changed node is a bit test. A
-  /// bitmap costs at most the graph's node count in bits (1.9 KB on the
-  /// 15,000-node social graph), against 10.6 KB of ids for a social-http-
-  /// live query's 2,650 expanded nodes.
+  /// last id], so one probe per changed node is a bit test. A bitmap costs
+  /// at most the graph's node count in bits (1.9 KB on the 15,000-node
+  /// social graph), against 10.6 KB of ids for a social-http-live query's
+  /// 2,650 expanded nodes. When some slack is finite, each node also keeps
+  /// one byte: its slack rounded up to a multiple of the entry's step,
+  /// found through a count of the set bits before each bitmap word.
   class StoredReadSet {
    public:
+    /// `read_set.nodes` must be sorted and unique.
     explicit StoredReadSet(ReadSet read_set);
     /// Accounted bytes of `read_set` in its stored form.
     static int64_t Bytes(const ReadSet& read_set);
     int64_t bytes() const;
-    /// Whether `changes` shares a node or a word with the stored set.
-    bool Touches(const ReadSet& changes) const;
+
+    /// How a change set meets the stored set.
+    enum class Overlap {
+      kNone,       ///< No shared word or node.
+      kPastSlack,  ///< Shared nodes only, each beyond its slack.
+      kChanged,    ///< A shared word, or a shared node within its slack.
+    };
+    Overlap Check(const ReadSet& changes) const;
 
    private:
-    bool HasNode(int32_t node) const;
+    /// The stored slack of the node at bitmap bit `bit`: +inf, or its slack
+    /// rounded up, never below it.
+    double Slack(uint64_t bit) const;
 
     int32_t first_ = 0;  ///< The id of bit 0 of bits_.
     std::vector<uint64_t> bits_;
+    /// Per word of bits_: the set bits before it. Empty with slack_.
+    std::vector<uint32_t> ranks_;
+    /// Per node, in id order: its slack in steps of step_, or
+    /// kInfiniteSlack. Empty when no slack is finite.
+    std::vector<uint8_t> slack_;
+    double step_ = 0;
     std::vector<std::string> words_;
   };
 
@@ -173,7 +195,7 @@ class ResultCache {
   /// Whether `entry` is valid at `snapshot` >= its from_gen, extending its
   /// validated range when the log shows no change to its read set.
   enum class Validity { kValid, kChanged, kUnknown };
-  Validity ValidateLocked(Entry& entry, uint64_t snapshot) const;
+  Validity ValidateLocked(Entry& entry, uint64_t snapshot);
   void EraseLocked(EntryMap::iterator it);
 
   const int64_t byte_budget_;

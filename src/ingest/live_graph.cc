@@ -1,5 +1,6 @@
 #include "ingest/live_graph.h"
 
+#include <algorithm>
 #include <chrono>
 #include <sstream>
 #include <utility>
@@ -236,13 +237,29 @@ Result<uint64_t> LiveGraph::Apply(const IngestBatch& batch,
 
   cache::ReadSet changes;
   if (on_publish_) {
-    for (const graph::Edge& edge : new_edges) changes.nodes.push_back(edge.dst);
+    // A frontier that popped `dst` at distance d would reach the new edge's
+    // source at d + edge weight + source weight: each `dst` keeps the least
+    // such increment of the batch.
+    std::vector<std::pair<NodeId, double>> increments;
+    increments.reserve(new_edges.size());
+    for (const graph::Edge& edge : new_edges) {
+      const double src_weight =
+          edge.src >= base_total
+              ? new_nodes[static_cast<size_t>(edge.src - base_total)].weight
+              : view.node(edge.src).weight;
+      increments.emplace_back(edge.dst, edge.weight + src_weight);
+    }
+    std::sort(increments.begin(), increments.end());
+    for (const auto& [dst, increment] : increments) {
+      if (!changes.nodes.empty() && changes.nodes.back() == dst) continue;
+      changes.nodes.push_back(dst);
+      changes.values.push_back(increment);
+    }
     for (const graph::Node& node : new_nodes) {
       for (std::string& word : TokenizeWords(node.label)) {
         changes.words.push_back(std::move(word));
       }
     }
-    cache::SortUnique(&changes.nodes);
     cache::SortUnique(&changes.words);
   }
 

@@ -85,8 +85,8 @@ struct SearchOptions {
   /// thread; batch callers must hand each query its own trace or none.
   obs::QueryTrace* trace = nullptr;
   /// Output request, like `trace`: when true the response lists the nodes
-  /// the query expanded (SearchResponse::expanded_nodes). The search itself
-  /// is unchanged.
+  /// the query expanded and their slack (SearchResponse::expanded_nodes,
+  /// expanded_slack). The search itself is unchanged.
   bool report_expanded_nodes = false;
 
   /// Test seam: when non-null the deadline machinery reads this clock
@@ -151,6 +151,15 @@ struct SearchResponse {
   /// whose in-slots the search read (docs/caching.md, "Read sets"). Filled
   /// only under SearchOptions::report_expanded_nodes.
   std::vector<graph::NodeId> expanded_nodes;
+  /// Parallel to expanded_nodes: how far a new in-edge at the node must
+  /// reach before it can change the answer (docs/caching.md, "Read sets").
+  /// Per node, the max over the keywords that popped it of that keyword
+  /// frontier's final top minus the distance of its first pop there; +inf
+  /// when such a frontier drained, or when the ranking's primary factor is
+  /// not relevance. A new child at the node's distance + its in-edge's
+  /// weight + its source's weight is never popped nor any frontier's top
+  /// when that increment exceeds the slack.
+  std::vector<double> expanded_slack;
 
   /// True when every frontier drained (vs. stopping on the bound).
   bool exhausted() const { return stop_reason == StopReason::kExhausted; }

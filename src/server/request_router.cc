@@ -149,9 +149,11 @@ bool ParseBoundName(std::string_view name, search::UpperBoundKind* out) {
 }  // namespace
 
 cache::ReadSet SearchReadSet(const exec::BatchQuery& query,
-                             std::vector<graph::NodeId> expanded_nodes) {
+                             std::vector<graph::NodeId> expanded_nodes,
+                             std::vector<double> expanded_slack) {
   cache::ReadSet read_set;
   read_set.nodes = std::move(expanded_nodes);
+  read_set.values = std::move(expanded_slack);
   if (query.matches.empty()) {
     for (const std::string& keyword : query.query.keywords) {
       read_set.words.push_back(AsciiToLower(keyword));
@@ -565,6 +567,8 @@ HttpResponse RequestRouter::HandleVarz() const {
     w.Int(s.hits);
     w.Key("carried_hits");
     w.Int(s.carried_hits);
+    w.Key("carried_past_touch");
+    w.Int(s.carried_past_touch);
     w.Key("misses");
     w.Int(s.misses);
     w.Key("hit_rate");
@@ -889,7 +893,9 @@ bool RequestRouter::HandleSearch(const HttpRequest& request,
   }
   // The read set's words are known now; its nodes come with the response.
   cache::ReadSet read_set;
-  if (single.report_expanded_nodes) read_set = SearchReadSet(single.query, {});
+  if (single.report_expanded_nodes) {
+    read_set = SearchReadSet(single.query, {}, {});
+  }
 
   AdmissionController* admission = context_.admission;
   cache::ResultCache* result_cache = context_.result_cache;
@@ -921,6 +927,7 @@ bool RequestRouter::HandleSearch(const HttpRequest& request,
           // precedes Finish so a late arrival either hits the cache or
           // opens the next flight — never falls between the two.
           read_set.nodes = std::move(response->expanded_nodes);
+          read_set.values = std::move(response->expanded_slack);
           result_cache->Insert(fingerprint,
                                std::make_shared<const std::string>(http.body),
                                cache_epoch, pinned, std::move(read_set));

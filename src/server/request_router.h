@@ -183,10 +183,12 @@ std::string JsonParseErrorBody(const search::ParseErrorDetail& detail);
 std::string JsonIngestErrorBody(const ingest::IngestErrorDetail& detail);
 
 /// The result-cache read set of one search (docs/caching.md, "Read
-/// sets"): the nodes it expanded and, for a keyword query (no explicit
-/// match lists), its keywords folded as the inverted index folds them.
+/// sets"): the nodes it expanded with their slack and, for a keyword query
+/// (no explicit match lists), its keywords folded as the inverted index
+/// folds them.
 cache::ReadSet SearchReadSet(const exec::BatchQuery& query,
-                             std::vector<graph::NodeId> expanded_nodes);
+                             std::vector<graph::NodeId> expanded_nodes,
+                             std::vector<double> expanded_slack);
 
 /// Renders a SearchResponse as the /v1/search response body.
 /// `include_stats` gates the counters/stats/latency sections so default

@@ -6,12 +6,14 @@
 // has moved the cache past G, on one thread or many — and read-set
 // validation across publishes (docs/caching.md, "Read sets"): an entry is
 // carried to a later snapshot only while no logged change set touches its
-// read set.
+// read set — shares a word, or names a node with an increment no larger
+// than the node's slack.
 
 #include "cache/result_cache.h"
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -297,7 +299,7 @@ std::vector<int32_t> Ids(int32_t first, int32_t last, int32_t step) {
 // A read set is checked against a change set by node, at both ends of its
 // bitmap, between and beyond them, and by word.
 TEST(ResultCacheTest, ReadSetIntersection) {
-  const ReadSet read{Ids(1000, 3000, 2), {"john", "mary"}};
+  const ReadSet read{Ids(1000, 3000, 2), {"john", "mary"}, {}};
   const auto expect = [&](const ReadSet& changes, bool touches) {
     ResultCache cache(1 << 20);
     cache.Insert("q", Val("body"), 0, 0, read);
@@ -315,8 +317,8 @@ TEST(ResultCacheTest, ReadSetIntersection) {
 }
 
 TEST(ResultCacheTest, ReadSetIsChargedAsABitmapOverItsRange) {
-  const ReadSet wide{Ids(0, 99000, 1000), {}};
-  const ReadSet narrow{Ids(1000, 3000, 2), {"w"}};
+  const ReadSet wide{Ids(0, 99000, 1000), {}, {}};
+  const ReadSet narrow{Ids(1000, 3000, 2), {"w"}, {}};
   const int64_t base = ResultCache::EntryBytes("k", "b");
   // 99,001 ids span 1,547 words of 64 bits; 2,001 ids span 32.
   EXPECT_EQ(ResultCache::EntryBytes("k", "b", wide) - base,
@@ -329,7 +331,7 @@ TEST(ResultCacheTest, ReadSetIsChargedAsABitmapOverItsRange) {
 
 TEST(ResultCacheTest, PublishThatMissesTheReadSetCarriesTheEntry) {
   ResultCache cache(1 << 20);
-  cache.Insert("q", Val("body"), cache.generation(), 0, ReadSet{{3, 4}, {}});
+  cache.Insert("q", Val("body"), cache.generation(), 0, ReadSet{{3, 4}, {}, {}});
   cache.Publish(1, Nodes({7}));  // An in-edge to a node the search never popped.
   cache.Publish(2, ReadSet{});   // A compaction.
   const auto got = cache.Lookup("q", 2);
@@ -345,9 +347,9 @@ TEST(ResultCacheTest, PublishThatMissesTheReadSetCarriesTheEntry) {
 
 TEST(ResultCacheTest, PublishThatTouchesTheReadSetErasesTheEntry) {
   ResultCache cache(1 << 20);
-  cache.Insert("nodes", Val("a"), 0, 0, ReadSet{{3, 4}, {}});
-  cache.Insert("words", Val("b"), 0, 0, ReadSet{{3}, {"mary"}});
-  cache.Publish(1, ReadSet{{4}, {"perfbench"}});
+  cache.Insert("nodes", Val("a"), 0, 0, ReadSet{{3, 4}, {}, {}});
+  cache.Insert("words", Val("b"), 0, 0, ReadSet{{3}, {"mary"}, {}});
+  cache.Publish(1, ReadSet{{4}, {"perfbench"}, {}});
   EXPECT_EQ(cache.Lookup("nodes", 1), nullptr);
   EXPECT_EQ(cache.stats().entries, 1);  // Erased, not just missed.
   ASSERT_NE(cache.Lookup("words", 1), nullptr);
@@ -382,8 +384,8 @@ TEST(ResultCacheTest, InsertAfterLaterPublishesIsValidatedThroughTheLog) {
   cache.Publish(1, Nodes({10}));
   cache.Publish(2, Words({"fresh"}));
   cache.Publish(3, ReadSet{});
-  cache.Insert("clean", Val("c"), 0, 0, ReadSet{{1, 2}, {"old"}});
-  cache.Insert("dirty", Val("d"), 0, 0, ReadSet{{1, 10}, {}});
+  cache.Insert("clean", Val("c"), 0, 0, ReadSet{{1, 2}, {"old"}, {}});
+  cache.Insert("dirty", Val("d"), 0, 0, ReadSet{{1, 10}, {}, {}});
   EXPECT_NE(cache.Lookup("clean", 3), nullptr);
   EXPECT_EQ(cache.Lookup("dirty", 3), nullptr);
   EXPECT_EQ(cache.stats().carried_hits, 1);
@@ -429,7 +431,7 @@ TEST(ResultCacheTest, PublishGapForgetsTheLog) {
 }
 
 TEST(ResultCacheTest, ReadSetBytesAreChargedToTheBudget) {
-  const ReadSet big{Ids(0, 99000, 1000), {"keyword"}};
+  const ReadSet big{Ids(0, 99000, 1000), {"keyword"}, {}};
   const int64_t read_set_bytes = static_cast<int64_t>(
       1547 * sizeof(uint64_t) + sizeof(std::string) + 7);
   const int64_t with = ResultCache::EntryBytes("a", "x", big);
@@ -451,6 +453,132 @@ TEST(ResultCacheTest, ReadSetBytesAreChargedToTheBudget) {
   small.Insert("a", Val("x"), 0, 0, big);
   EXPECT_EQ(small.stats().oversized, 1);
   EXPECT_EQ(small.stats().entries, 0);
+}
+
+// Nodes with a value each: a search's slack, or a publish's increment.
+ReadSet Valued(std::vector<int32_t> nodes, std::vector<double> values) {
+  ReadSet set;
+  set.nodes = std::move(nodes);
+  set.values = std::move(values);
+  return set;
+}
+
+// Whether a publish of `changes` evicts an entry that read `read`; counts
+// the carries past a touch into `*past`.
+bool Evicts(const ReadSet& read, const ReadSet& changes,
+            int64_t* past = nullptr) {
+  ResultCache cache(1 << 20);
+  cache.Insert("q", Val("body"), 0, 0, read);
+  cache.Publish(1, changes);
+  const bool evicted = cache.Lookup("q", 1) == nullptr;
+  if (past != nullptr) *past = cache.stats().carried_past_touch;
+  return evicted;
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// A new in-edge whose increment equals the node's slack could make a child
+// at exactly the frontier's final top: it evicts. One above it carries.
+TEST(ResultCacheTest, SlackEqualIncrementEvicts) {
+  int64_t past = -1;
+  EXPECT_TRUE(Evicts(Valued({5, 6}, {3.0, 1.0}), Valued({5}, {3.0}), &past));
+  EXPECT_EQ(past, 0);
+  EXPECT_TRUE(Evicts(Valued({5, 6}, {3.0, 1.0}), Valued({6}, {1.0})));
+  EXPECT_TRUE(Evicts(Valued({5}, {0.0}), Valued({5}, {0.0})));
+}
+
+TEST(ResultCacheTest, SlackBelowIncrementCarries) {
+  int64_t past = -1;
+  EXPECT_FALSE(Evicts(Valued({5, 6}, {3.0, 1.0}), Valued({5}, {3.5}), &past));
+  EXPECT_EQ(past, 1);
+  EXPECT_FALSE(Evicts(Valued({5, 6}, {3.0, 1.0}), Valued({6}, {1.5})));
+  EXPECT_FALSE(Evicts(Valued({5}, {0.0}), Valued({5}, {0.25})));
+  // A change set that misses the read set is no carry past a touch.
+  EXPECT_FALSE(Evicts(Valued({5}, {3.0}), Valued({7}, {0.0}), &past));
+  EXPECT_EQ(past, 0);
+}
+
+TEST(ResultCacheTest, SlackInfiniteEvictsOnAnyTouch) {
+  EXPECT_TRUE(Evicts(Valued({5, 6}, {kInf, 1.0}), Valued({5}, {1e300})));
+  EXPECT_FALSE(Evicts(Valued({5, 6}, {kInf, 1.0}), Valued({6}, {1e300})));
+  // No finite slack at all: no slack bytes are stored, and every node
+  // evicts.
+  EXPECT_TRUE(Evicts(Valued({5, 6}, {kInf, kInf}), Valued({6}, {1e300})));
+  EXPECT_EQ(ResultCache::EntryBytes("k", "b", Valued({5, 6}, {kInf, kInf})),
+            ResultCache::EntryBytes("k", "b", Nodes({5, 6})));
+}
+
+// Without values on either side, a shared node is a change.
+TEST(ResultCacheTest, SlackMissingKeepsThePlainIntersection) {
+  EXPECT_TRUE(Evicts(Nodes({5, 6}), Valued({5}, {1e300})));
+  EXPECT_TRUE(Evicts(Valued({5, 6}, {3.0, 1.0}), Nodes({5})));
+  EXPECT_FALSE(Evicts(Valued({5, 6}, {3.0, 1.0}), Nodes({7})));
+  // A shared word is a change whatever the increments.
+  ReadSet keyword = Valued({5}, {3.0});
+  keyword.words = {"mary"};
+  ReadSet labelled = Valued({5}, {100.0});
+  labelled.words = {"mary"};
+  EXPECT_TRUE(Evicts(keyword, labelled));
+}
+
+TEST(ResultCacheTest, SlackOneSmallIncrementAmongLargeEvicts) {
+  const ReadSet read = Valued({1, 2, 3}, {5.0, 5.0, 5.0});
+  EXPECT_FALSE(Evicts(read, Valued({1, 2, 3}, {100.0, 6.0, 100.0})));
+  EXPECT_TRUE(Evicts(read, Valued({1, 2, 3}, {100.0, 4.0, 100.0})));
+  EXPECT_TRUE(Evicts(read, Valued({0, 3, 9}, {0.0, 5.0, 0.0})));
+  // Every logged change set must pass: one small increment among many
+  // publishes evicts.
+  ResultCache cache(1 << 20);
+  cache.Insert("q", Val("body"), 0, 0, read);
+  cache.Publish(1, Valued({1}, {50.0}));
+  cache.Publish(2, Valued({2}, {2.0}));
+  cache.Publish(3, Valued({3}, {50.0}));
+  EXPECT_EQ(cache.Lookup("q", 3), nullptr);
+  EXPECT_EQ(cache.stats().carried_past_touch, 0);
+}
+
+// Each node's slack is found through the rank counts, across many bitmap
+// words, and rounding on the entry's grid only ever evicts more.
+TEST(ResultCacheTest, SlackIsFoundPerNodeAcrossBitmapWords) {
+  const std::vector<int32_t> ids = Ids(1000, 3000, 3);
+  std::vector<double> slack;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    slack.push_back(i % 11 == 0 ? kInf : static_cast<double>(i % 97) * 0.75);
+  }
+  ResultCache cache(1 << 20);
+  cache.Insert("q", Val("body"), 0, 0, Valued(ids, slack));
+  uint64_t generation = 0;
+  for (size_t i = 0; i < ids.size(); i += 7) {
+    const double above = slack[i] + 0.75;  // Past any rounding up.
+    cache.Publish(++generation, Valued({ids[i]}, {above}));
+    EXPECT_EQ(cache.Lookup("q", generation) == nullptr, slack[i] == kInf)
+        << "node " << ids[i];
+    if (slack[i] == kInf) {
+      cache.Insert("q", Val("body"), 0, generation, Valued(ids, slack));
+    }
+  }
+  for (size_t i = 1; i < ids.size(); i += 13) {
+    cache.Publish(++generation, Valued({ids[i]}, {slack[i]}));
+    EXPECT_EQ(cache.Lookup("q", generation), nullptr) << "node " << ids[i];
+    cache.Insert("q", Val("body"), 0, generation, Valued(ids, slack));
+  }
+}
+
+TEST(ResultCacheTest, SlackBytesAreCharged) {
+  const std::vector<int32_t> ids = Ids(1000, 3000, 2);
+  const std::vector<double> slack(ids.size(), 2.0);
+  const int64_t bitmap = ResultCache::EntryBytes("k", "b", Nodes(ids));
+  // 2,001 ids span 32 words: a 4-byte rank per word and a byte per node.
+  const int64_t with = ResultCache::EntryBytes("k", "b", Valued(ids, slack));
+  EXPECT_EQ(with - bitmap,
+            static_cast<int64_t>(32 * sizeof(uint32_t) + ids.size()));
+  ResultCache cache(1 << 20);
+  cache.Insert("q", Val("b"), 0, 0, Valued(ids, slack));
+  EXPECT_EQ(cache.stats().bytes, ResultCache::EntryBytes("q", "b",
+                                                         Valued(ids, slack)));
+  EXPECT_EQ(cache.stats().read_set_bytes,
+            static_cast<int64_t>(32 * sizeof(uint64_t) +
+                                 32 * sizeof(uint32_t) + ids.size()));
 }
 
 TEST(ResultCacheTest, InvalidateAllEmptiesEntriesOfEveryGeneration) {

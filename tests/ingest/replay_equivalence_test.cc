@@ -23,8 +23,10 @@
 // The same datasets also drive the result cache's read-set validation
 // (docs/caching.md, "Read sets"): grown one node per publish with the cache
 // on the publish hook, every body the cache carries to a new snapshot must
-// be byte-identical to a fresh, uncached search on that snapshot, and a
-// batch that adds an in-edge to an expanded node must evict the entry.
+// be byte-identical to a fresh, uncached search on that snapshot — also
+// when a publish gave one of its expanded nodes an in-edge whose increment
+// exceeds the node's slack — and a batch that adds a zero-increment
+// in-edge to an expanded node must evict the entry.
 
 #include <algorithm>
 #include <memory>
@@ -400,8 +402,9 @@ std::string FreshBody(const GraphSnapshotHandle& snap, const CachedQuery& q,
           ? engine.Search(q.query.query, options)
           : engine.SearchWithMatches(q.query.query, q.query.matches, options);
   EXPECT_TRUE(response.ok()) << response.status();
-  *read_set =
-      server::SearchReadSet(q.query, std::move(response->expanded_nodes));
+  *read_set = server::SearchReadSet(q.query,
+                                    std::move(response->expanded_nodes),
+                                    std::move(response->expanded_slack));
   return server::JsonSearchBody(*response, 0.0, /*include_stats=*/false);
 }
 
@@ -409,6 +412,9 @@ struct CarryCounts {
   int64_t lookups = 0;
   int64_t carried = 0;
   int64_t evicted = 0;
+  /// Validations that carried an entry past a change set naming one of
+  /// its nodes (CacheStats::carried_past_touch).
+  int64_t past_touch = 0;
 };
 
 /// Looks every query up at the live graph's current snapshot. A carried
@@ -434,10 +440,12 @@ void CheckCarried(LiveGraph* live, cache::ResultCache* cache,
 
 /// The read-set sweep over one dataset: the base through GraphBuilder, then
 /// one publish per delta node (with the edges it unlocks), each followed by
-/// a publish that attaches a fresh node by an out-edge only, then a
-/// compaction; every query is checked after each publish.
+/// a publish that attaches a fresh node by an out-edge only and one that
+/// gives an existing node an in-edge of `touch_rng`'s weight from a fresh
+/// node of `touch_rng`'s weight, then a compaction; every query is checked
+/// after each publish.
 void CheckCachedAnswers(const Dataset& data, const std::string& context,
-                        CarryCounts* counts) {
+                        Rng* touch_rng, CarryCounts* counts) {
   const int delta_nodes =
       static_cast<int>(data.nodes.size()) - static_cast<int>(data.base_nodes);
   Dataset base_only = data;
@@ -452,8 +460,13 @@ void CheckCachedAnswers(const Dataset& data, const std::string& context,
   CheckCarried(live.get(), &cache, queries, counts, context);
 
   const IntervalSet always{{0, data.horizon - 1}};
+  // The live id of each dataset node published so far: each delta node
+  // follows two extra publishes of one node per earlier delta node.
+  std::vector<NodeId> live_id;
+  for (NodeId n = 0; n < data.base_nodes; ++n) live_id.push_back(n);
   EdgeId next_edge = data.base_edges;
   for (NodeId n = data.base_nodes; n < data.base_nodes + delta_nodes; ++n) {
+    live_id.push_back(live->Acquire()->view().num_nodes());
     IngestBatch batch;
     IngestNode node;
     node.label = data.nodes[static_cast<size_t>(n)].label;
@@ -469,8 +482,7 @@ void CheckCachedAnswers(const Dataset& data, const std::string& context,
         if (id == n) {
           *fresh = 0;
         } else {
-          // Delta node m was published after m - base_nodes fillers.
-          *abs = id < data.base_nodes ? id : 2 * id - data.base_nodes;
+          *abs = live_id[static_cast<size_t>(id)];
         }
       };
       ref(spec.src, &edge.src, &edge.src_new);
@@ -496,11 +508,30 @@ void CheckCachedAnswers(const Dataset& data, const std::string& context,
     filler.edges.push_back(std::move(out_edge));
     ASSERT_TRUE(live->Apply(filler, &error).ok()) << context << error.message;
     CheckCarried(live.get(), &cache, queries, counts, context);
+
+    // Toucher: an in-edge into a dataset node. It carries an entry that
+    // expanded the node only when its increment (edge weight + the fresh
+    // node's weight) exceeds the node's slack.
+    IngestBatch touch;
+    IngestNode toucher;
+    toucher.label = "toucher" + std::to_string(n);
+    toucher.weight = static_cast<double>(touch_rng->Uniform(4));
+    toucher.validity = always;
+    touch.nodes.push_back(std::move(toucher));
+    IngestEdge in_edge;
+    in_edge.src_new = 0;
+    in_edge.dst = live_id[touch_rng->Uniform(live_id.size())];
+    in_edge.weight = static_cast<double>(touch_rng->Uniform(9));
+    touch.edges.push_back(std::move(in_edge));
+    ASSERT_TRUE(live->Apply(touch, &error).ok()) << context << error.message;
+    CheckCarried(live.get(), &cache, queries, counts, context);
   }
   ASSERT_TRUE(live->Compact(/*manual=*/true).ok()) << context;
   CheckCarried(live.get(), &cache, queries, counts, context);
+  counts->past_touch += cache.stats().carried_past_touch;
 
-  // Negative control: an in-edge to a node the first query expanded.
+  // Negative control: a zero-increment in-edge (weight 0, from a weight-0
+  // node) to a node the first query expanded. No slack is below zero.
   cache::ReadSet read_set;
   FreshBody(live->Acquire(), queries[0], &read_set);
   EXPECT_FALSE(read_set.nodes.empty()) << context;
@@ -514,6 +545,7 @@ void CheckCachedAnswers(const Dataset& data, const std::string& context,
   IngestEdge in_edge;
   in_edge.src_new = 0;
   in_edge.dst = read_set.nodes.back();
+  in_edge.weight = 0;
   touch.edges.push_back(std::move(in_edge));
   IngestErrorDetail error;
   ASSERT_TRUE(live->Apply(touch, &error).ok()) << context << error.message;
@@ -546,14 +578,19 @@ TEST_P(ReplayEquivalenceTest, CarriedCacheEntriesMatchFreshSearch) {
     const int num_nodes = 8 + static_cast<int>(rng.Uniform(8));
     const int num_edges = 2 * num_nodes + static_cast<int>(rng.Uniform(10));
     const Dataset data = RandomDataset(&rng, num_nodes, num_edges, horizon);
+    // The touching publishes draw from their own stream, so the datasets
+    // stay those of ChunkedIngestMatchesBuildOnce.
+    Rng touch_rng(GetParam() * 100 + static_cast<uint64_t>(round));
     CheckCachedAnswers(data,
                        "seed " + std::to_string(GetParam()) + " round " +
                            std::to_string(round),
-                       &total);
+                       &touch_rng, &total);
   }
-  // Not vacuous: entries were carried, and every control evicted one.
+  // Not vacuous: entries were carried, some past a change that named one
+  // of their nodes, and every control evicted one.
   EXPECT_GT(total.carried, 0);
   EXPECT_LT(total.carried, total.lookups);
+  EXPECT_GE(total.past_touch, 20);
   EXPECT_EQ(total.evicted, 6);
 }
 

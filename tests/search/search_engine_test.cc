@@ -428,6 +428,93 @@ TEST(SearchEngineTest, ReportsTheExpandedNodesSorted) {
   EXPECT_EQ(reported->counters.pops, plain->counters.pops);
 }
 
+// r -> a and r -> b of weight 1, s -> a of weight 4, and, when `with_t`,
+// t -> b of weight 6. "a, b" at k = 1 pops a@0, b@0, r@1 twice and stops
+// on the bound with s@4 (and t@6) still queued; without t the frontier of
+// b has drained.
+struct SlackGraph {
+  TemporalGraph graph;
+  NodeId a, b, r;
+};
+
+SlackGraph MakeSlackGraph(bool with_t) {
+  graph::GraphBuilder builder(4);
+  SlackGraph out;
+  out.a = builder.AddNode("a");
+  out.b = builder.AddNode("b");
+  out.r = builder.AddNode("r");
+  builder.AddEdge(out.r, out.a, 1.0);
+  builder.AddEdge(out.r, out.b, 1.0);
+  builder.AddEdge(builder.AddNode("s"), out.a, 4.0);
+  if (with_t) builder.AddEdge(builder.AddNode("t"), out.b, 6.0);
+  out.graph = std::move(builder.Build()).value();
+  return out;
+}
+
+// The slack of a node as reported next to expanded_nodes.
+double SlackOf(const SearchResponse& r, NodeId node) {
+  const auto it = std::find(r.expanded_nodes.begin(), r.expanded_nodes.end(),
+                            node);
+  EXPECT_NE(it, r.expanded_nodes.end()) << node;
+  if (it == r.expanded_nodes.end()) return 0;
+  return r.expanded_slack[static_cast<size_t>(it - r.expanded_nodes.begin())];
+}
+
+SearchResponse SearchReportingSlack(const SlackGraph& g,
+                                    const std::string& text) {
+  const InvertedIndex index(g.graph);
+  const SearchEngine engine(g.graph, &index);
+  SearchOptions options;
+  options.k = 1;
+  options.bound = UpperBoundKind::kAccurate;
+  options.report_expanded_nodes = true;
+  auto r = engine.Search(MustParse(text), options);
+  EXPECT_TRUE(r.ok());
+  return std::move(r).value();
+}
+
+// Per expanded node: the max over the keywords that popped it of that
+// frontier's final top minus the distance of its pop there.
+TEST(SearchEngineTest, ReportsTheSlackOfEachExpandedNode) {
+  const SlackGraph g = MakeSlackGraph(/*with_t=*/true);
+  const SearchResponse r = SearchReportingSlack(g, "a, b");
+  EXPECT_EQ(r.stop_reason, StopReason::kBound);
+  ASSERT_EQ(r.results.size(), 1u);
+  ASSERT_EQ(r.expanded_nodes, (std::vector<NodeId>{g.a, g.b, g.r}));
+  ASSERT_EQ(r.expanded_slack.size(), r.expanded_nodes.size());
+  // Tops 4 (s) and 6 (t); a and b popped at 0, r at 1 by both.
+  EXPECT_NEAR(SlackOf(r, g.a), 4.0 - 0.0, 1e-9);
+  EXPECT_NEAR(SlackOf(r, g.b), 6.0 - 0.0, 1e-9);
+  EXPECT_NEAR(SlackOf(r, g.r), std::max(4.0 - 1.0, 6.0 - 1.0), 1e-9);
+  // Never below the exact difference: rounding may only evict more.
+  EXPECT_GE(SlackOf(r, g.r), 5.0);
+}
+
+// A drained frontier can pop a new child at any distance: +inf, and the
+// max over keywords keeps it at a node the other keyword popped too.
+TEST(SearchEngineTest, SlackIsInfiniteWhereAFrontierDrained) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const SlackGraph g = MakeSlackGraph(/*with_t=*/false);
+  const SearchResponse r = SearchReportingSlack(g, "a, b");
+  EXPECT_EQ(r.stop_reason, StopReason::kBound);
+  ASSERT_EQ(r.expanded_nodes, (std::vector<NodeId>{g.a, g.b, g.r}));
+  EXPECT_NEAR(SlackOf(r, g.a), 4.0, 1e-9);
+  EXPECT_EQ(SlackOf(r, g.b), kInf);
+  EXPECT_EQ(SlackOf(r, g.r), kInf);
+}
+
+// A frontier ordered by time pops no nondecreasing distance: every slack
+// is +inf, so any new in-edge at an expanded node evicts.
+TEST(SearchEngineTest, SlackIsInfiniteUnderATemporalPrimary) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const SlackGraph g = MakeSlackGraph(/*with_t=*/true);
+  const SearchResponse r = SearchReportingSlack(
+      g, "a, b rank by descending order of result end time");
+  ASSERT_FALSE(r.expanded_nodes.empty());
+  EXPECT_EQ(r.expanded_slack,
+            std::vector<double>(r.expanded_nodes.size(), kInf));
+}
+
 TEST(SearchEngineTest, TopKAccurateBoundFindsTrueTopK) {
   const TemporalGraph g = testutil::MakeSocialNetworkGraph();
   const InvertedIndex index(g);

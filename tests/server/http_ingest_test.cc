@@ -270,7 +270,7 @@ TEST(HttpIngestTest, PublishInvalidatesTheResultCache) {
 // Read-set validation over HTTP (docs/caching.md, "Read sets"): a publish
 // that touches nothing the cached search read carries the entry, and the
 // hit is stamped with the generation the request was pinned to; a publish
-// that adds an in-edge to an expanded node drops it.
+// that adds a zero-increment in-edge to an expanded node drops it.
 TEST(HttpIngestTest, CarriedHitCarriesThePinnedGeneration) {
   TestServerOptions opts = LiveOptions();
   opts.cache = true;
@@ -307,11 +307,12 @@ TEST(HttpIngestTest, CarriedHitCarriesThePinnedGeneration) {
   EXPECT_EQ(carried.body, fresh.body);
   EXPECT_EQ(carried.body, miss.body);
 
-  // An in-edge to the root: the root's in-slots changed, so the entry goes.
+  // A zero-increment in-edge to the root (weight 0, from a weight-0 node):
+  // no slack is below zero, so the entry goes.
   ASSERT_EQ(FetchOnce(ts.port(),
                       PostRequest("/v1/ingest",
-                                  R"({"nodes":[{"label":"yankee","weight":1}],)"
-                                  R"("edges":[{"src_new":0,"dst":)" +
+                                  R"({"nodes":[{"label":"yankee","weight":0}],)"
+                                  R"("edges":[{"src_new":0,"weight":0,"dst":)" +
                                       std::to_string(root) + "}]}"),
                       &r),
             200);
@@ -333,6 +334,55 @@ TEST(HttpIngestTest, CarriedHitCarriesThePinnedGeneration) {
   EXPECT_GT(cache->Find("read_set_bytes")->AsInt(), 0);
   EXPECT_LT(cache->Find("read_set_bytes")->AsInt(),
             cache->Find("bytes")->AsInt());
+}
+
+// An in-edge heavier than any path in the graph, into the best tree's
+// root: the new child lies beyond every frontier's final top, so the entry
+// is carried past a change that named one of its nodes (docs/caching.md,
+// "Read sets").
+TEST(HttpIngestTest, HeavyInEdgeToTheRootCarriesTheEntry) {
+  TestServerOptions opts = LiveOptions();
+  opts.cache = true;
+  TestServer ts(testutil::MakeSocialNetworkGraph(), opts);
+  const std::string request =
+      PostRequest("/v1/search", R"({"query":"Mary, John","k":1})");
+  const std::string reference = PostRequest(
+      "/v1/search", R"({"query":"Mary, John","k":1,"cache":false})");
+
+  ClientResponse miss;
+  ASSERT_EQ(FetchOnce(ts.port(), request, &miss), 200);
+  EXPECT_EQ(*miss.FindHeader("x-cache"), "miss");
+  auto body = ParseBody(miss);
+  ASSERT_TRUE(body.ok()) << miss.body;
+  // Stopped on the bound, so no frontier had drained at every node.
+  ASSERT_EQ(body->Find("stop_reason")->AsString(), "bound");
+  ASSERT_EQ(body->Find("result_count")->AsInt(), 1);
+  const int64_t root = body->Find("results")->items()[0].Find("root")->AsInt();
+
+  ClientResponse r;
+  ASSERT_EQ(FetchOnce(ts.port(),
+                      PostRequest("/v1/ingest",
+                                  R"({"nodes":[{"label":"xray","weight":0}],)"
+                                  R"("edges":[{"src_new":0,"weight":1000,)"
+                                  R"("dst":)" +
+                                      std::to_string(root) + "}]}"),
+                      &r),
+            200);
+  ClientResponse carried;
+  ASSERT_EQ(FetchOnce(ts.port(), request, &carried), 200);
+  EXPECT_EQ(*carried.FindHeader("x-cache"), "hit");
+  EXPECT_EQ(*carried.FindHeader("x-snapshot-generation"), "1");
+  ClientResponse fresh;
+  ASSERT_EQ(FetchOnce(ts.port(), reference, &fresh), 200);
+  EXPECT_EQ(carried.body, fresh.body);
+
+  ASSERT_EQ(FetchOnce(ts.port(), GetRequest("/varz"), &r), 200);
+  auto varz = ParseBody(r);
+  ASSERT_TRUE(varz.ok()) << r.body;
+  const JsonValue* cache = varz->Find("result_cache");
+  ASSERT_NE(cache, nullptr);
+  EXPECT_EQ(cache->Find("carried_hits")->AsInt(), 1);
+  EXPECT_EQ(cache->Find("carried_past_touch")->AsInt(), 1);
 }
 
 TEST(HttpIngestTest, VarzReportsTheLiveSection) {
