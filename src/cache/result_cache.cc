@@ -224,26 +224,24 @@ ResultCache::Body ResultCache::Lookup(const std::string& key,
   return it->second.body;
 }
 
-ResultCache::Body ResultCache::Insert(const std::string& key, Body body,
-                                      uint64_t epoch_at_start,
-                                      uint64_t snapshot, ReadSet read_set) {
+void ResultCache::Insert(const std::string& key, Body body, uint64_t snapshot,
+                         ReadSet read_set) {
   const int64_t bytes = EntryBytes(key, *body, read_set);
   std::lock_guard<std::mutex> lock(mu_);
-  if (epoch_ != epoch_at_start) return body;
   const auto it = entries_.find(key);
   if (it != entries_.end()) {
     Entry& resident = it->second;
-    if (snapshot < resident.from_gen) return body;  // Keep the newer one.
+    if (snapshot < resident.from_gen) return;  // Keep the newer one.
     if (ValidateLocked(resident, snapshot) == Validity::kValid) {
       lru_.splice(lru_.begin(), lru_, resident.recency);
-      return resident.body;
+      return;
     }
     EraseLocked(it);  // Superseded by this newer answer.
   }
   if (bytes > byte_budget_) {
     ++stats_.oversized;
     bytes_gauge_->Set(bytes_);
-    return body;
+    return;
   }
   const auto [inserted, fresh] = entries_.emplace(
       key, Entry{body, StoredReadSet(std::move(read_set)), bytes, snapshot,
@@ -260,7 +258,6 @@ ResultCache::Body ResultCache::Insert(const std::string& key, Body body,
     evictions_->Increment();
   }
   bytes_gauge_->Set(bytes_);
-  return body;
 }
 
 void ResultCache::Publish(uint64_t snapshot, ReadSet changes) {
@@ -273,25 +270,6 @@ void ResultCache::Publish(uint64_t snapshot, ReadSet changes) {
     log_first_ = log_last_ - kPublishLogLength + 1;
   }
   log_[snapshot % kPublishLogLength] = std::move(changes);
-}
-
-uint64_t ResultCache::InvalidateAll() {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
-  lru_.clear();
-  bytes_ = 0;
-  read_set_bytes_ = 0;
-  bytes_gauge_->Set(0);
-  return ++epoch_;
-}
-
-uint64_t ResultCache::generation() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return epoch_;
-}
-
-int64_t ResultCache::invalidations() const {
-  return static_cast<int64_t>(generation());
 }
 
 CacheStats ResultCache::stats() const {

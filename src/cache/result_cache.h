@@ -25,13 +25,10 @@
 // entry is carried forward, else it is erased. A change set touches it by
 // sharing a word, or by naming an expanded node with an increment no
 // larger than the node's slack. A lookup pinned before the entry's own
-// generation never hits. On a static graph every entry and lookup sits at generation
-// 0 and nothing is ever published.
-//
-// Invalidation is also epochal: InvalidateAll() bumps the cache's own
-// generation and clears the map. A search that began under epoch E refuses
-// to insert once the epoch has moved past E, so a slow in-flight query can
-// never resurrect a pre-invalidation answer.
+// generation never hits. A touching change set is the only way an entry
+// goes stale: the graph model only adds elements and validity. On a static
+// graph every entry and lookup sits at generation 0, nothing is ever
+// published, and an entry leaves only through the byte budget.
 //
 // Every operation takes one mutex: the cache is probed once per request,
 // not per pop, so the lock is cheap next to the search a hit saves, and it
@@ -115,31 +112,19 @@ class ResultCache {
   Body Lookup(const std::string& key, uint64_t snapshot = 0);
 
   /// Stores `body`, computed on snapshot generation `snapshot` after
-  /// reading `read_set`, if the cache is still at the epoch the producing
-  /// search started under; evicts LRU entries until the budget holds.
-  /// These cases leave the map as it was: a stale epoch, a body whose cost
-  /// alone exceeds the budget (counted as oversized), and a key whose
-  /// resident entry is valid at `snapshot` or newer than it — the resident
-  /// body is kept so concurrent fillers converge on one shared object.
-  /// Returns the body callers should use from here on: the resident one
-  /// when it is valid at `snapshot`, else `body`.
-  Body Insert(const std::string& key, Body body, uint64_t epoch_at_start,
-              uint64_t snapshot = 0, ReadSet read_set = {});
+  /// reading `read_set`, evicting LRU entries until the budget holds.
+  /// These cases leave the map as it was: a body whose cost alone exceeds
+  /// the budget (counted as oversized), and a key whose resident entry is
+  /// valid at `snapshot` or newer than it. A resident entry the publish log
+  /// shows a change to is replaced.
+  void Insert(const std::string& key, Body body, uint64_t snapshot = 0,
+              ReadSet read_set = {});
 
   /// Publish-hook entry: logs what the publish of snapshot generation
   /// `snapshot` changed. O(change set); entries are checked lazily, at
   /// lookup. Generations are expected in order; a gap forgets the log.
   void Publish(uint64_t snapshot, ReadSet changes);
 
-  /// Epoch invalidation hook: bumps the epoch and clears every entry
-  /// (outstanding bodies stay valid). Returns the new epoch.
-  uint64_t InvalidateAll();
-
-  /// The invalidation epoch (what Insert's `epoch_at_start` compares to).
-  uint64_t generation() const;
-  /// InvalidateAll() calls so far; each bumps the epoch once, so this is
-  /// the epoch read as a count.
-  int64_t invalidations() const;
   CacheStats stats() const;
 
  private:
@@ -213,7 +198,6 @@ class ResultCache {
   int64_t bytes_ = 0;
   int64_t read_set_bytes_ = 0;
   CacheStats stats_;
-  uint64_t epoch_ = 0;
   /// Change sets of publishes log_first_..log_last_, at generation %
   /// kPublishLogLength; empty while log_last_ < log_first_.
   std::vector<ReadSet> log_;

@@ -93,7 +93,7 @@ LiveGraph::LiveGraph(graph::TemporalGraph base, CompactionPolicy policy)
       std::make_shared<const graph::InvertedIndex>(*snapshot->graph);
   snapshot->overlay = nullptr;
   head_ = std::move(snapshot);
-  if (policy_.background) {
+  if (policy_.max_delta_bytes > 0 || policy_.max_delta_age_ms > 0) {
     compactor_ = std::thread([this] { BackgroundLoop(); });
   }
 }
@@ -290,7 +290,7 @@ Result<uint64_t> LiveGraph::Apply(const IngestBatch& batch,
   timer.Stop();
   IngestMetrics::Get().apply_micros->Observe(
       static_cast<int64_t>(timer.seconds() * 1e6));
-  stop_cv_.notify_all();  // Wake the compactor to re-check the size policy.
+  stop_cv_.notify_all();  // Wake the compactor to re-check the policy.
   return generation;
 }
 
@@ -384,15 +384,18 @@ bool LiveGraph::ShouldCompactLocked() const {
 }
 
 void LiveGraph::BackgroundLoop() {
+  const auto max_age = std::chrono::milliseconds(policy_.max_delta_age_ms);
   std::unique_lock<std::mutex> lock(mu_);
   while (!stopping_) {
-    stop_cv_.wait_for(lock,
-                      std::chrono::milliseconds(policy_.poll_interval_ms));
-    if (stopping_) return;
-    if (ShouldCompactLocked()) {
-      // Errors are unreachable for validated data; ignore defensively (the
-      // delta stays in place and the next poll retries).
-      (void)CompactLocked(/*manual=*/false);
+    // Errors are unreachable for validated data; a failed fold leaves the
+    // delta in place, and the next write retries it.
+    const bool failed =
+        ShouldCompactLocked() && !CompactLocked(/*manual=*/false).ok();
+    if (!failed && policy_.max_delta_age_ms > 0 &&
+        Acquire()->overlay != nullptr) {
+      stop_cv_.wait_until(lock, first_uncompacted_publish_ + max_age);
+    } else {
+      stop_cv_.wait(lock);
     }
   }
 }

@@ -70,18 +70,15 @@ struct GraphSnapshot {
 /// alive, across any number of concurrent publishes and compactions.
 using GraphSnapshotHandle = std::shared_ptr<const GraphSnapshot>;
 
-/// When the background thread folds the delta into the base.
+/// When the background thread folds the delta into the base. With both
+/// triggers off no thread starts; manual Compact() works either way.
 struct CompactionPolicy {
-  /// Fold once the overlay's approximate footprint exceeds this.
+  /// Fold once the overlay's approximate footprint reaches this (0
+  /// disables the size trigger).
   size_t max_delta_bytes = size_t{8} << 20;
   /// Fold once the oldest uncompacted publish is this old (<= 0 disables
   /// the age trigger).
   int64_t max_delta_age_ms = 30 * 1000;
-  /// Background thread poll cadence.
-  int64_t poll_interval_ms = 250;
-  /// Start the background compaction thread (manual Compact() always
-  /// works either way).
-  bool background = true;
 };
 
 struct CompactionStats {
@@ -163,6 +160,9 @@ class LiveGraph {
   /// Compact() body; caller holds mu_.
   Result<uint64_t> CompactLocked(bool manual);
 
+  /// The compactor thread: sleeps until Apply's notify or, under the age
+  /// trigger with a delta present, the delta's age deadline, then folds
+  /// when the policy says so.
   void BackgroundLoop();
 
   CompactionPolicy policy_;

@@ -349,21 +349,6 @@ HttpResponse RequestRouter::HandleHealthz() const {
   return TextResponse(200, "ok\n");
 }
 
-HttpResponse RequestRouter::HandleCacheInvalidate() const {
-  if (context_.result_cache == nullptr) {
-    return JsonResponse(404,
-                        JsonErrorBody("not-found", "caching is not enabled"));
-  }
-  // The epoch hook (docs/caching.md): drops every cached answer, and any
-  // search still in flight will not insert its answer afterwards.
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("result_cache_generation");
-  w.Int(static_cast<int64_t>(context_.result_cache->InvalidateAll()));
-  w.EndObject();
-  return JsonResponse(200, w.Take());
-}
-
 HttpResponse RequestRouter::HandleIngest(const HttpRequest& request) const {
   if (context_.live == nullptr) {
     return JsonResponse(
@@ -583,13 +568,11 @@ HttpResponse RequestRouter::HandleVarz() const {
     w.Int(s.bytes);
     w.Key("read_set_bytes");
     w.Int(s.read_set_bytes);
+    w.Key("oversized");
+    w.Int(s.oversized);
     w.EndObject();
-    w.Key("result_cache_generation");
-    w.Int(static_cast<int64_t>(context_.result_cache->generation()));
     w.Key("result_cache_coalesced");
     w.Int(flights_.coalesced());
-    w.Key("result_cache_invalidations");
-    w.Int(context_.result_cache->invalidations());
   }
   w.Key("default_k");
   w.Int(context_.default_k);
@@ -634,11 +617,6 @@ bool RequestRouter::Handle(const HttpRequest& request, HttpResponse* immediate,
     *immediate = request.method == "POST"
                      ? HandleCompact()
                      : JsonResponse(405, JsonErrorBody("method", "use POST"));
-  } else if (path == "/v1/cache/invalidate") {
-    *immediate =
-        request.method == "POST"
-            ? HandleCacheInvalidate()
-            : JsonResponse(405, JsonErrorBody("method", "use POST"));
   } else if (path == "/metrics") {
     *immediate = request.method == "GET"
                      ? HandleMetrics()
@@ -818,7 +796,6 @@ bool RequestRouter::HandleSearch(const HttpRequest& request,
   const uint64_t pinned = snapshot != nullptr ? snapshot->generation : 0;
   std::string fingerprint;
   std::string flight_key;
-  uint64_t cache_epoch = 0;
   if (cache_eligible) {
     fingerprint = CacheFingerprint(single);
     // Tier 1: a hit valid at the pinned snapshot (docs/caching.md, "Read
@@ -834,7 +811,6 @@ bool RequestRouter::HandleSearch(const HttpRequest& request,
       }
       return true;
     }
-    cache_epoch = context_.result_cache->generation();
     // Tier 2: coalesce onto an open identical flight. The leader's
     // completion delivers a copy to every parked follower, so a thundering
     // herd of identical requests costs one search and one admission slot.
@@ -904,7 +880,7 @@ bool RequestRouter::HandleSearch(const HttpRequest& request,
       std::move(single),
       [self, admission, bytes, include_stats, handle, cache_eligible,
        result_cache, fingerprint = std::move(fingerprint),
-       flight_key = std::move(flight_key), cache_epoch, pinned,
+       flight_key = std::move(flight_key), pinned,
        read_set = std::move(read_set), snapshot_generation,
        done = std::move(done)](Result<search::SearchResponse> response,
                                double seconds) mutable {
@@ -930,7 +906,7 @@ bool RequestRouter::HandleSearch(const HttpRequest& request,
           read_set.values = std::move(response->expanded_slack);
           result_cache->Insert(fingerprint,
                                std::make_shared<const std::string>(http.body),
-                               cache_epoch, pinned, std::move(read_set));
+                               pinned, std::move(read_set));
         }
         admission->Release(bytes);
         if (snapshot_generation >= 0) {

@@ -7,8 +7,6 @@
 //                    nodes/edges and publishes a new graph snapshot
 //   POST /v1/compact live mode only: synchronously folds the delta into a
 //                    rebuilt base graph
-//   POST /v1/cache/invalidate  epoch invalidation hook: clears the result
-//                    cache and bumps its generation
 //   GET  /metrics    Prometheus text exposition of the global registry
 //   GET  /healthz    liveness/readiness probe (503 while draining)
 //   GET  /varz       JSON snapshot of server state for humans and tests
@@ -137,8 +135,6 @@ class RequestRouter {
   HttpResponse HandleMetrics() const;
   HttpResponse HandleHealthz() const;
   HttpResponse HandleVarz() const;
-  /// POST /v1/cache/invalidate: ResultCache::InvalidateAll.
-  HttpResponse HandleCacheInvalidate() const;
   /// POST /v1/ingest: validate + apply one batch, publish a new snapshot.
   HttpResponse HandleIngest(const HttpRequest& request) const;
   /// POST /v1/compact: synchronously fold the delta into the base.

@@ -1,10 +1,7 @@
 // ResultCache tests: the byte-budget LRU (eviction order, recency
 // promotion, oversized rejection, insert-keeps-existing convergence,
-// eviction safety for outstanding readers), the stats snapshot, the
-// generational invalidation contract — a producer that started under
-// generation G must not be able to resurrect its answer once InvalidateAll
-// has moved the cache past G, on one thread or many — and read-set
-// validation across publishes (docs/caching.md, "Read sets"): an entry is
+// eviction safety for outstanding readers), the stats snapshot, and
+// read-set validation across publishes (docs/caching.md, "Read sets"): an entry is
 // carried to a later snapshot only while no logged change set touches its
 // read set — shares a word, or names a node with an increment no larger
 // than the node's slack.
@@ -42,7 +39,7 @@ constexpr int64_t kUnit = 200;
 TEST(ResultCacheTest, LookupMissThenHit) {
   ResultCache cache(1 << 20);
   EXPECT_EQ(cache.Lookup("a"), nullptr);
-  cache.Insert("a", Val("alpha"), cache.generation());
+  cache.Insert("a", Val("alpha"));
   const auto got = cache.Lookup("a");
   ASSERT_NE(got, nullptr);
   EXPECT_EQ(*got, "alpha");
@@ -57,11 +54,11 @@ TEST(ResultCacheTest, LookupMissThenHit) {
 
 TEST(ResultCacheTest, EvictsLeastRecentlyUsedToHoldBudget) {
   ResultCache cache(3 * kUnit);
-  cache.Insert("a", Sized("a", kUnit), 0);
-  cache.Insert("b", Sized("b", kUnit), 0);
-  cache.Insert("c", Sized("c", kUnit), 0);
+  cache.Insert("a", Sized("a", kUnit));
+  cache.Insert("b", Sized("b", kUnit));
+  cache.Insert("c", Sized("c", kUnit));
   // Budget full at three units; inserting d must evict a (the oldest).
-  cache.Insert("d", Sized("d", kUnit), 0);
+  cache.Insert("d", Sized("d", kUnit));
   EXPECT_EQ(cache.Lookup("a"), nullptr);
   EXPECT_NE(cache.Lookup("b"), nullptr);
   EXPECT_NE(cache.Lookup("c"), nullptr);
@@ -75,22 +72,22 @@ TEST(ResultCacheTest, EvictsLeastRecentlyUsedToHoldBudget) {
 
 TEST(ResultCacheTest, LookupPromotesRecency) {
   ResultCache cache(3 * kUnit);
-  cache.Insert("a", Sized("a", kUnit), 0);
-  cache.Insert("b", Sized("b", kUnit), 0);
-  cache.Insert("c", Sized("c", kUnit), 0);
+  cache.Insert("a", Sized("a", kUnit));
+  cache.Insert("b", Sized("b", kUnit));
+  cache.Insert("c", Sized("c", kUnit));
   // Touch a so b becomes the LRU victim.
   EXPECT_NE(cache.Lookup("a"), nullptr);
-  cache.Insert("d", Sized("d", kUnit), 0);
+  cache.Insert("d", Sized("d", kUnit));
   EXPECT_NE(cache.Lookup("a"), nullptr);
   EXPECT_EQ(cache.Lookup("b"), nullptr);
 }
 
 TEST(ResultCacheTest, OneInsertCanEvictSeveral) {
   ResultCache cache(4 * kUnit);
-  cache.Insert("a", Sized("a", kUnit), 0);
-  cache.Insert("b", Sized("b", kUnit), 0);
-  cache.Insert("c", Sized("c", kUnit), 0);
-  cache.Insert("big", Sized("big", 7 * kUnit / 2), 0);
+  cache.Insert("a", Sized("a", kUnit));
+  cache.Insert("b", Sized("b", kUnit));
+  cache.Insert("c", Sized("c", kUnit));
+  cache.Insert("big", Sized("big", 7 * kUnit / 2));
   EXPECT_EQ(cache.Lookup("a"), nullptr);
   EXPECT_EQ(cache.Lookup("b"), nullptr);
   EXPECT_EQ(cache.Lookup("c"), nullptr);
@@ -101,11 +98,10 @@ TEST(ResultCacheTest, OneInsertCanEvictSeveral) {
 
 TEST(ResultCacheTest, OversizedValueIsReturnedButNotStored) {
   ResultCache cache(2 * kUnit);
-  cache.Insert("a", Sized("a", kUnit), 0);
+  cache.Insert("a", Sized("a", kUnit));
   const auto body = Sized("huge", 100 * kUnit);
-  const auto huge = cache.Insert("huge", body, 0);
-  ASSERT_NE(huge, nullptr);
-  EXPECT_EQ(huge, body);  // Caller still gets its value back.
+  cache.Insert("huge", body);
+  EXPECT_EQ(body.use_count(), 1);  // Only the caller holds its value.
   EXPECT_EQ(cache.Lookup("huge"), nullptr);
   EXPECT_NE(cache.Lookup("a"), nullptr);  // Nothing was evicted for it.
   EXPECT_EQ(cache.stats().oversized, 1);
@@ -115,20 +111,20 @@ TEST(ResultCacheTest, OversizedValueIsReturnedButNotStored) {
 TEST(ResultCacheTest, ZeroBudgetStoresNothingButCountsTraffic) {
   ResultCache cache(0);
   EXPECT_EQ(cache.Lookup("a"), nullptr);
-  cache.Insert("a", Val("a"), 0);
+  cache.Insert("a", Val("a"));
   EXPECT_EQ(cache.Lookup("a"), nullptr);
   EXPECT_EQ(cache.stats().misses, 2);
   EXPECT_EQ(cache.stats().oversized, 1);
 }
 
 TEST(ResultCacheTest, DuplicateInsertKeepsExistingValue) {
-  // Two racers compute the same key; the first insert must win so both end
-  // up sharing one object (and accounted bytes don't double).
+  // Two racers compute the same key; the first insert must win so later
+  // readers share one object (and accounted bytes don't double).
   ResultCache cache(1 << 20);
-  const auto first = cache.Insert("k", Val("first"), 0);
-  const auto second = cache.Insert("k", Val("second"), 0);
-  EXPECT_EQ(*second, "first");
-  EXPECT_EQ(first.get(), second.get());
+  const auto first = Val("first");
+  cache.Insert("k", first);
+  cache.Insert("k", Val("second"));
+  EXPECT_EQ(cache.Lookup("k").get(), first.get());
   EXPECT_EQ(cache.stats().insertions, 1);
   EXPECT_EQ(cache.stats().bytes, ResultCache::EntryBytes("k", "first"));
 }
@@ -136,21 +132,11 @@ TEST(ResultCacheTest, DuplicateInsertKeepsExistingValue) {
 TEST(ResultCacheTest, EvictedValueStaysValidForHolders) {
   ResultCache cache(kUnit);
   const auto alpha = Sized("a", kUnit);
-  const auto held = cache.Insert("a", alpha, 0);
-  cache.Insert("b", Sized("b", kUnit), 0);  // Evicts a.
+  cache.Insert("a", alpha);
+  const auto held = cache.Lookup("a");
+  cache.Insert("b", Sized("b", kUnit));  // Evicts a.
   EXPECT_EQ(cache.Lookup("a"), nullptr);
   EXPECT_EQ(*held, *alpha);  // The shared_ptr keeps the value alive.
-}
-
-TEST(ResultCacheTest, InvalidateAllDropsEverything) {
-  ResultCache cache(1 << 20);
-  cache.Insert("a", Val("a"), 0);
-  cache.Insert("b", Val("b"), 0);
-  cache.InvalidateAll();
-  EXPECT_EQ(cache.Lookup("a"), nullptr);
-  EXPECT_EQ(cache.Lookup("b"), nullptr);
-  EXPECT_EQ(cache.stats().entries, 0);
-  EXPECT_EQ(cache.stats().bytes, 0);
 }
 
 TEST(ResultCacheTest, StatsHitRate) {
@@ -164,117 +150,24 @@ TEST(ResultCacheTest, StatsHitRate) {
 TEST(ResultCacheTest, InsertThenLookup) {
   ResultCache cache(1 << 20);
   EXPECT_EQ(cache.Lookup("fp"), nullptr);
-  cache.Insert("fp", Val("{\"status\":\"ok\"}"), cache.generation());
+  cache.Insert("fp", Val("{\"status\":\"ok\"}"));
   const auto got = cache.Lookup("fp");
   ASSERT_NE(got, nullptr);
   EXPECT_EQ(*got, "{\"status\":\"ok\"}");
-}
-
-TEST(ResultCacheTest, InvalidateAllClearsAndBumpsGeneration) {
-  ResultCache cache(1 << 20);
-  cache.Insert("fp", Val("old"), cache.generation());
-  EXPECT_EQ(cache.generation(), 0u);
-  EXPECT_EQ(cache.InvalidateAll(), 1u);
-  EXPECT_EQ(cache.generation(), 1u);
-  EXPECT_EQ(cache.invalidations(), 1);
-  EXPECT_EQ(cache.Lookup("fp"), nullptr);
-}
-
-TEST(ResultCacheTest, StaleProducerCannotResurrectOldAnswer) {
-  ResultCache cache(1 << 20);
-  // A slow search began under generation 0...
-  const uint64_t started_at = cache.generation();
-  // ...the graph advanced an epoch while it ran...
-  cache.InvalidateAll();
-  // ...so its insert must be dropped on the floor.
-  cache.Insert("fp", Val("pre-invalidation"), started_at);
-  EXPECT_EQ(cache.Lookup("fp"), nullptr);
-
-  // A search started under the NEW generation inserts fine.
-  cache.Insert("fp", Val("fresh"), cache.generation());
-  const auto got = cache.Lookup("fp");
-  ASSERT_NE(got, nullptr);
-  EXPECT_EQ(*got, "fresh");
-}
-
-TEST(ResultCacheTest, RepeatedInvalidationKeepsCounting) {
-  ResultCache cache(1 << 20);
-  EXPECT_EQ(cache.InvalidateAll(), 1u);
-  EXPECT_EQ(cache.InvalidateAll(), 2u);
-  EXPECT_EQ(cache.InvalidateAll(), 3u);
-  EXPECT_EQ(cache.invalidations(), 3);
 }
 
 TEST(ResultCacheTest, ByteBudgetEvictsBodies) {
   // Each 64-byte body under a one-byte key costs about 190 bytes; a
   // 256-byte budget holds one such entry but not two.
   ResultCache cache(256);
-  cache.Insert("a", Val(std::string(64, 'a')), 0);
-  cache.Insert("b", Val(std::string(64, 'b')), 0);
+  cache.Insert("a", Val(std::string(64, 'a')));
+  cache.Insert("b", Val(std::string(64, 'b')));
   const CacheStats stats = cache.stats();
   EXPECT_EQ(stats.insertions, 2);
   EXPECT_EQ(stats.evictions, 1);
   EXPECT_LE(stats.bytes, 256);
   EXPECT_EQ(cache.Lookup("a"), nullptr);
   EXPECT_NE(cache.Lookup("b"), nullptr);
-}
-
-// Producers stamp each body with the generation they started under, while
-// one thread invalidates. Whatever a Lookup returns must come from a
-// generation no older than the one current just before that Lookup: an
-// insert from before an invalidation never survives it.
-TEST(ResultCacheTest, ConcurrentInsertsNeverSurviveInvalidation) {
-  ResultCache cache(1 << 20);
-  constexpr int kProducers = 3;
-  constexpr int kRounds = 2000;
-  constexpr int kKeys = 16;
-  std::atomic<bool> stop{false};
-  std::atomic<int64_t> stale_hits{0};
-  std::atomic<int64_t> fresh_hits{0};
-
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&cache, &stale_hits, &fresh_hits, p] {
-      for (int i = 0; i < kRounds; ++i) {
-        const std::string key = "k" + std::to_string((i * 7 + p) % kKeys);
-        const uint64_t before = cache.generation();
-        if (const auto hit = cache.Lookup(key)) {
-          if (std::stoull(*hit) < before) {
-            stale_hits.fetch_add(1);
-          } else {
-            fresh_hits.fetch_add(1);
-          }
-          continue;
-        }
-        // A miss: "compute" the answer under the generation seen now, then
-        // insert it — possibly after an invalidation has moved on.
-        const uint64_t started_at = cache.generation();
-        std::this_thread::yield();
-        cache.Insert(key, Val(std::to_string(started_at)), started_at);
-      }
-    });
-  }
-  threads.emplace_back([&cache, &stop] {
-    while (!stop.load()) {
-      cache.InvalidateAll();
-      std::this_thread::yield();
-    }
-  });
-  for (int p = 0; p < kProducers; ++p) threads[static_cast<size_t>(p)].join();
-  stop.store(true);
-  threads.back().join();
-
-  EXPECT_EQ(stale_hits.load(), 0);
-  // Every resident body was stamped with the final generation.
-  const uint64_t final_generation = cache.generation();
-  for (int k = 0; k < kKeys; ++k) {
-    if (const auto hit = cache.Lookup("k" + std::to_string(k))) {
-      EXPECT_EQ(std::stoull(*hit), final_generation);
-    }
-  }
-  // Every Lookup was counted once, as a hit or a miss.
-  EXPECT_EQ(cache.stats().lookups(), kProducers * kRounds + kKeys);
-  EXPECT_GE(cache.stats().hits, fresh_hits.load());
 }
 
 ReadSet Nodes(std::vector<int32_t> nodes) {
@@ -302,7 +195,7 @@ TEST(ResultCacheTest, ReadSetIntersection) {
   const ReadSet read{Ids(1000, 3000, 2), {"john", "mary"}, {}};
   const auto expect = [&](const ReadSet& changes, bool touches) {
     ResultCache cache(1 << 20);
-    cache.Insert("q", Val("body"), 0, 0, read);
+    cache.Insert("q", Val("body"), 0, read);
     cache.Publish(1, changes);
     EXPECT_EQ(cache.Lookup("q", 1) == nullptr, touches);
   };
@@ -331,7 +224,7 @@ TEST(ResultCacheTest, ReadSetIsChargedAsABitmapOverItsRange) {
 
 TEST(ResultCacheTest, PublishThatMissesTheReadSetCarriesTheEntry) {
   ResultCache cache(1 << 20);
-  cache.Insert("q", Val("body"), cache.generation(), 0, ReadSet{{3, 4}, {}, {}});
+  cache.Insert("q", Val("body"), 0, ReadSet{{3, 4}, {}, {}});
   cache.Publish(1, Nodes({7}));  // An in-edge to a node the search never popped.
   cache.Publish(2, ReadSet{});   // A compaction.
   const auto got = cache.Lookup("q", 2);
@@ -347,8 +240,8 @@ TEST(ResultCacheTest, PublishThatMissesTheReadSetCarriesTheEntry) {
 
 TEST(ResultCacheTest, PublishThatTouchesTheReadSetErasesTheEntry) {
   ResultCache cache(1 << 20);
-  cache.Insert("nodes", Val("a"), 0, 0, ReadSet{{3, 4}, {}, {}});
-  cache.Insert("words", Val("b"), 0, 0, ReadSet{{3}, {"mary"}, {}});
+  cache.Insert("nodes", Val("a"), 0, ReadSet{{3, 4}, {}, {}});
+  cache.Insert("words", Val("b"), 0, ReadSet{{3}, {"mary"}, {}});
   cache.Publish(1, ReadSet{{4}, {"perfbench"}, {}});
   EXPECT_EQ(cache.Lookup("nodes", 1), nullptr);
   EXPECT_EQ(cache.stats().entries, 1);  // Erased, not just missed.
@@ -365,12 +258,11 @@ TEST(ResultCacheTest, OlderPinnedRequestNeverHitsNewerEntry) {
   cache.Publish(1, Nodes({1}));
   cache.Publish(2, Nodes({2}));
   // A search pinned at generation 2 stored its answer...
-  cache.Insert("q", Val("at 2"), 0, 2, Nodes({5}));
+  cache.Insert("q", Val("at 2"), 2, Nodes({5}));
   // ...which may hold the writes of 1 and 2: a request pinned at 1 misses,
   // and its own insert does not displace the newer entry.
   EXPECT_EQ(cache.Lookup("q", 1), nullptr);
-  const auto kept = cache.Insert("q", Val("at 1"), 0, 1, Nodes({5}));
-  EXPECT_EQ(*kept, "at 1");
+  cache.Insert("q", Val("at 1"), 1, Nodes({5}));
   const auto got = cache.Lookup("q", 2);
   ASSERT_NE(got, nullptr);
   EXPECT_EQ(*got, "at 2");
@@ -384,8 +276,8 @@ TEST(ResultCacheTest, InsertAfterLaterPublishesIsValidatedThroughTheLog) {
   cache.Publish(1, Nodes({10}));
   cache.Publish(2, Words({"fresh"}));
   cache.Publish(3, ReadSet{});
-  cache.Insert("clean", Val("c"), 0, 0, ReadSet{{1, 2}, {"old"}, {}});
-  cache.Insert("dirty", Val("d"), 0, 0, ReadSet{{1, 10}, {}, {}});
+  cache.Insert("clean", Val("c"), 0, ReadSet{{1, 2}, {"old"}, {}});
+  cache.Insert("dirty", Val("d"), 0, ReadSet{{1, 10}, {}, {}});
   EXPECT_NE(cache.Lookup("clean", 3), nullptr);
   EXPECT_EQ(cache.Lookup("dirty", 3), nullptr);
   EXPECT_EQ(cache.stats().carried_hits, 1);
@@ -395,7 +287,7 @@ TEST(ResultCacheTest, LookupAheadOfTheLogMissesButKeepsTheEntry) {
   // The publish hook runs just after the snapshot swap: a request can pin
   // generation 1 before the log has its change set.
   ResultCache cache(1 << 20);
-  cache.Insert("q", Val("at 0"), 0, 0, Nodes({3}));
+  cache.Insert("q", Val("at 0"), 0, Nodes({3}));
   EXPECT_EQ(cache.Lookup("q", 1), nullptr);
   EXPECT_EQ(cache.stats().entries, 1);
   cache.Publish(1, Nodes({4}));
@@ -404,7 +296,7 @@ TEST(ResultCacheTest, LookupAheadOfTheLogMissesButKeepsTheEntry) {
 
 TEST(ResultCacheTest, EntryOlderThanTheLogTailIsDropped) {
   ResultCache cache(1 << 20);
-  cache.Insert("q", Val("at 0"), 0, 0, Nodes({3}));
+  cache.Insert("q", Val("at 0"), 0, Nodes({3}));
   const uint64_t last = ResultCache::kPublishLogLength + 1;
   for (uint64_t g = 1; g <= last; ++g) cache.Publish(g, Nodes({4}));
   // Generation 1's change set has left the log: nothing vouches for it.
@@ -412,7 +304,7 @@ TEST(ResultCacheTest, EntryOlderThanTheLogTailIsDropped) {
   EXPECT_EQ(cache.stats().entries, 0);
 
   // An entry validated within the log's reach still carries.
-  cache.Insert("r", Val("at last"), 0, last, Nodes({3}));
+  cache.Insert("r", Val("at last"), last, Nodes({3}));
   for (uint64_t g = last + 1; g <= last + ResultCache::kPublishLogLength;
        ++g) {
     cache.Publish(g, Nodes({4}));
@@ -423,7 +315,7 @@ TEST(ResultCacheTest, EntryOlderThanTheLogTailIsDropped) {
 
 TEST(ResultCacheTest, PublishGapForgetsTheLog) {
   ResultCache cache(1 << 20);
-  cache.Insert("q", Val("at 0"), 0, 0, Nodes({3}));
+  cache.Insert("q", Val("at 0"), 0, Nodes({3}));
   cache.Publish(1, Nodes({4}));
   cache.Publish(3, Nodes({4}));  // Generation 2's changes are unknown.
   EXPECT_EQ(cache.Lookup("q", 3), nullptr);
@@ -439,10 +331,10 @@ TEST(ResultCacheTest, ReadSetBytesAreChargedToTheBudget) {
 
   // Room for one entry with its read set, not two.
   ResultCache cache(with + with / 2);
-  cache.Insert("a", Val("x"), 0, 0, big);
+  cache.Insert("a", Val("x"), 0, big);
   EXPECT_EQ(cache.stats().bytes, with);
   EXPECT_EQ(cache.stats().read_set_bytes, read_set_bytes);
-  cache.Insert("b", Val("x"), 0, 0, big);
+  cache.Insert("b", Val("x"), 0, big);
   EXPECT_EQ(cache.Lookup("a"), nullptr);
   EXPECT_NE(cache.Lookup("b"), nullptr);
   EXPECT_EQ(cache.stats().evictions, 1);
@@ -450,7 +342,7 @@ TEST(ResultCacheTest, ReadSetBytesAreChargedToTheBudget) {
 
   // A read set alone can make an entry oversized.
   ResultCache small(ResultCache::EntryBytes("a", "x") + 1);
-  small.Insert("a", Val("x"), 0, 0, big);
+  small.Insert("a", Val("x"), 0, big);
   EXPECT_EQ(small.stats().oversized, 1);
   EXPECT_EQ(small.stats().entries, 0);
 }
@@ -468,7 +360,7 @@ ReadSet Valued(std::vector<int32_t> nodes, std::vector<double> values) {
 bool Evicts(const ReadSet& read, const ReadSet& changes,
             int64_t* past = nullptr) {
   ResultCache cache(1 << 20);
-  cache.Insert("q", Val("body"), 0, 0, read);
+  cache.Insert("q", Val("body"), 0, read);
   cache.Publish(1, changes);
   const bool evicted = cache.Lookup("q", 1) == nullptr;
   if (past != nullptr) *past = cache.stats().carried_past_touch;
@@ -529,7 +421,7 @@ TEST(ResultCacheTest, SlackOneSmallIncrementAmongLargeEvicts) {
   // Every logged change set must pass: one small increment among many
   // publishes evicts.
   ResultCache cache(1 << 20);
-  cache.Insert("q", Val("body"), 0, 0, read);
+  cache.Insert("q", Val("body"), 0, read);
   cache.Publish(1, Valued({1}, {50.0}));
   cache.Publish(2, Valued({2}, {2.0}));
   cache.Publish(3, Valued({3}, {50.0}));
@@ -546,7 +438,7 @@ TEST(ResultCacheTest, SlackIsFoundPerNodeAcrossBitmapWords) {
     slack.push_back(i % 11 == 0 ? kInf : static_cast<double>(i % 97) * 0.75);
   }
   ResultCache cache(1 << 20);
-  cache.Insert("q", Val("body"), 0, 0, Valued(ids, slack));
+  cache.Insert("q", Val("body"), 0, Valued(ids, slack));
   uint64_t generation = 0;
   for (size_t i = 0; i < ids.size(); i += 7) {
     const double above = slack[i] + 0.75;  // Past any rounding up.
@@ -554,13 +446,13 @@ TEST(ResultCacheTest, SlackIsFoundPerNodeAcrossBitmapWords) {
     EXPECT_EQ(cache.Lookup("q", generation) == nullptr, slack[i] == kInf)
         << "node " << ids[i];
     if (slack[i] == kInf) {
-      cache.Insert("q", Val("body"), 0, generation, Valued(ids, slack));
+      cache.Insert("q", Val("body"), generation, Valued(ids, slack));
     }
   }
   for (size_t i = 1; i < ids.size(); i += 13) {
     cache.Publish(++generation, Valued({ids[i]}, {slack[i]}));
     EXPECT_EQ(cache.Lookup("q", generation), nullptr) << "node " << ids[i];
-    cache.Insert("q", Val("body"), 0, generation, Valued(ids, slack));
+    cache.Insert("q", Val("body"), generation, Valued(ids, slack));
   }
 }
 
@@ -573,33 +465,12 @@ TEST(ResultCacheTest, SlackBytesAreCharged) {
   EXPECT_EQ(with - bitmap,
             static_cast<int64_t>(32 * sizeof(uint32_t) + ids.size()));
   ResultCache cache(1 << 20);
-  cache.Insert("q", Val("b"), 0, 0, Valued(ids, slack));
+  cache.Insert("q", Val("b"), 0, Valued(ids, slack));
   EXPECT_EQ(cache.stats().bytes, ResultCache::EntryBytes("q", "b",
                                                          Valued(ids, slack)));
   EXPECT_EQ(cache.stats().read_set_bytes,
             static_cast<int64_t>(32 * sizeof(uint64_t) +
                                  32 * sizeof(uint32_t) + ids.size()));
-}
-
-TEST(ResultCacheTest, InvalidateAllEmptiesEntriesOfEveryGeneration) {
-  ResultCache cache(1 << 20);
-  cache.Insert("a", Val("a"), 0, 0, Nodes({1}));
-  cache.Publish(1, Nodes({9}));
-  ASSERT_NE(cache.Lookup("a", 1), nullptr);  // Carried to 1.
-  cache.Insert("b", Val("b"), 0, 1, Nodes({2}));
-  EXPECT_EQ(cache.InvalidateAll(), 1u);
-  EXPECT_EQ(cache.Lookup("a", 1), nullptr);
-  EXPECT_EQ(cache.Lookup("b", 1), nullptr);
-  EXPECT_EQ(cache.stats().entries, 0);
-  EXPECT_EQ(cache.stats().bytes, 0);
-  EXPECT_EQ(cache.stats().read_set_bytes, 0);
-  // A search that started before the invalidation cannot refill it, at any
-  // snapshot; the log survives, so new entries still carry.
-  cache.Insert("a", Val("stale"), 0, 1, Nodes({1}));
-  EXPECT_EQ(cache.Lookup("a", 1), nullptr);
-  cache.Insert("a", Val("fresh"), 1, 1, Nodes({1}));
-  cache.Publish(2, Nodes({9}));
-  EXPECT_NE(cache.Lookup("a", 2), nullptr);
 }
 
 // Publishes race lookups and inserts pinned at whatever generation each
@@ -628,7 +499,7 @@ TEST(ResultCacheTest, ConcurrentPublishesNeverServeAChangedEntry) {
           }
           continue;
         }
-        cache.Insert(key, Val(std::to_string(pinned)), 0, pinned,
+        cache.Insert(key, Val(std::to_string(pinned)), pinned,
                      Nodes({node}));
       }
     });

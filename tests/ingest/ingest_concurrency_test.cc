@@ -60,10 +60,8 @@ IngestBatch MakeBatch(int writer, int tick) {
 
 TEST(IngestConcurrencyTest, ConcurrentIngestCompactionAndSearch) {
   CompactionPolicy policy;
-  policy.background = true;
   policy.max_delta_bytes = 4 * 1024;  // Compact often under the hammer.
   policy.max_delta_age_ms = 0;
-  policy.poll_interval_ms = 1;
   LiveGraph live(MakeBase(), policy);
 
   std::atomic<bool> done{false};

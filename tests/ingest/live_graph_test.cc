@@ -28,11 +28,13 @@ using temporal::IntervalSet;
 
 constexpr temporal::TimePoint kTimeline = 10;
 
-/// Policy with the background thread off: every test drives compaction
-/// explicitly so its assertions cannot race a policy-triggered fold.
+/// Policy with both triggers off, so no compactor thread starts: every
+/// test drives compaction explicitly so its assertions cannot race a
+/// policy-triggered fold.
 CompactionPolicy ManualOnly() {
   CompactionPolicy policy;
-  policy.background = false;
+  policy.max_delta_bytes = 0;
+  policy.max_delta_age_ms = 0;
   return policy;
 }
 
@@ -54,6 +56,17 @@ IngestNode MakeNode(const std::string& label, const IntervalSet& validity,
   node.weight = weight;
   node.validity = validity;
   return node;
+}
+
+/// Waits up to 10 s for the background thread to fold the delta away.
+bool WaitForCompaction(LiveGraph* live) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (live->Acquire()->overlay != nullptr) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return true;
 }
 
 TEST(LiveGraphTest, BaseSnapshotBehavesLikeBuildOnce) {
@@ -320,10 +333,8 @@ TEST(LiveGraphTest, SearchThroughTheOverlaySeesIngestedData) {
 
 TEST(LiveGraphTest, BackgroundCompactionFollowsTheSizePolicy) {
   CompactionPolicy policy;
-  policy.background = true;
-  policy.max_delta_bytes = 1;  // Any delta triggers the next poll.
+  policy.max_delta_bytes = 1;  // Any delta triggers a fold on the write.
   policy.max_delta_age_ms = 0;
-  policy.poll_interval_ms = 5;
   LiveGraph live(MakeBase(), policy);
 
   IngestErrorDetail error;
@@ -331,16 +342,30 @@ TEST(LiveGraphTest, BackgroundCompactionFollowsTheSizePolicy) {
   batch.nodes.push_back(MakeNode("dave", IntervalSet{{0, 9}}));
   ASSERT_TRUE(live.Apply(batch, &error).ok());
 
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (std::chrono::steady_clock::now() < deadline) {
-    const GraphSnapshotHandle snap = live.Acquire();
-    if (snap->overlay == nullptr) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  const GraphSnapshotHandle snap = live.Acquire();
-  ASSERT_EQ(snap->overlay, nullptr) << "background compaction never fired";
-  EXPECT_EQ(snap->graph->num_nodes(), 4);
+  ASSERT_TRUE(WaitForCompaction(&live)) << "background compaction never fired";
+  EXPECT_EQ(live.Acquire()->graph->num_nodes(), 4);
+  EXPECT_EQ(live.compaction_stats().runs, 1);
+  EXPECT_EQ(live.compaction_stats().manual_runs, 0);
+}
+
+// No write follows the only Apply, so nothing but the age deadline can wake
+// the compactor.
+TEST(LiveGraphTest, BackgroundCompactionFollowsTheAgePolicy) {
+  CompactionPolicy policy;
+  policy.max_delta_bytes = 0;
+  policy.max_delta_age_ms = 50;
+  LiveGraph live(MakeBase(), policy);
+
+  IngestErrorDetail error;
+  IngestBatch batch;
+  batch.nodes.push_back(MakeNode("dave", IntervalSet{{0, 9}}));
+  const auto applied = std::chrono::steady_clock::now();
+  ASSERT_TRUE(live.Apply(batch, &error).ok());
+
+  ASSERT_TRUE(WaitForCompaction(&live)) << "background compaction never fired";
+  EXPECT_GE(std::chrono::steady_clock::now() - applied,
+            std::chrono::milliseconds(50));
+  EXPECT_EQ(live.Acquire()->graph->num_nodes(), 4);
   EXPECT_EQ(live.compaction_stats().runs, 1);
   EXPECT_EQ(live.compaction_stats().manual_runs, 0);
 }

@@ -179,7 +179,8 @@ std::unique_ptr<LiveGraph> BuildByIngest(const Dataset& data, int chunks) {
   auto built = b.Build();
   EXPECT_TRUE(built.ok()) << built.status();
   CompactionPolicy policy;
-  policy.background = false;
+  policy.max_delta_bytes = 0;
+  policy.max_delta_age_ms = 0;
   auto live =
       std::make_unique<LiveGraph>(std::move(built).value(), policy);
 
@@ -434,7 +435,7 @@ void CheckCarried(LiveGraph* live, cache::ResultCache* cache,
       continue;
     }
     cache->Insert(q.key, std::make_shared<const std::string>(fresh),
-                  cache->generation(), snap->generation, std::move(read_set));
+                  snap->generation, std::move(read_set));
   }
 }
 

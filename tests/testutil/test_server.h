@@ -42,7 +42,8 @@ class TestServer {
                       TestServerOptions opts = TestServerOptions()) {
     if (opts.live) {
       ingest::CompactionPolicy policy;
-      policy.background = false;
+      policy.max_delta_bytes = 0;
+      policy.max_delta_age_ms = 0;
       live_ = std::make_unique<ingest::LiveGraph>(std::move(graph), policy);
       base_ = live_->Acquire();
     } else {
